@@ -407,8 +407,8 @@ var benches = []struct {
 	}},
 	{"EngineDense", func(b *testing.B) {
 		// More live timers than the engine's small-mode capacity, spread
-		// over a wide horizon: steady-state wheel scheduling (bitmap scans,
-		// bucket drains), where the heap it replaced paid O(log n) sifts.
+		// over a wide horizon: every event pays the 4-ary heap's O(log n)
+		// sifts, a shape no simulator workload reaches.
 		eng := sim.NewEngine()
 		const handles = 64
 		fired := 0

@@ -6,27 +6,17 @@
 // nanoseconds. Events at equal timestamps fire in scheduling order, which
 // makes every simulation reproducible given the same inputs.
 //
-// The engine is built for zero allocations and amortized O(1) work per
-// event in steady state: the event queue is a hierarchical timing wheel
-// (Varghese–Lauck, the kernel-timer construction) with a wide ground level
-// sized so the simulators' whole working horizon — service completions,
-// DVFS switches, arrival lookahead — schedules and fires without ever
-// cascading. Recurring events are pre-registered once with Register and
-// then moved with Reschedule / Cancel, which swap the single bucket entry
-// in place instead of pushing a fresh closure and tombstoning the stale
-// one. Scheduling appends to a bucket, canceling swap-removes from one,
-// and firing drains the earliest bucket in (time, scheduling sequence)
-// order — no comparison heap, no O(log n) sift on the hot path. A flat
-// small-mode array fronts the wheel while only a handful of events are
-// pending (the common per-core shape), keeping that regime on one hot
-// cache line instead of scattered wheel buckets.
+// The engine is built for zero allocations per event in steady state.
+// Recurring events are pre-registered once with Register and then moved
+// with Reschedule / Cancel, which relocate the single pending entry in
+// place instead of pushing a fresh closure and tombstoning the stale one.
+// Pending events live in a flat array sorted by (time, scheduling
+// sequence) while there are at most smallCap of them — every simulator in
+// this repository stays in that regime (a completion per busy core, an
+// arrival, a controller tick) — and spill into a 4-ary min-heap beyond it.
 package sim
 
-import (
-	"math"
-	"math/bits"
-	"sort"
-)
+import "math"
 
 // Time is a point in simulated time, in nanoseconds.
 type Time = int64
@@ -46,46 +36,23 @@ const (
 // completion per core, one arrival per feeder, ...).
 type Handle int32
 
-// unscheduled marks a handle with no pending bucket entry.
+// unscheduled marks a handle with no pending entry.
 const unscheduled = -1
-
-// Wheel geometry. One tick spans 2^wheelTickBits simulated nanoseconds.
-// Level 0 is deliberately wide — 2^wheelL0Bits slots, indexed by a
-// two-level occupancy bitmap — so that it alone covers 2^(6+12) ns =
-// ~262 µs of horizon: service completions (~100 µs), DVFS switch latency
-// (~10 µs), and arrival lookahead all schedule and fire without touching
-// a higher level. Levels 1..8 are classic 64-slot cascade layers covering
-// the rest of the int64 range (controller ticks at ms cadence land in
-// level 1 and cascade once; nothing in the simulators goes deeper).
-const (
-	wheelTickBits  = 6 // one tick = 64 simulated ns
-	wheelL0Bits    = 12
-	wheelL0Slots   = 1 << wheelL0Bits
-	wheelL0Mask    = wheelL0Slots - 1
-	wheelL0Words   = wheelL0Slots / 64
-	wheelLevelBits = 6 // 64 slots per cascade level, one occupancy bit each
-	wheelSlots     = 1 << wheelLevelBits
-	wheelSlotMask  = wheelSlots - 1
-	wheelLevels    = 9 // ground level + 8 cascade levels cover all of Time
-)
 
 // Small-mode thresholds. With at most smallCap pending events the engine
 // keeps them in one flat sorted array: firing pops the front, scheduling
-// shift-inserts into a couple of hot cache lines. That beats both the
-// heap (no sift chains, no position churn) and the wheel itself, whose
-// buckets scatter across a 128 KB ground level — a cold line per event
-// when pending is small, which is exactly the per-socket simulator shape
-// (a completion per busy core, an arrival, a controller tick). The wheel
-// takes over when the array fills; run() migrates back once pending
-// drains to smallLow, and the wide gap between the two thresholds keeps
-// workloads that hover near either one from thrashing between modes.
+// shift-inserts into a couple of hot cache lines, with no sift chains and
+// no position churn. The heap takes over when the array fills; run()
+// migrates back once pending drains to smallLow, and the gap between the
+// two thresholds keeps workloads that hover near either one from
+// thrashing between modes.
 const (
 	smallCap = 24
 	smallLow = 20
 )
 
-// entry is one scheduled event. Entries live by value in bucket slices:
-// scheduling never boxes and never allocates beyond amortized slice growth.
+// entry is one scheduled event, stored by value: scheduling never boxes and
+// never allocates beyond amortized slice growth.
 type entry struct {
 	at  Time
 	seq uint64
@@ -93,7 +60,7 @@ type entry struct {
 }
 
 // entryLess is the engine's total firing order: (time, scheduling
-// sequence). seq is unique, so bucket geometry cannot affect firing order.
+// sequence). seq is unique, so the queue layout cannot affect firing order.
 func entryLess(a, b entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -101,98 +68,45 @@ func entryLess(a, b entry) bool {
 	return a.seq < b.seq
 }
 
-// bucket is one wheel slot: an unordered append bag of entries, sorted
-// into firing order lazily at expiry. sorted tracks whether ents is
-// currently ascending in (at, seq) — appends in scheduling order keep it,
-// swap-removes break it.
-type bucket struct {
-	ents   []entry
-	sorted bool
-}
-
-// level0 is the ground level: one bucket per tick across a 4096-tick
-// window, with a two-level occupancy bitmap (summary bit w set iff occ[w]
-// is non-zero) so finding the earliest non-empty bucket is at most two
-// trailing-zeros counts. Each bucket holds entries of exactly one tick:
-// an entry 4096+ ticks out goes to a cascade level, and the clock never
-// passes a pending firing, so slots cannot alias.
-type level0 struct {
-	summary uint64
-	occ     [wheelL0Words]uint64
-	buckets [wheelL0Slots]bucket
-}
-
-// wheelLevel is one cascade layer: 64 buckets plus a one-bit-per-slot
-// occupancy bitmap, so finding the earliest non-empty bucket is a rotate
-// and a trailing-zeros count.
-type wheelLevel struct {
-	occ     uint64
-	buckets [wheelSlots]bucket
-}
-
 type handleState struct {
 	fn      func()
-	pos     int32  // index into its bucket's ents, or unscheduled
-	level   int8   // wheel level of the pending entry (0 = ground)
-	slot    uint16 // wheel slot of the pending entry
-	oneShot bool   // slot recycles after firing (At/After events)
+	pos     int32 // index into small or heap, or unscheduled
+	oneShot bool  // slot recycles after firing (At/After events)
 }
 
 // Engine is a discrete-event simulator: a clock plus a time-ordered event
 // queue. The zero value is not usable; call NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	pending int
+	now Time
+	seq uint64
 
-	// l0 is the ground level, embedded to spare a pointer chase on every
-	// hot-path operation. Cascade levels allocate on first use (most runs
-	// never schedule past level 1); top is one past the highest cascade
-	// level ever used, bounding every level scan. levels[0] is unused.
-	l0     level0
-	levels [wheelLevels]*wheelLevel
-	top    int
-
-	// fireHead counts fired entries at the front of the active bucket —
-	// the ground-level bucket of the current tick, the only bucket ever
-	// consumed in place. Entries behind it are dead; they are truncated
-	// when the bucket drains or the clock leaves the tick.
-	fireHead int32
-
-	// small holds every pending entry while smallMode is set (the wheel is
-	// then completely empty), sorted ascending in (at, seq); the live
-	// region is small[smallHead:], the prefix before it dead slots left by
-	// fired/removed front entries and reused by front inserts. hs.pos is a
-	// position hint into it, exact at write time but staled by shifts;
-	// remove validates and falls back to a scan. See smallCap.
+	// small holds every pending entry while heap is empty, sorted ascending
+	// in (at, seq); the live region is small[smallHead:], the prefix before
+	// it dead slots left by fired/removed front entries and reused by front
+	// inserts. hs.pos is a position hint into it, exact at write time but
+	// staled by shifts; removeSmall validates and falls back to a scan.
 	small     []entry
 	smallHead int
-	smallMode bool
+
+	// heap is a 4-ary min-heap in (at, seq) holding every pending entry
+	// once more than smallCap are pending (small is then empty). Positions
+	// are exact.
+	heap []entry
 
 	handles []handleState
 	free    []Handle // recycled one-shot handle slots
 
 	// phantom is the latest firing time displaced by Reschedule/Cancel. The
-	// pre-handle engine left superseded events in the heap as no-op
+	// pre-handle engine left superseded events in its queue as no-op
 	// tombstones, so a full drain advanced the clock to the latest time
 	// ever scheduled, canceled or not; simulations observe that clock as
-	// Result.EndTime. Run reproduces it so the wheel engine is
-	// byte-identical to the reference, without keeping tombstones around.
+	// Result.EndTime. Run reproduces it without keeping tombstones around.
 	phantom Time
 }
 
 // NewEngine returns an engine with the clock at 0 and no pending events.
 func NewEngine() *Engine {
-	e := &Engine{top: 1, smallMode: true, small: make([]entry, 0, smallCap)}
-	// One arena backs every ground-level bucket with a two-entry stub, so
-	// a long sparse run (mostly singleton buckets) touches each of the
-	// 4096 slots without a single allocation; only denser buckets spill to
-	// their own geometrically-grown slice, amortized across slot reuse.
-	arena := make([]entry, 2*wheelL0Slots)
-	for i := range e.l0.buckets {
-		e.l0.buckets[i].ents = arena[2*i : 2*i : 2*i+2]
-	}
-	return e
+	return &Engine{small: make([]entry, 0, smallCap)}
 }
 
 // Now returns the current simulated time.
@@ -225,13 +139,19 @@ func (e *Engine) Reschedule(h Handle, t Time) {
 		t = e.now
 	}
 	e.seq++
-	hs := &e.handles[h]
-	if hs.pos != unscheduled {
-		if at := e.remove(h, hs); at > e.phantom {
-			e.phantom = at
-		}
+	if e.handles[h].pos != unscheduled {
+		e.Cancel(h)
 	}
-	e.place(h, t, e.seq)
+	ev := entry{at: t, seq: e.seq, h: h}
+	if len(e.heap) == 0 {
+		if len(e.small)-e.smallHead < smallCap {
+			e.placeSmall(ev)
+			return
+		}
+		e.spill()
+	}
+	e.heap = append(e.heap, ev)
+	e.siftUp(len(e.heap) - 1)
 }
 
 // RescheduleAfter schedules the handle's event d nanoseconds from now.
@@ -246,7 +166,15 @@ func (e *Engine) Cancel(h Handle) {
 	if hs.pos == unscheduled {
 		return
 	}
-	if at := e.remove(h, hs); at > e.phantom {
+	var at Time
+	if len(e.heap) > 0 {
+		at = e.heap[hs.pos].at
+		e.removeAt(int(hs.pos))
+	} else {
+		at = e.removeSmall(h, int(hs.pos))
+	}
+	hs.pos = unscheduled
+	if at > e.phantom {
 		e.phantom = at
 	}
 }
@@ -270,24 +198,20 @@ func (e *Engine) After(d Time, fn func()) {
 }
 
 // Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return e.pending }
+func (e *Engine) Pending() int {
+	if len(e.heap) > 0 {
+		return len(e.heap)
+	}
+	return len(e.small) - e.smallHead
+}
 
 // Step runs the next event, advancing the clock to its timestamp. It
 // returns false when no events remain.
 func (e *Engine) Step() bool {
-	if e.smallMode {
-		if e.smallHead == len(e.small) {
-			return false
-		}
-		e.fireSmall()
-		return true
-	}
-	t, ok := e.nextAt()
-	if !ok {
+	if e.Pending() == 0 {
 		return false
 	}
-	e.advanceTo(t)
-	e.fireOne()
+	e.fireNext()
 	return true
 }
 
@@ -297,9 +221,7 @@ func (e *Engine) Step() bool {
 // tombstone-based engine had.
 func (e *Engine) Run() {
 	e.run(math.MaxInt64)
-	if e.now < e.phantom {
-		e.now = e.phantom
-	}
+	e.drained()
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
@@ -307,7 +229,7 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	e.run(t)
 	if e.now < t {
-		e.advanceTo(t)
+		e.now = t
 	}
 }
 
@@ -321,15 +243,8 @@ func (e *Engine) RunUntilOrDrain(t Time) {
 		e.Run()
 		return
 	}
-	e.run(t)
-	if e.pending == 0 {
-		if e.now < e.phantom {
-			e.now = e.phantom
-		}
-		return
-	}
-	if e.now < t {
-		e.advanceTo(t)
+	if !e.RunEventsUntil(t) && e.now < t {
+		e.now = t
 	}
 }
 
@@ -343,56 +258,57 @@ func (e *Engine) RunUntilOrDrain(t Time) {
 // unsegmented runs.
 func (e *Engine) RunEventsUntil(t Time) bool {
 	e.run(t)
-	if e.pending == 0 {
-		if e.now < e.phantom {
-			e.now = e.phantom
-		}
-		return true
+	if e.Pending() > 0 {
+		return false
 	}
-	return false
+	e.drained()
+	return true
 }
 
-// run fires every event with timestamp <= limit. It scans the wheel once
-// per expiring bucket, not once per event: after advanceTo, the active
-// bucket's remaining entries all precede everything else in the wheel
-// (other ground-level buckets are later ticks; cascade-level entries sit
-// past the next level-1 boundary), and the only mid-drain intrusions
-// possible are placements into the same tick, which drainActive handles
-// locally.
+// drained moves the clock of an empty queue to the latest displaced firing.
+func (e *Engine) drained() {
+	if e.now < e.phantom {
+		e.now = e.phantom
+	}
+}
+
+// run fires every event with timestamp <= limit, migrating back to small
+// mode once the heap drains to smallLow.
 func (e *Engine) run(limit Time) {
 	for {
-		if e.smallMode {
-			if !e.runSmall(limit) {
+		if n := len(e.heap); n > 0 {
+			if n <= smallLow {
+				e.unspill()
+				continue
+			}
+			if e.heap[0].at > limit {
 				return
 			}
-			continue // a callback spilled small mode into the wheel
-		}
-		if e.pending <= smallLow {
-			e.unspill()
-			continue
-		}
-		nt, ok := e.nextAt()
-		if !ok || nt > limit {
+		} else if e.smallHead == len(e.small) || e.small[e.smallHead].at > limit {
 			return
 		}
-		e.advanceTo(nt)
-		e.drainActive(limit)
+		e.fireNext()
 	}
 }
 
-// fireSmall pops and runs the front (earliest) small-mode entry, advancing
-// the clock to its timestamp.
-func (e *Engine) fireSmall() {
-	ev := e.small[e.smallHead]
-	e.smallHead++
-	if e.smallHead == len(e.small) {
-		e.small = e.small[:0]
-		e.smallHead = 0
+// fireNext pops and runs the earliest pending entry, advancing the clock to
+// its timestamp. The queue must be non-empty.
+func (e *Engine) fireNext() {
+	var ev entry
+	if len(e.heap) > 0 {
+		ev = e.heap[0]
+		e.removeAt(0)
+	} else {
+		ev = e.small[e.smallHead]
+		e.smallHead++
+		if e.smallHead == len(e.small) {
+			e.small = e.small[:0]
+			e.smallHead = 0
+		}
 	}
 	e.now = ev.at
 	hs := &e.handles[ev.h]
 	hs.pos = unscheduled
-	e.pending--
 	fn := hs.fn
 	if hs.oneShot {
 		hs.fn = nil
@@ -401,109 +317,11 @@ func (e *Engine) fireSmall() {
 	fn()
 }
 
-// runSmall fires small-mode events in (at, seq) order while they are due by
-// limit. It returns false when run should stop (drained, or the next event
-// is past the limit) and true when a callback overflowed the array and
-// spilled into the wheel, handing the outer loop back to wheel mode.
-func (e *Engine) runSmall(limit Time) bool {
-	for e.smallMode {
-		if e.smallHead == len(e.small) || e.small[e.smallHead].at > limit {
-			return false
-		}
-		e.fireSmall()
-	}
-	return true
-}
-
-// drainActive consumes the active bucket — the ground-level bucket at the
-// clock's tick — in (at, seq) order, stopping at the first entry beyond
-// limit or when the bucket empties. Callbacks may append into this tick
-// (clamped schedules land here) or remove pending entries; both flip
-// sorted / truncate the bucket, so length, head, and order are reloaded
-// every iteration.
-func (e *Engine) drainActive(limit Time) {
-	s := int(uint64(e.now>>wheelTickBits) & wheelL0Mask)
-	b := &e.l0.buckets[s]
-	for {
-		head := int(e.fireHead)
-		n := len(b.ents)
-		if head >= n {
-			return
-		}
-		if !b.sorted {
-			e.sortBucket(b, head)
-		}
-		ev := b.ents[head]
-		if ev.at > limit {
-			return
-		}
-		// ev is in the clock's tick, so no cascade can come due here.
-		e.now = ev.at
-		hs := &e.handles[ev.h]
-		hs.pos = unscheduled
-		e.pending--
-		if head+1 == n {
-			b.ents = b.ents[:0]
-			e.fireHead = 0
-			e.clearL0(s)
-			b.sorted = false
-		} else {
-			e.fireHead = int32(head + 1)
-		}
-		fn := hs.fn
-		if hs.oneShot {
-			hs.fn = nil
-			e.free = append(e.free, ev.h)
-		}
-		fn()
-	}
-}
-
-// level returns cascade level l (>= 1), allocating it on first use.
-func (e *Engine) level(l int) *wheelLevel {
-	lv := e.levels[l]
-	if lv == nil {
-		lv = &wheelLevel{}
-		e.levels[l] = lv
-	}
-	if l >= e.top {
-		e.top = l + 1
-	}
-	return lv
-}
-
-// clearL0 clears the ground-level occupancy bit for slot s, dropping the
-// summary bit when the slot's word empties.
-func (e *Engine) clearL0(s int) {
-	w := uint(s >> 6)
-	if e.l0.occ[w] &^= 1 << uint(s&63); e.l0.occ[w] == 0 {
-		e.l0.summary &^= 1 << w
-	}
-}
-
-// place inserts an entry for handle h at time t with sequence number seq,
-// into the small-mode array when it has room (spilling every entry into
-// the wheel when it does not).
-func (e *Engine) place(h Handle, t Time, seq uint64) {
-	if !e.smallMode && e.pending == 0 {
-		// The wheel just drained completely; restart in small mode.
-		e.smallMode = true
-	}
-	if e.smallMode {
-		if len(e.small)-e.smallHead < smallCap {
-			e.placeSmall(h, t, seq)
-			return
-		}
-		e.spill()
-	}
-	e.placeWheel(h, t, seq)
-}
-
 // placeSmall shift-inserts into the sorted small-mode array: a scan from
 // the back (periodic events usually sort last) and a short hot memmove. An
 // entry sorting before every live one reuses a dead front slot, the shape
 // clamped-to-now schedules have.
-func (e *Engine) placeSmall(h Handle, t Time, seq uint64) {
+func (e *Engine) placeSmall(ev entry) {
 	n := len(e.small)
 	head := e.smallHead
 	if n == cap(e.small) && head > 0 {
@@ -514,448 +332,131 @@ func (e *Engine) placeSmall(h Handle, t Time, seq uint64) {
 		e.smallHead, head = 0, 0
 	}
 	i := n
-	for i > head {
-		prev := &e.small[i-1]
-		if t > prev.at || (t == prev.at && seq > prev.seq) {
-			break
-		}
+	for i > head && entryLess(ev, e.small[i-1]) {
 		i--
 	}
 	switch {
 	case i == n:
-		e.small = append(e.small, entry{at: t, seq: seq, h: h})
+		e.small = append(e.small, ev)
 	case i == head && head > 0:
-		head--
-		e.smallHead = head
-		e.small[head] = entry{at: t, seq: seq, h: h}
-		i = head
+		i--
+		e.smallHead = i
+		e.small[i] = ev
 	default:
 		e.small = append(e.small, entry{})
 		copy(e.small[i+1:], e.small[i:n])
-		e.small[i] = entry{at: t, seq: seq, h: h}
+		e.small[i] = ev
 	}
-	e.handles[h].pos = int32(i)
-	e.pending++
+	e.handles[ev.h].pos = int32(i)
 }
 
-// spill migrates every small-mode entry into the wheel, preserving (at,
-// seq), and switches modes. run migrates back once pending drains to
-// smallLow (see unspill).
-func (e *Engine) spill() {
-	e.smallMode = false
-	ents := e.small[e.smallHead:]
-	e.small = e.small[:0]
-	e.smallHead = 0
-	for i := range ents {
-		e.pending--
-		e.placeWheel(ents[i].h, ents[i].at, ents[i].seq)
-	}
-}
-
-// unspill migrates every wheel entry back into the small-mode array,
-// walking the occupancy bitmaps so only live buckets are touched. Entries
-// keep (at, seq), so firing order is unaffected.
-func (e *Engine) unspill() {
-	e.smallMode = true
-	if e.fireHead > 0 {
-		// Active bucket with a fired prefix: move only the live tail.
-		s := int(uint64(e.now>>wheelTickBits) & wheelL0Mask)
-		b := &e.l0.buckets[s]
-		for _, ev := range b.ents[e.fireHead:] {
-			e.smallAdd(ev)
-		}
-		b.ents = b.ents[:0]
-		b.sorted = false
-		e.fireHead = 0
-		e.clearL0(s)
-	}
-	for e.l0.summary != 0 {
-		w := bits.TrailingZeros64(e.l0.summary)
-		occ := e.l0.occ[w]
-		for occ != 0 {
-			s := w<<6 + bits.TrailingZeros64(occ)
-			occ &= occ - 1
-			b := &e.l0.buckets[s]
-			for _, ev := range b.ents {
-				e.smallAdd(ev)
-			}
-			b.ents = b.ents[:0]
-			b.sorted = false
-		}
-		e.l0.occ[w] = 0
-		e.l0.summary &^= 1 << uint(w)
-	}
-	for l := 1; l < e.top; l++ {
-		lv := e.levels[l]
-		if lv == nil {
-			continue
-		}
-		for lv.occ != 0 {
-			s := bits.TrailingZeros64(lv.occ)
-			lv.occ &^= 1 << uint(s)
-			b := &lv.buckets[s]
-			for _, ev := range b.ents {
-				e.smallAdd(ev)
-			}
-			b.ents = b.ents[:0]
-			b.sorted = false
+// removeSmall deletes the handle's entry from the small-mode array, given
+// its position hint, and returns the entry's firing time.
+func (e *Engine) removeSmall(h Handle, i int) Time {
+	head := e.smallHead
+	n := len(e.small)
+	if i < head || i >= n || e.small[i].h != h {
+		// Stale hint (a shift moved the entry); scan the live region.
+		for i = head; e.small[i].h != h; i++ {
 		}
 	}
-	// Entries arrive in bucket-walk order; restore the sorted invariant and
-	// exact position hints.
-	ents := e.small
-	for i := 1; i < len(ents); i++ {
-		ev := ents[i]
-		j := i
-		for j > 0 && entryLess(ev, ents[j-1]) {
-			ents[j] = ents[j-1]
-			j--
-		}
-		ents[j] = ev
-	}
-	for i := range ents {
-		e.handles[ents[i].h].pos = int32(i)
-	}
-}
-
-func (e *Engine) smallAdd(ev entry) {
-	e.small = append(e.small, ev)
-}
-
-// placeWheel inserts an entry for handle h at time t with sequence number
-// seq into the wheel. Anything within the ground level's 4096-tick window
-// lands there — the steady-state case, amortized O(1) with no cascade ever.
-// Farther deltas pick the lowest cascade level whose span holds the tick
-// delta, so a placed entry always lands on a strictly future tick of its
-// level — the invariant cascading relies on.
-func (e *Engine) placeWheel(h Handle, t Time, seq uint64) {
-	dt := uint64(t>>wheelTickBits) - uint64(e.now>>wheelTickBits)
-	var b *bucket
-	var l, s int
-	if dt < wheelL0Slots {
-		s = int(uint64(t>>wheelTickBits) & wheelL0Mask)
-		b = &e.l0.buckets[s]
-		w := uint(s >> 6)
-		e.l0.occ[w] |= 1 << uint(s&63)
-		e.l0.summary |= 1 << w
-	} else {
-		l = (bits.Len64(dt)-1-wheelL0Bits)/wheelLevelBits + 1
-		lv := e.levels[l]
-		if lv == nil {
-			lv = e.level(l)
-		}
-		s = int(uint64(t)>>uint(wheelTickBits+wheelL0Bits+(l-1)*wheelLevelBits)) & wheelSlotMask
-		b = &lv.buckets[s]
-		lv.occ |= 1 << uint(s)
-	}
-	n := len(b.ents)
-	if n == 0 {
-		b.sorted = true
-	} else if b.sorted {
-		if last := &b.ents[n-1]; t < last.at || (t == last.at && seq < last.seq) {
-			if n < 24 {
-				// Shift-insert to keep the bucket sorted: the tail is already
-				// in cache from the probe above, and a sorted bucket makes the
-				// expiry sort a no-op. Shifted entries get stale positions;
-				// remove validates and falls back to a scan. A same-tick
-				// insert during a drain cannot land in the fired prefix: dead
-				// entries are at <= now <= t with strictly older seqs.
-				e.pending++
-				hs := &e.handles[h]
-				hs.level, hs.slot = int8(l), uint16(s)
-				b.ents = append(b.ents, entry{})
-				i := n
-				for ; i > 0; i-- {
-					prev := &b.ents[i-1]
-					if t > prev.at || (t == prev.at && seq > prev.seq) {
-						break
-					}
-					b.ents[i] = *prev
-				}
-				b.ents[i] = entry{at: t, seq: seq, h: h}
-				hs.pos = int32(i)
-				return
-			}
-			// Cascade-fed burst: appending and sorting once at expiry beats
-			// quadratic shift-inserts.
-			b.sorted = false
-		}
-	}
-	hs := &e.handles[h]
-	hs.level, hs.slot, hs.pos = int8(l), uint16(s), int32(n)
-	b.ents = append(b.ents, entry{at: t, seq: seq, h: h})
-	e.pending++
-}
-
-// remove swap-removes the handle's entry from its bucket, returning its
-// firing time. The occupancy bit clears when the bucket is effectively
-// empty (no live entries beyond the active bucket's fired prefix).
-//
-// hs.pos may be stale: sortBucket permutes entries without rewriting
-// positions (cheaper than a fixup pass on every expiry, since removal
-// after a sort is the rare case). Sorting never moves an entry across
-// buckets, so a failed position check falls back to scanning this bucket.
-func (e *Engine) remove(h Handle, hs *handleState) Time {
-	if e.smallMode {
-		head := e.smallHead
-		n := len(e.small)
-		i := int(hs.pos)
-		if i < head || i >= n || e.small[i].h != h {
-			// Stale hint (a shift moved the entry); scan the live region.
-			for i = head; e.small[i].h != h; i++ {
-			}
-		}
-		at := e.small[i].at
-		if i == head {
-			e.smallHead++
-			if e.smallHead == n {
-				e.small = e.small[:0]
-				e.smallHead = 0
-			}
-		} else {
-			copy(e.small[i:], e.small[i+1:])
-			e.small = e.small[:n-1]
-		}
-		hs.pos = unscheduled
-		e.pending--
-		return at
-	}
-	var b *bucket
-	head := 0
-	s := int(hs.slot)
-	if hs.level == 0 {
-		b = &e.l0.buckets[s]
-		if int(uint64(e.now>>wheelTickBits)&wheelL0Mask) == s {
-			head = int(e.fireHead)
+	at := e.small[i].at
+	if i == head {
+		e.smallHead++
+		if e.smallHead == n {
+			e.small = e.small[:0]
+			e.smallHead = 0
 		}
 	} else {
-		b = &e.levels[hs.level].buckets[s]
-	}
-	i := int(hs.pos)
-	if i >= len(b.ents) || b.ents[i].h != h {
-		// Scan the live region only: the active bucket's dead prefix can
-		// hold an already-fired entry for this same handle.
-		for j := head; ; j++ {
-			if b.ents[j].h == h {
-				i = j
-				break
-			}
-		}
-	}
-	at := b.ents[i].at
-	n := len(b.ents) - 1
-	if i != n {
-		moved := b.ents[n]
-		b.ents[i] = moved
-		e.handles[moved.h].pos = int32(i)
-		b.sorted = false
-	}
-	b.ents = b.ents[:n]
-	hs.pos = unscheduled
-	e.pending--
-	if n == head {
-		if head > 0 {
-			b.ents = b.ents[:0]
-			e.fireHead = 0
-		}
-		if hs.level == 0 {
-			e.clearL0(s)
-		} else {
-			e.levels[hs.level].occ &^= 1 << uint(s)
-		}
-		b.sorted = false
+		copy(e.small[i:], e.small[i+1:])
+		e.small = e.small[:n-1]
 	}
 	return at
 }
 
-// sortBucket sorts b.ents[from:] into (at, seq) order. Handle positions
-// are deliberately NOT rewritten — remove validates its stored position
-// and falls back to a bucket scan, so the fire path never pays a fixup
-// pass for the rare cancel-after-sort. Buckets are typically a handful of
-// entries, so insertion sort wins; cascade-fed bursts fall back to the
-// library sort.
-func (e *Engine) sortBucket(b *bucket, from int) {
-	ents := b.ents
-	n := len(ents)
-	if n-from > 24 {
-		sub := ents[from:]
-		sort.Slice(sub, func(i, j int) bool { return entryLess(sub[i], sub[j]) })
-	} else {
-		for i := from + 1; i < n; i++ {
-			ev := ents[i]
-			j := i
-			for j > from && entryLess(ev, ents[j-1]) {
-				ents[j] = ents[j-1]
-				j--
-			}
-			ents[j] = ev
-		}
+// spill moves the small-mode array into the heap. A sorted array already
+// satisfies the heap property, so only positions need rewriting.
+func (e *Engine) spill() {
+	e.heap = append(e.heap[:0], e.small[e.smallHead:]...)
+	for i, ev := range e.heap {
+		e.handles[ev.h].pos = int32(i)
 	}
-	b.sorted = true
+	e.small = e.small[:0]
+	e.smallHead = 0
 }
 
-// bucketMin returns the earliest firing time in b.ents[head:].
-func (e *Engine) bucketMin(b *bucket, head int) Time {
-	if b.sorted {
-		return b.ents[head].at
-	}
-	m := b.ents[head].at
-	for _, ev := range b.ents[head+1:] {
-		if ev.at < m {
-			m = ev.at
+// unspill moves the heap back into the small-mode array, insertion-sorting
+// it into (at, seq) order and rewriting exact positions.
+func (e *Engine) unspill() {
+	ents := append(e.small[:0], e.heap...)
+	e.heap = e.heap[:0]
+	for i := 1; i < len(ents); i++ {
+		ev := ents[i]
+		j := i
+		for ; j > 0 && entryLess(ev, ents[j-1]); j-- {
+			ents[j] = ents[j-1]
 		}
+		ents[j] = ev
 	}
-	return m
+	for i, ev := range ents {
+		e.handles[ev.h].pos = int32(i)
+	}
+	e.small = ents
 }
 
-// nextAt returns the earliest pending firing time. Each level contributes
-// at most its earliest occupied bucket (within a level, later ticks hold
-// strictly later times); a cascade level's bucket is scanned only when its
-// tick's start time could beat the ground-level candidate, which near tick
-// boundaries is how times split across levels compare exactly.
-func (e *Engine) nextAt() (Time, bool) {
-	if e.pending == 0 {
-		return 0, false
-	}
-	if e.smallMode {
-		return e.small[e.smallHead].at, true
-	}
-	best := Time(math.MaxInt64)
-	curTick := uint64(e.now >> wheelTickBits)
-	if e.l0.summary != 0 {
-		cs := int(curTick & wheelL0Mask)
-		w := cs >> 6
-		var s int
-		// The 4096-tick window starts at the current slot: check the rest
-		// of its word first, then hop via the summary bitmap (rotated so
-		// word w+1 is bit 0; word w reappears last, covering the wrapped
-		// tail of the window below bit cs&63).
-		if m := e.l0.occ[w] >> uint(cs&63); m != 0 {
-			s = cs + bits.TrailingZeros64(m)
-		} else {
-			k := bits.TrailingZeros64(bits.RotateLeft64(e.l0.summary, -(w + 1)))
-			w2 := (w + 1 + k) & (wheelL0Words - 1)
-			s = w2<<6 + bits.TrailingZeros64(e.l0.occ[w2])
-		}
-		b := &e.l0.buckets[s]
-		head := 0
-		if s == cs {
-			head = int(e.fireHead)
-		}
-		// Sort the candidate now instead of scanning for its min: it is
-		// about to expire (only a rare cascade-level bucket can beat it),
-		// and the fire path wants it sorted anyway.
-		if !b.sorted {
-			e.sortBucket(b, head)
-		}
-		best = b.ents[head].at
-	}
-	for l := 1; l < e.top; l++ {
-		lv := e.levels[l]
-		if lv == nil || lv.occ == 0 {
-			continue
-		}
-		shift := uint(wheelTickBits + wheelL0Bits + (l-1)*wheelLevelBits)
-		ctl := uint64(e.now) >> shift
-		cs := int(ctl & wheelSlotMask)
-		// Cascade-level entries live on strictly future ticks, so the scan
-		// starts one past the current tick's slot (which also covers the
-		// wrapped tick ctl+64 landing back on slot cs).
-		k := bits.TrailingZeros64(bits.RotateLeft64(lv.occ, -(cs + 1)))
-		tick := ctl + uint64(k) + 1
-		if lb := Time(tick << shift); lb >= best {
-			continue
-		}
-		s := (cs + 1 + k) & wheelSlotMask
-		if m := e.bucketMin(&lv.buckets[s], 0); m < best {
-			best = m
-		}
-	}
-	return best, true
-}
-
-// cascade re-places every entry of cascade bucket (l, s) by its own firing
-// time. Entries keep their original sequence numbers, so the eventual
-// bucket-expiry sort reproduces the exact legacy tie order; each entry
-// lands at a strictly lower level (its tick now shares the level-l tick of
-// the clock), so cascading terminates.
-func (e *Engine) cascade(l, s int) {
-	lv := e.levels[l]
-	b := &lv.buckets[s]
-	lv.occ &^= 1 << uint(s)
-	ents := b.ents
-	b.ents = b.ents[:0]
-	b.sorted = false
-	for i := range ents {
-		e.pending--
-		e.placeWheel(ents[i].h, ents[i].at, ents[i].seq)
+// removeAt deletes the heap entry at index i, restoring the heap property
+// around the hole. The caller marks the removed handle unscheduled.
+func (e *Engine) removeAt(i int) {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if i < n {
+		e.heap[i] = last
+		e.siftDown(e.siftUp(i))
 	}
 }
 
-// advanceTo moves the clock to t (<= the earliest pending firing time) and
-// cascades, per level, the single bucket whose window the clock entered:
-// its entries now belong to lower levels. Buckets between the old and new
-// tick cannot be occupied — their entries would fire before t.
-func (e *Engine) advanceTo(t Time) {
-	if t == e.now {
-		return
-	}
-	oldTick := uint64(e.now >> wheelTickBits)
-	newTick := uint64(t >> wheelTickBits)
-	e.now = t
-	if newTick == oldTick {
-		return
-	}
-	// The active bucket drained before the clock left its tick (otherwise
-	// an earlier firing would be pending); any fired prefix was truncated
-	// with it.
-	e.fireHead = 0
-	for l := 1; l < e.top; l++ {
-		sh := uint(wheelL0Bits + (l-1)*wheelLevelBits)
-		ot := oldTick >> sh
-		nt := newTick >> sh
-		if ot == nt {
-			// Level-l ticks are prefixes of lower-level ticks: once one
-			// matches, every higher level matches too.
+// siftUp moves the entry at index i toward the root until its parent is no
+// larger, maintaining handle positions. It returns the final index.
+func (e *Engine) siftUp(i int) int {
+	ev := e.heap[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !entryLess(ev, e.heap[p]) {
 			break
 		}
-		lv := e.levels[l]
-		if lv == nil {
-			continue
-		}
-		s := int(nt & wheelSlotMask)
-		if lv.occ&(1<<uint(s)) != 0 {
-			e.cascade(l, s)
-		}
+		e.heap[i] = e.heap[p]
+		e.handles[e.heap[i].h].pos = int32(i)
+		i = p
 	}
+	e.heap[i] = ev
+	e.handles[ev.h].pos = int32(i)
+	return i
 }
 
-// fireOne pops and runs the earliest entry of the active bucket. The clock
-// already sits on the entry's firing time (advanceTo unified any same-time
-// entries from cascade levels into this bucket first), so consuming the
-// (at, seq)-sorted bucket front is exactly the legacy firing order.
-func (e *Engine) fireOne() {
-	s := int(uint64(e.now>>wheelTickBits) & wheelL0Mask)
-	b := &e.l0.buckets[s]
-	head := int(e.fireHead)
-	if !b.sorted {
-		e.sortBucket(b, head)
+// siftDown moves the entry at index i toward the leaves until no child is
+// smaller, maintaining handle positions.
+func (e *Engine) siftDown(i int) {
+	n := len(e.heap)
+	ev := e.heap[i]
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		best := first
+		for c := first + 1; c < min(first+4, n); c++ {
+			if entryLess(e.heap[c], e.heap[best]) {
+				best = c
+			}
+		}
+		if !entryLess(e.heap[best], ev) {
+			break
+		}
+		e.heap[i] = e.heap[best]
+		e.handles[e.heap[i].h].pos = int32(i)
+		i = best
 	}
-	ev := b.ents[head]
-	e.fireHead++
-	hs := &e.handles[ev.h]
-	hs.pos = unscheduled
-	e.pending--
-	if int(e.fireHead) == len(b.ents) {
-		b.ents = b.ents[:0]
-		e.fireHead = 0
-		e.clearL0(s)
-		b.sorted = false
-	}
-	fn := hs.fn
-	if hs.oneShot {
-		hs.fn = nil
-		e.free = append(e.free, ev.h)
-	}
-	fn()
+	e.heap[i] = ev
+	e.handles[ev.h].pos = int32(i)
 }

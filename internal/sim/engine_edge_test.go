@@ -1,14 +1,12 @@
-//go:build !rubik_noref
-
 package sim
 
 import "testing"
 
-// Edge regression tests for the timing-wheel engine. Each case pins a
-// behavior the heap engine exhibited and the wheel must preserve
-// bit-for-bit: handle reuse across Cancel/Reschedule, scheduling at the
+// Edge regression tests for the engine. Each case pins a behavior of the
+// event contract: handle reuse across Cancel/Reschedule, scheduling at the
 // current instant, events landing exactly on a RunUntilOrDrain boundary,
-// and deltas that cascade through multiple wheel levels.
+// far-future deltas, and entries that cross the small-mode/heap spill
+// boundary.
 
 // Cancel-then-Reschedule on the same handle must behave as if the cancel
 // never left a residue: the handle fires once, at the new deadline.
@@ -65,8 +63,8 @@ func TestEngineScheduleAtNow(t *testing.T) {
 		t.Fatalf("fired at %d (clock %d), want 1000", at, e.Now())
 	}
 
-	// Same via the one-shot path, and in wheel mode (enough pending
-	// handles to spill out of the sorted small front).
+	// Same via the one-shot path, and in heap mode (enough pending handles
+	// to spill out of the sorted small front).
 	var hs []Handle
 	for i := 0; i < 2*smallCap; i++ {
 		h := e.Register(func() {})
@@ -112,25 +110,28 @@ func TestEngineRunUntilOrDrainBoundary(t *testing.T) {
 	}
 }
 
-// Far-future deltas must survive multi-level cascades: an event placed
-// many levels up has to migrate down level by level and still fire at
-// its exact deadline, in seq order against same-deadline latecomers.
-func TestEngineFarFutureCascade(t *testing.T) {
-	deltas := []Time{
-		1e3, 1e6, 1e9, 1e12, 1e15, 1e18, // spans every cascade level
-		wheelL0Slots << wheelTickBits,       // first slot past the l0 horizon
-		(wheelL0Slots << wheelTickBits) - 1, // last l0-reachable tick
+// pin registers n no-op handles scheduled at base+1, base+2, ...: enough
+// of them (n > smallCap) spill the engine into heap mode.
+func pin(e *Engine, n int, base Time) []Handle {
+	hs := make([]Handle, n)
+	for i := range hs {
+		hs[i] = e.Register(func() {})
+		e.Reschedule(hs[i], base+Time(i+1))
 	}
-	for _, d := range deltas {
+	return hs
+}
+
+// Far-future deltas, up to 1e18 ns, must fire at their exact deadline from
+// heap mode.
+func TestEngineFarFutureCascade(t *testing.T) {
+	for _, d := range []Time{1e3, 1e6, 1e9, 1e12, 1e15, 1e18, 262144, 262143} {
 		e := NewEngine()
 		var at Time
 		h := e.Register(func() { at = e.Now() })
 		e.Reschedule(h, d)
-		// Pin extra handles so the engine stays in wheel mode and the
-		// event actually cascades instead of being unspilled early.
-		for i := 0; i < 2*smallCap; i++ {
-			p := e.Register(func() {})
-			e.Reschedule(p, 2*d+Time(i+1))
+		pin(e, 2*smallCap, 2*d)
+		if len(e.heap) == 0 {
+			t.Fatalf("delta %d: engine did not spill into heap mode", d)
 		}
 		e.RunUntil(d)
 		if at != d {
@@ -139,69 +140,72 @@ func TestEngineFarFutureCascade(t *testing.T) {
 	}
 }
 
-// Two events with the same deadline but placed via different routes — one
-// cascaded from an upper level, one inserted directly into l0 after the
-// clock got close — must fire in registration (seq) order.
+// Two events with the same deadline — A placed in small mode before a
+// spill carried it into the heap, B placed after the heap drained back
+// into small mode — must fire in scheduling (seq) order.
 func TestEngineCrossLevelTieOrder(t *testing.T) {
 	e := NewEngine()
 	var log []int
 	a := e.Register(func() { log = append(log, 1) })
 	b := e.Register(func() { log = append(log, 2) })
 
-	const deadline = Time(5_000_000) // well past the l0 horizon: A cascades
+	const deadline = Time(5_000_000)
 	e.Reschedule(a, deadline)
-	// Keep the engine in wheel mode throughout.
-	var pins []Handle
-	for i := 0; i < 2*smallCap; i++ {
-		p := e.Register(func() {})
-		e.Reschedule(p, 2*deadline+Time(i+1))
-		pins = append(pins, p)
+	pin(e, 2*smallCap, deadline/2)
+	if len(e.heap) == 0 {
+		t.Fatal("pins did not spill the engine into heap mode")
 	}
-	e.RunUntil(deadline - 10) // A has cascaded into (or near) l0 by now
-	e.Reschedule(b, deadline) // B goes straight into l0
+	e.RunUntil(deadline - 10) // the pins fire; pending drops to smallLow
+	if len(e.heap) != 0 {
+		t.Fatal("engine did not unspill after draining to smallLow")
+	}
+	e.Reschedule(b, deadline)
 	e.RunUntil(deadline)
 
 	if len(log) != 2 || log[0] != 1 || log[1] != 2 {
 		t.Fatalf("tie order = %v, want [1 2] (seq order)", log)
 	}
-	for _, p := range pins {
-		e.Cancel(p)
-	}
 }
 
-// Far-to-near and near-to-far reschedules must relocate the event across
-// levels without leaving stale residues behind.
+// Reschedules and cancels must relocate or drop an entry across the spill
+// boundary without leaving stale residues behind.
 func TestEngineCrossLevelReschedule(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
 	h := e.Register(func() { fired = append(fired, e.Now()) })
-	for i := 0; i < 2*smallCap; i++ {
-		p := e.Register(func() {})
-		e.Reschedule(p, 1e12+Time(i))
-	}
-
-	e.Reschedule(h, 1e9) // far: upper cascade level
-	e.Reschedule(h, 100) // near: l0
+	e.Reschedule(h, 1e9) // small mode
+	pins := pin(e, 2*smallCap, 1e12)
+	e.Reschedule(h, 100) // moved within the heap
 	e.RunUntil(200)
 	if len(fired) != 1 || fired[0] != 100 {
 		t.Fatalf("far-to-near: fired=%v, want [100]", fired)
 	}
 
-	e.Reschedule(h, e.Now()+50)  // near again
-	e.Reschedule(h, e.Now()+1e9) // back out to a far level
+	e.Reschedule(h, e.Now()+50)
+	e.Reschedule(h, e.Now()+1e9)
 	want := e.Now() + 1e9
 	e.RunUntil(want)
 	if len(fired) != 2 || fired[1] != want {
 		t.Fatalf("near-to-far: fired=%v, want second at %d", fired, want)
 	}
 
-	// Cancel mid-flight after a cascade has begun: advance partway so the
-	// entry migrates at least one level, then cancel; it must never fire.
+	// Arm h in the heap, drain below smallLow so it unspills, then cancel
+	// it from small mode: it must never fire.
 	e.Reschedule(h, e.Now()+1e9)
+	for _, p := range pins[:len(pins)-smallLow+2] {
+		e.Cancel(p)
+	}
 	e.RunUntil(e.Now() + 1e6)
+	if len(e.heap) != 0 || !e.Scheduled(h) {
+		t.Fatalf("heap=%d scheduled=%v, want unspilled and scheduled", len(e.heap), e.Scheduled(h))
+	}
+	e.Cancel(h)
+	// Re-arm in small mode, spill again, and cancel from the heap.
+	e.Reschedule(h, e.Now()+10)
+	pin(e, smallCap, e.Now()+1e6)
 	e.Cancel(h)
 	e.RunUntil(e.Now() + 2e9)
 	if len(fired) != 2 {
-		t.Fatalf("canceled mid-cascade event fired: %v", fired)
+		t.Fatalf("canceled event fired: %v", fired)
 	}
 }

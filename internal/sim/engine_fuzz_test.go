@@ -1,102 +1,89 @@
-//go:build !rubik_noref
-
 package sim
 
 import (
+	"bytes"
 	"testing"
 )
 
-// FuzzEngineLockstep drives the timing-wheel Engine, the retired
-// HeapEngine, and the tombstone RefEngine through an op sequence decoded
-// from the fuzz input and asserts identical firing order and clocks. The
-// decoder favors the shapes that stress the wheel: past-due schedules that
-// clamp to Now, shifted deltas that land on every cascade level, and
-// enough live handles that bursts cross the small-mode thresholds.
+// fuzzSeeds are FuzzEngineLockstep's checked-in corpus: a mixed op soup, a
+// far-future-heavy sequence (large shifts), a burst/cancel churn, and an
+// epoch-barrier/step interleave.
+var fuzzSeeds = [][]byte{
+	{0, 1, 2, 3, 4, 5, 0, 10, 20, 30, 40, 50, 60, 70},
+	{0, 200, 30, 0, 201, 31, 0, 202, 32, 4, 255, 255, 5},
+	{3, 9, 3, 9, 3, 9, 1, 0, 1, 1, 0, 5, 0, 0, 4, 80, 2, 7, 5},
+	{0, 3, 200, 9, 6, 1, 4, 7, 0, 5, 100, 3, 6, 255, 2, 7, 7, 6, 0, 0, 1, 5, 3, 40, 6, 90, 1, 7},
+}
+
+// fuzzGolden holds driveFuzz's digest of each fuzzSeeds entry, recorded
+// from the timing-wheel engine this one replaced.
+var fuzzGolden = []golden{
+	{2, 86, 0xaf90e2ce9ed4fbfe}, {2, 512, 0x6e852aafa48f63c3},
+	{4, 320, 0x7070ad1f18f804af}, {3, 103240, 0x301cab60aa516116},
+}
+
+// driveFuzz decodes an op sequence from data and runs it on e. The decoder
+// favors the shapes that stress the engine: past-due schedules that clamp
+// to Now, shifted deltas spanning the whole int64 range, epoch barriers
+// interleaved with single steps, and enough live handles that bursts cross
+// the smallCap/smallLow spill boundary.
+func driveFuzz(e engineAPI, data []byte) trace {
+	var tr trace
+	const handles = 32 // > smallCap: bursts spill into the heap
+	hs := make([]Handle, handles)
+	for i := range hs {
+		hs[i] = e.Register(tr.logger(e, i))
+	}
+	next := func(i *int) byte {
+		if *i >= len(data) {
+			return 0
+		}
+		b := data[*i]
+		*i++
+		return b
+	}
+	shifted := func(i *int) Time { return Time(next(i)) << (uint(next(i)) % 40) }
+	for i, op := 0, 0; i < len(data) && op < 512; op++ {
+		ok := false
+		switch next(&i) % 8 {
+		case 0:
+			h := hs[int(next(&i))%handles]
+			e.Reschedule(h, e.Now()+shifted(&i))
+		case 1:
+			e.Cancel(hs[int(next(&i))%handles])
+		case 2: // past-due one-shot: clamps to Now and fires next
+			e.At(e.Now()-Time(next(&i)), tr.logger(e, 1000+op))
+		case 3:
+			e.After(Time(next(&i)), tr.logger(e, 1000+op))
+		case 4:
+			e.RunUntil(e.Now() + shifted(&i))
+		case 5:
+			e.Run()
+		case 6:
+			ok = e.RunEventsUntil(e.Now() + shifted(&i))
+		case 7:
+			ok = e.Step()
+		}
+		tr.observe(e, hs, ok)
+	}
+	e.Run()
+	tr.observe(e, hs, false)
+	return tr
+}
+
+// FuzzEngineLockstep drives Engine and the oracle through an op sequence
+// decoded from the fuzz input and asserts identical histories; the corpus
+// seeds must also reproduce their recorded digests.
 func FuzzEngineLockstep(f *testing.F) {
-	// Seeds: a mixed op soup, a cascade-heavy sequence (large shifts), and
-	// a burst/cancel churn.
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 0, 10, 20, 30, 40, 50, 60, 70})
-	f.Add([]byte{0, 200, 30, 0, 201, 31, 0, 202, 32, 4, 255, 255, 5})
-	f.Add([]byte{3, 9, 3, 9, 3, 9, 1, 0, 1, 1, 0, 5, 0, 0, 4, 80, 2, 7, 5})
-
+	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		eng, hp, ref := NewEngine(), NewHeapEngine(), NewRefEngine()
-		var engLog, hpLog, refLog []firing
-
-		const handles = 32 // > smallCap: bursts spill into the wheel
-		var engH, hpH, refH [handles]Handle
-		for i := 0; i < handles; i++ {
-			i := i
-			engH[i] = eng.Register(func() { engLog = append(engLog, firing{i, eng.Now()}) })
-			hpH[i] = hp.Register(func() { hpLog = append(hpLog, firing{i, hp.Now()}) })
-			refH[i] = ref.Register(func() { refLog = append(refLog, firing{i, ref.Now()}) })
-		}
-
-		next := func(i *int) byte {
-			if *i >= len(data) {
-				return 0
-			}
-			b := data[*i]
-			*i++
-			return b
-		}
-		for i, op := 0, 0; i < len(data) && op < 512; op++ {
-			switch next(&i) % 6 {
-			case 0: // reschedule: delta shifted so every cascade level is
-				// reachable from two bytes
-				h := int(next(&i)) % handles
-				d := Time(next(&i)) << (uint(next(&i)) % 40)
-				at := eng.Now() + d
-				eng.Reschedule(engH[h], at)
-				hp.Reschedule(hpH[h], at)
-				ref.Reschedule(refH[h], at)
-			case 1: // cancel
-				h := int(next(&i)) % handles
-				eng.Cancel(engH[h])
-				hp.Cancel(hpH[h])
-				ref.Cancel(refH[h])
-			case 2: // past-due one-shot: clamps to Now and fires next
-				back := Time(next(&i))
-				label := 1000 + op
-				at := eng.Now() - back
-				eng.At(at, func() { engLog = append(engLog, firing{label, eng.Now()}) })
-				hp.At(at, func() { hpLog = append(hpLog, firing{label, hp.Now()}) })
-				ref.At(at, func() { refLog = append(refLog, firing{label, ref.Now()}) })
-			case 3: // relative one-shot
-				d := Time(next(&i))
-				label := 1000 + op
-				eng.After(d, func() { engLog = append(engLog, firing{label, eng.Now()}) })
-				hp.After(d, func() { hpLog = append(hpLog, firing{label, hp.Now()}) })
-				ref.After(d, func() { refLog = append(refLog, firing{label, ref.Now()}) })
-			case 4: // bounded advance, shifted to cross level boundaries
-				until := eng.Now() + Time(next(&i))<<(uint(next(&i))%40)
-				eng.RunUntil(until)
-				hp.RunUntil(until)
-				ref.RunUntil(until)
-			case 5: // drain
-				eng.Run()
-				hp.Run()
-				ref.Run()
-			}
-			if eng.Now() != hp.Now() || eng.Now() != ref.Now() {
-				t.Fatalf("op %d: clocks diverged: eng=%d heap=%d ref=%d", op, eng.Now(), hp.Now(), ref.Now())
-			}
-			if eng.Pending() != hp.Pending() {
-				t.Fatalf("op %d: pending diverged: eng=%d heap=%d", op, eng.Pending(), hp.Pending())
-			}
-		}
-		eng.Run()
-		hp.Run()
-		ref.Run()
-		if eng.Now() != hp.Now() || eng.Now() != ref.Now() {
-			t.Fatalf("final clocks diverged: eng=%d heap=%d ref=%d", eng.Now(), hp.Now(), ref.Now())
-		}
-		if len(engLog) != len(hpLog) || len(engLog) != len(refLog) {
-			t.Fatalf("firing counts diverged: eng=%d heap=%d ref=%d", len(engLog), len(hpLog), len(refLog))
-		}
-		for i := range engLog {
-			if engLog[i] != hpLog[i] || engLog[i] != refLog[i] {
-				t.Fatalf("firing %d diverged: eng=%v heap=%v ref=%v", i, engLog[i], hpLog[i], refLog[i])
+		got := driveFuzz(NewEngine(), data)
+		checkLockstep(t, "fuzz", got, driveFuzz(&oracle{}, data))
+		for i, s := range fuzzSeeds {
+			if d := got.digest(); bytes.Equal(data, s) && d != fuzzGolden[i] {
+				t.Errorf("seed %d: digest %+v, golden %+v", i, d, fuzzGolden[i])
 			}
 		}
 	})

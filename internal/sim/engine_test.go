@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -425,5 +426,50 @@ func TestRunEventsUntilSegmented(t *testing.T) {
 	}
 	if n != 1 || e2.Now() != 100 {
 		t.Fatalf("barrier-at-timestamp: fired %d, clock %d; want 1 fired at clock 100", n, e2.Now())
+	}
+}
+
+// TestEngineFootprint pins the engine's fixed cost per socket: a fresh
+// engine plus a 6-core socket's handles (completion, DVFS switch and
+// controller tick per core, plus an arrival feeder) allocates under 4 KB.
+func TestEngineFootprint(t *testing.T) {
+	const rounds = 64
+	engines := make([]*Engine, rounds) // keeps every engine on the heap
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range engines {
+		engines[i] = NewEngine()
+		for j := 0; j < 6*3+1; j++ {
+			engines[i].Register(func() {})
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / rounds; b >= 4096 {
+		t.Fatalf("fresh engine + 19 handles allocates %d B, want < 4096", b)
+	}
+}
+
+// TestEngineSpillChurnAllocs pins zero steady-state allocations for churn
+// that crosses the spill boundary every round: 32 reschedules spill the
+// sorted front into the heap, and the drain unspills it at smallLow.
+func TestEngineSpillChurnAllocs(t *testing.T) {
+	e := NewEngine()
+	hs := make([]Handle, 32)
+	for i := range hs {
+		hs[i] = e.Register(func() {})
+	}
+	spilled := true
+	allocs := testing.AllocsPerRun(100, func() {
+		for i, h := range hs {
+			e.Reschedule(h, e.Now()+Time(1+i%7))
+		}
+		spilled = spilled && len(e.heap) > 0
+		e.Run()
+	})
+	if !spilled {
+		t.Fatal("churn never spilled into heap mode")
+	}
+	if allocs != 0 {
+		t.Fatalf("spill/unspill churn: %v allocs/op, want 0", allocs)
 	}
 }
