@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	"rubik"
+	"rubik/internal/capping"
+	"rubik/internal/cluster"
 	rubikcore "rubik/internal/core"
 	"rubik/internal/experiments"
 	"rubik/internal/policy"
@@ -86,8 +88,17 @@ func BenchmarkSourceHotPath(b *testing.B) {
 // at paper parameters (128 buckets, 8 rows, 16 positions) the way the
 // controller actually performs it: through a persistent TableBuilder whose
 // plans and buffers are warm, so the steady state is allocation-free (the
-// paper reports 0.2 ms per update on its testbed).
-func BenchmarkTailTableBuild(b *testing.B) {
+// paper reports 0.2 ms per update on its testbed). A refresh materializes
+// column 0 only; deeper columns are filled when a decision first reads
+// them.
+func BenchmarkTailTableBuild(b *testing.B) { benchTailTableBuild(b, false) }
+
+// BenchmarkTailTableBuildFull is a refresh plus a read of queue position
+// 15, which materializes every column: the deep-queue worst case, and the
+// cost of every refresh before columns were filled on first use.
+func BenchmarkTailTableBuildFull(b *testing.B) { benchTailTableBuild(b, true) }
+
+func benchTailTableBuild(b *testing.B, full bool) {
 	r := rand.New(rand.NewSource(1))
 	histC := stats.NewHistogram(4096)
 	histM := stats.NewHistogram(4096)
@@ -99,15 +110,20 @@ func BenchmarkTailTableBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := tb.Rebuild(histC, histM); err != nil { // warm buffers
-		b.Fatal(err)
+	refresh := func() {
+		tbl, _, err := tb.Rebuild(histC, histM)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if full {
+			tbl.Lookup(0, 15)
+		}
 	}
+	refresh() // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tb.Rebuild(histC, histM); err != nil {
-			b.Fatal(err)
-		}
+		refresh()
 	}
 }
 
@@ -465,6 +481,96 @@ func BenchmarkCoreEvent(b *testing.B) {
 	}
 	if got := len(c.Completions()); got != b.N {
 		b.Fatalf("completed %d of %d", got, b.N)
+	}
+}
+
+// BenchmarkDispatchJSQ measures one socket-local join-shortest-queue
+// pick over a 6-core socket, through the Dispatcher interface the way the
+// fleet calls it on every arrival.
+func BenchmarkDispatchJSQ(b *testing.B) {
+	cores := make([]cluster.CoreState, 6)
+	for i := range cores {
+		cores[i].Index = i
+	}
+	var d cluster.Dispatcher = cluster.NewJSQ()
+	var req workload.Request
+	picked := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cores[i%6].QueueLen = i * 7 & 3
+		picked += d.Pick(req, cores)
+	}
+	if picked < 0 {
+		b.Fatal("negative pick")
+	}
+}
+
+// BenchmarkCompletionMerge measures the fleet's streaming k-way
+// completion merge (FleetResult.IterCompletions): one op merges 4 sockets
+// x 6 cores x 500 completions, 12,000 in total, in completion order.
+func BenchmarkCompletionMerge(b *testing.B) {
+	res := mergeFixture(4, 6, 500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		res.IterCompletions(func(queueing.Completion) bool {
+			n++
+			return true
+		})
+		if n != 4*6*500 {
+			b.Fatalf("merged %d completions", n)
+		}
+	}
+}
+
+// mergeFixture builds a fleet result whose per-core completion logs are
+// sorted by Done with random gaps, as the simulator leaves them.
+func mergeFixture(sockets, cores, perCore int) cluster.FleetResult {
+	r := rand.New(rand.NewSource(10))
+	var res cluster.FleetResult
+	for s := 0; s < sockets; s++ {
+		var sock cluster.Result
+		for c := 0; c < cores; c++ {
+			log := make([]queueing.Completion, perCore)
+			var done sim.Time
+			for k := range log {
+				done += sim.Time(1 + r.Intn(400_000))
+				log[k] = queueing.Completion{ID: k, Done: done}
+			}
+			sock.PerCore = append(sock.PerCore, queueing.Result{Completions: log})
+		}
+		res.Sockets = append(res.Sockets, sock)
+	}
+	return res
+}
+
+// BenchmarkHierarchyRound measures one re-allocation round of the
+// two-level budget tree the rackcap shape uses (rack -> 2 PDUs at 1.25x
+// oversubscription -> 16 sockets, waterfill at both levels): leaf demands
+// in, leaf caps out. The cluster layer runs one per epoch barrier.
+func BenchmarkHierarchyRound(b *testing.B) {
+	const sockets = 16
+	h, err := capping.NewHierarchy(capping.HierarchySpec{Levels: []capping.LevelSpec{
+		{Name: "rack", Nodes: 1, CapW: 16 * sockets},
+		{Name: "pdu", Nodes: 2, Oversub: 1.25},
+	}}, sockets, 4, 40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(9))
+	demand := make([]float64, sockets)
+	for i := range demand {
+		demand[i] = 4 + 36*r.Float64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		demand[i&15] = 4 + float64(i%37)
+		if caps := h.Reallocate(demand); caps[0] <= 0 {
+			b.Fatal("non-positive cap")
+		}
 	}
 }
 

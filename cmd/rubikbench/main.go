@@ -34,6 +34,8 @@ import (
 	"testing"
 
 	"rubik"
+	"rubik/internal/capping"
+	"rubik/internal/cluster"
 	rubikcore "rubik/internal/core"
 	"rubik/internal/queueing"
 	"rubik/internal/sim"
@@ -210,29 +212,64 @@ func troughFleetBench(tablecache int) func(b *testing.B) {
 	}
 }
 
+// tailTableBench mirrors bench_test.go's benchTailTableBuild: one warm
+// refresh, which materializes column 0 only (TailTableBuild), or a
+// refresh plus a read of queue position 15, which materializes every
+// column (TailTableBuildFull, the deep-queue worst case).
+func tailTableBench(full bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		histC, histM := profiledHistograms(4096)
+		tb, err := rubikcore.NewTableBuilder(0.95, 128, 8, 16)
+		if err != nil {
+			b.Fatal(err)
+		}
+		refresh := func() {
+			tbl, _, err := tb.Rebuild(histC, histM)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if full {
+				tbl.Lookup(0, 15)
+			}
+		}
+		refresh()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			refresh()
+		}
+	}
+}
+
+// mergeFixture mirrors bench_test.go's: a fleet result whose per-core
+// completion logs are sorted by Done with random gaps.
+func mergeFixture(sockets, cores, perCore int) cluster.FleetResult {
+	r := rand.New(rand.NewSource(10))
+	var res cluster.FleetResult
+	for s := 0; s < sockets; s++ {
+		var sock cluster.Result
+		for c := 0; c < cores; c++ {
+			log := make([]queueing.Completion, perCore)
+			var done sim.Time
+			for k := range log {
+				done += sim.Time(1 + r.Intn(400_000))
+				log[k] = queueing.Completion{ID: k, Done: done}
+			}
+			sock.PerCore = append(sock.PerCore, queueing.Result{Completions: log})
+		}
+		res.Sockets = append(res.Sockets, sock)
+	}
+	return res
+}
+
 // benches mirrors the micro-benchmarks of bench_test.go at paper
 // parameters (128 buckets, 8 rows, 16 positions).
 var benches = []struct {
 	name string
 	fn   func(b *testing.B)
 }{
-	{"TailTableBuild", func(b *testing.B) {
-		histC, histM := profiledHistograms(4096)
-		tb, err := rubikcore.NewTableBuilder(0.95, 128, 8, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := tb.Rebuild(histC, histM); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := tb.Rebuild(histC, histM); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}},
+	{"TailTableBuild", tailTableBench(false)},
+	{"TailTableBuildFull", tailTableBench(true)},
 	{"TailTableBuildOneShot", func(b *testing.B) {
 		comp, mem := profiledSamples(4096)
 		b.ReportAllocs()
@@ -431,6 +468,69 @@ var benches = []struct {
 		eng.Run()
 		if fired < b.N {
 			b.Fatalf("fired %d of %d events", fired, b.N)
+		}
+	}},
+	{"DispatchJSQ", func(b *testing.B) {
+		// One socket-local join-shortest-queue pick over 6 cores, through
+		// the Dispatcher interface as the fleet calls it.
+		cores := make([]cluster.CoreState, 6)
+		for i := range cores {
+			cores[i].Index = i
+		}
+		var d cluster.Dispatcher = cluster.NewJSQ()
+		var req workload.Request
+		picked := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cores[i%6].QueueLen = i * 7 & 3
+			picked += d.Pick(req, cores)
+		}
+		if picked < 0 {
+			b.Fatal("negative pick")
+		}
+	}},
+	{"CompletionMerge", func(b *testing.B) {
+		// The fleet's streaming k-way completion merge: one op merges
+		// 4 sockets x 6 cores x 500 completions.
+		res := mergeFixture(4, 6, 500)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n := 0
+			res.IterCompletions(func(queueing.Completion) bool {
+				n++
+				return true
+			})
+			if n != 4*6*500 {
+				b.Fatalf("merged %d completions", n)
+			}
+		}
+	}},
+	{"HierarchyRound", func(b *testing.B) {
+		// One re-allocation round of the rackcap budget tree: rack ->
+		// 2 PDUs at 1.25x oversubscription -> 16 sockets, waterfill at
+		// both levels.
+		const sockets = 16
+		h, err := capping.NewHierarchy(capping.HierarchySpec{Levels: []capping.LevelSpec{
+			{Name: "rack", Nodes: 1, CapW: 16 * sockets},
+			{Name: "pdu", Nodes: 2, Oversub: 1.25},
+		}}, sockets, 4, 40)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(9))
+		demand := make([]float64, sockets)
+		for i := range demand {
+			demand[i] = 4 + 36*r.Float64()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			demand[i&15] = 4 + float64(i%37)
+			if caps := h.Reallocate(demand); caps[0] <= 0 {
+				b.Fatal("non-positive cap")
+			}
 		}
 	}},
 	{"CoreEvent", func(b *testing.B) {

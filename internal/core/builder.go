@@ -26,8 +26,17 @@ import (
 // pinned bit for bit against the naive one-shot build across table
 // shapes and profiles.
 //
+// A refresh runs the forward transform and fills column 0; each deeper
+// column's inverse runs when a Lookup first reads it (decisions rarely
+// look past the first few queue positions). The builder therefore keeps
+// the profiles the current table was built from until the next refresh
+// replaces the table: each refresh bins into scratch PMFs and commits
+// them only when it rebuilds or hits the cache, so a drift-gate skip or
+// a failed binning leaves the pending columns' inputs untouched.
+//
 // A builder owns its buffers and is NOT safe for concurrent use; each
-// controller holds its own.
+// controller holds its own. The same holds for its table, whose Lookup
+// fills columns through the builder.
 type TableBuilder struct {
 	// DriftThreshold gates the expensive part of a refresh: when both
 	// profiled distributions have moved less than this relative amount (in
@@ -61,11 +70,21 @@ type TableBuilder struct {
 	// briefly need a smaller one.
 	packedPlans map[int]*stats.PackedConvolutionPlan
 
+	// distC/distM are the profiles the current table was built from, the
+	// inputs of its pending columns. binC/binM receive each refresh's
+	// binning and are swapped in by commitBins when the refresh replaces
+	// the table.
+	distC, distM stats.PMF
+	binC, binM   stats.PMF
+	// plan is the packed plan holding distC/distM's spectra, or nil when
+	// the next column fill must run the forward transform first (after a
+	// cache hit, or once a failed rebuild reused the plan's buffers).
+	plan *stats.PackedConvolutionPlan
+	// rowC/rowM receive one packed chain row per column fill.
+	rowC, rowM stats.PMF
+
 	// Reused buffers, sized on first use.
-	distC, distM   stats.PMF
-	convC, convM   []stats.PMF
-	exactC, exactM []float64
-	condC, condM   []float64
+	condC, condM []float64
 	// cumC/cumM hold each profiled distribution's running mass, computed
 	// once per rebuild so every row-bound quantile is answered from the
 	// same pass instead of rescanning the PMF per row.
@@ -88,7 +107,7 @@ type TableBuilder struct {
 // NewTableBuilder validates the table dimensions and returns a builder
 // with its TailTable and working buffers preallocated.
 func NewTableBuilder(percentile float64, nbuckets, rows, maxQueue int) (*TableBuilder, error) {
-	if percentile <= 0 || percentile >= 1 {
+	if !(percentile > 0 && percentile < 1) { // NaN-safe
 		return nil, fmt.Errorf("core: percentile %v out of (0,1)", percentile)
 	}
 	if nbuckets <= 0 {
@@ -106,31 +125,32 @@ func NewTableBuilder(percentile float64, nbuckets, rows, maxQueue int) (*TableBu
 		m:          make([][]float64, rows),
 		discC:      make([]float64, rows),
 		discM:      make([]float64, rows),
+		headC:      make([]float64, rows),
+		headM:      make([]float64, rows),
 	}
 	for r := 0; r < rows; r++ {
 		t.c[r] = make([]float64, maxQueue)
 		t.m[r] = make([]float64, maxQueue)
 	}
-	return &TableBuilder{
+	b := &TableBuilder{
 		percentile:  percentile,
 		nbuckets:    nbuckets,
 		rows:        rows,
 		maxQueue:    maxQueue,
 		packedPlans: map[int]*stats.PackedConvolutionPlan{},
-		convC:       make([]stats.PMF, maxQueue),
-		convM:       make([]stats.PMF, maxQueue),
-		exactC:      make([]float64, maxQueue),
-		exactM:      make([]float64, maxQueue),
 		condC:       make([]float64, nbuckets),
 		condM:       make([]float64, nbuckets),
 		cumC:        make([]float64, nbuckets),
 		cumM:        make([]float64, nbuckets),
 		table:       t,
-	}, nil
+	}
+	t.src = b
+	return b, nil
 }
 
 // Table returns the builder's table (valid after the first successful
-// Rebuild; refilled in place by later ones).
+// Rebuild; refilled in place by later ones). Its Lookup fills columns
+// through the builder, so it shares the builder's confinement.
 func (b *TableBuilder) Table() *TailTable { return b.table }
 
 // Builds returns how many refreshes performed the full rebuild.
@@ -150,10 +170,10 @@ func (b *TableBuilder) CacheHits() int { return b.cacheHits }
 // the last rebuild and kept the existing tables. On error the previous
 // table is left intact.
 func (b *TableBuilder) Rebuild(histC, histM *stats.Histogram) (*TailTable, bool, error) {
-	if err := histC.PMFInto(&b.distC, b.nbuckets); err != nil {
+	if err := histC.PMFInto(&b.binC, b.nbuckets); err != nil {
 		return nil, false, fmt.Errorf("core: compute distribution: %w", err)
 	}
-	if err := histM.PMFInto(&b.distM, b.nbuckets); err != nil {
+	if err := histM.PMFInto(&b.binM, b.nbuckets); err != nil {
 		return nil, false, fmt.Errorf("core: memory distribution: %w", err)
 	}
 	return b.finish()
@@ -173,18 +193,19 @@ func (b *TableBuilder) RebuildFromSamples(computeSamples, memSamples []float64) 
 	if err != nil {
 		return nil, false, fmt.Errorf("core: memory distribution: %w", err)
 	}
-	b.distC, b.distM = distC, distM
+	b.binC, b.binM = distC, distM
 	return b.finish()
 }
 
-// finish runs the drift gate and, when it does not fire, refreshes the
-// table from b.distC/b.distM — through the content-addressed cache when
-// one is attached (a verified hit copies the cached table in place,
-// bitwise-identical to rebuilding), by the full in-place rebuild
-// otherwise.
+// finish runs the drift gate on the freshly binned b.binC/b.binM and,
+// when it does not fire, refreshes the table from them — through the
+// content-addressed cache when one is attached (a verified hit copies the
+// cached table's materialized columns in place, bitwise-identical to
+// rebuilding; deeper columns are derived later like a rebuilt table's),
+// by the in-place rebuild otherwise.
 func (b *TableBuilder) finish() (*TailTable, bool, error) {
-	meanC, varC := b.distC.Mean(), b.distC.Variance()
-	meanM, varM := b.distM.Mean(), b.distM.Variance()
+	meanC, varC := b.binC.Mean(), b.binC.Variance()
+	meanM, varM := b.binM.Mean(), b.binM.Variance()
 	stdC, stdM := math.Sqrt(varC), math.Sqrt(varM)
 	if b.DriftThreshold > 0 && b.haveProfile &&
 		relDrift(meanC, stdC, b.lastMeanC, b.lastStdC) <= b.DriftThreshold &&
@@ -193,15 +214,17 @@ func (b *TableBuilder) finish() (*TailTable, bool, error) {
 		return b.table, false, nil
 	}
 	if b.Cache != nil {
-		// The probe key aliases the builder's distribution buffers; the
-		// cache copies them only when it stores a new entry.
+		// The probe key aliases the builder's binning buffers (which stay
+		// put when commitBins swaps them in); the cache copies them only
+		// when it stores a new entry.
 		b.probe = tableKey{
 			percentile: b.percentile,
 			nbuckets:   b.nbuckets, rows: b.rows, maxQueue: b.maxQueue,
-			distC: b.distC, distM: b.distM,
+			distC: b.binC, distM: b.binM,
 		}
 		b.probeFP = b.Cache.fingerprint(&b.probe)
 		if cached := b.Cache.lookup(b.probeFP, &b.probe); cached != nil {
+			b.commitBins(nil)
 			b.table.copyFrom(cached)
 			b.noteProfile(meanC, stdC, meanM, stdM)
 			b.cacheHits++
@@ -217,6 +240,16 @@ func (b *TableBuilder) finish() (*TailTable, bool, error) {
 	b.noteProfile(meanC, stdC, meanM, stdM)
 	b.builds++
 	return b.table, true, nil
+}
+
+// commitBins makes the freshly binned profiles the current table's
+// inputs, keeping the old buffers as the next refresh's binning scratch.
+// plan is the plan already started on them, or nil when the first deeper
+// column fill must start one.
+func (b *TableBuilder) commitBins(plan *stats.PackedConvolutionPlan) {
+	b.distC, b.binC = b.binC, b.distC
+	b.distM, b.binM = b.binM, b.distM
+	b.plan = plan
 }
 
 // noteProfile records the profile moments a refresh acted on, the state
@@ -238,6 +271,16 @@ func relDrift(mean, std, lastMean, lastStd float64) float64 {
 	dm := math.Abs(mean-lastMean) / scale
 	ds := math.Abs(std-lastStd) / scale
 	return math.Max(dm, ds)
+}
+
+// startPlan runs the forward transform of the chain pair over c and m on
+// the cached plan of their size, ready for RowInto.
+func (b *TableBuilder) startPlan(c, m stats.PMF) (*stats.PackedConvolutionPlan, error) {
+	plan, err := b.packedPlanFor(stats.PackedPlanSizeFor(len(c.P), len(m.P), b.maxQueue))
+	if err != nil {
+		return nil, err
+	}
+	return plan, plan.Start(c, m, b.maxQueue)
 }
 
 // packedPlanFor returns the cached packed plan for unified transform

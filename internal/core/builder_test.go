@@ -10,8 +10,9 @@ import (
 )
 
 // referenceTailTable is the pre-builder BuildTailTable algorithm, kept
-// verbatim (naive stats entry points, fresh allocations everywhere) as the
-// oracle the allocation-free pipeline is checked against.
+// verbatim (naive stats entry points, fresh allocations everywhere, every
+// column computed up front) as the oracle the allocation-free, lazily
+// filled pipeline is checked against.
 func referenceTailTable(computeSamples, memSamples []float64, percentile float64, nbuckets, rows, maxQueue int) (*TailTable, error) {
 	distC, err := stats.NewPMFFromSamples(computeSamples, nbuckets)
 	if err != nil {
@@ -74,12 +75,27 @@ func referenceTailTable(computeSamples, memSamples []float64, percentile float64
 		t.m = append(t.m, mRow)
 		t.discC = append(t.discC, discC)
 		t.discM = append(t.discM, discM)
+		t.headC = append(t.headC, headC)
+		t.headM = append(t.headM, headM)
 	}
+	t.built = maxQueue
 	return t, nil
 }
 
+// materialize fills every column a lazily built table has not, so tests
+// can read t.c and t.m directly.
+func materialize(tb *TailTable) {
+	if tb.built < tb.MaxQueue {
+		tb.fill(tb.MaxQueue - 1)
+	}
+}
+
+// tablesBitwiseEqual materializes both tables and compares every field
+// and entry by raw bits.
 func tablesBitwiseEqual(t *testing.T, got, want *TailTable) {
 	t.Helper()
+	materialize(got)
+	materialize(want)
 	bits := math.Float64bits
 	if got.Percentile != want.Percentile || got.MaxQueue != want.MaxQueue {
 		t.Fatalf("header mismatch: %+v vs %+v", got, want)
@@ -95,8 +111,10 @@ func tablesBitwiseEqual(t *testing.T, got, want *TailTable) {
 		if bits(got.rowBoundsC[r]) != bits(want.rowBoundsC[r]) ||
 			bits(got.rowBoundsM[r]) != bits(want.rowBoundsM[r]) ||
 			bits(got.discC[r]) != bits(want.discC[r]) ||
-			bits(got.discM[r]) != bits(want.discM[r]) {
-			t.Fatalf("row %d bounds/discounts mismatch", r)
+			bits(got.discM[r]) != bits(want.discM[r]) ||
+			bits(got.headC[r]) != bits(want.headC[r]) ||
+			bits(got.headM[r]) != bits(want.headM[r]) {
+			t.Fatalf("row %d bounds/discounts/heads mismatch", r)
 		}
 		for i := range want.c[r] {
 			if bits(got.c[r][i]) != bits(want.c[r][i]) || bits(got.m[r][i]) != bits(want.m[r][i]) {
@@ -270,16 +288,17 @@ func TestBuilderRebuildAllocationFree(t *testing.T) {
 		histC.Push(comp[i])
 		histM.Push(mem[i])
 	}
-	if _, _, err := b.Rebuild(histC, histM); err != nil { // warm buffers
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := b.Rebuild(histC, histM); err != nil {
+	refresh := func() {
+		tbl, _, err := b.Rebuild(histC, histM)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
+		tbl.Lookup(0, 15) // lazy fill of every deeper column
+	}
+	refresh() // warm buffers
+	allocs := testing.AllocsPerRun(5, refresh)
 	if allocs != 0 {
-		t.Fatalf("steady-state Rebuild allocates %v/op, want 0", allocs)
+		t.Fatalf("steady-state Rebuild plus full lazy fill allocates %v/op, want 0", allocs)
 	}
 }
 
@@ -305,9 +324,11 @@ func TestPackedBuilderRebuildAllocationFree(t *testing.T) {
 		deltaM.Push(2e4)
 	}
 	rebuild := func(histC, histM *stats.Histogram) {
-		if _, _, err := b.Rebuild(histC, histM); err != nil {
+		tbl, _, err := b.Rebuild(histC, histM)
+		if err != nil {
 			t.Fatal(err)
 		}
+		tbl.Lookup(0, 15) // lazy fill of every deeper column
 	}
 	rebuild(spreadC, spreadM) // warm both plans and all buffers
 	rebuild(deltaC, deltaM)
@@ -319,7 +340,7 @@ func TestPackedBuilderRebuildAllocationFree(t *testing.T) {
 		rebuild(deltaC, deltaM)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm packed Rebuild alternating plans allocates %v/op, want 0", allocs)
+		t.Fatalf("warm packed Rebuild plus full lazy fill, alternating plans, allocates %v/op, want 0", allocs)
 	}
 }
 

@@ -249,11 +249,13 @@ func (c *TableCache) moveToFront(e *cacheEntry) {
 	c.pushFront(e)
 }
 
-// copyFrom makes t a deep copy of src, reusing t's backing slices when
-// their capacities allow. On the hit path the builder's table already has
-// the key's exact dimensions, so the copy allocates nothing; recycled
-// cache entries resize when a differently-shaped builder shares the
-// cache.
+// copyFrom makes t a deep copy of src's materialized state — everything
+// the rows share plus columns 0..src.built-1 — reusing t's backing slices
+// when their capacities allow. It leaves t.src alone: a cache entry stays
+// ownerless, and a builder's table keeps deriving its pending columns
+// from its builder. On the hit path the builder's table already has the
+// key's exact dimensions, so the copy allocates nothing; recycled cache
+// entries resize when a differently-shaped builder shares the cache.
 func (t *TailTable) copyFrom(src *TailTable) {
 	t.Percentile = src.Percentile
 	t.MaxQueue = src.MaxQueue
@@ -263,8 +265,11 @@ func (t *TailTable) copyFrom(src *TailTable) {
 	t.rowBoundsM = resizeCopy(t.rowBoundsM, src.rowBoundsM)
 	t.discC = resizeCopy(t.discC, src.discC)
 	t.discM = resizeCopy(t.discM, src.discM)
-	t.c = resizeCopyRows(t.c, src.c)
-	t.m = resizeCopyRows(t.m, src.m)
+	t.headC = resizeCopy(t.headC, src.headC)
+	t.headM = resizeCopy(t.headM, src.headM)
+	t.built = src.built
+	t.c = resizeCopyRows(t.c, src.c, src.built)
+	t.m = resizeCopyRows(t.m, src.m, src.built)
 }
 
 // resizeCopy copies src into dst's backing array, growing only when the
@@ -279,9 +284,10 @@ func resizeCopy(dst, src []float64) []float64 {
 	return dst
 }
 
-// resizeCopyRows copies a row matrix, reusing both the row slice and each
-// row's backing array where capacities allow.
-func resizeCopyRows(dst, src [][]float64) [][]float64 {
+// resizeCopyRows shapes dst like the row matrix src, reusing both the row
+// slice and each row's backing array where capacities allow, and copies
+// the first n columns of every row.
+func resizeCopyRows(dst, src [][]float64, n int) [][]float64 {
 	if cap(dst) < len(src) {
 		grown := make([][]float64, len(src))
 		copy(grown, dst[:cap(dst)])
@@ -289,8 +295,13 @@ func resizeCopyRows(dst, src [][]float64) [][]float64 {
 	} else {
 		dst = dst[:len(src)]
 	}
-	for i := range src {
-		dst[i] = resizeCopy(dst[i], src[i])
+	for i, row := range src {
+		if cap(dst[i]) < len(row) {
+			dst[i] = make([]float64, len(row))
+		} else {
+			dst[i] = dst[i][:len(row)]
+		}
+		copy(dst[i], row[:n])
 	}
 	return dst
 }

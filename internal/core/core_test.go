@@ -176,6 +176,40 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestHostileConfigsRejected feeds New, NewTableBuilder and
+// BuildTailTable the values a NaN-blind `x <= 0` check lets through.
+func TestHostileConfigsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"NaN percentile", func(c *Config) { c.TailPercentile = nan }},
+		{"NaN bound", func(c *Config) { c.LatencyBoundNs = nan }},
+		{"+Inf bound", func(c *Config) { c.LatencyBoundNs = inf }},
+		{"-Inf bound", func(c *Config) { c.LatencyBoundNs = -inf }},
+		{"NaN drift threshold", func(c *Config) { c.DriftThreshold = nan }},
+		{"negative drift threshold", func(c *Config) { c.DriftThreshold = -0.01 }},
+		{"zero update period", func(c *Config) { c.UpdatePeriod = 0 }},
+		{"negative update period", func(c *Config) { c.UpdatePeriod = -sim.Millisecond }},
+	} {
+		cfg := DefaultConfig(1e6)
+		tc.edit(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted the config", tc.name)
+		}
+	}
+	samples := []float64{1, 2, 3}
+	for _, p := range []float64{nan, inf, -inf, 0, 1} {
+		if _, err := NewTableBuilder(p, 128, 8, 16); err == nil {
+			t.Errorf("NewTableBuilder accepted percentile %v", p)
+		}
+		if _, err := BuildTailTable(samples, samples, p, 128, 8, 16); err == nil {
+			t.Errorf("BuildTailTable accepted percentile %v", p)
+		}
+	}
+}
+
 func TestRubikDecisionLogic(t *testing.T) {
 	cfg := DefaultConfig(2e6) // 2 ms bound
 	cfg.Feedback.Enabled = false

@@ -154,11 +154,19 @@ var (
 
 // New validates the configuration and returns a Rubik controller.
 func New(cfg Config) (*Rubik, error) {
-	if cfg.LatencyBoundNs <= 0 {
-		return nil, fmt.Errorf("core: latency bound must be positive, got %v", cfg.LatencyBoundNs)
+	// The comparisons are written so that NaN fails them.
+	if !(cfg.LatencyBoundNs > 0) || math.IsInf(cfg.LatencyBoundNs, 0) {
+		return nil, fmt.Errorf("core: latency bound must be positive and finite, got %v", cfg.LatencyBoundNs)
 	}
-	if cfg.TailPercentile <= 0 || cfg.TailPercentile >= 1 {
+	if !(cfg.TailPercentile > 0 && cfg.TailPercentile < 1) {
 		return nil, fmt.Errorf("core: tail percentile %v out of (0,1)", cfg.TailPercentile)
+	}
+	if cfg.UpdatePeriod <= 0 {
+		// Rubik would never refresh its tables and silently hold nominal.
+		return nil, fmt.Errorf("core: update period must be positive, got %v", cfg.UpdatePeriod)
+	}
+	if !(cfg.DriftThreshold >= 0) {
+		return nil, fmt.Errorf("core: drift threshold must be >= 0, got %v", cfg.DriftThreshold)
 	}
 	if cfg.Grid.Len() == 0 {
 		return nil, fmt.Errorf("core: empty frequency grid")
@@ -446,6 +454,8 @@ func (r *Rubik) PredictedSlackNs(v queueing.View) float64 {
 }
 
 // Table returns the current target tail table (nil before first build).
+// Its Lookup fills columns on first use, so like the controller it must
+// not be read from another goroutine while the controller runs.
 func (r *Rubik) Table() *TailTable { return r.table }
 
 // InternalTargetNs returns the feedback-adjusted latency target.

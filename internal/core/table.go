@@ -29,6 +29,13 @@ import (
 // request (omega), quantized to octiles as in the paper's implementation;
 // columns are queue positions 0..MaxQueue-1. Positions beyond the table use
 // the Gaussian (CLT) extension.
+//
+// A table a TableBuilder owns materializes its columns lazily: a refresh
+// fills column 0 and everything the rows share, and Lookup fills columns
+// 1..MaxQueue-1 the first time a decision reads them. Lookup on such a
+// table therefore mutates it, and like the builder it is confined to the
+// controller that owns it. Tables from BuildTailTable are fully
+// materialized and read-only.
 type TailTable struct {
 	// Percentile is the tail percentile the table targets (e.g. 0.95).
 	Percentile float64
@@ -52,7 +59,9 @@ type TailTable struct {
 	// FFT convolutions across all rows, which is what keeps the periodic
 	// update within the paper's sub-millisecond budget (Sec. 4.2 reports
 	// 0.2 ms per update). Each entry is floored at the row's own
-	// conditioned head tail.
+	// conditioned head tail (headC[r], headM[r]).
+	//
+	// Only columns 0..built-1 are valid; Lookup fills the rest from src.
 	c [][]float64
 	m [][]float64
 
@@ -61,6 +70,15 @@ type TailTable struct {
 	meanM, varM float64
 	// Per-row mean discounts, for extending rows past MaxQueue.
 	discC, discM []float64
+	// Per-row conditioned head tails, the floor of every entry in the row.
+	headC, headM []float64
+
+	// built is the number of leading columns materialized. src is the
+	// builder holding the profiles the table was built from, from which
+	// columns built..MaxQueue-1 are derived on demand; it is nil for
+	// tables no builder owns (cache entries and BuildTailTable results).
+	built int
+	src   *TableBuilder
 }
 
 // BuildTailTable constructs the tables from per-request compute-cycle and
@@ -70,9 +88,11 @@ type TailTable struct {
 // distributions, perform the convolutions, and fill in the c_i and m_i
 // values" step of paper Sec. 4.2.
 //
-// It is now a thin one-shot wrapper over TableBuilder; controllers that
-// refresh periodically hold a builder for their lifetime instead, which
-// makes every refresh after the first allocation-free.
+// It is a thin one-shot wrapper over TableBuilder that materializes every
+// column and detaches the table from the builder, so the result is
+// read-only and safe to share. Controllers that refresh periodically hold
+// a builder for their lifetime instead, which makes every refresh after
+// the first allocation-free and defers each column to its first use.
 func BuildTailTable(computeSamples, memSamples []float64, percentile float64, nbuckets, rows, maxQueue int) (*TailTable, error) {
 	if len(computeSamples) == 0 || len(memSamples) == 0 {
 		return nil, fmt.Errorf("core: no profiling samples")
@@ -82,34 +102,35 @@ func BuildTailTable(computeSamples, memSamples []float64, percentile float64, nb
 		return nil, err
 	}
 	t, _, err := b.RebuildFromSamples(computeSamples, memSamples)
-	return t, err
+	if err != nil {
+		return nil, err
+	}
+	t.fill(t.MaxQueue - 1)
+	t.src = nil
+	return t, nil
 }
 
-// Rebuild refills t in place from the profiled compute and memory
-// distributions held in b (b.distC, b.distM), using b's cached packed
-// convolution plans and scratch buffers. The caller passes the
-// distributions' moments so they are computed once per refresh. All
-// convolutions run before t is touched, so a failed rebuild leaves the
-// previous contents intact.
+// Rebuild refills t, the table b owns, from the profiles binned into b's
+// scratch (b.binC, b.binM), whose moments the caller passes so they are
+// computed once per refresh. It runs the one forward transform, fills
+// everything the rows share (row bounds, mean discounts, conditioned head
+// tails) and materializes column 0, which the Gaussian extension also
+// reads; Lookup fills deeper columns on first use. The transform runs
+// before t or b's committed profiles are touched, so a failed rebuild
+// leaves the previous table, and the inputs its pending columns derive
+// from, intact.
 func (t *TailTable) Rebuild(b *TableBuilder, meanC, varC, meanM, varM float64) error {
-	distC, distM := b.distC, b.distM
 	maxQueue, rows, percentile := b.maxQueue, b.rows, b.percentile
-
-	// Exact sum tails for a fresh head: exactC[i] = Q(C^(*(i+1))). The
-	// packed pipeline computes both chains in one real-FFT pass (one
-	// forward transform, fused per-row inverses, half-spectrum power
-	// steps).
-	plan, err := b.packedPlanFor(stats.PackedPlanSizeFor(len(distC.P), len(distM.P), maxQueue))
+	// Starting overwrites the plan's spectra, which the previous table's
+	// pending columns may have been using; if it fails, a later fill
+	// restarts the plan on that table's inputs.
+	b.plan = nil
+	plan, err := b.startPlan(b.binC, b.binM)
 	if err != nil {
-		return err
-	}
-	if err := plan.IterSelfConvolutionsInto(b.convC, b.convM, distC, distM); err != nil {
 		return fmt.Errorf("core: packed convolutions: %w", err)
 	}
-	for i := 0; i < maxQueue; i++ {
-		b.exactC[i] = b.convC[i].Quantile(percentile)
-		b.exactM[i] = b.convM[i].Quantile(percentile)
-	}
+	b.commitBins(plan)
+	distC, distM := b.distC, b.distM
 
 	t.Percentile = percentile
 	t.MaxQueue = maxQueue
@@ -142,18 +163,44 @@ func (t *TailTable) Rebuild(b *TableBuilder, meanC, varC, meanM, varM float64) e
 		if discM < 0 {
 			discM = 0
 		}
-		headC := condC.Quantile(percentile)
-		headM := condM.Quantile(percentile)
-		cRow := t.c[r]
-		mRow := t.m[r]
-		for i := 0; i < maxQueue; i++ {
-			cRow[i] = maxf(b.exactC[i]-discC, headC)
-			mRow[i] = maxf(b.exactM[i]-discM, headM)
-		}
 		t.discC[r] = discC
 		t.discM[r] = discM
+		t.headC[r] = condC.Quantile(percentile)
+		t.headM[r] = condM.Quantile(percentile)
 	}
+	t.built = 0
+	t.fill(0)
 	return nil
+}
+
+// fill materializes columns built..i (i < MaxQueue) from the builder's
+// committed profiles: each column's exact sum tails for a fresh head are
+// quantiles of one packed chain row, and every row's entry discounts them
+// and floors at the row's head tail. The first fill after a cache hit
+// runs the forward transform the hit skipped. Start and RowInto fail
+// only on a plan/input mismatch the builder rules out, so an error here
+// is a bug.
+func (t *TailTable) fill(i int) {
+	b := t.src
+	if b.plan == nil {
+		plan, err := b.startPlan(b.distC, b.distM)
+		if err != nil {
+			panic(fmt.Sprintf("core: tail-table column fill: %v", err))
+		}
+		b.plan = plan
+	}
+	for j := t.built; j <= i; j++ {
+		if err := b.plan.RowInto(j, &b.rowC, &b.rowM); err != nil {
+			panic(fmt.Sprintf("core: tail-table column %d: %v", j, err))
+		}
+		exactC := b.rowC.Quantile(t.Percentile)
+		exactM := b.rowM.Quantile(t.Percentile)
+		for r := range t.c {
+			t.c[r][j] = maxf(exactC-t.discC[r], t.headC[r])
+			t.m[r][j] = maxf(exactM-t.discM[r], t.headM[r])
+		}
+	}
+	t.built = i + 1
 }
 
 func maxf(a, b float64) float64 {
@@ -184,6 +231,8 @@ func (t *TailTable) RowFor(elapsedCycles float64) int {
 // Lookup returns the tail cycles c_i and tail memory time m_i (ns) for the
 // request at queue position i given the head's row. Positions at or beyond
 // MaxQueue use the Gaussian extension (paper Sec. 4.2, "Large queues").
+// The first Lookup of a column not yet materialized fills it and every
+// column before it.
 func (t *TailTable) Lookup(row, i int) (ci, mi float64) {
 	if row < 0 {
 		row = 0
@@ -192,6 +241,9 @@ func (t *TailTable) Lookup(row, i int) (ci, mi float64) {
 		row = len(t.c) - 1
 	}
 	if i < t.MaxQueue {
+		if i >= t.built {
+			t.fill(i)
+		}
 		return t.c[row][i], t.m[row][i]
 	}
 	// Gaussian (CLT) extension of the exact sum tails, with the same

@@ -37,7 +37,9 @@ import (
 //
 // Net transform count for the paper-shape rebuild (128 buckets, 16 queue
 // positions, two chains): 36 full-size complex transforms for two naive
-// chains vs 1 forward + 16 size-pruned inverses here.
+// chains vs 1 forward + 16 size-pruned inverses here. Start and RowInto
+// split the pass so a caller pays the forward transform up front and
+// each row's inverse only when it needs that row.
 //
 // The packed pipeline is not bitwise-equal to the naive chains: packed
 // butterflies and pruned inverses round differently at the ulp level.
@@ -65,6 +67,12 @@ type PackedConvolutionPlan struct {
 	// z is the full-size complex scratch: the packed signal during the
 	// forward transform, then each row's fused inverse input/output.
 	z []complex128
+
+	// The chain pair begun by Start: both inputs' geometry and bucket
+	// counts, the row count, and row, the chain row accC/accM currently
+	// hold (-1 before the first Start or after a failed one).
+	cOrigin, cWidth, mOrigin, mWidth float64
+	nc, nm, count, row               int
 }
 
 // NewPackedConvolutionPlan builds a packed plan for transforms of size n
@@ -81,6 +89,7 @@ func NewPackedConvolutionPlan(n int) (*PackedConvolutionPlan, error) {
 		accC:  make([]complex128, n/2+1),
 		accM:  make([]complex128, n/2+1),
 		z:     make([]complex128, n),
+		row:   -1,
 	}
 	if n > 1 {
 		p.fwd = make([]complex128, n-1)
@@ -170,15 +179,36 @@ func PackedPlanSizeFor(cLen, mLen, count int) int {
 // The plan must have been built for exactly PackedPlanSizeFor(len(c.P),
 // len(m.P), len(dstC)).
 //
+// It is Start followed by RowInto for every row, so a caller that needs
+// only a prefix of the rows gets the same bits from those two calls.
 // Results match the naive chains within the packed pipeline's relative
 // error bound; they are not bitwise-equal (see the type comment).
 func (p *PackedConvolutionPlan) IterSelfConvolutionsInto(dstC, dstM []PMF, c, m PMF) error {
-	count := len(dstC)
+	if len(dstM) != len(dstC) {
+		return fmt.Errorf("stats: IterSelfConvolutions dst lengths differ: %d vs %d", len(dstC), len(dstM))
+	}
+	if err := p.Start(c, m, len(dstC)); err != nil {
+		return err
+	}
+	for i := range dstC {
+		if err := p.RowInto(i, &dstC[i], &dstM[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Start begins a chain pair of count rows over c and m: it packs both
+// real inputs into one complex signal, runs the single full-size forward
+// transform and splits the result into the two Hermitian half-spectra.
+// Rows are then produced on demand by RowInto. The plan must have been
+// built for exactly PackedPlanSizeFor(len(c.P), len(m.P), count). Start
+// keeps c's and m's geometry but not their buckets, so the caller may
+// reuse them once it returns.
+func (p *PackedConvolutionPlan) Start(c, m PMF, count int) error {
+	p.row = -1
 	if count <= 0 {
 		return fmt.Errorf("stats: IterSelfConvolutions count must be positive")
-	}
-	if len(dstM) != count {
-		return fmt.Errorf("stats: IterSelfConvolutions dst lengths differ: %d vs %d", count, len(dstM))
 	}
 	if len(c.P) == 0 || len(m.P) == 0 {
 		return fmt.Errorf("stats: IterSelfConvolutions empty PMF")
@@ -187,7 +217,6 @@ func (p *PackedConvolutionPlan) IterSelfConvolutionsInto(dstC, dstM []PMF, c, m 
 		return fmt.Errorf("stats: packed plan size %d, chain pair needs %d", p.n, want)
 	}
 	n := p.n
-	nc, nm := len(c.P), len(m.P)
 
 	// Pack both real inputs into one complex signal z = c + i*m and take
 	// a single full-size forward transform.
@@ -219,8 +248,7 @@ func (p *PackedConvolutionPlan) IterSelfConvolutionsInto(dstC, dstM []PMF, c, m 
 	// Bins 0 and n/2 are self-mirrored, so their imaginary parts come
 	// out exactly zero — the half-spectra are exactly Hermitian, not
 	// merely approximately, and stay so under pointwise products.
-	h := n / 2
-	for k := 0; k <= h; k++ {
+	for k := 0; k <= n/2; k++ {
 		zk := z[k]
 		zn := z[(n-k)&(n-1)]
 		a, b := real(zk), imag(zk)
@@ -229,82 +257,104 @@ func (p *PackedConvolutionPlan) IterSelfConvolutionsInto(dstC, dstM []PMF, c, m 
 		p.specM[k] = complex((b+ci)/2, (cr-a)/2)
 	}
 	// Both chains self-convolve (s0 == s), so the accumulators start as
-	// the spectra themselves.
+	// the spectra themselves: row 0.
 	copy(p.accC, p.specC)
 	copy(p.accM, p.specM)
+	p.cOrigin, p.cWidth, p.nc = c.Origin, c.Width, len(c.P)
+	p.mOrigin, p.mWidth, p.nm = m.Origin, m.Width, len(m.P)
+	p.count = count
+	p.row = 0
+	return nil
+}
 
-	for i := 0; i < count; i++ {
-		lc := nc + i*(nc-1)
-		lm := nm + i*(nm-1)
-		// Pruned inverse: row i has exact support max(lc, lm), so a
-		// transform of the smallest covering power of two ni suffices —
-		// decimating the spectrum by d = n/ni aliases the row mod ni,
-		// which is exact for a signal of support <= ni.
-		l := lc
-		if lm > l {
-			l = lm
+// RowInto writes row i of the chain pair begun by Start into dstC and
+// dstM, reusing their backing arrays when capacity allows. The
+// accumulated spectra only move forward, so i may not precede the last
+// row produced; rows skipped on the way cost one half-spectrum power step
+// each and no inverse transform. Each row is bitwise the row
+// IterSelfConvolutionsInto would produce.
+func (p *PackedConvolutionPlan) RowInto(i int, dstC, dstM *PMF) error {
+	if p.row < 0 {
+		return fmt.Errorf("stats: packed row %d requested before Start", i)
+	}
+	if i < p.row || i >= p.count {
+		return fmt.Errorf("stats: packed row %d outside [%d, %d)", i, p.row, p.count)
+	}
+	n := p.n
+	// Half-spectrum power steps: both accumulators advance one
+	// convolution per step over the n/2+1 non-redundant bins only. The
+	// common-length subslices let the compiler drop the bounds checks.
+	accC := p.accC[:n/2+1]
+	accM, specC, specM := p.accM[:len(accC)], p.specC[:len(accC)], p.specM[:len(accC)]
+	for ; p.row < i; p.row++ {
+		for k := range accC {
+			accC[k] *= specC[k]
+			accM[k] *= specM[k]
 		}
-		ni := nextPow2(l)
-		d := n / ni
-		hi := ni / 2
-		w := z[:ni]
-		// Assemble the fused natural-order spectrum w = accC + i*accM
-		// from the decimated half-spectra; the upper half comes from
-		// Hermitian symmetry, w[ni-k] = conj(accC[k*d] - i*accM[k*d]).
-		for k := 0; k <= hi; k++ {
-			ac, am := p.accC[k*d], p.accM[k*d]
-			w[k] = complex(real(ac)-imag(am), imag(ac)+real(am))
+	}
+	nc, nm := p.nc, p.nm
+	lc := nc + i*(nc-1)
+	lm := nm + i*(nm-1)
+	// Pruned inverse: row i has exact support max(lc, lm), so a
+	// transform of the smallest covering power of two ni suffices —
+	// decimating the spectrum by d = n/ni aliases the row mod ni,
+	// which is exact for a signal of support <= ni.
+	l := lc
+	if lm > l {
+		l = lm
+	}
+	ni := nextPow2(l)
+	d := n / ni
+	hi := ni / 2
+	w := p.z[:ni]
+	// Assemble the fused natural-order spectrum w = accC + i*accM
+	// from the decimated half-spectra; the upper half comes from
+	// Hermitian symmetry, w[ni-k] = conj(accC[k*d] - i*accM[k*d]).
+	for k := 0; k <= hi; k++ {
+		ac, am := p.accC[k*d], p.accM[k*d]
+		w[k] = complex(real(ac)-imag(am), imag(ac)+real(am))
+	}
+	for k := 1; k < hi; k++ {
+		ac, am := p.accC[k*d], p.accM[k*d]
+		w[ni-k] = complex(real(ac)+imag(am), real(am)-imag(ac))
+	}
+	rev := p.revFor(ni)
+	for a2, b2 := range rev {
+		if b2 > a2 {
+			w[a2], w[b2] = w[b2], w[a2]
 		}
-		for k := 1; k < hi; k++ {
-			ac, am := p.accC[k*d], p.accM[k*d]
-			w[ni-k] = complex(real(ac)+imag(am), real(am)-imag(ac))
+	}
+	fftStages(w, p.inv)
+	// One fused inverse: the C row is the real part, the M row the
+	// imaginary part. The 1/ni scaling folds into the extraction.
+	invN := 1 / float64(ni)
+	bufC := fitFloats(dstC.P, lc)
+	for k := 0; k < lc; k++ {
+		v := real(w[k]) * invN
+		if v < 0 { // numeric noise
+			v = 0
 		}
-		rev := p.revFor(ni)
-		for a2, b2 := range rev {
-			if b2 > a2 {
-				w[a2], w[b2] = w[b2], w[a2]
-			}
+		bufC[k] = v
+	}
+	bufM := fitFloats(dstM.P, lm)
+	for k := 0; k < lm; k++ {
+		v := imag(w[k]) * invN
+		if v < 0 { // numeric noise
+			v = 0
 		}
-		fftStages(w, p.inv)
-		// One fused inverse: the C row is the real part, the M row the
-		// imaginary part. The 1/ni scaling folds into the extraction.
-		invN := 1 / float64(ni)
-		bufC := fitFloats(dstC[i].P, lc)
-		for k := 0; k < lc; k++ {
-			v := real(w[k]) * invN
-			if v < 0 { // numeric noise
-				v = 0
-			}
-			bufC[k] = v
-		}
-		bufM := fitFloats(dstM[i].P, lm)
-		for k := 0; k < lm; k++ {
-			v := imag(w[k]) * invN
-			if v < 0 { // numeric noise
-				v = 0
-			}
-			bufM[k] = v
-		}
-		dstC[i] = PMF{
-			// Each convolution adds the origin plus the half-width
-			// midpoint correction (see Convolve).
-			Origin: c.Origin + float64(i)*(c.Origin+c.Width/2),
-			Width:  c.Width,
-			P:      bufC,
-		}
-		dstM[i] = PMF{
-			Origin: m.Origin + float64(i)*(m.Origin+m.Width/2),
-			Width:  m.Width,
-			P:      bufM,
-		}
-		if i < count-1 {
-			// Half-spectrum power step: both accumulators advance one
-			// convolution over the n/2+1 non-redundant bins only.
-			for k := 0; k <= h; k++ {
-				p.accC[k] *= p.specC[k]
-				p.accM[k] *= p.specM[k]
-			}
-		}
+		bufM[k] = v
+	}
+	*dstC = PMF{
+		// Each convolution adds the origin plus the half-width
+		// midpoint correction (see Convolve).
+		Origin: p.cOrigin + float64(i)*(p.cOrigin+p.cWidth/2),
+		Width:  p.cWidth,
+		P:      bufC,
+	}
+	*dstM = PMF{
+		Origin: p.mOrigin + float64(i)*(p.mOrigin+p.mWidth/2),
+		Width:  p.mWidth,
+		P:      bufM,
 	}
 	return nil
 }

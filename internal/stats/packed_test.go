@@ -229,6 +229,56 @@ func TestPackedSelfConvolutionsValidation(t *testing.T) {
 	}
 }
 
+// TestPackedRowIntoSkipsRows checks the on-demand half of the pipeline:
+// rows requested out of a sparse, increasing sequence after Start are
+// bitwise the rows of the full pass, and requests that would need the
+// accumulated spectra to move backwards are errors.
+func TestPackedRowIntoSkipsRows(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	c := randomPMF(r, 128, 2, 300)
+	m := randomPMF(r, 100, 1, 20)
+	const count = 16
+	plan, err := NewPackedConvolutionPlan(PackedPlanSizeFor(len(c.P), len(m.P), count))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row PMF
+	if err := plan.RowInto(0, &row, &row); err == nil {
+		t.Fatal("RowInto before Start must error")
+	}
+	fullC := make([]PMF, count)
+	fullM := make([]PMF, count)
+	if err := plan.IterSelfConvolutionsInto(fullC, fullM, c, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Start(c, m, count); err != nil {
+		t.Fatal(err)
+	}
+	var gotC, gotM PMF
+	for _, i := range []int{0, 0, 3, 4, 11, 15} {
+		if err := plan.RowInto(i, &gotC, &gotM); err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range [][2]PMF{{gotC, fullC[i]}, {gotM, fullM[i]}} {
+			got, want := pair[0], pair[1]
+			if !sameBits(got.Origin, want.Origin) || !sameBits(got.Width, want.Width) || len(got.P) != len(want.P) {
+				t.Fatalf("row %d geometry differs from the full pass", i)
+			}
+			for k := range want.P {
+				if !sameBits(got.P[k], want.P[k]) {
+					t.Fatalf("row %d entry %d: %v, full pass %v", i, k, got.P[k], want.P[k])
+				}
+			}
+		}
+	}
+	if err := plan.RowInto(14, &gotC, &gotM); err == nil {
+		t.Fatal("a row behind the accumulated spectra must error")
+	}
+	if err := plan.RowInto(count, &gotC, &gotM); err == nil {
+		t.Fatal("a row past count must error")
+	}
+}
+
 func TestPackedSelfConvolutionsAllocationFree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	c := randomPMF(r, 128, 0, 1000)
