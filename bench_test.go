@@ -88,17 +88,24 @@ func BenchmarkSourceHotPath(b *testing.B) {
 // at paper parameters (128 buckets, 8 rows, 16 positions) the way the
 // controller actually performs it: through a persistent TableBuilder whose
 // plans and buffers are warm, so the steady state is allocation-free (the
-// paper reports 0.2 ms per update on its testbed). A refresh materializes
-// column 0 only; deeper columns are filled when a decision first reads
-// them.
-func BenchmarkTailTableBuild(b *testing.B) { benchTailTableBuild(b, false) }
+// paper reports 0.2 ms per update on its testbed). A refresh runs no
+// transform: it materializes column 0 straight from the profiles, and
+// deeper columns are filled when a decision first reads them.
+func BenchmarkTailTableBuild(b *testing.B) { benchTailTableBuild(b, 0) }
+
+// BenchmarkTailTableBuildCol1 is a refresh plus a read of queue position
+// 1: the forward transform plus one pruned inverse, what a refresh period
+// pays once a decision sees a second request queued.
+func BenchmarkTailTableBuildCol1(b *testing.B) { benchTailTableBuild(b, 1) }
 
 // BenchmarkTailTableBuildFull is a refresh plus a read of queue position
 // 15, which materializes every column: the deep-queue worst case, and the
 // cost of every refresh before columns were filled on first use.
-func BenchmarkTailTableBuildFull(b *testing.B) { benchTailTableBuild(b, true) }
+func BenchmarkTailTableBuildFull(b *testing.B) { benchTailTableBuild(b, 15) }
 
-func benchTailTableBuild(b *testing.B, full bool) {
+// benchTailTableBuild times a warm refresh followed by one read of queue
+// position col, which materializes columns 0..col.
+func benchTailTableBuild(b *testing.B, col int) {
 	r := rand.New(rand.NewSource(1))
 	histC := stats.NewHistogram(4096)
 	histM := stats.NewHistogram(4096)
@@ -115,9 +122,7 @@ func benchTailTableBuild(b *testing.B, full bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if full {
-			tbl.Lookup(0, 15)
-		}
+		tbl.Lookup(0, col)
 	}
 	refresh() // warm buffers
 	b.ReportAllocs()

@@ -10,6 +10,7 @@
 //	rubikbench [-out dir] [-bench regexp] [-count n] [-list]
 //	rubikbench -baseline dir   compare a fresh run against saved BENCH_*.json
 //	rubikbench -baseline dir -gate 15   additionally exit 3 on a >15% ns/op regression
+//	                                    or an allocation in a 0-allocs/op baseline
 //
 // -count n runs every selected benchmark n times and keeps the fastest
 // run (minimum ns/op): the minimum estimates the noise floor of a shared
@@ -19,8 +20,9 @@
 // The repo commits a reference run under bench/baseline (see its
 // README), so `rubikbench -baseline bench/baseline` diffs the working
 // tree against the last recorded trajectory point without hunting for
-// CI artifacts; CI runs that diff with -gate 15 and annotates the build
-// on regressions.
+// CI artifacts; CI runs that diff with -gate 15, annotates the build on
+// ns/op regressions and fails it on allocation regressions (allocation
+// counts are deterministic, runner timings are not).
 package main
 
 import (
@@ -213,10 +215,11 @@ func troughFleetBench(tablecache int) func(b *testing.B) {
 }
 
 // tailTableBench mirrors bench_test.go's benchTailTableBuild: one warm
-// refresh, which materializes column 0 only (TailTableBuild), or a
-// refresh plus a read of queue position 15, which materializes every
-// column (TailTableBuildFull, the deep-queue worst case).
-func tailTableBench(full bool) func(b *testing.B) {
+// refresh followed by one read of queue position col, which materializes
+// columns 0..col — column 0 only and no transform (TailTableBuild), the
+// forward transform plus one pruned inverse (TailTableBuildCol1), or
+// every column (TailTableBuildFull, the deep-queue worst case).
+func tailTableBench(col int) func(b *testing.B) {
 	return func(b *testing.B) {
 		histC, histM := profiledHistograms(4096)
 		tb, err := rubikcore.NewTableBuilder(0.95, 128, 8, 16)
@@ -228,9 +231,7 @@ func tailTableBench(full bool) func(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if full {
-				tbl.Lookup(0, 15)
-			}
+			tbl.Lookup(0, col)
 		}
 		refresh()
 		b.ReportAllocs()
@@ -268,8 +269,9 @@ var benches = []struct {
 	name string
 	fn   func(b *testing.B)
 }{
-	{"TailTableBuild", tailTableBench(false)},
-	{"TailTableBuildFull", tailTableBench(true)},
+	{"TailTableBuild", tailTableBench(0)},
+	{"TailTableBuildCol1", tailTableBench(1)},
+	{"TailTableBuildFull", tailTableBench(15)},
 	{"TailTableBuildOneShot", func(b *testing.B) {
 		comp, mem := profiledSamples(4096)
 		b.ReportAllocs()
@@ -607,7 +609,7 @@ func main() {
 	pattern := flag.String("bench", ".", "regexp selecting benchmarks to run")
 	list := flag.Bool("list", false, "list benchmark names and exit")
 	baseline := flag.String("baseline", "", "BENCH_*.json dir (or one file) to diff the fresh run against")
-	gate := flag.Float64("gate", 0, "with -baseline: exit 3 when any benchmark regresses more than this percent in ns/op")
+	gate := flag.Float64("gate", 0, "with -baseline: exit 3 when any benchmark regresses more than this percent in ns/op, or allocates where its baseline does not")
 	count := flag.Int("count", 1, "runs per benchmark; the minimum-ns/op run is recorded")
 	flag.Parse()
 	if *count < 1 {
@@ -638,7 +640,7 @@ func main() {
 		os.Exit(1)
 	}
 	ran := 0
-	var regressions []string
+	var regressions, allocRegressions []string
 	for _, bm := range benches {
 		if !re.MatchString(bm.name) {
 			continue
@@ -688,6 +690,10 @@ func main() {
 							bm.name, b.NsPerOp, res.NsPerOp, pct, *gate))
 					}
 				}
+				if *gate > 0 && b.AllocsPerOp == 0 && res.AllocsPerOp > 0 {
+					allocRegressions = append(allocRegressions, fmt.Sprintf(
+						"%s: 0 -> %d allocs/op (%d B/op)", bm.name, res.AllocsPerOp, res.BytesPerOp))
+				}
 			} else {
 				fmt.Printf("%-24s (not in baseline)\n", "  vs baseline")
 			}
@@ -697,10 +703,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rubikbench: no benchmarks match %q\n", *pattern)
 		os.Exit(1)
 	}
-	if len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintf(os.Stderr, "rubikbench: regression: %s\n", r)
-		}
+	for _, r := range regressions {
+		fmt.Fprintf(os.Stderr, "rubikbench: regression: %s\n", r)
+	}
+	for _, r := range allocRegressions {
+		fmt.Fprintf(os.Stderr, "rubikbench: alloc regression: %s\n", r)
+	}
+	if len(regressions) > 0 || len(allocRegressions) > 0 {
 		os.Exit(3)
 	}
 }

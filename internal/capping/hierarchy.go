@@ -86,8 +86,9 @@ func (WaterfillLevel) Name() string { return "waterfill" }
 // AllocateLevel implements LevelAllocator.
 func (WaterfillLevel) AllocateLevel(budgetW float64, children []ChildDemand, grants []float64) {
 	n := len(children)
-	lo := make([]float64, n)
-	hi := make([]float64, n)
+	var loBuf, hiBuf [maxStackFan]float64
+	lo := fanScratch(loBuf[:], n)
+	hi := fanScratch(hiBuf[:], n)
 	for i, c := range children {
 		lo[i] = c.FloorW
 		hi[i] = clampW(c.DemandW, c.FloorW, c.MaxW)
@@ -130,7 +131,8 @@ func waterFill(budget float64, lo, hi, out []float64) {
 	// breakpoints at the lo/hi values; find the segment bracketing the
 	// budget and interpolate. O(n² log n) on a per-epoch path with level
 	// fan-outs of dozens — clarity over asymptotics.
-	bps := make([]float64, 0, 2*len(lo))
+	var bpBuf [2 * maxStackFan]float64
+	bps := fanScratch(bpBuf[:], 2*len(lo))[:0]
 	bps = append(bps, lo...)
 	bps = append(bps, hi...)
 	sort.Float64s(bps)
@@ -158,6 +160,20 @@ func waterFill(budget float64, lo, hi, out []float64) {
 	for i := range out {
 		out[i] = clampW(level, lo[i], hi[i])
 	}
+}
+
+// maxStackFan is the widest fan-out whose water-fill scratch lives in
+// fixed-size arrays on the stack, which keeps a hierarchy round
+// allocation-free; wider nodes fall back to heap scratch.
+const maxStackFan = 32
+
+// fanScratch returns buf[:n] when buf is long enough and a fresh slice
+// otherwise.
+func fanScratch(buf []float64, n int) []float64 {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]float64, n)
 }
 
 func clampW(w, lo, hi float64) float64 {

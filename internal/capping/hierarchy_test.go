@@ -163,6 +163,65 @@ func TestWaterfillLevelMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestWaterfillLevelWideFanOut covers fan-outs at and past maxStackFan,
+// where the scratch moves from stack arrays to the heap: a budget
+// realized by an integral water level must be granted exactly that level,
+// clamped to each child's range.
+func TestWaterfillLevelWideFanOut(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for _, n := range []int{maxStackFan, maxStackFan + 1, 3 * maxStackFan} {
+		children := make([]ChildDemand, n)
+		for i := range children {
+			floor := float64(r.Intn(4))
+			target := floor + float64(r.Intn(5))
+			children[i] = ChildDemand{FloorW: floor, MaxW: target, DemandW: target}
+		}
+		level := 3.0
+		budget := 0.0
+		for _, c := range children {
+			budget += clampW(level, c.FloorW, c.MaxW)
+		}
+		grants := make([]float64, n)
+		WaterfillLevel{}.AllocateLevel(budget, children, grants)
+		for i, c := range children {
+			if want := clampW(level, c.FloorW, c.MaxW); math.Abs(grants[i]-want) > 1e-6 {
+				t.Fatalf("fan-out %d: child %d granted %v, want %v", n, i, grants[i], want)
+			}
+		}
+	}
+}
+
+// TestHierarchyReallocateAllocationFree pins the Hierarchy contract that
+// a round allocates nothing after construction, on the rackcap tree
+// (rack -> 2 PDUs at 1.25x oversubscription -> 16 sockets, waterfill at
+// both levels).
+func TestHierarchyReallocateAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const sockets = 16
+	h, err := NewHierarchy(HierarchySpec{Levels: []LevelSpec{
+		{Name: "rack", Nodes: 1, CapW: 16 * sockets},
+		{Name: "pdu", Nodes: 2, Oversub: 1.25},
+	}}, sockets, 4, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(9))
+	demand := make([]float64, sockets)
+	for i := range demand {
+		demand[i] = 4 + 36*r.Float64()
+	}
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		demand[i&15] = 4 + float64(i%37)
+		i++
+		h.Reallocate(demand)
+	}); n != 0 {
+		t.Fatalf("Reallocate = %v allocs/op, want 0", n)
+	}
+}
+
 // TestWaterfillLevelSurplus pins the second pass: budget beyond every
 // demand lifts grants toward the maxima instead of evaporating.
 func TestWaterfillLevelSurplus(t *testing.T) {

@@ -9,13 +9,14 @@ import (
 
 // TableBuilder is the persistent, allocation-free rebuild pipeline behind
 // a controller's target tail tables. It owns everything a periodic refresh
-// needs — the packed FFT convolution plans (twiddles, bit-reversal,
-// scratch), the profiled-distribution buffers, the convolution result
-// buffers, and the TailTable itself, which Rebuild refills in place. A
-// controller creates one builder for its lifetime; every refresh after
-// the first then performs zero steady-state allocations, which is what
-// keeps the paper's periodic update inside its 0.2 ms budget (Sec. 4.2)
-// once the cluster layer multiplies refresh frequency by the core count.
+// and its later column fills need — the packed FFT convolution plans
+// (twiddles, bit-reversal, scratch), the profiled-distribution buffers,
+// the convolution row buffers, and the TailTable itself, which Rebuild
+// refills in place. A controller creates one builder for its lifetime;
+// every refresh after the first then performs zero steady-state
+// allocations, which is what keeps the paper's periodic update inside
+// its 0.2 ms budget (Sec. 4.2) once the cluster layer multiplies refresh
+// frequency by the core count.
 //
 // The convolutions run through the packed real-FFT pipeline
 // (stats.PackedConvolutionPlan): both chains ride one complex transform
@@ -26,13 +27,17 @@ import (
 // pinned bit for bit against the naive one-shot build across table
 // shapes and profiles.
 //
-// A refresh runs the forward transform and fills column 0; each deeper
-// column's inverse runs when a Lookup first reads it (decisions rarely
-// look past the first few queue positions). The builder therefore keeps
-// the profiles the current table was built from until the next refresh
-// replaces the table: each refresh bins into scratch PMFs and commits
-// them only when it rebuilds or hits the cache, so a drift-gate skip or
-// a failed binning leaves the pending columns' inputs untouched.
+// A refresh runs no transform: column 0 is the single-request
+// distribution, whose exact tails are quantiles of the profiles
+// themselves. The first Lookup of a deeper column runs the forward
+// transform, and each deeper column's pruned inverse runs when a Lookup
+// first reads it (decisions rarely look past queue position 0, and a
+// refresh period whose decisions never do pays no transform at all). The
+// builder therefore keeps the profiles the current table was built from
+// until the next refresh replaces the table: each refresh bins into
+// scratch PMFs and commits them only when it rebuilds or hits the cache,
+// so a drift-gate skip or a failed binning leaves the pending columns'
+// inputs untouched.
 //
 // A builder owns its buffers and is NOT safe for concurrent use; each
 // controller holds its own. The same holds for its table, whose Lookup
@@ -41,8 +46,8 @@ type TableBuilder struct {
 	// DriftThreshold gates the expensive part of a refresh: when both
 	// profiled distributions have moved less than this relative amount (in
 	// mean and standard deviation) since the last full rebuild, Rebuild
-	// keeps the existing tables and skips the convolutions. 0 (the
-	// default) disables the gate — every refresh rebuilds, and results are
+	// keeps the existing tables and skips the rebuild. 0 (the default)
+	// disables the gate — every refresh rebuilds, and results are
 	// byte-identical to the ungated pipeline. Set it from
 	// core.Config.DriftThreshold; the tradeoff is staleness: a gated table
 	// reacts one threshold-crossing later to workload drift, in exchange
@@ -52,8 +57,8 @@ type TableBuilder struct {
 	// Cache, when non-nil, memoizes full rebuilds content-addressed by
 	// their exact inputs (both profiled PMFs plus the table shape): a
 	// refresh whose inputs match a cached rebuild bit for bit copies the
-	// cached table in place instead of re-running the convolutions, which
-	// is bitwise-indistinguishable from rebuilding because the pipeline
+	// cached table in place instead of rebuilding its rows, which is
+	// bitwise-indistinguishable from rebuilding because the pipeline
 	// is a pure function of that key. Nil (the default) rebuilds
 	// privately. The cache is shared across the builders of one goroutine
 	// (cluster.RunFleet hands every socket on a shard the same cache);
@@ -77,8 +82,8 @@ type TableBuilder struct {
 	distC, distM stats.PMF
 	binC, binM   stats.PMF
 	// plan is the packed plan holding distC/distM's spectra, or nil when
-	// the next column fill must run the forward transform first (after a
-	// cache hit, or once a failed rebuild reused the plan's buffers).
+	// the next deeper column fill must run the forward transform first
+	// (every commit resets it: neither a rebuild nor a cache hit runs one).
 	plan *stats.PackedConvolutionPlan
 	// rowC/rowM receive one packed chain row per column fill.
 	rowC, rowM stats.PMF
@@ -224,7 +229,7 @@ func (b *TableBuilder) finish() (*TailTable, bool, error) {
 		}
 		b.probeFP = b.Cache.fingerprint(&b.probe)
 		if cached := b.Cache.lookup(b.probeFP, &b.probe); cached != nil {
-			b.commitBins(nil)
+			b.commitBins()
 			b.table.copyFrom(cached)
 			b.noteProfile(meanC, stdC, meanM, stdM)
 			b.cacheHits++
@@ -244,12 +249,12 @@ func (b *TableBuilder) finish() (*TailTable, bool, error) {
 
 // commitBins makes the freshly binned profiles the current table's
 // inputs, keeping the old buffers as the next refresh's binning scratch.
-// plan is the plan already started on them, or nil when the first deeper
-// column fill must start one.
-func (b *TableBuilder) commitBins(plan *stats.PackedConvolutionPlan) {
+// No plan holds their spectra yet, so the first deeper column fill
+// starts one.
+func (b *TableBuilder) commitBins() {
 	b.distC, b.binC = b.binC, b.distC
 	b.distM, b.binM = b.binM, b.distM
-	b.plan = plan
+	b.plan = nil
 }
 
 // noteProfile records the profile moments a refresh acted on, the state
@@ -273,14 +278,19 @@ func relDrift(mean, std, lastMean, lastStd float64) float64 {
 	return math.Max(dm, ds)
 }
 
-// startPlan runs the forward transform of the chain pair over c and m on
-// the cached plan of their size, ready for RowInto.
-func (b *TableBuilder) startPlan(c, m stats.PMF) (*stats.PackedConvolutionPlan, error) {
-	plan, err := b.packedPlanFor(stats.PackedPlanSizeFor(len(c.P), len(m.P), b.maxQueue))
+// startPlan runs the forward transform of the chain pair over the
+// committed profiles on the cached plan of their size and makes it
+// b.plan, ready for RowInto.
+func (b *TableBuilder) startPlan() error {
+	plan, err := b.packedPlanFor(stats.PackedPlanSizeFor(len(b.distC.P), len(b.distM.P), b.maxQueue))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return plan, plan.Start(c, m, b.maxQueue)
+	if err := plan.Start(b.distC, b.distM, b.maxQueue); err != nil {
+		return err
+	}
+	b.plan = plan
+	return nil
 }
 
 // packedPlanFor returns the cached packed plan for unified transform

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -220,6 +221,85 @@ func TestPackedBuilderMatchesReferenceTables(t *testing.T) {
 				func() int { return 128 + r.Intn(256) })
 		}
 	}
+	for _, c := range bucketEdgeProfiles() {
+		for _, s := range shapes {
+			b, err := NewTableBuilder(c.percentile, s.nbuckets, s.rows, s.maxQueue)
+			if err != nil {
+				t.Fatal(err)
+			}
+			histC, histM := stats.NewHistogram(len(c.comp)), stats.NewHistogram(len(c.mem))
+			for i := range c.comp {
+				histC.Push(c.comp[i])
+				histM.Push(c.mem[i])
+			}
+			got, _, err := b.Rebuild(histC, histM)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			want, err := referenceTailTable(c.comp, c.mem, c.percentile, s.nbuckets, s.rows, s.maxQueue)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			name := fmt.Sprintf("%s-%dx%dx%d", c.name, s.nbuckets, s.rows, s.maxQueue)
+			t.Run(name, func(t *testing.T) { tablesBitwiseEqual(t, got, want) })
+		}
+	}
+}
+
+// bucketEdgeProfile is a fixed profile pair whose tail mass crosses the
+// percentile exactly at a bucket boundary, where column 0's quantile
+// (read straight off the profile by the builder, off an FFT round trip
+// by the oracle) depends on the quantile's 1e-12 slack.
+type bucketEdgeProfile struct {
+	name       string
+	percentile float64
+	comp, mem  []float64
+}
+
+// bucketEdgeProfiles returns the fixed bucket-edge cases: n samples of
+// which exactly percentile*n sit in the low buckets and the rest at the
+// maximum (20 and 40 samples at p95, whose 1/n sample weights are
+// inexact in binary; 8,192 at p93.75, the percentile a power-of-two count
+// can hit exactly), a single-bucket profile and a two-point profile.
+func bucketEdgeProfiles() []bucketEdgeProfile {
+	edge := func(n int, percentile float64) ([]float64, []float64) {
+		low := int(math.Round(percentile * float64(n)))
+		comp := make([]float64, n)
+		mem := make([]float64, n)
+		for i := range comp {
+			comp[i], mem[i] = 4e5, 5e4
+			if i < low {
+				comp[i] = 1e5 * (1 + float64(i)/float64(low))
+				mem[i] = 1e4 * (1 + float64(i%7)/7)
+			}
+		}
+		return comp, mem
+	}
+	var cases []bucketEdgeProfile
+	for _, c := range []struct {
+		n          int
+		percentile float64
+	}{{20, 0.95}, {40, 0.95}, {8192, 0.9375}} {
+		comp, mem := edge(c.n, c.percentile)
+		cases = append(cases, bucketEdgeProfile{fmt.Sprintf("edge%d", c.n), c.percentile, comp, mem})
+	}
+	single := func(v float64) []float64 {
+		s := make([]float64, 40)
+		for i := range s {
+			s[i] = v
+		}
+		return s
+	}
+	cases = append(cases, bucketEdgeProfile{"single-bucket", 0.95, single(1e5), single(2e4)})
+	twoC, twoM := make([]float64, 20), make([]float64, 20)
+	for i := range twoC {
+		twoC[i], twoM[i] = 1e5, 2e4
+		if i >= 19 {
+			twoC[i], twoM[i] = 3e5, 6e4
+		}
+	}
+	cases = append(cases, bucketEdgeProfile{"two-point", 0.95, twoC, twoM})
+	return cases
 }
 
 func TestBuilderDegenerateProfile(t *testing.T) {

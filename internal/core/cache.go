@@ -9,11 +9,14 @@ import (
 // TableCache is a bounded, content-addressed memo of tail-table rebuilds.
 //
 // TailTable.Rebuild is a pure function of its inputs — the two profiled
-// PMFs plus the (percentile, buckets, rows, maxQueue) table shape — and it
-// is the dominant cost of the controller hot path at fleet scale: every
-// core's periodic refresh re-runs the full FFT convolution chain even when
-// its profile is byte-identical to the previous tick's (an idle burst
-// phase adds no samples) or to a neighboring core's. The cache keys each
+// PMFs plus the (percentile, buckets, rows, maxQueue) table shape. A
+// refresh runs no transform (column 0 comes straight from the profiles);
+// what it does run is the per-row work (row bounds, conditioned head
+// distributions, mean discounts) every core's periodic refresh repeats
+// even when its profile is byte-identical to the previous tick's (an
+// idle burst phase adds no samples) or to a neighboring core's. The cache
+// saves that row work and nothing else: deeper columns of a hit table
+// still run the forward transform on first read. The cache keys each
 // rebuild by an FNV-1a fingerprint over the raw float bits of that exact
 // input tuple; on a fingerprint hit it verifies the full key bit for bit
 // (FNV-1a can collide; a false share would corrupt results, so collisions

@@ -175,6 +175,61 @@ func TestLazyColumnsMatchEager(t *testing.T) {
 	})
 }
 
+// TestShallowReadsRunNoTransform pins the transform-free refresh: a
+// refresh followed only by column-0 and Gaussian-extension reads starts
+// no packed plan and allocates nothing, the first deeper read starts one,
+// and Rebuild rejects an empty binned profile before committing it.
+func TestShallowReadsRunNoTransform(t *testing.T) {
+	const p, nbuckets, rows, maxQueue = 0.95, 128, 8, 16
+	b, err := NewTableBuilder(p, nbuckets, rows, maxQueue)
+	if err != nil {
+		t.Fatal(err)
+	}
+	histC, histM := stats.NewHistogram(1024), stats.NewHistogram(1024)
+	pushSamples(rand.New(rand.NewSource(11)), histC, histM, 1024, 1)
+	var tbl *TailTable
+	refresh := func() {
+		tbl, _, err = b.Rebuild(histC, histM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rows; r++ {
+			tbl.Lookup(r, 0)
+			tbl.Lookup(r, maxQueue+r)
+		}
+	}
+	refresh()
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(10, refresh); allocs != 0 {
+			t.Fatalf("refresh plus shallow reads allocates %v/op, want 0", allocs)
+		}
+	}
+	if b.plan != nil || len(b.packedPlans) != 0 {
+		t.Fatalf("shallow reads started a packed plan (plan=%v, %d cached)", b.plan != nil, len(b.packedPlans))
+	}
+	want := eagerTable(t, p, nbuckets, rows, maxQueue, histC, histM)
+	for r := 0; r < rows; r++ {
+		lookupMatches(t, tbl, want, r, 0)
+		lookupMatches(t, tbl, want, r, maxQueue+r)
+	}
+	lookupMatches(t, tbl, want, 0, 1)
+	if b.plan == nil || len(b.packedPlans) != 1 {
+		t.Fatalf("a column-1 read must start the packed plan (plan=%v, %d cached)", b.plan != nil, len(b.packedPlans))
+	}
+
+	// An empty binned profile is the one input Start would reject; Rebuild
+	// must reject it before the bins or the plan change.
+	distC, plan := b.distC, b.plan
+	b.binM = stats.PMF{}
+	if err := tbl.Rebuild(b, 0, 0, 0, 0); err == nil {
+		t.Fatal("empty memory profile must fail the rebuild")
+	}
+	if &b.distC.P[0] != &distC.P[0] || b.plan != plan {
+		t.Fatal("failed rebuild committed its bins or dropped the plan")
+	}
+	tablesBitwiseEqual(t, tbl, want)
+}
+
 // FuzzLazyTableLookupOrder drives one builder through fuzzed
 // interleavings of profile growth, refreshes (rebuilds, cache hits,
 // drift-gate skips, failed refreshes) and lookups in any order, and

@@ -68,7 +68,7 @@ type Config struct {
 	// DriftThreshold gates the periodic table rebuild: when both profiled
 	// distributions have moved less than this relative amount (in mean and
 	// standard deviation) since the last full rebuild, the refresh keeps
-	// the existing tables and skips the convolutions. 0 (the default)
+	// the existing tables and skips the rebuild. 0 (the default)
 	// disables the gate, making results byte-identical to the always-
 	// rebuild pipeline; small values (e.g. 0.02) drop the dominant refresh
 	// cost at steady load at the price of reacting one threshold-crossing
@@ -470,8 +470,8 @@ func (r *Rubik) TableSkips() int { return r.tableSkips }
 
 // SetTableCache shares a content-addressed rebuild cache with the
 // controller: periodic refreshes whose profile inputs match a cached
-// rebuild bit for bit copy the cached table instead of re-running the
-// convolutions, with bitwise-identical results. The cache is confined to
+// rebuild bit for bit copy the cached table instead of rebuilding its
+// rows, with bitwise-identical results. The cache is confined to
 // one goroutine — attach the same cache only to controllers simulated on
 // the same event loop (cluster.Config.TableCache does this per cluster,
 // cluster.RunFleet per shard). Call before simulation starts; nil

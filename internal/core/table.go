@@ -112,24 +112,21 @@ func BuildTailTable(computeSamples, memSamples []float64, percentile float64, nb
 
 // Rebuild refills t, the table b owns, from the profiles binned into b's
 // scratch (b.binC, b.binM), whose moments the caller passes so they are
-// computed once per refresh. It runs the one forward transform, fills
-// everything the rows share (row bounds, mean discounts, conditioned head
-// tails) and materializes column 0, which the Gaussian extension also
-// reads; Lookup fills deeper columns on first use. The transform runs
-// before t or b's committed profiles are touched, so a failed rebuild
-// leaves the previous table, and the inputs its pending columns derive
-// from, intact.
+// computed once per refresh. It runs no transform: it commits the bins,
+// fills everything the rows share (row bounds, mean discounts,
+// conditioned head tails) and materializes column 0, which the Gaussian
+// extension also reads and which needs only the profiles themselves.
+// Lookup fills deeper columns on first use, the first of them starting
+// the packed plan. Before it commits anything, Rebuild rejects every
+// input the plan's Start would reject (for binned profiles, only an
+// empty one): a failed rebuild leaves the previous table, and the inputs
+// its pending columns derive from, intact, and a later fill cannot fail.
 func (t *TailTable) Rebuild(b *TableBuilder, meanC, varC, meanM, varM float64) error {
-	maxQueue, rows, percentile := b.maxQueue, b.rows, b.percentile
-	// Starting overwrites the plan's spectra, which the previous table's
-	// pending columns may have been using; if it fails, a later fill
-	// restarts the plan on that table's inputs.
-	b.plan = nil
-	plan, err := b.startPlan(b.binC, b.binM)
-	if err != nil {
-		return fmt.Errorf("core: packed convolutions: %w", err)
+	if len(b.binC.P) == 0 || len(b.binM.P) == 0 {
+		return fmt.Errorf("core: empty profiled distribution")
 	}
-	b.commitBins(plan)
+	b.commitBins()
+	maxQueue, rows, percentile := b.maxQueue, b.rows, b.percentile
 	distC, distM := b.distC, b.distM
 
 	t.Percentile = percentile
@@ -175,26 +172,34 @@ func (t *TailTable) Rebuild(b *TableBuilder, meanC, varC, meanM, varM float64) e
 
 // fill materializes columns built..i (i < MaxQueue) from the builder's
 // committed profiles: each column's exact sum tails for a fresh head are
-// quantiles of one packed chain row, and every row's entry discounts them
-// and floors at the row's head tail. The first fill after a cache hit
-// runs the forward transform the hit skipped. Start and RowInto fail
-// only on a plan/input mismatch the builder rules out, so an error here
-// is a bug.
+// quantiles of one chain row, and every row's entry discounts them and
+// floors at the row's head tail. Row 0 of the chain is the profile
+// itself, so column 0 reads its quantiles straight off distC/distM;
+// deeper columns read packed chain rows, and the first of them after a
+// commit runs the forward transform. The packed row 0 would be the
+// profile up to ulp noise, which the quantile's bucket-edge slack
+// absorbs, so both routes give the same bits. Start and RowInto fail
+// only on inputs Rebuild rejects or a plan/input mismatch the builder
+// rules out, so an error here is a bug.
 func (t *TailTable) fill(i int) {
 	b := t.src
-	if b.plan == nil {
-		plan, err := b.startPlan(b.distC, b.distM)
-		if err != nil {
-			panic(fmt.Sprintf("core: tail-table column fill: %v", err))
-		}
-		b.plan = plan
-	}
 	for j := t.built; j <= i; j++ {
-		if err := b.plan.RowInto(j, &b.rowC, &b.rowM); err != nil {
-			panic(fmt.Sprintf("core: tail-table column %d: %v", j, err))
+		var exactC, exactM float64
+		if j == 0 {
+			exactC = b.distC.Quantile(t.Percentile)
+			exactM = b.distM.Quantile(t.Percentile)
+		} else {
+			if b.plan == nil {
+				if err := b.startPlan(); err != nil {
+					panic(fmt.Sprintf("core: tail-table column fill: %v", err))
+				}
+			}
+			if err := b.plan.RowInto(j, &b.rowC, &b.rowM); err != nil {
+				panic(fmt.Sprintf("core: tail-table column %d: %v", j, err))
+			}
+			exactC = b.rowC.Quantile(t.Percentile)
+			exactM = b.rowM.Quantile(t.Percentile)
 		}
-		exactC := b.rowC.Quantile(t.Percentile)
-		exactM := b.rowM.Quantile(t.Percentile)
 		for r := range t.c {
 			t.c[r][j] = maxf(exactC-t.discC[r], t.headC[r])
 			t.m[r][j] = maxf(exactM-t.discM[r], t.headM[r])

@@ -210,6 +210,31 @@ func TestRollingWindowPercentileAndMean(t *testing.T) {
 	}
 }
 
+// TestRollingWindowFillingPercentileAllocs pins the feedback path while
+// the window is still filling: each tick adds a sample and measures the
+// tail, so the selection scratch must grow geometrically rather than be
+// replaced every time the live count rises.
+func TestRollingWindowFillingPercentileAllocs(t *testing.T) {
+	w := NewRollingWindow(1 << 40)
+	r := rand.New(rand.NewSource(3))
+	var now int64
+	allocs := testing.AllocsPerRun(2000, func() {
+		now++
+		w.Add(now, r.Float64())
+		w.Percentile(0.95)
+	})
+	if allocs != 0 {
+		t.Fatalf("filling Add+Percentile = %v allocs/op, want 0", allocs)
+	}
+	for i := 0; i < 50; i++ {
+		now++
+		w.Add(now, r.Float64())
+		if got, want := w.Percentile(0.95), Percentile(w.Values(), 0.95); got != want {
+			t.Fatalf("after %d samples: Percentile = %v, nearest rank = %v", w.Len(), got, want)
+		}
+	}
+}
+
 func TestRollingWindowAdvanceTo(t *testing.T) {
 	w := NewRollingWindow(10)
 	w.Add(0, 1)

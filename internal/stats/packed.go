@@ -38,8 +38,11 @@ import (
 // Net transform count for the paper-shape rebuild (128 buckets, 16 queue
 // positions, two chains): 36 full-size complex transforms for two naive
 // chains vs 1 forward + 16 size-pruned inverses here. Start and RowInto
-// split the pass so a caller pays the forward transform up front and
-// each row's inverse only when it needs that row.
+// split the pass so a caller pays the forward transform and each row's
+// inverse only when it needs a row. Row 0 is the inputs themselves (up
+// to the round trip's ulp noise), so a caller that reads row 0 straight
+// off c and m, as the tail-table builder does, needs Start only once it
+// reads row 1 or later.
 //
 // The packed pipeline is not bitwise-equal to the naive chains: packed
 // butterflies and pruned inverses round differently at the ulp level.

@@ -76,7 +76,10 @@ func (w *RollingWindow) Percentile(q float64) float64 {
 		return 0
 	}
 	if cap(w.scratch) < n {
-		w.scratch = make([]float64, n)
+		// Grow geometrically: while the window fills, n rises by one
+		// sample at a time, and an exact-size buffer would be replaced
+		// on almost every tick.
+		w.scratch = make([]float64, 0, max(n, 2*cap(w.scratch)))
 	}
 	s := w.scratch[:0]
 	for _, smp := range w.buf[w.head:] {
