@@ -531,7 +531,8 @@ func BenchmarkCompletionMerge(b *testing.B) {
 }
 
 // mergeFixture builds a fleet result whose per-core completion logs are
-// sorted by Done with random gaps, as the simulator leaves them.
+// sorted by Done with random gaps, as the simulator leaves them; each
+// completion's response time is its gap.
 func mergeFixture(sockets, cores, perCore int) cluster.FleetResult {
 	r := rand.New(rand.NewSource(10))
 	var res cluster.FleetResult
@@ -541,14 +542,31 @@ func mergeFixture(sockets, cores, perCore int) cluster.FleetResult {
 			log := make([]queueing.Completion, perCore)
 			var done sim.Time
 			for k := range log {
-				done += sim.Time(1 + r.Intn(400_000))
-				log[k] = queueing.Completion{ID: k, Done: done}
+				gap := sim.Time(1 + r.Intn(400_000))
+				done += gap
+				log[k] = queueing.Completion{ID: k, Done: done, ResponseNs: float64(gap)}
 			}
 			sock.PerCore = append(sock.PerCore, queueing.Result{Completions: log})
 		}
 		res.Sockets = append(res.Sockets, sock)
 	}
 	return res
+}
+
+// BenchmarkPooledTail measures the fleet's pooled post-warmup tail
+// (FleetResult.TailNs) on a paper-shaped result: 8 sockets x 6 cores x
+// 4,000 completions, p99 after a 10% warmup trim. One op counts the
+// post-warmup completions, fills one pool and selects the rank, so it
+// makes exactly one allocation, the pool.
+func BenchmarkPooledTail(b *testing.B) {
+	res := mergeFixture(8, 6, 4000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res.TailNs(0.99, 0.1) <= 0 {
+			b.Fatal("non-positive pooled tail")
+		}
+	}
 }
 
 // BenchmarkHierarchyRound measures one re-allocation round of the

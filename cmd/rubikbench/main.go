@@ -243,7 +243,8 @@ func tailTableBench(col int) func(b *testing.B) {
 }
 
 // mergeFixture mirrors bench_test.go's: a fleet result whose per-core
-// completion logs are sorted by Done with random gaps.
+// completion logs are sorted by Done with random gaps, each response
+// time equal to its gap.
 func mergeFixture(sockets, cores, perCore int) cluster.FleetResult {
 	r := rand.New(rand.NewSource(10))
 	var res cluster.FleetResult
@@ -253,8 +254,9 @@ func mergeFixture(sockets, cores, perCore int) cluster.FleetResult {
 			log := make([]queueing.Completion, perCore)
 			var done sim.Time
 			for k := range log {
-				done += sim.Time(1 + r.Intn(400_000))
-				log[k] = queueing.Completion{ID: k, Done: done}
+				gap := sim.Time(1 + r.Intn(400_000))
+				done += gap
+				log[k] = queueing.Completion{ID: k, Done: done, ResponseNs: float64(gap)}
 			}
 			sock.PerCore = append(sock.PerCore, queueing.Result{Completions: log})
 		}
@@ -506,6 +508,19 @@ var benches = []struct {
 			})
 			if n != 4*6*500 {
 				b.Fatalf("merged %d completions", n)
+			}
+		}
+	}},
+	{"PooledTail", func(b *testing.B) {
+		// The fleet's pooled post-warmup tail on a paper-shaped result:
+		// 8 sockets x 6 cores x 4,000 completions, p99 after a 10%
+		// warmup trim; one allocation per op, the pool.
+		res := mergeFixture(8, 6, 4000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res.TailNs(0.99, 0.1) <= 0 {
+				b.Fatal("non-positive pooled tail")
 			}
 		}
 	}},

@@ -192,25 +192,49 @@ func iterMergedCompletions(lists [][]queueing.Completion, yield func(queueing.Co
 // (queueing.Config.DropCompletions) it merges the per-core response
 // histograms instead; the streamed estimate covers the whole run.
 func (r Result) TailNs(q, warmupFrac float64) float64 {
-	var all []float64
-	for _, c := range r.PerCore {
-		all = append(all, c.Responses(warmupFrac)...)
+	return pooledTailNs([]Result{r}, q, warmupFrac)
+}
+
+// pooledTailNs is the pooled tail behind Result.TailNs and
+// FleetResult.TailNs. It counts the post-warmup completions first, fills
+// one exactly sized pool straight from the completion logs and selects
+// the nearest-rank quantile in place (stats.PercentileInPlace, the same
+// element a sort would leave at the rank), so a call makes one
+// allocation however many cores and samples it pools. With no logged
+// completions it merges the streamed per-core response histograms.
+func pooledTailNs(sockets []Result, q, warmupFrac float64) float64 {
+	n := 0
+	for _, s := range sockets {
+		for _, c := range s.PerCore {
+			n += len(queueing.TrimWarmup(c.Completions, warmupFrac))
+		}
 	}
-	if len(all) > 0 {
-		return stats.Percentile(all, q)
+	if n > 0 {
+		pool := make([]float64, 0, n)
+		for _, s := range sockets {
+			for _, c := range s.PerCore {
+				for _, comp := range queueing.TrimWarmup(c.Completions, warmupFrac) {
+					pool = append(pool, comp.ResponseNs)
+				}
+			}
+		}
+		return stats.PercentileInPlace(pool, q)
 	}
 	var merged *stats.LogHistogram
-	for _, c := range r.PerCore {
-		if c.ResponseHist == nil {
-			continue
-		}
-		if merged == nil {
-			merged = stats.NewResponseHistogram()
-		}
-		if err := merged.Merge(c.ResponseHist); err != nil {
-			// All cores use the shared response geometry; a mismatch means
-			// a hand-built Result, for which there is no pooled tail.
-			return 0
+	for _, s := range sockets {
+		for _, c := range s.PerCore {
+			if c.ResponseHist == nil {
+				continue
+			}
+			if merged == nil {
+				merged = stats.NewResponseHistogram()
+			}
+			if err := merged.Merge(c.ResponseHist); err != nil {
+				// All cores use the shared response geometry; a mismatch
+				// means a hand-built Result, for which there is no pooled
+				// tail.
+				return 0
+			}
 		}
 	}
 	if merged == nil {

@@ -13,7 +13,6 @@ import (
 	rubikcore "rubik/internal/core"
 	"rubik/internal/queueing"
 	"rubik/internal/sim"
-	"rubik/internal/stats"
 	"rubik/internal/workload"
 )
 
@@ -220,33 +219,7 @@ func (r FleetResult) Completions() []queueing.Completion {
 // (queueing.Config.DropCompletions) — the same two-path estimate as
 // Result.TailNs, fleet-wide.
 func (r FleetResult) TailNs(q, warmupFrac float64) float64 {
-	var all []float64
-	for _, s := range r.Sockets {
-		for _, c := range s.PerCore {
-			all = append(all, c.Responses(warmupFrac)...)
-		}
-	}
-	if len(all) > 0 {
-		return stats.Percentile(all, q)
-	}
-	var merged *stats.LogHistogram
-	for _, s := range r.Sockets {
-		for _, c := range s.PerCore {
-			if c.ResponseHist == nil {
-				continue
-			}
-			if merged == nil {
-				merged = stats.NewResponseHistogram()
-			}
-			if err := merged.Merge(c.ResponseHist); err != nil {
-				return 0
-			}
-		}
-	}
-	if merged == nil {
-		return 0
-	}
-	return merged.Quantile(q)
+	return pooledTailNs(r.Sockets, q, warmupFrac)
 }
 
 // Served counts completed requests across the fleet.

@@ -2,12 +2,11 @@ package coloc
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"rubik/internal/cpu"
 	"rubik/internal/queueing"
 	"rubik/internal/sim"
+	"rubik/internal/stats"
 	"rubik/internal/workload"
 )
 
@@ -59,17 +58,15 @@ type CoreResult struct {
 	EndTime     sim.Time
 }
 
-// TailNs returns the q-quantile LC response latency after warmup.
+// TailNs returns the q-quantile LC response latency after warmup
+// (queueing.TrimWarmup's rule).
 func (r CoreResult) TailNs(q, warmupFrac float64) float64 {
-	skip := int(warmupFrac * float64(len(r.Completions)))
-	if skip >= len(r.Completions) {
-		return 0
+	cs := queueing.TrimWarmup(r.Completions, warmupFrac)
+	vals := make([]float64, len(cs))
+	for i, c := range cs {
+		vals[i] = c.ResponseNs
 	}
-	vals := make([]float64, 0, len(r.Completions)-skip)
-	for _, c := range r.Completions[skip:] {
-		vals = append(vals, c.ResponseNs)
-	}
-	return percentile(vals, q)
+	return stats.PercentileInPlace(vals, q)
 }
 
 // core is the colocated-core simulator: the shared queueing.Core serving
@@ -242,21 +239,4 @@ func RunCore(cfg CoreConfig) (CoreResult, error) {
 	c.start()
 	eng.RunUntilOrDrain(cfg.Deadline)
 	return c.result(), nil
-}
-
-func percentile(vals []float64, q float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	cp := make([]float64, len(vals))
-	copy(cp, vals)
-	sort.Float64s(cp)
-	rank := int(math.Ceil(q*float64(len(cp)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(cp) {
-		rank = len(cp) - 1
-	}
-	return cp[rank]
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"rubik/internal/cpu"
+	"rubik/internal/queueing"
 	"rubik/internal/sim"
+	"rubik/internal/stats"
 	"rubik/internal/workload"
 )
 
@@ -153,18 +155,20 @@ type ServerResult struct {
 	Cores []CoreResult
 }
 
-// TailNs pools LC completions across cores and returns the q-quantile.
+// TailNs pools post-warmup LC completions across cores (warmup trimmed
+// per core) and returns the q-quantile.
 func (r ServerResult) TailNs(q, warmupFrac float64) float64 {
-	var all []float64
+	n := 0
 	for _, c := range r.Cores {
-		skip := int(warmupFrac * float64(len(c.Completions)))
-		for i, comp := range c.Completions {
-			if i >= skip {
-				all = append(all, comp.ResponseNs)
-			}
+		n += len(queueing.TrimWarmup(c.Completions, warmupFrac))
+	}
+	all := make([]float64, 0, n)
+	for _, c := range r.Cores {
+		for _, comp := range queueing.TrimWarmup(c.Completions, warmupFrac) {
+			all = append(all, comp.ResponseNs)
 		}
 	}
-	return percentile(all, q)
+	return stats.PercentileInPlace(all, q)
 }
 
 // TotalEnergyJ returns LC+batch core energy across cores.

@@ -126,7 +126,7 @@ func Fig2b(opts Options) (*Fig2bResult, error) {
 		qpsVals = append(qpsVals, p.V)
 	}
 	out.MeanQPS = meanOf(qpsVals)
-	out.P95RespMs = ms(stats.Percentile(responses, TailPercentile))
+	out.P95RespMs = ms(stats.PercentileInPlace(responses, TailPercentile))
 	return out, nil
 }
 
@@ -141,10 +141,12 @@ func (r *Fig2bResult) Render(w io.Writer) {
 		if len(vals) == 0 {
 			return []string{name, "-", "-", "-"}
 		}
+		// Take the mean before the selections reorder vals.
+		mean := meanOf(vals)
 		return []string{name,
-			fmt.Sprintf("%.3f", meanOf(vals)),
-			fmt.Sprintf("%.3f", stats.Percentile(vals, 0.95)),
-			fmt.Sprintf("%.3f", stats.Percentile(vals, 1.0)),
+			fmt.Sprintf("%.3f", mean),
+			fmt.Sprintf("%.3f", stats.PercentileInPlace(vals, 0.95)),
+			fmt.Sprintf("%.3f", stats.PercentileInPlace(vals, 1.0)),
 		}
 	}
 	table(w, []string{"panel", "mean", "p95", "max"}, [][]string{
@@ -186,7 +188,7 @@ func Fig2c(opts Options) (*Fig2cResult, error) {
 			for _, c := range res.Completions {
 				svc = append(svc, c.ServiceNs)
 			}
-			p95Svc := stats.Percentile(svc, TailPercentile)
+			p95Svc := stats.PercentileInPlace(svc, TailPercentile)
 			row = append(row, res.TailNs(TailPercentile, Warmup)/p95Svc)
 		}
 		out.NormTail[app.Name] = row

@@ -43,7 +43,8 @@ type ReplayResult struct {
 	ActiveEnergyJ float64
 }
 
-// TailNs returns the q-quantile response latency.
+// TailNs returns the q-quantile response latency (ResponsesNs is left
+// untouched: the selection runs over a copy).
 func (r ReplayResult) TailNs(q float64) float64 {
 	return stats.Percentile(r.ResponsesNs, q)
 }

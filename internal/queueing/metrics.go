@@ -10,7 +10,7 @@ import (
 // have built their first model, matching the paper's steady-state
 // measurement.
 func (r Result) Responses(warmupFrac float64) []float64 {
-	cs := r.warm(warmupFrac)
+	cs := TrimWarmup(r.Completions, warmupFrac)
 	out := make([]float64, len(cs))
 	for i, c := range cs {
 		out[i] = c.ResponseNs
@@ -18,16 +18,19 @@ func (r Result) Responses(warmupFrac float64) []float64 {
 	return out
 }
 
-// warm returns the completions after the warmup prefix.
-func (r Result) warm(warmupFrac float64) []Completion {
-	if warmupFrac <= 0 {
-		return r.Completions
+// TrimWarmup drops the leading warmupFrac fraction of a completion log,
+// int(warmupFrac*len(cs)) entries. It is the one warmup rule every
+// measured tail uses, and it is total: a NaN or non-positive fraction
+// trims nothing, and a fraction of 1 or more (+Inf included) trims
+// everything.
+func TrimWarmup(cs []Completion, warmupFrac float64) []Completion {
+	if !(warmupFrac > 0) {
+		return cs
 	}
-	skip := int(warmupFrac * float64(len(r.Completions)))
-	if skip >= len(r.Completions) {
+	if warmupFrac >= 1 {
 		return nil
 	}
-	return r.Completions[skip:]
+	return cs[int(warmupFrac*float64(len(cs))):]
 }
 
 // TailNs returns the q-quantile response latency after warmup. When the
@@ -38,7 +41,7 @@ func (r Result) TailNs(q, warmupFrac float64) float64 {
 	if len(r.Completions) == 0 && r.ResponseHist != nil {
 		return r.ResponseHist.Quantile(q)
 	}
-	return stats.Percentile(r.Responses(warmupFrac), q)
+	return stats.PercentileInPlace(r.Responses(warmupFrac), q)
 }
 
 // ViolationFrac returns the fraction of post-warmup responses above
@@ -49,7 +52,7 @@ func (r Result) ViolationFrac(boundNs, warmupFrac float64) float64 {
 	if len(r.Completions) == 0 && r.ResponseHist != nil {
 		return r.ResponseHist.FracAbove(boundNs)
 	}
-	cs := r.warm(warmupFrac)
+	cs := TrimWarmup(r.Completions, warmupFrac)
 	if len(cs) == 0 {
 		return 0
 	}

@@ -18,12 +18,13 @@ import (
 // NewPMFFromSamples over the same window, so swapping it in changes no
 // simulation results.
 type Histogram struct {
-	buf    []float64
-	pushed uint64 // total accepted samples; sample p lives at buf[p%cap]
+	buf      []float64
+	capacity int
+	pushed   uint64 // total accepted samples; sample p lives at buf[p%capacity]
 
 	// Monotonic deques of absolute sample positions, stored in rings of
-	// the same capacity. minPos fronts the position of the window minimum
-	// (values ascending from front to back), maxPos the maximum.
+	// the same length as buf. minPos fronts the position of the window
+	// minimum (values ascending from front to back), maxPos the maximum.
 	minPos, maxPos  []uint64
 	minHead, minLen int
 	maxHead, maxLen int
@@ -31,27 +32,41 @@ type Histogram struct {
 
 // NewHistogram returns a histogram over a window of the given capacity.
 // A non-positive capacity yields a histogram that rejects every sample,
-// mirroring a zero-length sample window.
+// mirroring a zero-length sample window. Storage grows geometrically with
+// the samples up to the capacity, so a profiler that never fills its
+// window never pays for all of it.
 func NewHistogram(capacity int) *Histogram {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Histogram{
-		buf:    make([]float64, capacity),
-		minPos: make([]uint64, capacity),
-		maxPos: make([]uint64, capacity),
-	}
+	return &Histogram{capacity: max(capacity, 0)}
+}
+
+// minHistogramAlloc is the first storage size a histogram allocates.
+const minHistogramAlloc = 64
+
+// grow doubles the storage, up to the capacity. It runs only while the
+// window is filling: nothing has been evicted yet, so both deques start
+// at index 0 and every live position p sits at buf[p], and growth is a
+// plain copy. Once the storage reaches the capacity, indexing switches to
+// the ring (positions wrap modulo the capacity) without moving anything.
+func (h *Histogram) grow() {
+	n := min(max(2*len(h.buf), minHistogramAlloc), h.capacity)
+	buf := make([]float64, n)
+	copy(buf, h.buf[:h.pushed])
+	minPos := make([]uint64, n)
+	copy(minPos, h.minPos[:h.minLen])
+	maxPos := make([]uint64, n)
+	copy(maxPos, h.maxPos[:h.maxLen])
+	h.buf, h.minPos, h.maxPos = buf, minPos, maxPos
 }
 
 // Capacity returns the window capacity.
-func (h *Histogram) Capacity() int { return len(h.buf) }
+func (h *Histogram) Capacity() int { return h.capacity }
 
 // Len returns the number of samples currently in the window.
 func (h *Histogram) Len() int {
-	if h.pushed < uint64(len(h.buf)) {
+	if h.pushed < uint64(h.capacity) {
 		return int(h.pushed)
 	}
-	return len(h.buf)
+	return h.capacity
 }
 
 // Push ingests one sample, evicting the oldest when the window is full.
@@ -59,12 +74,16 @@ func (h *Histogram) Len() int {
 // bins cleanly; NewPMFFromSamples treats them as input errors instead,
 // which a per-completion streaming path cannot afford to surface.
 func (h *Histogram) Push(v float64) bool {
-	c := len(h.buf)
+	c := h.capacity
 	if c == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		return false
 	}
 	pos := h.pushed
-	if pos >= uint64(c) { // evict sample pos-c
+	if pos < uint64(c) {
+		if pos == uint64(len(h.buf)) {
+			h.grow()
+		}
+	} else { // evict sample pos-c
 		old := pos - uint64(c)
 		if h.minLen > 0 && h.minPos[h.minHead] == old {
 			h.minHead = (h.minHead + 1) % c
@@ -105,7 +124,7 @@ func (h *Histogram) Min() float64 {
 	if h.minLen == 0 {
 		return 0
 	}
-	return h.buf[h.minPos[h.minHead]%uint64(len(h.buf))]
+	return h.buf[h.minPos[h.minHead]%uint64(h.capacity)]
 }
 
 // Max returns the largest sample in the window (0 when empty).
@@ -113,13 +132,13 @@ func (h *Histogram) Max() float64 {
 	if h.maxLen == 0 {
 		return 0
 	}
-	return h.buf[h.maxPos[h.maxHead]%uint64(len(h.buf))]
+	return h.buf[h.maxPos[h.maxHead]%uint64(h.capacity)]
 }
 
 // Snapshot appends the window's samples, oldest first, to dst and returns
 // the result. Pass nil to get a fresh copy.
 func (h *Histogram) Snapshot(dst []float64) []float64 {
-	c := uint64(len(h.buf))
+	c := uint64(h.capacity)
 	n := uint64(h.Len())
 	for p := h.pushed - n; p < h.pushed; p++ {
 		dst = append(dst, h.buf[p%c])
@@ -164,7 +183,7 @@ func (h *Histogram) PMFInto(dst *PMF, nbuckets int) error {
 		}
 	}
 	inc := 1 / float64(n)
-	c := uint64(len(h.buf))
+	c := uint64(h.capacity)
 	for pos := h.pushed - uint64(n); pos < h.pushed; pos++ {
 		s := h.buf[pos%c]
 		k := int((s - lo) / w)

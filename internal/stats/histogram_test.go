@@ -169,6 +169,86 @@ func TestHistogramPMFIntoAllocationFree(t *testing.T) {
 	}
 }
 
+// preallocatedHistogram returns a histogram whose storage already spans
+// its capacity, so it never grows and indexes its ring from the first
+// sample on: the layout NewHistogram had before storage grew on demand.
+func preallocatedHistogram(capacity int) *Histogram {
+	return &Histogram{
+		capacity: capacity,
+		buf:      make([]float64, capacity),
+		minPos:   make([]uint64, capacity),
+		maxPos:   make([]uint64, capacity),
+	}
+}
+
+// TestHistogramGrowthMatchesPreallocated pushes the same stream into a
+// growing and a preallocated histogram across every storage doubling and
+// past the first ring wrap, and requires Len, Min, Max and PMFInto to
+// agree bit for bit after every push near a boundary (and at random
+// points in between).
+func TestHistogramGrowthMatchesPreallocated(t *testing.T) {
+	for _, capacity := range []int{1, 2, 63, 64, 65, 127, 128, 129, 200, 1000, 8192} {
+		r := rand.New(rand.NewSource(int64(capacity)))
+		grown, pre := NewHistogram(capacity), preallocatedHistogram(capacity)
+		var dg, dp PMF
+		prevAlloc := 0
+		for i := 0; i < 2*capacity+3*minHistogramAlloc; i++ {
+			v := r.NormFloat64() * 1e5
+			if r.Intn(4) == 0 {
+				v = float64(r.Intn(4)) // ties exercise the deques
+			}
+			if grown.Push(v) != pre.Push(v) {
+				t.Fatalf("cap %d push %d: accept mismatch", capacity, i)
+			}
+			boundary := len(grown.buf) != prevAlloc ||
+				i+2 >= capacity && i <= capacity+1 // first wrap
+			prevAlloc = len(grown.buf)
+			if !boundary && r.Intn(50) != 0 {
+				continue
+			}
+			if grown.Len() != pre.Len() || !sameBits(grown.Min(), pre.Min()) ||
+				!sameBits(grown.Max(), pre.Max()) {
+				t.Fatalf("cap %d push %d: len/min/max %d %v %v, preallocated %d %v %v",
+					capacity, i, grown.Len(), grown.Min(), grown.Max(), pre.Len(), pre.Min(), pre.Max())
+			}
+			nb := 1 + i%130
+			if err := grown.PMFInto(&dg, nb); err != nil {
+				t.Fatal(err)
+			}
+			if err := pre.PMFInto(&dp, nb); err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(dg.Origin, dp.Origin) || !sameBits(dg.Width, dp.Width) || len(dg.P) != len(dp.P) {
+				t.Fatalf("cap %d push %d: PMF shape differs", capacity, i)
+			}
+			for k := range dp.P {
+				if !sameBits(dg.P[k], dp.P[k]) {
+					t.Fatalf("cap %d push %d: bucket %d %v, preallocated %v", capacity, i, k, dg.P[k], dp.P[k])
+				}
+			}
+		}
+		if len(grown.buf) != capacity {
+			t.Fatalf("cap %d: storage %d after wrapping, want the capacity", capacity, len(grown.buf))
+		}
+	}
+}
+
+// TestHistogramStorageGrowsOnDemand pins the memory saving: a profiler
+// that sees a few hundred samples holds storage for about that many, not
+// for its whole window.
+func TestHistogramStorageGrowsOnDemand(t *testing.T) {
+	h := NewHistogram(8192)
+	if cap(h.buf)+cap(h.minPos)+cap(h.maxPos) != 0 {
+		t.Fatal("a fresh histogram preallocates storage")
+	}
+	for i := 0; i < 500; i++ {
+		h.Push(float64(i))
+	}
+	if len(h.buf) != 512 || len(h.minPos) != 512 || len(h.maxPos) != 512 {
+		t.Fatalf("storage %d/%d/%d after 500 samples, want 512", len(h.buf), len(h.minPos), len(h.maxPos))
+	}
+}
+
 func TestConditionAtLeastIntoMatches(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

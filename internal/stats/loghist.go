@@ -95,14 +95,19 @@ func (h *LogHistogram) edge(i int) float64 {
 
 // Quantile returns the nearest-rank q-quantile, reported as the geometric
 // midpoint of the bucket holding the rank (the maximum relative error is
-// half the bucket width). Returns 0 when empty.
+// half the bucket width). Returns 0 when empty. As in
+// PercentileInPlace, q <= 0 reports the minimum's bucket, q >= 1 the
+// maximum's, and a NaN q returns NaN.
 func (h *LogHistogram) Quantile(q float64) float64 {
 	if h.total == 0 {
 		return 0
 	}
-	rank := uint64(math.Ceil(q * float64(h.total)))
-	if rank < 1 {
-		rank = 1
+	if q != q {
+		return math.NaN()
+	}
+	rank := uint64(1)
+	if q > 0 {
+		rank = uint64(math.Ceil(min(q, 1) * float64(h.total)))
 	}
 	if rank > h.total {
 		rank = h.total

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // PMF is a discrete probability mass function over equal-width buckets.
@@ -352,40 +351,76 @@ func (d PMF) Rescale(width float64) PMF {
 	return PMF{Origin: d.Origin, Width: width, P: out}
 }
 
-// Percentile returns the q-quantile (q in (0,1]) of a sample slice using
-// the nearest-rank method on a sorted copy. It is the definition used for
-// all measured tail latencies in the reproduction.
+// Percentile returns the q-quantile of a sample slice by the nearest-rank
+// method, leaving samples untouched (it selects over a copy). It is the
+// definition used for all measured tail latencies in the reproduction;
+// see PercentileInPlace for the rank and NaN rules.
 func Percentile(samples []float64, q float64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
 	s := make([]float64, len(samples))
 	copy(s, samples)
-	sort.Float64s(s)
-	return percentileSorted(s, q)
+	return PercentileInPlace(s, q)
+}
+
+// PercentileInPlace returns the nearest-rank q-quantile of s, reordering s
+// in place: the element sort.Float64s(s) would leave at index
+// ceil(q*len(s))-1, found by an O(n) quickselect instead of a sort. q <= 0
+// selects the minimum, q >= 1 the maximum; a NaN q returns NaN and an
+// empty s returns 0. NaN samples rank below everything, as sort.Float64s
+// orders them: a pre-pass swaps them to the front, so a rank that falls
+// among them returns NaN and any other rank selects in the remainder.
+// Because the result is the order statistic itself, it equals the
+// sort-then-index value on every input, with one caveat the sort shares:
+// -0 and +0 compare equal, and which of them sort.Float64s (an unstable
+// sort) would leave at the rank is not defined, so neither is which one
+// is returned here.
+func PercentileInPlace(s []float64, q float64) float64 {
+	if len(s) == 0 {
+		return 0
+	}
+	rank := nearestRank(len(s), q)
+	if rank < 0 {
+		return math.NaN()
+	}
+	nans := 0
+	for i, v := range s {
+		if v != v {
+			s[i], s[nans] = s[nans], v
+			nans++
+		}
+	}
+	if rank < nans {
+		return math.NaN()
+	}
+	return selectKth(s[nans:], rank-nans)
 }
 
 // PercentileSorted is Percentile for an already-sorted slice (no copy).
 func PercentileSorted(sorted []float64, q float64) float64 {
-	return percentileSorted(sorted, q)
-}
-
-func percentileSorted(s []float64, q float64) float64 {
-	if len(s) == 0 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	if q <= 0 {
-		return s[0]
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int(math.Ceil(q*float64(len(s)))) - 1
+	rank := nearestRank(len(sorted), q)
 	if rank < 0 {
-		rank = 0
+		return math.NaN()
 	}
-	if rank >= len(s) {
-		rank = len(s) - 1
+	return sorted[rank]
+}
+
+// nearestRank returns the 0-based index of the nearest-rank q-quantile
+// among n > 0 sorted samples, ceil(q*n)-1 clamped to [0, n-1], or -1 for
+// a NaN q.
+func nearestRank(n int, q float64) int {
+	switch {
+	case q <= 0:
+		return 0
+	case q >= 1:
+		return n - 1
+	case q != q:
+		return -1
 	}
-	return s[rank]
+	rank := int(math.Ceil(q*float64(n))) - 1
+	return min(max(rank, 0), n-1)
 }

@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // TimedSample is one (timestamp, value) observation in a rolling window.
 // Timestamps are int64 nanoseconds, matching the simulator clock.
 type TimedSample struct {
@@ -65,11 +63,10 @@ func (w *RollingWindow) Values() []float64 {
 	return out
 }
 
-// Percentile returns the q-quantile of the live values (0 if empty). It
-// selects the same nearest-rank order statistic the sort-based
-// implementation returned, via an O(n) quickselect over a reused scratch
-// buffer: controllers measure their feedback tail every tick, and a full
-// sort plus copy per tick dominated the measurement cost.
+// Percentile returns the q-quantile of the live values (0 if empty): the
+// nearest-rank order statistic of PercentileInPlace, selected over a
+// reused scratch copy. Controllers measure their feedback tail every tick,
+// and a full sort plus copy per tick dominated the measurement cost.
 func (w *RollingWindow) Percentile(q float64) float64 {
 	n := w.Len()
 	if n == 0 {
@@ -85,20 +82,7 @@ func (w *RollingWindow) Percentile(q float64) float64 {
 	for _, smp := range w.buf[w.head:] {
 		s = append(s, smp.V)
 	}
-	if q > 1 {
-		q = 1
-	}
-	rank := 0
-	if q > 0 {
-		rank = int(math.Ceil(q*float64(n))) - 1
-		if rank < 0 {
-			rank = 0
-		}
-		if rank >= n {
-			rank = n - 1
-		}
-	}
-	return selectKth(s, rank)
+	return PercentileInPlace(s, q)
 }
 
 // selectKth returns the k-th smallest element of s (0-based), partially
