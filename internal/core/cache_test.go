@@ -324,48 +324,3 @@ func TestCacheStatsArithmetic(t *testing.T) {
 		t.Fatalf("evictions=%d", s.Evictions)
 	}
 }
-
-// BenchmarkTableCacheHit measures the hot hit path — fingerprint both
-// PMFs, verify the full key, copy the table in place — against the full
-// rebuild it short-circuits (BenchmarkTableCacheMiss: same refresh with
-// the cache detached).
-func BenchmarkTableCacheHit(b *testing.B) {
-	benchRefresh(b, true)
-}
-
-// BenchmarkTableCacheMiss is the uncached refresh baseline for
-// BenchmarkTableCacheHit.
-func BenchmarkTableCacheMiss(b *testing.B) {
-	benchRefresh(b, false)
-}
-
-func benchRefresh(b *testing.B, cached bool) {
-	tb, err := NewTableBuilder(0.95, 128, 8, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if cached {
-		tb.Cache = NewTableCache(4)
-	}
-	r := rand.New(rand.NewSource(8))
-	histC, histM := stats.NewHistogram(8192), stats.NewHistogram(8192)
-	comp, mem := randomSamples(r, 8192)
-	for i := range comp {
-		histC.Push(comp[i])
-		histM.Push(mem[i])
-	}
-	if _, _, err := tb.Rebuild(histC, histM); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := tb.Rebuild(histC, histM); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if cached && tb.CacheHits() == 0 {
-		b.Fatal("cached refreshes never hit")
-	}
-}
