@@ -302,7 +302,7 @@ func eventSim(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := rubik.Simulate(tr, ctl); err != nil {
+		if _, err := rubik.Simulate(rubik.TraceSource(tr), ctl, rubik.DefaultServerConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -321,13 +321,12 @@ func clusterSim(capW float64) func(*testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var cfg rubik.ClusterConfig
+			cfg := rubik.NewCluster(6, rubik.JSQDispatcher(), newPolicy)
 			if capW > 0 {
-				cfg = rubik.NewCappedCluster(6, rubik.JSQDispatcher(), capW, rubik.WaterfillAllocator(), newPolicy)
-			} else {
-				cfg = rubik.NewCluster(6, rubik.JSQDispatcher(), newPolicy)
+				cfg.CapW = capW
+				cfg.Allocator = rubik.WaterfillAllocator()
 			}
-			if _, err := rubik.SimulateCluster(tr, cfg); err != nil {
+			if _, err := rubik.SimulateCluster(rubik.TraceSource(tr), cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -58,9 +58,11 @@ func runCapped(w io.Writer, capW float64, allocator string, quick bool, seed int
 	if err != nil {
 		return err
 	}
-	cfg := rubik.NewCappedCluster(cores, rubik.JSQDispatcher(), capW, alloc,
+	cfg := rubik.NewCluster(cores, rubik.JSQDispatcher(),
 		func(int) (rubik.Policy, error) { return rubik.NewController(bound) })
-	res, err := rubik.SimulateClusterSource(src, cfg)
+	cfg.CapW = capW
+	cfg.Allocator = alloc
+	res, err := rubik.SimulateCluster(src, cfg)
 	if err != nil {
 		return err
 	}
@@ -76,13 +78,6 @@ func runCapped(w io.Writer, capW float64, allocator string, quick bool, seed int
 	return nil
 }
 
-// runFleet simulates a multi-socket fleet with a fresh Rubik controller
-// per core and socket-local JSQ dispatch, sharded across event-loop
-// goroutines. Everything written to w is deterministic and invariant to
-// both the shard count and the rebuild-cache setting — CI diffs the
-// -shards 1 vs -shards 2 and cached vs -tablecache=-1 outputs
-// byte-for-byte — so timing, the resolved shard count and the cache
-// statistics go to stderr.
 // hierOpts carries the -rackcap/-pducap/-pdus/-oversub/-halloc/-epoch
 // flags; RackW == 0 means flat (non-hierarchical) capping.
 type hierOpts struct {
@@ -109,6 +104,13 @@ func (h hierOpts) spec() (*rubik.HierarchySpec, error) {
 	return &rubik.HierarchySpec{Levels: levels}, nil
 }
 
+// runFleet simulates a multi-socket fleet with a fresh Rubik controller
+// per core and socket-local JSQ dispatch, sharded across event-loop
+// goroutines. Everything written to w is deterministic and invariant to
+// both the shard count and the rebuild-cache setting — CI diffs the
+// -shards 1 vs -shards 2 and cached vs -tablecache=-1 outputs
+// byte-for-byte — so timing, the resolved shard count and the cache
+// statistics go to stderr.
 func runFleet(w io.Writer, sockets, shards, tablecache int, capW float64, allocator string, hier hierOpts, quick bool, seed int64) error {
 	app, err := rubik.AppByName("masstree")
 	if err != nil {

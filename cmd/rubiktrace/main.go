@@ -142,7 +142,7 @@ func printStats(tr workload.Trace) {
 // Closed-loop sources are the common case: they need completion feedback
 // an exporter cannot give, so only their open-loop prefix (one request
 // per client) can be captured — drive them live via the simulator entry
-// points (SimulateSource) instead.
+// points (rubik.Simulate with the source) instead.
 func warnShort(written, requested int) {
 	if written >= requested {
 		return

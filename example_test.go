@@ -1,8 +1,8 @@
 package rubik_test
 
-// Compiled godoc examples for the public API. They are built (and so kept
-// honest) by `go test`; outputs are simulation-dependent, so they are not
-// asserted.
+// Compiled godoc examples for the public API. Simulations are
+// deterministic per seed, so `go test` runs the examples that carry an
+// Output line and checks what they print.
 
 import (
 	"fmt"
@@ -25,7 +25,8 @@ func Example() {
 	}
 	trace := rubik.GenerateTrace(app, 0.3, 9000, 7) // 30% load
 
-	fixed, err := rubik.Simulate(trace, rubik.Fixed(rubik.NominalMHz))
+	cfg := rubik.DefaultServerConfig()
+	fixed, err := rubik.Simulate(rubik.TraceSource(trace), rubik.Fixed(rubik.NominalMHz), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,13 +34,14 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := rubik.Simulate(trace, ctl)
+	res, err := rubik.Simulate(rubik.TraceSource(trace), ctl, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("p95 %.3f ms (bound %.3f ms), core energy -%.0f%%\n",
 		res.TailNs(rubik.TailPercentile, 0.1)/1e6, bound/1e6,
 		(1-res.ActiveEnergyJ/fixed.ActiveEnergyJ)*100)
+	// Output: p95 0.456 ms (bound 0.462 ms), core energy -37%
 }
 
 // ExampleStaticOracleMHz finds the lowest static frequency that meets a
@@ -59,6 +61,7 @@ func ExampleStaticOracleMHz() {
 		log.Fatal(err)
 	}
 	fmt.Printf("lowest safe static frequency: %d MHz (feasible=%v)\n", mhz, feasible)
+	// Output: lowest safe static frequency: 2200 MHz (feasible=true)
 }
 
 // ExampleRunExperiment regenerates a paper artifact.

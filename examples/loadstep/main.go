@@ -44,7 +44,7 @@ func main() {
 	}
 	cfg := rubik.DefaultServerConfig()
 	cfg.RecordTimeline = true
-	res, err := rubik.SimulateWithConfig(trace, ctl, cfg)
+	res, err := rubik.Simulate(rubik.TraceSource(trace), ctl, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func main() {
 	for _, load := range []float64{0.2, 0.3, 0.4, 0.5} {
 		trace := rubik.GenerateTrace(app, load, 6000, 7)
 
-		fixed, err := rubik.Simulate(trace, rubik.Fixed(rubik.NominalMHz))
+		fixed, err := rubik.Simulate(rubik.TraceSource(trace), rubik.Fixed(rubik.NominalMHz), rubik.DefaultServerConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := rubik.Simulate(trace, ctl)
+		res, err := rubik.Simulate(rubik.TraceSource(trace), ctl, rubik.DefaultServerConfig())
 		if err != nil {
 			log.Fatal(err)
 		}

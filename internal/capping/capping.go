@@ -77,7 +77,8 @@ type Domain struct {
 }
 
 // NewDomain builds a power domain of cores members with the given budget.
-// capW may be +Inf (never binding); it must exceed zero.
+// capW may be +Inf (never binding); zero, negative and NaN caps are
+// rejected.
 func NewDomain(grid cpu.Grid, model cpu.PowerModel, capW float64, cores int) (*Domain, error) {
 	if grid.Len() == 0 {
 		return nil, fmt.Errorf("capping: empty frequency grid")
@@ -85,7 +86,7 @@ func NewDomain(grid cpu.Grid, model cpu.PowerModel, capW float64, cores int) (*D
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	if capW <= 0 {
+	if !(capW > 0) {
 		return nil, fmt.Errorf("capping: cap must be positive, got %v W", capW)
 	}
 	if cores <= 0 {
@@ -134,7 +135,7 @@ func (d *Domain) CapW() float64 { return d.capW }
 // hierarchical budget tree re-grants socket caps at epoch barriers. Like
 // NewDomain, the cap must be positive; +Inf (never binding) is allowed.
 func (d *Domain) SetCapW(w float64) error {
-	if w <= 0 {
+	if !(w > 0) {
 		return fmt.Errorf("capping: cap must be positive, got %v W", w)
 	}
 	d.capW = w

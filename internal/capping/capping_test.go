@@ -36,6 +36,7 @@ func TestNewDomainValidation(t *testing.T) {
 		{"empty grid", cpu.Grid{}, 30, 4},
 		{"zero cap", grid, 0, 4},
 		{"negative cap", grid, -5, 4},
+		{"NaN cap", grid, math.NaN(), 4},
 		{"zero cores", grid, 30, 0},
 	}
 	for _, c := range cases {
@@ -281,7 +282,7 @@ func TestSetCapW(t *testing.T) {
 	if sum := d.PowerOf(grants); sum > 12+sumEps(12) {
 		t.Fatalf("retargeted budget exceeded: Σ=%v W (grants %v)", sum, grants)
 	}
-	for _, bad := range []float64{0, -3} {
+	for _, bad := range []float64{0, -3, math.NaN()} {
 		if err := d.SetCapW(bad); err == nil {
 			t.Fatalf("SetCapW(%v) accepted", bad)
 		}

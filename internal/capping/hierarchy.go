@@ -279,7 +279,7 @@ func NewHierarchy(spec HierarchySpec, leaves int, leafFloorW, leafMaxW float64) 
 	if leaves <= 0 {
 		return nil, fmt.Errorf("capping: hierarchy needs at least 1 leaf, got %d", leaves)
 	}
-	if leafFloorW <= 0 || leafMaxW < leafFloorW {
+	if !(leafFloorW > 0) || !(leafMaxW >= leafFloorW) {
 		return nil, fmt.Errorf("capping: leaf power bounds must satisfy 0 < floor ≤ max, got [%v, %v] W",
 			leafFloorW, leafMaxW)
 	}
@@ -303,10 +303,10 @@ func NewHierarchy(spec HierarchySpec, leaves int, leafFloorW, leafMaxW float64) 
 		if li == 0 && !(ls.CapW > 0) {
 			return nil, fmt.Errorf("capping: root level %q needs a positive budget, got %v W", ls.Name, ls.CapW)
 		}
-		if ls.CapW < 0 {
+		if !(ls.CapW >= 0) {
 			return nil, fmt.Errorf("capping: level %q cap must not be negative, got %v W", ls.Name, ls.CapW)
 		}
-		if ls.Oversub < 0 || (ls.Oversub > 0 && ls.Oversub < 1) {
+		if !(ls.Oversub == 0 || ls.Oversub >= 1) {
 			return nil, fmt.Errorf("capping: level %q oversubscription must be ≥ 1 (or 0 for exact), got %v",
 				ls.Name, ls.Oversub)
 		}

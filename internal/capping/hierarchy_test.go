@@ -24,6 +24,10 @@ func TestHierarchyValidation(t *testing.T) {
 		{"zero nodes", []LevelSpec{{Name: "rack", Nodes: 0, CapW: 40}}, 4, 1, 10},
 		{"zero root budget", []LevelSpec{{Name: "rack", Nodes: 1}}, 4, 1, 10},
 		{"negative cap", []LevelSpec{{Name: "rack", Nodes: 1, CapW: 40}, {Name: "pdu", Nodes: 2, CapW: -1}}, 4, 1, 10},
+		{"NaN cap", []LevelSpec{{Name: "rack", Nodes: 1, CapW: 40}, {Name: "pdu", Nodes: 2, CapW: math.NaN()}}, 4, 1, 10},
+		{"NaN oversub", []LevelSpec{{Name: "rack", Nodes: 1, CapW: 40}, {Name: "pdu", Nodes: 2, Oversub: math.NaN()}}, 4, 1, 10},
+		{"NaN floor", one, 4, math.NaN(), 10},
+		{"NaN max", one, 4, 1, math.NaN()},
 		{"shrinking fan-out", []LevelSpec{{Name: "rack", Nodes: 2, CapW: 40}, {Name: "pdu", Nodes: 1}}, 4, 1, 10},
 		{"more nodes than leaves", []LevelSpec{{Name: "rack", Nodes: 1, CapW: 40}, {Name: "pdu", Nodes: 8}}, 4, 1, 10},
 		{"fractional oversub", []LevelSpec{{Name: "rack", Nodes: 1, CapW: 40, Oversub: 0.5}}, 4, 1, 10},

@@ -278,8 +278,8 @@ func wireCapping(eng *sim.Engine, cfg *Config) (*cappedSetup, error) {
 		}
 		return nil, nil
 	}
-	if cfg.CapW < 0 {
-		return nil, fmt.Errorf("cluster: negative power cap %v W", cfg.CapW)
+	if !(cfg.CapW > 0) {
+		return nil, fmt.Errorf("cluster: power cap must be positive, got %v W", cfg.CapW)
 	}
 	domains := cfg.PowerDomains
 	if len(domains) == 0 {

@@ -176,4 +176,14 @@ func TestCappedConfigProperties(t *testing.T) {
 			t.Fatalf("trial %d: capped run reported no domains", trial)
 		}
 	}
+
+	// Hostile budgets: a NaN or negative cap must be rejected, not run
+	// under a budget every comparison silently ignores.
+	for _, capW := range []float64{math.NaN(), -1} {
+		cfg := rubikClusterConfig(t, 2, 500_000)
+		cfg.CapW = capW
+		if res, err := RunSource(workload.NewLoadSource(app, 0.8, 50, 1), cfg); err == nil {
+			t.Errorf("cap %v W accepted: %+v", capW, res.Capping)
+		}
+	}
 }

@@ -40,7 +40,8 @@ type Config struct {
 	// through Allocator so that the sum of granted active powers stays
 	// within CapW per domain (see internal/capping). 0 (the default) is
 	// completely uncapped — the run is byte-identical to a config without
-	// the capping fields.
+	// the capping fields. +Inf never binds; a negative or NaN cap is an
+	// error.
 	CapW float64
 	// PowerDomains groups core indices into power domains (sockets), each
 	// budgeted at CapW. Nil with CapW set means one domain spanning every
@@ -473,61 +474,4 @@ func RunSource(src workload.Source, cfg Config) (Result, error) {
 	}
 	s.eng.RunUntilOrDrain(s.cfg.Core.Deadline)
 	return s.result()
-}
-
-// RunPerCoreSources simulates cores with dedicated request streams — no
-// dispatcher; core i serves srcs[i] exclusively. This is the segregated
-// topology (one listener per core, as the paper's per-core extrapolation
-// assumes) and the natural shape for per-core closed-loop populations.
-// cfg.Cores is overridden by len(srcs).
-func RunPerCoreSources(srcs []workload.Source, cfg Config) (Result, error) {
-	if len(srcs) == 0 {
-		return Result{}, fmt.Errorf("cluster: no per-core sources")
-	}
-	cfg.Cores = len(srcs)
-
-	eng := sim.NewEngine()
-	if cfg.Core.ExpectedRequests == 0 {
-		// Per-core hint from the largest known source length.
-		max := 0
-		for _, s := range srcs {
-			if n := s.Len(); n > max {
-				max = n
-			}
-		}
-		cfg.Core.ExpectedRequests = max
-	}
-	capped, err := wireCapping(eng, &cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	cores, err := buildCores(eng, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	capped.attach(cores)
-
-	routed := make([]int, len(srcs))
-	feeds := make([]*queueing.Feeder, len(srcs))
-	for i := range srcs {
-		i := i
-		feeds[i] = queueing.NewSourceFeeder(eng, srcs[i], func(req workload.Request) {
-			routed[i]++
-			cores[i].Enqueue(req)
-		})
-		if _, aware := srcs[i].(workload.CompletionAware); aware {
-			cores[i].SetHooks(queueing.Hooks{
-				Completion: func(comp queueing.Completion) { feeds[i].NotifyCompletion(comp.Done) },
-			})
-		}
-	}
-	for _, f := range feeds {
-		f.Start()
-	}
-	for i, c := range cores {
-		f := feeds[i]
-		c.StartTicks(func() bool { return f.Remaining() > 0 })
-	}
-	eng.RunUntilOrDrain(cfg.Core.Deadline)
-	return finalize(eng, cores, "percore", routed, capped), nil
 }

@@ -59,8 +59,8 @@ func runFleetHier(cfg FleetConfig, shards int) (FleetResult, error) {
 	if cfg.Epoch <= 0 {
 		return FleetResult{}, fmt.Errorf("cluster: hierarchical fleet needs a positive Epoch, got %d", cfg.Epoch)
 	}
-	if cfg.CapW < 0 {
-		return FleetResult{}, fmt.Errorf("cluster: negative per-socket ceiling %v W", cfg.CapW)
+	if !(cfg.CapW >= 0) {
+		return FleetResult{}, fmt.Errorf("cluster: per-socket ceiling must not be negative, got %v W", cfg.CapW)
 	}
 	// Leaf power bounds from the shared core curve: a probe domain reuses
 	// the grid/model validation and the true (non-monotone-safe) extremes.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -182,5 +183,24 @@ func TestFleetHierValidation(t *testing.T) {
 	cfg.Epoch = sim1ms
 	if _, err := RunFleet(cfg); err == nil {
 		t.Fatal("uncapped root accepted")
+	}
+
+	nan := math.NaN()
+	for _, c := range []struct {
+		name   string
+		capW   float64
+		levels []capping.LevelSpec
+	}{
+		{"NaN per-socket ceiling", nan, []capping.LevelSpec{{Name: "rack", Nodes: 1, CapW: 40}}},
+		{"NaN PDU cap", 0, []capping.LevelSpec{{Name: "rack", Nodes: 1, CapW: 40}, {Name: "pdu", Nodes: 2, CapW: nan}}},
+		{"NaN PDU oversubscription", 0, []capping.LevelSpec{{Name: "rack", Nodes: 1, CapW: 40}, {Name: "pdu", Nodes: 2, Oversub: nan}}},
+	} {
+		cfg = base()
+		cfg.CapW = c.capW
+		cfg.Hierarchy = &capping.HierarchySpec{Levels: c.levels}
+		cfg.Epoch = sim1ms
+		if _, err := RunFleet(cfg); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }

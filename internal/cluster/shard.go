@@ -68,7 +68,8 @@ type FleetConfig struct {
 
 	// CapW, when > 0, budgets every socket at CapW watts: each socket is
 	// one power domain spanning its cores, reconciled by Allocator
-	// (socket-local, like dispatch — see internal/capping). 0 = uncapped.
+	// (socket-local, like dispatch — see internal/capping). 0 = uncapped;
+	// a negative or NaN cap is an error.
 	// Under a Hierarchy, CapW instead bounds what any socket may be
 	// granted (a physical per-socket ceiling on the leaf grants).
 	CapW float64

@@ -220,6 +220,11 @@ func TestFleetValidation(t *testing.T) {
 		t.Fatal("nil NewSource accepted")
 	}
 	bad = good
+	bad.CapW = math.NaN()
+	if _, err := RunFleet(bad); err == nil {
+		t.Fatal("NaN per-socket cap accepted")
+	}
+	bad = good
 	bad.Sockets = 4
 	bad.Shards = 4
 	inner := bad.NewSource

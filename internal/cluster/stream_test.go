@@ -40,51 +40,6 @@ func TestRunSourceMatchesRunJSQ(t *testing.T) {
 	}
 }
 
-// TestRunPerCoreSources checks the segregated topology: each core serves
-// exactly its own stream, and the pooled result is deterministic.
-func TestRunPerCoreSources(t *testing.T) {
-	app := workload.Masstree()
-	mkSrcs := func() []workload.Source {
-		return []workload.Source{
-			workload.NewLoadSource(app, 0.4, 800, 1),
-			workload.NewLoadSource(app, 0.6, 1200, 2),
-			workload.NewLoadSource(app, 0.5, 1000, 3),
-		}
-	}
-	cfg := DefaultConfig()
-	a, err := RunPerCoreSources(mkSrcs(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunPerCoreSources(mkSrcs(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("per-core run not deterministic")
-	}
-	if a.Dispatcher != "percore" {
-		t.Fatalf("dispatcher %q", a.Dispatcher)
-	}
-	for i, want := range []int{800, 1200, 1000} {
-		if a.Routed[i] != want || len(a.PerCore[i].Completions) != want {
-			t.Fatalf("core %d served %d/%d, want %d", i, a.Routed[i], len(a.PerCore[i].Completions), want)
-		}
-	}
-	// Per-core single-load run must equal the standalone single-core run.
-	solo, err := queueing.Run(workload.GenerateAtLoad(app, 0.4, 800, 1),
-		queueing.FixedPolicy{MHz: DefaultConfig().Core.InitialMHz}, DefaultConfig().Core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.PerCore[0].Completions, solo.Completions) {
-		t.Fatal("per-core source run diverged from standalone queueing.Run")
-	}
-	if _, err := RunPerCoreSources(nil, cfg); err == nil {
-		t.Fatal("empty source list accepted")
-	}
-}
-
 // TestClusterClosedLoop routes a shared closed-loop population through
 // JSQ dispatch: completions on any core re-arm the population.
 func TestClusterClosedLoop(t *testing.T) {

@@ -135,9 +135,30 @@ func TestPowerModelShape(t *testing.T) {
 }
 
 func TestPowerModelValidate(t *testing.T) {
-	bad := PowerModel{DynCoeff: -1, ActivityFactor: 1}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative DynCoeff must fail validation")
+	if err := DefaultPowerModel().Validate(); err != nil {
+		t.Fatalf("default model rejected: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*PowerModel)
+	}{
+		{"negative DynCoeff", func(m *PowerModel) { m.DynCoeff = -1 }},
+		{"NaN DynCoeff", func(m *PowerModel) { m.DynCoeff = nan }},
+		{"+Inf DynCoeff", func(m *PowerModel) { m.DynCoeff = inf }},
+		{"NaN LeakCoeff", func(m *PowerModel) { m.LeakCoeff = nan }},
+		{"+Inf LeakCoeff", func(m *PowerModel) { m.LeakCoeff = inf }},
+		{"NaN SleepW", func(m *PowerModel) { m.SleepW = nan }},
+		{"+Inf SleepW", func(m *PowerModel) { m.SleepW = inf }},
+		{"NaN ActivityFactor", func(m *PowerModel) { m.ActivityFactor = nan }},
+		{"+Inf ActivityFactor", func(m *PowerModel) { m.ActivityFactor = inf }},
+	}
+	for _, c := range cases {
+		m := DefaultPowerModel()
+		c.edit(&m)
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: invalid model %+v passed validation", c.name, m)
+		}
 	}
 }
 

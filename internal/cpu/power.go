@@ -1,6 +1,9 @@
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Voltage returns the Haswell-like operating voltage for a frequency,
 // interpolated linearly between 0.65 V at 800 MHz and 1.15 V at 3.4 GHz.
@@ -64,9 +67,13 @@ func (m PowerModel) ActivePower(fMHz int) float64 {
 // SleepPower returns the core power in W while in the sleep state.
 func (m PowerModel) SleepPower() float64 { return m.SleepW }
 
-// Validate reports whether the model's parameters are physically sensible.
+// Validate reports whether the model's parameters are physically
+// sensible: finite, with positive DynCoeff and ActivityFactor and
+// non-negative LeakCoeff and SleepW. NaN fails every comparison.
 func (m PowerModel) Validate() error {
-	if m.DynCoeff <= 0 || m.LeakCoeff < 0 || m.SleepW < 0 || m.ActivityFactor <= 0 {
+	positive := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+	nonNegative := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+	if !positive(m.DynCoeff) || !nonNegative(m.LeakCoeff) || !nonNegative(m.SleepW) || !positive(m.ActivityFactor) {
 		return fmt.Errorf("cpu: invalid power model %+v", m)
 	}
 	return nil

@@ -123,9 +123,12 @@ type Core struct {
 	energyTimeline []EnergySample
 }
 
-// NewCore validates the config and prepares a core on the engine. policy
-// may be nil when an external allocator owns the frequency (coloc HW-T /
-// HW-TPW); such a core never decides, it only serves.
+// NewCore validates the config — a non-empty grid, an on-grid initial
+// frequency and a physical power model — and prepares a core on the
+// engine. Every simulated core is built here, so this is the one server-
+// config validator. policy may be nil when an external allocator owns
+// the frequency (coloc HW-T / HW-TPW); such a core never decides, it
+// only serves.
 func NewCore(eng *sim.Engine, p Policy, cfg Config) (*Core, error) {
 	if cfg.Grid.Len() == 0 {
 		return nil, fmt.Errorf("queueing: config has empty grid")
@@ -135,6 +138,9 @@ func NewCore(eng *sim.Engine, p Policy, cfg Config) (*Core, error) {
 	}
 	if cfg.Grid.Index(cfg.InitialMHz) < 0 {
 		return nil, fmt.Errorf("queueing: initial frequency %d not on grid", cfg.InitialMHz)
+	}
+	if err := cfg.Power.Validate(); err != nil {
+		return nil, err
 	}
 	c := &Core{
 		eng:    eng,

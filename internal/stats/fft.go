@@ -65,50 +65,6 @@ func fft(x []complex128, inverse bool) error {
 	return nil
 }
 
-// ConvolveFFT returns the same result as Convolve but computed via FFT.
-// It exists both to mirror the paper's implementation and because the
-// target-tail-table refresh convolves the service distribution with itself
-// up to 16 times per update.
-func ConvolveFFT(a, b PMF) (PMF, error) {
-	if len(a.P) == 0 || len(b.P) == 0 {
-		return PMF{}, fmt.Errorf("stats: convolve empty PMF")
-	}
-	if !widthsCompatible(a.Width, b.Width) {
-		return PMF{}, fmt.Errorf("stats: convolve width mismatch: %g vs %g", a.Width, b.Width)
-	}
-	outLen := len(a.P) + len(b.P) - 1
-	n := nextPow2(outLen)
-	fa := make([]complex128, n)
-	fb := make([]complex128, n)
-	for i, v := range a.P {
-		fa[i] = complex(v, 0)
-	}
-	for i, v := range b.P {
-		fb[i] = complex(v, 0)
-	}
-	if err := FFT(fa); err != nil {
-		return PMF{}, err
-	}
-	if err := FFT(fb); err != nil {
-		return PMF{}, err
-	}
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	if err := IFFT(fa); err != nil {
-		return PMF{}, err
-	}
-	out := make([]float64, outLen)
-	for i := range out {
-		v := real(fa[i])
-		if v < 0 { // numeric noise
-			v = 0
-		}
-		out[i] = v
-	}
-	return PMF{Origin: a.Origin + b.Origin + a.Width/2, Width: a.Width, P: out}, nil
-}
-
 // IterConvolutions computes the distributions of S_i = s0 + i-fold sum of s
 // for i = 0..count-1, sharing a single forward FFT of s across iterations.
 // This is exactly the sequence of distributions Rubik's target tail tables

@@ -90,43 +90,6 @@ func TestFFTParseval(t *testing.T) {
 	}
 }
 
-func TestConvolveFFTMatchesDirect(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		mk := func() PMF {
-			n := 1 + r.Intn(130)
-			p := make([]float64, n)
-			var tot float64
-			for i := range p {
-				p[i] = r.Float64()
-				tot += p[i]
-			}
-			for i := range p {
-				p[i] /= tot
-			}
-			return PMF{Origin: float64(r.Intn(10)), Width: 2, P: p}
-		}
-		a, b := mk(), mk()
-		direct, err1 := Convolve(a, b)
-		viaFFT, err2 := ConvolveFFT(a, b)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if direct.Origin != viaFFT.Origin || len(direct.P) != len(viaFFT.P) {
-			return false
-		}
-		for i := range direct.P {
-			if math.Abs(direct.P[i]-viaFFT.P[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIterConvolutionsMatchesRepeatedDirect(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	mk := func(n int) PMF {

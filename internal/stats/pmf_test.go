@@ -245,9 +245,6 @@ func TestConvolveWidthMismatch(t *testing.T) {
 	if _, err := Convolve(a, b); err == nil {
 		t.Fatal("expected width mismatch error")
 	}
-	if _, err := ConvolveFFT(a, b); err == nil {
-		t.Fatal("expected width mismatch error (FFT)")
-	}
 }
 
 func TestRescalePreservesMassAndMean(t *testing.T) {

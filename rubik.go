@@ -18,23 +18,27 @@
 // invariant results (NewFleet, SimulateFleet), a datacenter fleet model,
 // and one experiment driver per table/figure of the paper.
 //
-// Request streams are pull-based Sources (StreamTrace, NewScenarioSource,
-// SimulateSource, SimulateClusterSource): a scenario registry provides
-// bursty MMPP, diurnal, flash-crowd, closed-loop and heavy-tailed shapes
-// beyond the paper's Poisson/step clients, and because nothing on the
-// streaming path materializes a trace, runs of tens of millions of
-// requests use constant memory (ServerConfig.DropCompletions folds
-// per-request records into a fixed-size latency histogram). A
-// materialized Trace is just one Source: replaying it streamed is
-// byte-identical to the classic path.
+// Every run entry point is Source-first: Simulate (one core),
+// SimulateCluster (one multi-core server) and SimulateFleet (many
+// sockets) all pull requests from a Source. A scenario registry
+// (NewScenarioSource) provides bursty MMPP, diurnal, flash-crowd,
+// closed-loop and heavy-tailed shapes beyond the paper's Poisson/step
+// clients, and because nothing on the streaming path materializes a
+// trace, runs of tens of millions of requests use constant memory
+// (ServerConfig.DropCompletions folds per-request records into a
+// fixed-size latency histogram). A materialized Trace is just one
+// Source: TraceSource(GenerateTrace(...)) replays byte-identically to
+// StreamTrace with the same arguments. Power capping is set through the
+// CapW and Allocator fields of the cluster and fleet configurations, not
+// through a separate entry point.
 //
 // # Quick start
 //
 //	app, _ := rubik.AppByName("masstree")
-//	trace := rubik.GenerateTrace(app, 0.4, 9000, 1)    // 40% load
+//	src := rubik.StreamTrace(app, 0.4, 9000, 1)        // 40% load
 //	bound, _ := rubik.TailBound(app, 1)                // p95 @ fixed 2.4 GHz, 50% load
 //	ctl, _ := rubik.NewController(bound)
-//	res, _ := rubik.Simulate(trace, ctl)
+//	res, _ := rubik.Simulate(src, ctl, rubik.DefaultServerConfig())
 //	fmt.Printf("p95 %.3f ms using %.3f mJ/request\n",
 //		res.TailNs(0.95, 0.1)/1e6, res.EnergyPerRequestJ()*1e3)
 //
@@ -46,7 +50,6 @@
 package rubik
 
 import (
-	"fmt"
 	"io"
 
 	"rubik/internal/capping"
@@ -212,8 +215,8 @@ func StreamTrace(app App, load float64, n int, seed int64) Source {
 	return workload.NewLoadSource(app, load, n, seed)
 }
 
-// TraceSource streams a materialized trace; replaying it through
-// SimulateSource is byte-identical to Simulate on the trace.
+// TraceSource streams a materialized trace, so any run entry point can
+// replay it.
 func TraceSource(tr Trace) Source { return workload.NewTraceSource(tr) }
 
 // Scenarios lists the registered arrival/service scenario shapes.
@@ -272,34 +275,22 @@ func NewTableBuilder(percentile float64, nbuckets, rows, maxQueue int) (*TableBu
 // Fixed returns the Fixed-frequency baseline policy.
 func Fixed(mhz int) Policy { return queueing.FixedPolicy{MHz: mhz} }
 
-// Simulate runs a trace under a policy on the default simulated core.
-func Simulate(tr Trace, p Policy) (Result, error) {
-	return queueing.Run(tr, p, queueing.DefaultConfig())
-}
-
-// SimulateWithConfig runs a trace under a policy with an explicit core
-// configuration.
-func SimulateWithConfig(tr Trace, p Policy, cfg ServerConfig) (Result, error) {
-	return queueing.Run(tr, p, cfg)
-}
-
-// SimulateSource streams a source through a policy on the default
-// simulated core. Set ServerConfig.DropCompletions (via
-// SimulateSourceWithConfig) for constant-memory runs of unbounded
-// streams.
-func SimulateSource(src Source, p Policy) (Result, error) {
-	return queueing.RunSource(src, p, queueing.DefaultConfig())
-}
-
-// SimulateSourceWithConfig streams a source through a policy with an
-// explicit core configuration.
-func SimulateSourceWithConfig(src Source, p Policy, cfg ServerConfig) (Result, error) {
+// Simulate streams a source through a policy on one simulated core
+// configured by cfg (DefaultServerConfig is the paper's core). Replay a
+// materialized trace with TraceSource; for constant-memory runs of
+// unbounded streams set cfg.DropCompletions and bound them with
+// cfg.Deadline. cfg is validated first: an empty grid, an off-grid
+// InitialMHz or a non-physical power model is an error.
+func Simulate(src Source, p Policy, cfg ServerConfig) (Result, error) {
 	return queueing.RunSource(src, p, cfg)
 }
 
 // NewCluster assembles a multi-core server configuration: cores cores on
 // one shared engine, each under a fresh policy from newPolicy, with the
-// dispatcher routing arrivals. A nil dispatcher means round-robin.
+// dispatcher routing arrivals. A nil dispatcher means round-robin. Set
+// the returned config's CapW and Allocator fields for a shared power
+// budget over one domain spanning every core, and PowerDomains to split
+// the cores across several sockets.
 func NewCluster(cores int, d Dispatcher, newPolicy func(core int) (Policy, error)) ClusterConfig {
 	return cluster.Config{
 		Cores:      cores,
@@ -309,24 +300,14 @@ func NewCluster(cores int, d Dispatcher, newPolicy func(core int) (Policy, error
 	}
 }
 
-// SimulateCluster runs a trace on a simulated multi-core server. The
-// trace carries the server's aggregate request stream (GenerateTrace with
-// load scaled by the core count models N cores at a per-core load).
-func SimulateCluster(tr Trace, cfg ClusterConfig) (ClusterResult, error) {
-	return cluster.Run(tr, cfg)
-}
-
-// SimulateClusterSource streams a source through a simulated multi-core
-// server: the streaming SimulateCluster, byte-identical for a
-// TraceSource and constant-memory for generator sources.
-func SimulateClusterSource(src Source, cfg ClusterConfig) (ClusterResult, error) {
+// SimulateCluster streams a source through a simulated multi-core
+// server. The source carries the server's aggregate request stream
+// (StreamTrace with load scaled by the core count models N cores at a
+// per-core load). Set cfg.CapW (and optionally cfg.Allocator, default
+// waterfill) to run under a shared power budget; the result's Capping
+// field then carries the per-domain accounting.
+func SimulateCluster(src Source, cfg ClusterConfig) (ClusterResult, error) {
 	return cluster.RunSource(src, cfg)
-}
-
-// SimulateClusterPerCore runs cores with dedicated request streams (no
-// dispatcher): core i of the cluster serves srcs[i] exclusively.
-func SimulateClusterPerCore(srcs []Source, cfg ClusterConfig) (ClusterResult, error) {
-	return cluster.RunPerCoreSources(srcs, cfg)
 }
 
 // NewFleet assembles a sharded fleet configuration: sockets independent
@@ -366,41 +347,6 @@ func ShardSeed(seed int64, group int) int64 { return workload.ShardSeed(seed, gr
 // roundrobin, jsq, leastwork); seed only matters for random.
 func DispatcherByName(name string, seed int64) (Dispatcher, error) {
 	return cluster.DispatcherByName(name, seed)
-}
-
-// NewCappedCluster assembles a capped multi-core server: cfg plus a
-// shared power budget of capW watts over one power domain spanning every
-// core, enforced by the allocator (nil = waterfill). Use the returned
-// config's PowerDomains field to split cores across several sockets.
-func NewCappedCluster(cores int, d Dispatcher, capW float64, alloc Allocator,
-	newPolicy func(core int) (Policy, error)) ClusterConfig {
-	cfg := NewCluster(cores, d, newPolicy)
-	cfg.CapW = capW
-	cfg.Allocator = alloc
-	return cfg
-}
-
-// SimulateClusterCapped runs a trace on a multi-core server under a
-// shared power budget: cfg with CapW set to capW and the allocator
-// applied (nil = waterfill, the default strategy). With capW <= 0 it is
-// exactly SimulateCluster. The result's Capping field carries the
-// per-domain accounting (throttle events, peak/average granted power,
-// infeasible-cap time).
-func SimulateClusterCapped(tr Trace, cfg ClusterConfig, capW float64, alloc Allocator) (ClusterResult, error) {
-	if capW > 0 {
-		cfg.CapW = capW
-		cfg.Allocator = alloc
-	}
-	return cluster.Run(tr, cfg)
-}
-
-// SimulateClusterCappedSource is the streaming SimulateClusterCapped.
-func SimulateClusterCappedSource(src Source, cfg ClusterConfig, capW float64, alloc Allocator) (ClusterResult, error) {
-	if capW > 0 {
-		cfg.CapW = capW
-		cfg.Allocator = alloc
-	}
-	return cluster.RunSource(src, cfg)
 }
 
 // UniformAllocator splits the budget into equal per-core shares.
@@ -470,16 +416,4 @@ func Experiments() []Experiment { return experiments.Registry() }
 // writes its text rendering to w.
 func RunExperiment(id string, opts ExperimentOptions, w io.Writer) error {
 	return experiments.RunAndRender(id, opts, w)
-}
-
-// Validate sanity-checks a server configuration (exported for callers that
-// assemble configurations by hand).
-func Validate(cfg ServerConfig) error {
-	if cfg.Grid.Len() == 0 {
-		return fmt.Errorf("rubik: empty frequency grid")
-	}
-	if cfg.InitialMHz != 0 && cfg.Grid.Index(cfg.InitialMHz) < 0 {
-		return fmt.Errorf("rubik: initial frequency %d not on grid", cfg.InitialMHz)
-	}
-	return cfg.Power.Validate()
 }

@@ -2,6 +2,7 @@ package rubik_test
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -35,7 +36,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("bound = %v", bound)
 	}
 	tr := rubik.GenerateTrace(app, 0.4, 3000, 2)
-	fixed, err := rubik.Simulate(tr, rubik.Fixed(rubik.NominalMHz))
+	cfg := rubik.DefaultServerConfig()
+	fixed, err := rubik.Simulate(rubik.TraceSource(tr), rubik.Fixed(rubik.NominalMHz), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rubik.Simulate(tr, ctl)
+	res, err := rubik.Simulate(rubik.TraceSource(tr), ctl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,18 +96,37 @@ func TestFacadeExperiments(t *testing.T) {
 	}
 }
 
+// TestFacadeValidate checks that Simulate validates the server
+// configuration before running: the grid, the initial frequency and the
+// power model, whose zero value or NaN coefficients would otherwise run
+// and report 0 J or NaN J.
 func TestFacadeValidate(t *testing.T) {
-	cfg := rubik.DefaultServerConfig()
-	if err := rubik.Validate(cfg); err != nil {
+	app, err := rubik.AppByName("masstree")
+	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.InitialMHz = 999
-	if err := rubik.Validate(cfg); err == nil {
-		t.Fatal("off-grid initial frequency must fail validation")
+	run := func(cfg rubik.ServerConfig) error {
+		_, err := rubik.Simulate(rubik.StreamTrace(app, 0.5, 50, 1), rubik.Fixed(rubik.NominalMHz), cfg)
+		return err
 	}
-	var zero rubik.ServerConfig
-	if err := rubik.Validate(zero); err == nil {
-		t.Fatal("zero config must fail validation")
+	if err := run(rubik.DefaultServerConfig()); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		edit func(*rubik.ServerConfig)
+	}{
+		{"zero config", func(c *rubik.ServerConfig) { *c = rubik.ServerConfig{} }},
+		{"off-grid initial frequency", func(c *rubik.ServerConfig) { c.InitialMHz = 999 }},
+		{"zero power model", func(c *rubik.ServerConfig) { c.Power = rubik.PowerModel{} }},
+		{"NaN dynamic power", func(c *rubik.ServerConfig) { c.Power.DynCoeff = math.NaN() }},
+	}
+	for _, c := range cases {
+		cfg := rubik.DefaultServerConfig()
+		c.edit(&cfg)
+		if err := run(cfg); err == nil {
+			t.Errorf("%s: Simulate accepted an invalid server config", c.name)
+		}
 	}
 }
 
@@ -134,7 +155,7 @@ func TestFacadeCluster(t *testing.T) {
 		cfg := rubik.NewCluster(4, d, func(int) (rubik.Policy, error) {
 			return rubik.NewController(bound)
 		})
-		res, err := rubik.SimulateCluster(tr, cfg)
+		res, err := rubik.SimulateCluster(rubik.TraceSource(tr), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,24 +182,17 @@ func TestFacadeStreaming(t *testing.T) {
 	}
 
 	// Streamed Poisson == materialized trace, end to end via the facade.
-	tr := rubik.GenerateTrace(app, 0.5, 2000, 3)
-	want, err := rubik.Simulate(tr, rubik.Fixed(rubik.NominalMHz))
+	fixed := rubik.Fixed(rubik.NominalMHz)
+	want, err := rubik.Simulate(rubik.TraceSource(rubik.GenerateTrace(app, 0.5, 2000, 3)), fixed, rubik.DefaultServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rubik.SimulateSource(rubik.StreamTrace(app, 0.5, 2000, 3), rubik.Fixed(rubik.NominalMHz))
+	got, err := rubik.Simulate(rubik.StreamTrace(app, 0.5, 2000, 3), fixed, rubik.DefaultServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("SimulateSource(StreamTrace) differs from Simulate(GenerateTrace)")
-	}
-	viaTrace, err := rubik.SimulateSource(rubik.TraceSource(tr), rubik.Fixed(rubik.NominalMHz))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaTrace, want) {
-		t.Fatal("SimulateSource(TraceSource) differs from Simulate")
+		t.Fatal("Simulate(StreamTrace) differs from Simulate(TraceSource(GenerateTrace))")
 	}
 
 	// Scenario registry through the facade, constant-memory config.
@@ -191,7 +205,7 @@ func TestFacadeStreaming(t *testing.T) {
 	}
 	cfg := rubik.DefaultServerConfig()
 	cfg.DropCompletions = true
-	res, err := rubik.SimulateSourceWithConfig(src, rubik.Fixed(rubik.NominalMHz), cfg)
+	res, err := rubik.Simulate(src, fixed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,33 +219,22 @@ func TestFacadeStreaming(t *testing.T) {
 		t.Fatal("unknown scenario accepted")
 	}
 
-	// Cluster streaming: shared source and per-core sources.
+	// Cluster streaming: one shared source dispatched across the cores.
 	ccfg := rubik.NewCluster(2, rubik.JSQDispatcher(), func(int) (rubik.Policy, error) {
-		return rubik.Fixed(rubik.NominalMHz), nil
+		return fixed, nil
 	})
-	cres, err := rubik.SimulateClusterSource(rubik.StreamTrace(app, 0.5*2, 2000, 4), ccfg)
+	cres, err := rubik.SimulateCluster(rubik.StreamTrace(app, 0.5*2, 2000, 4), ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(cres.PerCore[0].Completions) + len(cres.PerCore[1].Completions); got != 2000 {
 		t.Fatalf("cluster streamed %d of 2000", got)
 	}
-	pres, err := rubik.SimulateClusterPerCore([]rubik.Source{
-		rubik.StreamTrace(app, 0.4, 500, 1),
-		rubik.StreamTrace(app, 0.6, 700, 2),
-	}, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pres.Routed[0] != 500 || pres.Routed[1] != 700 {
-		t.Fatalf("per-core routing %v", pres.Routed)
-	}
 }
 
 // TestFacadeCappedCluster exercises the power-capping surface end to end
 // through the facade: allocator constructors and lookup, FreqForPower,
-// NewCappedCluster/SimulateClusterCapped(-Source), the accounting field,
-// and the capW<=0 passthrough.
+// a cluster config with CapW and Allocator set, and the accounting field.
 func TestFacadeCappedCluster(t *testing.T) {
 	grid := rubik.DefaultGrid()
 	model := rubik.DefaultServerConfig().Power
@@ -260,8 +263,10 @@ func TestFacadeCappedCluster(t *testing.T) {
 	tr := rubik.GenerateTrace(app, 0.5*2, 2000, 6)
 	newPolicy := func(int) (rubik.Policy, error) { return rubik.NewController(500_000) }
 
-	cfg := rubik.NewCappedCluster(2, rubik.JSQDispatcher(), 7, rubik.WaterfillAllocator(), newPolicy)
-	res, err := rubik.SimulateCluster(tr, cfg)
+	cfg := rubik.NewCluster(2, rubik.JSQDispatcher(), newPolicy)
+	cfg.CapW = 7
+	cfg.Allocator = rubik.WaterfillAllocator()
+	res, err := rubik.SimulateCluster(rubik.TraceSource(tr), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,31 +287,12 @@ func TestFacadeCappedCluster(t *testing.T) {
 		t.Fatalf("peak granted power %.6f W over the 7 W cap", d.PeakPowerW)
 	}
 
-	// SimulateClusterCapped applies the cap to a plain cluster config; the
-	// streaming variant must agree exactly on the same seed's stream.
-	base := rubik.NewCluster(2, rubik.JSQDispatcher(), newPolicy)
-	res2, err := rubik.SimulateClusterCapped(tr, base, 7, rubik.WaterfillAllocator())
+	// The streamed source must agree exactly with the materialized trace.
+	res2, err := rubik.SimulateCluster(rubik.StreamTrace(app, 0.5*2, 2000, 6), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, res2) {
-		t.Fatal("SimulateClusterCapped diverged from NewCappedCluster+SimulateCluster")
-	}
-	res3, err := rubik.SimulateClusterCappedSource(
-		rubik.StreamTrace(app, 0.5*2, 2000, 6), base, 7, rubik.WaterfillAllocator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, res3) {
 		t.Fatal("streamed capped cluster diverged from materialized replay")
-	}
-
-	// capW <= 0 is a plain uncapped simulation.
-	res4, err := rubik.SimulateClusterCapped(tr, base, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res4.Capping != nil {
-		t.Fatal("capW=0 still produced capping accounting")
 	}
 }
