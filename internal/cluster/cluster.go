@@ -60,7 +60,7 @@ type Config struct {
 	// default, and the single-core path's default throughout) leaves
 	// every policy rebuilding privately. The cache is goroutine-confined:
 	// share one only across clusters simulated on the same goroutine
-	// (RunFleet hands every socket of a shard the same cache).
+	// (a flat RunFleet hands every socket of a shard the same cache).
 	TableCache *rubikcore.TableCache
 }
 
@@ -350,10 +350,10 @@ func finalize(eng *sim.Engine, cores []*queueing.Core, dispatcher string, routed
 }
 
 // socketSim is one cluster simulation split into (setup, advance,
-// result): exactly RunSource's body, but resumable, so the hierarchical
-// fleet can interleave many sockets at epoch barriers. RunSource composes
-// the three pieces in one shot, which keeps the split from ever drifting
-// from the single-shot path.
+// result): exactly RunSource's body, but resumable, so RunFleet can
+// advance every socket phase by phase. RunSource composes the three
+// pieces in one shot, which keeps the split from ever drifting from the
+// single-shot path.
 type socketSim struct {
 	eng     *sim.Engine
 	cfg     Config

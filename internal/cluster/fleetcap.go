@@ -4,14 +4,14 @@ import (
 	"fmt"
 
 	"rubik/internal/capping"
-	rubikcore "rubik/internal/core"
 	"rubik/internal/sim"
 )
 
-// This file is the hierarchical (nested-budget) fleet path: a rack-level
-// allocation round couples sockets, which the shared-nothing shard engine
-// deliberately forbids mid-run — so coupling is confined to epoch
-// barriers. The run alternates two strictly separated regimes:
+// This file is the hierarchical (nested-budget) part of the fleet loop
+// in RunFleet. A rack-level allocation round couples sockets, which the
+// shared-nothing shard engine deliberately forbids mid-run, so coupling
+// is confined to epoch barriers. The run alternates two strictly
+// separated regimes:
 //
 //	phase    sockets advance independently (work-stealing parallel, each
 //	         on its own engine) up to the next multiple of Epoch, firing
@@ -30,43 +30,30 @@ import (
 // identical at any shard count, and shard=N stays DeepEqual shard=1. With
 // a degenerate tree whose every round re-derives the flat cap, applyCap
 // no-ops and the whole run is bit-identical to flat per-socket capping.
-type hierFleet struct {
-	cfg    FleetConfig
-	h      *capping.Hierarchy
-	sims   []*socketSim
-	caches []*rubikcore.TableCache
-	errs   []error
 
+// budgetTree is a hierarchical fleet's budget tree and the per-socket
+// caps it has granted so far.
+type budgetTree struct {
+	h          *capping.Hierarchy
 	caps       []float64 // cap currently applied (or armed) per socket
 	demandW    []float64
-	drained    []bool
 	capChanges int
 }
 
-// scheduleCap arms a budget retarget at t on each of the socket's domains
-// (hierarchical sockets have exactly one, spanning the socket).
-func (s *socketSim) scheduleCap(t sim.Time, w float64) {
-	for _, ctl := range s.capped.ctls {
-		ctl := ctl
-		s.eng.At(t, func() { ctl.applyCap(w) })
-	}
-}
-
-// runFleetHier simulates the fleet under cfg.Hierarchy. Called from
-// RunFleet after the shared validation; see the file comment for the
-// phase/barrier protocol.
-func runFleetHier(cfg FleetConfig, shards int) (FleetResult, error) {
+// newBudgetTree validates the hierarchical settings of cfg, builds the
+// tree over its sockets and runs the initial round.
+func newBudgetTree(cfg FleetConfig) (*budgetTree, error) {
 	if cfg.Epoch <= 0 {
-		return FleetResult{}, fmt.Errorf("cluster: hierarchical fleet needs a positive Epoch, got %d", cfg.Epoch)
+		return nil, fmt.Errorf("cluster: hierarchical fleet needs a positive Epoch, got %d", cfg.Epoch)
 	}
 	if !(cfg.CapW >= 0) {
-		return FleetResult{}, fmt.Errorf("cluster: per-socket ceiling must not be negative, got %v W", cfg.CapW)
+		return nil, fmt.Errorf("cluster: per-socket ceiling must not be negative, got %v W", cfg.CapW)
 	}
 	// Leaf power bounds from the shared core curve: a probe domain reuses
 	// the grid/model validation and the true (non-monotone-safe) extremes.
 	probe, err := capping.NewDomain(cfg.Core.Grid, cfg.Core.Power, 1, 1)
 	if err != nil {
-		return FleetResult{}, err
+		return nil, err
 	}
 	floorW := float64(cfg.CoresPerSocket) * probe.MinPowerW()
 	leafMaxW := float64(cfg.CoresPerSocket) * probe.MaxPowerW()
@@ -78,125 +65,60 @@ func runFleetHier(cfg FleetConfig, shards int) (FleetResult, error) {
 	}
 	h, err := capping.NewHierarchy(*cfg.Hierarchy, cfg.Sockets, floorW, leafMaxW)
 	if err != nil {
-		return FleetResult{}, err
+		return nil, err
 	}
-
-	f := &hierFleet{
-		cfg:     cfg,
+	t := &budgetTree{
 		h:       h,
-		sims:    make([]*socketSim, cfg.Sockets),
-		caches:  cfg.newTableCaches(cfg.Sockets),
-		errs:    make([]error, cfg.Sockets),
 		caps:    make([]float64, cfg.Sockets),
 		demandW: make([]float64, cfg.Sockets),
-		drained: make([]bool, cfg.Sockets),
 	}
-
 	// Initial round before any demand exists: every socket asks for its
 	// maximum, so tight budgets start divided instead of briefly uncapped.
-	for s := range f.demandW {
-		f.demandW[s] = leafMaxW
+	for s := range t.demandW {
+		t.demandW[s] = leafMaxW
 	}
-	copy(f.caps, h.Reallocate(f.demandW))
+	copy(t.caps, h.Reallocate(t.demandW))
+	return t, nil
+}
 
-	// Build every socket sim. Caches are per socket, not per shard: a
-	// socket migrates across phase goroutines, and the WaitGroup barrier
-	// between phases is what keeps its cache single-owner at any instant.
-	forEachSocket(shards, cfg.Sockets, func(_, s int) {
-		src := cfg.NewSource(s)
-		if src == nil {
-			f.errs[s] = fmt.Errorf("cluster: fleet socket %d: NewSource returned nil", s)
-			return
-		}
-		c := cfg.socketConfig(s)
-		c.CapW = f.caps[s]
-		c.TableCache = f.caches[s]
-		f.sims[s], f.errs[s] = newSocketSim(src, c)
-	})
-	if err := f.firstErr(); err != nil {
-		return FleetResult{}, err
+// scheduleCap arms a budget retarget at t on each of the socket's domains
+// (hierarchical sockets have exactly one, spanning the socket).
+func (s *socketSim) scheduleCap(t sim.Time, w float64) {
+	for _, ctl := range s.capped.ctls {
+		ctl := ctl
+		s.eng.At(t, func() { ctl.applyCap(w) })
 	}
-
-	// Phase/barrier loop.
-	deadline := cfg.Core.Deadline
-	for barrier := cfg.Epoch; ; barrier += cfg.Epoch {
-		target := barrier
-		if deadline > 0 && target > deadline {
-			target = deadline
-		}
-		forEachSocket(shards, cfg.Sockets, func(_, s int) {
-			if !f.drained[s] {
-				f.drained[s] = f.sims[s].advanceTo(target)
-			}
-		})
-		all := true
-		for _, d := range f.drained {
-			if !d {
-				all = false
-				break
-			}
-		}
-		if all || (deadline > 0 && target >= deadline) {
-			break
-		}
-		f.barrier(target)
-	}
-	// Deadline cut-off parity with the flat path: undrained sockets end
-	// with their clocks on the deadline (every due event already fired).
-	if deadline > 0 {
-		for s, sim := range f.sims {
-			if !f.drained[s] {
-				sim.eng.RunUntil(deadline)
-			}
-		}
-	}
-
-	results := make([]Result, cfg.Sockets)
-	forEachSocket(shards, cfg.Sockets, func(_, s int) {
-		results[s], f.errs[s] = f.sims[s].result()
-	})
-	if err := f.firstErr(); err != nil {
-		return FleetResult{}, err
-	}
-	out := FleetResult{Shards: shards, Sockets: results, TableCache: sumCacheStats(f.caches)}
-	hs := h.Stats()
-	hs.LeafCapChanges = f.capChanges
-	out.Hierarchy = &hs
-	return out, nil
 }
 
 // barrier closes the epoch ending at target: collect demand in socket
 // order, re-allocate the tree, and arm every changed cap as an event at
-// exactly the barrier time. Runs on one goroutine between phases, so it
-// reads and writes socket state without synchronization.
-func (f *hierFleet) barrier(target sim.Time) {
-	for s, sm := range f.sims {
-		if f.drained[s] {
+// exactly the barrier time. sims[s] is nil once socket s has drained and
+// been finalised. Runs on one goroutine between phases, so it reads and
+// writes socket state without synchronization.
+func (t *budgetTree) barrier(target sim.Time, sims []*socketSim) {
+	for s, sm := range sims {
+		if sm == nil {
 			// A finished socket needs only its floor; its budget flows to
 			// the sockets still running.
-			f.demandW[s] = f.h.LeafFloorW()
+			t.demandW[s] = t.h.LeafFloorW()
 			continue
 		}
-		f.demandW[s] = sm.capped.epochDemandW(target)
+		t.demandW[s] = sm.capped.epochDemandW(target)
 	}
-	grants := f.h.Reallocate(f.demandW)
-	for s, sm := range f.sims {
-		if f.drained[s] || grants[s] == f.caps[s] {
+	grants := t.h.Reallocate(t.demandW)
+	for s, sm := range sims {
+		if sm == nil || grants[s] == t.caps[s] {
 			continue
 		}
-		f.caps[s] = grants[s]
-		f.capChanges++
+		t.caps[s] = grants[s]
+		t.capChanges++
 		sm.scheduleCap(target, grants[s])
 	}
 }
 
-// firstErr returns the lowest-socket error, so the reported failure is
-// deterministic regardless of which phase goroutine hit it first.
-func (f *hierFleet) firstErr() error {
-	for s, err := range f.errs {
-		if err != nil {
-			return fmt.Errorf("cluster: fleet socket %d: %w", s, err)
-		}
-	}
-	return nil
+// stats snapshots the tree's per-level accounting.
+func (t *budgetTree) stats() *capping.HierarchyStats {
+	hs := t.h.Stats()
+	hs.LeafCapChanges = t.capChanges
+	return &hs
 }

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -16,11 +18,11 @@ import (
 	"rubik/internal/workload"
 )
 
-// DefaultTableCacheEntries is the per-shard rebuild-cache bound RunFleet
-// uses when FleetConfig.TableCacheEntries is 0: enough for every core of
-// a socket to keep a few live profile windows resident (~5 KB per entry
-// at paper table dimensions), small enough that a thousand-socket fleet's
-// shards stay well under a megabyte each.
+// DefaultTableCacheEntries is the rebuild-cache bound RunFleet uses when
+// FleetConfig.TableCacheEntries is 0: enough for every core of a socket
+// to keep a few live profile windows resident (~5 KB per entry at paper
+// table dimensions), small enough that a thousand-socket fleet's shards
+// stay well under a megabyte each.
 const DefaultTableCacheEntries = 64
 
 // FleetConfig describes a fleet: Sockets independent core groups, each a
@@ -82,26 +84,28 @@ type FleetConfig struct {
 	// Hierarchy, when non-nil, runs the fleet under a nested budget tree
 	// (rack → PDU → ... → socket): the tree's leaf grants become
 	// time-varying per-socket caps, re-allocated from reported demand at
-	// Epoch barriers (see runFleetHier). Requires Epoch > 0.
+	// the barriers between RunFleet's Epoch-long phases (see fleetcap.go).
+	// Requires Epoch > 0.
 	Hierarchy *capping.HierarchySpec
 	// Epoch is the hierarchy's re-allocation cadence in simulated ns:
 	// sockets advance independently between barriers and exchange demand
 	// for caps at each multiple of Epoch.
 	Epoch sim.Time
 
-	// TableCacheEntries sizes the per-shard content-addressed tail-table
-	// rebuild cache: every socket a shard goroutine simulates shares one
-	// cache, so byte-identical rebuild inputs — across ticks of one
-	// controller or across cores and sockets — run the FFT convolutions
-	// once. 0 (the default) enables a DefaultTableCacheEntries-entry
-	// cache — fleet mode is cached by default because a verified hit is
+	// TableCacheEntries sizes the content-addressed tail-table rebuild
+	// caches: in a flat fleet every socket a shard goroutine simulates
+	// shares that shard's cache, so byte-identical rebuild inputs — across
+	// ticks of one controller or across cores and sockets — run the FFT
+	// convolutions once; a hierarchical fleet gives each socket its own.
+	// 0 (the default) enables DefaultTableCacheEntries-entry caches —
+	// fleet mode is cached by default because a verified hit is
 	// bitwise-identical to rebuilding, so results are unchanged (the
 	// invariance tests and CI's cached-vs-uncached cmp pin this). < 0
 	// disables caching; > 0 sets an explicit bound.
 	TableCacheEntries int
 }
 
-// tableCacheEntries resolves the per-shard cache bound (0 = disabled).
+// tableCacheEntries resolves the per-cache entry bound (0 = disabled).
 func (cfg FleetConfig) tableCacheEntries() int {
 	switch {
 	case cfg.TableCacheEntries < 0:
@@ -160,13 +164,14 @@ type FleetResult struct {
 	Shards int
 	// Sockets holds each socket's cluster Result.
 	Sockets []Result
-	// TableCache sums the per-shard rebuild-cache outcomes (hits, misses,
+	// TableCache sums the rebuild-cache outcomes (hits, misses,
 	// collisions, evictions); the zero value means caching was disabled
 	// or no policy used it. Reporting only: socket results are invariant
-	// to cache hits (a verified hit is bitwise-identical to rebuilding),
-	// but because work stealing assigns sockets to shards by timing, the
-	// aggregate counts themselves may differ between runs. (Hierarchical
-	// runs use per-socket caches, so there the counts are deterministic.)
+	// to cache hits (a verified hit is bitwise-identical to rebuilding).
+	// A flat run's caches are per shard, and work stealing assigns
+	// sockets to shards by timing, so its counts may differ between runs.
+	// A hierarchical run's caches are per socket, so its counts are
+	// deterministic.
 	TableCache rubikcore.TableCacheStats
 	// Hierarchy holds the budget tree's per-level accounting when the
 	// fleet ran under FleetConfig.Hierarchy; nil for flat runs.
@@ -284,29 +289,36 @@ func (r FleetResult) Capping() []capping.DomainStats {
 
 // RunFleet simulates the fleet across cfg.Shards parallel event loops.
 //
-// Sockets are scheduled by work stealing: shard goroutines claim the next
-// unclaimed socket from a shared atomic counter and simulate it to
-// completion, each socket on its own sim.Engine via the single-engine
-// cluster path (RunSource). Stealing replaced the earlier static
-// round-robin partition because per-socket loads are not uniform — one
-// heavy socket (a skewed request count, a binding cap stretching its
-// drain) used to stall its whole shard while sibling shards sat idle;
-// with a shared counter the finishing shards drain the remaining sockets
-// instead. Sockets get dedicated engines rather than one engine per shard
-// because engine-global quantities — the end-of-run clock that trailing
-// idle-energy accounting accrues to — would otherwise couple co-resident
-// sockets, and co-residency buys nothing when sockets share no state.
-// Sockets therefore stay shared-nothing and the schedule is pure timing:
-// socket s's Result is a function of (source, config) alone, so shard=N
-// output is deeply equal to shard=1 output for every N even though the
-// socket→shard assignment itself is nondeterministic.
+// Flat and hierarchical fleets share one phase loop. A flat fleet runs a
+// single phase, to Core.Deadline or, without one, to drain. A
+// hierarchical fleet's phases end at each multiple of Epoch, with a
+// budget-tree barrier between them (see fleetcap.go).
 //
-// Each shard goroutine additionally owns one content-addressed tail-table
-// rebuild cache (see TableCacheEntries) handed to every socket it claims:
-// goroutine confinement keeps the cache lock-free, and a stolen socket
-// simply warms whichever shard's cache it lands on. Cache hits copy
-// bitwise-identical tables, so the shard-invariance property is
-// unaffected.
+// Within a phase, sockets are scheduled by work stealing: shard
+// goroutines claim the next unclaimed socket from a shared atomic
+// counter (forEachSocket). The first claim builds the socket, on its own
+// sim.Engine with its own cores, dispatcher and capping domain; every
+// claim advances it to the phase target. A socket is finalised on the
+// claiming shard as soon as it drains, or when the final phase cuts it
+// off at the deadline, and is then released. Stealing replaced a static
+// round-robin partition because per-socket loads are not uniform: one
+// heavy socket used to stall its whole shard while sibling shards sat
+// idle. Sockets get dedicated engines rather than one engine per shard
+// because engine-global quantities (the end-of-run clock that trailing
+// idle-energy accounting accrues to) would otherwise couple co-resident
+// sockets. Sockets therefore stay shared-nothing and the schedule is
+// pure timing: socket s's Result is a function of (source, config, and
+// the caps the barriers hand it) alone, so shard=N output is deeply
+// equal to shard=1 output for every N even though the socket→shard
+// assignment itself is nondeterministic. After every phase the
+// lowest-indexed socket error is reported, whichever shard hit it first.
+//
+// Rebuild caches (see TableCacheEntries) are goroutine-confined. A
+// one-phase run hands every socket the claiming shard's cache, so a
+// stolen socket warms whichever shard's cache it lands on. A phased run
+// gives each socket its own cache, because sockets move between shards
+// at barriers. Cache hits copy bitwise-identical tables, so the
+// shard-invariance property is unaffected either way.
 func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	if cfg.Sockets <= 0 {
 		return FleetResult{}, fmt.Errorf("cluster: fleet needs at least 1 socket, got %d", cfg.Sockets)
@@ -318,34 +330,79 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		return FleetResult{}, fmt.Errorf("cluster: fleet needs a NewSource factory")
 	}
 	shards := cfg.shardCount()
-	if cfg.Hierarchy != nil {
-		return runFleetHier(cfg, shards)
+	end := sim.Time(math.MaxInt64) // no deadline: the last phase runs to drain
+	if cfg.Core.Deadline > 0 {
+		end = cfg.Core.Deadline
 	}
-	if cfg.Epoch != 0 {
+	step, nCaches := end, shards
+	var tree *budgetTree
+	if cfg.Hierarchy != nil {
+		var err error
+		if tree, err = newBudgetTree(cfg); err != nil {
+			return FleetResult{}, err
+		}
+		step, nCaches = cfg.Epoch, cfg.Sockets
+	} else if cfg.Epoch != 0 {
 		return FleetResult{}, fmt.Errorf("cluster: Epoch set without a Hierarchy")
 	}
+	caches := cfg.newTableCaches(nCaches)
 
+	sims := make([]*socketSim, cfg.Sockets) // nil before the first claim and after finalising
+	done := make([]bool, cfg.Sockets)
 	results := make([]Result, cfg.Sockets)
 	errs := make([]error, cfg.Sockets)
-	caches := cfg.newTableCaches(shards) // one per shard goroutine
-	forEachSocket(shards, cfg.Sockets, func(k, s int) {
-		src := cfg.NewSource(s)
-		if src == nil {
-			errs[s] = fmt.Errorf("cluster: fleet socket %d: NewSource returned nil", s)
+	// claim is shard k's turn at socket s in the phase ending at target:
+	// build it on the first claim, advance it, and finalise and release it
+	// once it drains or the final phase cuts it off.
+	var target sim.Time
+	claim := func(k, s int) {
+		if done[s] {
 			return
 		}
-		c := cfg.socketConfig(s)
-		c.TableCache = caches[k]
-		results[s], errs[s] = RunSource(src, c)
-	})
-	// Lowest-socket error wins, so the reported failure is deterministic
-	// regardless of which shard hit it first.
-	for s, err := range errs {
-		if err != nil {
-			return FleetResult{}, fmt.Errorf("cluster: fleet socket %d: %w", s, err)
+		if sims[s] == nil {
+			src := cfg.NewSource(s)
+			if src == nil {
+				errs[s] = errors.New("NewSource returned nil")
+				return
+			}
+			c := cfg.socketConfig(s)
+			c.TableCache = caches[k]
+			if tree != nil {
+				c.CapW, c.TableCache = tree.caps[s], caches[s]
+			}
+			if sims[s], errs[s] = newSocketSim(src, c); errs[s] != nil {
+				return
+			}
 		}
+		sm := sims[s]
+		if !sm.advanceTo(target) {
+			if target < end {
+				return
+			}
+			sm.eng.RunUntil(end) // cut off: the clock ends on the deadline
+		}
+		results[s], errs[s] = sm.result()
+		sims[s], done[s] = nil, true
 	}
-	return FleetResult{Shards: shards, Sockets: results, TableCache: sumCacheStats(caches)}, nil
+	for target = min(step, end); ; target = min(target+step, end) {
+		forEachSocket(shards, cfg.Sockets, claim)
+		running := false
+		for s, err := range errs {
+			if err != nil {
+				return FleetResult{}, fmt.Errorf("cluster: fleet socket %d: %w", s, err)
+			}
+			running = running || !done[s]
+		}
+		if !running {
+			break
+		}
+		tree.barrier(target, sims) // only a phased run has sockets left
+	}
+	out := FleetResult{Shards: shards, Sockets: results, TableCache: sumCacheStats(caches)}
+	if tree != nil {
+		out.Hierarchy = tree.stats()
+	}
+	return out, nil
 }
 
 // forEachSocket runs fn(shard, socket) for every socket of the fleet

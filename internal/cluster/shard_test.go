@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"rubik/internal/queueing"
@@ -14,6 +13,8 @@ import (
 // fleetConfig builds the test fleet: per-socket scenario sources with
 // ShardSeed-derived seeds, a fresh dispatcher per socket, fixed-frequency
 // cores (the sharding property is about partitioning, not the policy).
+// nPer < 0 makes the sources unbounded and cuts the run off at
+// fleetDeadline instead.
 func fleetConfig(t *testing.T, scenario, dispatcher string, sockets, coresPer, nPer int, capW float64, shards int) FleetConfig {
 	t.Helper()
 	app := workload.Masstree()
@@ -22,6 +23,9 @@ func fleetConfig(t *testing.T, scenario, dispatcher string, sockets, coresPer, n
 		t.Fatal(err)
 	}
 	base := DefaultConfig()
+	if nPer < 0 {
+		base.Core.Deadline = fleetDeadline
+	}
 	return FleetConfig{
 		Sockets:        sockets,
 		CoresPerSocket: coresPer,
@@ -44,44 +48,68 @@ func fleetConfig(t *testing.T, scenario, dispatcher string, sockets, coresPer, n
 	}
 }
 
+// fleetDeadline cuts off the test fleets built with nPer < 0. Their
+// sources never end, so every socket is still running at the deadline; it
+// is not a multiple of the 2 ms test epoch, so a phased run's last phase
+// is a short one.
+const fleetDeadline = 41 * sim1ms
+
+// checkCutOff asserts that every socket of a deadline-bounded fleet ended
+// with its clock on the deadline.
+func checkCutOff(t *testing.T, res FleetResult) {
+	t.Helper()
+	for s, r := range res.Sockets {
+		if r.EndTime != fleetDeadline {
+			t.Fatalf("socket %d ended at %d, want the %d deadline", s, r.EndTime, fleetDeadline)
+		}
+	}
+}
+
 // TestFleetShardInvariance is the tentpole property: for every dispatcher
-// x scenario shape x capped/uncapped cell, running the fleet on 1 shard,
-// 2 shards and one shard per socket produces deeply equal per-socket
-// results. Shards are shared-nothing, so the partition is pure scheduling
-// — any divergence here means state leaked across sockets.
+// x scenario shape x capped/uncapped x drained/deadline-cut cell, running
+// the fleet on 1 shard, 2 shards and one shard per socket produces deeply
+// equal per-socket results. Shards are shared-nothing, so the partition
+// is pure scheduling — any divergence here means state leaked across
+// sockets.
 func TestFleetShardInvariance(t *testing.T) {
-	const sockets, coresPer, nPer = 3, 2, 500
+	const sockets, coresPer = 3, 2
 	scenarios := []string{"bursty", "heavytail", "closedloop"}
 	dispatchers := []string{"random", "roundrobin", "jsq", "leastwork"}
 	caps := []float64{0, 9} // uncapped; binding 2-core budget
 	for _, sc := range scenarios {
 		for _, d := range dispatchers {
 			for _, capW := range caps {
-				name := sc + "/" + d
-				if capW > 0 {
-					name += "/capped"
-				}
-				t.Run(name, func(t *testing.T) {
-					want, err := RunFleet(fleetConfig(t, sc, d, sockets, coresPer, nPer, capW, 1))
-					if err != nil {
-						t.Fatal(err)
+				for _, cut := range []bool{false, true} {
+					name := sc + "/" + d
+					if capW > 0 {
+						name += "/capped"
 					}
-					if want.Shards != 1 {
-						t.Fatalf("shard count %d, want 1", want.Shards)
+					nPer := 500
+					if cut {
+						name, nPer = name+"/deadline", -1
 					}
-					for _, shards := range []int{2, sockets} {
-						got, err := RunFleet(fleetConfig(t, sc, d, sockets, coresPer, nPer, capW, shards))
+					run := func(t *testing.T, shards int) FleetResult {
+						res, err := RunFleet(fleetConfig(t, sc, d, sockets, coresPer, nPer, capW, shards))
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got.Shards != shards {
-							t.Fatalf("shard count %d, want %d", got.Shards, shards)
+						if res.Shards != shards {
+							t.Fatalf("shard count %d, want %d", res.Shards, shards)
 						}
-						if !reflect.DeepEqual(got.Sockets, want.Sockets) {
-							t.Fatalf("shard=%d fleet result diverged from shard=1", shards)
-						}
+						return res
 					}
-				})
+					t.Run(name, func(t *testing.T) {
+						want := run(t, 1)
+						if cut {
+							checkCutOff(t, want)
+						}
+						for _, shards := range []int{2, sockets} {
+							if !reflect.DeepEqual(run(t, shards).Sockets, want.Sockets) {
+								t.Fatalf("shard=%d fleet result diverged from shard=1", shards)
+							}
+						}
+					})
+				}
 			}
 		}
 	}
@@ -224,19 +252,25 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := RunFleet(bad); err == nil {
 		t.Fatal("NaN per-socket cap accepted")
 	}
-	bad = good
-	bad.Sockets = 4
-	bad.Shards = 4
-	inner := bad.NewSource
-	bad.NewSource = func(s int) workload.Source {
+	checkLowestSocketError(t, good)
+}
+
+// checkLowestSocketError runs a 4-shard fleet whose sockets 1..3 all
+// return a nil source. The reported error must name socket 1 whichever
+// shard failed first, and carry the fleet socket prefix exactly once.
+func checkLowestSocketError(t *testing.T, cfg FleetConfig) {
+	t.Helper()
+	cfg.Sockets, cfg.Shards = 4, 4
+	inner := cfg.NewSource
+	cfg.NewSource = func(s int) workload.Source {
 		if s >= 1 {
-			return nil // sockets 1..3 all fail, on different shards
+			return nil
 		}
 		return inner(s)
 	}
-	_, err := RunFleet(bad)
-	if err == nil || !strings.Contains(err.Error(), "socket 1") {
-		t.Fatalf("want deterministic lowest-socket error, got %v", err)
+	_, err := RunFleet(cfg)
+	if err == nil || err.Error() != "cluster: fleet socket 1: NewSource returned nil" {
+		t.Fatalf("want the lowest-socket error with one prefix, got %v", err)
 	}
 }
 

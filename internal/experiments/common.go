@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
@@ -18,6 +17,7 @@ import (
 	"rubik/internal/policy"
 	"rubik/internal/queueing"
 	"rubik/internal/sim"
+	"rubik/internal/stats"
 	"rubik/internal/workload"
 )
 
@@ -161,16 +161,7 @@ func rollingTail(completions []queueing.Completion, window, step sim.Time, q flo
 		if len(buf) == 0 {
 			continue
 		}
-		cp := append([]float64(nil), buf...)
-		sort.Float64s(cp)
-		rank := int(q*float64(len(cp)) + 0.999999)
-		if rank < 1 {
-			rank = 1
-		}
-		if rank > len(cp) {
-			rank = len(cp)
-		}
-		out = append(out, TimePoint{T: t, V: cp[rank-1]})
+		out = append(out, TimePoint{T: t, V: stats.PercentileInPlace(buf, q)})
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"rubik/internal/cpu"
+	"rubik/internal/stats"
 	"rubik/internal/workload"
 )
 
@@ -42,14 +43,14 @@ func StaticOracle(tr workload.Trace, grid cpu.Grid, boundNs, percentile float64,
 }
 
 // ViolationBudget returns how many of n responses may exceed the bound
-// while the percentile-tail still meets it (nearest-rank definition): the
-// tail is the ceil(p*n)-th smallest response, so n - ceil(p*n) may violate.
+// while the percentile-tail still meets it: the measured tail is the
+// stats.NearestRank response, so only the responses above it may violate
+// (0 when n is 0).
 func ViolationBudget(n int, percentile float64) int {
-	rank := int(float64(n)*percentile + 0.999999)
-	if rank > n {
-		rank = n
+	if n <= 0 {
+		return 0
 	}
-	return n - rank
+	return n - 1 - stats.NearestRank(n, percentile)
 }
 
 // AdrenalineOracleResult reports the chosen configuration: requests whose

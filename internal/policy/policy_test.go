@@ -21,6 +21,8 @@ func TestViolationBudget(t *testing.T) {
 		{10, 0.95, 0}, // ceil(9.5)=10 -> 0 may violate
 		{20, 0.95, 1}, // ceil(19)=19 -> 1
 		{100, 1.0, 0},
+		{10, 0.50000001, 4}, // tail is the 6th of 10 values: 4 above it
+		{0, 0.95, 0},
 	}
 	for _, c := range cases {
 		if got := ViolationBudget(c.n, c.p); got != c.want {

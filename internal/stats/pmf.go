@@ -380,7 +380,7 @@ func PercentileInPlace(s []float64, q float64) float64 {
 	if len(s) == 0 {
 		return 0
 	}
-	rank := nearestRank(len(s), q)
+	rank := NearestRank(len(s), q)
 	if rank < 0 {
 		return math.NaN()
 	}
@@ -402,17 +402,17 @@ func PercentileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := nearestRank(len(sorted), q)
+	rank := NearestRank(len(sorted), q)
 	if rank < 0 {
 		return math.NaN()
 	}
 	return sorted[rank]
 }
 
-// nearestRank returns the 0-based index of the nearest-rank q-quantile
+// NearestRank returns the 0-based index of the nearest-rank q-quantile
 // among n > 0 sorted samples, ceil(q*n)-1 clamped to [0, n-1], or -1 for
-// a NaN q.
-func nearestRank(n int, q float64) int {
+// a NaN q. It is the one rank rule behind every percentile here.
+func NearestRank(n int, q float64) int {
 	switch {
 	case q <= 0:
 		return 0

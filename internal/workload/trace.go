@@ -38,10 +38,12 @@ type Trace struct {
 }
 
 // Generate builds a trace of n requests for app using the given arrival
-// process and seed. It is fully deterministic.
+// process and seed. It is fully deterministic. A materialized trace
+// cannot be unbounded, so n <= 0 gives an empty trace (stream an
+// unbounded run from a Source instead).
 func Generate(app LCApp, arrivals ArrivalProcess, n int, seed int64) Trace {
 	r := rand.New(rand.NewSource(seed))
-	tr := Trace{App: app.Name, Seed: seed, Requests: make([]Request, 0, n)}
+	tr := Trace{App: app.Name, Seed: seed, Requests: make([]Request, 0, max(n, 0))}
 	var now sim.Time
 	for i := 0; i < n; i++ {
 		now += arrivals.NextGap(r, now)

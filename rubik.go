@@ -201,7 +201,8 @@ func DefaultGrid() Grid { return cpu.DefaultGrid() }
 func DefaultServerConfig() ServerConfig { return queueing.DefaultConfig() }
 
 // GenerateTrace builds a Poisson request trace at a fraction of the app's
-// nominal-frequency capacity (1.0 = the maximum rate at 2.4 GHz).
+// nominal-frequency capacity (1.0 = the maximum rate at 2.4 GHz). n <= 0
+// gives an empty trace: only StreamTrace can be unbounded.
 func GenerateTrace(app App, load float64, n int, seed int64) Trace {
 	return workload.GenerateAtLoad(app, load, n, seed)
 }
