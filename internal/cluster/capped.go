@@ -28,7 +28,6 @@ type domainCtl struct {
 	alloc capping.Allocator
 
 	cores   []*queueing.Core // member cores, attached after buildCores
-	idx     []int            // member -> cluster core index
 	demands []capping.Demand
 	grants  []int
 	granted []int // last actuated grant per member
@@ -254,153 +253,91 @@ func (p *cappedPolicy) filter(desired int, v queueing.View) int {
 	return p.ctl.decide(p.member, desired, p.slack, v)
 }
 
-// cappedSetup carries the capping wiring between config validation (before
-// the cores exist) and attachment (after).
-type cappedSetup struct {
-	ctls []*domainCtl
-}
-
 // wireCapping validates the capping configuration and, when a cap is set,
-// wraps cfg.NewPolicy so every member core's decisions flow through its
-// domain controller. It returns nil when CapW is 0 (unset): the config is
-// untouched and the run is byte-identical to an uncapped cluster. Call
-// attach with the built cores afterwards.
+// wraps cfg.NewPolicy so every core's decisions flow through one domain
+// controller: the socket, one budget of CapW spanning all cfg.Cores
+// cores. It returns nil when CapW is 0 (unset): the config is untouched
+// and the run is byte-identical to an uncapped cluster. Call attach with
+// the built cores afterwards.
 //
-// Fleet runs wire capping through this exact path, once per socket: a
-// FleetConfig cap makes each socket one domain spanning its cores, with
-// its own Domain (and allocator scratch) on its own engine — so capped
-// fleets stay shared-nothing across shards, and a capped socket's
+// Fleet runs wire capping through this exact path, once per socket, each
+// with its own Domain (and allocator scratch) on its own engine — so
+// capped fleets stay shared-nothing across shards, and a capped socket's
 // accounting is identical to the same socket run standalone.
-func wireCapping(eng *sim.Engine, cfg *Config) (*cappedSetup, error) {
+func wireCapping(eng *sim.Engine, cfg *Config) (*domainCtl, error) {
 	if cfg.CapW == 0 {
-		if len(cfg.PowerDomains) > 0 {
-			return nil, fmt.Errorf("cluster: PowerDomains set without CapW")
-		}
 		return nil, nil
 	}
 	if !(cfg.CapW > 0) {
 		return nil, fmt.Errorf("cluster: power cap must be positive, got %v W", cfg.CapW)
 	}
-	domains := cfg.PowerDomains
-	if len(domains) == 0 {
-		// Default: one domain (socket) spanning every core.
-		all := make([]int, cfg.Cores)
-		for i := range all {
-			all[i] = i
-		}
-		domains = [][]int{all}
-	}
 	alloc := cfg.Allocator
 	if alloc == nil {
 		alloc = capping.Waterfill{}
 	}
-	seen := make([]bool, cfg.Cores)
-	setup := &cappedSetup{}
-	memberOf := make(map[int]*cappedMembership, cfg.Cores)
-	for di, members := range domains {
-		if len(members) == 0 {
-			return nil, fmt.Errorf("cluster: power domain %d is empty", di)
-		}
-		dom, err := capping.NewDomain(cfg.Core.Grid, cfg.Core.Power, cfg.CapW, len(members))
-		if err != nil {
-			return nil, err
-		}
-		ctl := &domainCtl{
-			eng:     eng,
-			dom:     dom,
-			alloc:   alloc,
-			cores:   make([]*queueing.Core, len(members)),
-			idx:     make([]int, len(members)),
-			demands: make([]capping.Demand, len(members)),
-			grants:  make([]int, len(members)),
-			granted: make([]int, len(members)),
-		}
-		ctl.stats = capping.DomainStats{
-			Cores:     append([]int(nil), members...),
+	dom, err := capping.NewDomain(cfg.Core.Grid, cfg.Core.Power, cfg.CapW, cfg.Cores)
+	if err != nil {
+		return nil, err
+	}
+	members := make([]int, cfg.Cores)
+	for i := range members {
+		members[i] = i
+	}
+	ctl := &domainCtl{
+		eng:     eng,
+		dom:     dom,
+		alloc:   alloc,
+		cores:   make([]*queueing.Core, cfg.Cores),
+		demands: make([]capping.Demand, cfg.Cores),
+		grants:  make([]int, cfg.Cores),
+		granted: make([]int, cfg.Cores),
+		stats: capping.DomainStats{
+			Cores:     members,
 			CapW:      cfg.CapW,
 			Allocator: alloc.Name(),
-		}
-		for m, core := range members {
-			if core < 0 || core >= cfg.Cores {
-				return nil, fmt.Errorf("cluster: power domain %d member %d out of range [0,%d)", di, core, cfg.Cores)
-			}
-			if seen[core] {
-				return nil, fmt.Errorf("cluster: core %d appears in more than one power domain", core)
-			}
-			seen[core] = true
-			ctl.idx[m] = core
-			memberOf[core] = &cappedMembership{ctl: ctl, member: m}
-		}
-		setup.ctls = append(setup.ctls, ctl)
+		},
 	}
-
-	inner := cfg.NewPolicy
-	cfg.NewPolicy = func(core int) (queueing.Policy, error) {
-		p, err := inner(core)
-		if err != nil {
-			return nil, err
+	if inner := cfg.NewPolicy; inner != nil { // nil is buildCores' error
+		cfg.NewPolicy = func(core int) (queueing.Policy, error) {
+			p, err := inner(core)
+			if err != nil {
+				return nil, err
+			}
+			return newCappedPolicy(p, ctl, core), nil
 		}
-		ms, ok := memberOf[core]
-		if !ok {
-			return p, nil // outside every domain: uncapped
-		}
-		return newCappedPolicy(p, ms.ctl, ms.member), nil
 	}
-	return setup, nil
+	return ctl, nil
 }
 
-type cappedMembership struct {
-	ctl    *domainCtl
-	member int
-}
-
-// attach hands each domain its member cores and runs the initial
-// allocation round at t=0 over the cores' initial frequencies, so the cap
-// holds from the first instant (with a binding cap, cores start throttled
-// rather than briefly overshooting at InitialMHz).
-func (s *cappedSetup) attach(cores []*queueing.Core) {
-	if s == nil {
+// attach hands the domain its cores and runs the initial allocation round
+// at t=0 over the cores' initial frequencies, so the cap holds from the
+// first instant (with a binding cap, cores start throttled rather than
+// briefly overshooting at InitialMHz). A no-op on a nil (uncapped) ctl.
+func (ctl *domainCtl) attach(cores []*queueing.Core) {
+	if ctl == nil {
 		return
 	}
-	for _, ctl := range s.ctls {
-		grid := ctl.dom.Grid()
-		for m, core := range ctl.idx {
-			c := cores[core]
-			ctl.cores[m] = c
-			dIdx := grid.Index(c.CurrentMHz())
-			if dIdx < 0 {
-				// Off-grid initial frequency: clamp up exactly as decide
-				// does, instead of letting -1 flow into the power curve.
-				dIdx = grid.Index(grid.ClampUp(float64(c.CurrentMHz())))
-			}
-			ctl.demands[m] = capping.Demand{DesiredIdx: dIdx}
-			ctl.granted[m] = dIdx
-			ctl.curDesW += ctl.dom.PowerAt(dIdx)
+	grid := ctl.dom.Grid()
+	for m, c := range cores {
+		ctl.cores[m] = c
+		dIdx := grid.Index(c.CurrentMHz())
+		if dIdx < 0 {
+			// Off-grid initial frequency: clamp up exactly as decide
+			// does, instead of letting -1 flow into the power curve.
+			dIdx = grid.Index(grid.ClampUp(float64(c.CurrentMHz())))
 		}
-		ctl.reallocate()
+		ctl.demands[m] = capping.Demand{DesiredIdx: dIdx}
+		ctl.granted[m] = dIdx
+		ctl.curDesW += ctl.dom.PowerAt(dIdx)
 	}
+	ctl.reallocate()
 }
 
-// epochDemandW closes every domain's demand window at the barrier time
-// upTo and returns the socket's total time-weighted mean desired power —
-// the demand signal a hierarchical fleet feeds the budget tree.
-func (s *cappedSetup) epochDemandW(upTo sim.Time) float64 {
-	var sum float64
-	for _, ctl := range s.ctls {
-		sum += ctl.epochReport(upTo)
-	}
-	return sum
-}
-
-// domainStats finalizes every domain's accounting (nil-safe; nil when the
-// run was uncapped).
-func (s *cappedSetup) domainStats() []capping.DomainStats {
-	if s == nil {
+// domainStats finalizes the domain's accounting as Result.Capping's one
+// entry (nil-safe; nil when the run was uncapped).
+func (ctl *domainCtl) domainStats() []capping.DomainStats {
+	if ctl == nil {
 		return nil
 	}
-	out := make([]capping.DomainStats, len(s.ctls))
-	for i, ctl := range s.ctls {
-		out[i] = ctl.finalize()
-	}
-	return out
+	return []capping.DomainStats{ctl.finalize()}
 }

@@ -36,7 +36,6 @@ func TestAttachOffGridInitialClamps(t *testing.T) {
 		dom:     dom,
 		alloc:   capping.Waterfill{},
 		cores:   make([]*queueing.Core, 2),
-		idx:     []int{0, 1},
 		demands: make([]capping.Demand, 2),
 		grants:  make([]int, 2),
 		granted: make([]int, 2),
@@ -54,8 +53,7 @@ func TestAttachOffGridInitialClamps(t *testing.T) {
 		cores[i] = c
 	}
 
-	setup := &cappedSetup{ctls: []*domainCtl{ctl}}
-	setup.attach(cores) // panicked (power[-1]) before the clamp fix
+	ctl.attach(cores) // panicked (power[-1]) before the clamp fix
 
 	wantIdx := domGrid.Index(domGrid.ClampUp(2000))
 	if wantIdx < 0 {
@@ -89,11 +87,11 @@ func TestCappedOffGridInitialMHzRejected(t *testing.T) {
 }
 
 // TestCappedConfigProperties is the property sweep over capped cluster
-// configs: single-member domains, multi-domain splits, caps at exactly
-// n·P_min, binding, generous and +Inf caps — no run may panic, every
-// feasible domain must hold Σ granted power within its cap at all times
-// (PeakPowerW is the running max), and infeasible domains must account
-// CapExceededNs over effectively the whole run.
+// configs: 1–5 cores under caps at exactly n·P_min, binding, generous and
+// +Inf — no run may panic, a feasible domain must hold Σ granted power
+// within its cap at all times (PeakPowerW is the running max), and an
+// infeasible one must account CapExceededNs over effectively the whole
+// run.
 func TestCappedConfigProperties(t *testing.T) {
 	app := workload.Masstree()
 	grid := cpu.DefaultGrid()
@@ -102,45 +100,25 @@ func TestCappedConfigProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 24; trial++ {
 		cores := 1 + r.Intn(5)
-		var domains [][]int
-		switch r.Intn(3) {
-		case 0:
-			// Default: one implicit domain spanning every core.
-		case 1:
-			// Single-member domains: every core budgeted alone.
-			for i := 0; i < cores; i++ {
-				domains = append(domains, []int{i})
-			}
-		default:
-			// A leading pair plus singletons, when enough cores exist.
-			if cores >= 2 {
-				domains = append(domains, []int{0, 1})
-				for i := 2; i < cores; i++ {
-					domains = append(domains, []int{i})
-				}
-			}
-		}
-		domSize := cores
-		if len(domains) > 0 {
-			domSize = len(domains[0])
-		}
+		// This draw used to pick a power-domain shape; it stays so every
+		// later draw, and so every trial's inputs, are unchanged.
+		r.Intn(3)
 		var capW float64
 		var infeasible bool
 		switch r.Intn(4) {
 		case 0:
-			capW = float64(domSize) * minW // exactly n·P_min: feasible boundary
+			capW = float64(cores) * minW // exactly n·P_min: feasible boundary
 		case 1:
 			capW = math.Inf(1)
 		case 2:
-			capW = float64(domSize) * (minW + r.Float64()*8)
+			capW = float64(cores) * (minW + r.Float64()*8)
 		default:
-			capW = float64(domSize) * minW * (0.2 + 0.6*r.Float64()) // below the floor
+			capW = float64(cores) * minW * (0.2 + 0.6*r.Float64()) // below the floor
 			infeasible = true
 		}
 
 		cfg := rubikClusterConfig(t, cores, 500_000)
 		cfg.CapW = capW
-		cfg.PowerDomains = domains
 		alloc, err := capping.ByName(capping.Names()[r.Intn(len(capping.Names()))])
 		if err != nil {
 			t.Fatal(err)
@@ -149,7 +127,7 @@ func TestCappedConfigProperties(t *testing.T) {
 		src := workload.NewLoadSource(app, 0.4*float64(cores), 400, int64(trial))
 		res, err := RunSource(src, cfg)
 		if err != nil {
-			t.Fatalf("trial %d (cap %v, domains %v): %v", trial, capW, domains, err)
+			t.Fatalf("trial %d (cap %v): %v", trial, capW, err)
 		}
 		for di, ds := range res.Capping {
 			n := len(ds.Cores)

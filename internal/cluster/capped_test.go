@@ -201,49 +201,24 @@ func TestInfeasibleCapAccounted(t *testing.T) {
 	}
 }
 
-// TestPowerDomainsValidation exercises the wiring error paths.
-func TestPowerDomainsValidation(t *testing.T) {
-	app := workload.Masstree()
-	tr := workload.GenerateAtLoad(app, 0.5, 50, 1)
-	base := func() Config {
-		cfg := DefaultConfig()
-		cfg.Cores = 4
-		return cfg
-	}
+// TestCappedClusterValidation exercises the capping wiring's error
+// paths: each config must be rejected with an error, never a panic.
+func TestCappedClusterValidation(t *testing.T) {
+	tr := workload.GenerateAtLoad(workload.Masstree(), 0.5, 50, 1)
 	cases := []struct {
 		name string
 		mut  func(*Config)
 	}{
-		{"domains without cap", func(c *Config) { c.PowerDomains = [][]int{{0, 1}} }},
 		{"negative cap", func(c *Config) { c.CapW = -3 }},
-		{"empty domain", func(c *Config) { c.CapW = 20; c.PowerDomains = [][]int{{}} }},
-		{"member out of range", func(c *Config) { c.CapW = 20; c.PowerDomains = [][]int{{0, 7}} }},
-		{"duplicate member", func(c *Config) { c.CapW = 20; c.PowerDomains = [][]int{{0, 1}, {1, 2}} }},
+		{"negative cores under a cap", func(c *Config) { c.CapW = 20; c.Cores = -1 }},
+		{"nil policy factory under a cap", func(c *Config) { c.CapW = 20; c.NewPolicy = nil }},
 	}
 	for _, cse := range cases {
-		cfg := base()
+		cfg := DefaultConfig()
+		cfg.Cores = 4
 		cse.mut(&cfg)
 		if _, err := Run(tr, cfg); err == nil {
 			t.Errorf("%s: accepted", cse.name)
-		}
-	}
-
-	// Two disjoint sockets plus an uncapped core are valid; each domain is
-	// budgeted and accounted separately.
-	cfg := base()
-	cfg.Cores = 5
-	cfg.CapW = 8
-	cfg.PowerDomains = [][]int{{0, 1}, {2, 3}}
-	res, err := Run(workload.GenerateAtLoad(app, 0.5*5, 2000, 3), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Capping) != 2 {
-		t.Fatalf("got %d domains, want 2", len(res.Capping))
-	}
-	for i, d := range res.Capping {
-		if want := []int{2 * i, 2*i + 1}; !reflect.DeepEqual(d.Cores, want) {
-			t.Errorf("domain %d cores %v, want %v", i, d.Cores, want)
 		}
 	}
 }

@@ -35,19 +35,14 @@ type Config struct {
 	// stateful (Rubik profiles online), so every core needs a fresh one.
 	NewPolicy func(core int) (queueing.Policy, error)
 
-	// CapW, when > 0, runs the cluster under shared power budgets: every
-	// power domain's cores have their per-core frequency choices filtered
-	// through Allocator so that the sum of granted active powers stays
-	// within CapW per domain (see internal/capping). 0 (the default) is
-	// completely uncapped — the run is byte-identical to a config without
-	// the capping fields. +Inf never binds; a negative or NaN cap is an
-	// error.
+	// CapW, when > 0, runs the cluster under one shared power budget: the
+	// socket is one power domain spanning every core, whose per-core
+	// frequency choices are filtered through Allocator so that the sum
+	// of granted active powers stays within CapW (see internal/capping).
+	// 0 (the default) is completely uncapped — the run is byte-identical
+	// to a config without the capping fields. +Inf never binds; a
+	// negative or NaN cap is an error.
 	CapW float64
-	// PowerDomains groups core indices into power domains (sockets), each
-	// budgeted at CapW. Nil with CapW set means one domain spanning every
-	// core. A core may belong to at most one domain; cores outside every
-	// domain run uncapped.
-	PowerDomains [][]int
 	// Allocator is the budget strategy (default: capping.Waterfill).
 	Allocator capping.Allocator
 
@@ -95,8 +90,8 @@ type Result struct {
 	Routed []int
 	// EndTime is when the last event fired (all cores share the engine).
 	EndTime sim.Time
-	// Capping holds per-domain power budget accounting, in Config
-	// PowerDomains order. Nil when the run was uncapped (Config.CapW 0).
+	// Capping holds the socket domain's power budget accounting as its
+	// one entry. Nil when the run was uncapped (Config.CapW 0).
 	Capping []capping.DomainStats
 }
 
@@ -335,7 +330,7 @@ func buildCores(eng *sim.Engine, cfg Config) ([]*queueing.Core, error) {
 }
 
 // finalize assembles the per-core results and the capping accounting.
-func finalize(eng *sim.Engine, cores []*queueing.Core, dispatcher string, routed []int, capped *cappedSetup) Result {
+func finalize(eng *sim.Engine, cores []*queueing.Core, dispatcher string, routed []int, capped *domainCtl) Result {
 	res := Result{
 		Dispatcher: dispatcher,
 		PerCore:    make([]queueing.Result, len(cores)),
@@ -359,7 +354,7 @@ type socketSim struct {
 	cfg     Config
 	cores   []*queueing.Core
 	feed    *queueing.Feeder
-	capped  *cappedSetup
+	capped  *domainCtl
 	routed  []int
 	pickErr error
 	drained bool

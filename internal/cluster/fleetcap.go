@@ -81,13 +81,9 @@ func newBudgetTree(cfg FleetConfig) (*budgetTree, error) {
 	return t, nil
 }
 
-// scheduleCap arms a budget retarget at t on each of the socket's domains
-// (hierarchical sockets have exactly one, spanning the socket).
+// scheduleCap arms a retarget of the socket's budget to w at t.
 func (s *socketSim) scheduleCap(t sim.Time, w float64) {
-	for _, ctl := range s.capped.ctls {
-		ctl := ctl
-		s.eng.At(t, func() { ctl.applyCap(w) })
-	}
+	s.eng.At(t, func() { s.capped.applyCap(w) })
 }
 
 // barrier closes the epoch ending at target: collect demand in socket
@@ -103,7 +99,7 @@ func (t *budgetTree) barrier(target sim.Time, sims []*socketSim) {
 			t.demandW[s] = t.h.LeafFloorW()
 			continue
 		}
-		t.demandW[s] = sm.capped.epochDemandW(target)
+		t.demandW[s] = sm.capped.epochReport(target)
 	}
 	grants := t.h.Reallocate(t.demandW)
 	for s, sm := range sims {

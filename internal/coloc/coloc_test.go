@@ -114,6 +114,14 @@ func TestRunCoreValidation(t *testing.T) {
 	if _, err := RunCore(cfg); err == nil {
 		t.Fatal("off-grid initial frequency must error")
 	}
+	unbounded := CoreConfig{
+		App: workload.Masstree(), Batch: mustBatch(t, "gcc"),
+		Source: workload.NewLoadSource(workload.Masstree(), 0.3, -1, 1),
+		Grid:   cpu.DefaultGrid(), Power: cpu.DefaultPowerModel(),
+	}
+	if _, err := RunCore(unbounded); err == nil {
+		t.Fatal("unbounded source must error")
+	}
 }
 
 func TestColocationInflatesServiceTimes(t *testing.T) {
@@ -229,6 +237,16 @@ func TestSchemeValidation(t *testing.T) {
 	if _, err := RunStaticColocServer(cfg2, 0); err == nil {
 		t.Fatal("missing static frequency must error")
 	}
+	// An unbounded LC stream never drains: it must be rejected, not run
+	// forever.
+	unbounded := DefaultSchemeConfig(app, []workload.BatchApp{mustBatch(t, "gcc")}, 0.3, 1e6, 1)
+	unbounded.RequestsPerCore = -1
+	if _, err := RunStaticColocServer(unbounded, cpu.NominalMHz); err == nil {
+		t.Fatal("StaticColoc accepted an unbounded stream")
+	}
+	if _, err := RunRubikColocServer(unbounded); err == nil {
+		t.Fatal("RubikColoc accepted an unbounded stream")
+	}
 }
 
 func TestAllocateRespectsTDP(t *testing.T) {
@@ -299,5 +317,15 @@ func TestHWServersViolateTails(t *testing.T) {
 func TestRunHWServerValidation(t *testing.T) {
 	if _, err := RunHWServer(ServerConfig{}); err == nil {
 		t.Fatal("empty mix must error")
+	}
+	// An unbounded LC stream never drains: it must be rejected, not run
+	// forever.
+	if _, err := RunHWServer(ServerConfig{
+		App: workload.Masstree(), Mix: []workload.BatchApp{mustBatch(t, "gcc")},
+		Load: 0.3, RequestsPerCore: -1, Seed: 1,
+		Grid: cpu.DefaultGrid(), Power: cpu.DefaultPowerModel(),
+		Interference: DefaultInterference(),
+	}); err == nil {
+		t.Fatal("HW server accepted an unbounded stream")
 	}
 }

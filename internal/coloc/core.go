@@ -20,14 +20,12 @@ type CoreConfig struct {
 	// Trace is the LC request stream.
 	Trace workload.Trace
 	// Source, when set, streams the LC requests instead of Trace — any
-	// scenario source (bursty, diurnal, flash-crowd, modulated) without
-	// materializing it. A materialized Trace and its Source are
-	// byte-identical under replay.
+	// bounded scenario source (bursty, diurnal, flash-crowd, modulated)
+	// without materializing it. A materialized Trace and its Source are
+	// byte-identical under replay. The run drains the stream, so a
+	// source of unknown length (Len() < 0: unbounded generators and
+	// closed-loop populations) is an error.
 	Source workload.Source
-	// Deadline, when > 0, stops the simulation at that time instead of
-	// draining the LC stream — the termination bound for unbounded
-	// sources (n < 0 generators), which never drain.
-	Deadline sim.Time
 	// LCPolicy decides LC frequencies (nil when an external allocator —
 	// HW-T / HW-TPW — owns the frequency).
 	LCPolicy queueing.Policy
@@ -110,9 +108,9 @@ func newCore(eng *sim.Engine, cfg CoreConfig) (*core, error) {
 	if src == nil {
 		src = workload.NewTraceSource(cfg.Trace)
 	}
-	expected := 0
-	if n := src.Len(); n > 0 {
-		expected = n
+	expected := src.Len()
+	if expected < 0 {
+		return nil, fmt.Errorf("coloc: LC source of unknown length %d: a colocated run drains its stream", expected)
 	}
 	qc, err := queueing.NewCore(eng, cfg.LCPolicy, queueing.Config{
 		Grid:              cfg.Grid,
@@ -142,9 +140,6 @@ func newCore(eng *sim.Engine, cfg CoreConfig) (*core, error) {
 		// Only actuate the LC policy's periodic tick while the LC app owns
 		// the core.
 		GateTick: func() bool { return qc.QueueLen() > 0 },
-		// Completion-aware sources (closed-loop clients) get their
-		// feedback; a no-op for ordinary sources.
-		Completion: func(comp queueing.Completion) { c.feed.NotifyCompletion(comp.Done) },
 	})
 	c.feed = queueing.NewSourceFeeder(eng, src, qc.Enqueue)
 	return c, nil
@@ -229,7 +224,7 @@ func (c *core) result() CoreResult {
 }
 
 // RunCore simulates a single colocated core to completion of its LC
-// stream, or to cfg.Deadline when set (required for unbounded sources).
+// stream.
 func RunCore(cfg CoreConfig) (CoreResult, error) {
 	eng := sim.NewEngine()
 	c, err := newCore(eng, cfg)
@@ -237,6 +232,6 @@ func RunCore(cfg CoreConfig) (CoreResult, error) {
 		return CoreResult{}, err
 	}
 	c.start()
-	eng.RunUntilOrDrain(cfg.Deadline)
+	eng.Run()
 	return c.result(), nil
 }

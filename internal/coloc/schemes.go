@@ -21,15 +21,11 @@ type SchemeConfig struct {
 	Mix []workload.BatchApp
 	// Load is the LC load fraction per core.
 	Load float64
-	// RequestsPerCore is the LC trace length per core.
+	// RequestsPerCore is the LC stream length per core (negative, i.e.
+	// unbounded, is an error): core i streams Poisson arrivals at Load,
+	// seeded Seed + 101·i.
 	RequestsPerCore int
 	Seed            int64
-	// NewSource, when set, supplies core i's LC request stream instead of
-	// the default streaming Poisson generator at Load.
-	NewSource func(core int) workload.Source
-	// Deadline, when > 0, stops each core's simulation at that time —
-	// the termination bound when NewSource supplies unbounded streams.
-	Deadline sim.Time
 	// BoundNs is the LC tail latency bound (RubikColoc only).
 	BoundNs float64
 
@@ -82,15 +78,10 @@ func runIndependentCores(cfg SchemeConfig, mkPolicy func(int) (queueing.Policy, 
 		if err != nil {
 			return ServerResult{}, err
 		}
-		src := workload.Source(workload.NewLoadSource(cfg.App, cfg.Load, cfg.RequestsPerCore, cfg.Seed+int64(i)*101))
-		if cfg.NewSource != nil {
-			src = cfg.NewSource(i)
-		}
 		cr, err := RunCore(CoreConfig{
 			App:               cfg.App,
 			Batch:             b,
-			Source:            src,
-			Deadline:          cfg.Deadline,
+			Source:            workload.NewLoadSource(cfg.App, cfg.Load, cfg.RequestsPerCore, cfg.Seed+int64(i)*101),
 			LCPolicy:          pol,
 			Grid:              cfg.Grid,
 			Power:             cfg.Power,

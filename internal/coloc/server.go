@@ -128,27 +128,30 @@ type ServerConfig struct {
 	App  workload.LCApp
 	Mix  []workload.BatchApp
 	Load float64
-	// RequestsPerCore is the LC trace length per core.
+	// RequestsPerCore is the LC stream length per core (negative, i.e.
+	// unbounded, is an error): core i streams Poisson arrivals at Load,
+	// seeded Seed + 101·i.
 	RequestsPerCore int
 	Seed            int64
-	// NewSource, when set, supplies core i's LC request stream instead of
-	// the default streaming Poisson generator at Load (scenario sources,
-	// closed-loop populations).
-	NewSource func(core int) workload.Source
-	// Deadline, when > 0, stops the simulation at that time — the
-	// termination bound when NewSource supplies unbounded streams.
-	Deadline sim.Time
 
 	Grid              cpu.Grid
 	Power             cpu.PowerModel
 	TransitionLatency sim.Time
 	Interference      Interference
-	// Epoch is the allocator cadence (paper: 100 us).
-	Epoch sim.Time
-	// TDPCoreW is the core-power budget the allocator respects.
-	TDPCoreW  float64
-	Objective HWObjective
+	Objective         HWObjective
 }
+
+const (
+	// hwEpoch is the hardware allocator's cadence (paper: 100 us).
+	hwEpoch = 100 * sim.Microsecond
+	// tdpCoreW is the core-power budget the allocator respects. The
+	// chip's 65 W TDP (paper Table 2) covers uncore and the memory
+	// interface too; with all six cores busy — which colocation
+	// guarantees — roughly 36 W remains for the cores. A binding core
+	// budget is what lets high-IPC batch occupants starve LC cores
+	// under HW-T, the failure mode Fig. 15 shows.
+	tdpCoreW = 33
+)
 
 // ServerResult pools the per-core results of a 6-core server.
 type ServerResult struct {
@@ -189,30 +192,15 @@ func RunHWServer(cfg ServerConfig) (ServerResult, error) {
 	if len(cfg.Mix) == 0 {
 		return ServerResult{}, fmt.Errorf("coloc: empty batch mix")
 	}
-	if cfg.Epoch <= 0 {
-		cfg.Epoch = 100 * sim.Microsecond
-	}
-	if cfg.TDPCoreW == 0 {
-		// The chip's 65 W TDP (paper Table 2) covers uncore and the memory
-		// interface too; with all six cores busy — which colocation
-		// guarantees — roughly 36 W remains for the cores. A binding core
-		// budget is what lets high-IPC batch occupants starve LC cores
-		// under HW-T, the failure mode Fig. 15 shows.
-		cfg.TDPCoreW = 33
-	}
 	eng := sim.NewEngine()
 	cores := make([]*core, len(cfg.Mix))
 	for i, b := range cfg.Mix {
-		// Streaming by default: byte-identical to materializing the trace
+		// Streaming: byte-identical to materializing the trace
 		// (GenerateAtLoad) at the same seed, without holding it.
-		src := workload.Source(workload.NewLoadSource(cfg.App, cfg.Load, cfg.RequestsPerCore, cfg.Seed+int64(i)*101))
-		if cfg.NewSource != nil {
-			src = cfg.NewSource(i)
-		}
 		cc, err := newCore(eng, CoreConfig{
 			App:               cfg.App,
 			Batch:             b,
-			Source:            src,
+			Source:            workload.NewLoadSource(cfg.App, cfg.Load, cfg.RequestsPerCore, cfg.Seed+int64(i)*101),
 			LCPolicy:          nil,
 			ExternalFreq:      true,
 			Grid:              cfg.Grid,
@@ -273,7 +261,7 @@ func RunHWServer(cfg ServerConfig) (ServerResult, error) {
 				}
 			}
 		}
-		freqs := allocate(curves, floors, cfg.Grid, cfg.Power, cfg.TDPCoreW, cfg.Objective)
+		freqs := allocate(curves, floors, cfg.Grid, cfg.Power, tdpCoreW, cfg.Objective)
 		anyWork := false
 		for i, c := range cores {
 			c.accrue()
@@ -283,12 +271,12 @@ func RunHWServer(cfg ServerConfig) (ServerResult, error) {
 			}
 		}
 		if anyWork {
-			eng.RescheduleAfter(epochH, cfg.Epoch)
+			eng.RescheduleAfter(epochH, hwEpoch)
 		}
 	}
 	epochH = eng.Register(epochTick)
-	eng.RescheduleAfter(epochH, cfg.Epoch)
-	eng.RunUntilOrDrain(cfg.Deadline)
+	eng.RescheduleAfter(epochH, hwEpoch)
+	eng.Run()
 
 	res := ServerResult{Cores: make([]CoreResult, len(cores))}
 	for i, c := range cores {

@@ -6,7 +6,6 @@ import (
 
 	"rubik/internal/cpu"
 	"rubik/internal/queueing"
-	"rubik/internal/sim"
 	"rubik/internal/workload"
 )
 
@@ -45,72 +44,5 @@ func TestRunCoreSourceMatchesTrace(t *testing.T) {
 	}
 	if len(got.Completions) != n {
 		t.Fatalf("served %d of %d", len(got.Completions), n)
-	}
-
-	// An unbounded source terminates via the deadline instead of hanging,
-	// and an unreached deadline leaves a draining run untouched.
-	deadline := base
-	deadline.Source = workload.NewLoadSource(app, 0.5, -1, seed)
-	deadline.Deadline = 20 * sim.Millisecond
-	bounded, err := RunCore(deadline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bounded.EndTime != deadline.Deadline {
-		t.Fatalf("deadline run ended at %v, want %v", bounded.EndTime, deadline.Deadline)
-	}
-	if len(bounded.Completions) < 20 {
-		t.Fatalf("deadline run served only %d", len(bounded.Completions))
-	}
-	safety := viaSource
-	safety.Source = workload.NewLoadSource(app, 0.5, n, seed)
-	safety.Deadline = 3600 * sim.Second
-	unperturbed, err := RunCore(safety)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(unperturbed, want) {
-		t.Fatal("an unreached deadline perturbed a draining coloc run")
-	}
-}
-
-// TestSchemeNewSourceOverride checks the per-core source factory plumbs
-// through the software-managed scheme runner.
-func TestSchemeNewSourceOverride(t *testing.T) {
-	app := workload.Masstree()
-	mix := workload.BatchPool()[:2]
-	cfg := DefaultSchemeConfig(app, mix, 0.5, 2e6, 7)
-	cfg.RequestsPerCore = 500
-
-	// Default: streaming Poisson per core.
-	def, err := RunRubikColocServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Override with the same streams, explicitly: identical result.
-	cfg.NewSource = func(i int) workload.Source {
-		return workload.NewLoadSource(app, 0.5, 500, 7+int64(i)*101)
-	}
-	over, err := RunRubikColocServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(def, over) {
-		t.Fatal("explicit per-core sources diverged from the default streams")
-	}
-	// A genuinely different scenario changes the result.
-	cfg.NewSource = func(i int) workload.Source {
-		sc, err := workload.ScenarioByName("bursty")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sc.New(app, 0.5, 500, 7+int64(i)*101)
-	}
-	burst, err := RunRubikColocServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(def, burst) {
-		t.Fatal("bursty scenario produced the identical result — override not applied")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 
-	"rubik/internal/cluster"
 	"rubik/internal/coloc"
 	rubikcore "rubik/internal/core"
 	"rubik/internal/cpu"
@@ -39,12 +38,6 @@ type Config struct {
 	RequestsPerCore int
 	// BoundRequests is the trace length used to derive tail bounds.
 	BoundRequests int
-	// UseClusterSim replaces the analytic per-core extrapolation of the
-	// segregated LC servers with a real multi-core cluster simulation
-	// (cluster.Run with CoresPerServer cores behind a JSQ dispatcher):
-	// server power then reflects simulated queueing and idle time instead
-	// of a single-core busy-fraction estimate.
-	UseClusterSim bool
 	Seed          int64
 
 	Grid              cpu.Grid
@@ -135,7 +128,11 @@ func NewModel(cfg Config) (*Model, error) {
 // Bound returns the latency bound for an app.
 func (m *Model) Bound(app string) float64 { return m.bounds[app] }
 
-// Segregated evaluates the segregated datacenter at an LC load.
+// Segregated evaluates the segregated datacenter at an LC load. Each LC
+// server's power is extrapolated from one core's StaticOracle replay
+// (its busy fraction at the oracle frequency), the estimate Fig. 16
+// uses; TestSegregatedClusterSim checks it against a simulated
+// CoresPerServer-core cluster.
 func (m *Model) Segregated(load float64) (FleetResult, error) {
 	cfg := m.cfg
 	out := FleetResult{BatchUnitsPerSec: map[string]float64{}}
@@ -148,26 +145,18 @@ func (m *Model) Segregated(load float64) (FleetResult, error) {
 		if err != nil {
 			return FleetResult{}, err
 		}
-		var serverPower float64
-		if cfg.UseClusterSim {
-			serverPower, err = m.clusterServerPower(app, load, so.MHz)
-			if err != nil {
-				return FleetResult{}, err
-			}
-		} else {
-			duration := float64(so.Result.Dones[len(so.Result.Dones)-1])
-			busyNs := 0.0
-			for _, r := range tr.Requests {
-				busyNs += r.ServiceNs(so.MHz)
-			}
-			busyFrac := busyNs / duration
-			if busyFrac > 1 {
-				busyFrac = 1
-			}
-			corePower := cfg.Power.ActivePower(so.MHz)*busyFrac + cfg.Power.SleepPower()*(1-busyFrac)
-			serverPower = float64(cfg.CoresPerServer)*corePower +
-				cfg.System.NonCorePower(float64(cfg.CoresPerServer)*busyFrac)
+		duration := float64(so.Result.Dones[len(so.Result.Dones)-1])
+		busyNs := 0.0
+		for _, r := range tr.Requests {
+			busyNs += r.ServiceNs(so.MHz)
 		}
+		busyFrac := busyNs / duration
+		if busyFrac > 1 {
+			busyFrac = 1
+		}
+		corePower := cfg.Power.ActivePower(so.MHz)*busyFrac + cfg.Power.SleepPower()*(1-busyFrac)
+		serverPower := float64(cfg.CoresPerServer)*corePower +
+			cfg.System.NonCorePower(float64(cfg.CoresPerServer)*busyFrac)
 		out.LCPowerW += float64(cfg.LCServersPerApp) * serverPower
 		out.LCServers += cfg.LCServersPerApp
 	}
@@ -185,42 +174,6 @@ func (m *Model) Segregated(load float64) (FleetResult, error) {
 		out.BatchServers += cfg.BatchServersPerMix
 	}
 	return out, nil
-}
-
-// clusterServerPower estimates one segregated LC server's power by
-// actually simulating it: CoresPerServer cores at the StaticOracle
-// frequency behind a JSQ dispatcher, fed the server's aggregate Poisson
-// stream. Unlike the per-core extrapolation it captures cross-core load
-// imbalance and the real idle-time distribution.
-func (m *Model) clusterServerPower(app workload.LCApp, load float64, staticMHz int) (float64, error) {
-	cfg := m.cfg
-	n := cfg.RequestsPerCore * cfg.CoresPerServer
-	tr := workload.GenerateAtLoad(app, load*float64(cfg.CoresPerServer), n, cfg.Seed+13)
-	res, err := cluster.Run(tr, cluster.Config{
-		Cores:      cfg.CoresPerServer,
-		Dispatcher: cluster.NewJSQ(),
-		Core: queueing.Config{
-			Grid:              cfg.Grid,
-			Power:             cfg.Power,
-			TransitionLatency: cfg.TransitionLatency,
-			WakeLatency:       5 * sim.Microsecond,
-			InitialMHz:        staticMHz,
-		},
-		NewPolicy: func(int) (queueing.Policy, error) {
-			return queueing.FixedPolicy{MHz: staticMHz}, nil
-		},
-	})
-	if err != nil {
-		return 0, err
-	}
-	durS := float64(res.EndTime) / 1e9
-	if durS <= 0 {
-		return 0, fmt.Errorf("datacenter: empty cluster simulation for %s", app.Name)
-	}
-	// Unlike the analytic branch's per-core power, this is already the
-	// whole core complex: TotalEnergyJ sums all CoresPerServer cores.
-	coresPower := res.TotalEnergyJ() / durS
-	return coresPower + cfg.System.NonCorePower(res.MeanBusyCores()), nil
 }
 
 // coreKey caches colocated core simulations by (app, batch partner); the

@@ -1,7 +1,14 @@
 package datacenter
 
 import (
+	"fmt"
 	"testing"
+
+	"rubik/internal/cluster"
+	"rubik/internal/policy"
+	"rubik/internal/queueing"
+	"rubik/internal/sim"
+	"rubik/internal/workload"
 )
 
 // smallConfig shrinks the fleet so tests stay fast while keeping every
@@ -84,17 +91,11 @@ func TestSegregatedFleet(t *testing.T) {
 }
 
 func TestSegregatedClusterSim(t *testing.T) {
-	// The cluster-backed segregated estimate must agree with the analytic
-	// per-core extrapolation to first order (same oracle frequencies, same
+	// The analytic segregated LC power must agree with the cluster-
+	// simulated oracle to first order (same oracle frequencies, same
 	// offered load — the simulation only adds real queueing and idle-time
-	// structure) and remain load-monotonic.
-	cfg := smallConfig()
-	m, err := NewModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.UseClusterSim = true
-	mc, err := NewModel(cfg)
+	// structure), and the oracle must remain load-monotonic.
+	m, err := NewModel(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,28 +103,77 @@ func TestSegregatedClusterSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := mc.Segregated(0.3)
-	if err != nil {
-		t.Fatal(err)
+	simW := clusterSegregatedLCPowerW(t, m, 0.3)
+	if simW <= 0 {
+		t.Fatalf("cluster-simulated LC power %v", simW)
 	}
-	if sim.LCServers != ana.LCServers || sim.BatchPowerW != ana.BatchPowerW {
-		t.Fatalf("cluster sim changed non-LC fields: %+v vs %+v", sim, ana)
-	}
-	if sim.LCPowerW <= 0 {
-		t.Fatalf("cluster-simulated LC power %v", sim.LCPowerW)
-	}
-	if ratio := sim.LCPowerW / ana.LCPowerW; ratio < 0.7 || ratio > 1.3 {
+	if ratio := simW / ana.LCPowerW; ratio < 0.7 || ratio > 1.3 {
 		t.Errorf("cluster-simulated LC power %.0f W vs analytic %.0f W (ratio %.2f)",
-			sim.LCPowerW, ana.LCPowerW, ratio)
+			simW, ana.LCPowerW, ratio)
 	}
-	sim10, err := mc.Segregated(0.1)
+	if sim10 := clusterSegregatedLCPowerW(t, m, 0.1); sim10 >= simW {
+		t.Errorf("cluster-simulated LC power did not fall with load: %v vs %v", sim10, simW)
+	}
+}
+
+// clusterSegregatedLCPowerW is the test oracle for Segregated's LC power:
+// every app's servers at the same StaticOracle frequency, each server's
+// power taken from clusterServerPower instead of the analytic per-core
+// extrapolation.
+func clusterSegregatedLCPowerW(t *testing.T, m *Model, load float64) float64 {
+	t.Helper()
+	cfg := m.cfg
+	rcfg := policy.ReplayConfig{Power: cfg.Power, WakeLatency: 5 * sim.Microsecond}
+	var total float64
+	for _, app := range m.apps {
+		tr := workload.GenerateAtLoad(app, load, cfg.RequestsPerCore, cfg.Seed+13)
+		so, err := policy.StaticOracle(tr, cfg.Grid, m.bounds[app.Name], 0.95, rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serverPower, err := clusterServerPower(m, app, load, so.MHz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += float64(cfg.LCServersPerApp) * serverPower
+	}
+	return total
+}
+
+// clusterServerPower estimates one segregated LC server's power by
+// actually simulating it: CoresPerServer cores at the StaticOracle
+// frequency behind a JSQ dispatcher, fed the server's aggregate Poisson
+// stream. Unlike the per-core extrapolation it captures cross-core load
+// imbalance and the real idle-time distribution.
+func clusterServerPower(m *Model, app workload.LCApp, load float64, staticMHz int) (float64, error) {
+	cfg := m.cfg
+	n := cfg.RequestsPerCore * cfg.CoresPerServer
+	tr := workload.GenerateAtLoad(app, load*float64(cfg.CoresPerServer), n, cfg.Seed+13)
+	res, err := cluster.Run(tr, cluster.Config{
+		Cores:      cfg.CoresPerServer,
+		Dispatcher: cluster.NewJSQ(),
+		Core: queueing.Config{
+			Grid:              cfg.Grid,
+			Power:             cfg.Power,
+			TransitionLatency: cfg.TransitionLatency,
+			WakeLatency:       5 * sim.Microsecond,
+			InitialMHz:        staticMHz,
+		},
+		NewPolicy: func(int) (queueing.Policy, error) {
+			return queueing.FixedPolicy{MHz: staticMHz}, nil
+		},
+	})
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
-	if sim10.LCPowerW >= sim.LCPowerW {
-		t.Errorf("cluster-simulated LC power did not fall with load: %v vs %v",
-			sim10.LCPowerW, sim.LCPowerW)
+	durS := float64(res.EndTime) / 1e9
+	if durS <= 0 {
+		return 0, fmt.Errorf("datacenter: empty cluster simulation for %s", app.Name)
 	}
+	// Unlike the analytic per-core power, this is already the whole core
+	// complex: TotalEnergyJ sums all CoresPerServer cores.
+	coresPower := res.TotalEnergyJ() / durS
+	return coresPower + cfg.System.NonCorePower(res.MeanBusyCores()), nil
 }
 
 func TestColocatedBeatsSegregated(t *testing.T) {

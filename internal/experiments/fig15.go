@@ -7,7 +7,6 @@ import (
 
 	"rubik/internal/coloc"
 	"rubik/internal/policy"
-	"rubik/internal/sim"
 	"rubik/internal/stats"
 	"rubik/internal/workload"
 )
@@ -92,7 +91,6 @@ func Fig15(opts Options) (*Fig15Result, error) {
 					Power:             h.power,
 					TransitionLatency: h.qcfg.TransitionLatency,
 					Interference:      coloc.DefaultInterference(),
-					Epoch:             100 * sim.Microsecond,
 					Objective:         obj,
 				})
 				if err != nil {

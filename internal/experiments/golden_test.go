@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden experiment outputs
 // results, not just statistically similar ones. Regenerate deliberately
 // with: go test ./internal/experiments -run TestGoldenOutputs -update
 func TestGoldenOutputs(t *testing.T) {
-	for _, id := range []string{"fig1a", "fig9", "clusterscale", "scenarios", "capping", "fleetscale", "fleetcap"} {
+	for _, id := range []string{"fig1a", "fig9", "clusterscale", "scenarios", "capping", "fleetscale", "fleetcap", "fig15", "fig16"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			var buf bytes.Buffer

@@ -545,13 +545,6 @@ type Feeder struct {
 	registered bool
 }
 
-// NewFeeder prepares a feeder replaying a materialized request slice;
-// Start schedules the first arrival. It is NewSourceFeeder over the
-// slice's TraceSource.
-func NewFeeder(eng *sim.Engine, reqs []workload.Request, deliver func(req workload.Request)) *Feeder {
-	return NewSourceFeeder(eng, workload.NewRequestsSource(reqs), deliver)
-}
-
 // NewSourceFeeder prepares a feeder pulling from a streaming source;
 // Start schedules the first arrival.
 func NewSourceFeeder(eng *sim.Engine, src workload.Source, deliver func(req workload.Request)) *Feeder {

@@ -54,7 +54,7 @@ func TestPendingWorkCountersMatchScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.c = c
-	f := NewFeeder(eng, tr.Requests, c.Enqueue)
+	f := NewSourceFeeder(eng, workload.NewTraceSource(tr), c.Enqueue)
 	f.Start()
 	eng.Run()
 	res := c.Finalize()
@@ -87,7 +87,7 @@ func TestPendingWorkCountersWithHooks(t *testing.T) {
 			}
 		},
 	})
-	f := NewFeeder(eng, tr.Requests, c.Enqueue)
+	f := NewSourceFeeder(eng, workload.NewTraceSource(tr), c.Enqueue)
 	f.Start()
 	eng.Run()
 	if got := len(c.Completions()); got != len(tr.Requests) {
@@ -252,7 +252,7 @@ func TestFeederSingleArrivalEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFeeder(eng, tr.Requests, c.Enqueue)
+	f := NewSourceFeeder(eng, workload.NewTraceSource(tr), c.Enqueue)
 	f.Start()
 	if eng.Pending() != 1 {
 		t.Fatalf("pending after Start = %d, want 1", eng.Pending())

@@ -47,9 +47,9 @@ type Config struct {
 	// the deadline are not completed. A run that drains earlier is
 	// completely unaffected (the deadline is a pure safety bound), so it
 	// is safe to set always. 0 (the default) runs to drain. Honored by
-	// the Run/RunSource entry points here and in cluster (coloc has its
-	// own CoreConfig.Deadline); assemblies driving a Core directly bound
-	// the run themselves via sim.Engine.RunUntilOrDrain.
+	// the Run/RunSource entry points here and in cluster (coloc runs
+	// reject unbounded sources and drain); assemblies driving a Core
+	// directly bound the run themselves via sim.Engine.RunUntilOrDrain.
 	Deadline sim.Time
 }
 

@@ -315,42 +315,6 @@ func widthsCompatible(w1, w2 float64) bool {
 	return d <= 1e-9*math.Max(math.Abs(w1), math.Abs(w2))
 }
 
-// Rescale returns an equivalent PMF with the given bucket width, spreading
-// each bucket's mass uniformly over the buckets it overlaps. Used when two
-// profiled distributions must share a grid before convolution.
-func (d PMF) Rescale(width float64) PMF {
-	if len(d.P) == 0 || width <= 0 || widthsCompatible(width, d.Width) {
-		return d
-	}
-	span := float64(len(d.P)) * d.Width
-	n := int(math.Ceil(span / width))
-	if n < 1 {
-		n = 1
-	}
-	out := make([]float64, n)
-	for k, p := range d.P {
-		if p == 0 {
-			continue
-		}
-		lo := float64(k) * d.Width
-		hi := lo + d.Width
-		// Spread mass over [lo, hi) in the new grid.
-		i0 := int(lo / width)
-		i1 := int(math.Ceil(hi / width))
-		if i1 > n {
-			i1 = n
-		}
-		for i := i0; i < i1; i++ {
-			blo := math.Max(lo, float64(i)*width)
-			bhi := math.Min(hi, float64(i+1)*width)
-			if bhi > blo {
-				out[i] += p * (bhi - blo) / d.Width
-			}
-		}
-	}
-	return PMF{Origin: d.Origin, Width: width, P: out}
-}
-
 // Percentile returns the q-quantile of a sample slice by the nearest-rank
 // method, leaving samples untouched (it selects over a copy). It is the
 // definition used for all measured tail latencies in the reproduction;

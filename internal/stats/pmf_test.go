@@ -247,22 +247,6 @@ func TestConvolveWidthMismatch(t *testing.T) {
 	}
 }
 
-func TestRescalePreservesMassAndMean(t *testing.T) {
-	d := PMF{Origin: 3, Width: 1, P: []float64{0.2, 0.3, 0.5}}
-	r := d.Rescale(0.4)
-	if !approxEqual(r.Mass(), 1, 1e-9) {
-		t.Fatalf("mass = %v", r.Mass())
-	}
-	if !approxEqual(r.Mean(), d.Mean(), d.Width) {
-		t.Fatalf("mean drifted: %v vs %v", r.Mean(), d.Mean())
-	}
-	// Rescaling to the same width is a no-op.
-	same := d.Rescale(1)
-	if len(same.P) != len(d.P) {
-		t.Fatalf("same-width rescale changed shape")
-	}
-}
-
 func TestPercentileNearestRank(t *testing.T) {
 	s := []float64{5, 1, 4, 2, 3}
 	cases := []struct {

@@ -8,10 +8,8 @@ type TimedSample struct {
 }
 
 // RollingWindow keeps the samples from the trailing Span nanoseconds.
-// It backs three measurement paths from the paper:
-//   - rolling 200 ms tail-latency traces (Figs. 1b, 10),
-//   - the instantaneous-QPS CDF over a rolling 5 ms window (Fig. 2a),
-//   - the PI feedback controller's rolling 1 s measured tail (Sec. 4.2).
+// It backs the measured tail of the feedback controllers: Rubik's PI
+// loop over a rolling 1 s window (Sec. 4.2) and Pegasus's 4 s window.
 //
 // Samples must be added in non-decreasing timestamp order.
 type RollingWindow struct {
@@ -127,33 +125,4 @@ func selectKth(s []float64, k int) float64 {
 		}
 	}
 	return s[k]
-}
-
-// Mean returns the mean of the live values (0 if empty).
-func (w *RollingWindow) Mean() float64 {
-	n := w.Len()
-	if n == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range w.buf[w.head:] {
-		sum += s.V
-	}
-	return sum / float64(n)
-}
-
-// CountSince returns how many live samples have timestamps in (t-span, t].
-// The Fig. 2a instantaneous-QPS measurement uses this with span = 5 ms.
-func (w *RollingWindow) CountSince(t, span int64) int {
-	cut := t - span
-	n := 0
-	for i := len(w.buf) - 1; i >= w.head; i-- {
-		if w.buf[i].T <= cut {
-			break
-		}
-		if w.buf[i].T <= t {
-			n++
-		}
-	}
-	return n
 }

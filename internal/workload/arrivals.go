@@ -25,7 +25,7 @@ type Poisson struct {
 
 // NextGap samples an exponential interarrival gap.
 func (p Poisson) NextGap(r *rand.Rand, _ sim.Time) sim.Time {
-	if p.RatePerSec <= 0 {
+	if !(p.RatePerSec > 0) { // NaN too
 		return sim.Second // degenerate: 1 req/s
 	}
 	gap := r.ExpFloat64() / p.RatePerSec * 1e9

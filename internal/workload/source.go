@@ -73,9 +73,6 @@ type TraceSource struct {
 // NewTraceSource streams tr's requests.
 func NewTraceSource(tr Trace) *TraceSource { return &TraceSource{reqs: tr.Requests} }
 
-// NewRequestsSource streams a raw request slice.
-func NewRequestsSource(reqs []Request) *TraceSource { return &TraceSource{reqs: reqs} }
-
 // Next returns the next trace request.
 func (s *TraceSource) Next() (Request, bool) {
 	if s.next >= len(s.reqs) {

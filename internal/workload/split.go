@@ -27,15 +27,3 @@ func ShardSeed(seed int64, group int) int64 {
 	z ^= z >> 31
 	return int64(z)
 }
-
-// SplitSources builds one source per group with ShardSeed-derived seeds:
-// the deterministic fleet split of any seedable source constructor
-// (GenSource, scenario shapes, closed-loop populations). build is called
-// once per group, in group order, with the group's derived seed.
-func SplitSources(groups int, seed int64, build func(group int, seed int64) Source) []Source {
-	srcs := make([]Source, groups)
-	for g := range srcs {
-		srcs[g] = build(g, ShardSeed(seed, g))
-	}
-	return srcs
-}

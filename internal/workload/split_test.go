@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestShardSeed checks the derivation contract: stable per (seed, group),
 // distinct across groups and across fleet seeds, and not the identity on
@@ -25,39 +22,5 @@ func TestShardSeed(t *testing.T) {
 	}
 	if ShardSeed(42, 5) == ShardSeed(43, 5) {
 		t.Fatal("distinct fleet seeds derive the same group seed")
-	}
-}
-
-// TestSplitSources checks that the split yields per-group sources that
-// are deterministic (two splits agree) and mutually independent (distinct
-// groups stream distinct sequences).
-func TestSplitSources(t *testing.T) {
-	app := Masstree()
-	build := func(_ int, seed int64) Source { return NewLoadSource(app, 0.5, 50, seed) }
-	drain := func(s Source) []Request {
-		var out []Request
-		for {
-			r, ok := s.Next()
-			if !ok {
-				return out
-			}
-			out = append(out, r)
-		}
-	}
-	a := SplitSources(3, 9, build)
-	b := SplitSources(3, 9, build)
-	if len(a) != 3 {
-		t.Fatalf("got %d sources, want 3", len(a))
-	}
-	var seqs [][]Request
-	for g := range a {
-		sa, sb := drain(a[g]), drain(b[g])
-		if !reflect.DeepEqual(sa, sb) {
-			t.Fatalf("group %d: split not deterministic", g)
-		}
-		seqs = append(seqs, sa)
-	}
-	if reflect.DeepEqual(seqs[0], seqs[1]) || reflect.DeepEqual(seqs[1], seqs[2]) {
-		t.Fatal("groups stream identical sequences — derived seeds not independent")
 	}
 }

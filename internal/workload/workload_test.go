@@ -145,6 +145,9 @@ func TestPoissonArrivals(t *testing.T) {
 	if g := (Poisson{}).NextGap(r, 0); g != sim.Second {
 		t.Fatalf("zero-rate gap = %d", g)
 	}
+	if g := (Poisson{RatePerSec: math.NaN()}).NextGap(r, 0); g != sim.Second {
+		t.Fatalf("NaN-rate gap = %d", g)
+	}
 }
 
 func TestStepLoad(t *testing.T) {

@@ -290,8 +290,7 @@ func Simulate(src Source, p Policy, cfg ServerConfig) (Result, error) {
 // one shared engine, each under a fresh policy from newPolicy, with the
 // dispatcher routing arrivals. A nil dispatcher means round-robin. Set
 // the returned config's CapW and Allocator fields for a shared power
-// budget over one domain spanning every core, and PowerDomains to split
-// the cores across several sockets.
+// budget over one domain (the socket) spanning every core.
 func NewCluster(cores int, d Dispatcher, newPolicy func(core int) (Policy, error)) ClusterConfig {
 	return cluster.Config{
 		Cores:      cores,
@@ -306,7 +305,7 @@ func NewCluster(cores int, d Dispatcher, newPolicy func(core int) (Policy, error
 // (StreamTrace with load scaled by the core count models N cores at a
 // per-core load). Set cfg.CapW (and optionally cfg.Allocator, default
 // waterfill) to run under a shared power budget; the result's Capping
-// field then carries the per-domain accounting.
+// field then carries the socket domain's accounting as its one entry.
 func SimulateCluster(src Source, cfg ClusterConfig) (ClusterResult, error) {
 	return cluster.RunSource(src, cfg)
 }
