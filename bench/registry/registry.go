@@ -42,6 +42,7 @@ func All() []Bench {
 	return []Bench{
 		{"TailTableBuild", tailTableBuild(0)},
 		{"TailTableBuildCol1", tailTableBuild(1)},
+		{"TailTableBuildCol3", tailTableBuild(3)},
 		{"TailTableBuildFull", tailTableBuild(15)},
 		{"TailTableBuildOneShot", tailTableBuildOneShot},
 		{"ConvolutionPacked", convolutionPacked},
@@ -148,7 +149,9 @@ func mergeFixture(sockets, cores, perCore int) cluster.FleetResult {
 // reports 0.2 ms per update) — followed by one read of queue position
 // col, which materializes columns 0..col. A refresh runs no transform:
 // column 0 comes straight from the profiles (TailTableBuild); col 1 adds
-// the forward transform and one pruned inverse (TailTableBuildCol1); col
+// the forward transform pruned to stride 8 and one pruned inverse
+// (TailTableBuildCol1); col 3, the deepest column the paper operating
+// point reads, refines the forward to stride 4 (TailTableBuildCol3); col
 // 15 fills every column, the deep-queue worst case (TailTableBuildFull).
 func tailTableBuild(col int) func(*testing.B) {
 	return func(b *testing.B) {
@@ -188,8 +191,9 @@ func tailTableBuildOneShot(b *testing.B) {
 }
 
 // convolutionPacked runs both 16-position self-convolution chains in one
-// packed real-FFT pass: one forward transform, Hermitian half-spectrum
-// power steps, size-pruned fused inverses. Compare against 2x
+// packed real-FFT pass: forward transforms pruned to each row's stride
+// (8, 4, 2, then 1 as the rows grow), Hermitian half-spectrum power steps
+// over the computed bins, size-pruned fused inverses. Compare against 2x
 // ConvolutionFFTUnplanned, the two naive chains it replaces.
 func convolutionPacked(b *testing.B) {
 	c := uniformPMF(128)

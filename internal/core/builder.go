@@ -278,9 +278,9 @@ func relDrift(mean, std, lastMean, lastStd float64) float64 {
 	return math.Max(dm, ds)
 }
 
-// startPlan runs the forward transform of the chain pair over the
-// committed profiles on the cached plan of their size and makes it
-// b.plan, ready for RowInto.
+// startPlan begins the chain pair over the committed profiles on the
+// cached plan of their size and makes it b.plan, ready for RowInto,
+// which runs the forward transform.
 func (b *TableBuilder) startPlan() error {
 	plan, err := b.packedPlanFor(stats.PackedPlanSizeFor(len(b.distC.P), len(b.distM.P), b.maxQueue))
 	if err != nil {

@@ -210,6 +210,45 @@ func TestHostileConfigsRejected(t *testing.T) {
 	}
 }
 
+// TestFeedbackConfigValidation pins which PI settings New accepts when
+// feedback is on. Unchecked, a NaN gain pins every decision to the grid
+// minimum and a non-positive window silently disables feedback.
+func TestFeedbackConfigValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(*FeedbackConfig)
+		ok   bool
+	}{
+		{"default", func(*FeedbackConfig) {}, true},
+		{"MinScale 0.25 (coloc, datacenter)", func(f *FeedbackConfig) { f.MinScale = 0.25 }, true},
+		{"zero gains", func(f *FeedbackConfig) { f.Kp, f.Ki = 0, 0 }, true},
+		{"MinScale == MaxScale", func(f *FeedbackConfig) { f.MinScale, f.MaxScale = 1, 1 }, true},
+		{"disabled ignores the rest", func(f *FeedbackConfig) { *f = FeedbackConfig{Kp: nan, Window: -1} }, true},
+		{"zero window", func(f *FeedbackConfig) { f.Window = 0 }, false},
+		{"negative window", func(f *FeedbackConfig) { f.Window = -sim.Second }, false},
+		{"NaN Kp", func(f *FeedbackConfig) { f.Kp = nan }, false},
+		{"NaN Ki", func(f *FeedbackConfig) { f.Ki = nan }, false},
+		{"+Inf Kp", func(f *FeedbackConfig) { f.Kp = inf }, false},
+		{"+Inf Ki", func(f *FeedbackConfig) { f.Ki = inf }, false},
+		{"negative Kp", func(f *FeedbackConfig) { f.Kp = -0.3 }, false},
+		{"negative Ki", func(f *FeedbackConfig) { f.Ki = -0.1 }, false},
+		{"zero MinScale", func(f *FeedbackConfig) { f.MinScale = 0 }, false},
+		{"negative MinScale", func(f *FeedbackConfig) { f.MinScale = -0.5 }, false},
+		{"NaN MinScale", func(f *FeedbackConfig) { f.MinScale = nan }, false},
+		{"NaN MaxScale", func(f *FeedbackConfig) { f.MaxScale = nan }, false},
+		{"+Inf MaxScale", func(f *FeedbackConfig) { f.MaxScale = inf }, false},
+		{"MinScale > MaxScale", func(f *FeedbackConfig) { f.MinScale, f.MaxScale = 1.5, 0.5 }, false},
+	} {
+		cfg := DefaultConfig(1e6)
+		tc.edit(&cfg.Feedback)
+		_, err := New(cfg)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: New error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestRubikDecisionLogic(t *testing.T) {
 	cfg := DefaultConfig(2e6) // 2 ms bound
 	cfg.Feedback.Enabled = false

@@ -177,6 +177,19 @@ func New(cfg Config) (*Rubik, error) {
 	if cfg.HistoryCap < cfg.MinSamples {
 		return nil, fmt.Errorf("core: HistoryCap %d below MinSamples %d", cfg.HistoryCap, cfg.MinSamples)
 	}
+	if fb := cfg.Feedback; fb.Enabled {
+		if fb.Window <= 0 {
+			// The window would hold no samples and feedback never act.
+			return nil, fmt.Errorf("core: feedback window must be positive, got %v", fb.Window)
+		}
+		if !(fb.Kp >= 0) || math.IsInf(fb.Kp, 0) || !(fb.Ki >= 0) || math.IsInf(fb.Ki, 0) {
+			return nil, fmt.Errorf("core: feedback gains must be finite and >= 0, got Kp %v Ki %v", fb.Kp, fb.Ki)
+		}
+		if !(fb.MinScale > 0 && fb.MinScale <= fb.MaxScale) || math.IsInf(fb.MaxScale, 0) {
+			return nil, fmt.Errorf("core: feedback scale clamp [%v, %v] must be finite, positive and ordered",
+				fb.MinScale, fb.MaxScale)
+		}
+	}
 	r := &Rubik{
 		cfg:        cfg,
 		histC:      stats.NewHistogram(cfg.HistoryCap),
@@ -368,57 +381,62 @@ func (r *Rubik) OnEvent(v queueing.View) int {
 		// latency bounds are defined against.
 		return cpu.NominalMHz
 	}
-	row := r.table.RowFor(v.HeadElapsedCycles)
-	needNow, okNow := r.minFreq(v, row, 0)
-	if !okNow {
-		return r.cfg.Grid.Max()
-	}
-	fNow := r.cfg.Grid.ClampUp(needNow)
-	if fNow <= v.CurrentMHz {
-		// The current frequency satisfies the bound without switching.
-		// Down-switching is also safe (the old, faster frequency applies
-		// until the transition completes), but the post-switch frequency
-		// must satisfy the lag-adjusted constraint.
-		needLag, okLag := r.minFreq(v, row, float64(r.cfg.TransitionLatency))
-		if !okLag {
-			return v.CurrentMHz
-		}
-		fLag := r.cfg.Grid.ClampUp(needLag)
-		if fLag > v.CurrentMHz {
-			fLag = v.CurrentMHz
-		}
-		return fLag
-	}
-	// An up-switch is needed: the old (slower) frequency applies during
-	// the transition, so the target must satisfy the lag-adjusted
-	// constraint.
-	needLag, okLag := r.minFreq(v, row, float64(r.cfg.TransitionLatency))
-	if !okLag {
-		return r.cfg.Grid.Max()
-	}
-	return r.cfg.Grid.ClampUp(needLag)
-}
-
-// minFreq evaluates Eq. 2 with the given headroom penalty; ok is false when
-// some request has no headroom left (max frequency required).
-func (r *Rubik) minFreq(v queueing.View, row int, penaltyNs float64) (float64, bool) {
-	var need float64
+	// One walk evaluates Eq. 2 twice: without a headroom penalty (need0)
+	// and charging the transition lag (needLag). It stops where a
+	// request has no headroom even without the penalty; the lag
+	// constraint fails earlier when some request's headroom does not
+	// cover the lag.
+	t := r.table
+	row := t.RowFor(v.HeadElapsedCycles)
+	lag := float64(r.cfg.TransitionLatency)
 	limit := len(v.Queue)
 	if r.cfg.HeadOnly && limit > 1 {
 		limit = 1 // ablation: queuing-blind
 	}
+	var need0, needLag float64
+	okLag := true
+	cRow, mRow := t.c[row], t.m[row]
 	for i := 0; i < limit; i++ {
 		ti := float64(v.Now - v.Queue[i].Arrival)
-		ci, mi := r.table.Lookup(row, i)
-		headroom := r.internalNs - ti - mi - penaltyNs
-		if headroom <= 0 {
-			return 0, false
+		var ci, mi float64
+		if i < t.built { // materialized: skip Lookup's call
+			ci, mi = cRow[i], mRow[i]
+		} else {
+			ci, mi = t.Lookup(row, i)
 		}
-		if f := ci * 1000 / headroom; f > need {
-			need = f
+		h0 := r.internalNs - ti - mi
+		if h0 <= 0 {
+			return r.cfg.Grid.Max()
+		}
+		if f := ci * 1000 / h0; f > need0 {
+			need0 = f
+		}
+		if !okLag {
+			continue
+		}
+		if hLag := h0 - lag; hLag <= 0 {
+			okLag = false
+		} else if f := ci * 1000 / hLag; f > needLag {
+			needLag = f
 		}
 	}
-	return need, true
+	if r.cfg.Grid.ClampUp(need0) <= v.CurrentMHz {
+		// The current frequency satisfies the bound without switching.
+		// Down-switching is also safe (the old, faster frequency applies
+		// until the transition completes), but the post-switch frequency
+		// must satisfy the lag-adjusted constraint.
+		if !okLag {
+			return v.CurrentMHz
+		}
+		return min(r.cfg.Grid.ClampUp(needLag), v.CurrentMHz)
+	}
+	// An up-switch is needed: the old (slower) frequency applies during
+	// the transition, so the target must satisfy the lag-adjusted
+	// constraint.
+	if !okLag {
+		return r.cfg.Grid.Max()
+	}
+	return r.cfg.Grid.ClampUp(needLag)
 }
 
 // PredictedSlackNs implements queueing.SlackReporter: the smallest tail

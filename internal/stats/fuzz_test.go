@@ -58,7 +58,9 @@ func fuzzPMF(data []byte, origin, width float64) PMF {
 // reference convolutions: for arbitrary unit-mass PMF pairs (mismatched
 // lengths, degenerate single buckets, extreme weight ratios) both chains
 // of one packed pass must reproduce IterConvolutions within the packed
-// error bound, with bitwise-identical row geometry.
+// error bound, with bitwise-identical row geometry. Reading only the
+// rows rowMask selects, through the pruned forward transform, must give
+// the bits of the full-size forward transform's rows.
 func FuzzPackedConvolution(f *testing.F) {
 	seed := func(vals ...float64) []byte {
 		b := make([]byte, 0, 8*len(vals))
@@ -68,15 +70,15 @@ func FuzzPackedConvolution(f *testing.F) {
 		return b
 	}
 	// Degenerate single-bucket chain against a spread chain.
-	f.Add(seed(1), seed(0.25, 0.5, 0.25), byte(7))
+	f.Add(seed(1), seed(0.25, 0.5, 0.25), byte(7), uint32(0b1010))
 	// Mismatched lengths with uneven mass.
-	f.Add(seed(0.1, 0.9), seed(0.2, 0.3, 0.1, 0.4, 0.05, 0.6, 0.7), byte(15))
+	f.Add(seed(0.1, 0.9), seed(0.2, 0.3, 0.1, 0.4, 0.05, 0.6, 0.7), byte(15), uint32(1<<14|1<<3))
 	// Both degenerate.
-	f.Add(seed(3), seed(42), byte(1))
+	f.Add(seed(3), seed(42), byte(1), uint32(1))
 	// Extreme dynamic range within one PMF.
-	f.Add(seed(1e-12, 1, 1e12, 1e-300), seed(5, 5, 5, 5, 5), byte(19))
+	f.Add(seed(1e-12, 1, 1e12, 1e-300), seed(5, 5, 5, 5, 5), byte(19), uint32(0xffffffff))
 
-	f.Fuzz(func(t *testing.T, a, b []byte, countByte byte) {
+	f.Fuzz(func(t *testing.T, a, b []byte, countByte byte, rowMask uint32) {
 		c := fuzzPMF(a, 2, 0.5)
 		m := fuzzPMF(b, 1, 0.75)
 		count := 1 + int(countByte)%20
@@ -121,6 +123,13 @@ func FuzzPackedConvolution(f *testing.F) {
 				}
 			}
 		}
+		var rows []int
+		for i := 0; i < count; i++ {
+			if rowMask>>i&1 != 0 {
+				rows = append(rows, i)
+			}
+		}
+		checkRowsMatchFullForward(t, c, m, count, rows)
 	})
 }
 
@@ -212,6 +221,73 @@ func FuzzLogHistogramMerge(f *testing.F) {
 		// ...and stay inside the histogram's representable range.
 		if lo, hi := merged.Quantile(0), merged.Quantile(1); lo < 100 || hi > 1e12*1.1 {
 			t.Fatalf("quantile outside geometry: [%v, %v]", lo, hi)
+		}
+	})
+}
+
+// fuzzPushes decodes a byte string into a push sequence rich in the
+// inputs the streaming histogram's cached extrema must get right: each
+// op is one selector byte choosing +0, -0, a small integer tie, NaN,
+// ±Inf, or the next 8 bytes as an arbitrary float64 (itself possibly
+// non-finite).
+func fuzzPushes(data []byte) []float64 {
+	var vals []float64
+	for len(data) > 0 {
+		sel := data[0]
+		data = data[1:]
+		switch sel % 8 {
+		case 0:
+			vals = append(vals, 0)
+		case 1:
+			vals = append(vals, math.Copysign(0, -1))
+		case 2, 3:
+			vals = append(vals, float64(sel>>3%4)-1)
+		case 4:
+			vals = append(vals, math.NaN())
+		case 5:
+			vals = append(vals, math.Inf(int(sel>>3%2)*2-1))
+		default:
+			if len(data) < 8 {
+				return vals
+			}
+			vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			data = data[8:]
+		}
+	}
+	return vals
+}
+
+// FuzzHistogramMatchesPMF fuzzes the streaming profiler against its
+// bitwise oracle: after every push of an arbitrary sequence (ties, ±0,
+// rejected NaN/Inf, ring wrap-around at a fuzzed capacity), PMFInto must
+// equal NewPMFFromSamples over the trailing window of accepted samples.
+func FuzzHistogramMatchesPMF(f *testing.F) {
+	f.Add([]byte{0, 1, 6, 0, 0, 0, 0, 0, 0, 20, 64}, byte(3), byte(4))
+	f.Add([]byte{1, 0, 2, 10, 1, 0, 4, 5, 13, 2}, byte(2), byte(1))
+	f.Add([]byte{2, 10, 18, 26, 2, 10, 18, 26, 0, 1, 0, 1}, byte(5), byte(128))
+	f.Add([]byte{}, byte(0), byte(7))
+
+	f.Fuzz(func(t *testing.T, data []byte, capByte, bucketByte byte) {
+		capacity := int(capByte % 40)
+		nbuckets := 1 + int(bucketByte)%140
+		h := NewHistogram(capacity)
+		var accepted []float64
+		for i, v := range fuzzPushes(data) {
+			finite := !math.IsNaN(v) && !math.IsInf(v, 0)
+			if got := h.Push(v); got != (finite && capacity > 0) {
+				t.Fatalf("push %d (%v): accepted %v", i, v, got)
+			}
+			if !finite || capacity == 0 {
+				continue
+			}
+			accepted = append(accepted, v)
+			window := accepted[max(0, len(accepted)-capacity):]
+			if h.Len() != len(window) {
+				t.Fatalf("push %d: len %d, want %d", i, h.Len(), len(window))
+			}
+			if !matchesPMFOracle(h, window, nbuckets) {
+				t.Fatalf("push %d: PMFInto differs from NewPMFFromSamples over %v", i, window)
+			}
 		}
 	})
 }

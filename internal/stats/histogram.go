@@ -6,9 +6,17 @@ import (
 )
 
 // Histogram is a streaming profiler over a sliding window of the most
-// recent Capacity() samples: a ring buffer plus monotonic min/max deques,
-// giving O(1) amortized ingest and O(1) window extrema. PMFInto then bins
-// the window into a caller-owned PMF without allocating.
+// recent Capacity() samples: a ring buffer plus the window's cached
+// extrema, giving O(1) ingest. PMFInto then bins the window into a
+// caller-owned PMF without allocating.
+//
+// Push keeps the cached (lo, hi) with strict comparisons, the rule
+// NewPMFFromSamples applies scanning oldest-first, so among tied extrema
+// (+0 and -0) the oldest wins. Evicting a sample equal to either extremum
+// marks the cache stale, and the next PMFInto rescans the window
+// oldest-first by the same rule. A window that never fills never
+// rescans, and one that does rescans at most once per PMFInto, whose
+// binning pass already reads the whole window.
 //
 // It replaces the append-then-copy sample slices on Rubik's profiling path:
 // those cost O(HistoryCap) per completion once the window is full (the
@@ -20,14 +28,12 @@ import (
 type Histogram struct {
 	buf      []float64
 	capacity int
-	pushed   uint64 // total accepted samples; sample p lives at buf[p%capacity]
+	n        int // samples in the window
+	next     int // buf index the next sample goes to
 
-	// Monotonic deques of absolute sample positions, stored in rings of
-	// the same length as buf. minPos fronts the position of the window
-	// minimum (values ascending from front to back), maxPos the maximum.
-	minPos, maxPos  []uint64
-	minHead, minLen int
-	maxHead, maxLen int
+	// lo and hi are the window extrema unless stale is set.
+	lo, hi float64
+	stale  bool
 }
 
 // NewHistogram returns a histogram over a window of the given capacity.
@@ -43,107 +49,110 @@ func NewHistogram(capacity int) *Histogram {
 const minHistogramAlloc = 64
 
 // grow doubles the storage, up to the capacity. It runs only while the
-// window is filling: nothing has been evicted yet, so both deques start
-// at index 0 and every live position p sits at buf[p], and growth is a
-// plain copy. Once the storage reaches the capacity, indexing switches to
-// the ring (positions wrap modulo the capacity) without moving anything.
+// window is filling: nothing has been evicted yet, so sample p sits at
+// buf[p] and growth is a plain copy. Once the storage reaches the
+// capacity, the write index wraps and the buffer becomes a ring.
 func (h *Histogram) grow() {
-	n := min(max(2*len(h.buf), minHistogramAlloc), h.capacity)
-	buf := make([]float64, n)
-	copy(buf, h.buf[:h.pushed])
-	minPos := make([]uint64, n)
-	copy(minPos, h.minPos[:h.minLen])
-	maxPos := make([]uint64, n)
-	copy(maxPos, h.maxPos[:h.maxLen])
-	h.buf, h.minPos, h.maxPos = buf, minPos, maxPos
+	buf := make([]float64, min(max(2*len(h.buf), minHistogramAlloc), h.capacity))
+	copy(buf, h.buf)
+	h.buf = buf
 }
 
 // Capacity returns the window capacity.
 func (h *Histogram) Capacity() int { return h.capacity }
 
 // Len returns the number of samples currently in the window.
-func (h *Histogram) Len() int {
-	if h.pushed < uint64(h.capacity) {
-		return int(h.pushed)
-	}
-	return h.capacity
-}
+func (h *Histogram) Len() int { return h.n }
 
 // Push ingests one sample, evicting the oldest when the window is full.
 // Non-finite samples are rejected (reported false) so the window always
 // bins cleanly; NewPMFFromSamples treats them as input errors instead,
 // which a per-completion streaming path cannot afford to surface.
 func (h *Histogram) Push(v float64) bool {
-	c := h.capacity
-	if c == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+	if h.capacity == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		return false
 	}
-	pos := h.pushed
-	if pos < uint64(c) {
-		if pos == uint64(len(h.buf)) {
-			h.grow()
+	switch {
+	case h.n == h.capacity: // evict the oldest sample, which v overwrites
+		if old := h.buf[h.next]; old == h.lo || old == h.hi {
+			h.stale = true
 		}
-	} else { // evict sample pos-c
-		old := pos - uint64(c)
-		if h.minLen > 0 && h.minPos[h.minHead] == old {
-			h.minHead = (h.minHead + 1) % c
-			h.minLen--
-		}
-		if h.maxLen > 0 && h.maxPos[h.maxHead] == old {
-			h.maxHead = (h.maxHead + 1) % c
-			h.maxLen--
-		}
+	case h.next == len(h.buf):
+		h.grow()
 	}
-	h.buf[pos%uint64(c)] = v
-	// Keep the deques monotonic: drop entries the new sample dominates.
-	// Dropping equals keeps the newer position, which survives longer.
-	for h.minLen > 0 {
-		back := h.minPos[(h.minHead+h.minLen-1)%c]
-		if h.buf[back%uint64(c)] < v {
-			break
-		}
-		h.minLen--
+	h.buf[h.next] = v
+	if h.next++; h.next == h.capacity {
+		h.next = 0
 	}
-	h.minPos[(h.minHead+h.minLen)%c] = pos
-	h.minLen++
-	for h.maxLen > 0 {
-		back := h.maxPos[(h.maxHead+h.maxLen-1)%c]
-		if h.buf[back%uint64(c)] > v {
-			break
-		}
-		h.maxLen--
+	if h.n < h.capacity {
+		h.n++
 	}
-	h.maxPos[(h.maxHead+h.maxLen)%c] = pos
-	h.maxLen++
-	h.pushed++
+	if h.n == 1 {
+		h.lo, h.hi, h.stale = v, v, false
+		return true
+	}
+	if v < h.lo {
+		h.lo = v
+	}
+	if v > h.hi {
+		h.hi = v
+	}
 	return true
+}
+
+// extrema returns the window's (lo, hi), rescanning the window
+// oldest-first when an eviction made the cache stale.
+func (h *Histogram) extrema() (lo, hi float64) {
+	if h.stale {
+		old, recent := h.window()
+		h.lo, h.hi = old[0], old[0]
+		for _, part := range [2][]float64{old, recent} {
+			for _, s := range part {
+				if s < h.lo {
+					h.lo = s
+				}
+				if s > h.hi {
+					h.hi = s
+				}
+			}
+		}
+		h.stale = false
+	}
+	return h.lo, h.hi
+}
+
+// window returns the window's samples as two runs of the ring, oldest
+// first: old, then recent.
+func (h *Histogram) window() (old, recent []float64) {
+	if h.n < h.capacity {
+		return h.buf[:h.n], nil
+	}
+	return h.buf[h.next:], h.buf[:h.next]
 }
 
 // Min returns the smallest sample in the window (0 when empty).
 func (h *Histogram) Min() float64 {
-	if h.minLen == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	return h.buf[h.minPos[h.minHead]%uint64(h.capacity)]
+	lo, _ := h.extrema()
+	return lo
 }
 
 // Max returns the largest sample in the window (0 when empty).
 func (h *Histogram) Max() float64 {
-	if h.maxLen == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	return h.buf[h.maxPos[h.maxHead]%uint64(h.capacity)]
+	_, hi := h.extrema()
+	return hi
 }
 
 // Snapshot appends the window's samples, oldest first, to dst and returns
 // the result. Pass nil to get a fresh copy.
 func (h *Histogram) Snapshot(dst []float64) []float64 {
-	c := uint64(h.capacity)
-	n := uint64(h.Len())
-	for p := h.pushed - n; p < h.pushed; p++ {
-		dst = append(dst, h.buf[p%c])
-	}
-	return dst
+	old, recent := h.window()
+	return append(append(dst, old...), recent...)
 }
 
 // PMFInto bins the window into dst, reusing dst.P's backing array when its
@@ -153,14 +162,14 @@ func (h *Histogram) Snapshot(dst []float64) []float64 {
 // sample-slice path without perturbing any downstream decision. With a
 // warm destination it performs zero allocations.
 func (h *Histogram) PMFInto(dst *PMF, nbuckets int) error {
-	n := h.Len()
+	n := h.n
 	if n == 0 {
 		return fmt.Errorf("stats: no samples")
 	}
 	if nbuckets <= 0 {
 		return fmt.Errorf("stats: nbuckets must be positive, got %d", nbuckets)
 	}
-	lo, hi := h.Min(), h.Max()
+	lo, hi := h.extrema()
 	if hi == lo {
 		p := dst.P
 		if cap(p) < 1 {
@@ -172,7 +181,10 @@ func (h *Histogram) PMFInto(dst *PMF, nbuckets int) error {
 		*dst = PMF{Origin: lo, Width: 1, P: p}
 		return nil
 	}
-	w := (hi - lo) / float64(nbuckets)
+	w, err := bucketWidth(lo, hi, nbuckets)
+	if err != nil {
+		return err
+	}
 	p := dst.P
 	if cap(p) < nbuckets {
 		p = make([]float64, nbuckets)
@@ -183,14 +195,15 @@ func (h *Histogram) PMFInto(dst *PMF, nbuckets int) error {
 		}
 	}
 	inc := 1 / float64(n)
-	c := uint64(h.capacity)
-	for pos := h.pushed - uint64(n); pos < h.pushed; pos++ {
-		s := h.buf[pos%c]
-		k := int((s - lo) / w)
-		if k >= nbuckets { // s == hi lands one past the end
-			k = nbuckets - 1
+	old, recent := h.window()
+	for _, part := range [2][]float64{old, recent} {
+		for _, s := range part {
+			k := int((s - lo) / w)
+			if k >= nbuckets { // s == hi lands one past the end
+				k = nbuckets - 1
+			}
+			p[k] += inc
 		}
-		p[k] += inc
 	}
 	*dst = PMF{Origin: lo, Width: w, P: p}
 	return nil

@@ -7,24 +7,62 @@ import (
 	"testing/quick"
 )
 
+// matchesPMFOracle reports whether h.PMFInto(nbuckets) is bitwise-equal
+// to NewPMFFromSamples over window, the trailing samples h holds, or
+// fails where it fails.
+func matchesPMFOracle(h *Histogram, window []float64, nbuckets int) bool {
+	want, wantErr := NewPMFFromSamples(window, nbuckets)
+	var dst PMF
+	if err := h.PMFInto(&dst, nbuckets); (err != nil) != (wantErr != nil) {
+		return false
+	}
+	return wantErr != nil || samePMF(dst, want)
+}
+
 // TestHistogramMatchesNewPMFFromSamples is the streaming profiler's core
 // equivalence property: over any sequence of pushes, PMFInto must be
 // bitwise-identical to NewPMFFromSamples on the trailing window, including
 // window wrap-around and the degenerate all-equal case.
 func TestHistogramMatchesNewPMFFromSamples(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	// Signed-zero ties: the oracle keeps the oldest of tied extrema, so
+	// {+0, -0, 5} has Origin +0 and {-0, +0, 5} has Origin -0, both
+	// before and after a wrap evicts the older zero.
+	for _, tc := range []struct {
+		capacity int
+		pushes   []float64
+	}{
+		{3, []float64{0, negZero, 5}},
+		{3, []float64{negZero, 0, 5}},
+		{3, []float64{-5, 0, negZero, 0}},
+		{2, []float64{0, negZero, negZero}},
+		{3, []float64{5, negZero, 0, 5, -1}},
+	} {
+		h := NewHistogram(tc.capacity)
+		for i, v := range tc.pushes {
+			h.Push(v)
+			window := tc.pushes[max(0, i+1-tc.capacity) : i+1]
+			for _, nb := range []int{1, 4} {
+				if !matchesPMFOracle(h, window, nb) {
+					t.Fatalf("pushes %v, window %v, %d buckets: PMFInto differs from NewPMFFromSamples",
+						tc.pushes[:i+1], window, nb)
+				}
+			}
+		}
+	}
+
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		capacity := 1 + r.Intn(200)
 		nbuckets := 1 + r.Intn(140)
 		h := NewHistogram(capacity)
 		var all []float64
-		var dst PMF
 		n := 1 + r.Intn(600)
 		for i := 0; i < n; i++ {
 			var v float64
 			switch r.Intn(4) {
 			case 0:
-				v = float64(r.Intn(4)) // heavy ties exercise the deques
+				v = float64(r.Intn(4)) // heavy ties exercise the cached extrema
 			default:
 				v = r.NormFloat64() * 1e5
 			}
@@ -39,21 +77,8 @@ func TestHistogramMatchesNewPMFFromSamples(t *testing.T) {
 			if len(window) > capacity {
 				window = window[len(window)-capacity:]
 			}
-			want, err := NewPMFFromSamples(window, nbuckets)
-			if err != nil {
+			if !matchesPMFOracle(h, window, nbuckets) {
 				return false
-			}
-			if err := h.PMFInto(&dst, nbuckets); err != nil {
-				return false
-			}
-			if !sameBits(dst.Origin, want.Origin) || !sameBits(dst.Width, want.Width) ||
-				len(dst.P) != len(want.P) {
-				return false
-			}
-			for k := range want.P {
-				if !sameBits(dst.P[k], want.P[k]) {
-					return false
-				}
 			}
 		}
 		return true
@@ -176,8 +201,6 @@ func preallocatedHistogram(capacity int) *Histogram {
 	return &Histogram{
 		capacity: capacity,
 		buf:      make([]float64, capacity),
-		minPos:   make([]uint64, capacity),
-		maxPos:   make([]uint64, capacity),
 	}
 }
 
@@ -195,7 +218,7 @@ func TestHistogramGrowthMatchesPreallocated(t *testing.T) {
 		for i := 0; i < 2*capacity+3*minHistogramAlloc; i++ {
 			v := r.NormFloat64() * 1e5
 			if r.Intn(4) == 0 {
-				v = float64(r.Intn(4)) // ties exercise the deques
+				v = float64(r.Intn(4)) // ties exercise the cached extrema
 			}
 			if grown.Push(v) != pre.Push(v) {
 				t.Fatalf("cap %d push %d: accept mismatch", capacity, i)
@@ -238,14 +261,14 @@ func TestHistogramGrowthMatchesPreallocated(t *testing.T) {
 // for its whole window.
 func TestHistogramStorageGrowsOnDemand(t *testing.T) {
 	h := NewHistogram(8192)
-	if cap(h.buf)+cap(h.minPos)+cap(h.maxPos) != 0 {
+	if cap(h.buf) != 0 {
 		t.Fatal("a fresh histogram preallocates storage")
 	}
 	for i := 0; i < 500; i++ {
 		h.Push(float64(i))
 	}
-	if len(h.buf) != 512 || len(h.minPos) != 512 || len(h.maxPos) != 512 {
-		t.Fatalf("storage %d/%d/%d after 500 samples, want 512", len(h.buf), len(h.minPos), len(h.maxPos))
+	if len(h.buf) != 512 {
+		t.Fatalf("storage %d after 500 samples, want 512", len(h.buf))
 	}
 }
 

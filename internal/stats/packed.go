@@ -35,14 +35,24 @@ import (
 // aliases the signal mod ni — exact for a signal that fits in ni. Early
 // rows invert at 1/16th the full transform size.
 //
+// The forward transform is pruned the same way: a row inverted at size
+// ni reads only the spectrum bins at multiples of d = n/ni, so the
+// forward computes only those (see forward), skipping the leading
+// butterfly stages that merely copy samples across zero padding. A
+// deeper row that needs a finer stride re-runs the pruned forward at
+// that stride. Every bin the pruned forward computes is bitwise the
+// full transform's, so pruning changes no row.
+//
 // Net transform count for the paper-shape rebuild (128 buckets, 16 queue
 // positions, two chains): 36 full-size complex transforms for two naive
-// chains vs 1 forward + 16 size-pruned inverses here. Start and RowInto
-// split the pass so a caller pays the forward transform and each row's
-// inverse only when it needs a row. Row 0 is the inputs themselves (up
-// to the round trip's ulp noise), so a caller that reads row 0 straight
-// off c and m, as the tail-table builder does, needs Start only once it
-// reads row 1 or later.
+// chains vs 16 size-pruned inverses and one pruned forward per stride
+// (8, 4, 2 and 1) here. Start only packs the inputs, and RowInto runs
+// the forward and each row's inverse only when a caller needs that row.
+// Row 0 is the inputs themselves (up to the round trip's ulp noise), so
+// a caller that reads row 0 straight off c and m, as the tail-table
+// builder does, needs Start only once it reads row 1 or later. A reader
+// that stops at row 3 pays the stride-8 and stride-4 forwards: 896 and
+// 1,792 butterflies against the full transform's 11,264.
 //
 // The packed pipeline is not bitwise-equal to the naive chains: packed
 // butterflies and pruned inverses round differently at the ulp level.
@@ -60,22 +70,29 @@ type PackedConvolutionPlan struct {
 	// size, so the same tables drive the full-size forward transform and
 	// every pruned inverse size.
 	fwd, inv []complex128
-	// revs caches one bit-reversal permutation per transform size used
-	// (the full size plus each pruned inverse size), built on first use
-	// so steady-state rebuilds allocate nothing.
+	// revs caches one bit-reversal permutation per pruned inverse size,
+	// built on first use so steady-state rebuilds allocate nothing.
 	revs map[int][]int
 	// Half-spectra (n/2+1 bins): specC/specM hold the forward spectra of
-	// the two inputs, accC/accM the accumulated per-row spectra.
+	// the two inputs, accC/accM the accumulated per-row spectra. Only the
+	// bins at multiples of stride are valid.
 	specC, specM, accC, accM []complex128
-	// z is the full-size complex scratch: the packed signal during the
-	// forward transform, then each row's fused inverse input/output.
+	// z is the full-size complex scratch: the forward transform's work
+	// array, then each row's fused inverse input/output.
 	z []complex128
+	// in is the packed input c + i*m, zero-padded to a power of two, and
+	// zeros[k] is what the forward's copy-only stages add to a sample at
+	// offset k of its block (see forward). They share pad, n+1 entries:
+	// len(in) * len(zeros) == n, so len(in) + len(zeros) <= n+1.
+	pad, in, zeros []complex128
 
 	// The chain pair begun by Start: both inputs' geometry and bucket
-	// counts, the row count, and row, the chain row accC/accM currently
-	// hold (-1 before the first Start or after a failed one).
+	// counts, the row count, row, the chain row accC/accM currently hold
+	// (-1 before the first Start or after a failed one), and stride, the
+	// bin stride of the spectra computed so far (0 before the first
+	// forward transform of the pair).
 	cOrigin, cWidth, mOrigin, mWidth float64
-	nc, nm, count, row               int
+	nc, nm, count, row, stride       int
 }
 
 // NewPackedConvolutionPlan builds a packed plan for transforms of size n
@@ -91,9 +108,10 @@ func NewPackedConvolutionPlan(n int) (*PackedConvolutionPlan, error) {
 		specM: make([]complex128, n/2+1),
 		accC:  make([]complex128, n/2+1),
 		accM:  make([]complex128, n/2+1),
-		z:     make([]complex128, n),
 		row:   -1,
 	}
+	buf := make([]complex128, 2*n+1)
+	p.z, p.pad = buf[:n:n], buf[n:]
 	if n > 1 {
 		p.fwd = make([]complex128, n-1)
 		p.inv = make([]complex128, n-1)
@@ -202,12 +220,11 @@ func (p *PackedConvolutionPlan) IterSelfConvolutionsInto(dstC, dstM []PMF, c, m 
 }
 
 // Start begins a chain pair of count rows over c and m: it packs both
-// real inputs into one complex signal, runs the single full-size forward
-// transform and splits the result into the two Hermitian half-spectra.
-// Rows are then produced on demand by RowInto. The plan must have been
-// built for exactly PackedPlanSizeFor(len(c.P), len(m.P), count). Start
-// keeps c's and m's geometry but not their buckets, so the caller may
-// reuse them once it returns.
+// real inputs into one complex signal, c + i*m, and runs no transform.
+// Rows are then produced on demand by RowInto, whose first call runs the
+// forward transform. The plan must have been built for exactly
+// PackedPlanSizeFor(len(c.P), len(m.P), count). Start copies c's and
+// m's buckets, so the caller may reuse them once it returns.
 func (p *PackedConvolutionPlan) Start(c, m PMF, count int) error {
 	p.row = -1
 	if count <= 0 {
@@ -219,27 +236,83 @@ func (p *PackedConvolutionPlan) Start(c, m PMF, count int) error {
 	if want := PackedPlanSizeFor(len(c.P), len(m.P), count); want != p.n {
 		return fmt.Errorf("stats: packed plan size %d, chain pair needs %d", p.n, want)
 	}
-	n := p.n
+	size := nextPow2(max(len(c.P), len(m.P)))
+	p.in = p.pad[:size]
+	for i := range p.in {
+		var re, im float64
+		if i < len(c.P) {
+			re = c.P[i]
+		}
+		if i < len(m.P) {
+			im = m.P[i]
+		}
+		p.in[i] = complex(re, im)
+	}
+	if g := p.n / size; len(p.zeros) != g {
+		p.zeros = p.pad[size : size+g]
+		clear(p.zeros)
+		negZero := math.Copysign(0, -1)
+		p.zeros[0] = complex(negZero, negZero)
+		fftStages(p.zeros, p.fwd)
+	}
+	p.cOrigin, p.cWidth, p.nc = c.Origin, c.Width, len(c.P)
+	p.mOrigin, p.mWidth, p.nm = m.Origin, m.Width, len(m.P)
+	p.count = count
+	p.row = 0
+	p.stride = 0
+	return nil
+}
 
-	// Pack both real inputs into one complex signal z = c + i*m and take
-	// a single full-size forward transform.
-	z := p.z
-	for i := range z {
-		z[i] = 0
-	}
-	for i, v := range c.P {
-		z[i] = complex(v, 0)
-	}
-	for i, v := range m.P {
-		z[i] = complex(real(z[i]), v)
-	}
-	rev := p.revFor(n)
-	for i, j := range rev {
-		if j > i {
-			z[i], z[j] = z[j], z[i]
+// forward computes the two input spectra at the bins that are multiples
+// of d, the decimation of the rows up to the one being read. It is the
+// full-size forward FFT of the packed input, pruned to the values those
+// bins depend on, and bitwise-equal to the full transform's at every bin
+// it computes.
+//
+// After the bit-reversal permutation the len(in) input samples sit g =
+// n/len(in) apart, each heading a block of g zeros. The first log2(g)
+// butterfly stages stay inside such blocks, where every partner is zero
+// padding: they only copy the head across its block, adding signed zeros
+// that can flip a -0 component to +0. zeros[k], those stages applied to a
+// (-0, -0) head (Start computes it once per block size), is the exact
+// net effect at offset k, so the stages collapse to one addition per kept
+// value. Every later stage keeps only the butterflies at multiples of d:
+// the bins read need nothing else.
+// With 128 buckets in a 2,048-point transform the first four stages
+// only copy, and at stride 4 the other seven compute 1,792 of the full
+// transform's 11,264 butterflies.
+//
+// Bins already computed keep their accumulators; bins new at stride d
+// start from their spectra and replay the power steps up to the current
+// row, the same multiplications in the same order as RowInto's.
+func (p *PackedConvolutionPlan) forward(d int) {
+	n := p.n
+	zeros := p.zeros
+	g := len(zeros)
+	x := p.z
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i, a := range p.in {
+		j := int(bits.Reverse64(uint64(i)) >> shift) // a multiple of g
+		blk := x[j : j+g]
+		for k := 0; k < g; k += d {
+			blk[k] = a + zeros[k]
 		}
 	}
-	fftStages(z, p.fwd)
+	for size := 2 * g; size <= n; size <<= 1 {
+		half := size >> 1
+		ws := p.fwd[half-1 : 2*half-1]
+		for start := 0; start < n; start += size {
+			xa := x[start : start+half]
+			xb := x[start+half : start+size][:len(xa)]
+			wk := ws[:len(xa)]
+			for k := 0; k < len(xa); k += d {
+				a := xa[k]
+				b := xb[k] * wk[k]
+				xa[k] = a + b
+				xb[k] = a - b
+			}
+		}
+	}
 
 	// Split the packed spectrum by conjugate symmetry into the two
 	// Hermitian half-spectra: with Z = FFT(c + i*m),
@@ -250,32 +323,39 @@ func (p *PackedConvolutionPlan) Start(c, m PMF, count int) error {
 	// Only bins 0..n/2 are kept; the rest are their conjugate mirrors.
 	// Bins 0 and n/2 are self-mirrored, so their imaginary parts come
 	// out exactly zero — the half-spectra are exactly Hermitian, not
-	// merely approximately, and stay so under pointwise products.
-	for k := 0; k <= n/2; k++ {
-		zk := z[k]
-		zn := z[(n-k)&(n-1)]
+	// merely approximately, and stay so under pointwise products. Both
+	// chains self-convolve (s0 == s), so a new bin's accumulator starts
+	// as its spectrum, row 0.
+	old := p.stride
+	for k := 0; k <= n/2; k += d {
+		zk := x[k]
+		zn := x[(n-k)&(n-1)]
 		a, b := real(zk), imag(zk)
 		cr, ci := real(zn), imag(zn)
-		p.specC[k] = complex((a+cr)/2, (b-ci)/2)
-		p.specM[k] = complex((b+ci)/2, (cr-a)/2)
+		sc := complex((a+cr)/2, (b-ci)/2)
+		sm := complex((b+ci)/2, (cr-a)/2)
+		p.specC[k], p.specM[k] = sc, sm
+		if old != 0 && k&(old-1) == 0 {
+			continue
+		}
+		ac, am := sc, sm
+		for r := 0; r < p.row; r++ {
+			ac *= sc
+			am *= sm
+		}
+		p.accC[k], p.accM[k] = ac, am
 	}
-	// Both chains self-convolve (s0 == s), so the accumulators start as
-	// the spectra themselves: row 0.
-	copy(p.accC, p.specC)
-	copy(p.accM, p.specM)
-	p.cOrigin, p.cWidth, p.nc = c.Origin, c.Width, len(c.P)
-	p.mOrigin, p.mWidth, p.nm = m.Origin, m.Width, len(m.P)
-	p.count = count
-	p.row = 0
-	return nil
+	p.stride = d
 }
 
 // RowInto writes row i of the chain pair begun by Start into dstC and
 // dstM, reusing their backing arrays when capacity allows. The
 // accumulated spectra only move forward, so i may not precede the last
 // row produced; rows skipped on the way cost one half-spectrum power step
-// each and no inverse transform. Each row is bitwise the row
-// IterSelfConvolutionsInto would produce.
+// each and no inverse transform. A row that reads finer bins than the
+// spectra computed so far first runs the forward transform at its
+// stride. Each row is bitwise the row IterSelfConvolutionsInto would
+// produce.
 func (p *PackedConvolutionPlan) RowInto(i int, dstC, dstM *PMF) error {
 	if p.row < 0 {
 		return fmt.Errorf("stats: packed row %d requested before Start", i)
@@ -284,17 +364,6 @@ func (p *PackedConvolutionPlan) RowInto(i int, dstC, dstM *PMF) error {
 		return fmt.Errorf("stats: packed row %d outside [%d, %d)", i, p.row, p.count)
 	}
 	n := p.n
-	// Half-spectrum power steps: both accumulators advance one
-	// convolution per step over the n/2+1 non-redundant bins only. The
-	// common-length subslices let the compiler drop the bounds checks.
-	accC := p.accC[:n/2+1]
-	accM, specC, specM := p.accM[:len(accC)], p.specC[:len(accC)], p.specM[:len(accC)]
-	for ; p.row < i; p.row++ {
-		for k := range accC {
-			accC[k] *= specC[k]
-			accM[k] *= specM[k]
-		}
-	}
 	nc, nm := p.nc, p.nm
 	lc := nc + i*(nc-1)
 	lm := nm + i*(nm-1)
@@ -302,23 +371,34 @@ func (p *PackedConvolutionPlan) RowInto(i int, dstC, dstM *PMF) error {
 	// transform of the smallest covering power of two ni suffices —
 	// decimating the spectrum by d = n/ni aliases the row mod ni,
 	// which is exact for a signal of support <= ni.
-	l := lc
-	if lm > l {
-		l = lm
-	}
-	ni := nextPow2(l)
+	ni := nextPow2(max(lc, lm))
 	d := n / ni
+	if p.stride == 0 || d < p.stride {
+		p.forward(d)
+	}
+	// Half-spectrum power steps: both accumulators advance one
+	// convolution per step over the computed bins only. The
+	// common-length subslices let the compiler drop all but one of the
+	// bounds checks.
+	accC := p.accC[:n/2+1]
+	accM, specC, specM := p.accM[:len(accC)], p.specC[:len(accC)], p.specM[:len(accC)]
+	for stride := p.stride; p.row < i; p.row++ {
+		for k := 0; k < len(accC); k += stride {
+			accC[k] *= specC[k]
+			accM[k] *= specM[k]
+		}
+	}
 	hi := ni / 2
 	w := p.z[:ni]
 	// Assemble the fused natural-order spectrum w = accC + i*accM
 	// from the decimated half-spectra; the upper half comes from
 	// Hermitian symmetry, w[ni-k] = conj(accC[k*d] - i*accM[k*d]).
 	for k := 0; k <= hi; k++ {
-		ac, am := p.accC[k*d], p.accM[k*d]
+		ac, am := accC[k*d], accM[k*d]
 		w[k] = complex(real(ac)-imag(am), imag(ac)+real(am))
 	}
 	for k := 1; k < hi; k++ {
-		ac, am := p.accC[k*d], p.accM[k*d]
+		ac, am := accC[k*d], accM[k*d]
 		w[ni-k] = complex(real(ac)+imag(am), real(am)-imag(ac))
 	}
 	rev := p.revFor(ni)

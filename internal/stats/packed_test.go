@@ -279,6 +279,156 @@ func TestPackedRowIntoSkipsRows(t *testing.T) {
 	}
 }
 
+// startFullForward is the full-size forward transform the pruned one
+// replaced, kept as its oracle: Start, then pack both inputs into the
+// whole n-point signal, bit-reverse it, run every butterfly stage and
+// split all n/2+1 bins, leaving the plan's spectra at stride 1. Rows
+// read after it are the rows of the unpruned pipeline.
+func startFullForward(p *PackedConvolutionPlan, c, m PMF, count int) error {
+	if err := p.Start(c, m, count); err != nil {
+		return err
+	}
+	n := p.n
+	z := make([]complex128, n)
+	for i, v := range c.P {
+		z[i] = complex(v, 0)
+	}
+	for i, v := range m.P {
+		z[i] = complex(real(z[i]), v)
+	}
+	for i, j := range p.revFor(n) {
+		if j > i {
+			z[i], z[j] = z[j], z[i]
+		}
+	}
+	fftStages(z, p.fwd)
+	for k := 0; k <= n/2; k++ {
+		zk := z[k]
+		zn := z[(n-k)&(n-1)]
+		a, b := real(zk), imag(zk)
+		cr, ci := real(zn), imag(zn)
+		p.specC[k] = complex((a+cr)/2, (b-ci)/2)
+		p.specM[k] = complex((b+ci)/2, (cr-a)/2)
+	}
+	copy(p.accC, p.specC)
+	copy(p.accM, p.specM)
+	p.stride = 1
+	return nil
+}
+
+// samePMF reports whether two PMFs are bitwise-identical.
+func samePMF(a, b PMF) bool {
+	if !sameBits(a.Origin, b.Origin) || !sameBits(a.Width, b.Width) || len(a.P) != len(b.P) {
+		return false
+	}
+	for k := range a.P {
+		if !sameBits(a.P[k], b.P[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkRowsMatchFullForward reads the given increasing rows of the chain
+// pair through the pruned forward transform and through the full-size
+// oracle, and requires every row pair to be bitwise-identical.
+func checkRowsMatchFullForward(t *testing.T, c, m PMF, count int, rows []int) {
+	t.Helper()
+	n := PackedPlanSizeFor(len(c.P), len(m.P), count)
+	pruned, err := NewPackedConvolutionPlan(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := NewPackedConvolutionPlan(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pruned.Start(c, m, count); err != nil {
+		t.Fatal(err)
+	}
+	if err := startFullForward(full, c, m, count); err != nil {
+		t.Fatal(err)
+	}
+	var gotC, gotM, wantC, wantM PMF
+	for _, i := range rows {
+		if err := pruned.RowInto(i, &gotC, &gotM); err != nil {
+			t.Fatal(err)
+		}
+		if err := full.RowInto(i, &wantC, &wantM); err != nil {
+			t.Fatal(err)
+		}
+		if !samePMF(gotC, wantC) || !samePMF(gotM, wantM) {
+			t.Fatalf("nc %d nm %d count %d rows %v: row %d differs from the full-size forward\nC %v\nwant %v\nM %v\nwant %v",
+				len(c.P), len(m.P), count, rows, i, gotC.P, wantC.P, gotM.P, wantM.P)
+		}
+	}
+}
+
+// TestPackedPrunedForwardMatchesFull pins the pruned forward transform:
+// over random shapes, sparse row sequences (so strides refine mid-chain
+// after skipped rows), buckets that are exactly +0 or -0, and
+// single-bucket chains, every row is bitwise the row the full-size
+// forward transform gives.
+func TestPackedPrunedForwardMatchesFull(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	r := rand.New(rand.NewSource(22))
+	shape := func(n int) PMF {
+		d := randomPMF(r, n, float64(r.Intn(5)), 0.5+r.Float64()*10)
+		for k := range d.P {
+			switch r.Intn(6) {
+			case 0:
+				d.P[k] = 0
+			case 1:
+				d.P[k] = negZero
+			}
+		}
+		return d
+	}
+	for trial := 0; trial < 300; trial++ {
+		nc, nm := 1+r.Intn(140), 1+r.Intn(140)
+		switch trial % 5 {
+		case 0:
+			nc = 1
+		case 1:
+			nc, nm = 1, 1
+		}
+		c, m := shape(nc), shape(nm)
+		count := 1 + r.Intn(20)
+		var rows []int
+		for i := 0; i < count; i++ {
+			if r.Intn(3) == 0 {
+				rows = append(rows, i)
+			}
+		}
+		checkRowsMatchFullForward(t, c, m, count, rows)
+	}
+	// All-zero chains, where only the signs of zeros tell the transforms
+	// apart.
+	zeros := func(n int, v float64) PMF {
+		d := PMF{Origin: 1, Width: 2, P: make([]float64, n)}
+		for k := range d.P {
+			d.P[k] = v
+		}
+		return d
+	}
+	for _, nc := range []int{1, 2, 5, 128} {
+		for _, nm := range []int{1, 3, 128} {
+			for _, vc := range []float64{0, negZero} {
+				for _, vm := range []float64{0, negZero} {
+					checkRowsMatchFullForward(t, zeros(nc, vc), zeros(nm, vm), 16, []int{0, 1, 2, 3, 4, 8, 15})
+					checkRowsMatchFullForward(t, zeros(nc, vc), shape(nm), 6, []int{1, 5})
+				}
+			}
+		}
+	}
+	// The paper shape: 128 buckets, 16 positions. Column 3 reads stride
+	// 4; column 4 refines to stride 2 and column 8 to stride 1.
+	c, m := shape(128), shape(128)
+	checkRowsMatchFullForward(t, c, m, 16, []int{1, 3, 4, 8, 15})
+	checkRowsMatchFullForward(t, c, m, 16, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	checkRowsMatchFullForward(t, c, m, 16, []int{15})
+}
+
 func TestPackedSelfConvolutionsAllocationFree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	c := randomPMF(r, 128, 0, 1000)

@@ -45,7 +45,10 @@ func NewPMFFromSamples(samples []float64, nbuckets int) (PMF, error) {
 	if hi == lo {
 		return PMF{Origin: lo, Width: 1, P: []float64{1}}, nil
 	}
-	w := (hi - lo) / float64(nbuckets)
+	w, err := bucketWidth(lo, hi, nbuckets)
+	if err != nil {
+		return PMF{}, err
+	}
 	p := make([]float64, nbuckets)
 	inc := 1 / float64(len(samples))
 	for _, s := range samples {
@@ -56,6 +59,18 @@ func NewPMFFromSamples(samples []float64, nbuckets int) (PMF, error) {
 		p[k] += inc
 	}
 	return PMF{Origin: lo, Width: w, P: p}, nil
+}
+
+// bucketWidth returns the width of nbuckets equal buckets spanning
+// [lo, hi], lo < hi. It rejects a span so wide that it overflows or so
+// narrow that the width underflows to 0: samples could not be assigned a
+// bucket index.
+func bucketWidth(lo, hi float64, nbuckets int) (float64, error) {
+	w := (hi - lo) / float64(nbuckets)
+	if !(w > 0) || math.IsInf(w, 0) {
+		return 0, fmt.Errorf("stats: sample span [%g, %g] cannot be split into %d buckets", lo, hi, nbuckets)
+	}
+	return w, nil
 }
 
 // Mass returns the total probability mass (1 up to rounding for any

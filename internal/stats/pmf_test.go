@@ -24,6 +24,25 @@ func TestNewPMFFromSamplesErrors(t *testing.T) {
 	if _, err := NewPMFFromSamples([]float64{math.Inf(1)}, 8); err == nil {
 		t.Fatal("expected error for Inf sample")
 	}
+	// Spans whose bucket width underflows to 0 or overflows to +Inf
+	// leave no bucket index to compute; binning them must fail, not
+	// index out of range.
+	for _, samples := range [][]float64{
+		{math.SmallestNonzeroFloat64, 0},
+		{-math.MaxFloat64, math.MaxFloat64},
+	} {
+		if _, err := NewPMFFromSamples(samples, 43); err == nil {
+			t.Fatalf("expected error for span %v", samples)
+		}
+		h := NewHistogram(4)
+		for _, v := range samples {
+			h.Push(v)
+		}
+		var dst PMF
+		if err := h.PMFInto(&dst, 43); err == nil {
+			t.Fatalf("Histogram.PMFInto: expected error for span %v", samples)
+		}
+	}
 }
 
 func TestNewPMFFromSamplesDegenerate(t *testing.T) {

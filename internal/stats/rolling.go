@@ -11,11 +11,18 @@ type TimedSample struct {
 // It backs the measured tail of the feedback controllers: Rubik's PI
 // loop over a rolling 1 s window (Sec. 4.2) and Pegasus's 4 s window.
 //
+// The samples live in a power-of-two ring that evicts expired samples
+// before it grows, so a window at steady load allocates nothing per
+// sample.
+//
 // Samples must be added in non-decreasing timestamp order.
 type RollingWindow struct {
 	Span int64
-	buf  []TimedSample
-	head int
+	// buf is the ring (len 0 or a power of two); the live samples are
+	// buf[head], buf[head+1], ... (indices masked), n of them, oldest
+	// first.
+	buf     []TimedSample
+	head, n int
 	// scratch backs Percentile's selection so the per-tick feedback
 	// measurement is allocation-free in steady state.
 	scratch []float64
@@ -26,22 +33,39 @@ func NewRollingWindow(span int64) *RollingWindow {
 	return &RollingWindow{Span: span}
 }
 
-// Add appends an observation and evicts samples older than T - Span.
+// minRollingAlloc is the first ring size a window allocates.
+const minRollingAlloc = 64
+
+// Add evicts samples older than t - Span and appends the observation,
+// unless a non-positive Span expires it at once.
 func (w *RollingWindow) Add(t int64, v float64) {
-	w.buf = append(w.buf, TimedSample{T: t, V: v})
 	w.trim(t)
+	if t <= t-w.Span {
+		return
+	}
+	if w.n == len(w.buf) {
+		w.grow()
+	}
+	w.buf[(w.head+w.n)&(len(w.buf)-1)] = TimedSample{T: t, V: v}
+	w.n++
 }
 
-// trim drops samples with timestamp <= t-Span and compacts occasionally.
+// grow doubles the full ring, unrolling it so the oldest sample lands at
+// index 0.
+func (w *RollingWindow) grow() {
+	buf := make([]TimedSample, max(2*len(w.buf), minRollingAlloc))
+	k := copy(buf, w.buf[w.head:])
+	copy(buf[k:], w.buf[:w.head])
+	w.buf, w.head = buf, 0
+}
+
+// trim drops samples with timestamp <= t-Span.
 func (w *RollingWindow) trim(t int64) {
 	cut := t - w.Span
-	for w.head < len(w.buf) && w.buf[w.head].T <= cut {
-		w.head++
-	}
-	if w.head > 1024 && w.head*2 > len(w.buf) {
-		n := copy(w.buf, w.buf[w.head:])
-		w.buf = w.buf[:n]
-		w.head = 0
+	mask := len(w.buf) - 1
+	for w.n > 0 && w.buf[w.head].T <= cut {
+		w.head = (w.head + 1) & mask
+		w.n--
 	}
 }
 
@@ -50,15 +74,20 @@ func (w *RollingWindow) trim(t int64) {
 func (w *RollingWindow) AdvanceTo(t int64) { w.trim(t) }
 
 // Len returns the number of live samples.
-func (w *RollingWindow) Len() int { return len(w.buf) - w.head }
+func (w *RollingWindow) Len() int { return w.n }
+
+// appendValues appends the live sample values, oldest first, to dst.
+func (w *RollingWindow) appendValues(dst []float64) []float64 {
+	mask := len(w.buf) - 1
+	for i := 0; i < w.n; i++ {
+		dst = append(dst, w.buf[(w.head+i)&mask].V)
+	}
+	return dst
+}
 
 // Values returns a copy of the live sample values in arrival order.
 func (w *RollingWindow) Values() []float64 {
-	out := make([]float64, 0, w.Len())
-	for _, s := range w.buf[w.head:] {
-		out = append(out, s.V)
-	}
-	return out
+	return w.appendValues(make([]float64, 0, w.n))
 }
 
 // Percentile returns the q-quantile of the live values (0 if empty): the
@@ -66,7 +95,7 @@ func (w *RollingWindow) Values() []float64 {
 // reused scratch copy. Controllers measure their feedback tail every tick,
 // and a full sort plus copy per tick dominated the measurement cost.
 func (w *RollingWindow) Percentile(q float64) float64 {
-	n := w.Len()
+	n := w.n
 	if n == 0 {
 		return 0
 	}
@@ -76,11 +105,8 @@ func (w *RollingWindow) Percentile(q float64) float64 {
 		// on almost every tick.
 		w.scratch = make([]float64, 0, max(n, 2*cap(w.scratch)))
 	}
-	s := w.scratch[:0]
-	for _, smp := range w.buf[w.head:] {
-		s = append(s, smp.V)
-	}
-	return PercentileInPlace(s, q)
+	w.scratch = w.appendValues(w.scratch[:0])
+	return PercentileInPlace(w.scratch, q)
 }
 
 // selectKth returns the k-th smallest element of s (0-based), partially
