@@ -17,7 +17,11 @@ var updateGolden = flag.Bool("update", false, "rewrite golden experiment outputs
 // results, not just statistically similar ones. Regenerate deliberately
 // with: go test ./internal/experiments -run TestGoldenOutputs -update
 func TestGoldenOutputs(t *testing.T) {
-	for _, id := range []string{"fig1a", "fig9", "clusterscale", "scenarios", "capping", "fleetscale", "fleetcap", "fig15", "fig16"} {
+	for _, id := range []string{
+		"fig1a", "fig9", "clusterscale", "scenarios", "capping", "fleetscale", "fleetcap", "fig15", "fig16",
+		"ablation", "fig10", "fig11", "fig12", "fig1b", "fig2a", "fig2b", "fig2c", "fig6", "fig7", "fig8",
+		"pegasus", "pmv", "table1", "table2", "table3",
+	} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			var buf bytes.Buffer
