@@ -44,9 +44,7 @@ func All() []Bench {
 		{"TailTableBuildCol1", tailTableBuild(1)},
 		{"TailTableBuildCol3", tailTableBuild(3)},
 		{"TailTableBuildFull", tailTableBuild(15)},
-		{"TailTableBuildOneShot", tailTableBuildOneShot},
 		{"ConvolutionPacked", convolutionPacked},
-		{"ConvolutionFFTUnplanned", convolutionFFTUnplanned},
 		{"HistogramPush", histogramPush},
 		{"RubikDecision", rubikDecision},
 		{"SourceHotPath", sourceHotPath},
@@ -176,25 +174,11 @@ func tailTableBuild(col int) func(*testing.B) {
 	}
 }
 
-// tailTableBuildOneShot times the allocate-everything one-shot entry
-// point the builder replaced on the periodic path; the gap to
-// TailTableBuildFull is what holding a builder buys.
-func tailTableBuildOneShot(b *testing.B) {
-	comp, mem := profiledSamples(4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rubikcore.BuildTailTable(comp, mem, 0.95, 128, 8, 16); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // convolutionPacked runs both 16-position self-convolution chains in one
 // packed real-FFT pass: forward transforms pruned to each row's stride
 // (8, 4, 2, then 1 as the rows grow), Hermitian half-spectrum power steps
-// over the computed bins, size-pruned fused inverses. Compare against 2x
-// ConvolutionFFTUnplanned, the two naive chains it replaces.
+// over the computed bins, size-pruned fused inverses: Start, then RowInto
+// for every row.
 func convolutionPacked(b *testing.B) {
 	c := uniformPMF(128)
 	m := uniformPMF(128)
@@ -204,29 +188,21 @@ func convolutionPacked(b *testing.B) {
 	}
 	dstC := make([]stats.PMF, 16)
 	dstM := make([]stats.PMF, 16)
-	if err := plan.IterSelfConvolutionsInto(dstC, dstM, c, m); err != nil { // warm buffers
-		b.Fatal(err)
+	pass := func() {
+		if err := plan.Start(c, m, len(dstC)); err != nil {
+			b.Fatal(err)
+		}
+		for i := range dstC {
+			if err := plan.RowInto(i, &dstC[i], &dstM[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
+	pass() // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := plan.IterSelfConvolutionsInto(dstC, dstM, c, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// convolutionFFTUnplanned is the naive chain (stats.IterConvolutions:
-// twiddles and buffers recomputed per call), the oracle the packed
-// pipeline is validated against.
-func convolutionFFTUnplanned(b *testing.B) {
-	d := uniformPMF(128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := stats.IterConvolutions(d, d, 16); err != nil {
-			b.Fatal(err)
-		}
+		pass()
 	}
 }
 

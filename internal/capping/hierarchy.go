@@ -197,9 +197,6 @@ func LevelByName(name string) (LevelAllocator, error) {
 	return nil, fmt.Errorf("capping: unknown level allocator %q (have static, waterfill)", name)
 }
 
-// LevelNames lists the registered level strategies in sweep order.
-func LevelNames() []string { return []string{"static", "waterfill"} }
-
 // LevelSpec describes one level of the budget tree, root-most first.
 type LevelSpec struct {
 	// Name labels the level in stats and reports ("rack", "pdu", ...).
@@ -351,9 +348,6 @@ func NewHierarchy(spec HierarchySpec, leaves int, leafFloorW, leafMaxW float64) 
 	h.chGrants = make([]float64, maxFan)
 	return h, nil
 }
-
-// Leaves returns the leaf (socket) count the tree was built over.
-func (h *Hierarchy) Leaves() int { return h.leaves }
 
 // LeafFloorW returns the per-leaf power floor the tree was built with.
 func (h *Hierarchy) LeafFloorW() float64 { return h.leafFloorW }

@@ -74,7 +74,7 @@ func TestRunCoreBasics(t *testing.T) {
 	res, err := RunCore(CoreConfig{
 		App:               app,
 		Batch:             mustBatch(t, "gcc"),
-		Trace:             tr,
+		Source:            workload.NewTraceSource(tr),
 		LCPolicy:          queueing.FixedPolicy{MHz: cpu.NominalMHz},
 		Grid:              cpu.DefaultGrid(),
 		Power:             cpu.DefaultPowerModel(),
@@ -122,6 +122,10 @@ func TestRunCoreValidation(t *testing.T) {
 	if _, err := RunCore(unbounded); err == nil {
 		t.Fatal("unbounded source must error")
 	}
+	unbounded.Source = nil
+	if _, err := RunCore(unbounded); err == nil {
+		t.Fatal("missing source must error")
+	}
 }
 
 func TestColocationInflatesServiceTimes(t *testing.T) {
@@ -130,7 +134,7 @@ func TestColocationInflatesServiceTimes(t *testing.T) {
 	app := workload.Masstree()
 	tr := workload.GenerateAtLoad(app, 0.4, 1500, 8)
 	colocated, err := RunCore(CoreConfig{
-		App: app, Batch: mustBatch(t, "mcf"), Trace: tr,
+		App: app, Batch: mustBatch(t, "mcf"), Source: workload.NewTraceSource(tr),
 		LCPolicy: queueing.FixedPolicy{MHz: cpu.NominalMHz},
 		Grid:     cpu.DefaultGrid(), Power: cpu.DefaultPowerModel(),
 		Interference: DefaultInterference(),

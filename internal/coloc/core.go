@@ -17,14 +17,12 @@ import (
 type CoreConfig struct {
 	App   workload.LCApp
 	Batch workload.BatchApp
-	// Trace is the LC request stream.
-	Trace workload.Trace
-	// Source, when set, streams the LC requests instead of Trace — any
-	// bounded scenario source (bursty, diurnal, flash-crowd, modulated)
-	// without materializing it. A materialized Trace and its Source are
-	// byte-identical under replay. The run drains the stream, so a
-	// source of unknown length (Len() < 0: unbounded generators and
-	// closed-loop populations) is an error.
+	// Source streams the LC requests: any bounded scenario source
+	// (bursty, diurnal, flash-crowd, modulated) without materializing it,
+	// or a materialized trace through workload.NewTraceSource. The run
+	// drains the stream, so a missing source or one of unknown length
+	// (Len() < 0: unbounded generators and closed-loop populations) is an
+	// error.
 	Source workload.Source
 	// LCPolicy decides LC frequencies (nil when an external allocator —
 	// HW-T / HW-TPW — owns the frequency).
@@ -106,7 +104,7 @@ func newCore(eng *sim.Engine, cfg CoreConfig) (*core, error) {
 	}
 	src := cfg.Source
 	if src == nil {
-		src = workload.NewTraceSource(cfg.Trace)
+		return nil, fmt.Errorf("coloc: no LC request source")
 	}
 	expected := src.Len()
 	if expected < 0 {

@@ -24,7 +24,7 @@ func TestColocCoreMatchesQueueingWithoutInterference(t *testing.T) {
 		colRes, err := RunCore(CoreConfig{
 			App:               app,
 			Batch:             workload.BatchPool()[0],
-			Trace:             tr,
+			Source:            workload.NewTraceSource(tr),
 			LCPolicy:          queueing.FixedPolicy{MHz: cpu.NominalMHz},
 			BatchMHz:          cpu.NominalMHz, // same frequency: no switch lag differences
 			Grid:              cpu.DefaultGrid(),

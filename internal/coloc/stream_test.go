@@ -27,7 +27,7 @@ func TestRunCoreSourceMatchesTrace(t *testing.T) {
 	}
 
 	viaTrace := base
-	viaTrace.Trace = workload.GenerateAtLoad(app, 0.5, n, seed)
+	viaTrace.Source = workload.NewTraceSource(workload.GenerateAtLoad(app, 0.5, n, seed))
 	want, err := RunCore(viaTrace)
 	if err != nil {
 		t.Fatal(err)

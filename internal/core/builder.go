@@ -21,11 +21,11 @@ import (
 // The convolutions run through the packed real-FFT pipeline
 // (stats.PackedConvolutionPlan): both chains ride one complex transform
 // with Hermitian half-spectra and size-pruned inverses. It rounds
-// differently from the naive IterConvolutions at the ulp level, but every
-// table entry is a bucket-edge quantile of the convolved rows, and the
-// quantile's bucket slack absorbs that noise: the finished tables are
-// pinned bit for bit against the naive one-shot build across table
-// shapes and profiles.
+// differently from the naive convolution chain at the ulp level, but
+// every table entry is a bucket-edge quantile of the convolved rows, and
+// the quantile's bucket slack absorbs that noise: the finished tables are
+// pinned bit for bit against a build over the naive chain (the test
+// oracle) across table shapes and profiles.
 //
 // A refresh runs no transform: column 0 is the single-request
 // distribution, whose exact tails are quantiles of the profiles
@@ -181,24 +181,6 @@ func (b *TableBuilder) Rebuild(histC, histM *stats.Histogram) (*TailTable, bool,
 	if err := histM.PMFInto(&b.binM, b.nbuckets); err != nil {
 		return nil, false, fmt.Errorf("core: memory distribution: %w", err)
 	}
-	return b.finish()
-}
-
-// RebuildFromSamples refreshes the table from explicit sample slices (the
-// BuildTailTable-compatible entry point). The same drift gate applies.
-func (b *TableBuilder) RebuildFromSamples(computeSamples, memSamples []float64) (*TailTable, bool, error) {
-	if len(computeSamples) == 0 || len(memSamples) == 0 {
-		return nil, false, fmt.Errorf("core: no profiling samples")
-	}
-	distC, err := stats.NewPMFFromSamples(computeSamples, b.nbuckets)
-	if err != nil {
-		return nil, false, fmt.Errorf("core: compute distribution: %w", err)
-	}
-	distM, err := stats.NewPMFFromSamples(memSamples, b.nbuckets)
-	if err != nil {
-		return nil, false, fmt.Errorf("core: memory distribution: %w", err)
-	}
-	b.binC, b.binM = distC, distM
 	return b.finish()
 }
 

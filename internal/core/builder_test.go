@@ -8,21 +8,23 @@ import (
 	"testing/quick"
 
 	"rubik/internal/stats"
+	"rubik/internal/stats/oracle"
 )
 
-// referenceTailTable is the pre-builder BuildTailTable algorithm, kept
-// verbatim (naive stats entry points, fresh allocations everywhere, every
+// referenceTailTable is the pre-builder one-shot table build, kept
+// verbatim (the naive oracle chain, fresh allocations everywhere, every
 // column computed up front) as the oracle the allocation-free, lazily
 // filled pipeline is checked against.
 func referenceTailTable(computeSamples, memSamples []float64, percentile float64, nbuckets, rows, maxQueue int) (*TailTable, error) {
-	distC, err := stats.NewPMFFromSamples(computeSamples, nbuckets)
+	naiveC, err := oracle.NewPMFFromSamples(computeSamples, nbuckets)
 	if err != nil {
 		return nil, err
 	}
-	distM, err := stats.NewPMFFromSamples(memSamples, nbuckets)
+	naiveM, err := oracle.NewPMFFromSamples(memSamples, nbuckets)
 	if err != nil {
 		return nil, err
 	}
+	distC, distM := stats.PMF(naiveC), stats.PMF(naiveM)
 	t := &TailTable{
 		Percentile: percentile,
 		MaxQueue:   maxQueue,
@@ -33,17 +35,17 @@ func referenceTailTable(computeSamples, memSamples []float64, percentile float64
 	}
 	exactC := make([]float64, maxQueue)
 	exactM := make([]float64, maxQueue)
-	cs, err := stats.IterConvolutions(distC, distC, maxQueue)
+	cs, err := oracle.IterConvolutions(naiveC, naiveC, maxQueue)
 	if err != nil {
 		return nil, err
 	}
-	msum, err := stats.IterConvolutions(distM, distM, maxQueue)
+	msum, err := oracle.IterConvolutions(naiveM, naiveM, maxQueue)
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < maxQueue; i++ {
-		exactC[i] = cs[i].Quantile(percentile)
-		exactM[i] = msum[i].Quantile(percentile)
+		exactC[i] = stats.PMF(cs[i]).Quantile(percentile)
+		exactM[i] = stats.PMF(msum[i]).Quantile(percentile)
 	}
 	for r := 0; r < rows; r++ {
 		q := float64(r) / float64(rows)
@@ -54,8 +56,8 @@ func referenceTailTable(computeSamples, memSamples []float64, percentile float64
 		}
 		t.rowBoundsC = append(t.rowBoundsC, boundC)
 		t.rowBoundsM = append(t.rowBoundsM, boundM)
-		condC := distC.ConditionAtLeast(boundC)
-		condM := distM.ConditionAtLeast(boundM)
+		condC := stats.PMF(naiveC.ConditionAtLeast(boundC))
+		condM := stats.PMF(naiveM.ConditionAtLeast(boundM))
 		discC := t.meanC - condC.Mean()
 		discM := t.meanM - condM.Mean()
 		if discC < 0 {
@@ -342,20 +344,6 @@ func TestBuilderDegenerateProfile(t *testing.T) {
 	}
 }
 
-func TestBuildTailTableWrapperMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	comp, mem := randomSamples(r, 512)
-	got, err := BuildTailTable(comp, mem, 0.95, 128, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := referenceTailTable(comp, mem, 0.95, 128, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tablesBitwiseEqual(t, got, want)
-}
-
 func TestBuilderRebuildAllocationFree(t *testing.T) {
 	b, err := NewTableBuilder(0.95, 128, 8, 16)
 	if err != nil {
@@ -540,10 +528,7 @@ func TestRowForMatchesLinearScan(t *testing.T) {
 			comp[i] = float64(1+r.Intn(6)) * 1e5
 			mem[i] = 20e3 * (0.5 + r.Float64())
 		}
-		tt, err := BuildTailTable(comp, mem, 0.95, 32, 1+r.Intn(12), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tt := sampleTable(t, comp, mem, 0.95, 32, 1+r.Intn(12), 4)
 		for trial := 0; trial < 64; trial++ {
 			elapsed := r.Float64() * 8e5
 			if got, want := tt.RowFor(elapsed), scan(tt, elapsed); got != want {

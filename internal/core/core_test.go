@@ -8,22 +8,29 @@ import (
 	"rubik/internal/cpu"
 	"rubik/internal/queueing"
 	"rubik/internal/sim"
+	"rubik/internal/stats"
 	"rubik/internal/workload"
 )
 
-func TestBuildTailTableValidation(t *testing.T) {
-	if _, err := BuildTailTable(nil, nil, 0.95, 128, 8, 16); err == nil {
-		t.Fatal("empty samples must error")
-	}
-	one := []float64{1, 2, 3}
-	if _, err := BuildTailTable(one, one, 1.5, 128, 8, 16); err == nil {
+func TestTableBuilderValidation(t *testing.T) {
+	if _, err := NewTableBuilder(1.5, 128, 8, 16); err == nil {
 		t.Fatal("bad percentile must error")
 	}
-	if _, err := BuildTailTable(one, one, 0.95, 128, 0, 16); err == nil {
+	if _, err := NewTableBuilder(0.95, 0, 8, 16); err == nil {
+		t.Fatal("zero buckets must error")
+	}
+	if _, err := NewTableBuilder(0.95, 128, 0, 16); err == nil {
 		t.Fatal("zero rows must error")
 	}
-	if _, err := BuildTailTable(one, one, 0.95, 128, 8, 0); err == nil {
+	if _, err := NewTableBuilder(0.95, 128, 8, 0); err == nil {
 		t.Fatal("zero queue must error")
+	}
+	b, err := NewTableBuilder(0.95, 128, 8, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := b.Rebuild(stats.NewHistogram(16), stats.NewHistogram(16)); err == nil {
+		t.Fatal("empty profiles must error")
 	}
 }
 
@@ -35,10 +42,7 @@ func TestTailTableConstantService(t *testing.T) {
 		comp[i] = 10000
 		mem[i] = 500
 	}
-	tab, err := BuildTailTable(comp, mem, 0.95, 128, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sampleTable(t, comp, mem, 0.95, 128, 8, 16)
 	for i := 0; i < 16; i++ {
 		ci, mi := tab.Lookup(0, i)
 		wantC := 10000 * float64(i+1)
@@ -60,10 +64,7 @@ func TestTailTableMonotoneInQueuePosition(t *testing.T) {
 		comp[i] = 50000 + r.ExpFloat64()*20000
 		mem[i] = 1000 + r.ExpFloat64()*500
 	}
-	tab, err := BuildTailTable(comp, mem, 0.95, 128, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sampleTable(t, comp, mem, 0.95, 128, 8, 16)
 	for row := 0; row < tab.Rows(); row++ {
 		prevC, prevM := 0.0, 0.0
 		for i := 0; i < 24; i++ { // crosses into the Gaussian extension
@@ -87,10 +88,7 @@ func TestTailTableGaussianExtensionContinuity(t *testing.T) {
 		comp[i] = 100000 * math.Exp(r.NormFloat64()*0.2)
 		mem[i] = 2000 * math.Exp(r.NormFloat64()*0.2)
 	}
-	tab, err := BuildTailTable(comp, mem, 0.95, 128, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sampleTable(t, comp, mem, 0.95, 128, 8, 16)
 	// The convolved tail at i=15 and the Gaussian at i=16 should differ by
 	// roughly one mean service (CLT has converged well by 15 summands).
 	c15, _ := tab.Lookup(0, 15)
@@ -109,10 +107,7 @@ func TestTailTableRowSelection(t *testing.T) {
 		comp[i] = 1000 + 9000*r.Float64()
 		mem[i] = 100
 	}
-	tab, err := BuildTailTable(comp, mem, 0.95, 128, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sampleTable(t, comp, mem, 0.95, 128, 8, 16)
 	if got := tab.RowFor(0); got != 0 {
 		t.Fatalf("RowFor(0) = %d", got)
 	}
@@ -138,10 +133,7 @@ func TestTailTableRowSelection(t *testing.T) {
 
 func TestTailTableLookupClamps(t *testing.T) {
 	comp := []float64{1, 2, 3, 4, 5}
-	tab, err := BuildTailTable(comp, comp, 0.9, 16, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := sampleTable(t, comp, comp, 0.9, 16, 4, 4)
 	// Out-of-range rows clamp instead of panicking.
 	a, _ := tab.Lookup(-5, 0)
 	b, _ := tab.Lookup(0, 0)
@@ -176,8 +168,8 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestHostileConfigsRejected feeds New, NewTableBuilder and
-// BuildTailTable the values a NaN-blind `x <= 0` check lets through.
+// TestHostileConfigsRejected feeds New and NewTableBuilder the values a
+// NaN-blind `x <= 0` check lets through.
 func TestHostileConfigsRejected(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
@@ -199,13 +191,9 @@ func TestHostileConfigsRejected(t *testing.T) {
 			t.Errorf("%s: New accepted the config", tc.name)
 		}
 	}
-	samples := []float64{1, 2, 3}
 	for _, p := range []float64{nan, inf, -inf, 0, 1} {
 		if _, err := NewTableBuilder(p, 128, 8, 16); err == nil {
 			t.Errorf("NewTableBuilder accepted percentile %v", p)
-		}
-		if _, err := BuildTailTable(samples, samples, p, 128, 8, 16); err == nil {
-			t.Errorf("BuildTailTable accepted percentile %v", p)
 		}
 	}
 }
@@ -548,15 +536,41 @@ func TestRubikHistoryCapBoundsMemory(t *testing.T) {
 	}
 }
 
+// TestBootstrapValidation applies the trace loader's rule to bootstrap
+// samples: compute cycles finite and > 0, memory time finite and >= 0. A
+// rejected bootstrap profiles nothing and builds no table.
 func TestBootstrapValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name      string
+		comp, mem []float64
+	}{
+		{"mismatched lengths", []float64{1, 2}, []float64{1}},
+		{"negative work", []float64{-1, -5}, []float64{-1, 3}},
+		{"zero cycles", []float64{1e5, 0}, []float64{10, 10}},
+		{"negative memory time", []float64{1e5, 2e5}, []float64{10, -1}},
+		{"NaN cycles", []float64{nan, 2e5}, []float64{10, 10}},
+		{"NaN memory time", []float64{1e5, 2e5}, []float64{nan, 10}},
+		{"infinite cycles", []float64{1e5, inf}, []float64{10, 10}},
+		{"infinite memory time", []float64{1e5, 2e5}, []float64{10, inf}},
+	} {
+		r, err := New(DefaultConfig(1e6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Bootstrap(tc.comp, tc.mem); err == nil {
+			t.Errorf("%s: Bootstrap(%v, %v) accepted", tc.name, tc.comp, tc.mem)
+		}
+		if r.Table() != nil {
+			t.Errorf("%s: a rejected bootstrap built a table", tc.name)
+		}
+	}
 	r, err := New(DefaultConfig(1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Bootstrap([]float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("mismatched bootstrap lengths must error")
-	}
-	if err := r.Bootstrap([]float64{1e5, 2e5}, []float64{10, 10}); err != nil {
+	// Zero memory time is valid: purely compute-bound requests.
+	if err := r.Bootstrap([]float64{1e5, 2e5}, []float64{10, 0}); err != nil {
 		t.Fatal(err)
 	}
 	if r.Table() == nil {

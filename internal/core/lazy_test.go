@@ -24,6 +24,21 @@ func eagerTable(t *testing.T, percentile float64, nbuckets, rows, maxQueue int, 
 	return tbl
 }
 
+// sampleTable is the fully materialized table a fresh builder makes from
+// explicit sample slices: each binned whole, oldest first, by a histogram
+// whose window holds all of them.
+func sampleTable(t *testing.T, computeSamples, memSamples []float64, percentile float64, nbuckets, rows, maxQueue int) *TailTable {
+	t.Helper()
+	histC, histM := stats.NewHistogram(len(computeSamples)), stats.NewHistogram(len(memSamples))
+	for _, v := range computeSamples {
+		histC.Push(v)
+	}
+	for _, v := range memSamples {
+		histM.Push(v)
+	}
+	return eagerTable(t, percentile, nbuckets, rows, maxQueue, histC, histM)
+}
+
 // lookupMatches requires got.Lookup(row, i) to equal want.Lookup(row, i)
 // bit for bit.
 func lookupMatches(t *testing.T, got, want *TailTable, row, i int) {

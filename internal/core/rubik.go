@@ -221,15 +221,19 @@ func (r *Rubik) Name() string {
 
 // Bootstrap seeds the profiler with historical (computeCycles, memTimeNs)
 // samples and builds the first table immediately. Useful to warm-start a
-// controller from a previous run's profile.
+// controller from a previous run's profile. Samples follow the rule
+// loaded traces do: compute cycles finite and positive, memory time
+// finite and nonnegative.
 func (r *Rubik) Bootstrap(computeSamples, memSamples []float64) error {
 	if len(computeSamples) != len(memSamples) {
 		return fmt.Errorf("core: bootstrap sample lengths differ: %d vs %d",
 			len(computeSamples), len(memSamples))
 	}
-	for i := range computeSamples {
-		if bad(computeSamples[i]) || bad(memSamples[i]) {
-			return fmt.Errorf("core: bootstrap sample %d is not finite", i)
+	for i, c := range computeSamples {
+		m := memSamples[i]
+		if !(c > 0) || math.IsInf(c, 1) || !(m >= 0) || math.IsInf(m, 1) {
+			return fmt.Errorf("core: bootstrap sample %d (%v cycles, %v ns memory) "+
+				"needs finite cycles > 0 and memory time >= 0", i, c, m)
 		}
 	}
 	for i := range computeSamples {
@@ -238,8 +242,6 @@ func (r *Rubik) Bootstrap(computeSamples, memSamples []float64) error {
 	}
 	return r.rebuild()
 }
-
-func bad(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 
 // ObserveCompletion implements queueing.CompletionObserver: it profiles the
 // request's compute cycles and memory time (the CPI-stack measurement of
@@ -476,9 +478,6 @@ func (r *Rubik) PredictedSlackNs(v queueing.View) float64 {
 // not be read from another goroutine while the controller runs.
 func (r *Rubik) Table() *TailTable { return r.table }
 
-// InternalTargetNs returns the feedback-adjusted latency target.
-func (r *Rubik) InternalTargetNs() float64 { return r.internalNs }
-
 // TableBuilds returns how many times the tables were recomputed.
 func (r *Rubik) TableBuilds() int { return r.tableBuilds }
 
@@ -509,7 +508,3 @@ func (r *Rubik) TableCacheHits() int {
 	}
 	return r.builder.CacheHits()
 }
-
-// SampleCount returns the number of profiled requests currently in the
-// rolling window.
-func (r *Rubik) SampleCount() int { return r.histC.Len() }

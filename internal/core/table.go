@@ -30,12 +30,13 @@ import (
 // columns are queue positions 0..MaxQueue-1. Positions beyond the table use
 // the Gaussian (CLT) extension.
 //
-// A table a TableBuilder owns materializes its columns lazily: a refresh
-// fills column 0 and everything the rows share, and Lookup fills columns
-// 1..MaxQueue-1 the first time a decision reads them. Lookup on such a
-// table therefore mutates it, and like the builder it is confined to the
-// controller that owns it. Tables from BuildTailTable are fully
-// materialized and read-only.
+// Tables are built by a TableBuilder, the periodic "update the service
+// cycle and time distributions, perform the convolutions, and fill in the
+// c_i and m_i values" step of paper Sec. 4.2, and materialize their
+// columns lazily: a refresh fills column 0 and everything the rows share,
+// and Lookup fills columns 1..MaxQueue-1 the first time a decision reads
+// them. Lookup therefore mutates the table, and like the builder it is
+// confined to the controller that owns it.
 type TailTable struct {
 	// Percentile is the tail percentile the table targets (e.g. 0.95).
 	Percentile float64
@@ -76,38 +77,9 @@ type TailTable struct {
 	// built is the number of leading columns materialized. src is the
 	// builder holding the profiles the table was built from, from which
 	// columns built..MaxQueue-1 are derived on demand; it is nil for
-	// tables no builder owns (cache entries and BuildTailTable results).
+	// cache entries, which no builder owns.
 	built int
 	src   *TableBuilder
-}
-
-// BuildTailTable constructs the tables from per-request compute-cycle and
-// memory-time samples, using nbuckets-bucket distributions (paper: 128),
-// rows octile rows (paper: 8), and maxQueue explicit queue positions
-// (paper: 16). It is the periodic "update the service cycle and time
-// distributions, perform the convolutions, and fill in the c_i and m_i
-// values" step of paper Sec. 4.2.
-//
-// It is a thin one-shot wrapper over TableBuilder that materializes every
-// column and detaches the table from the builder, so the result is
-// read-only and safe to share. Controllers that refresh periodically hold
-// a builder for their lifetime instead, which makes every refresh after
-// the first allocation-free and defers each column to its first use.
-func BuildTailTable(computeSamples, memSamples []float64, percentile float64, nbuckets, rows, maxQueue int) (*TailTable, error) {
-	if len(computeSamples) == 0 || len(memSamples) == 0 {
-		return nil, fmt.Errorf("core: no profiling samples")
-	}
-	b, err := NewTableBuilder(percentile, nbuckets, rows, maxQueue)
-	if err != nil {
-		return nil, err
-	}
-	t, _, err := b.RebuildFromSamples(computeSamples, memSamples)
-	if err != nil {
-		return nil, err
-	}
-	t.fill(t.MaxQueue - 1)
-	t.src = nil
-	return t, nil
 }
 
 // Rebuild refills t, the table b owns, from the profiles binned into b's

@@ -44,24 +44,21 @@ func TestNewGridValidation(t *testing.T) {
 func TestClampUpDown(t *testing.T) {
 	g := DefaultGrid()
 	cases := []struct {
-		f        float64
-		up, down int
+		f  float64
+		up int
 	}{
-		{0, 800, 800},
-		{799, 800, 800},
-		{800, 800, 800},
-		{801, 1000, 800},
-		{2399.5, 2400, 2200},
-		{2400, 2400, 2400},
-		{3400, 3400, 3400},
-		{9999, 3400, 3400},
+		{0, 800},
+		{799, 800},
+		{800, 800},
+		{801, 1000},
+		{2399.5, 2400},
+		{2400, 2400},
+		{3400, 3400},
+		{9999, 3400},
 	}
 	for _, c := range cases {
 		if got := g.ClampUp(c.f); got != c.up {
 			t.Errorf("ClampUp(%v) = %d, want %d", c.f, got, c.up)
-		}
-		if got := g.ClampDown(c.f); got != c.down {
-			t.Errorf("ClampDown(%v) = %d, want %d", c.f, got, c.down)
 		}
 	}
 }

@@ -90,15 +90,3 @@ func (g Grid) ClampUp(fMHz float64) int {
 	}
 	return g.Max()
 }
-
-// ClampDown returns the highest grid step <= fMHz, or Min if fMHz is below
-// the grid.
-func (g Grid) ClampDown(fMHz float64) int {
-	out := g.steps[0]
-	for _, s := range g.steps {
-		if float64(s) <= fMHz {
-			out = s
-		}
-	}
-	return out
-}

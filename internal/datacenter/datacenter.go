@@ -232,7 +232,7 @@ func (m *Model) Colocated(load float64) (FleetResult, error) {
 		cr, err := coloc.RunCore(coloc.CoreConfig{
 			App:               app,
 			Batch:             b,
-			Trace:             tr,
+			Source:            workload.NewTraceSource(tr),
 			LCPolicy:          rb,
 			Grid:              cfg.Grid,
 			Power:             cfg.Power,

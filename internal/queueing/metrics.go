@@ -81,16 +81,6 @@ func (r Result) EnergyPerRequestJ() float64 {
 	return r.ActiveEnergyJ / float64(n)
 }
 
-// MeanActivePowerW returns active energy divided by total wall time — the
-// "core power" of the paper's Fig. 6 savings comparison.
-func (r Result) MeanActivePowerW() float64 {
-	total := r.ActiveNs + r.IdleNs
-	if total == 0 {
-		return 0
-	}
-	return r.ActiveEnergyJ / (float64(total) / 1e9)
-}
-
 // Utilization returns the fraction of wall time the core was serving.
 func (r Result) Utilization() float64 {
 	total := r.ActiveNs + r.IdleNs

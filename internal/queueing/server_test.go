@@ -426,16 +426,13 @@ func TestMetricsHelpers(t *testing.T) {
 	if got := res.EnergyPerRequestJ(); got != 1 {
 		t.Fatalf("energy/request = %v", got)
 	}
-	if got := res.MeanActivePowerW(); got != 2 {
-		t.Fatalf("mean active power = %v", got)
-	}
 	if got := res.Utilization(); got != 0.5 {
 		t.Fatalf("utilization = %v", got)
 	}
 	// Degenerate cases.
 	var empty Result
 	if empty.TailNs(0.95, 0) != 0 || empty.EnergyPerRequestJ() != 0 ||
-		empty.MeanActivePowerW() != 0 || empty.Utilization() != 0 ||
+		empty.Utilization() != 0 ||
 		empty.ViolationFrac(1, 0) != 0 {
 		t.Fatal("empty result metrics must be 0")
 	}

@@ -212,7 +212,7 @@ func TestFeederNotifyCompletionInert(t *testing.T) {
 	eng := sim.NewEngine()
 	tr := workload.GenerateAtLoad(workload.Masstree(), 0.5, 10, 1)
 	var got []workload.Request
-	f := NewSourceFeeder(eng, tr.Source(), func(r workload.Request) { got = append(got, r) })
+	f := NewSourceFeeder(eng, workload.NewTraceSource(tr), func(r workload.Request) { got = append(got, r) })
 	f.Start()
 	f.NotifyCompletion(12345) // before any arrival: must not disturb the schedule
 	eng.Run()

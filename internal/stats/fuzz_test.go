@@ -82,11 +82,11 @@ func FuzzPackedConvolution(f *testing.F) {
 		c := fuzzPMF(a, 2, 0.5)
 		m := fuzzPMF(b, 1, 0.75)
 		count := 1 + int(countByte)%20
-		wantC, err := IterConvolutions(c, c, count)
+		wantC, err := naiveChain(c, c, count)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantM, err := IterConvolutions(m, m, count)
+		wantM, err := naiveChain(m, m, count)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func FuzzPackedConvolution(f *testing.F) {
 		}
 		gotC := make([]PMF, count)
 		gotM := make([]PMF, count)
-		if err := plan.IterSelfConvolutionsInto(gotC, gotM, c, m); err != nil {
+		if err := selfConvolutions(plan, gotC, gotM, c, m); err != nil {
 			t.Fatal(err)
 		}
 		for chain, pair := range map[string][2][]PMF{"C": {gotC, wantC}, "M": {gotM, wantM}} {

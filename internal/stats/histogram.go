@@ -10,8 +10,8 @@ import (
 // extrema, giving O(1) ingest. PMFInto then bins the window into a
 // caller-owned PMF without allocating.
 //
-// Push keeps the cached (lo, hi) with strict comparisons, the rule
-// NewPMFFromSamples applies scanning oldest-first, so among tied extrema
+// Push keeps the cached (lo, hi) with strict comparisons, the rule a
+// from-scratch min/max scan applies oldest-first, so among tied extrema
 // (+0 and -0) the oldest wins. Evicting a sample equal to either extremum
 // marks the cache stale, and the next PMFInto rescans the window
 // oldest-first by the same rule. A window that never fills never
@@ -23,8 +23,8 @@ import (
 // trim copies the whole window) and a fresh sort/scan plus allocation per
 // table rebuild. The histogram's window semantics are identical — the most
 // recent Capacity() accepted samples — and PMFInto is bitwise-equal to
-// NewPMFFromSamples over the same window, so swapping it in changes no
-// simulation results.
+// binning the same window from scratch (the naive test oracle), so
+// swapping it in changes no simulation results.
 type Histogram struct {
 	buf      []float64
 	capacity int
@@ -66,8 +66,8 @@ func (h *Histogram) Len() int { return h.n }
 
 // Push ingests one sample, evicting the oldest when the window is full.
 // Non-finite samples are rejected (reported false) so the window always
-// bins cleanly; NewPMFFromSamples treats them as input errors instead,
-// which a per-completion streaming path cannot afford to surface.
+// bins cleanly; batch sample ingestion treats them as input errors
+// instead, which a per-completion streaming path cannot afford to surface.
 func (h *Histogram) Push(v float64) bool {
 	if h.capacity == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		return false
@@ -156,11 +156,12 @@ func (h *Histogram) Snapshot(dst []float64) []float64 {
 }
 
 // PMFInto bins the window into dst, reusing dst.P's backing array when its
-// capacity allows. The result is bitwise-identical to NewPMFFromSamples
-// over the same window (same [min, max] span, same bucket assignment, same
-// degenerate single-bucket case), so the streaming profiler can replace the
-// sample-slice path without perturbing any downstream decision. With a
-// warm destination it performs zero allocations.
+// capacity allows. The result is bitwise-identical to the naive test
+// oracle's from-scratch binning of the same window (same [min, max] span,
+// same bucket assignment, same degenerate single-bucket case), so the
+// streaming profiler can replace the sample-slice path without perturbing
+// any downstream decision. With a warm destination it performs zero
+// allocations.
 func (h *Histogram) PMFInto(dst *PMF, nbuckets int) error {
 	n := h.n
 	if n == 0 {

@@ -10,7 +10,7 @@ import (
 // PackedConvolutionPlan is the packed real-FFT pipeline behind the tail
 // table rebuild. The rebuild's two convolution chains (compute cycles and
 // memory time) are self-convolutions of *purely real* PMFs, which the
-// naive IterConvolutions transforms as full complex signals with
+// naive chain (the test oracle) transforms as full complex signals with
 // identically zero imaginary parts — half the arithmetic moves zeros
 // around. The packed plan exploits realness twice:
 //
@@ -56,7 +56,7 @@ import (
 //
 // The packed pipeline is not bitwise-equal to the naive chains: packed
 // butterflies and pruned inverses round differently at the ulp level.
-// Results agree with IterConvolutions, the oracle, within a tight
+// Results agree with the naive chain, the oracle, within a tight
 // relative error bound (see the property and fuzz tests: ~1e-12 of each
 // row's total mass, contract <= 1e-9), and the pipeline is fully
 // deterministic — same inputs, same bits, on every run and every shard.
@@ -117,8 +117,8 @@ func NewPackedConvolutionPlan(n int) (*PackedConvolutionPlan, error) {
 		p.inv = make([]complex128, n-1)
 		for size := 2; size <= n; size <<= 1 {
 			half := size >> 1
-			// Same recurrence as fft(), so shared-stage transforms start
-			// from identical twiddle bits.
+			// Same recurrence as the naive oracle FFT, so shared-stage
+			// transforms start from identical twiddle bits.
 			step := 2 * math.Pi / float64(size)
 			wf := complex(1, 0)
 			wi := complex(1, 0)
@@ -155,10 +155,10 @@ func (p *PackedConvolutionPlan) revFor(m int) []int {
 	return rev
 }
 
-// PlanSizeFor returns the transform size a chain of count convolutions of
+// planSizeFor returns the transform size a chain of count convolutions of
 // an s0Len-bucket PMF with an sLen-bucket PMF needs: the smallest power
-// of two covering the longest row, exactly as IterConvolutions sizes it.
-func PlanSizeFor(s0Len, sLen, count int) int {
+// of two covering the longest row, exactly as the naive chain sizes it.
+func planSizeFor(s0Len, sLen, count int) int {
 	maxLen := s0Len + (count-1)*(sLen-1)
 	if maxLen < s0Len {
 		maxLen = s0Len
@@ -178,45 +178,15 @@ func nextPow2(n int) int {
 // pipeline uses for the pair of self-convolution chains of a cLen-bucket
 // and an mLen-bucket PMF over count queue positions — the size to pass
 // to NewPackedConvolutionPlan. It is the larger of the two per-chain
-// PlanSizeFor sizes, so a degenerate (e.g. single-bucket) chain rides
+// planSizeFor sizes, so a degenerate (e.g. single-bucket) chain rides
 // the other chain's grid.
 func PackedPlanSizeFor(cLen, mLen, count int) int {
-	nc := PlanSizeFor(cLen, cLen, count)
-	nm := PlanSizeFor(mLen, mLen, count)
+	nc := planSizeFor(cLen, cLen, count)
+	nm := planSizeFor(mLen, mLen, count)
 	if nm > nc {
 		return nm
 	}
 	return nc
-}
-
-// IterSelfConvolutionsInto computes both of the rebuild's convolution
-// chains in one packed pass: dstC[i] receives the distribution of
-// c + i-fold sum of c, dstM[i] the distribution of m + i-fold sum of m,
-// for i = 0..len(dstC)-1 — the packed counterpart of
-// IterConvolutions(c, c, n) plus IterConvolutions(m, m, n). The two PMFs
-// need not share lengths or widths (the chains are independent; they
-// only share transforms). Destination backing arrays are reused when
-// capacity allows; with warm buffers the call performs zero allocations.
-// The plan must have been built for exactly PackedPlanSizeFor(len(c.P),
-// len(m.P), len(dstC)).
-//
-// It is Start followed by RowInto for every row, so a caller that needs
-// only a prefix of the rows gets the same bits from those two calls.
-// Results match the naive chains within the packed pipeline's relative
-// error bound; they are not bitwise-equal (see the type comment).
-func (p *PackedConvolutionPlan) IterSelfConvolutionsInto(dstC, dstM []PMF, c, m PMF) error {
-	if len(dstM) != len(dstC) {
-		return fmt.Errorf("stats: IterSelfConvolutions dst lengths differ: %d vs %d", len(dstC), len(dstM))
-	}
-	if err := p.Start(c, m, len(dstC)); err != nil {
-		return err
-	}
-	for i := range dstC {
-		if err := p.RowInto(i, &dstC[i], &dstM[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Start begins a chain pair of count rows over c and m: it packs both
@@ -228,10 +198,10 @@ func (p *PackedConvolutionPlan) IterSelfConvolutionsInto(dstC, dstM []PMF, c, m 
 func (p *PackedConvolutionPlan) Start(c, m PMF, count int) error {
 	p.row = -1
 	if count <= 0 {
-		return fmt.Errorf("stats: IterSelfConvolutions count must be positive")
+		return fmt.Errorf("stats: packed chain count must be positive")
 	}
 	if len(c.P) == 0 || len(m.P) == 0 {
-		return fmt.Errorf("stats: IterSelfConvolutions empty PMF")
+		return fmt.Errorf("stats: packed chain over an empty PMF")
 	}
 	if want := PackedPlanSizeFor(len(c.P), len(m.P), count); want != p.n {
 		return fmt.Errorf("stats: packed plan size %d, chain pair needs %d", p.n, want)
@@ -315,7 +285,7 @@ func (p *PackedConvolutionPlan) forward(d int) {
 	}
 
 	// Split the packed spectrum by conjugate symmetry into the two
-	// Hermitian half-spectra: with Z = FFT(c + i*m),
+	// Hermitian half-spectra: with Z the forward transform of c + i*m,
 	//
 	//	specC[k] = (Z[k] + conj(Z[n-k])) / 2
 	//	specM[k] = (Z[k] - conj(Z[n-k])) / (2i)
@@ -354,8 +324,8 @@ func (p *PackedConvolutionPlan) forward(d int) {
 // row produced; rows skipped on the way cost one half-spectrum power step
 // each and no inverse transform. A row that reads finer bins than the
 // spectra computed so far first runs the forward transform at its
-// stride. Each row is bitwise the row IterSelfConvolutionsInto would
-// produce.
+// stride. Each row's bits do not depend on which rows before it were
+// read or skipped.
 func (p *PackedConvolutionPlan) RowInto(i int, dstC, dstM *PMF) error {
 	if p.row < 0 {
 		return fmt.Errorf("stats: packed row %d requested before Start", i)
@@ -429,7 +399,8 @@ func (p *PackedConvolutionPlan) RowInto(i int, dstC, dstM *PMF) error {
 	}
 	*dstC = PMF{
 		// Each convolution adds the origin plus the half-width
-		// midpoint correction (see Convolve).
+		// midpoint correction: bucket masses sit at midpoints, so
+		// buckets i and j sum to (i+j+1) widths past the two origins.
 		Origin: p.cOrigin + float64(i)*(p.cOrigin+p.cWidth/2),
 		Width:  p.cWidth,
 		P:      bufC,
@@ -460,7 +431,7 @@ func fitFloats(buf []float64, n int) []float64 {
 func fftStages(x []complex128, tw []complex128) {
 	n := len(x)
 	// Every specialization below performs the identical floating-point
-	// operations in the identical order as the plain nested loop of fft()
+	// operations in the identical order as the naive oracle FFT's loop
 	// (including the multiplications by the unit twiddle, whose skipping
 	// could flip signed zeros).
 	if n >= 2 {

@@ -83,11 +83,11 @@ func TestPackedSelfConvolutionsMatchReferenceWithinBound(t *testing.T) {
 		c := randomPMF(r, 1+r.Intn(130), float64(r.Intn(10)), 0.25+r.Float64())
 		m := randomPMF(r, 1+r.Intn(130), float64(r.Intn(10)), 0.25+r.Float64())
 		count := 1 + r.Intn(20)
-		wantC, err := IterConvolutions(c, c, count)
+		wantC, err := naiveChain(c, c, count)
 		if err != nil {
 			return false
 		}
-		wantM, err := IterConvolutions(m, m, count)
+		wantM, err := naiveChain(m, m, count)
 		if err != nil {
 			return false
 		}
@@ -100,7 +100,7 @@ func TestPackedSelfConvolutionsMatchReferenceWithinBound(t *testing.T) {
 		// Two rounds: the second reuses the first round's destination
 		// buffers and the plan's scratch, proving reuse changes nothing.
 		for round := 0; round < 2; round++ {
-			if err := plan.IterSelfConvolutionsInto(gotC, gotM, c, m); err != nil {
+			if err := selfConvolutions(plan, gotC, gotM, c, m); err != nil {
 				t.Fatal(err)
 			}
 			checkPackedRows(t, "C", gotC, wantC)
@@ -128,7 +128,7 @@ func TestPackedSelfConvolutionsDeterministic(t *testing.T) {
 	}
 	firstC := make([]PMF, count)
 	firstM := make([]PMF, count)
-	if err := plan.IterSelfConvolutionsInto(firstC, firstM, c, m); err != nil {
+	if err := selfConvolutions(plan, firstC, firstM, c, m); err != nil {
 		t.Fatal(err)
 	}
 	// Deep-copy: later calls refill the same destination backing arrays.
@@ -148,7 +148,7 @@ func TestPackedSelfConvolutionsDeterministic(t *testing.T) {
 	for trial, p := range []*PackedConvolutionPlan{plan, fresh} {
 		gotC := make([]PMF, count)
 		gotM := make([]PMF, count)
-		if err := p.IterSelfConvolutionsInto(gotC, gotM, c, m); err != nil {
+		if err := selfConvolutions(p, gotC, gotM, c, m); err != nil {
 			t.Fatal(err)
 		}
 		for i := range wantC {
@@ -182,11 +182,11 @@ func TestPackedSelfConvolutionsDegenerateSingleBucket(t *testing.T) {
 		{"wide-delta", wide, delta},
 		{"delta-delta", delta, delta},
 	} {
-		wantC, err := IterConvolutions(pair.c, pair.c, count)
+		wantC, err := naiveChain(pair.c, pair.c, count)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantM, err := IterConvolutions(pair.m, pair.m, count)
+		wantM, err := naiveChain(pair.m, pair.m, count)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestPackedSelfConvolutionsDegenerateSingleBucket(t *testing.T) {
 		}
 		gotC := make([]PMF, count)
 		gotM := make([]PMF, count)
-		if err := plan.IterSelfConvolutionsInto(gotC, gotM, pair.c, pair.m); err != nil {
+		if err := selfConvolutions(plan, gotC, gotM, pair.c, pair.m); err != nil {
 			t.Fatalf("%s: %v", pair.name, err)
 		}
 		checkPackedRows(t, pair.name+"/C", gotC, wantC)
@@ -210,22 +210,23 @@ func TestPackedSelfConvolutionsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.IterSelfConvolutionsInto(nil, nil, ok, ok); err == nil {
-		t.Fatal("expected error for empty dst")
+	if err := plan.Start(ok, ok, 0); err == nil {
+		t.Fatal("expected error for zero rows")
 	}
-	if err := plan.IterSelfConvolutionsInto(make([]PMF, 2), make([]PMF, 3), ok, ok); err == nil {
-		t.Fatal("expected error for mismatched dst lengths")
-	}
-	if err := plan.IterSelfConvolutionsInto(make([]PMF, 2), make([]PMF, 2), PMF{}, ok); err == nil {
+	if err := plan.Start(PMF{}, ok, 2); err == nil {
 		t.Fatal("expected error for empty c")
 	}
-	if err := plan.IterSelfConvolutionsInto(make([]PMF, 2), make([]PMF, 2), ok, PMF{}); err == nil {
+	if err := plan.Start(ok, PMF{}, 2); err == nil {
 		t.Fatal("expected error for empty m")
 	}
 	// Mismatched plan size must be rejected, not silently mis-transformed.
 	big := randomPMF(rand.New(rand.NewSource(1)), 64, 0, 1)
-	if err := plan.IterSelfConvolutionsInto(make([]PMF, 8), make([]PMF, 8), big, big); err == nil {
+	if err := plan.Start(big, big, 8); err == nil {
 		t.Fatal("expected plan size mismatch error")
+	}
+	var row PMF
+	if err := plan.RowInto(0, &row, &row); err == nil {
+		t.Fatal("RowInto after a failed Start must error")
 	}
 }
 
@@ -248,7 +249,7 @@ func TestPackedRowIntoSkipsRows(t *testing.T) {
 	}
 	fullC := make([]PMF, count)
 	fullM := make([]PMF, count)
-	if err := plan.IterSelfConvolutionsInto(fullC, fullM, c, m); err != nil {
+	if err := selfConvolutions(plan, fullC, fullM, c, m); err != nil {
 		t.Fatal(err)
 	}
 	if err := plan.Start(c, m, count); err != nil {
@@ -439,15 +440,15 @@ func TestPackedSelfConvolutionsAllocationFree(t *testing.T) {
 	}
 	dstC := make([]PMF, 16)
 	dstM := make([]PMF, 16)
-	if err := plan.IterSelfConvolutionsInto(dstC, dstM, c, m); err != nil { // warm buffers
+	if err := selfConvolutions(plan, dstC, dstM, c, m); err != nil { // warm buffers
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := plan.IterSelfConvolutionsInto(dstC, dstM, c, m); err != nil {
+		if err := selfConvolutions(plan, dstC, dstM, c, m); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm IterSelfConvolutionsInto allocates %v/op, want 0", allocs)
+		t.Fatalf("warm full packed pass allocates %v/op, want 0", allocs)
 	}
 }

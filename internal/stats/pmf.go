@@ -19,48 +19,6 @@ type PMF struct {
 	P      []float64
 }
 
-// NewPMFFromSamples builds an equal-width PMF with nbuckets buckets spanning
-// [min(samples), max(samples)]. It returns a degenerate single-bucket PMF
-// when all samples are equal. The paper's implementation uses 128-bucket
-// distributions; callers pass that.
-func NewPMFFromSamples(samples []float64, nbuckets int) (PMF, error) {
-	if len(samples) == 0 {
-		return PMF{}, fmt.Errorf("stats: no samples")
-	}
-	if nbuckets <= 0 {
-		return PMF{}, fmt.Errorf("stats: nbuckets must be positive, got %d", nbuckets)
-	}
-	lo, hi := samples[0], samples[0]
-	for _, s := range samples {
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			return PMF{}, fmt.Errorf("stats: sample is not finite: %v", s)
-		}
-		if s < lo {
-			lo = s
-		}
-		if s > hi {
-			hi = s
-		}
-	}
-	if hi == lo {
-		return PMF{Origin: lo, Width: 1, P: []float64{1}}, nil
-	}
-	w, err := bucketWidth(lo, hi, nbuckets)
-	if err != nil {
-		return PMF{}, err
-	}
-	p := make([]float64, nbuckets)
-	inc := 1 / float64(len(samples))
-	for _, s := range samples {
-		k := int((s - lo) / w)
-		if k >= nbuckets { // s == hi lands one past the end
-			k = nbuckets - 1
-		}
-		p[k] += inc
-	}
-	return PMF{Origin: lo, Width: w, P: p}, nil
-}
-
 // bucketWidth returns the width of nbuckets equal buckets spanning
 // [lo, hi], lo < hi. It rejects a span so wide that it overflows or so
 // narrow that the width underflows to 0: samples could not be assigned a
@@ -71,16 +29,6 @@ func bucketWidth(lo, hi float64, nbuckets int) (float64, error) {
 		return 0, fmt.Errorf("stats: sample span [%g, %g] cannot be split into %d buckets", lo, hi, nbuckets)
 	}
 	return w, nil
-}
-
-// Mass returns the total probability mass (1 up to rounding for any
-// well-formed PMF).
-func (d PMF) Mass() float64 {
-	var m float64
-	for _, v := range d.P {
-		m += v
-	}
-	return m
 }
 
 // midpoint returns the representative value of bucket k.
@@ -123,7 +71,10 @@ func (d PMF) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	mass := d.Mass()
+	var mass float64
+	for _, p := range d.P {
+		mass += p
+	}
 	target := q * mass
 	var cum float64
 	for k, p := range d.P {
@@ -170,7 +121,7 @@ func (d PMF) QuantileFromCum(cum []float64, q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	// cum[len-1] is the same running total Mass() computes, bit for bit.
+	// cum[len-1] is the same running total Quantile computes, bit for bit.
 	target := q*cum[len(cum)-1] - 1e-12
 	lo, hi := 0, len(cum) // first k with cum[k] >= target
 	for lo < hi {
@@ -187,74 +138,23 @@ func (d PMF) QuantileFromCum(cum []float64, q float64) float64 {
 	return d.Origin + float64(len(d.P))*d.Width
 }
 
-// CDF returns P[X <= x].
-func (d PMF) CDF(x float64) float64 {
-	if len(d.P) == 0 {
-		return 0
-	}
-	if x < d.Origin {
-		return 0
-	}
-	k := int((x - d.Origin) / d.Width)
-	if k >= len(d.P) {
-		return d.Mass()
-	}
-	var cum float64
-	for i := 0; i < k; i++ {
-		cum += d.P[i]
-	}
-	// Interpolate within bucket k, treating mass as uniform in the bucket.
-	frac := (x - (d.Origin + float64(k)*d.Width)) / d.Width
-	return cum + d.P[k]*frac
-}
-
-// ConditionAtLeast returns the distribution of X - omega given X > omega:
+// ConditionAtLeastInto returns the distribution of X - omega given
+// X > omega:
 //
 //	P[X0 = c] = P[X = c + omega | X > omega]
 //
-// This is the paper's shift-and-rescale used to model the remaining work of
-// the request currently being served (Sec. 4.1). Conditioning happens at a
-// bucket boundary at or below omega, which is conservative (it can only
-// overestimate remaining work). If omega exhausts the support, a degenerate
-// PMF at the final bucket width is returned so callers always get a usable
-// distribution.
-func (d PMF) ConditionAtLeast(omega float64) PMF {
-	if len(d.P) == 0 {
-		return d
-	}
-	if omega <= d.Origin {
-		// No mass below omega: the remaining work is exactly X - omega.
-		out := make([]float64, len(d.P))
-		copy(out, d.P)
-		return PMF{Origin: d.Origin - omega, Width: d.Width, P: out}
-	}
-	// The epsilon keeps conditioning exactly at a bucket boundary from
-	// rounding down into the previous bucket.
-	k := int((omega-d.Origin)/d.Width + 1e-9)
-	if k >= len(d.P) {
-		// All profiled mass elapsed; model one residual bucket of work.
-		return PMF{Origin: 0, Width: d.Width, P: []float64{1}}
-	}
-	rest := make([]float64, len(d.P)-k)
-	copy(rest, d.P[k:])
-	var mass float64
-	for _, v := range rest {
-		mass += v
-	}
-	if mass <= 0 {
-		return PMF{Origin: 0, Width: d.Width, P: []float64{1}}
-	}
-	for i := range rest {
-		rest[i] /= mass
-	}
-	return PMF{Origin: 0, Width: d.Width, P: rest}
-}
-
-// ConditionAtLeastInto is ConditionAtLeast writing into buf's backing
-// array (grown only when too small), for rebuild paths that condition the
-// same distribution once per table row and cannot afford a fresh slice per
-// row. buf must not alias d.P. The returned PMF is bitwise-identical to
-// ConditionAtLeast's.
+// This is the paper's shift-and-rescale used to model the remaining work
+// of the request currently being served (Sec. 4.1). Conditioning happens
+// at a bucket boundary at or below omega, which is conservative (it can
+// only overestimate remaining work). If omega exhausts the support, a
+// degenerate PMF at the final bucket width is returned so callers always
+// get a usable distribution.
+//
+// The result is written into buf's backing array (grown only when too
+// small): the rebuild conditions the same distribution once per table row
+// and cannot afford a fresh slice per row. buf must not alias d.P. The
+// returned PMF is bitwise-identical to the naive oracle's
+// ConditionAtLeast.
 func (d PMF) ConditionAtLeastInto(buf []float64, omega float64) PMF {
 	if len(d.P) == 0 {
 		return d
@@ -293,41 +193,6 @@ func (d PMF) ConditionAtLeastInto(buf []float64, omega float64) PMF {
 		rest[i] /= mass
 	}
 	return PMF{Origin: 0, Width: d.Width, P: rest}
-}
-
-// Convolve returns the distribution of the sum of two independent variables
-// with matching bucket widths, computed directly (O(n*m)). It is the
-// reference implementation the FFT path is tested against.
-//
-// Bucket masses represent midpoints, so summing bucket i of a with bucket j
-// of b yields the lattice point a.Origin+b.Origin+(i+j+1)*Width; the result
-// origin carries the extra half-width so that midpoints (and therefore
-// means and variances) add exactly.
-func Convolve(a, b PMF) (PMF, error) {
-	if len(a.P) == 0 || len(b.P) == 0 {
-		return PMF{}, fmt.Errorf("stats: convolve empty PMF")
-	}
-	if !widthsCompatible(a.Width, b.Width) {
-		return PMF{}, fmt.Errorf("stats: convolve width mismatch: %g vs %g", a.Width, b.Width)
-	}
-	out := make([]float64, len(a.P)+len(b.P)-1)
-	for i, pa := range a.P {
-		if pa == 0 {
-			continue
-		}
-		for j, pb := range b.P {
-			out[i+j] += pa * pb
-		}
-	}
-	return PMF{Origin: a.Origin + b.Origin + a.Width/2, Width: a.Width, P: out}, nil
-}
-
-func widthsCompatible(w1, w2 float64) bool {
-	if w1 == w2 {
-		return true
-	}
-	d := math.Abs(w1 - w2)
-	return d <= 1e-9*math.Max(math.Abs(w1), math.Abs(w2))
 }
 
 // Percentile returns the q-quantile of a sample slice by the nearest-rank

@@ -37,12 +37,6 @@ func (b BatchApp) PowerW(fMHz int, m cpu.PowerModel) float64 {
 	return m.ActivePower(fMHz)
 }
 
-// IPCProxy returns a throughput-per-cycle figure used by the HW-T
-// hardware DVFS heuristic (it maximizes aggregate instruction throughput).
-func (b BatchApp) IPCProxy(fMHz int) float64 {
-	return b.UnitsPerSec(fMHz) / (float64(fMHz) * 1e6)
-}
-
 // OptimalTPWFreq returns the grid frequency maximizing units per joule —
 // "each batch app runs at its optimal throughput per watt" (paper Sec. 7).
 // Because the memory system is partitioned, it does not depend on

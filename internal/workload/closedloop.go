@@ -94,11 +94,6 @@ func (s *ClosedLoopSource) Requeue(req Request) {
 	s.push(req)
 }
 
-// InFlight reports how many requests are currently between pull and
-// completion (pulled, not requeued, not yet completed) — never more than
-// Clients.
-func (s *ClosedLoopSource) InFlight() int { return s.pulled }
-
 // Exhausted reports that no future Next can ever return a request: the
 // heap is empty and either the spawn cap is reached or nothing is in
 // flight whose completion could spawn more (InFlight == 0).

@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzLoad fuzzes the trace reader over both on-disk formats — the legacy
-// single-object JSON of Save and the streaming JSONL of SaveJSONL — with
+// single-object JSON of Save and the streaming JSONL of WriteJSONL — with
 // the round-trip property: any bytes Load accepts describe a trace that
 // survives re-serialization through *either* writer and reloads deeply
 // identical. The seed corpus covers both writers, hand-built edge shapes,
@@ -22,7 +22,7 @@ func FuzzLoad(f *testing.F) {
 	}
 	f.Add(legacy.Bytes())
 	var jsonl bytes.Buffer
-	if err := tr.SaveJSONL(&jsonl); err != nil {
+	if _, err := WriteJSONL(&jsonl, tr.App, tr.Seed, NewTraceSource(tr), -1); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(jsonl.Bytes())
@@ -67,14 +67,14 @@ func FuzzLoad(f *testing.F) {
 		}
 
 		buf.Reset()
-		if err := tr.SaveJSONL(&buf); err != nil {
+		if _, err := WriteJSONL(&buf, tr.App, tr.Seed, NewTraceSource(tr), -1); err != nil {
 			t.Fatalf("re-saving accepted trace (JSONL): %v", err)
 		}
 		back, err = Load(&buf)
 		if err != nil {
 			t.Fatalf("reloading JSONL round-trip: %v", err)
 		}
-		// SaveJSONL streams the request set out of the header object, so
+		// WriteJSONL streams the request set out of the header object, so
 		// compare fields: App/Seed plus an element-wise request match (a
 		// nil and an empty slice are the same empty trace).
 		if back.App != tr.App || back.Seed != tr.Seed || len(back.Requests) != len(tr.Requests) {

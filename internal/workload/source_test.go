@@ -83,7 +83,7 @@ func TestGenSourceLen(t *testing.T) {
 
 func TestTraceSourceRoundTrip(t *testing.T) {
 	tr := GenerateAtLoad(Masstree(), 0.4, 500, 3)
-	src := tr.Source()
+	src := NewTraceSource(tr)
 	if src.Len() != 500 {
 		t.Fatalf("Len %d", src.Len())
 	}
@@ -282,19 +282,19 @@ func TestClosedLoopSource(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("closed-loop stream not deterministic")
 	}
-	// InFlight counts pull-to-completion, bounded by the population.
+	// pulled counts pull-to-completion, bounded by the population.
 	probe := cfg.NewSource()
 	for i := 0; i < cfg.Clients; i++ {
 		if _, ok := probe.Next(); !ok {
 			t.Fatal("population smaller than Clients")
 		}
 	}
-	if got := probe.InFlight(); got != cfg.Clients {
-		t.Fatalf("InFlight after %d pulls = %d", cfg.Clients, got)
+	if got := probe.pulled; got != cfg.Clients {
+		t.Fatalf("in flight after %d pulls = %d", cfg.Clients, got)
 	}
 	probe.OnCompletion(sim.Second)
-	if got := probe.InFlight(); got != cfg.Clients-1 {
-		t.Fatalf("InFlight after a completion = %d, want %d", got, cfg.Clients-1)
+	if got := probe.pulled; got != cfg.Clients-1 {
+		t.Fatalf("in flight after a completion = %d, want %d", got, cfg.Clients-1)
 	}
 	var prev sim.Time
 	for i, r := range a {
@@ -409,9 +409,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatal("Save/Load round trip diverged")
 	}
 
-	// SaveJSONL -> Load (header + request lines).
+	// WriteJSONL of the whole trace -> Load (header + request lines).
 	buf.Reset()
-	if err := tr.SaveJSONL(&buf); err != nil {
+	if _, err := WriteJSONL(&buf, tr.App, tr.Seed, NewTraceSource(tr), -1); err != nil {
 		t.Fatal(err)
 	}
 	got, err = Load(&buf)
@@ -419,12 +419,12 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.App != tr.App || got.Seed != tr.Seed || !reflect.DeepEqual(got.Requests, tr.Requests) {
-		t.Fatal("SaveJSONL/Load round trip diverged")
+		t.Fatal("WriteJSONL/Load round trip diverged")
 	}
 
 	// WriteJSONL straight from a source, capped; it reports the count.
 	buf.Reset()
-	written, err := WriteJSONL(&buf, tr.App, tr.Seed, tr.Source(), 50)
+	written, err := WriteJSONL(&buf, tr.App, tr.Seed, NewTraceSource(tr), 50)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,25 +138,10 @@ func (t Trace) Describe(fMHz int) Stats {
 	return s
 }
 
-// Source streams the trace's requests: the bridge into the streaming
-// consumers (queueing.RunSource, cluster.RunSource), under which a replay
-// is byte-identical to the materialized path.
-func (t Trace) Source() *TraceSource { return NewTraceSource(t) }
-
 // Save writes the trace as JSON.
 func (t Trace) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(t)
-}
-
-// SaveJSONL writes the trace as JSON Lines: a header object carrying the
-// trace metadata followed by one request object per line. Unlike Save it
-// never buffers the request set in the encoder, and WriteJSONL can
-// produce the same format directly from a Source without materializing a
-// trace at all. Load reads both formats.
-func (t Trace) SaveJSONL(w io.Writer) error {
-	_, err := WriteJSONL(w, t.App, t.Seed, NewTraceSource(t), -1)
-	return err
 }
 
 // jsonlHeader is the first line of a JSONL trace file.
@@ -166,8 +151,10 @@ type jsonlHeader struct {
 }
 
 // WriteJSONL streams up to n requests (n < 0: until exhaustion) from a
-// source to w in the JSONL trace format, holding one request at a time —
-// arbitrarily long scenario exports in constant memory. It returns the
+// source to w in the JSONL trace format — a header object carrying the
+// trace metadata, then one request object per line — holding one request
+// at a time: arbitrarily long scenario exports in constant memory, and
+// no materialized trace. Load reads it back. It returns the
 // number of requests written, which can fall short of n when the source
 // drains early (notably closed-loop sources, which yield only their
 // open-loop prefix without completion feedback).
@@ -193,7 +180,7 @@ func WriteJSONL(w io.Writer, app string, seed int64, src Source, n int) (int, er
 	return written, nil
 }
 
-// Load reads a trace written by Save or SaveJSONL/WriteJSONL and
+// Load reads a trace written by Save or WriteJSONL and
 // validates its invariants (non-decreasing arrivals, positive work). Both
 // formats start with one JSON object carrying the metadata; the JSONL
 // form then streams one request object per value.

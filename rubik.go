@@ -83,11 +83,6 @@ type (
 	// distributions are still; 0 = always rebuild, byte-identical
 	// results).
 	ControllerConfig = rubikcore.Config
-	// TableBuilder is the persistent, allocation-free rebuild pipeline
-	// behind a controller's target tail tables (FFT plans, streaming
-	// profiles, in-place table refills). Controllers manage their own;
-	// it is exported for callers that rebuild TailTables directly.
-	TableBuilder = rubikcore.TableBuilder
 	// TailTable is the pair of precomputed target tail tables.
 	TailTable = rubikcore.TailTable
 	// Policy decides core frequencies on each arrival and completion.
@@ -264,13 +259,6 @@ func DefaultControllerConfig(latencyBoundNs float64) ControllerConfig {
 // NewControllerWithConfig builds a Rubik controller with explicit settings.
 func NewControllerWithConfig(cfg ControllerConfig) (*Controller, error) {
 	return rubikcore.New(cfg)
-}
-
-// NewTableBuilder returns a persistent tail-table rebuild pipeline with
-// the given table dimensions (paper: percentile 0.95, 128 buckets, 8 rows,
-// 16 queue positions). One builder per goroutine: it owns its buffers.
-func NewTableBuilder(percentile float64, nbuckets, rows, maxQueue int) (*TableBuilder, error) {
-	return rubikcore.NewTableBuilder(percentile, nbuckets, rows, maxQueue)
 }
 
 // Fixed returns the Fixed-frequency baseline policy.
