@@ -44,8 +44,10 @@ func All() []Bench {
 		{"TailTableBuildCol1", tailTableBuild(1)},
 		{"TailTableBuildCol3", tailTableBuild(3)},
 		{"TailTableBuildFull", tailTableBuild(15)},
+		{"TailTableBuildAllRows", tailTableBuildAllRows},
 		{"ConvolutionPacked", convolutionPacked},
 		{"HistogramPush", histogramPush},
+		{"FeedbackTail", feedbackTail},
 		{"RubikDecision", rubikDecision},
 		{"SourceHotPath", sourceHotPath},
 		{"EventSim", eventSim},
@@ -144,9 +146,10 @@ func mergeFixture(sockets, cores, perCore int) cluster.FleetResult {
 // tailTableBuild times one periodic target-tail-table refresh the way the
 // controller performs it — through a persistent TableBuilder whose plans
 // and buffers are warm, so the steady state is allocation-free (the paper
-// reports 0.2 ms per update) — followed by one read of queue position
-// col, which materializes columns 0..col. A refresh runs no transform:
-// column 0 comes straight from the profiles (TailTableBuild); col 1 adds
+// reports 0.2 ms per update) — followed by one read of row 0 at queue
+// position col, which conditions row 0 and materializes columns 0..col.
+// A refresh runs no transform and conditions no row: column 0 comes
+// straight from the profiles (TailTableBuild); col 1 adds
 // the forward transform pruned to stride 8 and one pruned inverse
 // (TailTableBuildCol1); col 3, the deepest column the paper operating
 // point reads, refines the forward to stride 4 (TailTableBuildCol3); col
@@ -171,6 +174,32 @@ func tailTableBuild(col int) func(*testing.B) {
 		for i := 0; i < b.N; i++ {
 			refresh()
 		}
+	}
+}
+
+// tailTableBuildAllRows times a refresh plus column 0 of every row: the
+// refresh with every row conditioned, the cost an eager refresh paid and
+// a controller whose decisions select every row still pays.
+func tailTableBuildAllRows(b *testing.B) {
+	histC, histM := profiledHistograms(4096)
+	tb, err := rubikcore.NewTableBuilder(0.95, 128, 8, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	refresh := func() {
+		tbl, _, err := tb.Rebuild(histC, histM)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for row := 0; row < tbl.Rows(); row++ {
+			tbl.Lookup(row, 0)
+		}
+	}
+	refresh() // warm buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		refresh()
 	}
 }
 
@@ -219,6 +248,36 @@ func histogramPush(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		histC.Push(vals[i&1023])
+	}
+}
+
+// feedbackTail times one feedback-tail measurement the way a trough-cadence
+// Rubik core takes it: a 1 s rolling window holding ~300 response
+// latencies, into which 2 completions arrive (and from which 2 expire)
+// between successive p95 reads.
+func feedbackTail(b *testing.B) {
+	const window, live = int64(sim.Second), 300
+	step := window / live
+	r := rand.New(rand.NewSource(15))
+	vals := make([]float64, 1024)
+	for i := range vals {
+		vals[i] = 500e3 * r.ExpFloat64()
+	}
+	w := stats.NewRollingWindow(window)
+	var now int64
+	for i := 0; i < live; i++ {
+		now += step
+		w.Add(now, vals[i&1023])
+	}
+	w.Percentile(0.95)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < 2; k++ {
+			now += step
+			w.Add(now, vals[(2*i+k)&1023])
+		}
+		w.Percentile(0.95)
 	}
 }
 

@@ -27,17 +27,20 @@ import (
 // pinned bit for bit against a build over the naive chain (the test
 // oracle) across table shapes and profiles.
 //
-// A refresh runs no transform: column 0 is the single-request
-// distribution, whose exact tails are quantiles of the profiles
-// themselves. The first Lookup of a deeper column runs the forward
-// transform, and each deeper column's pruned inverse runs when a Lookup
-// first reads it (decisions rarely look past queue position 0, and a
-// refresh period whose decisions never do pays no transform at all). The
-// builder therefore keeps the profiles the current table was built from
-// until the next refresh replaces the table: each refresh bins into
-// scratch PMFs and commits them only when it rebuilds or hits the cache,
-// so a drift-gate skip or a failed binning leaves the pending columns'
-// inputs untouched.
+// A refresh runs no transform and conditions no row: column 0 is the
+// single-request distribution, whose exact tails are quantiles of the
+// profiles themselves, and a refresh computes only those and the row
+// bounds. The first decision or Lookup that selects a row conditions it
+// (at short refresh periods most tables serve only row 0, a head that
+// has not started). The first Lookup of a deeper column runs
+// the forward transform, and each deeper column's pruned inverse runs
+// when a Lookup first reads it (decisions rarely look past queue position
+// 0, and a refresh period whose decisions never do pays no transform at
+// all). The builder therefore keeps the profiles the current table was
+// built from until the next refresh replaces the table: each refresh
+// bins into scratch PMFs and commits them only when it rebuilds or hits
+// the cache, so a drift-gate skip or a failed binning leaves the pending
+// rows' and columns' inputs untouched.
 //
 // A builder owns its buffers and is NOT safe for concurrent use; each
 // controller holds its own. The same holds for its table, whose Lookup
@@ -57,9 +60,11 @@ type TableBuilder struct {
 	// Cache, when non-nil, memoizes full rebuilds content-addressed by
 	// their exact inputs (both profiled PMFs plus the table shape): a
 	// refresh whose inputs match a cached rebuild bit for bit copies the
-	// cached table in place instead of rebuilding its rows, which is
+	// cached table in place instead of rebuilding it, which is
 	// bitwise-indistinguishable from rebuilding because the pipeline
-	// is a pure function of that key. Nil (the default) rebuilds
+	// is a pure function of that key. With lazy rows a hit saves only
+	// the row bounds and column 0; every row is still conditioned on
+	// first read. Nil (the default) rebuilds
 	// privately. The cache is shared across the builders of one goroutine
 	// (cluster.RunFleet hands every socket on a shard the same cache);
 	// like the builder itself it must not be shared across goroutines.
@@ -132,6 +137,9 @@ func NewTableBuilder(percentile float64, nbuckets, rows, maxQueue int) (*TableBu
 		discM:      make([]float64, rows),
 		headC:      make([]float64, rows),
 		headM:      make([]float64, rows),
+		ready:      make([]bool, rows),
+		exactC:     make([]float64, maxQueue),
+		exactM:     make([]float64, maxQueue),
 	}
 	for r := 0; r < rows; r++ {
 		t.c[r] = make([]float64, maxQueue)
@@ -187,12 +195,12 @@ func (b *TableBuilder) Rebuild(histC, histM *stats.Histogram) (*TailTable, bool,
 // finish runs the drift gate on the freshly binned b.binC/b.binM and,
 // when it does not fire, refreshes the table from them — through the
 // content-addressed cache when one is attached (a verified hit copies the
-// cached table's materialized columns in place, bitwise-identical to
-// rebuilding; deeper columns are derived later like a rebuilt table's),
-// by the in-place rebuild otherwise.
+// cached table's row bounds and materialized columns in place,
+// bitwise-identical to rebuilding; rows and deeper columns are derived
+// later like a rebuilt table's), by the in-place rebuild otherwise.
 func (b *TableBuilder) finish() (*TailTable, bool, error) {
-	meanC, varC := b.binC.Mean(), b.binC.Variance()
-	meanM, varM := b.binM.Mean(), b.binM.Variance()
+	meanC, varC := b.binC.MeanVariance()
+	meanM, varM := b.binM.MeanVariance()
 	stdC, stdM := math.Sqrt(varC), math.Sqrt(varM)
 	if b.DriftThreshold > 0 && b.haveProfile &&
 		relDrift(meanC, stdC, b.lastMeanC, b.lastStdC) <= b.DriftThreshold &&

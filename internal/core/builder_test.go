@@ -82,12 +82,22 @@ func referenceTailTable(computeSamples, memSamples []float64, percentile float64
 		t.headM = append(t.headM, headM)
 	}
 	t.built = maxQueue
+	t.ready = make([]bool, rows)
+	for r := range t.ready {
+		t.ready[r] = true
+	}
 	return t, nil
 }
 
-// materialize fills every column a lazily built table has not, so tests
-// can read t.c and t.m directly.
+// materialize conditions every row and fills every column a lazily built
+// table has not, so tests can read t.c, t.m and the per-row fields
+// directly.
 func materialize(tb *TailTable) {
+	for r, ready := range tb.ready {
+		if !ready {
+			tb.materializeRow(r)
+		}
+	}
 	if tb.built < tb.MaxQueue {
 		tb.fill(tb.MaxQueue - 1)
 	}

@@ -10,13 +10,15 @@ import (
 //
 // TailTable.Rebuild is a pure function of its inputs — the two profiled
 // PMFs plus the (percentile, buckets, rows, maxQueue) table shape. A
-// refresh runs no transform (column 0 comes straight from the profiles);
-// what it does run is the per-row work (row bounds, conditioned head
-// distributions, mean discounts) every core's periodic refresh repeats
-// even when its profile is byte-identical to the previous tick's (an
-// idle burst phase adds no samples) or to a neighboring core's. The cache
-// saves that row work and nothing else: deeper columns of a hit table
-// still run the forward transform on first read. The cache keys each
+// refresh runs no transform (column 0 comes straight from the profiles)
+// and conditions no row (rows materialize on first read); what it does
+// run, the row bounds and column 0's exact tails, every core's periodic
+// refresh repeats even when its profile is byte-identical to the
+// previous tick's (an idle burst phase adds no samples) or to a
+// neighboring core's. The cache saves those and nothing else: a hit
+// table's rows are still conditioned on first read, and its deeper
+// columns still run the forward transform, while every lookup pays for
+// the fingerprint. The cache keys each
 // rebuild by an FNV-1a fingerprint over the raw float bits of that exact
 // input tuple; on a fingerprint hit it verifies the full key bit for bit
 // (FNV-1a can collide; a false share would corrupt results, so collisions
@@ -252,8 +254,10 @@ func (c *TableCache) moveToFront(e *cacheEntry) {
 	c.pushFront(e)
 }
 
-// copyFrom makes t a deep copy of src's materialized state — everything
-// the rows share plus columns 0..src.built-1 — reusing t's backing slices
+// copyFrom makes t a deep copy of src's materialized state — the row
+// bounds, which rows are materialized with their discounts and head
+// tails, the exact tails of columns 0..src.built-1 and those columns of
+// every row — reusing t's backing slices
 // when their capacities allow. It leaves t.src alone: a cache entry stays
 // ownerless, and a builder's table keeps deriving its pending columns
 // from its builder. On the hit path the builder's table already has the
@@ -270,6 +274,9 @@ func (t *TailTable) copyFrom(src *TailTable) {
 	t.discM = resizeCopy(t.discM, src.discM)
 	t.headC = resizeCopy(t.headC, src.headC)
 	t.headM = resizeCopy(t.headM, src.headM)
+	t.ready = append(t.ready[:0], src.ready...)
+	t.exactC = resizeCopy(t.exactC, src.exactC)
+	t.exactM = resizeCopy(t.exactM, src.exactM)
 	t.built = src.built
 	t.c = resizeCopyRows(t.c, src.c, src.built)
 	t.m = resizeCopyRows(t.m, src.m, src.built)

@@ -390,6 +390,9 @@ func (r *Rubik) OnEvent(v queueing.View) int {
 	// cover the lag.
 	t := r.table
 	row := t.RowFor(v.HeadElapsedCycles)
+	if !t.ready[row] {
+		t.materializeRow(row)
+	}
 	lag := float64(r.cfg.TransitionLatency)
 	limit := len(v.Queue)
 	if r.cfg.HeadOnly && limit > 1 {

@@ -32,11 +32,13 @@ import (
 //
 // Tables are built by a TableBuilder, the periodic "update the service
 // cycle and time distributions, perform the convolutions, and fill in the
-// c_i and m_i values" step of paper Sec. 4.2, and materialize their
-// columns lazily: a refresh fills column 0 and everything the rows share,
-// and Lookup fills columns 1..MaxQueue-1 the first time a decision reads
-// them. Lookup therefore mutates the table, and like the builder it is
-// confined to the controller that owns it.
+// c_i and m_i values" step of paper Sec. 4.2, and materialize both their
+// rows and their columns lazily. A refresh computes every row bound
+// (RowFor needs them) and column 0's exact tails; a row's conditioning
+// (its mean discount and head tail) waits for the first decision or
+// Lookup that selects it, and Lookup fills columns 1..MaxQueue-1 the
+// first time a decision reads them. Lookup therefore mutates the table,
+// and like the builder it is confined to the controller that owns it.
 type TailTable struct {
 	// Percentile is the tail percentile the table targets (e.g. 0.95).
 	Percentile float64
@@ -62,16 +64,26 @@ type TailTable struct {
 	// 0.2 ms per update). Each entry is floored at the row's own
 	// conditioned head tail (headC[r], headM[r]).
 	//
-	// Only columns 0..built-1 are valid; Lookup fills the rest from src.
+	// Only columns 0..built-1 of rows with ready[r] set are valid; Lookup
+	// fills the rest from src.
 	c [][]float64
 	m [][]float64
+	// ready[r] reports whether row r is materialized: its discounts and
+	// head tails computed and its columns 0..built-1 filled.
+	ready []bool
+	// exactC[j], exactM[j] are column j's exact sum tails for a fresh
+	// head, recorded for j < built so a row materialized after its
+	// columns fills them without recomputing a chain row.
+	exactC, exactM []float64
 
 	// Base moments for the Gaussian extension of the exact sum tails.
 	meanC, varC float64
 	meanM, varM float64
-	// Per-row mean discounts, for extending rows past MaxQueue.
+	// Per-row mean discounts, for extending rows past MaxQueue (valid
+	// for ready rows).
 	discC, discM []float64
-	// Per-row conditioned head tails, the floor of every entry in the row.
+	// Per-row conditioned head tails, the floor of every entry in the row
+	// (valid for ready rows).
 	headC, headM []float64
 
 	// built is the number of leading columns materialized. src is the
@@ -84,25 +96,27 @@ type TailTable struct {
 
 // Rebuild refills t, the table b owns, from the profiles binned into b's
 // scratch (b.binC, b.binM), whose moments the caller passes so they are
-// computed once per refresh. It runs no transform: it commits the bins,
-// fills everything the rows share (row bounds, mean discounts,
-// conditioned head tails) and materializes column 0, which the Gaussian
-// extension also reads and which needs only the profiles themselves.
-// Lookup fills deeper columns on first use, the first of them starting
-// the packed plan. Before it commits anything, Rebuild rejects every
-// input the plan's Start would reject (for binned profiles, only an
-// empty one): a failed rebuild leaves the previous table, and the inputs
-// its pending columns derive from, intact, and a later fill cannot fail.
+// computed once per refresh. It runs no transform and conditions no row:
+// it commits the bins, computes every row bound (one binary search each
+// over a cumulative pass) and column 0's exact tails, which the Gaussian
+// extension also reads and which need only the profiles themselves, and
+// marks every row pending. The first decision or Lookup that selects a
+// row materializes it (materializeRow); Lookup fills deeper columns on
+// first use, the first of them starting the packed plan. Before it
+// commits anything, Rebuild rejects every input the plan's Start would
+// reject (for binned profiles, only an empty one): a failed rebuild
+// leaves the previous table, and the inputs its pending rows and columns
+// derive from, intact, and a later fill cannot fail.
 func (t *TailTable) Rebuild(b *TableBuilder, meanC, varC, meanM, varM float64) error {
 	if len(b.binC.P) == 0 || len(b.binM.P) == 0 {
 		return fmt.Errorf("core: empty profiled distribution")
 	}
 	b.commitBins()
-	maxQueue, rows, percentile := b.maxQueue, b.rows, b.percentile
+	rows := b.rows
 	distC, distM := b.distC, b.distM
 
-	t.Percentile = percentile
-	t.MaxQueue = maxQueue
+	t.Percentile = b.percentile
+	t.MaxQueue = b.maxQueue
 	t.meanC, t.varC = meanC, varC
 	t.meanM, t.varM = meanM, varM
 
@@ -111,48 +125,55 @@ func (t *TailTable) Rebuild(b *TableBuilder, meanC, varC, meanM, varM float64) e
 	// Quantile scans it replaces.
 	b.cumC = distC.CumSumInto(b.cumC)
 	b.cumM = distM.CumSumInto(b.cumM)
-
-	for r := 0; r < rows; r++ {
+	for r := 1; r < rows; r++ { // row 0 conditions on no work: its bounds stay 0
 		q := float64(r) / float64(rows)
-		var boundC, boundM float64
-		if r > 0 {
-			boundC = distC.QuantileFromCum(b.cumC, q)
-			boundM = distM.QuantileFromCum(b.cumM, q)
-		}
-		t.rowBoundsC[r] = boundC
-		t.rowBoundsM[r] = boundM
-
-		condC := distC.ConditionAtLeastInto(b.condC, boundC)
-		condM := distM.ConditionAtLeastInto(b.condM, boundM)
-		discC := t.meanC - condC.Mean()
-		discM := t.meanM - condM.Mean()
-		if discC < 0 {
-			discC = 0
-		}
-		if discM < 0 {
-			discM = 0
-		}
-		t.discC[r] = discC
-		t.discM[r] = discM
-		t.headC[r] = condC.Quantile(percentile)
-		t.headM[r] = condM.Quantile(percentile)
+		t.rowBoundsC[r] = distC.QuantileFromCum(b.cumC, q)
+		t.rowBoundsM[r] = distM.QuantileFromCum(b.cumM, q)
 	}
+	clear(t.ready)
 	t.built = 0
 	t.fill(0)
 	return nil
 }
 
+// materializeRow conditions row r on the committed profiles (the head has
+// completed at least the row's bound), records its mean discounts and
+// head tails, and fills its columns 0..built-1 from the recorded exact
+// tails.
+func (t *TailTable) materializeRow(r int) {
+	b := t.src
+	condC := b.distC.ConditionAtLeastInto(b.condC, t.rowBoundsC[r])
+	condM := b.distM.ConditionAtLeastInto(b.condM, t.rowBoundsM[r])
+	discC := t.meanC - condC.Mean()
+	discM := t.meanM - condM.Mean()
+	if discC < 0 {
+		discC = 0
+	}
+	if discM < 0 {
+		discM = 0
+	}
+	t.discC[r], t.discM[r] = discC, discM
+	t.headC[r] = condC.Quantile(t.Percentile)
+	t.headM[r] = condM.Quantile(t.Percentile)
+	cRow, mRow := t.c[r], t.m[r]
+	for j := 0; j < t.built; j++ {
+		cRow[j] = maxf(t.exactC[j]-discC, t.headC[r])
+		mRow[j] = maxf(t.exactM[j]-discM, t.headM[r])
+	}
+	t.ready[r] = true
+}
+
 // fill materializes columns built..i (i < MaxQueue) from the builder's
 // committed profiles: each column's exact sum tails for a fresh head are
-// quantiles of one chain row, and every row's entry discounts them and
-// floors at the row's head tail. Row 0 of the chain is the profile
-// itself, so column 0 reads its quantiles straight off distC/distM;
-// deeper columns read packed chain rows, and the first of them after a
-// commit runs the forward transform. The packed row 0 would be the
-// profile up to ulp noise, which the quantile's bucket-edge slack
-// absorbs, so both routes give the same bits. Start and RowInto fail
-// only on inputs Rebuild rejects or a plan/input mismatch the builder
-// rules out, so an error here is a bug.
+// quantiles of one chain row, recorded once, and every materialized row's
+// entry discounts them and floors at the row's head tail. Row 0 of the
+// chain is the profile itself, so column 0 reads its quantiles straight
+// off distC/distM; deeper columns read packed chain rows, and the first
+// of them after a commit runs the forward transform. The packed row 0
+// would be the profile up to ulp noise, which the quantile's bucket-edge
+// slack absorbs, so both routes give the same bits. Start and RowInto
+// fail only on inputs Rebuild rejects or a plan/input mismatch the
+// builder rules out, so an error here is a bug.
 func (t *TailTable) fill(i int) {
 	b := t.src
 	for j := t.built; j <= i; j++ {
@@ -172,9 +193,12 @@ func (t *TailTable) fill(i int) {
 			exactC = b.rowC.Quantile(t.Percentile)
 			exactM = b.rowM.Quantile(t.Percentile)
 		}
-		for r := range t.c {
-			t.c[r][j] = maxf(exactC-t.discC[r], t.headC[r])
-			t.m[r][j] = maxf(exactM-t.discM[r], t.headM[r])
+		t.exactC[j], t.exactM[j] = exactC, exactM
+		for r, ready := range t.ready {
+			if ready {
+				t.c[r][j] = maxf(exactC-t.discC[r], t.headC[r])
+				t.m[r][j] = maxf(exactM-t.discM[r], t.headM[r])
+			}
 		}
 	}
 	t.built = i + 1
@@ -208,14 +232,18 @@ func (t *TailTable) RowFor(elapsedCycles float64) int {
 // Lookup returns the tail cycles c_i and tail memory time m_i (ns) for the
 // request at queue position i given the head's row. Positions at or beyond
 // MaxQueue use the Gaussian extension (paper Sec. 4.2, "Large queues").
-// The first Lookup of a column not yet materialized fills it and every
-// column before it.
+// The first Lookup of a row not yet materialized conditions it, and the
+// first Lookup of a column not yet materialized fills it and every column
+// before it.
 func (t *TailTable) Lookup(row, i int) (ci, mi float64) {
 	if row < 0 {
 		row = 0
 	}
 	if row >= len(t.c) {
 		row = len(t.c) - 1
+	}
+	if !t.ready[row] {
+		t.materializeRow(row)
 	}
 	if i < t.MaxQueue {
 		if i >= t.built {

@@ -39,7 +39,8 @@ var (
 	_ queueing.CompletionObserver = (*Pegasus)(nil)
 )
 
-// NewPegasus returns a Pegasus controller with paper-like guardbands.
+// NewPegasus returns a Pegasus controller with paper-like guardbands. It
+// starts at the lowest grid step at or above nominal frequency.
 func NewPegasus(boundNs float64, grid cpu.Grid) *Pegasus {
 	return &Pegasus{
 		BoundNs:    boundNs,
@@ -48,7 +49,7 @@ func NewPegasus(boundNs float64, grid cpu.Grid) *Pegasus {
 		Period:     sim.Second,
 		HighGuard:  0.98,
 		LowGuard:   0.85,
-		cur:        cpu.NominalMHz,
+		cur:        grid.ClampUp(cpu.NominalMHz),
 		window:     stats.NewRollingWindow(4 * sim.Second),
 	}
 }
@@ -77,7 +78,9 @@ func (p *Pegasus) OnTick(v queueing.View) int {
 		return p.cur
 	}
 	measured := p.window.Percentile(p.Percentile)
-	idx := p.Grid.Index(p.cur)
+	// An off-grid frequency (Grid replaced after construction) steps
+	// from the grid step it would run at.
+	idx := p.Grid.Index(p.Grid.ClampUp(float64(p.cur)))
 	switch {
 	case measured > 2*p.BoundNs:
 		idx = p.Grid.Len() - 1 // emergency: straight to max

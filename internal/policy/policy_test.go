@@ -6,6 +6,7 @@ import (
 
 	"rubik/internal/cpu"
 	"rubik/internal/queueing"
+	"rubik/internal/sim"
 	"rubik/internal/workload"
 )
 
@@ -248,6 +249,40 @@ func TestPegasusTracksBound(t *testing.T) {
 	// slack: it is a coarse feedback controller).
 	if tail := res.TailNs(0.95, 0.5); tail > bound*1.2 {
 		t.Fatalf("pegasus steady-state tail %v far above bound %v", tail, bound)
+	}
+}
+
+// TestPegasusOffGridStart pins the first step on a grid without the
+// nominal 2400 MHz step: Pegasus starts at the step nominal clamps up to
+// (3000 MHz), and a tail above the high guard (but below the emergency
+// 2x) keeps it there, at the top of the grid, rather than stepping from
+// an unknown index to the grid minimum.
+func TestPegasusOffGridStart(t *testing.T) {
+	grid, err := cpu.NewGrid([]int{1000, 2000, 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 1e6
+	peg := NewPegasus(bound, grid)
+	if got := peg.OnEvent(queueing.View{}); got != 3000 {
+		t.Fatalf("initial frequency %d, want 3000 (nominal clamped up)", got)
+	}
+	for i := 0; i < 16; i++ {
+		peg.ObserveCompletion(queueing.Completion{Done: sim.Time(i), ResponseNs: 1.5 * bound})
+	}
+	if got := peg.OnTick(queueing.View{Now: 16}); got != 3000 {
+		t.Fatalf("tail at 1.5x the bound stepped to %d MHz, want 3000", got)
+	}
+
+	// A grid swapped in after construction leaves cur off-grid; the step
+	// up starts from the step cur clamps up to.
+	peg = NewPegasus(bound, cpu.DefaultGrid())
+	peg.Grid = grid
+	for i := 0; i < 16; i++ {
+		peg.ObserveCompletion(queueing.Completion{Done: sim.Time(i), ResponseNs: 1.5 * bound})
+	}
+	if got := peg.OnTick(queueing.View{Now: 16}); got != 3000 {
+		t.Fatalf("off-grid cur: tail at 1.5x the bound stepped to %d MHz, want 3000", got)
 	}
 }
 

@@ -148,3 +148,69 @@ func FuzzPercentileMatchesSort(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRollingPercentileMatchesSelect drives a RollingWindow through
+// fuzzed add, advance and query sequences and checks every Percentile
+// against PercentileInPlace over a copy of the live values. Successive
+// queries pivot on the previous result, so the sequences reach every
+// route: a rank on the pivot, above it, a few ranks below it (the top-k
+// pass), far below it (the full selection), and NaN ranks. Results must
+// match bit for bit, except that -0 and +0 may stand for each other (the
+// caveat PercentileInPlace documents).
+//
+// Each op byte's low two bits pick the action and its high six bits the
+// argument: add one value (a special value, a small integer for
+// duplicates, or the next 8 bytes as raw float64 bits), add a run of
+// arg+1 ascending values (ranks far from the pivot), advance the clock by
+// arg (evicting), or query at one of the quantiles q ∈ {0, 0.5, 0.95, 1,
+// NaN}.
+func FuzzRollingPercentileMatchesSelect(f *testing.F) {
+	f.Add([]byte{0x80, 0x81, 0x82, 0x83, 0x7d, 0x03, 0x07, 0x0b, 0x0f, 0x13, 0x0b, 0x42, 0x0b})
+	f.Add([]byte{0xfd, 0x0f, 0x0b, 0x7d, 0x0f, 0x0b, 0x07, 0x03, 0x13, 0x0b, 0x1e, 0x0b, 0x7e, 0x0b})
+	f.Add([]byte{0x00, 0x0c, 0x10, 0x14, 0x24, 0x0b, 0x0f, 0x13, 0x08, 0x0b, 0x03, 0x0f})
+	f.Add([]byte{0xc8, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0x0b, 0x3d, 0x0b, 0x0f, 0x06, 0x0b})
+	// Evictions that wrap the ring: 32 samples at t=0 and t=32 each, the
+	// first 32 evicted at t=64, then 32 more that wrap to the ring's front.
+	f.Add([]byte{0x7d, 0x82, 0x7d, 0x82, 0x0b, 0x7d, 0x0b, 0x0f, 0x07, 0x0b, 0x03, 0x13, 0x0b})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		qs := [...]float64{0, 0.5, 0.95, 1, math.NaN()}
+		w := NewRollingWindow(64)
+		var now int64
+		next := 0.0
+		for len(ops) > 0 {
+			op := ops[0]
+			ops = ops[1:]
+			arg := int(op >> 2)
+			switch op & 3 {
+			case 0:
+				var v float64
+				switch {
+				case arg < 16:
+					v = specialValues[arg%len(specialValues)]
+				case arg < 48 || len(ops) < 8:
+					v = float64(arg % 8)
+				default:
+					v = math.Float64frombits(binary.LittleEndian.Uint64(ops))
+					ops = ops[8:]
+				}
+				w.Add(now, v)
+			case 1:
+				for i := 0; i <= arg; i++ {
+					next++
+					w.Add(now, next)
+				}
+			case 2:
+				now += int64(arg)
+				w.AdvanceTo(now)
+			case 3:
+				q := qs[arg%len(qs)]
+				got := w.Percentile(q)
+				want := PercentileInPlace(w.Values(), q)
+				if math.Float64bits(got) != math.Float64bits(want) &&
+					!(got == 0 && want == 0) && !(got != got && want != want) {
+					t.Fatalf("Percentile(%v) over %v = %v, PercentileInPlace %v", q, w.Values(), got, want)
+				}
+			}
+		}
+	})
+}

@@ -46,8 +46,18 @@ func (d PMF) Mean() float64 {
 }
 
 // Variance returns the variance, using bucket midpoints.
-func (d PMF) Variance() float64 {
-	mean := d.Mean()
+func (d PMF) Variance() float64 { return d.varianceAbout(d.Mean()) }
+
+// MeanVariance returns Mean and Variance from one Mean pass, bit for bit
+// what the two calls return.
+func (d PMF) MeanVariance() (mean, variance float64) {
+	mean = d.Mean()
+	return mean, d.varianceAbout(mean)
+}
+
+// varianceAbout returns the second moment about mean, using bucket
+// midpoints.
+func (d PMF) varianceAbout(mean float64) float64 {
 	var v float64
 	for k, p := range d.P {
 		dx := d.midpoint(k) - mean

@@ -359,3 +359,41 @@ func TestQuantileFromCumEmpty(t *testing.T) {
 		t.Fatalf("empty PMF cum length %d", len(cum))
 	}
 }
+
+// TestVarianceBitsPinned pins Variance's bits on a few PMFs (a point
+// mass, a symmetric and a gapped one, and a 128-bucket random one at
+// profile scale), recorded before Variance and MeanVariance came to share
+// one second-moment loop, and requires MeanVariance to return Mean and
+// Variance bit for bit.
+func TestVarianceBitsPinned(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	random := make([]float64, 128)
+	var sum float64
+	for i := range random {
+		random[i] = r.ExpFloat64()
+		sum += random[i]
+	}
+	for i := range random {
+		random[i] /= sum
+	}
+	cases := []struct {
+		d    PMF
+		want uint64
+	}{
+		{PMF{Origin: 0, Width: 1, P: []float64{1}}, 0},
+		{PMF{Origin: 0.5, Width: 0.25, P: []float64{0.25, 0.5, 0.25}}, 0x3fa0000000000000},
+		{PMF{Origin: 1e5, Width: 3.7e3, P: []float64{0.1, 0, 0.3, 0.6}}, 0x4165ef0a00000000},
+		{PMF{Origin: 125e3, Width: 1953.125, P: random}, 0x41f5ae668124a114},
+	}
+	for i, c := range cases {
+		if got := math.Float64bits(c.d.Variance()); got != c.want {
+			t.Errorf("case %d: Variance bits %#016x, want %#016x", i, got, c.want)
+		}
+		mean, variance := c.d.MeanVariance()
+		if math.Float64bits(mean) != math.Float64bits(c.d.Mean()) ||
+			math.Float64bits(variance) != math.Float64bits(c.d.Variance()) {
+			t.Errorf("case %d: MeanVariance (%v, %v), Mean/Variance (%v, %v)",
+				i, mean, variance, c.d.Mean(), c.d.Variance())
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package stats
 
+import "math"
+
 // TimedSample is one (timestamp, value) observation in a rolling window.
 // Timestamps are int64 nanoseconds, matching the simulator clock.
 type TimedSample struct {
@@ -26,6 +28,11 @@ type RollingWindow struct {
 	// scratch backs Percentile's selection so the per-tick feedback
 	// measurement is allocation-free in steady state.
 	scratch []float64
+	// pivot is Percentile's previous result, the first pivot of the next
+	// selection; hasPivot is false before the first result and after a
+	// NaN one.
+	pivot    float64
+	hasPivot bool
 }
 
 // NewRollingWindow returns a window covering the trailing span nanoseconds.
@@ -76,11 +83,22 @@ func (w *RollingWindow) AdvanceTo(t int64) { w.trim(t) }
 // Len returns the number of live samples.
 func (w *RollingWindow) Len() int { return w.n }
 
+// runs returns the live samples as the ring's two contiguous runs,
+// oldest first.
+func (w *RollingWindow) runs() [2][]TimedSample {
+	end := w.head + w.n
+	if end <= len(w.buf) {
+		return [2][]TimedSample{w.buf[w.head:end], nil}
+	}
+	return [2][]TimedSample{w.buf[w.head:], w.buf[:end-len(w.buf)]}
+}
+
 // appendValues appends the live sample values, oldest first, to dst.
 func (w *RollingWindow) appendValues(dst []float64) []float64 {
-	mask := len(w.buf) - 1
-	for i := 0; i < w.n; i++ {
-		dst = append(dst, w.buf[(w.head+i)&mask].V)
+	for _, run := range w.runs() {
+		for _, s := range run {
+			dst = append(dst, s.V)
+		}
 	}
 	return dst
 }
@@ -90,23 +108,121 @@ func (w *RollingWindow) Values() []float64 {
 	return w.appendValues(make([]float64, 0, w.n))
 }
 
+// maxPivotGap is how far below the pivot's block a rank may fall for
+// Percentile to find it with one top-k pass; deeper ranks fall back to a
+// full selection.
+const maxPivotGap = 16
+
 // Percentile returns the q-quantile of the live values (0 if empty): the
-// nearest-rank order statistic of PercentileInPlace, selected over a
-// reused scratch copy. Controllers measure their feedback tail every tick,
-// and a full sort plus copy per tick dominated the measurement cost.
+// nearest-rank order statistic of PercentileInPlace.
+//
+// Controllers measure their feedback tail every tick, while only a few
+// samples enter or leave the window between ticks, so the tail rarely
+// moves far. Percentile therefore pivots on its previous result: one
+// counting pass over the ring, with no copy, places the pivot's block of
+// equal values among the NaNs, the smaller and the larger values. A rank
+// inside the block returns the pivot; a rank above it selects among the
+// copied larger values only; a rank at most maxPivotGap below it is
+// found by one top-k pass. Otherwise, and on the first call, it selects
+// over a copy of the whole window. Every route returns the same order
+// statistic, up to the sign of a zero (see PercentileInPlace).
 func (w *RollingWindow) Percentile(q float64) float64 {
 	n := w.n
 	if n == 0 {
 		return 0
 	}
+	rank := NearestRank(n, q)
+	if rank < 0 {
+		return math.NaN()
+	}
+	v, ok := w.pivotSelect(rank)
+	if !ok {
+		w.scratch = w.appendValues(w.reserve(n))
+		v = PercentileInPlace(w.scratch, q)
+	}
+	w.pivot, w.hasPivot = v, v == v
+	return v
+}
+
+// reserve returns w.scratch emptied with capacity for at least n values.
+// It grows geometrically: while the window fills, n rises by one sample
+// at a time, and an exact-size buffer would be replaced on almost every
+// tick.
+func (w *RollingWindow) reserve(n int) []float64 {
 	if cap(w.scratch) < n {
-		// Grow geometrically: while the window fills, n rises by one
-		// sample at a time, and an exact-size buffer would be replaced
-		// on almost every tick.
 		w.scratch = make([]float64, 0, max(n, 2*cap(w.scratch)))
 	}
-	w.scratch = w.appendValues(w.scratch[:0])
-	return PercentileInPlace(w.scratch, q)
+	return w.scratch[:0]
+}
+
+// pivotSelect returns the rank-th smallest live value (NaNs first) by
+// pivoting on the previous result, or false when there is none or the
+// rank lies more than maxPivotGap below the pivot's block.
+func (w *RollingWindow) pivotSelect(rank int) (float64, bool) {
+	if !w.hasPivot {
+		return 0, false
+	}
+	p := w.pivot
+	var nans, below, at int
+	for _, run := range w.runs() {
+		for _, s := range run {
+			switch v := s.V; {
+			case v < p:
+				below++
+			case v == p:
+				at++
+			case v != v:
+				nans++
+			}
+		}
+	}
+	lo := nans + below // rank of the pivot's block
+	switch {
+	case rank < nans:
+		return math.NaN(), true
+	case rank >= lo+at:
+		above := w.reserve(w.n - lo - at)
+		for _, run := range w.runs() {
+			for _, s := range run {
+				if s.V > p {
+					above = append(above, s.V)
+				}
+			}
+		}
+		w.scratch = above
+		return selectKth(above, rank-lo-at), true
+	case rank >= lo:
+		return p, true
+	case lo-rank > maxPivotGap:
+		return 0, false
+	}
+	// The answer is the k-th largest value below the pivot; keep the k
+	// largest seen, in descending order. NaNs fail every comparison, so
+	// they never enter.
+	k := lo - rank
+	var top [maxPivotGap]float64
+	filled := 0
+	for _, run := range w.runs() {
+		for _, s := range run {
+			v := s.V
+			if !(v < p) {
+				continue
+			}
+			i := filled
+			if filled < k {
+				filled++
+			} else if v > top[k-1] {
+				i = k - 1
+			} else {
+				continue
+			}
+			for ; i > 0 && top[i-1] < v; i-- {
+				top[i] = top[i-1]
+			}
+			top[i] = v
+		}
+	}
+	return top[k-1], true
 }
 
 // selectKth returns the k-th smallest element of s (0-based), partially
