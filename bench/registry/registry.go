@@ -69,7 +69,6 @@ func All() []Bench {
 		{"Engine", engine(16, 97, 13)},
 		{"EngineDense", engine(64, 1500, 97)},
 		{"DispatchJSQ", dispatchJSQ},
-		{"CompletionMerge", completionMerge},
 		{"PooledTail", pooledTail},
 		{"HierarchyRound", hierarchyRound},
 		{"CoreEvent", coreEvent},
@@ -536,25 +535,6 @@ func dispatchJSQ(b *testing.B) {
 	}
 	if picked < 0 {
 		b.Fatal("negative pick")
-	}
-}
-
-// completionMerge times the fleet's streaming k-way completion merge
-// (FleetResult.IterCompletions): one op merges 4 sockets x 6 cores x 500
-// completions in completion order.
-func completionMerge(b *testing.B) {
-	res := mergeFixture(4, 6, 500)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		res.IterCompletions(func(queueing.Completion) bool {
-			n++
-			return true
-		})
-		if n != 4*6*500 {
-			b.Fatalf("merged %d completions", n)
-		}
 	}
 }
 

@@ -70,15 +70,16 @@ func main() {
 		if count == 0 {
 			count = app.Requests
 		}
-		src := workload.Source(workload.NewLoadSource(app, *load, count, *seed))
-		srcName := app.Name
-		if *scenario != "" {
-			sc, err := workload.ScenarioByName(*scenario)
-			if err != nil {
-				fatal(err)
-			}
-			src = sc.New(app, *load, count, *seed)
-			srcName = app.Name + "/" + sc.Name
+		// The poisson scenario is the plain NewLoadSource stream.
+		scName, srcName := *scenario, app.Name
+		if scName == "" {
+			scName = "poisson"
+		} else {
+			srcName += "/" + scName
+		}
+		src, err := workload.NewScenarioSource(scName, app, *load, count, *seed)
+		if err != nil {
+			fatal(err)
 		}
 		w := io.Writer(os.Stdout)
 		if *out != "" {

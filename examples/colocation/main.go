@@ -42,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := coloc.DefaultSchemeConfig(app, mix, load, bound, 7)
+	cfg := coloc.DefaultServerConfig(app, mix, load, bound, 7)
 	st, err := coloc.RunStaticColocServer(cfg, so.MHz)
 	if err != nil {
 		log.Fatal(err)

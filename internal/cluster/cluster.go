@@ -95,93 +95,6 @@ type Result struct {
 	Capping []capping.DomainStats
 }
 
-// Completions pools all cores' completions ordered by completion time
-// (ties by core index), i.e. the order a shared front-end would observe.
-// Per-core slices are already sorted, so this is an O(total * log cores)
-// k-way min-heap merge keyed by (next completion time, core index) — the
-// tie-break keeps the ordering identical to the linear-scan merge it
-// replaced, which always took the lowest-indexed core among equals. For
-// fleet-scale results prefer IterCompletions, which streams the same
-// order without materializing a per-request slice.
-func (r Result) Completions() []queueing.Completion {
-	var total int
-	for _, c := range r.PerCore {
-		total += len(c.Completions)
-	}
-	out := make([]queueing.Completion, 0, total)
-	r.IterCompletions(func(c queueing.Completion) bool {
-		out = append(out, c)
-		return true
-	})
-	return out
-}
-
-// IterCompletions streams the pooled completion order of Completions in
-// callback form: yield receives each completion in (Done, core index)
-// order and returning false stops the merge. Memory is O(cores),
-// independent of the request count.
-func (r Result) IterCompletions(yield func(queueing.Completion) bool) {
-	lists := make([][]queueing.Completion, len(r.PerCore))
-	for i, c := range r.PerCore {
-		lists[i] = c.Completions
-	}
-	iterMergedCompletions(lists, yield)
-}
-
-// iterMergedCompletions is the shared streaming k-way merge behind
-// Result.IterCompletions and FleetResult.IterCompletions: lists must each
-// be sorted by Done, and the merge is keyed by (Done, list index) — ties
-// go to the lowest list index, exactly the ordering the materializing
-// merge has always produced.
-func iterMergedCompletions(lists [][]queueing.Completion, yield func(queueing.Completion) bool) {
-	idx := make([]int, len(lists))
-	// heap holds list indices; the key of list i is
-	// (lists[i][idx[i]].Done, i).
-	heap := make([]int, 0, len(lists))
-	less := func(a, b int) bool {
-		ca := lists[a][idx[a]]
-		cb := lists[b][idx[b]]
-		return ca.Done < cb.Done || (ca.Done == cb.Done && a < b)
-	}
-	siftDown := func(i int) {
-		for {
-			left, right := 2*i+1, 2*i+2
-			smallest := i
-			if left < len(heap) && less(heap[left], heap[smallest]) {
-				smallest = left
-			}
-			if right < len(heap) && less(heap[right], heap[smallest]) {
-				smallest = right
-			}
-			if smallest == i {
-				return
-			}
-			heap[i], heap[smallest] = heap[smallest], heap[i]
-			i = smallest
-		}
-	}
-	for i, l := range lists {
-		if len(l) > 0 {
-			heap = append(heap, i)
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for len(heap) > 0 {
-		l := heap[0]
-		if !yield(lists[l][idx[l]]) {
-			return
-		}
-		idx[l]++
-		if idx[l] >= len(lists[l]) {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		siftDown(0)
-	}
-}
-
 // TailNs pools post-warmup responses across cores and returns the
 // q-quantile (warmup is trimmed per core, as in the paper's steady-state
 // methodology). When the cores streamed their completion logs out
@@ -358,6 +271,12 @@ type socketSim struct {
 	routed  []int
 	pickErr error
 	drained bool
+
+	// capEv applies capW, the cap the last barrier armed. The first
+	// scheduleCap registers it (capRegistered), so flat runs never do.
+	capEv         sim.Handle
+	capW          float64
+	capRegistered bool
 }
 
 // newSocketSim validates the config, assembles cores, capping, dispatch

@@ -8,7 +8,6 @@ import (
 	rubikcore "rubik/internal/core"
 	"rubik/internal/cpu"
 	"rubik/internal/queueing"
-	"rubik/internal/sim"
 	"rubik/internal/workload"
 )
 
@@ -216,14 +215,8 @@ func TestClusterPooledMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comps := res.Completions()
-	if len(comps) != len(tr.Requests) {
-		t.Fatalf("pooled completions %d != %d", len(comps), len(tr.Requests))
-	}
-	for i := 1; i < len(comps); i++ {
-		if comps[i].Done < comps[i-1].Done {
-			t.Fatal("pooled completions not sorted by completion time")
-		}
+	if got := res.Served(); got != len(tr.Requests) {
+		t.Fatalf("served %d != %d", got, len(tr.Requests))
 	}
 	if e := res.EnergyPerRequestJ(); e <= 0 || math.IsNaN(e) {
 		t.Errorf("bad energy/request %v", e)
@@ -231,67 +224,4 @@ func TestClusterPooledMetrics(t *testing.T) {
 	if b := res.MeanBusyCores(); b <= 0 || b > 2 {
 		t.Errorf("mean busy cores %v out of range", b)
 	}
-}
-
-// TestCompletionsHeapMergeMatchesLinearScan pins the min-heap k-way merge
-// to the O(total x cores) linear-scan merge it replaced, including its
-// lowest-core-index tie-break, on both synthetic tie-heavy inputs and a
-// real cluster result.
-func TestCompletionsHeapMergeMatchesLinearScan(t *testing.T) {
-	scanMerge := func(r Result) []queueing.Completion {
-		var total int
-		for _, c := range r.PerCore {
-			total += len(c.Completions)
-		}
-		out := make([]queueing.Completion, 0, total)
-		idx := make([]int, len(r.PerCore))
-		for len(out) < total {
-			best := -1
-			for i, c := range r.PerCore {
-				if idx[i] >= len(c.Completions) {
-					continue
-				}
-				if best < 0 || c.Completions[idx[i]].Done < r.PerCore[best].Completions[idx[best]].Done {
-					best = i
-				}
-			}
-			out = append(out, r.PerCore[best].Completions[idx[best]])
-			idx[best]++
-		}
-		return out
-	}
-	check := func(name string, r Result) {
-		t.Helper()
-		got, want := r.Completions(), scanMerge(r)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: heap merge differs from linear scan (%d vs %d completions)",
-				name, len(got), len(want))
-		}
-	}
-
-	// Synthetic: heavy timestamp ties across cores, plus an empty core and
-	// one exhausted early.
-	mk := func(core int, dones ...int64) queueing.Result {
-		var res queueing.Result
-		for _, d := range dones {
-			res.Completions = append(res.Completions, queueing.Completion{
-				ID: core*1000 + len(res.Completions), Done: sim.Time(d),
-			})
-		}
-		return res
-	}
-	synthetic := Result{PerCore: []queueing.Result{
-		mk(0, 1, 5, 5, 9),
-		mk(1),
-		mk(2, 5, 5, 5),
-		mk(3, 0, 5, 12, 12, 12),
-	}}
-	check("synthetic", synthetic)
-	check("empty", Result{PerCore: []queueing.Result{mk(0), mk(1)}})
-
-	real6, err := Run(testTrace(0.5*6, 3000, 21), fixedCfg(6, NewJSQ()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("6-core JSQ", real6)
 }

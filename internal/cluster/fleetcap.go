@@ -81,9 +81,16 @@ func newBudgetTree(cfg FleetConfig) (*budgetTree, error) {
 	return t, nil
 }
 
-// scheduleCap arms a retarget of the socket's budget to w at t.
+// scheduleCap arms a retarget of the socket's budget to w at t. One
+// handle per socket suffices: a cap armed at a barrier fires at the
+// start of the next phase, before the next barrier can re-arm it.
 func (s *socketSim) scheduleCap(t sim.Time, w float64) {
-	s.eng.At(t, func() { s.capped.applyCap(w) })
+	if !s.capRegistered {
+		s.capEv = s.eng.Register(func() { s.capped.applyCap(s.capW) })
+		s.capRegistered = true
+	}
+	s.capW = w
+	s.eng.Reschedule(s.capEv, t)
 }
 
 // barrier closes the epoch ending at target: collect demand in socket

@@ -178,47 +178,6 @@ type FleetResult struct {
 	Hierarchy *capping.HierarchyStats
 }
 
-// coreLists flattens the fleet's per-core completion logs in global core
-// order (socket-major: global core index = cores-before-socket + local
-// index), the key order of the deterministic merge.
-func (r FleetResult) coreLists() [][]queueing.Completion {
-	var lists [][]queueing.Completion
-	for _, s := range r.Sockets {
-		for _, c := range s.PerCore {
-			lists = append(lists, c.Completions)
-		}
-	}
-	return lists
-}
-
-// IterCompletions streams the fleet's pooled completions in completion
-// order (ties by global core index) without materializing them: the same
-// min-heap merge as Result.Completions, in callback form. yield returning
-// false stops the merge. Memory is O(total cores), independent of the
-// request count — the fleet-scale counterpart of a 10k-core Completions()
-// call, which would materialize every served request.
-func (r FleetResult) IterCompletions(yield func(queueing.Completion) bool) {
-	iterMergedCompletions(r.coreLists(), yield)
-}
-
-// Completions materializes the pooled completion order. Prefer
-// IterCompletions for large fleets: this allocates one slice holding
-// every served request in the fleet.
-func (r FleetResult) Completions() []queueing.Completion {
-	var total int
-	for _, s := range r.Sockets {
-		for _, c := range s.PerCore {
-			total += len(c.Completions)
-		}
-	}
-	out := make([]queueing.Completion, 0, total)
-	r.IterCompletions(func(c queueing.Completion) bool {
-		out = append(out, c)
-		return true
-	})
-	return out
-}
-
 // TailNs pools post-warmup responses across every core of every socket
 // and returns the q-quantile, falling back to merging the streamed
 // per-core response histograms when completion logs were dropped

@@ -151,42 +151,6 @@ func TestFleetSocketMatchesStandalone(t *testing.T) {
 	}
 }
 
-// TestFleetIterCompletions checks the streaming merge: IterCompletions
-// yields exactly Completions() in order, the order is nondecreasing in
-// Done with ties broken by global core index, and yield=false stops the
-// merge early.
-func TestFleetIterCompletions(t *testing.T) {
-	fleet, err := RunFleet(fleetConfig(t, "bursty", "roundrobin", 3, 2, 400, 0, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fleet.Completions()
-	if len(want) != fleet.Served() {
-		t.Fatalf("merged %d completions, served %d", len(want), fleet.Served())
-	}
-	var got []queueing.Completion
-	fleet.IterCompletions(func(c queueing.Completion) bool {
-		got = append(got, c)
-		return true
-	})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("IterCompletions stream differs from materialized Completions")
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Done < got[i-1].Done {
-			t.Fatalf("merge out of order at %d: %v after %v", i, got[i].Done, got[i-1].Done)
-		}
-	}
-	stopped := 0
-	fleet.IterCompletions(func(queueing.Completion) bool {
-		stopped++
-		return stopped < 10
-	})
-	if stopped != 10 {
-		t.Fatalf("early stop yielded %d completions, want 10", stopped)
-	}
-}
-
 // TestFleetCapTransparent checks the capping boundary fleet-wide: an
 // unreachable cap leaves every socket's cores deeply equal to the
 // uncapped fleet (the wiring is installed but never binds), while a

@@ -108,9 +108,25 @@ func TestRunCoreBasics(t *testing.T) {
 
 func TestRunCoreValidation(t *testing.T) {
 	if _, err := RunCore(CoreConfig{}); err == nil {
+		t.Fatal("zero config must error")
+	}
+	valid := func() CoreConfig {
+		return CoreConfig{
+			App: workload.Masstree(), Batch: mustBatch(t, "gcc"),
+			Source: workload.NewLoadSource(workload.Masstree(), 0.3, 20, 1),
+			Grid:   cpu.DefaultGrid(), Power: cpu.DefaultPowerModel(),
+		}
+	}
+	if _, err := RunCore(valid()); err != nil {
+		t.Fatal(err)
+	}
+	cfg := valid()
+	cfg.Grid = cpu.Grid{}
+	if _, err := RunCore(cfg); err == nil {
 		t.Fatal("empty grid must error")
 	}
-	cfg := CoreConfig{Grid: cpu.DefaultGrid(), InitialMHz: 999}
+	cfg = valid()
+	cfg.InitialMHz = 999
 	if _, err := RunCore(cfg); err == nil {
 		t.Fatal("off-grid initial frequency must error")
 	}
@@ -175,7 +191,7 @@ func TestRubikColocMaintainsTailStaticColocDegrades(t *testing.T) {
 		}
 		bound, staticMHz := boundAndStatic(t, app, load, n)
 		for _, seed := range []int64{11, 77, 203} {
-			cfg := DefaultSchemeConfig(app, mix, load, bound, seed)
+			cfg := DefaultServerConfig(app, mix, load, bound, seed)
 			cfg.RequestsPerCore = n
 			st, err := RunStaticColocServer(cfg, staticMHz)
 			if err != nil {
@@ -212,7 +228,7 @@ func TestRubikColocKeepsBatchProgress(t *testing.T) {
 	const n = 1500
 	bound, _ := boundAndStatic(t, app, 0.3, n)
 	mix := []workload.BatchApp{mustBatch(t, "namd")}
-	cfg := DefaultSchemeConfig(app, mix, 0.3, bound, 3)
+	cfg := DefaultServerConfig(app, mix, 0.3, bound, 3)
 	cfg.RequestsPerCore = n
 	res, err := RunRubikColocServer(cfg)
 	if err != nil {
@@ -230,11 +246,11 @@ func TestRubikColocKeepsBatchProgress(t *testing.T) {
 
 func TestSchemeValidation(t *testing.T) {
 	app := workload.Masstree()
-	cfg := DefaultSchemeConfig(app, nil, 0.3, 1e6, 1)
+	cfg := DefaultServerConfig(app, nil, 0.3, 1e6, 1)
 	if _, err := RunRubikColocServer(cfg); err == nil {
 		t.Fatal("empty mix must error")
 	}
-	cfg2 := DefaultSchemeConfig(app, []workload.BatchApp{mustBatch(t, "gcc")}, 0.3, 0, 1)
+	cfg2 := DefaultServerConfig(app, []workload.BatchApp{mustBatch(t, "gcc")}, 0.3, 0, 1)
 	if _, err := RunRubikColocServer(cfg2); err == nil {
 		t.Fatal("missing bound must error")
 	}
@@ -243,7 +259,7 @@ func TestSchemeValidation(t *testing.T) {
 	}
 	// An unbounded LC stream never drains: it must be rejected, not run
 	// forever.
-	unbounded := DefaultSchemeConfig(app, []workload.BatchApp{mustBatch(t, "gcc")}, 0.3, 1e6, 1)
+	unbounded := DefaultServerConfig(app, []workload.BatchApp{mustBatch(t, "gcc")}, 0.3, 1e6, 1)
 	unbounded.RequestsPerCore = -1
 	if _, err := RunStaticColocServer(unbounded, cpu.NominalMHz); err == nil {
 		t.Fatal("StaticColoc accepted an unbounded stream")

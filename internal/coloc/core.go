@@ -89,19 +89,8 @@ type core struct {
 }
 
 // newCore validates the config and prepares a core on the given engine.
+// queueing.NewCore validates the grid, initial frequency and power model.
 func newCore(eng *sim.Engine, cfg CoreConfig) (*core, error) {
-	if cfg.Grid.Len() == 0 {
-		return nil, fmt.Errorf("coloc: empty grid")
-	}
-	if cfg.InitialMHz == 0 {
-		cfg.InitialMHz = cpu.NominalMHz
-	}
-	if cfg.Grid.Index(cfg.InitialMHz) < 0 {
-		return nil, fmt.Errorf("coloc: initial frequency %d not on grid", cfg.InitialMHz)
-	}
-	if !cfg.ExternalFreq && cfg.BatchMHz == 0 {
-		cfg.BatchMHz = cfg.Batch.OptimalTPWFreq(cfg.Grid, cfg.Power)
-	}
 	src := cfg.Source
 	if src == nil {
 		return nil, fmt.Errorf("coloc: no LC request source")
@@ -122,6 +111,9 @@ func newCore(eng *sim.Engine, cfg CoreConfig) (*core, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if !cfg.ExternalFreq && cfg.BatchMHz == 0 {
+		cfg.BatchMHz = cfg.Batch.OptimalTPWFreq(cfg.Grid, cfg.Power)
 	}
 	c := &core{
 		eng:          eng,

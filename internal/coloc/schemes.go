@@ -10,36 +10,14 @@ import (
 	"rubik/internal/workload"
 )
 
-// SchemeConfig describes a colocated server for the software-managed
-// schemes (RubikColoc and StaticColoc): 6 cores, each pairing one LC app
-// instance with one batch app from the mix. Cores are independent (the
-// memory system is partitioned and these schemes respect the TDP by
-// construction: LC at or below the uncolocated-safe frequency, batch at or
-// below nominal).
-type SchemeConfig struct {
-	App workload.LCApp
-	Mix []workload.BatchApp
-	// Load is the LC load fraction per core.
-	Load float64
-	// RequestsPerCore is the LC stream length per core (negative, i.e.
-	// unbounded, is an error): core i streams Poisson arrivals at Load,
-	// seeded Seed + 101·i.
-	RequestsPerCore int
-	Seed            int64
-	// BoundNs is the LC tail latency bound (RubikColoc only).
-	BoundNs float64
-
-	Grid              cpu.Grid
-	Power             cpu.PowerModel
-	TransitionLatency sim.Time
-	Interference      Interference
-}
-
 // RunRubikColocServer simulates a server managed by RubikColoc: each core
 // runs a fresh Rubik controller for its LC instance and drops to the batch
 // app's optimal throughput-per-watt frequency whenever the LC app is idle
-// (paper Fig. 13c).
-func RunRubikColocServer(cfg SchemeConfig) (ServerResult, error) {
+// (paper Fig. 13c). The software-managed schemes keep cores independent:
+// the memory system is partitioned and they respect the TDP by
+// construction (LC at or below the uncolocated-safe frequency, batch at
+// or below nominal).
+func RunRubikColocServer(cfg ServerConfig) (ServerResult, error) {
 	if cfg.BoundNs <= 0 {
 		return ServerResult{}, fmt.Errorf("coloc: RubikColoc needs a latency bound")
 	}
@@ -59,7 +37,7 @@ func RunRubikColocServer(cfg SchemeConfig) (ServerResult, error) {
 // frequency computed on an *uncolocated* trace (so it has no slack for
 // core-state interference, the weakness paper Fig. 15 exposes), batch at
 // its optimal TPW frequency.
-func RunStaticColocServer(cfg SchemeConfig, staticMHz int) (ServerResult, error) {
+func RunStaticColocServer(cfg ServerConfig, staticMHz int) (ServerResult, error) {
 	if staticMHz <= 0 {
 		return ServerResult{}, fmt.Errorf("coloc: StaticColoc needs a frequency")
 	}
@@ -68,7 +46,7 @@ func RunStaticColocServer(cfg SchemeConfig, staticMHz int) (ServerResult, error)
 	})
 }
 
-func runIndependentCores(cfg SchemeConfig, mkPolicy func(int) (queueing.Policy, error)) (ServerResult, error) {
+func runIndependentCores(cfg ServerConfig, mkPolicy func(int) (queueing.Policy, error)) (ServerResult, error) {
 	if len(cfg.Mix) == 0 {
 		return ServerResult{}, fmt.Errorf("coloc: empty batch mix")
 	}
@@ -78,17 +56,9 @@ func runIndependentCores(cfg SchemeConfig, mkPolicy func(int) (queueing.Policy, 
 		if err != nil {
 			return ServerResult{}, err
 		}
-		cr, err := RunCore(CoreConfig{
-			App:               cfg.App,
-			Batch:             b,
-			Source:            workload.NewLoadSource(cfg.App, cfg.Load, cfg.RequestsPerCore, cfg.Seed+int64(i)*101),
-			LCPolicy:          pol,
-			Grid:              cfg.Grid,
-			Power:             cfg.Power,
-			TransitionLatency: cfg.TransitionLatency,
-			InitialMHz:        cpu.NominalMHz,
-			Interference:      cfg.Interference,
-		})
+		ccfg := cfg.coreConfig(i, b)
+		ccfg.LCPolicy = pol
+		cr, err := RunCore(ccfg)
 		if err != nil {
 			return ServerResult{}, err
 		}
@@ -97,9 +67,10 @@ func runIndependentCores(cfg SchemeConfig, mkPolicy func(int) (queueing.Policy, 
 	return res, nil
 }
 
-// DefaultSchemeConfig returns paper-like parameters for a colocated server.
-func DefaultSchemeConfig(app workload.LCApp, mix []workload.BatchApp, load float64, boundNs float64, seed int64) SchemeConfig {
-	return SchemeConfig{
+// DefaultServerConfig returns paper-like parameters for a colocated
+// server; its Objective is HW-T.
+func DefaultServerConfig(app workload.LCApp, mix []workload.BatchApp, load float64, boundNs float64, seed int64) ServerConfig {
+	return ServerConfig{
 		App:               app,
 		Mix:               mix,
 		Load:              load,

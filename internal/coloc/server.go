@@ -122,23 +122,46 @@ func stepsOf(grid cpu.Grid, idx []int) []int {
 	return out
 }
 
-// ServerConfig describes a 6-core colocated server whose frequencies are
-// owned by a hardware allocator (HW-T / HW-TPW).
+// ServerConfig describes a 6-core colocated server, each core pairing
+// one LC app instance with one batch app from the mix, for every scheme:
+// the software-managed RubikColoc and StaticColoc, and the hardware
+// allocators HW-T / HW-TPW that own the frequencies.
 type ServerConfig struct {
-	App  workload.LCApp
-	Mix  []workload.BatchApp
+	App workload.LCApp
+	Mix []workload.BatchApp
+	// Load is the LC load fraction per core.
 	Load float64
 	// RequestsPerCore is the LC stream length per core (negative, i.e.
 	// unbounded, is an error): core i streams Poisson arrivals at Load,
 	// seeded Seed + 101·i.
 	RequestsPerCore int
 	Seed            int64
+	// BoundNs is the LC tail latency bound (RubikColoc only).
+	BoundNs float64
 
 	Grid              cpu.Grid
 	Power             cpu.PowerModel
 	TransitionLatency sim.Time
 	Interference      Interference
-	Objective         HWObjective
+	// Objective selects the hardware allocator (RunHWServer only).
+	Objective HWObjective
+}
+
+// coreConfig is core i's share of the server: the LC stream seeded
+// Seed + 101·i paired with batch, on the shared grid, power model,
+// transition latency and interference model, starting at nominal. The
+// caller sets who owns the frequency.
+func (cfg ServerConfig) coreConfig(i int, batch workload.BatchApp) CoreConfig {
+	return CoreConfig{
+		App:               cfg.App,
+		Batch:             batch,
+		Source:            workload.NewLoadSource(cfg.App, cfg.Load, cfg.RequestsPerCore, cfg.Seed+int64(i)*101),
+		Grid:              cfg.Grid,
+		Power:             cfg.Power,
+		TransitionLatency: cfg.TransitionLatency,
+		InitialMHz:        cpu.NominalMHz,
+		Interference:      cfg.Interference,
+	}
 }
 
 const (
@@ -195,20 +218,9 @@ func RunHWServer(cfg ServerConfig) (ServerResult, error) {
 	eng := sim.NewEngine()
 	cores := make([]*core, len(cfg.Mix))
 	for i, b := range cfg.Mix {
-		// Streaming: byte-identical to materializing the trace
-		// (GenerateAtLoad) at the same seed, without holding it.
-		cc, err := newCore(eng, CoreConfig{
-			App:               cfg.App,
-			Batch:             b,
-			Source:            workload.NewLoadSource(cfg.App, cfg.Load, cfg.RequestsPerCore, cfg.Seed+int64(i)*101),
-			LCPolicy:          nil,
-			ExternalFreq:      true,
-			Grid:              cfg.Grid,
-			Power:             cfg.Power,
-			TransitionLatency: cfg.TransitionLatency,
-			InitialMHz:        cpu.NominalMHz,
-			Interference:      cfg.Interference,
-		})
+		ccfg := cfg.coreConfig(i, b)
+		ccfg.ExternalFreq = true
+		cc, err := newCore(eng, ccfg)
 		if err != nil {
 			return ServerResult{}, err
 		}

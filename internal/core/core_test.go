@@ -184,6 +184,7 @@ func TestHostileConfigsRejected(t *testing.T) {
 		{"negative drift threshold", func(c *Config) { c.DriftThreshold = -0.01 }},
 		{"zero update period", func(c *Config) { c.UpdatePeriod = 0 }},
 		{"negative update period", func(c *Config) { c.UpdatePeriod = -sim.Millisecond }},
+		{"negative transition latency", func(c *Config) { c.TransitionLatency = -sim.Microsecond }},
 	} {
 		cfg := DefaultConfig(1e6)
 		tc.edit(&cfg)

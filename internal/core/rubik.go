@@ -168,6 +168,9 @@ func New(cfg Config) (*Rubik, error) {
 	if !(cfg.DriftThreshold >= 0) {
 		return nil, fmt.Errorf("core: drift threshold must be >= 0, got %v", cfg.DriftThreshold)
 	}
+	if cfg.TransitionLatency < 0 {
+		return nil, fmt.Errorf("core: transition latency must be >= 0, got %d ns", cfg.TransitionLatency)
+	}
 	if cfg.Grid.Len() == 0 {
 		return nil, fmt.Errorf("core: empty frequency grid")
 	}

@@ -35,9 +35,6 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions runs at full paper fidelity with a fixed seed.
-func DefaultOptions() Options { return Options{Seed: 42} }
-
 // requests returns the trace length for an app under the options. The
 // quick cap keeps smoke tests fast while leaving enough completions for
 // stable p95 estimates and for Rubik's rolling feedback window to settle.

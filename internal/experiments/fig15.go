@@ -61,7 +61,7 @@ func Fig15(opts Options) (*Fig15Result, error) {
 		}
 		for mi, mix := range mixes {
 			seed := opts.Seed + int64(mi)*977 + stableSeed(app.Name, load)
-			scfg := coloc.SchemeConfig{
+			cfg := coloc.ServerConfig{
 				App: app, Mix: mix, Load: load,
 				RequestsPerCore:   appReqs,
 				Seed:              seed,
@@ -71,11 +71,11 @@ func Fig15(opts Options) (*Fig15Result, error) {
 				TransitionLatency: h.qcfg.TransitionLatency,
 				Interference:      coloc.DefaultInterference(),
 			}
-			st, err := coloc.RunStaticColocServer(scfg, so.MHz)
+			st, err := coloc.RunStaticColocServer(cfg, so.MHz)
 			if err != nil {
 				return nil, err
 			}
-			rb, err := coloc.RunRubikColocServer(scfg)
+			rb, err := coloc.RunRubikColocServer(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -83,16 +83,8 @@ func Fig15(opts Options) (*Fig15Result, error) {
 			out.RubikColoc = append(out.RubikColoc, rb.TailNs(TailPercentile, Warmup)/bound)
 
 			for _, obj := range []coloc.HWObjective{coloc.HWThroughput, coloc.HWThroughputPerWatt} {
-				res, err := coloc.RunHWServer(coloc.ServerConfig{
-					App: app, Mix: mix, Load: load,
-					RequestsPerCore:   appReqs,
-					Seed:              seed,
-					Grid:              h.grid,
-					Power:             h.power,
-					TransitionLatency: h.qcfg.TransitionLatency,
-					Interference:      coloc.DefaultInterference(),
-					Objective:         obj,
-				})
+				cfg.Objective = obj
+				res, err := coloc.RunHWServer(cfg)
 				if err != nil {
 					return nil, err
 				}

@@ -124,11 +124,11 @@ type Core struct {
 }
 
 // NewCore validates the config — a non-empty grid, an on-grid initial
-// frequency and a physical power model — and prepares a core on the
-// engine. Every simulated core is built here, so this is the one server-
-// config validator. policy may be nil when an external allocator owns
-// the frequency (coloc HW-T / HW-TPW); such a core never decides, it
-// only serves.
+// frequency, non-negative transition and wake latencies and a physical
+// power model — and prepares a core on the engine. Every simulated core
+// is built here, so this is the one server-config validator. policy may
+// be nil when an external allocator owns the frequency (coloc HW-T /
+// HW-TPW); such a core never decides, it only serves.
 func NewCore(eng *sim.Engine, p Policy, cfg Config) (*Core, error) {
 	if cfg.Grid.Len() == 0 {
 		return nil, fmt.Errorf("queueing: config has empty grid")
@@ -138,6 +138,10 @@ func NewCore(eng *sim.Engine, p Policy, cfg Config) (*Core, error) {
 	}
 	if cfg.Grid.Index(cfg.InitialMHz) < 0 {
 		return nil, fmt.Errorf("queueing: initial frequency %d not on grid", cfg.InitialMHz)
+	}
+	if cfg.TransitionLatency < 0 || cfg.WakeLatency < 0 {
+		return nil, fmt.Errorf("queueing: negative latency (transition %d ns, wake %d ns)",
+			cfg.TransitionLatency, cfg.WakeLatency)
 	}
 	if err := cfg.Power.Validate(); err != nil {
 		return nil, err
@@ -479,26 +483,11 @@ func (c *Core) PendingWorkNs() sim.Time {
 	return sim.Time(c.pendCC*1000/float64(c.cur) + c.pendMem)
 }
 
-// pendingWorkScan is the O(queue) reference for PendingWorkNs, retained
-// for the equality test pinning the incremental counters.
-func (c *Core) pendingWorkScan() sim.Time {
-	var cc, mem float64
-	for i := 0; i < c.count; i++ {
-		a := c.at(i)
-		cc += a.RemainingCC
-		mem += a.RemainingMem
-	}
-	return sim.Time(cc*1000/float64(c.cur) + mem)
-}
-
 // CurrentMHz returns the frequency the core is executing at.
 func (c *Core) CurrentMHz() int { return c.cur }
 
 // Completions returns the completions recorded so far.
 func (c *Core) Completions() []Completion { return c.completions }
-
-// Meter exposes the core's energy meter (read-only use).
-func (c *Core) Meter() *cpu.EnergyMeter { return c.meter }
 
 // Finalize accrues any trailing span and assembles the core's Result.
 // EndTime is the engine's current time.

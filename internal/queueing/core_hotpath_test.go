@@ -270,3 +270,15 @@ func TestFeederSingleArrivalEvent(t *testing.T) {
 		t.Fatalf("feeder left %d requests undelivered", f.Remaining())
 	}
 }
+
+// pendingWorkScan is the O(queue) reference for PendingWorkNs: the
+// equality test pins the incremental counters to it.
+func (c *Core) pendingWorkScan() sim.Time {
+	var cc, mem float64
+	for i := 0; i < c.count; i++ {
+		a := c.at(i)
+		cc += a.RemainingCC
+		mem += a.RemainingMem
+	}
+	return sim.Time(cc*1000/float64(c.cur) + mem)
+}

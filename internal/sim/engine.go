@@ -69,9 +69,8 @@ func entryLess(a, b entry) bool {
 }
 
 type handleState struct {
-	fn      func()
-	pos     int32 // index into small or heap, or unscheduled
-	oneShot bool  // slot recycles after firing (At/After events)
+	fn  func()
+	pos int32 // index into small or heap, or unscheduled
 }
 
 // Engine is a discrete-event simulator: a clock plus a time-ordered event
@@ -94,7 +93,6 @@ type Engine struct {
 	heap []entry
 
 	handles []handleState
-	free    []Handle // recycled one-shot handle slots
 
 	// phantom is the latest firing time displaced by Reschedule/Cancel. The
 	// pre-handle engine left superseded events in its queue as no-op
@@ -115,17 +113,7 @@ func (e *Engine) Now() Time { return e.now }
 // Register reserves a handle firing fn. The event is initially unscheduled;
 // arm it with Reschedule. Handles stay valid for the engine's lifetime.
 func (e *Engine) Register(fn func()) Handle {
-	return e.register(fn, false)
-}
-
-func (e *Engine) register(fn func(), oneShot bool) Handle {
-	if n := len(e.free); n > 0 {
-		h := e.free[n-1]
-		e.free = e.free[:n-1]
-		e.handles[h] = handleState{fn: fn, pos: unscheduled, oneShot: oneShot}
-		return h
-	}
-	e.handles = append(e.handles, handleState{fn: fn, pos: unscheduled, oneShot: oneShot})
+	e.handles = append(e.handles, handleState{fn: fn, pos: unscheduled})
 	return Handle(len(e.handles) - 1)
 }
 
@@ -182,19 +170,6 @@ func (e *Engine) Cancel(h Handle) {
 // Scheduled reports whether the handle has a pending firing.
 func (e *Engine) Scheduled(h Handle) bool {
 	return e.handles[h].pos != unscheduled
-}
-
-// At schedules fn to run at simulated time t. Scheduling in the past
-// (t < Now) clamps to Now, i.e. the event fires next. Each call allocates
-// a one-shot slot (recycled after firing); hot paths should pre-register a
-// Handle and use Reschedule instead.
-func (e *Engine) At(t Time, fn func()) {
-	e.Reschedule(e.register(fn, true), t)
-}
-
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) {
-	e.At(e.now+d, fn)
 }
 
 // Pending returns the number of scheduled events.
@@ -309,12 +284,7 @@ func (e *Engine) fireNext() {
 	e.now = ev.at
 	hs := &e.handles[ev.h]
 	hs.pos = unscheduled
-	fn := hs.fn
-	if hs.oneShot {
-		hs.fn = nil
-		e.free = append(e.free, ev.h)
-	}
-	fn()
+	hs.fn()
 }
 
 // placeSmall shift-inserts into the sorted small-mode array: a scan from

@@ -63,7 +63,7 @@ func TestEngineScheduleAtNow(t *testing.T) {
 		t.Fatalf("fired at %d (clock %d), want 1000", at, e.Now())
 	}
 
-	// Same via the one-shot path, and in heap mode (enough pending handles
+	// Same via a fresh one-shot handle, and in heap mode (enough pending handles
 	// to spill out of the sorted small front).
 	var hs []Handle
 	for i := 0; i < 2*smallCap; i++ {
@@ -72,7 +72,7 @@ func TestEngineScheduleAtNow(t *testing.T) {
 		hs = append(hs, h)
 	}
 	fired := false
-	e.At(e.Now(), func() { fired = true })
+	oneShot(e, e.Now(), func() { fired = true })
 	if !e.Step() || !fired || e.Now() != 1000 {
 		t.Fatalf("at-Now one-shot: fired=%v clock=%d, want true/1000", fired, e.Now())
 	}

@@ -52,9 +52,9 @@ func driveFuzz(e engineAPI, data []byte) trace {
 		case 1:
 			e.Cancel(hs[int(next(&i))%handles])
 		case 2: // past-due one-shot: clamps to Now and fires next
-			e.At(e.Now()-Time(next(&i)), tr.logger(e, 1000+op))
+			oneShot(e, e.Now()-Time(next(&i)), tr.logger(e, 1000+op))
 		case 3:
-			e.After(Time(next(&i)), tr.logger(e, 1000+op))
+			oneShotAfter(e, Time(next(&i)), tr.logger(e, 1000+op))
 		case 4:
 			e.RunUntil(e.Now() + shifted(&i))
 		case 5:

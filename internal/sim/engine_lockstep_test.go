@@ -35,8 +35,6 @@ func (o *oracle) Now() Time                        { return o.now }
 func (o *oracle) Pending() int                     { return o.live }
 func (o *oracle) Scheduled(h Handle) bool          { return o.hs[h].seq != 0 }
 func (o *oracle) RescheduleAfter(h Handle, d Time) { o.Reschedule(h, o.now+d) }
-func (o *oracle) At(t Time, fn func())             { o.Reschedule(o.Register(fn), t) }
-func (o *oracle) After(d Time, fn func())          { o.At(o.now+d, fn) }
 func (o *oracle) Step() bool                       { return o.fire(math.MaxInt64) }
 
 func (o *oracle) Register(fn func()) Handle {
@@ -115,6 +113,13 @@ func (o *oracle) RunEventsUntil(t Time) bool {
 	return true
 }
 
+// oneShot schedules fn once at t on a freshly registered handle, the
+// shape the tests use to seed fire-once events.
+func oneShot(e engineAPI, t Time, fn func()) { e.Reschedule(e.Register(fn), t) }
+
+// oneShotAfter schedules fn once d nanoseconds from now.
+func oneShotAfter(e engineAPI, d Time, fn func()) { oneShot(e, e.Now()+d, fn) }
+
 // engineAPI is the surface the lockstep schedules exercise, implemented by
 // both Engine and the oracle.
 type engineAPI interface {
@@ -125,8 +130,6 @@ type engineAPI interface {
 	RescheduleAfter(h Handle, d Time)
 	Cancel(h Handle)
 	Scheduled(h Handle) bool
-	At(t Time, fn func())
-	After(d Time, fn func())
 	Step() bool
 	Run()
 	RunUntil(t Time)
@@ -228,11 +231,11 @@ var lockstepGolden = [40]golden{
 	{337, 6054868557103, 0x9e281a0b9838adb7}, {488, 81364407124142, 0xb8d8fe75be63bce4},
 }
 
-// driveSeed runs one randomized schedule: interleaved
-// At/After/Reschedule/Cancel/RunUntil/RunUntilOrDrain/RunEventsUntil/Step
-// ops, plus a self-rescheduling handle (the shape every core event has),
-// handle bursts that cross the smallCap/smallLow spill boundary in both
-// directions, and far-future deltas up to 2^45 ns.
+// driveSeed runs one randomized schedule: interleaved oneShot/
+// oneShotAfter/Reschedule/Cancel/RunUntil/RunUntilOrDrain/
+// RunEventsUntil/Step ops, plus a self-rescheduling handle (the shape
+// every core event has), handle bursts that cross the smallCap/smallLow
+// spill boundary in both directions, and far-future deltas up to 2^45 ns.
 func driveSeed(e engineAPI, seed int64) trace {
 	r := rand.New(rand.NewSource(seed))
 	var tr trace
@@ -262,9 +265,9 @@ func driveSeed(e engineAPI, seed int64) trace {
 		case k < 5:
 			e.Cancel(hs[r.Intn(handles)])
 		case k < 7: // one-shot at an absolute time (possibly past: clamps)
-			e.At(Time(r.Intn(500)), tr.logger(e, 100+op))
+			oneShot(e, Time(r.Intn(500)), tr.logger(e, 100+op))
 		case k < 8:
-			e.After(Time(r.Intn(100)), tr.logger(e, 100+op))
+			oneShotAfter(e, Time(r.Intn(100)), tr.logger(e, 100+op))
 		case k < 9: // far-future reschedule
 			d := Time(1) << uint(10+r.Intn(34))
 			e.Reschedule(hs[r.Intn(handles)], e.Now()+d+Time(r.Intn(1000)))

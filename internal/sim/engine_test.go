@@ -12,9 +12,9 @@ import (
 func TestEngineOrdersEvents(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.At(20, func() { order = append(order, 2) })
+	oneShot(e, 30, func() { order = append(order, 3) })
+	oneShot(e, 10, func() { order = append(order, 1) })
+	oneShot(e, 20, func() { order = append(order, 2) })
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -29,7 +29,7 @@ func TestEngineFIFOAtSameTimestamp(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { order = append(order, i) })
+		oneShot(e, 5, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -42,8 +42,8 @@ func TestEngineFIFOAtSameTimestamp(t *testing.T) {
 func TestEnginePastSchedulingClamps(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.At(100, func() {
-		e.At(50, func() { fired = true }) // in the past
+	oneShot(e, 100, func() {
+		oneShot(e, 50, func() { fired = true }) // in the past
 	})
 	e.Run()
 	if !fired {
@@ -57,12 +57,12 @@ func TestEnginePastSchedulingClamps(t *testing.T) {
 func TestEngineAfter(t *testing.T) {
 	e := NewEngine()
 	var at Time
-	e.At(10, func() {
-		e.After(25, func() { at = e.Now() })
+	oneShot(e, 10, func() {
+		oneShotAfter(e, 25, func() { at = e.Now() })
 	})
 	e.Run()
 	if at != 35 {
-		t.Fatalf("After fired at %d, want 35", at)
+		t.Fatalf("oneShotAfter fired at %d, want 35", at)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestEngineRunUntil(t *testing.T) {
 	var fired []Time
 	for _, ts := range []Time{5, 10, 15, 20} {
 		ts := ts
-		e.At(ts, func() { fired = append(fired, ts) })
+		oneShot(e, ts, func() { fired = append(fired, ts) })
 	}
 	e.RunUntil(12)
 	if len(fired) != 2 {
@@ -94,11 +94,11 @@ func TestEngineRunUntilBoundaryInclusive(t *testing.T) {
 	// schedules AT the boundary also fires within the same RunUntil.
 	e := NewEngine()
 	var fired []string
-	e.At(10, func() {
+	oneShot(e, 10, func() {
 		fired = append(fired, "a")
-		e.At(12, func() { fired = append(fired, "chained@12") })
+		oneShot(e, 12, func() { fired = append(fired, "chained@12") })
 	})
-	e.At(12, func() { fired = append(fired, "b@12") })
+	oneShot(e, 12, func() { fired = append(fired, "b@12") })
 	e.RunUntil(12)
 	want := []string{"a", "b@12", "chained@12"}
 	if len(fired) != len(want) {
@@ -122,7 +122,7 @@ func TestEngineRunUntilEqualTimestampOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		e.At(20, func() { order = append(order, i) })
+		oneShot(e, 20, func() { order = append(order, i) })
 	}
 	e.RunUntil(19)
 	if len(order) != 0 {
@@ -142,7 +142,7 @@ func TestEngineRunUntilEqualTimestampOrder(t *testing.T) {
 func TestEngineRunUntilPast(t *testing.T) {
 	// RunUntil with t already passed runs nothing and never rewinds.
 	e := NewEngine()
-	e.At(50, func() {})
+	oneShot(e, 50, func() {})
 	e.Run()
 	e.RunUntil(10)
 	if e.Now() != 50 {
@@ -151,14 +151,14 @@ func TestEngineRunUntilPast(t *testing.T) {
 }
 
 func TestEngineInterleavedAtAndAfterSameTimestamp(t *testing.T) {
-	// At(now+d) and After(d) land at the same instant and fire in
+	// oneShot(now+d) and oneShotAfter(d) land at the same instant and fire in
 	// scheduling order — the property cluster dispatch relies on when an
 	// arrival, a DVFS switch and a completion coincide.
 	e := NewEngine()
 	var order []string
-	e.At(5, func() {
-		e.After(10, func() { order = append(order, "after") })
-		e.At(15, func() { order = append(order, "at") })
+	oneShot(e, 5, func() {
+		oneShotAfter(e, 10, func() { order = append(order, "after") })
+		oneShot(e, 15, func() { order = append(order, "at") })
 	})
 	e.Run()
 	if len(order) != 2 || order[0] != "after" || order[1] != "at" {
@@ -215,7 +215,7 @@ func TestEngineHandleCancel(t *testing.T) {
 	if e.Scheduled(h) || e.Pending() != 0 {
 		t.Fatal("cancel left the event scheduled")
 	}
-	e.At(10, func() {})
+	oneShot(e, 10, func() {})
 	e.Run()
 	if fired != 0 {
 		t.Fatal("canceled event fired")
@@ -234,7 +234,7 @@ func TestEngineHandleRescheduleKeepsTieOrder(t *testing.T) {
 	var order []string
 	h := e.Register(func() { order = append(order, "handle") })
 	e.Reschedule(h, 10)
-	e.At(20, func() { order = append(order, "closure@20") })
+	oneShot(e, 20, func() { order = append(order, "closure@20") })
 	e.Reschedule(h, 20) // moved after closure@20 was scheduled
 	e.Run()
 	if len(order) != 2 || order[0] != "closure@20" || order[1] != "handle" {
@@ -265,32 +265,10 @@ func TestEngineRescheduleClampsPast(t *testing.T) {
 	e := NewEngine()
 	var at Time
 	h := e.Register(func() { at = e.Now() })
-	e.At(100, func() { e.Reschedule(h, 50) })
+	oneShot(e, 100, func() { e.Reschedule(h, 50) })
 	e.Run()
 	if at != 100 {
 		t.Fatalf("past reschedule fired at %d, want clamp to 100", at)
-	}
-}
-
-func TestEngineOneShotSlotRecycling(t *testing.T) {
-	// Chained At/After (the pre-handle feeder pattern) must recycle one-shot
-	// slots instead of growing the handle table per event.
-	e := NewEngine()
-	n := 0
-	var chain func()
-	chain = func() {
-		n++
-		if n < 1000 {
-			e.After(3, chain)
-		}
-	}
-	e.At(0, chain)
-	e.Run()
-	if n != 1000 {
-		t.Fatalf("n = %d, want 1000", n)
-	}
-	if got := len(e.handles); got > 4 {
-		t.Fatalf("handle table grew to %d slots for a 1-deep chain", got)
 	}
 }
 
@@ -306,7 +284,7 @@ func TestEngineMonotonicClockProperty(t *testing.T) {
 		for i := range times {
 			times[i] = Time(r.Intn(1000))
 			ts := times[i]
-			e.At(ts, func() { fired = append(fired, ts) })
+			oneShot(e, ts, func() { fired = append(fired, ts) })
 		}
 		e.Run()
 		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
@@ -332,7 +310,7 @@ func TestRunUntilOrDrain(t *testing.T) {
 		e := e
 		h := e.Register(func() {})
 		e.Reschedule(h, 100)
-		e.After(250, func() { e.Reschedule(h, 400) })
+		oneShotAfter(e, 250, func() { e.Reschedule(h, 400) })
 	}
 	a.Run()
 	b.RunUntilOrDrain(1_000_000)
@@ -358,7 +336,7 @@ func TestRunUntilOrDrain(t *testing.T) {
 	// t <= 0 means no deadline.
 	e := NewEngine()
 	ran := false
-	e.After(50, func() { ran = true })
+	oneShotAfter(e, 50, func() { ran = true })
 	e.RunUntilOrDrain(0)
 	if !ran || e.Now() != 50 {
 		t.Fatalf("t=0 must drain: ran=%v now=%d", ran, e.Now())
@@ -374,14 +352,14 @@ func TestRunEventsUntilSegmented(t *testing.T) {
 	build := func(e *Engine, fired *[]Time) {
 		for _, at := range []Time{70, 10, 350, 130, 130, 520} {
 			at := at
-			e.At(at, func() { *fired = append(*fired, at) })
+			oneShot(e, at, func() { *fired = append(*fired, at) })
 		}
 		h := e.Register(func() { *fired = append(*fired, e.Now()) })
 		e.Reschedule(h, 90)
 		// Displace a far firing so the drain clock comes from phantom.
 		far := e.Register(func() {})
 		e.Reschedule(far, 900)
-		e.At(40, func() { e.Reschedule(far, 260) })
+		oneShot(e, 40, func() { e.Reschedule(far, 260) })
 	}
 
 	var wantFired []Time
@@ -419,8 +397,8 @@ func TestRunEventsUntilSegmented(t *testing.T) {
 	// the clock rests on the event, not the barrier.
 	e2 := NewEngine()
 	n := 0
-	e2.At(100, func() { n++ })
-	e2.At(150, func() { n++ })
+	oneShot(e2, 100, func() { n++ })
+	oneShot(e2, 150, func() { n++ })
 	if e2.RunEventsUntil(100) {
 		t.Fatal("event at 150 still pending")
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // Histogram is a streaming profiler over a sliding window of the most
-// recent Capacity() samples: a ring buffer plus the window's cached
+// recent capacity samples (NewHistogram): a ring buffer plus the window's cached
 // extrema, giving O(1) ingest. PMFInto then bins the window into a
 // caller-owned PMF without allocating.
 //
@@ -22,7 +22,7 @@ import (
 // those cost O(HistoryCap) per completion once the window is full (the
 // trim copies the whole window) and a fresh sort/scan plus allocation per
 // table rebuild. The histogram's window semantics are identical — the most
-// recent Capacity() accepted samples — and PMFInto is bitwise-equal to
+// recent capacity accepted samples — and PMFInto is bitwise-equal to
 // binning the same window from scratch (the naive test oracle), so
 // swapping it in changes no simulation results.
 type Histogram struct {
@@ -57,9 +57,6 @@ func (h *Histogram) grow() {
 	copy(buf, h.buf)
 	h.buf = buf
 }
-
-// Capacity returns the window capacity.
-func (h *Histogram) Capacity() int { return h.capacity }
 
 // Len returns the number of samples currently in the window.
 func (h *Histogram) Len() int { return h.n }

@@ -28,12 +28,25 @@ func (p Poisson) NextGap(r *rand.Rand, _ sim.Time) sim.Time {
 	if !(p.RatePerSec > 0) { // NaN too
 		return sim.Second // degenerate: 1 req/s
 	}
-	gap := r.ExpFloat64() / p.RatePerSec * 1e9
-	t := sim.Time(gap)
-	if t < 1 {
-		t = 1
+	return max(spanNs(r.ExpFloat64()/p.RatePerSec*1e9), 1)
+}
+
+// spanNs truncates a non-negative span in nanoseconds to sim.Time,
+// saturating at the largest representable time instead of overflowing.
+func spanNs(ns float64) sim.Time {
+	if !(ns < math.MaxInt64) {
+		return math.MaxInt64
 	}
-	return t
+	return sim.Time(ns)
+}
+
+// addSpan returns t+d for non-negative t and d, saturating like spanNs,
+// so a stream at an extreme rate never wraps to negative time.
+func addSpan(t, d sim.Time) sim.Time {
+	if d > math.MaxInt64-t {
+		return math.MaxInt64
+	}
+	return t + d
 }
 
 // Phase is one segment of a piecewise-constant step-load process.
@@ -128,20 +141,16 @@ func (m *MMPP) NextGap(r *rand.Rand, now sim.Time) sim.Time {
 		m.primed = true
 		m.stateEnd = m.holdFrom(r, 0)
 	}
-	for now >= m.stateEnd {
+	for now >= m.stateEnd && m.stateEnd < math.MaxInt64 {
 		m.cur = (m.cur + 1) % len(m.States)
-		m.stateEnd += m.holdFrom(r, m.cur)
+		m.stateEnd = addSpan(m.stateEnd, m.holdFrom(r, m.cur))
 	}
 	return Poisson{RatePerSec: m.States[m.cur].RatePerSec}.NextGap(r, now)
 }
 
 // holdFrom samples a sojourn time for state i.
 func (m *MMPP) holdFrom(r *rand.Rand, i int) sim.Time {
-	h := sim.Time(r.ExpFloat64() * float64(m.States[i].MeanHold))
-	if h < 1 {
-		h = 1
-	}
-	return h
+	return max(spanNs(r.ExpFloat64()*float64(m.States[i].MeanHold)), 1)
 }
 
 // ResetProcess rewinds the state machine (GenSource.Reset calls this).

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -84,6 +85,67 @@ func FuzzLoad(f *testing.F) {
 			if tr.Requests[i] != back.Requests[i] {
 				t.Fatalf("JSONL round-trip mutated request %d: got %+v want %+v",
 					i, back.Requests[i], tr.Requests[i])
+			}
+		}
+	})
+}
+
+// FuzzScenarioSource drives the validated scenario constructor with an
+// arbitrary scenario index, load, request cap n in [0, 512] and seed.
+// Every input must either be rejected or build a source that yields at
+// most n requests (at most 256 are pulled) with non-negative,
+// non-decreasing arrivals and distinct IDs below n, issued in pull order
+// by the open-loop shapes. Completion-aware sources see each request
+// complete at its arrival. The seed corpus holds the loads that used to
+// panic or spin a source, two ordinary runs and accepted extremes that
+// overflow the simulated clock unless time arithmetic saturates.
+func FuzzScenarioSource(f *testing.F) {
+	scs := Scenarios()
+	for i := range scs {
+		for _, load := range []float64{0, -0.5, math.NaN(), math.Inf(1), 1e-300} {
+			f.Add(uint8(i), load, uint16(64), int64(i))
+		}
+	}
+	f.Add(uint8(2), 0.5, uint16(300), int64(7))
+	f.Add(uint8(5), 0.5, uint16(300), int64(7))
+	// Accepted extremes on masstree: a closed loop of 2e13 clients, bursty
+	// holds of 400 mean gaps past the clock, Poisson and bursty arrivals
+	// that pass it, and a step phase at 2/3 of a run near the clock's end.
+	f.Add(uint8(5), 1e12, uint16(10), int64(1))
+	f.Add(uint8(2), 1.5e-12, uint16(2), int64(1))
+	f.Add(uint8(0), 3.75e-14, uint16(2), int64(3))
+	f.Add(uint8(2), 5e-14, uint16(3), int64(2))
+	f.Add(uint8(1), 5e-14, uint16(3), int64(2))
+	f.Fuzz(func(t *testing.T, idx uint8, load float64, nRaw uint16, seed int64) {
+		sc := scs[int(idx)%len(scs)]
+		n := int(nRaw) % 513
+		src, err := NewScenarioSource(sc.Name, Masstree(), load, n, seed)
+		if err != nil {
+			return
+		}
+		ca, closed := src.(CompletionAware)
+		seen := make([]bool, n)
+		var prev int64
+		for k := 0; k < min(n, 256); k++ {
+			req, ok := src.Next()
+			if !ok {
+				break
+			}
+			if req.Arrival < prev {
+				t.Fatalf("%s load %v: arrival %d after %d", sc.Name, load, req.Arrival, prev)
+			}
+			if req.ID < 0 || req.ID >= len(seen) || seen[req.ID] || (!closed && req.ID != k) {
+				t.Fatalf("%s load %v: request %d has ID %d", sc.Name, load, k, req.ID)
+			}
+			seen[req.ID] = true
+			prev = req.Arrival
+			if closed {
+				ca.OnCompletion(req.Arrival)
+			}
+		}
+		if n <= 256 {
+			if _, ok := src.Next(); ok {
+				t.Fatalf("%s load %v: more than n = %d requests", sc.Name, load, n)
 			}
 		}
 	})

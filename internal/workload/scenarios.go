@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"rubik/internal/sim"
 )
@@ -56,7 +57,8 @@ func Scenarios() []Scenario {
 				step, err := NewStepLoad(
 					Phase{Start: 0, RatePerSec: app.RateForLoad(0.5 * load)},
 					Phase{Start: T / 3, RatePerSec: app.RateForLoad(load)},
-					Phase{Start: 2 * T / 3, RatePerSec: app.RateForLoad(1.5 * load)},
+					// 2T/3, without overflowing 2T.
+					Phase{Start: T/3*2 + T%3*2/3, RatePerSec: app.RateForLoad(1.5 * load)},
 				)
 				if err != nil {
 					panic(err) // phases above are statically valid
@@ -71,8 +73,8 @@ func Scenarios() []Scenario {
 				// Mean rate over the cycle is base*(4*1 + 1*3)/5 = 1.4*base;
 				// divide so the scenario's mean load matches the target.
 				base := app.RateForLoad(load) / 1.4
-				gap := meanGap(app, load)
-				return NewGenSource(app, NewBurstyMMPP(base, 3, 400*gap, 100*gap), n, seed)
+				gap := float64(meanGap(app, load))
+				return NewGenSource(app, NewBurstyMMPP(base, 3, spanNs(400*gap), spanNs(100*gap)), n, seed)
 			},
 		},
 		{
@@ -107,12 +109,14 @@ func Scenarios() []Scenario {
 				// Interactive law: throughput ~= Clients/think when think
 				// dominates response time, so Clients = load*think/meanService
 				// offers the target load. think = 20x mean service keeps the
-				// approximation honest at moderate loads.
+				// approximation honest at moderate loads. Clients beyond the
+				// request cap n could never issue a request.
 				think := sim.Time(20 * app.MeanServiceNsAtNominal())
-				clients := int(load*20 + 0.5)
-				if clients < 1 {
-					clients = 1
+				c := load*20 + 0.5
+				if n >= 0 {
+					c = min(c, float64(n))
 				}
+				clients := max(int(c), 1)
 				return ClosedLoop{
 					App:       app,
 					Clients:   clients,
@@ -149,4 +153,34 @@ func ScenarioByName(name string) (Scenario, error) {
 		}
 	}
 	return Scenario{}, fmt.Errorf("workload: unknown scenario %q", name)
+}
+
+// NewScenarioSource builds the named scenario's source for app at a mean
+// load fraction, capped at n requests (n < 0: unbounded where the shape
+// allows), deterministically per seed. It rejects a load that is not
+// finite and positive, or whose mean gap or expected run of n requests
+// (app.Requests when n < 0) does not fit in sim.Time: the shapes derive
+// their episode lengths from both, and an overflowed length would panic
+// or spin the arrival process.
+func NewScenarioSource(name string, app LCApp, load float64, n int, seed int64) (Source, error) {
+	sc, err := ScenarioByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if !(load > 0) || math.IsInf(load, 1) {
+		return nil, fmt.Errorf("workload: scenario %s needs a finite positive load, got %v", name, load)
+	}
+	// The float forms of meanGap and expectedDur, checked before they
+	// are converted.
+	rate := app.RateForLoad(load)
+	runN := n
+	if runN < 0 {
+		runN = app.Requests
+	}
+	gap, run := 1e9/rate, float64(runN)/rate*1e9
+	if !(gap < math.MaxInt64 && run < math.MaxInt64) {
+		return nil, fmt.Errorf("workload: load %v is too low for scenario %s: mean gap %.3g ns, expected run %.3g ns overflow the simulated clock",
+			load, name, gap, run)
+	}
+	return sc.New(app, load, n, seed), nil
 }

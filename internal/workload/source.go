@@ -124,7 +124,7 @@ func (s *GenSource) Next() (Request, bool) {
 	if s.n >= 0 && s.issued >= s.n {
 		return Request{}, false
 	}
-	s.now += s.arrivals.NextGap(s.r, s.now)
+	s.now = addSpan(s.now, s.arrivals.NextGap(s.r, s.now))
 	cc, mt := s.app.SampleRequest(s.r)
 	req := Request{ID: s.issued, Arrival: s.now, ComputeCycles: cc, MemTime: mt}
 	s.issued++
@@ -249,33 +249,20 @@ func (m *ParetoSlowdown) Factor(r *rand.Rand) float64 {
 // Reset is a no-op: the straggler draw is memoryless.
 func (m *ParetoSlowdown) Reset() {}
 
-// Modulated wraps a Source, scaling every request's compute and memory
-// work by the modulator's factor. It draws from its own seeded rand, so
-// the inner source's sequence is untouched and the composition stays
-// deterministic.
+// Modulated wraps an open-loop generator, scaling every request's
+// compute and memory work by the modulator's factor. It draws from its
+// own seeded rand, so the inner source's sequence is untouched and the
+// composition stays deterministic.
 type Modulated struct {
-	src  Source
+	src  *GenSource
 	mod  Modulator
 	seed int64
 	r    *rand.Rand
-	// lastOrig is the pre-modulation copy of the most recent request, so
-	// a completion-aware inner source gets its own request back on
-	// Requeue (the feeder only ever requeues its last-pulled lookahead).
-	lastOrig Request
 }
 
-// Modulate composes a slowdown process over a source. When src is
-// CompletionAware (closed-loop clients), the returned source is too:
-// completions and requeues are forwarded, so modulated closed-loop
-// populations keep running (a requeued request is re-modulated with a
-// fresh factor draw on its next pull).
-func Modulate(src Source, mod Modulator, seed int64) Source {
-	m := &Modulated{src: src, mod: mod, seed: seed}
-	m.r = rand.New(rand.NewSource(seed))
-	if _, aware := src.(CompletionAware); aware {
-		return &modulatedCompletionAware{m}
-	}
-	return m
+// Modulate composes a slowdown process over an open-loop generator.
+func Modulate(src *GenSource, mod Modulator, seed int64) *Modulated {
+	return &Modulated{src: src, mod: mod, seed: seed, r: rand.New(rand.NewSource(seed))}
 }
 
 // Next pulls the inner request and scales its work.
@@ -284,7 +271,6 @@ func (m *Modulated) Next() (Request, bool) {
 	if !ok {
 		return Request{}, false
 	}
-	m.lastOrig = req
 	f := m.mod.Factor(m.r)
 	req.ComputeCycles *= f
 	if req.ComputeCycles < 1 {
@@ -302,26 +288,4 @@ func (m *Modulated) Reset() {
 	m.src.Reset()
 	m.mod.Reset()
 	m.r = rand.New(rand.NewSource(m.seed))
-}
-
-// modulatedCompletionAware adds the CompletionAware forwarding methods;
-// Modulate returns it only when the inner source is completion-aware, so
-// plain modulated sources never claim completion feedback they cannot
-// honor.
-type modulatedCompletionAware struct{ *Modulated }
-
-// OnCompletion forwards the completion to the inner source.
-func (m *modulatedCompletionAware) OnCompletion(done sim.Time) {
-	m.src.(CompletionAware).OnCompletion(done)
-}
-
-// Requeue returns the inner source's own (unmodulated) request; the
-// feeder only requeues its last-pulled lookahead, which lastOrig mirrors.
-func (m *modulatedCompletionAware) Requeue(Request) {
-	m.src.(CompletionAware).Requeue(m.lastOrig)
-}
-
-// Exhausted forwards the inner source's lifecycle.
-func (m *modulatedCompletionAware) Exhausted() bool {
-	return m.src.(CompletionAware).Exhausted()
 }

@@ -360,39 +360,6 @@ func TestClosedLoopExhausted(t *testing.T) {
 	}
 }
 
-// TestModulatedClosedLoop pins the composition the registry cannot
-// express alone: a heavy-tail modulator over a closed-loop population
-// must stay completion-aware, so the full N requests flow.
-func TestModulatedClosedLoop(t *testing.T) {
-	cl := ClosedLoop{App: Masstree(), Clients: 3, MeanThink: 2 * sim.Millisecond, N: 100, Seed: 8}
-	src := Modulate(cl.NewSource(), &ParetoSlowdown{Prob: 0.1, Scale: 3, Alpha: 1.5, Cap: 50}, 9)
-	ca, ok := src.(CompletionAware)
-	if !ok {
-		t.Fatal("modulated closed-loop source lost completion awareness")
-	}
-	served := 0
-	for {
-		req, ok := src.Next()
-		if !ok {
-			break
-		}
-		served++
-		ca.OnCompletion(req.Arrival + sim.Millisecond)
-	}
-	if served != 100 {
-		t.Fatalf("modulated closed loop served %d of 100", served)
-	}
-	if !ca.Exhausted() {
-		t.Fatal("drained modulated closed loop must report exhausted")
-	}
-	// A plain modulated source must NOT claim completion awareness (the
-	// feeder would requeue into a source that cannot take it back).
-	plain := Modulate(NewLoadSource(Masstree(), 0.5, 10, 1), &ParetoSlowdown{Prob: 0.1, Scale: 3, Alpha: 1.5}, 2)
-	if _, aware := plain.(CompletionAware); aware {
-		t.Fatal("plain modulated source claims completion awareness")
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	tr := GenerateAtLoad(Xapian(), 0.5, 300, 17)
 

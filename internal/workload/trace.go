@@ -46,7 +46,7 @@ func Generate(app LCApp, arrivals ArrivalProcess, n int, seed int64) Trace {
 	tr := Trace{App: app.Name, Seed: seed, Requests: make([]Request, 0, max(n, 0))}
 	var now sim.Time
 	for i := 0; i < n; i++ {
-		now += arrivals.NextGap(r, now)
+		now = addSpan(now, arrivals.NextGap(r, now))
 		cc, mt := app.SampleRequest(r)
 		tr.Requests = append(tr.Requests, Request{
 			ID:            i,
@@ -70,18 +70,6 @@ func (t Trace) Duration() sim.Time {
 		return 0
 	}
 	return t.Requests[len(t.Requests)-1].Arrival
-}
-
-// MeanServiceNs returns the empirical mean service time at fMHz.
-func (t Trace) MeanServiceNs(fMHz int) float64 {
-	if len(t.Requests) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range t.Requests {
-		sum += r.ServiceNs(fMHz)
-	}
-	return sum / float64(len(t.Requests))
 }
 
 // Stats summarizes a trace's service-time and arrival statistics.

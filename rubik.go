@@ -115,8 +115,7 @@ type (
 	// to the shard count.
 	FleetConfig = cluster.FleetConfig
 	// FleetResult is the outcome of a fleet run: one ClusterResult per
-	// socket, with pooled tails/energy, a streaming completion merge
-	// (IterCompletions) that never materializes the fleet's request log,
+	// socket, with pooled tails/energy computed from the per-core logs
 	// and the aggregate rebuild-cache statistics (TableCache).
 	FleetResult = cluster.FleetResult
 	// TableCache is a bounded, content-addressed memo of tail-table
@@ -223,13 +222,10 @@ func ScenarioByName(name string) (Scenario, error) { return workload.ScenarioByN
 
 // NewScenarioSource builds the named scenario's source for app at a mean
 // load fraction, capped at n requests (n < 0: unbounded where the shape
-// allows), deterministically per seed.
+// allows), deterministically per seed. A load that is not finite and
+// positive, or too low for the simulated clock, is an error.
 func NewScenarioSource(name string, app App, load float64, n int, seed int64) (Source, error) {
-	sc, err := workload.ScenarioByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return sc.New(app, load, n, seed), nil
+	return workload.NewScenarioSource(name, app, load, n, seed)
 }
 
 // TailBound measures the app's latency bound the way the paper defines it:

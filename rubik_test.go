@@ -2,10 +2,12 @@ package rubik_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"rubik"
 )
@@ -120,6 +122,8 @@ func TestFacadeValidate(t *testing.T) {
 		{"off-grid initial frequency", func(c *rubik.ServerConfig) { c.InitialMHz = 999 }},
 		{"zero power model", func(c *rubik.ServerConfig) { c.Power = rubik.PowerModel{} }},
 		{"NaN dynamic power", func(c *rubik.ServerConfig) { c.Power.DynCoeff = math.NaN() }},
+		{"negative transition latency", func(c *rubik.ServerConfig) { c.TransitionLatency = -1 }},
+		{"negative wake latency", func(c *rubik.ServerConfig) { c.WakeLatency = -1 }},
 	}
 	for _, c := range cases {
 		cfg := rubik.DefaultServerConfig()
@@ -229,6 +233,58 @@ func TestFacadeStreaming(t *testing.T) {
 	}
 	if got := len(cres.PerCore[0].Completions) + len(cres.PerCore[1].Completions); got != 2000 {
 		t.Fatalf("cluster streamed %d of 2000", got)
+	}
+}
+
+// TestFacadeScenarioLoads feeds every registered scenario loads that are
+// not finite and positive, or too low for the simulated clock, which
+// must be rejected, and two ordinary loads, whose sources must build and
+// stream. Each case runs under a deadline, so a source that spins fails
+// the test instead of hanging it.
+func TestFacadeScenarioLoads(t *testing.T) {
+	app, err := rubik.AppByName("masstree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range rubik.Scenarios() {
+		for _, tc := range []struct {
+			load float64
+			ok   bool
+		}{
+			{0, false}, {-0.5, false}, {math.NaN(), false}, {math.Inf(1), false}, {1e-300, false},
+			{0.1, true}, {4.2, true},
+		} {
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						done <- fmt.Errorf("panic: %v", r)
+					}
+				}()
+				src, err := rubik.NewScenarioSource(sc.Name, app, tc.load, 200, 1)
+				if err != nil {
+					done <- err
+					return
+				}
+				for i := 0; i < 200; i++ {
+					if _, ok := src.Next(); !ok {
+						break
+					}
+				}
+				done <- nil
+			}()
+			select {
+			case err := <-done:
+				if tc.ok && err != nil {
+					t.Errorf("%s at load %v: %v", sc.Name, tc.load, err)
+				}
+				if !tc.ok && (err == nil || strings.HasPrefix(err.Error(), "panic")) {
+					t.Errorf("%s at load %v: want an error, got %v", sc.Name, tc.load, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s at load %v: source hung", sc.Name, tc.load)
+			}
+		}
 	}
 }
 
