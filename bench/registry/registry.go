@@ -66,8 +66,7 @@ func All() []Bench {
 				{Name: "pdu", Nodes: 2, Oversub: 1.25},
 			}},
 			epoch: 5 * sim.Millisecond}.run},
-		{"Engine", engine(16, 97, 13)},
-		{"EngineDense", engine(64, 1500, 97)},
+		{"Engine", engine},
 		{"DispatchJSQ", dispatchJSQ},
 		{"PooledTail", pooledTail},
 		{"HierarchyRound", hierarchyRound},
@@ -482,37 +481,37 @@ func (f fleet) run(b *testing.B) {
 	}
 }
 
-// engine times the per-event cost of the simulation substrate: handles
-// pre-registered timers rescheduling themselves base+step*i ahead
-// through a populated event queue. 16 handles (Engine) is the sorted
-// small-mode regime; 64 over a wide horizon (EngineDense) spills past
-// small mode, so every event pays the 4-ary heap's O(log n) sifts — a
-// shape no simulator workload reaches. Steady state allocates nothing.
-func engine(handles int, base, step sim.Time) func(*testing.B) {
-	return func(b *testing.B) {
-		eng := sim.NewEngine()
-		fired := 0
-		hs := make([]sim.Handle, handles)
-		for i := 0; i < handles; i++ {
-			i := i
-			hs[i] = eng.Register(func() {
-				fired++
-				if fired <= b.N-handles {
-					// Distinct periods keep the queue busy and unordered.
-					eng.RescheduleAfter(hs[i], base+step*sim.Time(i))
-				}
-			})
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		fired = 0
-		for i := range hs {
-			eng.Reschedule(hs[i], sim.Time(1+i))
-		}
-		eng.Run()
-		if fired < b.N {
-			b.Fatalf("fired %d of %d events", fired, b.N)
-		}
+// engine times the per-event cost of the simulation substrate: 16
+// pre-registered timers rescheduling themselves 97+13*i ns ahead through
+// the engine's sorted pending array, about the population of a 6-core
+// socket (at most 3·6+2 pending events). Steady state allocates nothing.
+func engine(b *testing.B) {
+	const (
+		handles             = 16
+		base, step sim.Time = 97, 13
+	)
+	eng := sim.NewEngine()
+	fired := 0
+	hs := make([]sim.Handle, handles)
+	for i := 0; i < handles; i++ {
+		i := i
+		hs[i] = eng.Register(func() {
+			fired++
+			if fired <= b.N-handles {
+				// Distinct periods keep the queue busy and unordered.
+				eng.RescheduleAfter(hs[i], base+step*sim.Time(i))
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	fired = 0
+	for i := range hs {
+		eng.Reschedule(hs[i], sim.Time(1+i))
+	}
+	eng.Run()
+	if fired < b.N {
+		b.Fatalf("fired %d of %d events", fired, b.N)
 	}
 }
 

@@ -222,3 +222,41 @@ func TestFleetHierValidation(t *testing.T) {
 	cfg.Epoch = sim1ms
 	checkLowestSocketError(t, cfg)
 }
+
+// TestSocketPendingEventBound pins the pending-event population the
+// engine's flat sorted array is sized for: a socket registers one handle
+// per core for each of completion, controller tick and DVFS switch, one
+// for the arrival feeder and one for a barrier-armed cap, and a handle
+// holds at most one pending firing. A 6-core capped Rubik socket at high
+// load with a cap change armed mid-run must never hold more.
+func TestSocketPendingEventBound(t *testing.T) {
+	const cores = 6
+	app := workload.Masstree()
+	cfg := rubikClusterConfig(t, cores, 500_000)
+	cfg.CapW = 14
+	s, err := newSocketSim(workload.NewLoadSource(app, 0.9*cores, 3000, 5), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.scheduleCap(2_000_000, 10)
+	peak := s.eng.Pending()
+	for s.eng.Step() {
+		peak = max(peak, s.eng.Pending())
+	}
+	if limit := 3*cores + 2; peak > limit {
+		t.Fatalf("peak pending events %d, want <= 3*cores+2 = %d", peak, limit)
+	}
+	if peak <= cores {
+		t.Fatalf("peak pending events %d: the run never kept more than one event per core pending", peak)
+	}
+	res, err := s.result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Served() != 3000 {
+		t.Fatalf("served %d of 3000", res.Served())
+	}
+	if len(res.Capping) != 1 || res.Capping[0].CapW != 10 {
+		t.Fatalf("armed cap never applied: %+v", res.Capping)
+	}
+}

@@ -269,6 +269,59 @@ func TestSchemeValidation(t *testing.T) {
 	}
 }
 
+// Every server runner must reject an LC load that is not finite and
+// positive rather than run it as NewLoadSource's 1 req/s fallback.
+func TestServersRejectBadLoad(t *testing.T) {
+	app := workload.Masstree()
+	mix := []workload.BatchApp{mustBatch(t, "gcc")}
+	for _, load := range []float64{0, -0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := DefaultServerConfig(app, mix, load, 1e6, 1)
+		cfg.RequestsPerCore = 3
+		if _, err := RunRubikColocServer(cfg); err == nil {
+			t.Errorf("RubikColoc accepted load %v", load)
+		}
+		if _, err := RunStaticColocServer(cfg, cpu.NominalMHz); err == nil {
+			t.Errorf("StaticColoc accepted load %v", load)
+		}
+		if _, err := RunHWServer(cfg); err == nil {
+			t.Errorf("HW server accepted load %v", load)
+		}
+	}
+}
+
+// The HW governor floor is the lowest step that sustains the LC load, so
+// it can only rise with load: an overload no step sustains gets the top
+// step, never the grid minimum. Average LC power (LC energy over LC busy
+// time) follows the floor.
+func TestHWFloorRisesUnderOverload(t *testing.T) {
+	app := workload.Masstree()
+	mix := workload.Mixes(1, 6, 42)[0]
+	lcPowerW := func(obj HWObjective, load float64) float64 {
+		res, err := RunHWServer(ServerConfig{
+			App: app, Mix: mix, Load: load, RequestsPerCore: 400, Seed: 9,
+			Grid: cpu.DefaultGrid(), Power: cpu.DefaultPowerModel(),
+			TransitionLatency: 4 * sim.Microsecond,
+			Interference:      DefaultInterference(),
+			Objective:         obj,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var joules, busyNs float64
+		for _, c := range res.Cores {
+			joules += c.LCEnergyJ
+			busyNs += c.LCBusyNs
+		}
+		return joules / (busyNs * 1e-9)
+	}
+	for _, obj := range []HWObjective{HWThroughput, HWThroughputPerWatt} {
+		full, over := lcPowerW(obj, 1.0), lcPowerW(obj, 1.2)
+		if over < full {
+			t.Errorf("objective %v: LC power %.2f W at load 1.2 < %.2f W at load 1.0", obj, over, full)
+		}
+	}
+}
+
 func TestAllocateRespectsTDP(t *testing.T) {
 	grid := cpu.DefaultGrid()
 	model := cpu.DefaultPowerModel()

@@ -47,8 +47,8 @@ func RunStaticColocServer(cfg ServerConfig, staticMHz int) (ServerResult, error)
 }
 
 func runIndependentCores(cfg ServerConfig, mkPolicy func(int) (queueing.Policy, error)) (ServerResult, error) {
-	if len(cfg.Mix) == 0 {
-		return ServerResult{}, fmt.Errorf("coloc: empty batch mix")
+	if err := cfg.validate(); err != nil {
+		return ServerResult{}, err
 	}
 	res := ServerResult{Cores: make([]CoreResult, len(cfg.Mix))}
 	for i, b := range cfg.Mix {

@@ -2,6 +2,7 @@ package coloc
 
 import (
 	"fmt"
+	"math"
 
 	"rubik/internal/cpu"
 	"rubik/internal/queueing"
@@ -147,6 +148,20 @@ type ServerConfig struct {
 	Objective HWObjective
 }
 
+// validate checks what every server runner needs: a batch mix to pair
+// with the LC cores and an LC load that is finite and positive. Any other
+// load would reach NewLoadSource as a rate it replaces with its 1 req/s
+// fallback.
+func (cfg ServerConfig) validate() error {
+	if len(cfg.Mix) == 0 {
+		return fmt.Errorf("coloc: empty batch mix")
+	}
+	if !(cfg.Load > 0) || math.IsInf(cfg.Load, 1) {
+		return fmt.Errorf("coloc: LC load %v is not finite and positive", cfg.Load)
+	}
+	return nil
+}
+
 // coreConfig is core i's share of the server: the LC stream seeded
 // Seed + 101·i paired with batch, on the shared grid, power model,
 // transition latency and interference model, starting at nominal. The
@@ -212,8 +227,8 @@ func (r ServerResult) TotalEnergyJ() float64 {
 // oblivious to queue state and latency bounds, which is exactly why it
 // violates tails (paper Fig. 15).
 func RunHWServer(cfg ServerConfig) (ServerResult, error) {
-	if len(cfg.Mix) == 0 {
-		return ServerResult{}, fmt.Errorf("coloc: empty batch mix")
+	if err := cfg.validate(); err != nil {
+		return ServerResult{}, err
 	}
 	eng := sim.NewEngine()
 	cores := make([]*core, len(cfg.Mix))
@@ -236,8 +251,9 @@ func RunHWServer(cfg ServerConfig) (ServerResult, error) {
 	// Utilization-governor floor for LC-occupied cores: the lowest step at
 	// which the offered LC load stays sustainable (busy fraction <= 0.92).
 	// Without it a low-frequency efficiency objective would let queues grow
-	// without bound, which no real governor allows.
-	lcFloor := 0
+	// without bound, which no real governor allows. A load no step sustains
+	// gets the top step.
+	lcFloor := cfg.Grid.Len() - 1
 	for s := 0; s < cfg.Grid.Len(); s++ {
 		f := cfg.Grid.Step(s)
 		svc := meanCC*1000/float64(f) + meanMem

@@ -10,10 +10,11 @@
 // Recurring events are pre-registered once with Register and then moved
 // with Reschedule / Cancel, which relocate the single pending entry in
 // place instead of pushing a fresh closure and tombstoning the stale one.
-// Pending events live in a flat array sorted by (time, scheduling
-// sequence) while there are at most smallCap of them — every simulator in
-// this repository stays in that regime (a completion per busy core, an
-// arrival, a controller tick) — and spill into a 4-ary min-heap beyond it.
+// Pending events live in one flat array sorted by (time, scheduling
+// sequence). A socket holds at most a few dozen of them (an arrival, a
+// completion, tick and DVFS switch per core, a cap event), where firing
+// pops the front and scheduling shift-inserts into a couple of hot cache
+// lines.
 package sim
 
 import "math"
@@ -39,17 +40,10 @@ type Handle int32
 // unscheduled marks a handle with no pending entry.
 const unscheduled = -1
 
-// Small-mode thresholds. With at most smallCap pending events the engine
-// keeps them in one flat sorted array: firing pops the front, scheduling
-// shift-inserts into a couple of hot cache lines, with no sift chains and
-// no position churn. The heap takes over when the array fills; run()
-// migrates back once pending drains to smallLow, and the gap between the
-// two thresholds keeps workloads that hover near either one from
-// thrashing between modes.
-const (
-	smallCap = 24
-	smallLow = 20
-)
+// initCap is the pending array's initial capacity. A 6-core socket holds
+// at most 3·6+2 = 20 pending events, so no simulator grows it; a larger
+// queue grows by append.
+const initCap = 24
 
 // entry is one scheduled event, stored by value: scheduling never boxes and
 // never allocates beyond amortized slice growth.
@@ -70,7 +64,7 @@ func entryLess(a, b entry) bool {
 
 type handleState struct {
 	fn  func()
-	pos int32 // index into small or heap, or unscheduled
+	pos int32 // position hint into queue, or unscheduled
 }
 
 // Engine is a discrete-event simulator: a clock plus a time-ordered event
@@ -79,18 +73,13 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// small holds every pending entry while heap is empty, sorted ascending
-	// in (at, seq); the live region is small[smallHead:], the prefix before
-	// it dead slots left by fired/removed front entries and reused by front
-	// inserts. hs.pos is a position hint into it, exact at write time but
-	// staled by shifts; removeSmall validates and falls back to a scan.
-	small     []entry
-	smallHead int
-
-	// heap is a 4-ary min-heap in (at, seq) holding every pending entry
-	// once more than smallCap are pending (small is then empty). Positions
-	// are exact.
-	heap []entry
+	// queue holds every pending entry sorted ascending in (at, seq); the
+	// live region is queue[head:], the prefix before it dead slots left by
+	// fired/removed front entries and reused by front inserts. hs.pos is a
+	// position hint into it, exact at write time but staled by shifts;
+	// remove validates and falls back to a scan.
+	queue []entry
+	head  int
 
 	handles []handleState
 
@@ -104,7 +93,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at 0 and no pending events.
 func NewEngine() *Engine {
-	return &Engine{small: make([]entry, 0, smallCap)}
+	return &Engine{queue: make([]entry, 0, initCap)}
 }
 
 // Now returns the current simulated time.
@@ -130,16 +119,7 @@ func (e *Engine) Reschedule(h Handle, t Time) {
 	if e.handles[h].pos != unscheduled {
 		e.Cancel(h)
 	}
-	ev := entry{at: t, seq: e.seq, h: h}
-	if len(e.heap) == 0 {
-		if len(e.small)-e.smallHead < smallCap {
-			e.placeSmall(ev)
-			return
-		}
-		e.spill()
-	}
-	e.heap = append(e.heap, ev)
-	e.siftUp(len(e.heap) - 1)
+	e.place(entry{at: t, seq: e.seq, h: h})
 }
 
 // RescheduleAfter schedules the handle's event d nanoseconds from now.
@@ -154,13 +134,7 @@ func (e *Engine) Cancel(h Handle) {
 	if hs.pos == unscheduled {
 		return
 	}
-	var at Time
-	if len(e.heap) > 0 {
-		at = e.heap[hs.pos].at
-		e.removeAt(int(hs.pos))
-	} else {
-		at = e.removeSmall(h, int(hs.pos))
-	}
+	at := e.remove(h, int(hs.pos))
 	hs.pos = unscheduled
 	if at > e.phantom {
 		e.phantom = at
@@ -174,10 +148,7 @@ func (e *Engine) Scheduled(h Handle) bool {
 
 // Pending returns the number of scheduled events.
 func (e *Engine) Pending() int {
-	if len(e.heap) > 0 {
-		return len(e.heap)
-	}
-	return len(e.small) - e.smallHead
+	return len(e.queue) - e.head
 }
 
 // Step runs the next event, advancing the clock to its timestamp. It
@@ -247,21 +218,9 @@ func (e *Engine) drained() {
 	}
 }
 
-// run fires every event with timestamp <= limit, migrating back to small
-// mode once the heap drains to smallLow.
+// run fires every event with timestamp <= limit.
 func (e *Engine) run(limit Time) {
-	for {
-		if n := len(e.heap); n > 0 {
-			if n <= smallLow {
-				e.unspill()
-				continue
-			}
-			if e.heap[0].at > limit {
-				return
-			}
-		} else if e.smallHead == len(e.small) || e.small[e.smallHead].at > limit {
-			return
-		}
+	for e.head < len(e.queue) && e.queue[e.head].at <= limit {
 		e.fireNext()
 	}
 }
@@ -269,17 +228,11 @@ func (e *Engine) run(limit Time) {
 // fireNext pops and runs the earliest pending entry, advancing the clock to
 // its timestamp. The queue must be non-empty.
 func (e *Engine) fireNext() {
-	var ev entry
-	if len(e.heap) > 0 {
-		ev = e.heap[0]
-		e.removeAt(0)
-	} else {
-		ev = e.small[e.smallHead]
-		e.smallHead++
-		if e.smallHead == len(e.small) {
-			e.small = e.small[:0]
-			e.smallHead = 0
-		}
+	ev := e.queue[e.head]
+	e.head++
+	if e.head == len(e.queue) {
+		e.queue = e.queue[:0]
+		e.head = 0
 	}
 	e.now = ev.at
 	hs := &e.handles[ev.h]
@@ -287,146 +240,59 @@ func (e *Engine) fireNext() {
 	hs.fn()
 }
 
-// placeSmall shift-inserts into the sorted small-mode array: a scan from
-// the back (periodic events usually sort last) and a short hot memmove. An
-// entry sorting before every live one reuses a dead front slot, the shape
-// clamped-to-now schedules have.
-func (e *Engine) placeSmall(ev entry) {
-	n := len(e.small)
-	head := e.smallHead
-	if n == cap(e.small) && head > 0 {
-		// Compact the dead prefix instead of growing the array.
-		copy(e.small, e.small[head:])
+// place shift-inserts into the sorted array: a scan from the back
+// (periodic events usually sort last) and a short hot memmove. An entry
+// sorting before every live one reuses a dead front slot, the shape
+// clamped-to-now schedules have. A full array compacts its dead prefix
+// before it grows.
+func (e *Engine) place(ev entry) {
+	n := len(e.queue)
+	head := e.head
+	if n == cap(e.queue) && head > 0 {
+		copy(e.queue, e.queue[head:])
 		n -= head
-		e.small = e.small[:n]
-		e.smallHead, head = 0, 0
+		e.queue = e.queue[:n]
+		e.head, head = 0, 0
 	}
 	i := n
-	for i > head && entryLess(ev, e.small[i-1]) {
+	for i > head && entryLess(ev, e.queue[i-1]) {
 		i--
 	}
 	switch {
 	case i == n:
-		e.small = append(e.small, ev)
+		e.queue = append(e.queue, ev)
 	case i == head && head > 0:
 		i--
-		e.smallHead = i
-		e.small[i] = ev
+		e.head = i
+		e.queue[i] = ev
 	default:
-		e.small = append(e.small, entry{})
-		copy(e.small[i+1:], e.small[i:n])
-		e.small[i] = ev
+		e.queue = append(e.queue, entry{})
+		copy(e.queue[i+1:], e.queue[i:n])
+		e.queue[i] = ev
 	}
 	e.handles[ev.h].pos = int32(i)
 }
 
-// removeSmall deletes the handle's entry from the small-mode array, given
-// its position hint, and returns the entry's firing time.
-func (e *Engine) removeSmall(h Handle, i int) Time {
-	head := e.smallHead
-	n := len(e.small)
-	if i < head || i >= n || e.small[i].h != h {
+// remove deletes the handle's entry from the array, given its position
+// hint, and returns the entry's firing time.
+func (e *Engine) remove(h Handle, i int) Time {
+	head := e.head
+	n := len(e.queue)
+	if i < head || i >= n || e.queue[i].h != h {
 		// Stale hint (a shift moved the entry); scan the live region.
-		for i = head; e.small[i].h != h; i++ {
+		for i = head; e.queue[i].h != h; i++ {
 		}
 	}
-	at := e.small[i].at
+	at := e.queue[i].at
 	if i == head {
-		e.smallHead++
-		if e.smallHead == n {
-			e.small = e.small[:0]
-			e.smallHead = 0
+		e.head++
+		if e.head == n {
+			e.queue = e.queue[:0]
+			e.head = 0
 		}
 	} else {
-		copy(e.small[i:], e.small[i+1:])
-		e.small = e.small[:n-1]
+		copy(e.queue[i:], e.queue[i+1:])
+		e.queue = e.queue[:n-1]
 	}
 	return at
-}
-
-// spill moves the small-mode array into the heap. A sorted array already
-// satisfies the heap property, so only positions need rewriting.
-func (e *Engine) spill() {
-	e.heap = append(e.heap[:0], e.small[e.smallHead:]...)
-	for i, ev := range e.heap {
-		e.handles[ev.h].pos = int32(i)
-	}
-	e.small = e.small[:0]
-	e.smallHead = 0
-}
-
-// unspill moves the heap back into the small-mode array, insertion-sorting
-// it into (at, seq) order and rewriting exact positions.
-func (e *Engine) unspill() {
-	ents := append(e.small[:0], e.heap...)
-	e.heap = e.heap[:0]
-	for i := 1; i < len(ents); i++ {
-		ev := ents[i]
-		j := i
-		for ; j > 0 && entryLess(ev, ents[j-1]); j-- {
-			ents[j] = ents[j-1]
-		}
-		ents[j] = ev
-	}
-	for i, ev := range ents {
-		e.handles[ev.h].pos = int32(i)
-	}
-	e.small = ents
-}
-
-// removeAt deletes the heap entry at index i, restoring the heap property
-// around the hole. The caller marks the removed handle unscheduled.
-func (e *Engine) removeAt(i int) {
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap = e.heap[:n]
-	if i < n {
-		e.heap[i] = last
-		e.siftDown(e.siftUp(i))
-	}
-}
-
-// siftUp moves the entry at index i toward the root until its parent is no
-// larger, maintaining handle positions. It returns the final index.
-func (e *Engine) siftUp(i int) int {
-	ev := e.heap[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !entryLess(ev, e.heap[p]) {
-			break
-		}
-		e.heap[i] = e.heap[p]
-		e.handles[e.heap[i].h].pos = int32(i)
-		i = p
-	}
-	e.heap[i] = ev
-	e.handles[ev.h].pos = int32(i)
-	return i
-}
-
-// siftDown moves the entry at index i toward the leaves until no child is
-// smaller, maintaining handle positions.
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
-	ev := e.heap[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		for c := first + 1; c < min(first+4, n); c++ {
-			if entryLess(e.heap[c], e.heap[best]) {
-				best = c
-			}
-		}
-		if !entryLess(e.heap[best], ev) {
-			break
-		}
-		e.heap[i] = e.heap[best]
-		e.handles[e.heap[i].h].pos = int32(i)
-		i = best
-	}
-	e.heap[i] = ev
-	e.handles[ev.h].pos = int32(i)
 }

@@ -5,8 +5,8 @@ import "testing"
 // Edge regression tests for the engine. Each case pins a behavior of the
 // event contract: handle reuse across Cancel/Reschedule, scheduling at the
 // current instant, events landing exactly on a RunUntilOrDrain boundary,
-// far-future deltas, and entries that cross the small-mode/heap spill
-// boundary.
+// far-future deltas, and queues that grow past the pending array's
+// initial capacity.
 
 // Cancel-then-Reschedule on the same handle must behave as if the cancel
 // never left a residue: the handle fires once, at the new deadline.
@@ -63,10 +63,10 @@ func TestEngineScheduleAtNow(t *testing.T) {
 		t.Fatalf("fired at %d (clock %d), want 1000", at, e.Now())
 	}
 
-	// Same via a fresh one-shot handle, and in heap mode (enough pending handles
-	// to spill out of the sorted small front).
+	// Same via a fresh one-shot handle, with enough pending handles to grow
+	// the array past its initial capacity.
 	var hs []Handle
-	for i := 0; i < 2*smallCap; i++ {
+	for i := 0; i < 2*initCap; i++ {
 		h := e.Register(func() {})
 		e.Reschedule(h, e.Now()+Time(10000+i*1000))
 		hs = append(hs, h)
@@ -111,7 +111,7 @@ func TestEngineRunUntilOrDrainBoundary(t *testing.T) {
 }
 
 // pin registers n no-op handles scheduled at base+1, base+2, ...: enough
-// of them (n > smallCap) spill the engine into heap mode.
+// of them (n > initCap) grow the pending array past its initial capacity.
 func pin(e *Engine, n int, base Time) []Handle {
 	hs := make([]Handle, n)
 	for i := range hs {
@@ -122,17 +122,14 @@ func pin(e *Engine, n int, base Time) []Handle {
 }
 
 // Far-future deltas, up to 1e18 ns, must fire at their exact deadline from
-// heap mode.
+// a grown queue.
 func TestEngineFarFutureCascade(t *testing.T) {
 	for _, d := range []Time{1e3, 1e6, 1e9, 1e12, 1e15, 1e18, 262144, 262143} {
 		e := NewEngine()
 		var at Time
 		h := e.Register(func() { at = e.Now() })
 		e.Reschedule(h, d)
-		pin(e, 2*smallCap, 2*d)
-		if len(e.heap) == 0 {
-			t.Fatalf("delta %d: engine did not spill into heap mode", d)
-		}
+		pin(e, 2*initCap, 2*d)
 		e.RunUntil(d)
 		if at != d {
 			t.Fatalf("delta %d: fired at %d, want %d", d, at, d)
@@ -140,10 +137,10 @@ func TestEngineFarFutureCascade(t *testing.T) {
 	}
 }
 
-// Two events with the same deadline — A placed in small mode before a
-// spill carried it into the heap, B placed after the heap drained back
-// into small mode — must fire in scheduling (seq) order.
-func TestEngineCrossLevelTieOrder(t *testing.T) {
+// Two events with the same deadline — A placed before the queue grew past
+// its initial capacity, B placed after it drained back below — must fire
+// in scheduling (seq) order.
+func TestEngineTieOrderAcrossGrowth(t *testing.T) {
 	e := NewEngine()
 	var log []int
 	a := e.Register(func() { log = append(log, 1) })
@@ -151,14 +148,8 @@ func TestEngineCrossLevelTieOrder(t *testing.T) {
 
 	const deadline = Time(5_000_000)
 	e.Reschedule(a, deadline)
-	pin(e, 2*smallCap, deadline/2)
-	if len(e.heap) == 0 {
-		t.Fatal("pins did not spill the engine into heap mode")
-	}
-	e.RunUntil(deadline - 10) // the pins fire; pending drops to smallLow
-	if len(e.heap) != 0 {
-		t.Fatal("engine did not unspill after draining to smallLow")
-	}
+	pin(e, 2*initCap, deadline/2)
+	e.RunUntil(deadline - 10) // the pins fire; only A stays pending
 	e.Reschedule(b, deadline)
 	e.RunUntil(deadline)
 
@@ -167,15 +158,15 @@ func TestEngineCrossLevelTieOrder(t *testing.T) {
 	}
 }
 
-// Reschedules and cancels must relocate or drop an entry across the spill
-// boundary without leaving stale residues behind.
-func TestEngineCrossLevelReschedule(t *testing.T) {
+// Reschedules and cancels must relocate or drop an entry in a queue that
+// grew past its initial capacity without leaving stale residues behind.
+func TestEngineRescheduleAcrossGrowth(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
 	h := e.Register(func() { fired = append(fired, e.Now()) })
-	e.Reschedule(h, 1e9) // small mode
-	pins := pin(e, 2*smallCap, 1e12)
-	e.Reschedule(h, 100) // moved within the heap
+	e.Reschedule(h, 1e9)
+	pins := pin(e, 2*initCap, 1e12)
+	e.Reschedule(h, 100) // moved to the front of the grown queue
 	e.RunUntil(200)
 	if len(fired) != 1 || fired[0] != 100 {
 		t.Fatalf("far-to-near: fired=%v, want [100]", fired)
@@ -189,20 +180,20 @@ func TestEngineCrossLevelReschedule(t *testing.T) {
 		t.Fatalf("near-to-far: fired=%v, want second at %d", fired, want)
 	}
 
-	// Arm h in the heap, drain below smallLow so it unspills, then cancel
-	// it from small mode: it must never fire.
+	// Arm h among the pins, cancel most of them, then cancel h: it must
+	// never fire.
 	e.Reschedule(h, e.Now()+1e9)
-	for _, p := range pins[:len(pins)-smallLow+2] {
+	for _, p := range pins[:len(pins)-18] {
 		e.Cancel(p)
 	}
 	e.RunUntil(e.Now() + 1e6)
-	if len(e.heap) != 0 || !e.Scheduled(h) {
-		t.Fatalf("heap=%d scheduled=%v, want unspilled and scheduled", len(e.heap), e.Scheduled(h))
+	if !e.Scheduled(h) {
+		t.Fatal("h lost its pending firing while the pins were canceled")
 	}
 	e.Cancel(h)
-	// Re-arm in small mode, spill again, and cancel from the heap.
+	// Re-arm, grow the queue again, and cancel from the grown queue.
 	e.Reschedule(h, e.Now()+10)
-	pin(e, smallCap, e.Now()+1e6)
+	pin(e, initCap, e.Now()+1e6)
 	e.Cancel(h)
 	e.RunUntil(e.Now() + 2e9)
 	if len(fired) != 2 {

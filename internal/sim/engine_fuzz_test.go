@@ -26,10 +26,10 @@ var fuzzGolden = []golden{
 // favors the shapes that stress the engine: past-due schedules that clamp
 // to Now, shifted deltas spanning the whole int64 range, epoch barriers
 // interleaved with single steps, and enough live handles that bursts cross
-// the smallCap/smallLow spill boundary.
+// the pending array's initial capacity.
 func driveFuzz(e engineAPI, data []byte) trace {
 	var tr trace
-	const handles = 32 // > smallCap: bursts spill into the heap
+	const handles = 32 // > initCap: bursts grow the pending array
 	hs := make([]Handle, handles)
 	for i := range hs {
 		hs[i] = e.Register(tr.logger(e, i))

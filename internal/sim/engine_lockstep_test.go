@@ -234,12 +234,13 @@ var lockstepGolden = [40]golden{
 // driveSeed runs one randomized schedule: interleaved oneShot/
 // oneShotAfter/Reschedule/Cancel/RunUntil/RunUntilOrDrain/
 // RunEventsUntil/Step ops, plus a self-rescheduling handle (the shape
-// every core event has), handle bursts that cross the smallCap/smallLow
-// spill boundary in both directions, and far-future deltas up to 2^45 ns.
+// every core event has), handle bursts that grow the pending array past
+// its initial capacity and drain it again, and far-future deltas up to
+// 2^45 ns.
 func driveSeed(e engineAPI, seed int64) trace {
 	r := rand.New(rand.NewSource(seed))
 	var tr trace
-	const handles = 3 * smallCap / 2
+	const handles = 36
 	hs := make([]Handle, handles)
 	for i := range hs {
 		hs[i] = e.Register(tr.logger(e, i))
@@ -271,12 +272,12 @@ func driveSeed(e engineAPI, seed int64) trace {
 		case k < 9: // far-future reschedule
 			d := Time(1) << uint(10+r.Intn(34))
 			e.Reschedule(hs[r.Intn(handles)], e.Now()+d+Time(r.Intn(1000)))
-		case k < 10: // burst: every persistent handle at once, past smallCap
+		case k < 10: // burst: every persistent handle at once, past initCap
 			base := e.Now()
 			for i := range hs {
 				e.Reschedule(hs[i], base+Time(r.Intn(2000)))
 			}
-		case k < 11: // far burst: more than smallCap entries spread over
+		case k < 11: // far burst: more than initCap entries spread over
 			// decades of delta
 			base := e.Now()
 			for i := range hs {

@@ -91,14 +91,16 @@ func FuzzLoad(f *testing.F) {
 }
 
 // FuzzScenarioSource drives the validated scenario constructor with an
-// arbitrary scenario index, load, request cap n in [0, 512] and seed.
-// Every input must either be rejected or build a source that yields at
-// most n requests (at most 256 are pulled) with non-negative,
-// non-decreasing arrivals and distinct IDs below n, issued in pull order
-// by the open-loop shapes. Completion-aware sources see each request
-// complete at its arrival. The seed corpus holds the loads that used to
-// panic or spin a source, two ordinary runs and accepted extremes that
-// overflow the simulated clock unless time arithmetic saturates.
+// arbitrary scenario index, load, request cap n in [0, 512] (or -1,
+// unbounded, when nRaw is math.MaxUint16) and seed. Every input must
+// either be rejected or build a source that yields at most n requests
+// (at most 256 are pulled) with non-negative, non-decreasing arrivals and
+// distinct IDs (below n when bounded), issued in pull order by the
+// open-loop shapes. Completion-aware sources see each request complete at
+// its arrival. The seed corpus holds the loads that used to panic or spin
+// a source, two ordinary runs, accepted extremes that overflow the
+// simulated clock unless time arithmetic saturates, and unbounded closed
+// loops whose load would size a population of 2e6 or 2e301 clients.
 func FuzzScenarioSource(f *testing.F) {
 	scs := Scenarios()
 	for i := range scs {
@@ -116,17 +118,26 @@ func FuzzScenarioSource(f *testing.F) {
 	f.Add(uint8(0), 3.75e-14, uint16(2), int64(3))
 	f.Add(uint8(2), 5e-14, uint16(3), int64(2))
 	f.Add(uint8(1), 5e-14, uint16(3), int64(2))
+	f.Add(uint8(5), 1e5, uint16(math.MaxUint16), int64(1))
+	f.Add(uint8(5), 1e300, uint16(math.MaxUint16), int64(1))
 	f.Fuzz(func(t *testing.T, idx uint8, load float64, nRaw uint16, seed int64) {
 		sc := scs[int(idx)%len(scs)]
 		n := int(nRaw) % 513
+		if nRaw == math.MaxUint16 {
+			n = -1
+		}
 		src, err := NewScenarioSource(sc.Name, Masstree(), load, n, seed)
 		if err != nil {
 			return
 		}
 		ca, closed := src.(CompletionAware)
-		seen := make([]bool, n)
+		pulls := 256
+		if n >= 0 {
+			pulls = min(n, 256)
+		}
+		seen := make(map[int]bool, pulls)
 		var prev int64
-		for k := 0; k < min(n, 256); k++ {
+		for k := 0; k < pulls; k++ {
 			req, ok := src.Next()
 			if !ok {
 				break
@@ -134,7 +145,7 @@ func FuzzScenarioSource(f *testing.F) {
 			if req.Arrival < prev {
 				t.Fatalf("%s load %v: arrival %d after %d", sc.Name, load, req.Arrival, prev)
 			}
-			if req.ID < 0 || req.ID >= len(seen) || seen[req.ID] || (!closed && req.ID != k) {
+			if req.ID < 0 || (n >= 0 && req.ID >= n) || seen[req.ID] || (!closed && req.ID != k) {
 				t.Fatalf("%s load %v: request %d has ID %d", sc.Name, load, k, req.ID)
 			}
 			seen[req.ID] = true
@@ -143,7 +154,7 @@ func FuzzScenarioSource(f *testing.F) {
 				ca.OnCompletion(req.Arrival)
 			}
 		}
-		if n <= 256 {
+		if n >= 0 && n <= 256 {
 			if _, ok := src.Next(); ok {
 				t.Fatalf("%s load %v: more than n = %d requests", sc.Name, load, n)
 			}

@@ -110,13 +110,16 @@ func Scenarios() []Scenario {
 				// dominates response time, so Clients = load*think/meanService
 				// offers the target load. think = 20x mean service keeps the
 				// approximation honest at moderate loads. Clients beyond the
-				// request cap n could never issue a request.
+				// request cap n could never issue a request; an unbounded
+				// run is capped at app.Requests, the run length
+				// NewScenarioSource checks it against, so no load sizes an
+				// unbounded population or overflows the conversion.
 				think := sim.Time(20 * app.MeanServiceNsAtNominal())
-				c := load*20 + 0.5
-				if n >= 0 {
-					c = min(c, float64(n))
+				limit := n
+				if limit < 0 {
+					limit = app.Requests
 				}
-				clients := max(int(c), 1)
+				clients := max(int(min(load*20+0.5, float64(limit))), 1)
 				return ClosedLoop{
 					App:       app,
 					Clients:   clients,

@@ -90,9 +90,8 @@ func (s *TraceSource) Len() int { return len(s.reqs) - s.next }
 func (s *TraceSource) Reset() { s.next = 0 }
 
 // GenSource generates requests on demand from an arrival process and an
-// app's service model — the streaming equivalent of Generate: for the
-// same (app, arrivals, n, seed) it yields the byte-identical request
-// sequence, drawing from one seeded rand in the same order.
+// app's service model, drawing from one seeded rand; Generate is the same
+// sequence materialized.
 type GenSource struct {
 	app      LCApp
 	arrivals ArrivalProcess

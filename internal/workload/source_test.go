@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
@@ -23,30 +25,57 @@ func drain(t *testing.T, src Source, n int) []Request {
 	return out
 }
 
-// TestGenSourceMatchesGenerate pins the tentpole equivalence at the
-// workload layer: a streaming GenSource yields the byte-identical request
-// sequence Generate materializes, for every stock arrival process.
+// requestsDigest is an FNV-1a digest of a request sequence's fields.
+func requestsDigest(reqs []Request) uint64 {
+	h := fnv.New64a()
+	var b [32]byte
+	for _, r := range reqs {
+		binary.LittleEndian.PutUint64(b[0:], uint64(r.ID))
+		binary.LittleEndian.PutUint64(b[8:], uint64(r.Arrival))
+		binary.LittleEndian.PutUint64(b[16:], math.Float64bits(r.ComputeCycles))
+		binary.LittleEndian.PutUint64(b[24:], uint64(r.MemTime))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestGenSourceMatchesGenerate pins Generate and a streaming GenSource to
+// one request sequence per stock arrival shape (Poisson, StepLoad and a
+// fresh MMPP), by digests recorded when Generate still ran its own copy
+// of the generation loop. A Reset must rewind the source to the same
+// sequence.
 func TestGenSourceMatchesGenerate(t *testing.T) {
 	app := Masstree()
-	step, err := NewStepLoad(
-		Phase{Start: 0, RatePerSec: app.RateForLoad(0.3)},
-		Phase{Start: sim.Second / 2, RatePerSec: app.RateForLoad(0.7)},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name     string
-		arrivals ArrivalProcess
+		arrivals func() ArrivalProcess
+		digest   uint64
 	}{
-		{"poisson", Poisson{RatePerSec: app.RateForLoad(0.5)}},
-		{"step", step},
+		{"poisson", func() ArrivalProcess { return Poisson{RatePerSec: app.RateForLoad(0.5)} }, 0x7e912bc0a34f29c9},
+		{"step", func() ArrivalProcess {
+			step, err := NewStepLoad(
+				Phase{Start: 0, RatePerSec: app.RateForLoad(0.3)},
+				Phase{Start: sim.Second / 2, RatePerSec: app.RateForLoad(0.7)},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return step
+		}, 0xe3a9b37935423dfa},
+		{"mmpp", func() ArrivalProcess {
+			return NewBurstyMMPP(app.RateForLoad(0.3), 3, 20*sim.Millisecond, 5*sim.Millisecond)
+		}, 0xc38286c16fecdd33},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := Generate(app, tc.arrivals, 3000, 99).Requests
-			src := NewGenSource(app, tc.arrivals, 3000, 99)
-			got := drain(t, src, 4000)
-			if !reflect.DeepEqual(got, want) {
+			want := Generate(app, tc.arrivals(), 3000, 99).Requests
+			if len(want) != 3000 {
+				t.Fatalf("Generate made %d requests, want 3000", len(want))
+			}
+			if d := requestsDigest(want); d != tc.digest {
+				t.Fatalf("Generate digest %#x, want %#x", d, tc.digest)
+			}
+			src := NewGenSource(app, tc.arrivals(), 3000, 99)
+			if got := drain(t, src, 4000); !reflect.DeepEqual(got, want) {
 				t.Fatal("streamed requests differ from Generate")
 			}
 			if _, ok := src.Next(); ok {

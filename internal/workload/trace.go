@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"sort"
 
 	"rubik/internal/sim"
@@ -38,23 +37,15 @@ type Trace struct {
 }
 
 // Generate builds a trace of n requests for app using the given arrival
-// process and seed. It is fully deterministic. A materialized trace
-// cannot be unbounded, so n <= 0 gives an empty trace (stream an
-// unbounded run from a Source instead).
+// process and seed: the sequence NewGenSource streams, materialized. It
+// is fully deterministic. A materialized trace cannot be unbounded, so
+// n <= 0 gives an empty trace (stream an unbounded run from a Source
+// instead). Like the source, Generate rewinds a stateful arrival process
+// (an *MMPP) to its start, so one that already drove another run would
+// restart; no caller passes one.
 func Generate(app LCApp, arrivals ArrivalProcess, n int, seed int64) Trace {
-	r := rand.New(rand.NewSource(seed))
-	tr := Trace{App: app.Name, Seed: seed, Requests: make([]Request, 0, max(n, 0))}
-	var now sim.Time
-	for i := 0; i < n; i++ {
-		now = addSpan(now, arrivals.NextGap(r, now))
-		cc, mt := app.SampleRequest(r)
-		tr.Requests = append(tr.Requests, Request{
-			ID:            i,
-			Arrival:       now,
-			ComputeCycles: cc,
-			MemTime:       mt,
-		})
-	}
+	// A bounded source has a known length, which Materialize never rejects.
+	tr, _ := Materialize(app.Name, seed, NewGenSource(app, arrivals, max(n, 0), seed), -1)
 	return tr
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -238,21 +239,25 @@ func TestFacadeStreaming(t *testing.T) {
 
 // TestFacadeScenarioLoads feeds every registered scenario loads that are
 // not finite and positive, or too low for the simulated clock, which
-// must be rejected, and two ordinary loads, whose sources must build and
-// stream. Each case runs under a deadline, so a source that spins fails
-// the test instead of hanging it.
+// must be rejected, and ordinary and huge loads, whose sources must build
+// and stream. Each case runs under a deadline, so a source that spins
+// fails the test instead of hanging it, and under a memory bound, so a
+// source sized by its load (an unbounded closed loop of load·20 clients)
+// fails it instead of allocating without limit.
 func TestFacadeScenarioLoads(t *testing.T) {
 	app, err := rubik.AppByName("masstree")
 	if err != nil {
 		t.Fatal(err)
 	}
+	const maxAllocB = 16 << 20
 	for _, sc := range rubik.Scenarios() {
 		for _, tc := range []struct {
 			load float64
+			n    int
 			ok   bool
 		}{
-			{0, false}, {-0.5, false}, {math.NaN(), false}, {math.Inf(1), false}, {1e-300, false},
-			{0.1, true}, {4.2, true},
+			{0, 200, false}, {-0.5, 200, false}, {math.NaN(), 200, false}, {math.Inf(1), 200, false}, {1e-300, 200, false},
+			{0.1, 200, true}, {4.2, 200, true}, {1e5, -1, true}, {1e300, -1, true},
 		} {
 			done := make(chan error, 1)
 			go func() {
@@ -261,7 +266,9 @@ func TestFacadeScenarioLoads(t *testing.T) {
 						done <- fmt.Errorf("panic: %v", r)
 					}
 				}()
-				src, err := rubik.NewScenarioSource(sc.Name, app, tc.load, 200, 1)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				src, err := rubik.NewScenarioSource(sc.Name, app, tc.load, tc.n, 1)
 				if err != nil {
 					done <- err
 					return
@@ -271,18 +278,23 @@ func TestFacadeScenarioLoads(t *testing.T) {
 						break
 					}
 				}
+				runtime.ReadMemStats(&after)
+				if b := after.TotalAlloc - before.TotalAlloc; b > maxAllocB {
+					done <- fmt.Errorf("allocated %d B, want <= %d", b, maxAllocB)
+					return
+				}
 				done <- nil
 			}()
 			select {
 			case err := <-done:
 				if tc.ok && err != nil {
-					t.Errorf("%s at load %v: %v", sc.Name, tc.load, err)
+					t.Errorf("%s at load %v, n %d: %v", sc.Name, tc.load, tc.n, err)
 				}
 				if !tc.ok && (err == nil || strings.HasPrefix(err.Error(), "panic")) {
-					t.Errorf("%s at load %v: want an error, got %v", sc.Name, tc.load, err)
+					t.Errorf("%s at load %v, n %d: want an error, got %v", sc.Name, tc.load, tc.n, err)
 				}
 			case <-time.After(10 * time.Second):
-				t.Fatalf("%s at load %v: source hung", sc.Name, tc.load)
+				t.Fatalf("%s at load %v, n %d: source hung", sc.Name, tc.load, tc.n)
 			}
 		}
 	}
