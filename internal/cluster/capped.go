@@ -4,16 +4,17 @@ import (
 	"fmt"
 
 	"rubik/internal/capping"
-	rubikcore "rubik/internal/core"
 	"rubik/internal/queueing"
 	"rubik/internal/sim"
 )
 
-// domainCtl runs one power domain's allocation rounds: it intercepts every
-// member policy decision, reconciles the domain's desired frequencies
-// through the allocator, actuates sibling grant changes, and keeps the
-// time-weighted budget accounting. All slices are sized at construction,
-// so a steady-state decision performs zero allocations.
+// domainCtl runs one power domain's allocation rounds: it is every member
+// core's Grant hook, so it sees each policy decision, reconciles the
+// domain's desired frequencies through the allocator, actuates sibling
+// grant changes, and keeps the time-weighted budget accounting. Policies
+// are called directly by their cores; each member's Grant hook passes its
+// policy's SlackReporter, if it is one. All slices are sized at
+// construction, so a steady-state decision performs zero allocations.
 //
 // Rounds run when a member's desired grid step changes (the initial round
 // runs at t=0 over every member's InitialMHz). A decision that repeats the
@@ -49,9 +50,9 @@ type domainCtl struct {
 	curDesW   float64
 }
 
-// decide is the per-decision entry point: member's policy asked for
-// desiredMHz. It returns the member's granted frequency in MHz (which the
-// member core actuates itself via the policy return path) and actuates
+// decide is the per-decision entry point, the body of member's Grant
+// hook: its policy asked for desiredMHz. It returns the member's granted
+// frequency in MHz (which the member core actuates itself) and actuates
 // any sibling grant changes directly. The slack reporter is only
 // consulted when a full allocation round runs — predicting slack walks
 // the member's queue, and a decision that repeats the previous desired
@@ -77,8 +78,8 @@ func (ctl *domainCtl) decide(member int, desiredMHz int, slack queueing.SlackRep
 }
 
 // reallocate runs one allocation round and actuates every changed grant,
-// the deciding member's included — its policy return path then applies
-// the same frequency again, which is a no-op (ApplyFreq is idempotent
+// the deciding member's included — its core then applies the granted
+// frequency again, which is a no-op (ApplyFreq is idempotent
 // for an unchanged target, and switchPending guards the latency path).
 func (ctl *domainCtl) reallocate() {
 	ctl.accrueStats()
@@ -181,90 +182,18 @@ func (ctl *domainCtl) finalize() capping.DomainStats {
 	return ctl.stats
 }
 
-// cappedPolicy filters one member core's policy through its domain
-// controller. It forwards Name (results stay labeled by the inner policy),
-// ticks, completion observations and the rebuild cache, and is fully
-// transparent when the cap never binds: grants equal desires, no sibling
-// is touched, and the decision sequence is identical to the unwrapped run.
-type cappedPolicy struct {
-	inner  queueing.Policy
-	ticker queueing.Ticker             // inner as Ticker, nil if not one
-	obs    queueing.CompletionObserver // inner as observer, nil if not one
-	slack  queueing.SlackReporter      // inner as reporter, nil if not one
-	ctl    *domainCtl
-	member int
-}
-
-func newCappedPolicy(inner queueing.Policy, ctl *domainCtl, member int) *cappedPolicy {
-	p := &cappedPolicy{inner: inner, ctl: ctl, member: member}
-	p.ticker, _ = inner.(queueing.Ticker)
-	p.obs, _ = inner.(queueing.CompletionObserver)
-	p.slack, _ = inner.(queueing.SlackReporter)
-	return p
-}
-
-// Name implements queueing.Policy.
-func (p *cappedPolicy) Name() string { return p.inner.Name() }
-
-// OnEvent implements queueing.Policy.
-func (p *cappedPolicy) OnEvent(v queueing.View) int {
-	return p.filter(p.inner.OnEvent(v), v)
-}
-
-// TickEvery implements queueing.Ticker; 0 (no ticking) when the inner
-// policy is not a Ticker, which Core.StartTicks treats as absent.
-func (p *cappedPolicy) TickEvery() sim.Time {
-	if p.ticker == nil {
-		return 0
-	}
-	return p.ticker.TickEvery()
-}
-
-// OnTick implements queueing.Ticker.
-func (p *cappedPolicy) OnTick(v queueing.View) int {
-	if p.ticker == nil {
-		return 0
-	}
-	return p.filter(p.ticker.OnTick(v), v)
-}
-
-// ObserveCompletion implements queueing.CompletionObserver.
-func (p *cappedPolicy) ObserveCompletion(c queueing.Completion) {
-	if p.obs != nil {
-		p.obs.ObserveCompletion(c)
-	}
-}
-
-// SetTableCache implements TableCacheUser, so capped cores share the
-// rebuild cache exactly as uncapped ones do.
-func (p *cappedPolicy) SetTableCache(c *rubikcore.TableCache) {
-	if u, ok := p.inner.(TableCacheUser); ok {
-		u.SetTableCache(c)
-	}
-}
-
-// filter routes a desired frequency through the domain controller. A
-// non-positive desire means "keep the current setting" and passes through
-// untouched, exactly as the core itself treats it.
-func (p *cappedPolicy) filter(desired int, v queueing.View) int {
-	if desired <= 0 {
-		return desired
-	}
-	return p.ctl.decide(p.member, desired, p.slack, v)
-}
-
 // wireCapping validates the capping configuration and, when a cap is set,
-// wraps cfg.NewPolicy so every core's decisions flow through one domain
-// controller: the socket, one budget of CapW spanning all cfg.Cores
-// cores. It returns nil when CapW is 0 (unset): the config is untouched
-// and the run is byte-identical to an uncapped cluster. Call attach with
-// the built cores afterwards.
+// builds the domain controller every core's decisions flow through: the
+// socket, one budget of CapW spanning all cfg.Cores cores. It returns nil
+// when CapW is 0 (unset): no core gets a Grant hook and the run is
+// byte-identical to an uncapped cluster. Call attach with the built cores
+// afterwards.
 //
 // Fleet runs wire capping through this exact path, once per socket, each
 // with its own Domain (and allocator scratch) on its own engine — so
 // capped fleets stay shared-nothing across shards, and a capped socket's
 // accounting is identical to the same socket run standalone.
-func wireCapping(eng *sim.Engine, cfg *Config) (*domainCtl, error) {
+func wireCapping(eng *sim.Engine, cfg Config) (*domainCtl, error) {
 	if cfg.CapW == 0 {
 		return nil, nil
 	}
@@ -296,15 +225,6 @@ func wireCapping(eng *sim.Engine, cfg *Config) (*domainCtl, error) {
 			CapW:      cfg.CapW,
 			Allocator: alloc.Name(),
 		},
-	}
-	if inner := cfg.NewPolicy; inner != nil { // nil is buildCores' error
-		cfg.NewPolicy = func(core int) (queueing.Policy, error) {
-			p, err := inner(core)
-			if err != nil {
-				return nil, err
-			}
-			return newCappedPolicy(p, ctl, core), nil
-		}
 	}
 	return ctl, nil
 }

@@ -214,19 +214,21 @@ func Run(tr workload.Trace, cfg Config) (Result, error) {
 	return RunSource(workload.NewTraceSource(tr), cfg)
 }
 
-// buildCores validates the config and assembles the per-core simulators.
-func buildCores(eng *sim.Engine, cfg Config) ([]*queueing.Core, error) {
+// buildCores validates the config and assembles the per-core simulators,
+// returning each core's policy alongside it.
+func buildCores(eng *sim.Engine, cfg Config) ([]*queueing.Core, []queueing.Policy, error) {
 	if cfg.Cores <= 0 {
-		return nil, fmt.Errorf("cluster: need at least 1 core, got %d", cfg.Cores)
+		return nil, nil, fmt.Errorf("cluster: need at least 1 core, got %d", cfg.Cores)
 	}
 	if cfg.NewPolicy == nil {
-		return nil, fmt.Errorf("cluster: nil NewPolicy factory")
+		return nil, nil, fmt.Errorf("cluster: nil NewPolicy factory")
 	}
 	cores := make([]*queueing.Core, cfg.Cores)
+	policies := make([]queueing.Policy, cfg.Cores)
 	for i := range cores {
 		p, err := cfg.NewPolicy(i)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: building policy for core %d: %w", i, err)
+			return nil, nil, fmt.Errorf("cluster: building policy for core %d: %w", i, err)
 		}
 		if cfg.TableCache != nil {
 			if u, ok := p.(TableCacheUser); ok {
@@ -235,11 +237,11 @@ func buildCores(eng *sim.Engine, cfg Config) ([]*queueing.Core, error) {
 		}
 		c, err := queueing.NewCore(eng, p, cfg.Core)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		cores[i] = c
+		cores[i], policies[i] = c, p
 	}
-	return cores, nil
+	return cores, policies, nil
 }
 
 // finalize assembles the per-core results and the capping accounting.
@@ -295,11 +297,11 @@ func newSocketSim(src workload.Source, cfg Config) (*socketSim, error) {
 			cfg.Core.ExpectedRequests = (n + cfg.Cores - 1) / cfg.Cores
 		}
 	}
-	capped, err := wireCapping(eng, &cfg)
+	capped, err := wireCapping(eng, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cores, err := buildCores(eng, cfg)
+	cores, policies, err := buildCores(eng, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -340,12 +342,17 @@ func newSocketSim(src workload.Source, cfg Config) (*socketSim, error) {
 		s.routed[i]++
 		cores[i].Enqueue(req)
 	})
-	if _, aware := src.(workload.CompletionAware); aware {
-		for _, c := range cores {
-			c.SetHooks(queueing.Hooks{
-				Completion: func(comp queueing.Completion) { s.feed.NotifyCompletion(comp.Done) },
-			})
+	_, aware := src.(workload.CompletionAware)
+	for i, c := range cores {
+		var h queueing.Hooks
+		if capped != nil {
+			slack, _ := policies[i].(queueing.SlackReporter)
+			h.Grant = func(desired int, v queueing.View) int { return capped.decide(i, desired, slack, v) }
 		}
+		if aware {
+			h.Completion = func(comp queueing.Completion) { s.feed.NotifyCompletion(comp.Done) }
+		}
+		c.SetHooks(h)
 	}
 	s.feed.Start()
 	for _, c := range cores {

@@ -36,7 +36,7 @@ func rubikFleetConfig(t *testing.T, scenario, dispatcher string, sockets, coresP
 // with caching disabled — the cache is a pure throughput optimization,
 // invisible in every simulated quantity — while actually being consulted
 // (a never-probed cache would pass vacuously). The capped cells pin that
-// the capping wrapper hands the cache through to its inner controller.
+// capped cores' controllers are attached to the cache too.
 func TestFleetTableCacheInvariance(t *testing.T) {
 	const sockets, coresPer, nPer = 2, 2, 600
 	type cell struct {

@@ -106,6 +106,57 @@ func TestRunCoreBasics(t *testing.T) {
 	}
 }
 
+// lcTicker asks for mhz on every event and periodic tick.
+type lcTicker struct {
+	mhz   int
+	ticks int
+}
+
+func (p *lcTicker) Name() string              { return "lc-ticker" }
+func (p *lcTicker) OnEvent(queueing.View) int { return p.mhz }
+func (p *lcTicker) TickEvery() sim.Time       { return 100 * sim.Microsecond }
+func (p *lcTicker) OnTick(queueing.View) int  { p.ticks++; return p.mhz }
+
+// TestLCTickWithheldWhileQueueEmpty pins the colocated core's decision
+// gate: the LC policy owns the frequency only while LC work is queued, so
+// a periodic tick in an LC idle gap must leave the core at BatchMHz.
+func TestLCTickWithheldWhileQueueEmpty(t *testing.T) {
+	const lcMHz, batchMHz = cpu.MaxMHz, 1200
+	p := &lcTicker{mhz: lcMHz}
+	eng := sim.NewEngine()
+	c, err := newCore(eng, CoreConfig{
+		App:   workload.Masstree(),
+		Batch: mustBatch(t, "gcc"),
+		Source: workload.NewTraceSource(workload.Trace{Requests: []workload.Request{
+			{ID: 0, Arrival: 0, ComputeCycles: 240_000},
+			{ID: 1, Arrival: 5 * sim.Millisecond, ComputeCycles: 240_000},
+		}}),
+		LCPolicy:     p,
+		BatchMHz:     batchMHz,
+		Grid:         cpu.DefaultGrid(),
+		Power:        cpu.DefaultPowerModel(),
+		InitialMHz:   cpu.NominalMHz,
+		Interference: DefaultInterference(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.start()
+	eng.RunUntil(50 * sim.Microsecond)
+	if c.queueLen() != 1 || c.qc.CurrentMHz() != lcMHz {
+		t.Fatalf("serving the first request: queue %d at %d MHz, want 1 at the LC policy's %d",
+			c.queueLen(), c.qc.CurrentMHz(), lcMHz)
+	}
+	eng.RunUntil(3 * sim.Millisecond)
+	if p.ticks < 10 {
+		t.Fatalf("only %d ticks by 3 ms; the idle gap was not exercised", p.ticks)
+	}
+	if c.queueLen() != 0 || c.qc.CurrentMHz() != batchMHz {
+		t.Fatalf("LC idle gap: queue %d at %d MHz, want 0 at BatchMHz %d",
+			c.queueLen(), c.qc.CurrentMHz(), batchMHz)
+	}
+}
+
 func TestRunCoreValidation(t *testing.T) {
 	if _, err := RunCore(CoreConfig{}); err == nil {
 		t.Fatal("zero config must error")

@@ -76,11 +76,10 @@ type core struct {
 	qc   *queueing.Core
 	feed *queueing.Feeder
 
-	// Interference state.
-	batchOccupiedNs float64 // duration of the most recent batch occupancy
-	occupancyStart  sim.Time
-	batchRunning    bool
-	lcMeanCycles    float64 // the LC app's working-set proxy
+	// Interference state. Batch occupies the core whenever the LC queue
+	// is empty, from occupancyStart until LC work arrives.
+	occupancyStart sim.Time
+	lcMeanCycles   float64 // the LC app's working-set proxy
 
 	// Batch progress accrued in the LC idle gaps.
 	batchUnits   float64
@@ -119,17 +118,13 @@ func newCore(eng *sim.Engine, cfg CoreConfig) (*core, error) {
 		eng:          eng,
 		cfg:          cfg,
 		qc:           qc,
-		batchRunning: true, // batch occupies the core until LC work arrives
 		lcMeanCycles: cfg.App.Compute.Mean(),
 	}
 	qc.SetHooks(queueing.Hooks{
 		StartService: c.startService,
-		Busy:         c.onBusy,
 		Idle:         c.onIdle,
 		IdleAccrual:  c.accrueBatch,
-		// Only actuate the LC policy's periodic tick while the LC app owns
-		// the core.
-		GateTick: func() bool { return qc.QueueLen() > 0 },
+		Grant:        c.grant,
 	})
 	c.feed = queueing.NewSourceFeeder(eng, src, qc.Enqueue)
 	return c, nil
@@ -139,11 +134,9 @@ func newCore(eng *sim.Engine, cfg CoreConfig) (*core, error) {
 func (c *core) start() {
 	c.feed.Start()
 	c.qc.StartTicks(func() bool { return c.feed.Remaining() > 0 })
-	if c.batchRunning {
-		c.occupancyStart = c.eng.Now()
-		if !c.cfg.ExternalFreq {
-			c.qc.ApplyFreq(c.cfg.BatchMHz)
-		}
+	c.occupancyStart = c.eng.Now()
+	if !c.cfg.ExternalFreq {
+		c.qc.ApplyFreq(c.cfg.BatchMHz)
 	}
 }
 
@@ -155,28 +148,31 @@ func (c *core) accrueBatch(dtNs float64, curMHz int) {
 	c.batchBusyNs += dtNs
 }
 
-// onBusy closes the batch occupancy window when LC work preempts batch.
-func (c *core) onBusy(now sim.Time) {
-	if c.batchRunning {
-		c.batchOccupiedNs = float64(now - c.occupancyStart)
-		c.batchRunning = false
+// grant lets the LC policy own the frequency only while LC work is
+// queued. Event decisions always see a queued request (onIdle replaces
+// the draining one), so this withholds the policy's ticks in LC idle gaps.
+func (c *core) grant(desiredMHz int, v queueing.View) int {
+	if len(v.Queue) == 0 {
+		return 0
 	}
+	return desiredMHz
 }
 
 // startService applies the interference model to the request taking the
-// head of the queue. The request that resumes the LC app after a batch
-// occupancy pays the one-time re-warming cycles and the context-switch
-// latency; later requests of the busy period run on a warm core.
+// head of the queue. The request that resumes the LC app ends a batch
+// occupancy and pays its one-time re-warming cycles and the
+// context-switch latency; later requests of the busy period run on a
+// warm core.
 func (c *core) startService(a *queueing.ActiveRequest, preempting bool) {
 	if preempting {
-		a.RemainingCC += c.cfg.Interference.extraCycles(c.cfg.Batch, c.lcMeanCycles, c.batchOccupiedNs)
+		occupiedNs := float64(a.Start - c.occupancyStart)
+		a.RemainingCC += c.cfg.Interference.extraCycles(c.cfg.Batch, c.lcMeanCycles, occupiedNs)
 		a.RemainingMem += float64(c.cfg.Interference.PreemptLatency)
 	}
 }
 
 // onIdle hands the core back to batch when the LC queue drains.
 func (c *core) onIdle(now sim.Time) {
-	c.batchRunning = true
 	c.occupancyStart = now
 	if !c.cfg.ExternalFreq {
 		c.qc.ApplyFreq(c.cfg.BatchMHz)

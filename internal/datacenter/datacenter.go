@@ -13,10 +13,8 @@ import (
 	"sort"
 
 	"rubik/internal/coloc"
-	rubikcore "rubik/internal/core"
 	"rubik/internal/cpu"
 	"rubik/internal/policy"
-	"rubik/internal/queueing"
 	"rubik/internal/sim"
 	"rubik/internal/workload"
 )
@@ -208,11 +206,6 @@ func (m *Model) Colocated(load float64) (FleetResult, error) {
 			return ev, nil
 		}
 		bound := m.bounds[app.Name]
-		rcfg := rubikConfig(cfg, bound)
-		rb, err := newRubik(rcfg)
-		if err != nil {
-			return coreEval{}, err
-		}
 		// Scale the trace so the simulation spans at least ~2 s (Rubik's
 		// rolling feedback needs multiple windows to settle — decisive for
 		// short-request apps like specjbb) but at most ~12 s (so
@@ -228,21 +221,24 @@ func (m *Model) Colocated(load float64) (FleetResult, error) {
 		if n < 300 {
 			n = 300
 		}
-		tr := workload.GenerateAtLoad(app, load, n, cfg.Seed+stableHash(key.app+key.batch))
-		cr, err := coloc.RunCore(coloc.CoreConfig{
+		// A one-core RubikColoc server: the pairing's LC stream under the
+		// colocated Rubik configuration, batch in the gaps.
+		sr, err := coloc.RunRubikColocServer(coloc.ServerConfig{
 			App:               app,
-			Batch:             b,
-			Source:            workload.NewTraceSource(tr),
-			LCPolicy:          rb,
+			Mix:               []workload.BatchApp{b},
+			Load:              load,
+			RequestsPerCore:   n,
+			Seed:              cfg.Seed + stableHash(key.app+key.batch),
+			BoundNs:           bound,
 			Grid:              cfg.Grid,
 			Power:             cfg.Power,
 			TransitionLatency: cfg.TransitionLatency,
-			InitialMHz:        cpu.NominalMHz,
 			Interference:      cfg.Interference,
 		})
 		if err != nil {
 			return coreEval{}, err
 		}
+		cr := sr.Cores[0]
 		dur := float64(cr.EndTime)
 		ev := coreEval{
 			powerW:    (cr.LCEnergyJ + cr.BatchEnergyJ) / (dur / 1e9),
@@ -306,20 +302,6 @@ func (m *Model) Colocated(load float64) (FleetResult, error) {
 	out.BatchPowerW = extraCorePower +
 		float64(extraServers)*cfg.System.NonCorePower(float64(cfg.CoresPerServer))
 	return out, nil
-}
-
-func rubikConfig(cfg Config, boundNs float64) rubikcore.Config {
-	rcfg := rubikcore.DefaultConfig(boundNs)
-	rcfg.Grid = cfg.Grid
-	rcfg.TransitionLatency = cfg.TransitionLatency
-	// Colocated cores: wider feedback authority against the per-burst
-	// interference costs the i.i.d. model cannot see (see coloc package).
-	rcfg.Feedback.MinScale = 0.25
-	return rcfg
-}
-
-func newRubik(rcfg rubikcore.Config) (queueing.Policy, error) {
-	return rubikcore.New(rcfg)
 }
 
 func stableHash(s string) int64 {

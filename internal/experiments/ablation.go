@@ -70,9 +70,7 @@ func Ablation(opts Options) (*AblationResult, error) {
 			return nil, err
 		}
 		for _, v := range variants {
-			cfg := rubikcore.DefaultConfig(bound)
-			cfg.Grid = h.grid
-			cfg.TransitionLatency = h.qcfg.TransitionLatency
+			cfg := h.rubikConfig(bound, true)
 			v.mut(&cfg)
 			ctl, err := rubikcore.New(cfg)
 			if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"rubik/internal/capping"
 	"rubik/internal/cluster"
-	rubikcore "rubik/internal/core"
 	"rubik/internal/queueing"
 	"rubik/internal/workload"
 )
@@ -97,10 +96,7 @@ func Capping(opts Options) (*CappingResult, error) {
 				Dispatcher: cluster.NewJSQ(),
 				Core:       h.qcfg,
 				NewPolicy: func(int) (queueing.Policy, error) {
-					rcfg := rubikcore.DefaultConfig(bound)
-					rcfg.Grid = h.grid
-					rcfg.TransitionLatency = h.qcfg.TransitionLatency
-					return rubikcore.New(rcfg)
+					return h.rubik(bound, true)
 				},
 			}
 			if cl.alloc != "" {

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"rubik/internal/cluster"
-	rubikcore "rubik/internal/core"
 	"rubik/internal/queueing"
 	"rubik/internal/workload"
 )
@@ -93,10 +92,7 @@ func ClusterScale(opts Options) (*ClusterScaleResult, error) {
 				Dispatcher: d,
 				Core:       h.qcfg,
 				NewPolicy: func(int) (queueing.Policy, error) {
-					rcfg := rubikcore.DefaultConfig(bound)
-					rcfg.Grid = h.grid
-					rcfg.TransitionLatency = h.qcfg.TransitionLatency
-					return rubikcore.New(rcfg)
+					return h.rubik(bound, true)
 				},
 			}
 			res, err := cluster.Run(tr, ccfg)

@@ -108,13 +108,19 @@ func (h *harness) bound(app workload.LCApp) (float64, error) {
 	return b, nil
 }
 
-// rubik builds a fresh Rubik controller for a bound.
-func (h *harness) rubik(boundNs float64, feedback bool) (*rubikcore.Rubik, error) {
+// rubikConfig is the Rubik controller config for a bound on the
+// harness's grid and DVFS latency, with or without the feedback loop.
+func (h *harness) rubikConfig(boundNs float64, feedback bool) rubikcore.Config {
 	cfg := rubikcore.DefaultConfig(boundNs)
 	cfg.Grid = h.grid
 	cfg.TransitionLatency = h.qcfg.TransitionLatency
 	cfg.Feedback.Enabled = feedback
-	return rubikcore.New(cfg)
+	return cfg
+}
+
+// rubik builds a fresh Rubik controller for a bound.
+func (h *harness) rubik(boundNs float64, feedback bool) (*rubikcore.Rubik, error) {
+	return rubikcore.New(h.rubikConfig(boundNs, feedback))
 }
 
 // runRubik simulates a trace under a fresh Rubik controller.

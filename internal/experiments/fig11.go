@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	rubikcore "rubik/internal/core"
 	"rubik/internal/cpu"
 	"rubik/internal/policy"
 	"rubik/internal/queueing"
@@ -63,14 +62,7 @@ func Fig11(opts Options) (*Fig11Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			rcfg := rubikcore.DefaultConfig(bound)
-			rcfg.Grid = h.grid
-			rcfg.TransitionLatency = h.qcfg.TransitionLatency
-			rb, err := rubikcore.New(rcfg)
-			if err != nil {
-				return nil, err
-			}
-			rbRes, err := queueing.Run(tr, rb, h.qcfg)
+			rbRes, err := h.runRubik(tr, bound, true)
 			if err != nil {
 				return nil, err
 			}

@@ -6,7 +6,6 @@ import (
 
 	"rubik/internal/capping"
 	"rubik/internal/cluster"
-	rubikcore "rubik/internal/core"
 	"rubik/internal/queueing"
 	"rubik/internal/sim"
 	"rubik/internal/workload"
@@ -100,10 +99,7 @@ func FleetCap(opts Options) (*FleetCapResult, error) {
 						NewDispatcher: func(int) cluster.Dispatcher { return cluster.NewJSQ() },
 						Core:          h.qcfg,
 						NewPolicy: func(int, int) (queueing.Policy, error) {
-							rcfg := rubikcore.DefaultConfig(bound)
-							rcfg.Grid = h.grid
-							rcfg.TransitionLatency = h.qcfg.TransitionLatency
-							return rubikcore.New(rcfg)
+							return h.rubik(bound, true)
 						},
 					}
 					if mode == "flat" {

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"rubik/internal/cluster"
-	rubikcore "rubik/internal/core"
 	"rubik/internal/queueing"
 	"rubik/internal/workload"
 )
@@ -87,10 +86,7 @@ func FleetScale(opts Options) (*FleetScaleResult, error) {
 					NewDispatcher: func(int) cluster.Dispatcher { return cluster.NewJSQ() },
 					Core:          h.qcfg,
 					NewPolicy: func(int, int) (queueing.Policy, error) {
-						rcfg := rubikcore.DefaultConfig(bound)
-						rcfg.Grid = h.grid
-						rcfg.TransitionLatency = h.qcfg.TransitionLatency
-						return rubikcore.New(rcfg)
+						return h.rubik(bound, true)
 					},
 					CapW: capW,
 				}

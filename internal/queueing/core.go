@@ -38,7 +38,8 @@ type ActiveRequest struct {
 // the zero Hooks value reproduces the standalone latency-critical server
 // (idle time is slept, the first request of a busy period pays the wake
 // penalty). The coloc package fills the hooks to run batch work in the
-// idle gaps and charge core-state interference.
+// idle gaps and charge core-state interference; a capped cluster sets
+// Grant to route every core's decisions through its power domain.
 type Hooks struct {
 	// StartService fires when a request reaches the head of the queue,
 	// after Start is stamped. preempting is true when the request begins a
@@ -47,8 +48,6 @@ type Hooks struct {
 	// busy period. The *ActiveRequest points into the core's ring buffer:
 	// mutate it synchronously, do not retain it.
 	StartService func(a *ActiveRequest, preempting bool)
-	// Busy fires when a busy period begins, before StartService.
-	Busy func(now sim.Time)
 	// Idle fires when the queue drains. When set, it replaces the default
 	// empty-queue policy decision after the draining completion.
 	Idle func(now sim.Time)
@@ -56,10 +55,13 @@ type Hooks struct {
 	// the queue is empty (coloc: batch work runs in the gaps and pays its
 	// own energy).
 	IdleAccrual func(dtNs float64, curMHz int)
-	// GateTick, when set and returning false, suppresses actuating the
-	// policy's periodic tick decision (coloc: the LC policy only owns the
-	// frequency while LC work is queued).
-	GateTick func() bool
+	// Grant, when set, filters every positive frequency the policy asks
+	// for, on events and ticks alike, before it is actuated. It sees the
+	// View the policy decided on (read it synchronously) and returns the
+	// frequency to apply; 0 or less keeps the current setting. A capped
+	// cluster reconciles the desire with its power domain; coloc returns
+	// 0 while the LC queue is empty, since batch then owns the frequency.
+	Grant func(desiredMHz int, v View) int
 	// Completion fires after a completion is recorded (and after a
 	// CompletionObserver policy sees it), before the next request starts
 	// service. RunSource uses it to feed completions back to closed-loop
@@ -100,9 +102,10 @@ type Core struct {
 	pendCC  float64
 	pendMem float64
 
-	// viewQueue is the policy-visible queue snapshot reused across
-	// decision points (non-race builds; see view_norace.go / view_race.go).
-	viewQueue []QueuedRequest
+	// views backs the policy-visible queue snapshots: the buffer reused
+	// across decision points, or under -race the core's poisoner (see
+	// view_norace.go / view_race.go).
+	views viewState
 
 	meter *cpu.EnergyMeter
 
@@ -124,11 +127,12 @@ type Core struct {
 }
 
 // NewCore validates the config — a non-empty grid, an on-grid initial
-// frequency, non-negative transition and wake latencies and a physical
-// power model — and prepares a core on the engine. Every simulated core
-// is built here, so this is the one server-config validator. policy may
-// be nil when an external allocator owns the frequency (coloc HW-T /
-// HW-TPW); such a core never decides, it only serves.
+// frequency, non-negative transition and wake latencies, a non-negative
+// deadline and a physical power model — and prepares a core on the
+// engine. Every simulated core is built here, so this is the one
+// server-config validator. policy may be nil when an external allocator
+// owns the frequency (coloc HW-T / HW-TPW); such a core never decides, it
+// only serves.
 func NewCore(eng *sim.Engine, p Policy, cfg Config) (*Core, error) {
 	if cfg.Grid.Len() == 0 {
 		return nil, fmt.Errorf("queueing: config has empty grid")
@@ -142,6 +146,11 @@ func NewCore(eng *sim.Engine, p Policy, cfg Config) (*Core, error) {
 	if cfg.TransitionLatency < 0 || cfg.WakeLatency < 0 {
 		return nil, fmt.Errorf("queueing: negative latency (transition %d ns, wake %d ns)",
 			cfg.TransitionLatency, cfg.WakeLatency)
+	}
+	if cfg.Deadline < 0 {
+		// Run loops read a non-positive deadline as "run to drain", which
+		// never ends on an unbounded source.
+		return nil, fmt.Errorf("queueing: negative deadline %d ns", cfg.Deadline)
 	}
 	if err := cfg.Power.Validate(); err != nil {
 		return nil, err
@@ -234,9 +243,6 @@ func (c *Core) Enqueue(req workload.Request) {
 	c.pendCC += a.RemainingCC
 	c.pendMem += a.RemainingMem
 	if wasIdle {
-		if c.hooks.Busy != nil {
-			c.hooks.Busy(c.eng.Now())
-		}
 		c.startService(a, true)
 	}
 	c.decide()
@@ -336,9 +342,19 @@ func (c *Core) decide() {
 		return
 	}
 	v := c.View()
-	f := c.policy.OnEvent(v)
-	retireView(v.Queue)
+	f := c.grant(c.policy.OnEvent(v), v)
+	c.retireView(v.Queue)
 	c.ApplyFreq(f)
+}
+
+// grant passes a positive desire through the Grant hook, if one is set,
+// while the View it was decided on is still live. Small enough to inline,
+// so a core without the hook pays one nil check per decision.
+func (c *Core) grant(f int, v View) int {
+	if f > 0 && c.hooks.Grant != nil {
+		return c.hooks.Grant(f, v)
+	}
+	return f
 }
 
 // ApplyFreq retargets the DVFS actuator. A transition takes
@@ -459,11 +475,9 @@ func (c *Core) completionEvent() {
 func (c *Core) tickEvent(t Ticker, moreArrivals func() bool) {
 	c.Accrue()
 	v := c.View()
-	f := t.OnTick(v)
-	retireView(v.Queue)
-	if c.hooks.GateTick == nil || c.hooks.GateTick() {
-		c.ApplyFreq(f)
-	}
+	f := c.grant(t.OnTick(v), v)
+	c.retireView(v.Queue)
+	c.ApplyFreq(f)
 	// Keep ticking only while there is work left to do; otherwise the
 	// simulation would never drain.
 	if (moreArrivals != nil && moreArrivals()) || c.count > 0 {
@@ -489,10 +503,11 @@ func (c *Core) CurrentMHz() int { return c.cur }
 // Completions returns the completions recorded so far.
 func (c *Core) Completions() []Completion { return c.completions }
 
-// Finalize accrues any trailing span and assembles the core's Result.
-// EndTime is the engine's current time.
+// Finalize accrues any trailing span, stops the race build's poisoner and
+// assembles the core's Result. EndTime is the engine's current time.
 func (c *Core) Finalize() Result {
 	c.Accrue()
+	c.closeViews()
 	name := ""
 	if c.policy != nil {
 		name = c.policy.Name()

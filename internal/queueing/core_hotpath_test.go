@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+	"time"
 
 	"rubik/internal/sim"
 	"rubik/internal/workload"
@@ -92,6 +93,106 @@ func TestPendingWorkCountersWithHooks(t *testing.T) {
 	eng.Run()
 	if got := len(c.Completions()); got != len(tr.Requests) {
 		t.Fatalf("served %d of %d requests", got, len(tr.Requests))
+	}
+}
+
+// scriptedPolicy cycles through a script of desires on events and ticks
+// alike, "keep" values (0, -1) included, and remembers the last desire
+// and a copy of the View it was decided on.
+type scriptedPolicy struct {
+	script    []int
+	n         int
+	last      int
+	lastView  View
+	lastQueue []QueuedRequest
+	posEvents int
+	posTicks  int
+	keeps     int
+}
+
+func (p *scriptedPolicy) Name() string        { return "scripted" }
+func (p *scriptedPolicy) TickEvery() sim.Time { return 200 * sim.Microsecond }
+
+func (p *scriptedPolicy) desire(v View) int {
+	d := p.script[p.n%len(p.script)]
+	p.n++
+	p.last, p.lastView = d, v
+	p.lastQueue = append(p.lastQueue[:0], v.Queue...)
+	if d <= 0 {
+		p.keeps++
+	}
+	return d
+}
+
+func (p *scriptedPolicy) OnEvent(v View) int {
+	d := p.desire(v)
+	if d > 0 {
+		p.posEvents++
+	}
+	return d
+}
+
+func (p *scriptedPolicy) OnTick(v View) int {
+	d := p.desire(v)
+	if d > 0 {
+		p.posTicks++
+	}
+	return d
+}
+
+// TestGrantFiltersEveryPositiveDesire pins the Grant hook: it sees every
+// positive event and tick desire together with the View the policy
+// decided on, is never asked about a "keep" desire (0 or less), and what
+// it returns is what the core actuates.
+func TestGrantFiltersEveryPositiveDesire(t *testing.T) {
+	const grantMHz = 1600
+	p := &scriptedPolicy{script: []int{3400, 0, 2000, -1, 2700}}
+	cfg := bareConfig(2400)
+	cfg.RecordTimeline = true
+	eng := sim.NewEngine()
+	c, err := NewCore(eng, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grants := 0
+	c.SetHooks(Hooks{Grant: func(desired int, v View) int {
+		grants++
+		if desired <= 0 || desired != p.last {
+			t.Fatalf("Grant got desire %d; the policy last asked for %d", desired, p.last)
+		}
+		w := p.lastView
+		if v.Now != w.Now || v.CurrentMHz != w.CurrentMHz || v.TargetMHz != w.TargetMHz ||
+			v.HeadElapsedCycles != w.HeadElapsedCycles || v.HeadElapsedMemNs != w.HeadElapsedMemNs ||
+			len(v.Queue) != len(p.lastQueue) {
+			t.Fatalf("Grant saw a View other than the policy's: %+v vs %+v", v, w)
+		}
+		for i, q := range v.Queue {
+			if q != p.lastQueue[i] {
+				t.Fatalf("Grant's View queue[%d] = %v, the policy saw %v", i, q, p.lastQueue[i])
+			}
+		}
+		return grantMHz
+	}})
+	tr := workload.GenerateAtLoad(workload.Masstree(), 0.6, 300, 9)
+	f := NewSourceFeeder(eng, workload.NewTraceSource(tr), c.Enqueue)
+	f.Start()
+	c.StartTicks(func() bool { return f.Remaining() > 0 })
+	eng.Run()
+	res := c.Finalize()
+	if p.posEvents == 0 || p.posTicks == 0 || p.keeps == 0 {
+		t.Fatalf("script not exercised: %d event and %d tick desires, %d keeps",
+			p.posEvents, p.posTicks, p.keeps)
+	}
+	if want := p.posEvents + p.posTicks; grants != want {
+		t.Fatalf("Grant called %d times for %d positive desires", grants, want)
+	}
+	for _, s := range res.FreqTimeline {
+		if s.MHz != cfg.InitialMHz && s.MHz != grantMHz {
+			t.Fatalf("core ran at %d MHz at %d, neither initial nor granted", s.MHz, s.T)
+		}
+	}
+	if len(res.FreqTimeline) < 2 {
+		t.Fatal("the granted frequency was never actuated")
 	}
 }
 
@@ -213,8 +314,76 @@ func TestViewRetentionRaceProbe(t *testing.T) {
 
 // TestViewRetentionCaughtByRaceDetector asserts the enforcement works: a
 // policy retaining View.Queue fails `go test -race` with a data-race
-// report. It shells out so the expected failure cannot fail this process.
+// report.
 func TestViewRetentionCaughtByRaceDetector(t *testing.T) {
+	runRaceProbe(t, "TestViewRetentionRaceProbe")
+}
+
+// burstTrace is n requests, one every 10 µs, each a microsecond of
+// compute at 2.4 GHz: every arrival decision sees a non-empty queue, so
+// a run retires at least n snapshots.
+func burstTrace(n int) workload.Trace {
+	reqs := make([]workload.Request, n)
+	for i := range reqs {
+		reqs[i] = workload.Request{ID: i, Arrival: sim.Time(i) * 10_000, ComputeCycles: 2_400}
+	}
+	return workload.Trace{Requests: reqs}
+}
+
+// TestCrossCoreRaceProbe is the subprocess half of
+// TestCrossCoreRaceCaughtByRaceDetector: three goroutines each simulate a
+// core. A variable the first writes before its run the third reads after
+// its own, with nothing ordering the two; the second starts in between
+// and retires four poisoner windows of snapshots. Were the poisoner
+// shared by all cores, its channel would order the read after the write
+// and hide the race. The sleeps only stagger the runs. The writer waits
+// for the read before it exits: the race detector recycles a finished
+// goroutine's access history first, and would forget the write's stack.
+// Only run deliberately (RUBIK_VIEW_RACE_PROBE=1).
+func TestCrossCoreRaceProbe(t *testing.T) {
+	if os.Getenv("RUBIK_VIEW_RACE_PROBE") == "" {
+		t.Skip("probe only runs under TestCrossCoreRaceCaughtByRaceDetector")
+	}
+	var shared int
+	errs := make(chan error, 3)
+	run := func(delay time.Duration, n int) error {
+		time.Sleep(delay)
+		_, err := Run(burstTrace(n), FixedPolicy{MHz: 2400}, bareConfig(2400))
+		return err
+	}
+	read := make(chan struct{})
+	go func() {
+		shared = 1 // the planted write
+		err := run(0, 16)
+		<-read
+		errs <- err
+	}()
+	go func() { errs <- run(20*time.Millisecond, 4*1024) }()
+	go func() {
+		err := run(200*time.Millisecond, 16)
+		t.Logf("shared %d", shared) // the planted read
+		close(read)
+		errs <- err
+	}()
+	for range 3 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCrossCoreRaceCaughtByRaceDetector asserts that view poisoning adds
+// no ordering between goroutines that run different cores: a race
+// between them is still reported, thousands of retirements apart.
+func TestCrossCoreRaceCaughtByRaceDetector(t *testing.T) {
+	runRaceProbe(t, "TestCrossCoreRaceProbe")
+}
+
+// runRaceProbe runs one probe test under `go test -race` and asserts it
+// fails with a data-race report. It shells out so the expected failure
+// cannot fail this process.
+func runRaceProbe(t *testing.T, probe string) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("already race-instrumented; the probe would fail this process")
 	}
@@ -226,12 +395,12 @@ func TestViewRetentionCaughtByRaceDetector(t *testing.T) {
 		t.Skip("go toolchain not on PATH")
 	}
 	cmd := exec.Command(goBin, "test", "-race", "-count=1",
-		"-run", "TestViewRetentionRaceProbe", "rubik/internal/queueing")
+		"-run", "^"+probe+"$", "rubik/internal/queueing")
 	cmd.Env = append(os.Environ(), "RUBIK_VIEW_RACE_PROBE=1")
 	out, err := cmd.CombinedOutput()
 	s := string(out)
 	if err == nil {
-		t.Fatalf("retaining policy passed under -race; poisoning is broken:\n%s", s)
+		t.Fatalf("%s passed under -race; the race went unreported:\n%s", probe, s)
 	}
 	if strings.Contains(s, "cgo: C compiler") || strings.Contains(s, "race is not supported") {
 		t.Skipf("-race unavailable in this environment:\n%s", s)

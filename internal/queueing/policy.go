@@ -25,7 +25,7 @@ type QueuedRequest struct {
 // Queue aliases a buffer the core reuses across decision points: a policy
 // must read it synchronously inside OnEvent/OnTick and must not retain it
 // past the call. Race-instrumented builds (`go test -race`) poison
-// retained snapshots from another goroutine, so a violation surfaces as a
+// retired snapshots from another goroutine, so a violation surfaces as a
 // data race instead of silent stale data.
 type View struct {
 	// Now is the current simulated time.

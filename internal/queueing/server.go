@@ -46,7 +46,8 @@ type Config struct {
 	// otherwise reschedule arrivals forever. Requests still in flight at
 	// the deadline are not completed. A run that drains earlier is
 	// completely unaffected (the deadline is a pure safety bound), so it
-	// is safe to set always. 0 (the default) runs to drain. Honored by
+	// is safe to set always. 0 (the default) runs to drain; a negative
+	// deadline is a config error (NewCore rejects it). Honored by
 	// the Run/RunSource entry points here and in cluster (coloc runs
 	// reject unbounded sources and drain); assemblies driving a Core
 	// directly bound the run themselves via sim.Engine.RunUntilOrDrain.

@@ -135,6 +135,62 @@ func TestFacadeValidate(t *testing.T) {
 	}
 }
 
+// TestFacadeNegativeDeadlineRejected pins the termination guard for
+// unbounded sources: the run loops read a non-positive Deadline as "run
+// to drain", so a negative one used to run an unbounded stream forever.
+// Every Simulate* entry point must reject it up front.
+func TestFacadeNegativeDeadlineRejected(t *testing.T) {
+	app, err := rubik.AppByName("masstree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbounded := func() rubik.Source {
+		src, err := rubik.NewScenarioSource("poisson", app, 0.5, -1, 1)
+		if err != nil {
+			t.Error(err)
+		}
+		return src
+	}
+	cfg := rubik.DefaultServerConfig()
+	cfg.Deadline = -1
+	cfg.DropCompletions = true // constant memory should a run not stop
+	fixed := func(int) (rubik.Policy, error) { return rubik.Fixed(rubik.NominalMHz), nil }
+	runs := []struct {
+		name string
+		run  func() error
+	}{
+		{"Simulate", func() error {
+			_, err := rubik.Simulate(unbounded(), rubik.Fixed(rubik.NominalMHz), cfg)
+			return err
+		}},
+		{"SimulateCluster", func() error {
+			cc := rubik.NewCluster(2, nil, fixed)
+			cc.Core = cfg
+			_, err := rubik.SimulateCluster(unbounded(), cc)
+			return err
+		}},
+		{"SimulateFleet", func() error {
+			fc := rubik.NewFleet(2, 2, func(int) rubik.Source { return unbounded() },
+				func(int, int) (rubik.Policy, error) { return fixed(0) })
+			fc.Core, fc.Shards = cfg, 1
+			_, err := rubik.SimulateFleet(fc)
+			return err
+		}},
+	}
+	for _, r := range runs {
+		done := make(chan error, 1)
+		go func() { done <- r.run() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s accepted a negative Deadline", r.name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s with a negative Deadline still running after 10 s", r.name)
+		}
+	}
+}
+
 func TestFacadeControllerConfig(t *testing.T) {
 	cfg := rubik.ControllerConfig{}
 	if _, err := rubik.NewControllerWithConfig(cfg); err == nil {
