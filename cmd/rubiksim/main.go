@@ -71,10 +71,9 @@ func runCapped(w io.Writer, capW float64, allocator string, quick bool, seed int
 	fmt.Fprintf(w, "  p95 %.3f ms  p99 %.3f ms  (bound %.3f ms)  %.3f mJ/request\n",
 		res.TailNs(0.95, 0.1)/1e6, res.TailNs(0.99, 0.1)/1e6, bound/1e6,
 		res.EnergyPerRequestJ()*1e3)
-	for i, d := range res.Capping {
-		fmt.Fprintf(w, "  domain %d (cores %v): %d rounds, %d throttled, peak %.1f W, avg %.1f W, cap exceeded %.3f ms\n",
-			i, d.Cores, d.Rounds, d.ThrottleEvents, d.PeakPowerW, d.AvgPowerW, float64(d.CapExceededNs)/1e6)
-	}
+	d := res.Capping
+	fmt.Fprintf(w, "  socket domain (%d cores): %d rounds, %d throttled, peak %.1f W, avg %.1f W, cap exceeded %.3f ms\n",
+		cores, d.Rounds, d.ThrottleEvents, d.PeakPowerW, d.AvgPowerW, float64(d.CapExceededNs)/1e6)
 	return nil
 }
 

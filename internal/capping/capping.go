@@ -196,8 +196,6 @@ func (d *Domain) maxIdxWithin(budget float64) int {
 
 // DomainStats is the per-domain accounting a capped cluster run reports.
 type DomainStats struct {
-	// Cores lists the member core indices.
-	Cores []int
 	// CapW is the domain budget; Allocator the strategy name.
 	CapW      float64
 	Allocator string

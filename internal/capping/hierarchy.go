@@ -44,12 +44,15 @@ type LevelAllocator interface {
 }
 
 // StaticLevel is the rigid baseline: every child receives an equal share
-// of the budget, clamped into [FloorW, MaxW]. Headroom a lightly-loaded
-// child leaves unused is NOT redistributed — the gap to WaterfillLevel at
-// the same budget measures what demand-aware nested division buys. The
-// share is a single division, so a budget constructed as n·cap divides
-// back to exactly cap: the degenerate one-level tree reproduces flat
-// per-socket capping bit-for-bit.
+// of the budget, clamped into [FloorW, MaxW]. A child whose floor exceeds
+// the share is paid its floor, and the rest of the budget is split
+// equally among the others, so a feasible budget is never overspent.
+// Headroom a lightly-loaded child leaves unused is NOT redistributed —
+// the gap to WaterfillLevel at the same budget measures what demand-aware
+// nested division buys. When no floor binds the share is a single
+// division, so a budget constructed as n·cap divides back to exactly cap:
+// the degenerate one-level tree reproduces flat per-socket capping
+// bit-for-bit.
 type StaticLevel struct{}
 
 // Name implements LevelAllocator.
@@ -57,7 +60,24 @@ func (StaticLevel) Name() string { return "static" }
 
 // AllocateLevel implements LevelAllocator.
 func (StaticLevel) AllocateLevel(budgetW float64, children []ChildDemand, grants []float64) {
-	share := budgetW / float64(len(children))
+	n := len(children)
+	share := budgetW / float64(n)
+	// Each pass pays the floors above the current share and re-splits
+	// what is left. The share only falls, so the bound set only grows;
+	// an infeasible budget ends with every child bound at its floor.
+	for bound := 0; ; {
+		rest, nb := budgetW, 0
+		for _, c := range children {
+			if c.FloorW > share {
+				rest -= c.FloorW
+				nb++
+			}
+		}
+		if nb <= bound || nb == n {
+			break
+		}
+		bound, share = nb, rest/float64(n-nb)
+	}
 	for i, c := range children {
 		g := share
 		if g < c.FloorW {
@@ -221,23 +241,27 @@ type LevelSpec struct {
 }
 
 // HierarchySpec is the shape of the budget tree: levels from the root
-// down, with the domain leaves (sockets) attached below the last level.
+// down. NewHierarchy appends the domain leaves (sockets) as the tree's
+// last level.
 type HierarchySpec struct {
 	Levels []LevelSpec
 }
 
 type hierNode struct {
-	lo, hi int // children index range into the next level (or the leaves)
-	// Aggregates rebuilt bottom-up each round, grants top-down.
-	floorW  float64
-	maxW    float64
-	demandW float64
-	grantW  float64
+	// lo, hi index this node's children in the next level down; a
+	// socket's one child is its entry in the reported demands.
+	lo, hi int
+	// floorW and maxW bound the node's subtree; they depend only on the
+	// spec, so NewHierarchy fixes them.
+	floorW, maxW float64
 }
 
 type levelState struct {
 	spec  LevelSpec
 	nodes []hierNode
+	// Per node, rebuilt every round: demand bottom-up, grants top-down.
+	demandW []float64
+	grantW  []float64
 	// Per-round stats accumulators.
 	minGrantW float64
 	maxGrantW float64
@@ -245,23 +269,15 @@ type levelState struct {
 	throttled int
 }
 
-// Hierarchy is a built budget tree over a fixed leaf population. It owns
-// all scratch; Reallocate performs no allocations after construction. Not
-// safe for concurrent use.
+// Hierarchy is a built budget tree over a fixed leaf population. Its last
+// level holds the leaves ("socket"), which have no children of their own
+// and report the allocator of the level above. It owns all scratch;
+// Reallocate performs no allocations after construction. Not safe for
+// concurrent use.
 type Hierarchy struct {
-	levels     []levelState
-	leaves     int
-	leafFloorW float64
-	leafMaxW   float64
-
-	leafGrants []float64
-	children   []ChildDemand // scratch sized to the widest fan-out
-	chGrants   []float64
-	rounds     int
-	leafMin    float64
-	leafMax    float64
-	leafSum    float64
-	leafThrot  int
+	levels   []levelState
+	children []ChildDemand // scratch sized to the widest fan-out
+	rounds   int
 }
 
 // NewHierarchy builds the tree. leaves is the socket count; leafFloorW and
@@ -273,29 +289,21 @@ func NewHierarchy(spec HierarchySpec, leaves int, leafFloorW, leafMaxW float64) 
 	if len(spec.Levels) == 0 {
 		return nil, fmt.Errorf("capping: hierarchy needs at least one level")
 	}
-	if leaves <= 0 {
-		return nil, fmt.Errorf("capping: hierarchy needs at least 1 leaf, got %d", leaves)
-	}
 	if !(leafFloorW > 0) || !(leafMaxW >= leafFloorW) {
 		return nil, fmt.Errorf("capping: leaf power bounds must satisfy 0 < floor ≤ max, got [%v, %v] W",
 			leafFloorW, leafMaxW)
 	}
-	h := &Hierarchy{
-		leaves:     leaves,
-		leafFloorW: leafFloorW,
-		leafMaxW:   leafMaxW,
-		leafGrants: make([]float64, leaves),
-		leafMin:    math.Inf(1),
-		leafMax:    math.Inf(-1),
-	}
-	prevNodes := 0
-	for li, ls := range spec.Levels {
+	// The sockets are the last level, below the n spec levels.
+	n := len(spec.Levels)
+	specs := append(spec.Levels[:n:n], LevelSpec{Name: "socket", Nodes: leaves})
+	h := &Hierarchy{}
+	for li, ls := range specs {
 		if ls.Nodes <= 0 {
 			return nil, fmt.Errorf("capping: level %q needs at least 1 node, got %d", ls.Name, ls.Nodes)
 		}
-		if li > 0 && ls.Nodes < prevNodes {
+		if li > 0 && ls.Nodes < specs[li-1].Nodes {
 			return nil, fmt.Errorf("capping: level %q has %d nodes under %d parents — fan-out cannot shrink",
-				ls.Name, ls.Nodes, prevNodes)
+				ls.Name, ls.Nodes, specs[li-1].Nodes)
 		}
 		if li == 0 && !(ls.CapW > 0) {
 			return nil, fmt.Errorf("capping: root level %q needs a positive budget, got %v W", ls.Name, ls.CapW)
@@ -307,50 +315,61 @@ func NewHierarchy(spec HierarchySpec, leaves int, leafFloorW, leafMaxW float64) 
 			return nil, fmt.Errorf("capping: level %q oversubscription must be ≥ 1 (or 0 for exact), got %v",
 				ls.Name, ls.Oversub)
 		}
-		st := levelState{spec: ls, nodes: make([]hierNode, ls.Nodes)}
-		if st.spec.Oversub == 0 {
-			st.spec.Oversub = 1
+		if ls.Oversub == 0 {
+			ls.Oversub = 1
 		}
-		if st.spec.CapW == 0 {
-			st.spec.CapW = math.Inf(1)
+		if ls.CapW == 0 {
+			ls.CapW = math.Inf(1)
 		}
-		if st.spec.Alloc == nil {
-			st.spec.Alloc = WaterfillLevel{}
+		if ls.Alloc == nil {
+			ls.Alloc = WaterfillLevel{}
 		}
-		st.minGrantW = math.Inf(1)
-		st.maxGrantW = math.Inf(-1)
-		h.levels = append(h.levels, st)
-		prevNodes = ls.Nodes
+		h.levels = append(h.levels, levelState{
+			spec:      ls,
+			nodes:     make([]hierNode, ls.Nodes),
+			demandW:   make([]float64, ls.Nodes),
+			grantW:    make([]float64, ls.Nodes),
+			minGrantW: math.Inf(1),
+			maxGrantW: math.Inf(-1),
+		})
 	}
-	if prevNodes > leaves {
-		return nil, fmt.Errorf("capping: last level has %d nodes over %d leaves — fan-out cannot shrink",
-			prevNodes, leaves)
-	}
-	// Contiguous near-even child ranges per level; the widest fan-out
-	// sizes the shared allocation scratch.
+	h.levels[n].spec.Alloc = h.levels[n-1].spec.Alloc
+	// Contiguous near-even child ranges per level, and node bounds from
+	// the sockets up: a node over sockets holds count × the leaf bound,
+	// a higher node the sum of its children's, either clipped by the node
+	// cap (but never below the floor — a cap under the floor is
+	// infeasible, not absorbing). The widest fan-out sizes the shared
+	// allocation scratch.
 	maxFan := 0
-	for li := range h.levels {
+	for li := n; li >= 0; li-- {
 		st := &h.levels[li]
 		childN := leaves
-		if li+1 < len(h.levels) {
-			childN = h.levels[li+1].spec.Nodes
+		if li < n {
+			childN = len(h.levels[li+1].nodes)
 		}
 		m := len(st.nodes)
 		for j := range st.nodes {
-			st.nodes[j].lo = j * childN / m
-			st.nodes[j].hi = (j + 1) * childN / m
-			if fan := st.nodes[j].hi - st.nodes[j].lo; fan > maxFan {
-				maxFan = fan
+			nd := &st.nodes[j]
+			nd.lo, nd.hi = j*childN/m, (j+1)*childN/m
+			maxFan = max(maxFan, nd.hi-nd.lo)
+			switch li {
+			case n:
+				nd.floorW, nd.maxW = leafFloorW, leafMaxW
+			case n - 1:
+				cnt := float64(nd.hi - nd.lo)
+				nd.floorW, nd.maxW = cnt*leafFloorW, cnt*leafMaxW
+			default:
+				for _, c := range h.levels[li+1].nodes[nd.lo:nd.hi] {
+					nd.floorW += c.floorW
+					nd.maxW += c.maxW
+				}
 			}
+			nd.maxW = max(min(nd.maxW, st.spec.CapW), nd.floorW)
 		}
 	}
 	h.children = make([]ChildDemand, maxFan)
-	h.chGrants = make([]float64, maxFan)
 	return h, nil
 }
-
-// LeafFloorW returns the per-leaf power floor the tree was built with.
-func (h *Hierarchy) LeafFloorW() float64 { return h.leafFloorW }
 
 // Reallocate runs one top-down allocation round: demandW[i] is leaf i's
 // reported demand in watts (clamped into the leaf bounds), and the
@@ -358,120 +377,60 @@ func (h *Hierarchy) LeafFloorW() float64 { return h.leafFloorW }
 // leaf. Deterministic in its inputs; the epoch protocol in the cluster
 // layer depends on that for shard invariance.
 func (h *Hierarchy) Reallocate(demandW []float64) []float64 {
-	if len(demandW) != h.leaves {
+	leaves := &h.levels[len(h.levels)-1]
+	if len(demandW) != len(leaves.nodes) {
 		panic(fmt.Sprintf("capping: Reallocate over %d demands, hierarchy has %d leaves",
-			len(demandW), h.leaves))
+			len(demandW), len(leaves.nodes)))
 	}
-	// Bottom-up: aggregate floors, maxima and demands per node.
+	// Bottom-up: each node's demand is its children's, clamped into its
+	// bounds.
+	below := demandW
 	for li := len(h.levels) - 1; li >= 0; li-- {
 		st := &h.levels[li]
-		for j := range st.nodes {
-			nd := &st.nodes[j]
-			var f, m, dem float64
-			if li == len(h.levels)-1 {
-				cnt := float64(nd.hi - nd.lo)
-				f = cnt * h.leafFloorW
-				m = cnt * h.leafMaxW
-				for i := nd.lo; i < nd.hi; i++ {
-					dem += clampW(demandW[i], h.leafFloorW, h.leafMaxW)
-				}
-			} else {
-				for _, ch := range h.levels[li+1].nodes[nd.lo:nd.hi] {
-					f += ch.floorW
-					m += ch.maxW
-					dem += ch.demandW
-				}
+		for j, nd := range st.nodes {
+			dem := 0.0
+			for _, d := range below[nd.lo:nd.hi] {
+				dem += d
 			}
-			if m > st.spec.CapW {
-				m = st.spec.CapW
-			}
-			if m < f {
-				m = f // a node cap below the floor is infeasible, not absorbing
-			}
-			nd.floorW, nd.maxW, nd.demandW = f, m, clampW(dem, f, m)
+			st.demandW[j] = clampW(dem, nd.floorW, nd.maxW)
 		}
+		below = st.demandW
 	}
 	// Top-down: the root's budget is its cap; every node divides
 	// grant × oversubscription among its children.
 	root := &h.levels[0]
-	for j := range root.nodes {
-		g := root.spec.CapW
-		if g > root.nodes[j].maxW {
-			g = root.nodes[j].maxW
-		}
-		root.nodes[j].grantW = g
+	for j, nd := range root.nodes {
+		root.grantW[j] = min(root.spec.CapW, nd.maxW)
 	}
-	for li := range h.levels {
-		st := &h.levels[li]
-		last := li == len(h.levels)-1
-		for j := range st.nodes {
-			nd := &st.nodes[j]
-			fan := nd.hi - nd.lo
-			ch := h.children[:fan]
-			cg := h.chGrants[:fan]
-			if last {
-				for k := 0; k < fan; k++ {
-					ch[k] = ChildDemand{
-						FloorW:  h.leafFloorW,
-						MaxW:    h.leafMaxW,
-						DemandW: clampW(demandW[nd.lo+k], h.leafFloorW, h.leafMaxW),
-					}
-				}
-			} else {
-				for k := 0; k < fan; k++ {
-					c := &h.levels[li+1].nodes[nd.lo+k]
-					ch[k] = ChildDemand{FloorW: c.floorW, MaxW: c.maxW, DemandW: c.demandW}
-				}
+	for li := 0; li+1 < len(h.levels); li++ {
+		st, next := &h.levels[li], &h.levels[li+1]
+		for j, nd := range st.nodes {
+			ch := h.children[:nd.hi-nd.lo]
+			for k := range ch {
+				c := nd.lo + k
+				ch[k] = ChildDemand{FloorW: next.nodes[c].floorW, MaxW: next.nodes[c].maxW, DemandW: next.demandW[c]}
 			}
-			st.spec.Alloc.AllocateLevel(nd.grantW*st.spec.Oversub, ch, cg)
-			if last {
-				copy(h.leafGrants[nd.lo:nd.hi], cg)
-			} else {
-				for k := 0; k < fan; k++ {
-					c := &h.levels[li+1].nodes[nd.lo+k]
-					c.grantW = cg[k]
-					if c.grantW > c.maxW {
-						c.grantW = c.maxW
-					}
-				}
+			cg := next.grantW[nd.lo:nd.hi]
+			st.spec.Alloc.AllocateLevel(st.grantW[j]*st.spec.Oversub, ch, cg)
+			for k := range cg {
+				cg[k] = min(cg[k], ch[k].MaxW)
 			}
 		}
 	}
-	h.accountRound(demandW)
-	return h.leafGrants
-}
-
-// accountRound folds one round into the per-level stats accumulators.
-func (h *Hierarchy) accountRound(demandW []float64) {
+	// Fold the round into the per-level stats accumulators.
 	h.rounds++
 	for li := range h.levels {
 		st := &h.levels[li]
-		for j := range st.nodes {
-			g := st.nodes[j].grantW
-			if g < st.minGrantW {
-				st.minGrantW = g
-			}
-			if g > st.maxGrantW {
-				st.maxGrantW = g
-			}
+		for j, g := range st.grantW {
+			st.minGrantW = min(st.minGrantW, g)
+			st.maxGrantW = max(st.maxGrantW, g)
 			st.sumGrantW += g
-			if g < st.nodes[j].demandW {
+			if g < st.demandW[j] {
 				st.throttled++
 			}
 		}
 	}
-	for i, g := range h.leafGrants {
-		if g < h.leafMin {
-			h.leafMin = g
-		}
-		if g > h.leafMax {
-			h.leafMax = g
-		}
-		h.leafSum += g
-		if g < clampW(demandW[i], h.leafFloorW, h.leafMaxW) {
-			h.leafThrot++
-		}
-	}
+	return leaves.grantW
 }
 
 // LevelStats is one level's accounting across every allocation round.
@@ -491,7 +450,8 @@ type LevelStats struct {
 }
 
 // HierarchyStats is the per-level accounting a hierarchical fleet run
-// reports: the spec levels top-down, then the leaf ("socket") level.
+// reports: the spec levels top-down, then the tree's last level, the
+// sockets ("socket"), which reports the allocator of the level above.
 type HierarchyStats struct {
 	Levels []LevelStats
 	// Reallocations counts allocation rounds: the initial grant plus one
@@ -506,39 +466,20 @@ type HierarchyStats struct {
 // Stats snapshots the accounting so far.
 func (h *Hierarchy) Stats() HierarchyStats {
 	s := HierarchyStats{Reallocations: h.rounds}
-	denom := float64(h.rounds)
-	if denom == 0 {
-		denom = 1
-	}
 	for li := range h.levels {
 		st := &h.levels[li]
 		ls := LevelStats{
 			Name:      st.spec.Name,
 			Nodes:     len(st.nodes),
 			Allocator: st.spec.Alloc.Name(),
-			MinGrantW: st.minGrantW,
-			MaxGrantW: st.maxGrantW,
-			AvgGrantW: st.sumGrantW / (denom * float64(len(st.nodes))),
 			Throttled: st.throttled,
 		}
-		if h.rounds == 0 {
-			ls.MinGrantW, ls.MaxGrantW = 0, 0
+		if h.rounds > 0 {
+			ls.MinGrantW, ls.MaxGrantW = st.minGrantW, st.maxGrantW
+			ls.AvgGrantW = st.sumGrantW / (float64(h.rounds) * float64(len(st.nodes)))
 		}
 		s.Levels = append(s.Levels, ls)
 	}
-	leaf := LevelStats{
-		Name:      "socket",
-		Nodes:     h.leaves,
-		Allocator: h.levels[len(h.levels)-1].spec.Alloc.Name(),
-		MinGrantW: h.leafMin,
-		MaxGrantW: h.leafMax,
-		AvgGrantW: h.leafSum / (denom * float64(h.leaves)),
-		Throttled: h.leafThrot,
-	}
-	if h.rounds == 0 {
-		leaf.MinGrantW, leaf.MaxGrantW = 0, 0
-	}
-	s.Levels = append(s.Levels, leaf)
 	return s
 }
 

@@ -1,6 +1,9 @@
 package capping
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -353,5 +356,194 @@ func TestHierarchyOversub(t *testing.T) {
 	caps := h.Reallocate([]float64{100, 100})
 	if caps[0] != 15 || caps[1] != 15 {
 		t.Fatalf("oversubscribed grants %v, want [15 15] (20 W × 1.5 / 2)", caps)
+	}
+}
+
+// randomTree draws a budget tree for the property and digest tests: 1–3
+// levels over up to 12 sockets, root budgets from starved to unbounded,
+// optional sub-root caps (some below their subtree's floor) and
+// oversubscription. Static levels are drawn only when even is set, and
+// then every level's node count divides the next one's and the socket
+// count, so siblings always have equal floors.
+func randomTree(r *rand.Rand, even bool) (spec HierarchySpec, leaves int, floorW, maxW float64) {
+	depth := 1 + r.Intn(3)
+	leaves = 1 + r.Intn(12)
+	counts := make([]int, depth)
+	if even {
+		counts[depth-1] = leaves
+		for li := depth - 1; li >= 0; li-- {
+			var divs []int
+			for d := 1; d <= counts[li]; d++ {
+				if counts[li]%d == 0 {
+					divs = append(divs, d)
+				}
+			}
+			counts[li] = divs[r.Intn(len(divs))]
+			if li > 0 {
+				counts[li-1] = counts[li]
+			}
+		}
+	} else {
+		n := 1
+		for li := range counts {
+			n += r.Intn(leaves - n + 1)
+			counts[li] = n
+		}
+	}
+	floorW = 1 + 5*r.Float64()
+	maxW = floorW
+	if r.Intn(4) != 0 {
+		maxW += 30 * r.Float64()
+	}
+	for li, n := range counts {
+		ls := LevelSpec{Name: fmt.Sprintf("l%d", li), Nodes: n}
+		switch r.Intn(3) {
+		case 0:
+			ls.CapW = float64(leaves) * maxW * r.Float64() / float64(n)
+		case 1:
+			ls.CapW = float64(leaves) * (floorW + (maxW-floorW)*r.Float64()) / float64(n)
+		}
+		if li == 0 && ls.CapW == 0 {
+			ls.CapW = math.Inf(1)
+		}
+		if r.Intn(2) == 0 {
+			ls.Oversub = 1 + r.Float64()/2
+		}
+		if even && r.Intn(2) == 0 {
+			ls.Alloc = StaticLevel{}
+		}
+		spec.Levels = append(spec.Levels, ls)
+	}
+	return spec, leaves, floorW, maxW
+}
+
+// TestHierarchyDigest pins Reallocate's grants and Stats bit for bit over
+// seeded random trees, five rounds each, by a digest recorded when the
+// tree still treated sockets as a special case in every sweep. Static
+// levels appear only on evenly divided trees, where every child of a node
+// has the same floor.
+func TestHierarchyDigest(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	d := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		d.Write(b[:])
+	}
+	for tree := 0; tree < 3000; tree++ {
+		spec, leaves, floorW, maxW := randomTree(r, tree%2 == 0)
+		h, err := NewHierarchy(spec, leaves, floorW, maxW)
+		if err != nil {
+			t.Fatalf("tree %d: %v", tree, err)
+		}
+		demand := make([]float64, leaves)
+		for round := 0; round < 5; round++ {
+			for i := range demand {
+				demand[i] = 1.2 * maxW * r.Float64()
+			}
+			for _, g := range h.Reallocate(demand) {
+				put(math.Float64bits(g))
+			}
+		}
+		st := h.Stats()
+		put(uint64(st.Reallocations))
+		for _, ls := range st.Levels {
+			d.Write([]byte(ls.Name + "/" + ls.Allocator))
+			put(uint64(ls.Nodes))
+			put(math.Float64bits(ls.MinGrantW))
+			put(math.Float64bits(ls.MaxGrantW))
+			put(math.Float64bits(ls.AvgGrantW))
+			put(uint64(ls.Throttled))
+		}
+	}
+	if got, want := d.Sum64(), uint64(0x48791b98ab654216); got != want {
+		t.Fatalf("hierarchy digest %#x, want %#x", got, want)
+	}
+}
+
+// TestStaticLevelPaysBindingFloors pins the static rule on a feasible node
+// whose children have unequal floors: a rack of 14 W over two static PDUs
+// feeding 1 and 2 sockets (floor 4 W each). The equal 7 W share is below
+// the second PDU's 8 W floor, so that PDU gets its floor and the first
+// the remaining 6 W — never the 15 W an equal share clamped up to each
+// floor would spend.
+func TestStaticLevelPaysBindingFloors(t *testing.T) {
+	h, err := NewHierarchy(HierarchySpec{Levels: []LevelSpec{
+		{Name: "rack", Nodes: 1, CapW: 14, Alloc: StaticLevel{}},
+		{Name: "pdu", Nodes: 2, Alloc: StaticLevel{}},
+	}}, 3, 4, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := append([]float64(nil), h.Reallocate([]float64{20, 20, 20})...)
+	if want := []float64{6, 4, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("static leaf grants %v, want %v", got, want)
+	}
+
+	// An infeasible budget grants every child its floor.
+	grants := make([]float64, 3)
+	StaticLevel{}.AllocateLevel(5, []ChildDemand{
+		{FloorW: 1, MaxW: 9}, {FloorW: 2, MaxW: 9}, {FloorW: 3, MaxW: 9},
+	}, grants)
+	if want := []float64{1, 2, 3}; !reflect.DeepEqual(grants, want) {
+		t.Fatalf("infeasible static grants %v, want the floors %v", grants, want)
+	}
+}
+
+// TestHierarchyHoldsEveryLevelCap checks, on random trees with both
+// allocators, that every level holds its cap at every round: each node's
+// grant is at most max(CapW, floor), its children's grants sum to at most
+// grant × Oversub whenever their floors fit in it, and every child is
+// granted within its [floor, max] bounds.
+func TestHierarchyHoldsEveryLevelCap(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for tree := 0; tree < 2000; tree++ {
+		spec, leaves, floorW, maxW := randomTree(r, tree%2 == 0)
+		if tree%2 == 1 {
+			for li := range spec.Levels {
+				if r.Intn(2) == 0 {
+					spec.Levels[li].Alloc = StaticLevel{}
+				}
+			}
+		}
+		h, err := NewHierarchy(spec, leaves, floorW, maxW)
+		if err != nil {
+			t.Fatalf("tree %d: %v", tree, err)
+		}
+		demand := make([]float64, leaves)
+		for round := 0; round < 5; round++ {
+			for i := range demand {
+				demand[i] = 1.2 * maxW * r.Float64()
+			}
+			h.Reallocate(demand)
+			for li, st := range h.levels {
+				for j, nd := range st.nodes {
+					g := st.grantW[j]
+					if g > max(st.spec.CapW, nd.floorW) {
+						t.Fatalf("tree %d round %d: %s node %d granted %v W over its %v W cap",
+							tree, round, st.spec.Name, j, g, st.spec.CapW)
+					}
+					if li+1 == len(h.levels) {
+						continue
+					}
+					next := h.levels[li+1]
+					budget := g * st.spec.Oversub
+					var sumG, sumF float64
+					for c := nd.lo; c < nd.hi; c++ {
+						cg, cn := next.grantW[c], next.nodes[c]
+						if cg < cn.floorW || cg > cn.maxW {
+							t.Fatalf("tree %d round %d: %s node %d granted %v W outside [%v, %v]",
+								tree, round, next.spec.Name, c, cg, cn.floorW, cn.maxW)
+						}
+						sumG += cg
+						sumF += cn.floorW
+					}
+					if sumF <= budget && sumG > budget*(1+1e-9) {
+						t.Fatalf("tree %d round %d: children of %s node %d granted %v W over its %v W budget",
+							tree, round, st.spec.Name, j, sumG, budget)
+					}
+				}
+			}
+		}
 	}
 }

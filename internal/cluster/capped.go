@@ -173,13 +173,17 @@ func (ctl *domainCtl) applyCap(w float64) {
 	ctl.reallocate()
 }
 
-// finalize closes the trailing span and returns the domain stats.
-func (ctl *domainCtl) finalize() capping.DomainStats {
+// finalize closes the trailing span and returns the domain stats as
+// Result.Capping (nil-safe; nil when the run was uncapped).
+func (ctl *domainCtl) finalize() *capping.DomainStats {
+	if ctl == nil {
+		return nil
+	}
 	ctl.accrueStats()
 	if end := ctl.eng.Now(); end > 0 {
 		ctl.stats.AvgPowerW = ctl.powerWNs / float64(end)
 	}
-	return ctl.stats
+	return &ctl.stats
 }
 
 // wireCapping validates the capping configuration and, when a cap is set,
@@ -208,10 +212,6 @@ func wireCapping(eng *sim.Engine, cfg Config) (*domainCtl, error) {
 	if err != nil {
 		return nil, err
 	}
-	members := make([]int, cfg.Cores)
-	for i := range members {
-		members[i] = i
-	}
 	ctl := &domainCtl{
 		eng:     eng,
 		dom:     dom,
@@ -221,7 +221,6 @@ func wireCapping(eng *sim.Engine, cfg Config) (*domainCtl, error) {
 		grants:  make([]int, cfg.Cores),
 		granted: make([]int, cfg.Cores),
 		stats: capping.DomainStats{
-			Cores:     members,
 			CapW:      cfg.CapW,
 			Allocator: alloc.Name(),
 		},
@@ -251,13 +250,4 @@ func (ctl *domainCtl) attach(cores []*queueing.Core) {
 		ctl.curDesW += ctl.dom.PowerAt(dIdx)
 	}
 	ctl.reallocate()
-}
-
-// domainStats finalizes the domain's accounting as Result.Capping's one
-// entry (nil-safe; nil when the run was uncapped).
-func (ctl *domainCtl) domainStats() []capping.DomainStats {
-	if ctl == nil {
-		return nil
-	}
-	return []capping.DomainStats{ctl.finalize()}
 }

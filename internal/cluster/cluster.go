@@ -90,9 +90,9 @@ type Result struct {
 	Routed []int
 	// EndTime is when the last event fired (all cores share the engine).
 	EndTime sim.Time
-	// Capping holds the socket domain's power budget accounting as its
-	// one entry. Nil when the run was uncapped (Config.CapW 0).
-	Capping []capping.DomainStats
+	// Capping is the socket's one power domain's budget accounting. Nil
+	// when the run was uncapped (Config.CapW 0).
+	Capping *capping.DomainStats
 }
 
 // TailNs pools post-warmup responses across cores and returns the
@@ -251,7 +251,7 @@ func finalize(eng *sim.Engine, cores []*queueing.Core, dispatcher string, routed
 		PerCore:    make([]queueing.Result, len(cores)),
 		Routed:     routed,
 		EndTime:    eng.Now(),
-		Capping:    capped.domainStats(),
+		Capping:    capped.finalize(),
 	}
 	for i, c := range cores {
 		res.PerCore[i] = c.Finalize()

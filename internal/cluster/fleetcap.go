@@ -101,9 +101,10 @@ func (s *socketSim) scheduleCap(t sim.Time, w float64) {
 func (t *budgetTree) barrier(target sim.Time, sims []*socketSim) {
 	for s, sm := range sims {
 		if sm == nil {
-			// A finished socket needs only its floor; its budget flows to
-			// the sockets still running.
-			t.demandW[s] = t.h.LeafFloorW()
+			// A finished socket reports no demand, which the tree raises
+			// to its floor; the rest of its budget flows to the sockets
+			// still running.
+			t.demandW[s] = 0
 			continue
 		}
 		t.demandW[s] = sm.capped.epochReport(target)

@@ -256,7 +256,7 @@ func TestSocketPendingEventBound(t *testing.T) {
 	if res.Served() != 3000 {
 		t.Fatalf("served %d of 3000", res.Served())
 	}
-	if len(res.Capping) != 1 || res.Capping[0].CapW != 10 {
+	if res.Capping == nil || res.Capping.CapW != 10 {
 		t.Fatalf("armed cap never applied: %+v", res.Capping)
 	}
 }

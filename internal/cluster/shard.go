@@ -156,8 +156,7 @@ func (cfg FleetConfig) shardCount() int {
 
 // FleetResult is the outcome of a fleet run: one cluster Result per
 // socket, in socket order. Per-socket capping accounting (when the fleet
-// was capped) lives in each socket Result's Capping field; core indices
-// inside it are socket-local.
+// was capped) lives in each socket Result's Capping field.
 type FleetResult struct {
 	// Shards is the shard count the run used (reporting only — results
 	// are invariant to it).
@@ -235,13 +234,14 @@ func (r FleetResult) EndTime() sim.Time {
 	return end
 }
 
-// Capping concatenates the per-socket power-domain accounting in socket
-// order (empty when the fleet ran uncapped). Core indices inside each
-// DomainStats are socket-local.
+// Capping lists the per-socket power-domain accounting in socket order
+// (empty when the fleet ran uncapped).
 func (r FleetResult) Capping() []capping.DomainStats {
 	var out []capping.DomainStats
 	for _, s := range r.Sockets {
-		out = append(out, s.Capping...)
+		if s.Capping != nil {
+			out = append(out, *s.Capping)
+		}
 	}
 	return out
 }

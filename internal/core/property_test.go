@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"rubik/internal/cpu"
+	"rubik/internal/policy"
 	"rubik/internal/queueing"
 	"rubik/internal/stats"
 	"rubik/internal/workload"
@@ -37,51 +38,68 @@ func randomApp(r *rand.Rand) workload.LCApp {
 	}
 }
 
+// tailCompliant runs the tail-compliance property on one seed: a random
+// app shape at a random load at or below the 50% design point. Rubik must
+// keep the p95 within the bound (small tolerance for finite-sample noise)
+// while consuming no more energy than fixed execution that meets the
+// bound on the same trace: nominal frequency, or the static oracle's when
+// nominal itself misses the bound there.
+func tailCompliant(t *testing.T, seed int64) bool {
+	qcfg := queueing.DefaultConfig()
+	r := rand.New(rand.NewSource(seed))
+	app := randomApp(r)
+	load := 0.15 + r.Float64()*0.35 // 15%..50%
+
+	boundTr := workload.GenerateAtLoad(app, 0.5, 4000, seed+1)
+	fixedRes, err := queueing.Run(boundTr, queueing.FixedPolicy{MHz: cpu.NominalMHz}, qcfg)
+	if err != nil {
+		return false
+	}
+	bound := fixedRes.TailNs(0.95, 0)
+
+	tr := workload.GenerateAtLoad(app, load, 4000, seed+2)
+	oracle, err := policy.StaticOracle(tr, cpu.DefaultGrid(), bound, 0.95, policy.DefaultReplayConfig())
+	if err != nil {
+		return false
+	}
+	fixedMHz := max(cpu.NominalMHz, oracle.MHz)
+	fixed, err := queueing.Run(tr, queueing.FixedPolicy{MHz: fixedMHz}, qcfg)
+	if err != nil {
+		return false
+	}
+	ctl, err := New(DefaultConfig(bound))
+	if err != nil {
+		return false
+	}
+	res, err := queueing.Run(tr, ctl, qcfg)
+	if err != nil {
+		return false
+	}
+	tailOK := res.TailNs(0.95, 0.15) <= bound*1.12
+	energyOK := res.ActiveEnergyJ <= fixed.ActiveEnergyJ*1.02
+	if !tailOK || !energyOK {
+		t.Logf("seed %d: load %.2f memfrac %.2f tail %.0f bound %.0f energy %.3f fixed %.3f at %d MHz",
+			seed, load, app.MemFrac, res.TailNs(0.95, 0.15), bound,
+			res.ActiveEnergyJ, fixed.ActiveEnergyJ, fixedMHz)
+	}
+	return tailOK && energyOK
+}
+
 // TestRubikTailComplianceProperty is the reproduction's strongest
-// correctness property: for randomized app shapes and loads at or below
-// the 50% design point, Rubik must keep the p95 within the bound (small
-// tolerance for finite-sample noise) while consuming no more energy than
-// fixed-nominal execution.
+// correctness property (see tailCompliant), over fixed seeds: two on
+// which fixed-nominal execution misses the bound on the evaluation trace,
+// then a seeded quick.Check draw.
 func TestRubikTailComplianceProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test is expensive")
 	}
-	qcfg := queueing.DefaultConfig()
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		app := randomApp(r)
-		load := 0.15 + r.Float64()*0.35 // 15%..50%
-
-		boundTr := workload.GenerateAtLoad(app, 0.5, 4000, seed+1)
-		fixedRes, err := queueing.Run(boundTr, queueing.FixedPolicy{MHz: cpu.NominalMHz}, qcfg)
-		if err != nil {
-			return false
+	for _, seed := range []int64{-8739056326035930197, 7401907793382270281} {
+		if !tailCompliant(t, seed) {
+			t.Errorf("seed %d: property fails", seed)
 		}
-		bound := fixedRes.TailNs(0.95, 0)
-
-		tr := workload.GenerateAtLoad(app, load, 4000, seed+2)
-		fixed, err := queueing.Run(tr, queueing.FixedPolicy{MHz: cpu.NominalMHz}, qcfg)
-		if err != nil {
-			return false
-		}
-		ctl, err := New(DefaultConfig(bound))
-		if err != nil {
-			return false
-		}
-		res, err := queueing.Run(tr, ctl, qcfg)
-		if err != nil {
-			return false
-		}
-		tailOK := res.TailNs(0.95, 0.15) <= bound*1.12
-		energyOK := res.ActiveEnergyJ <= fixed.ActiveEnergyJ*1.02
-		if !tailOK || !energyOK {
-			t.Logf("seed %d: load %.2f memfrac %.2f tail %.0f bound %.0f energy %.3f fixed %.3f",
-				seed, load, app.MemFrac, res.TailNs(0.95, 0.15), bound,
-				res.ActiveEnergyJ, fixed.ActiveEnergyJ)
-		}
-		return tailOK && energyOK
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+	f := func(seed int64) bool { return tailCompliant(t, seed) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(95))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -118,13 +118,11 @@ func Capping(opts Options) (*CappingResult, error) {
 				BoundMs:   ms(bound),
 				MJPerReq:  res.EnergyPerRequestJ() * 1e3,
 			}
-			for _, d := range res.Capping {
-				row.Throttles += d.ThrottleEvents
-				row.CapExceedMs += ms(float64(d.CapExceededNs))
-				row.AvgW += d.AvgPowerW
-				if d.PeakPowerW > row.PeakW {
-					row.PeakW = d.PeakPowerW
-				}
+			if d := res.Capping; d != nil {
+				row.Throttles = d.ThrottleEvents
+				row.CapExceedMs = ms(float64(d.CapExceededNs))
+				row.AvgW = d.AvgPowerW
+				row.PeakW = d.PeakPowerW
 			}
 			rows[i] = row
 			return nil

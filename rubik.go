@@ -145,8 +145,8 @@ type (
 	// Allocator reconciles per-core desired frequencies against a shared
 	// power budget (uniform, greedy-slack, waterfill).
 	Allocator = capping.Allocator
-	// PowerDomainStats is the per-domain budget accounting of a capped
-	// cluster run (ClusterResult.Capping).
+	// PowerDomainStats is the budget accounting of a capped cluster run's
+	// one power domain, the socket (ClusterResult.Capping).
 	PowerDomainStats = capping.DomainStats
 	// HierarchySpec describes a budget tree (rack -> PDU -> ... -> socket)
 	// for hierarchical fleet capping (FleetConfig.Hierarchy).
@@ -158,7 +158,7 @@ type (
 	// (StaticLevelAllocator, WaterfillLevelAllocator).
 	LevelAllocator = capping.LevelAllocator
 	// HierarchyStats is the per-level accounting of a hierarchical fleet
-	// run (FleetResult.Hierarchy).
+	// run (FleetResult.Hierarchy), the socket level last.
 	HierarchyStats = capping.HierarchyStats
 	// LevelStats is one level's grant statistics within HierarchyStats.
 	LevelStats = capping.LevelStats
@@ -289,7 +289,7 @@ func NewCluster(cores int, d Dispatcher, newPolicy func(core int) (Policy, error
 // (StreamTrace with load scaled by the core count models N cores at a
 // per-core load). Set cfg.CapW (and optionally cfg.Allocator, default
 // waterfill) to run under a shared power budget; the result's Capping
-// field then carries the socket domain's accounting as its one entry.
+// field then points at the socket domain's accounting.
 func SimulateCluster(src Source, cfg ClusterConfig) (ClusterResult, error) {
 	return cluster.RunSource(src, cfg)
 }
