@@ -43,11 +43,11 @@ type Allocator interface {
 	Name() string
 	// Allocate writes a granted grid index per core into grants
 	// (len(grants) == len(demands)), honoring grants[i] <= DesiredIdx and
-	// Σ power(grants) ≤ CapW whenever the budget admits every core at its
-	// cheapest admissible step. When even that floor exceeds the cap the
-	// round is infeasible: every core is granted FloorIdx(DesiredIdx) and
-	// the caller accounts the excess. Allocate must not allocate memory;
-	// per-round scratch lives in the Domain.
+	// Σ power(grants) ≤ CapW whenever the budget admits every core at
+	// step 0, the cheapest step. When even that floor exceeds the cap the
+	// round is infeasible: every core is granted step 0 and the caller
+	// accounts the excess. Allocate must not allocate memory; per-round
+	// scratch lives in the Domain.
 	Allocate(d *Domain, demands []Demand, grants []int)
 }
 
@@ -56,19 +56,12 @@ type Allocator interface {
 // one per domain and reuse it for every round; it is not safe for
 // concurrent use.
 type Domain struct {
-	capW  float64
-	grid  cpu.Grid
-	power []float64 // power[i] = active power (W) at grid step i
-
-	// True extremes of the power curve. maxIdxWithin documents that the
-	// curve need not be convex or monotone, so the cheapest step is not
-	// necessarily index 0: feasibility checks and infeasible-round floors
-	// must use the real minimum, not power[0].
-	minPowerW float64
-	maxPowerW float64
-	// floorIdx[i] is the cheapest step at or below i (argmin power[0..i],
-	// lowest index on ties) — the best a core desiring step i can do.
-	floorIdx []int
+	capW float64
+	grid cpu.Grid
+	// power[i] = active power (W) at grid step i. cpu.PowerModel makes it
+	// non-decreasing in i, so step 0 is the cheapest step and the last
+	// step the costliest.
+	power []float64
 
 	// Allocator scratch, sized to the member count: remaining-slack
 	// estimates and per-step slack debits for greedy-slack.
@@ -96,36 +89,13 @@ func NewDomain(grid cpu.Grid, model cpu.PowerModel, capW float64, cores int) (*D
 	for i := range power {
 		power[i] = model.ActivePower(grid.Step(i))
 	}
-	return newDomainCurve(grid, power, capW, cores), nil
-}
-
-// newDomainCurve builds a domain over an explicit power curve. It exists
-// so tests can pin non-monotone curves, which the physical PowerModel
-// (strictly increasing in frequency) cannot produce.
-func newDomainCurve(grid cpu.Grid, power []float64, capW float64, cores int) *Domain {
-	d := &Domain{
-		capW:     capW,
-		grid:     grid,
-		power:    power,
-		floorIdx: make([]int, len(power)),
-		rem:      make([]float64, cores),
-		debit:    make([]float64, cores),
-	}
-	d.minPowerW, d.maxPowerW = power[0], power[0]
-	arg := 0
-	for i, p := range power {
-		if p < power[arg] {
-			arg = i
-		}
-		d.floorIdx[i] = arg
-		if p < d.minPowerW {
-			d.minPowerW = p
-		}
-		if p > d.maxPowerW {
-			d.maxPowerW = p
-		}
-	}
-	return d
+	return &Domain{
+		capW:  capW,
+		grid:  grid,
+		power: power,
+		rem:   make([]float64, cores),
+		debit: make([]float64, cores),
+	}, nil
 }
 
 // CapW returns the domain budget in watts.
@@ -142,18 +112,12 @@ func (d *Domain) SetCapW(w float64) error {
 	return nil
 }
 
-// MinPowerW returns the cheapest step's active power — the true curve
-// minimum, which on a non-monotone curve need not be power[0].
-func (d *Domain) MinPowerW() float64 { return d.minPowerW }
+// MinPowerW returns the cheapest step's active power, power[0].
+func (d *Domain) MinPowerW() float64 { return d.power[0] }
 
-// MaxPowerW returns the most expensive step's active power — the
-// per-core ceiling a budget hierarchy uses to bound leaf demand.
-func (d *Domain) MaxPowerW() float64 { return d.maxPowerW }
-
-// FloorIdx returns the cheapest step at or below desired (lowest index on
-// ties): the floor an infeasible round grants, since grants never exceed
-// the desire and nothing at or below it costs less.
-func (d *Domain) FloorIdx(desired int) int { return d.floorIdx[desired] }
+// MaxPowerW returns the costliest step's active power — the per-core
+// ceiling a budget hierarchy uses to bound leaf demand.
+func (d *Domain) MaxPowerW() float64 { return d.power[len(d.power)-1] }
 
 // Grid returns the domain's frequency grid.
 func (d *Domain) Grid() cpu.Grid { return d.grid }
@@ -171,25 +135,17 @@ func (d *Domain) PowerOf(grants []int) float64 {
 	return sum
 }
 
-// Feasible reports whether n cores at the cheapest step fit the budget.
-// An infeasible domain cannot honor its cap at any allocation; allocators
-// then grant each core its cheapest step at or below the desire (FloorIdx)
-// and the caller accounts the excess time (DomainStats.CapExceededNs).
-// The check uses the true curve minimum: on a non-monotone curve power[0]
-// can overstate the floor and misreport a feasible domain as infeasible.
-func (d *Domain) Feasible(n int) bool {
-	return float64(n)*d.minPowerW <= d.capW
-}
-
 // maxIdxWithin returns the highest grid index whose active power fits
-// budget, or -1 when even the minimum step exceeds it. Linear scan: grids
-// are a dozen steps and the curve need not be convex.
+// budget, or -1 when even the minimum step exceeds it. The curve is
+// non-decreasing, so the scan stops at the first step that does not fit;
+// grids are a dozen steps.
 func (d *Domain) maxIdxWithin(budget float64) int {
 	best := -1
 	for i, p := range d.power {
-		if p <= budget {
-			best = i
+		if p > budget {
+			break
 		}
+		best = i
 	}
 	return best
 }

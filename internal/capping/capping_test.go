@@ -58,35 +58,11 @@ func TestDomainPowerCurve(t *testing.T) {
 			t.Fatalf("PowerAt(%d) = %v, want %v", i, got, want)
 		}
 	}
-	if !d.Feasible(6) {
+	if d.MinPowerW() != d.PowerAt(0) || d.MaxPowerW() != d.PowerAt(grid.Len()-1) {
+		t.Fatalf("curve extremes = (%v, %v), want the end steps", d.MinPowerW(), d.MaxPowerW())
+	}
+	if !(6*d.PowerAt(0) <= 30) {
 		t.Fatal("6 cores at minimum should fit 30 W")
-	}
-	if d2 := testDomain(t, 1, 6); d2.Feasible(6) {
-		t.Fatal("6 cores at minimum cannot fit 1 W")
-	}
-}
-
-func TestFreqForPower(t *testing.T) {
-	grid := cpu.DefaultGrid()
-	model := cpu.DefaultPowerModel()
-	cases := []struct {
-		budgetW float64
-		wantMHz int
-		wantOK  bool
-	}{
-		{1e9, grid.Max(), true},
-		{model.ActivePower(grid.Max()), grid.Max(), true},
-		{model.ActivePower(2400), 2400, true},
-		{model.ActivePower(2400) - 1e-9, 2200, true},
-		{model.ActivePower(grid.Min()), grid.Min(), true},
-		{0.01, grid.Min(), false},
-	}
-	for _, c := range cases {
-		got, ok := cpu.FreqForPower(grid, model, c.budgetW)
-		if got != c.wantMHz || ok != c.wantOK {
-			t.Errorf("FreqForPower(%.4f W) = (%d, %v), want (%d, %v)",
-				c.budgetW, got, ok, c.wantMHz, c.wantOK)
-		}
 	}
 }
 
@@ -157,15 +133,16 @@ func TestAllocatorInvariants(t *testing.T) {
 					}
 				}
 				sum := d.PowerOf(grants)
-				if d.Feasible(n) && sum > capW+sumEps(capW) {
+				feasible := float64(n)*d.PowerAt(0) <= capW
+				if feasible && sum > capW+sumEps(capW) {
 					t.Fatalf("trial %d: budget exceeded: Σ=%.9f W > cap %.9f W (grants %v)",
 						trial, sum, capW, grants)
 				}
-				if !d.Feasible(n) {
+				if !feasible {
 					for i, g := range grants {
-						if want := d.FloorIdx(demands[i].DesiredIdx); g != want {
-							t.Fatalf("trial %d: infeasible domain granted core %d step %d, want floor %d",
-								trial, i, g, want)
+						if g != 0 {
+							t.Fatalf("trial %d: infeasible domain granted core %d step %d, want step 0",
+								trial, i, g)
 						}
 					}
 				}
@@ -181,82 +158,6 @@ func TestAllocatorInvariants(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestNonMonotoneCurve pins the Feasible/infeasible-floor fix: the power
-// curve need not be monotone (maxIdxWithin documents this), so the true
-// curve minimum — not power[0] — decides feasibility, and infeasible
-// rounds must settle on each core's cheapest admissible step rather than
-// index 0. The physical PowerModel is strictly increasing in frequency,
-// so the curve is injected directly.
-func TestNonMonotoneCurve(t *testing.T) {
-	grid, err := cpu.NewGrid([]int{800, 1200, 1600, 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	curve := []float64{5, 1, 3, 4} // cheapest step is index 1, not 0
-
-	d := newDomainCurve(grid, curve, 3.5, 3)
-	if d.MinPowerW() != 1 || d.MaxPowerW() != 5 {
-		t.Fatalf("curve extremes = (%v, %v), want (1, 5)", d.MinPowerW(), d.MaxPowerW())
-	}
-	for i, want := range []int{0, 1, 1, 1} {
-		if got := d.FloorIdx(i); got != want {
-			t.Fatalf("FloorIdx(%d) = %d, want %d", i, got, want)
-		}
-	}
-	// 3 cores fit at 1 W each within 3.5 W; the old power[0]-based check
-	// (3*5 = 15 W) misreported this domain as infeasible.
-	if !d.Feasible(3) {
-		t.Fatal("Feasible used power[0] instead of the curve minimum")
-	}
-	top := grid.Len() - 1
-	demands := []Demand{{DesiredIdx: top}, {DesiredIdx: top}, {DesiredIdx: top}}
-	for _, name := range Names() {
-		alloc, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		grants := make([]int, 3)
-		alloc.Allocate(d, demands, grants)
-		if sum := d.PowerOf(grants); sum > 3.5+sumEps(3.5) {
-			t.Fatalf("%s: feasible domain exceeded budget: Σ=%v W (grants %v)", name, sum, grants)
-		}
-	}
-
-	// Below 3 * MinPowerW the domain is genuinely infeasible; every
-	// strategy must floor to step 1 (1 W each), not step 0 (5 W each).
-	d2 := newDomainCurve(grid, curve, 2.5, 3)
-	if d2.Feasible(3) {
-		t.Fatal("2.5 W cannot admit 3 cores at 1 W")
-	}
-	for _, name := range Names() {
-		alloc, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		grants := make([]int, 3)
-		alloc.Allocate(d2, demands, grants)
-		if want := []int{1, 1, 1}; !reflect.DeepEqual(grants, want) {
-			t.Fatalf("%s: infeasible round granted %v, want cheapest steps %v", name, grants, want)
-		}
-	}
-
-	// A desire below the cheap step keeps the floor at or below the
-	// desire: grants never exceed DesiredIdx even when a cheaper step
-	// exists above it.
-	low := []Demand{{DesiredIdx: 0}, {DesiredIdx: 0}, {DesiredIdx: 0}}
-	for _, name := range Names() {
-		alloc, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		grants := make([]int, 3)
-		alloc.Allocate(d2, low, grants)
-		if want := []int{0, 0, 0}; !reflect.DeepEqual(grants, want) {
-			t.Fatalf("%s: desire-0 floor = %v, want %v", name, grants, want)
-		}
 	}
 }
 

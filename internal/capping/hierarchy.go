@@ -20,8 +20,8 @@ import (
 
 // ChildDemand is one child's input to a level allocation round, all in
 // watts. FloorW is the power the child's subtree burns even when fully
-// throttled (every core at its cheapest admissible step); MaxW is the most
-// it can usefully absorb (every core at the costliest step, clamped by any
+// throttled (every core at step 0, the cheapest); MaxW is the most it can
+// usefully absorb (every core at the top step, the costliest, clamped by any
 // node cap below); DemandW is its aggregated reported demand, already
 // clamped into [FloorW, MaxW].
 type ChildDemand struct {

@@ -14,20 +14,11 @@ func (Uniform) Name() string { return "uniform" }
 // Allocate implements Allocator.
 func (Uniform) Allocate(d *Domain, demands []Demand, grants []int) {
 	share := d.capW / float64(len(demands))
-	lid := d.maxIdxWithin(share)
+	// When not even step 0 fits the share the round is infeasible and
+	// every core gets step 0.
+	lid := max(d.maxIdxWithin(share), 0)
 	for i, dem := range demands {
-		g := lid
-		if g > dem.DesiredIdx {
-			g = dem.DesiredIdx
-		}
-		if g < 0 || d.power[g] > share {
-			// No step fits the share at or below the desire — either the
-			// share is infeasible outright, or the desired clamp landed on
-			// a costlier step of a non-monotone curve. Grant the cheapest
-			// step the desire admits.
-			g = d.FloorIdx(dem.DesiredIdx)
-		}
-		grants[i] = g
+		grants[i] = min(lid, dem.DesiredIdx)
 	}
 }
 
@@ -80,13 +71,8 @@ func (GreedySlack) Allocate(d *Domain, demands []Demand, grants []int) {
 			}
 		}
 		if donor < 0 {
-			// All donors exhausted: infeasible. Settle on each core's
-			// cheapest admissible step (on the monotone physical curve that
-			// is step 0, where the donation loop already left everyone) and
-			// let the caller account the excess.
-			for i, dem := range demands {
-				grants[i] = d.FloorIdx(dem.DesiredIdx)
-			}
+			// All donors exhausted: every core is at step 0 and the round
+			// is infeasible; the caller accounts the excess.
 			return
 		}
 		grants[donor]--
@@ -96,7 +82,7 @@ func (GreedySlack) Allocate(d *Domain, demands []Demand, grants []int) {
 }
 
 // Waterfill is FastCap-style iterative water-filling on the power curve:
-// start every core at its cheapest admissible step and repeatedly raise the
+// start every core at step 0, the cheapest step, and repeatedly raise the
 // lowest-granted core (ties to the lowest index) whose next step both
 // stays at or below its desired frequency and fits the remaining budget,
 // until no raise fits. Budget flows to the cores that asked for it —
@@ -121,12 +107,10 @@ func (Waterfill) Allocate(d *Domain, demands []Demand, grants []int) {
 	if d.PowerOf(grants) <= d.capW {
 		return
 	}
-	for i, dem := range demands {
-		grants[i] = d.FloorIdx(dem.DesiredIdx)
-	}
+	clear(grants)
 	sum := d.PowerOf(grants)
 	if sum > d.capW {
-		return // infeasible even at each core's cheapest admissible step
+		return // infeasible even with every core at step 0
 	}
 	for {
 		next := -1

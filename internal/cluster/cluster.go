@@ -230,6 +230,9 @@ func buildCores(eng *sim.Engine, cfg Config) ([]*queueing.Core, []queueing.Polic
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: building policy for core %d: %w", i, err)
 		}
+		if p == nil {
+			return nil, nil, fmt.Errorf("cluster: policy factory returned a nil policy for core %d", i)
+		}
 		if cfg.TableCache != nil {
 			if u, ok := p.(TableCacheUser); ok {
 				u.SetTableCache(cfg.TableCache)

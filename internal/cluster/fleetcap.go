@@ -50,7 +50,8 @@ func newBudgetTree(cfg FleetConfig) (*budgetTree, error) {
 		return nil, fmt.Errorf("cluster: per-socket ceiling must not be negative, got %v W", cfg.CapW)
 	}
 	// Leaf power bounds from the shared core curve: a probe domain reuses
-	// the grid/model validation and the true (non-monotone-safe) extremes.
+	// the grid/model validation, and its end steps are the curve's
+	// cheapest and costliest.
 	probe, err := capping.NewDomain(cfg.Core.Grid, cfg.Core.Power, 1, 1)
 	if err != nil {
 		return nil, err

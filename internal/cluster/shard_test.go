@@ -151,6 +151,40 @@ func TestFleetSocketMatchesStandalone(t *testing.T) {
 	}
 }
 
+// TestFleetAggregates pins the fleet-wide sums over sockets: EndTime is
+// the latest socket EndTime, and TotalEnergyJ is both the sum of the
+// socket totals and the fleet's active energy plus every core's idle
+// energy.
+func TestFleetAggregates(t *testing.T) {
+	res, err := RunFleet(fleetConfig(t, "bursty", "jsq", 3, 2, 300, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The middle socket must end last, or neither taking the first nor
+	// taking the last socket's end would be caught.
+	first, mid, last := res.Sockets[0].EndTime, res.Sockets[1].EndTime, res.Sockets[2].EndTime
+	if !(mid > first && mid > last) {
+		t.Fatalf("socket end times %d, %d, %d: the middle socket no longer ends last", first, mid, last)
+	}
+	if got := res.EndTime(); got != mid {
+		t.Fatalf("EndTime = %d, want the latest socket end %d", got, mid)
+	}
+	var sockets, idle float64
+	for _, s := range res.Sockets {
+		sockets += s.TotalEnergyJ()
+		for _, c := range s.PerCore {
+			idle += c.IdleEnergyJ
+		}
+	}
+	total := res.TotalEnergyJ()
+	if total != sockets {
+		t.Fatalf("TotalEnergyJ = %v, want the socket sum %v", total, sockets)
+	}
+	if !(idle > 0) || math.Abs(total-(res.ActiveEnergyJ()+idle)) > 1e-12*total {
+		t.Fatalf("TotalEnergyJ = %v, want active %v + idle %v", total, res.ActiveEnergyJ(), idle)
+	}
+}
+
 // TestFleetCapTransparent checks the capping boundary fleet-wide: an
 // unreachable cap leaves every socket's cores deeply equal to the
 // uncapped fleet (the wiring is installed but never binds), while a

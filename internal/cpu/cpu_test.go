@@ -3,6 +3,7 @@ package cpu
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -31,6 +32,11 @@ func TestNewGridValidation(t *testing.T) {
 	}
 	if _, err := NewGrid([]int{100, 100}); err == nil {
 		t.Fatal("non-ascending grid must error")
+	}
+	for _, steps := range [][]int{{0, 800}, {-200, 800}, {-400}} {
+		if _, err := NewGrid(steps); err == nil {
+			t.Fatalf("non-positive step in %v must error", steps)
+		}
 	}
 	g, err := NewGrid([]int{1000, 2000})
 	if err != nil {
@@ -128,6 +134,81 @@ func TestPowerModelShape(t *testing.T) {
 	}
 	if m.SleepPower() >= m.ActivePower(800) {
 		t.Fatal("sleep power must be below min active power")
+	}
+}
+
+// TestActivePowerMonotone pins the one shape the capping allocators rely
+// on: over any grid NewGrid or DefaultGrid builds, ActivePower never
+// decreases with the step index and is never NaN, for every model
+// Validate accepts — extreme coefficients included, where products
+// overflow to +Inf or underflow to 0.
+func TestActivePowerMonotone(t *testing.T) {
+	big, tiny := math.MaxFloat64, math.SmallestNonzeroFloat64
+	scales := []float64{tiny, 1e-300, 0.0023, 1, 1e300, big}
+	leaks := []float64{0, tiny, 0.4, 1e300, big}
+	var models []PowerModel
+	for _, d := range scales {
+		for _, a := range scales {
+			for _, l := range leaks {
+				models = append(models, PowerModel{DynCoeff: d, LeakCoeff: l, ActivityFactor: a})
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(29))
+	logUniform := func() float64 { return math.Exp(r.Float64()*1400 - 700) }
+	for i := 0; i < 200; i++ {
+		models = append(models, PowerModel{DynCoeff: logUniform(), LeakCoeff: logUniform(), ActivityFactor: logUniform()})
+	}
+
+	// Every integer MHz across and around the voltage ramp, the paper
+	// grid, and random sparse grids reaching the largest int.
+	dense := make([]int, 4000)
+	for i := range dense {
+		dense[i] = i + 1
+	}
+	grids := []Grid{DefaultGrid()}
+	for _, steps := range [][]int{dense, {1, MinMHz, MaxMHz, math.MaxInt}} {
+		g, err := NewGrid(steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids = append(grids, g)
+	}
+	for i := 0; i < 50; i++ {
+		set := map[int]bool{}
+		for n := 1 + r.Intn(20); len(set) < n; {
+			if r.Intn(4) == 0 {
+				set[1+r.Intn(math.MaxInt-1)] = true
+			} else {
+				set[1+r.Intn(2*MaxMHz)] = true
+			}
+		}
+		var steps []int
+		for f := range set {
+			steps = append(steps, f)
+		}
+		sort.Ints(steps)
+		g, err := NewGrid(steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids = append(grids, g)
+	}
+
+	for _, m := range models {
+		if err := m.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range grids {
+			prev := math.Inf(-1)
+			for i := 0; i < g.Len(); i++ {
+				p := m.ActivePower(g.Step(i))
+				if math.IsNaN(p) || p < prev {
+					t.Fatalf("model %+v: P(%d MHz) = %v after %v at the step below", m, g.Step(i), p, prev)
+				}
+				prev = p
+			}
+		}
 	}
 }
 

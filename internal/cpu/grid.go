@@ -35,10 +35,16 @@ func DefaultGrid() Grid {
 	return Grid{steps: steps}
 }
 
-// NewGrid builds a grid from explicit ascending steps.
+// NewGrid builds a grid from explicit ascending steps. Steps must be
+// positive: on positive frequencies every valid PowerModel's active power
+// is non-decreasing in the step index, which the capping allocators rely
+// on.
 func NewGrid(steps []int) (Grid, error) {
 	if len(steps) == 0 {
 		return Grid{}, fmt.Errorf("cpu: empty frequency grid")
+	}
+	if steps[0] <= 0 {
+		return Grid{}, fmt.Errorf("cpu: grid steps must be positive, got %v", steps)
 	}
 	for i := 1; i < len(steps); i++ {
 		if steps[i] <= steps[i-1] {

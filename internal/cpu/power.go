@@ -59,6 +59,14 @@ func DefaultPowerModel() PowerModel {
 }
 
 // ActivePower returns the core power in W while executing at fMHz.
+//
+// For a model Validate accepts it never decreases as a positive fMHz
+// rises: Voltage is non-decreasing, every factor and term is
+// non-negative, and IEEE rounding is monotone, so each term (and their
+// sum) is non-decreasing even where a product overflows to +Inf or
+// underflows to 0. This is the one place that knows the curve's shape;
+// the capping allocators rely on step 0 being the cheapest step and
+// the top step the costliest (TestActivePowerMonotone pins it).
 func (m PowerModel) ActivePower(fMHz int) float64 {
 	v := Voltage(fMHz)
 	return m.ActivityFactor*m.DynCoeff*v*v*float64(fMHz) + m.LeakCoeff*v
@@ -77,26 +85,6 @@ func (m PowerModel) Validate() error {
 		return fmt.Errorf("cpu: invalid power model %+v", m)
 	}
 	return nil
-}
-
-// FreqForPower inverts the active-power curve onto a frequency grid: it
-// returns the highest grid step whose active power fits budgetW. ok is
-// false when even the minimum step exceeds the budget (the minimum is
-// still returned — a core cannot run slower than the grid floor); power
-// capping layers account such spans as cap violations. The scan is linear
-// because the curve need not be monotone for exotic models, and grids are
-// a dozen steps.
-func FreqForPower(g Grid, m PowerModel, budgetW float64) (fMHz int, ok bool) {
-	best := -1
-	for i := 0; i < g.Len(); i++ {
-		if m.ActivePower(g.Step(i)) <= budgetW {
-			best = i
-		}
-	}
-	if best < 0 {
-		return g.Min(), false
-	}
-	return g.Step(best), true
 }
 
 // SystemPower models the non-core components of a server, following the

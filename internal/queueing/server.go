@@ -1,6 +1,8 @@
 package queueing
 
 import (
+	"fmt"
+
 	"rubik/internal/cpu"
 	"rubik/internal/sim"
 	"rubik/internal/stats"
@@ -145,8 +147,13 @@ func Run(trace workload.Trace, p Policy, cfg Config) (Result, error) {
 // run length is bounded by time, not memory; pair an unbounded source
 // with Config.DropCompletions for constant memory and Config.Deadline
 // for termination. Completion-aware sources (closed-loop clients) are
-// fed every completion.
+// fed every completion. The policy must not be nil: unlike a coloc core,
+// whose frequency an external allocator owns, nothing else would ever
+// set this core's frequency.
 func RunSource(src workload.Source, p Policy, cfg Config) (Result, error) {
+	if p == nil {
+		return Result{}, fmt.Errorf("queueing: nil policy")
+	}
 	eng := sim.NewEngine()
 	if cfg.ExpectedRequests == 0 {
 		if n := src.Len(); n > 0 {

@@ -34,35 +34,3 @@ func Pearson(x, y []float64) (float64, error) {
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
 }
-
-// Welford accumulates mean and variance in a single streaming pass.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 with no observations).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Std returns the population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }

@@ -92,39 +92,28 @@ func TestPearsonIndependentNearZero(t *testing.T) {
 	}
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	if w.Variance() != 0 || w.Mean() != 0 {
-		t.Fatal("zero-value Welford must report zeros")
+// meanVar returns the mean and population variance of xs (two passes).
+func meanVar(xs []float64) (mean, variance float64) {
+	for _, x := range xs {
+		mean += x
 	}
-	vals := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, v := range vals {
-		w.Add(v)
+	mean /= float64(len(xs))
+	for _, x := range xs {
+		variance += (x - mean) * (x - mean)
 	}
-	if w.N() != len(vals) {
-		t.Fatalf("N = %d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %v, want 5", w.Mean())
-	}
-	if math.Abs(w.Variance()-4) > 1e-12 {
-		t.Fatalf("variance = %v, want 4", w.Variance())
-	}
-	if math.Abs(w.Std()-2) > 1e-12 {
-		t.Fatalf("std = %v, want 2", w.Std())
-	}
+	return mean, variance / float64(len(xs))
 }
 
 func TestSamplerMeans(t *testing.T) {
 	r := rand.New(rand.NewSource(123))
 	check := func(name string, s Sampler, n int, tol float64) {
 		t.Helper()
-		var w Welford
-		for i := 0; i < n; i++ {
-			w.Add(s.Sample(r))
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = s.Sample(r)
 		}
-		if math.Abs(w.Mean()-s.Mean()) > tol*s.Mean() {
-			t.Errorf("%s: empirical mean %v vs analytic %v", name, w.Mean(), s.Mean())
+		if mean, _ := meanVar(xs); math.Abs(mean-s.Mean()) > tol*s.Mean() {
+			t.Errorf("%s: empirical mean %v vs analytic %v", name, mean, s.Mean())
 		}
 	}
 	check("lognormal", LognormalFromMoments(100, 0.3, 6), 100000, 0.02)
@@ -142,11 +131,12 @@ func TestSamplerMeans(t *testing.T) {
 func TestLognormalFromMomentsCV(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	l := LognormalFromMoments(200, 0.5, 0)
-	var w Welford
-	for i := 0; i < 200000; i++ {
-		w.Add(l.Sample(r))
+	xs := make([]float64, 200000)
+	for i := range xs {
+		xs[i] = l.Sample(r)
 	}
-	cv := w.Std() / w.Mean()
+	mean, variance := meanVar(xs)
+	cv := math.Sqrt(variance) / mean
 	if math.Abs(cv-0.5) > 0.03 {
 		t.Fatalf("cv = %v, want 0.5", cv)
 	}

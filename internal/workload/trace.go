@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"rubik/internal/sim"
+	"rubik/internal/stats"
 )
 
 // Request is one latency-critical request in a trace: its arrival time and
@@ -77,7 +78,8 @@ type Stats struct {
 	MemShare           float64 // memory-bound fraction of total work time
 }
 
-// Describe computes summary statistics at the given frequency.
+// Describe computes summary statistics at the given frequency. Its
+// service percentiles follow stats.NearestRank, like every measured tail.
 func (t Trace) Describe(fMHz int) Stats {
 	s := Stats{Requests: len(t.Requests), DurationNs: int64(t.Duration())}
 	if len(t.Requests) == 0 {
@@ -102,9 +104,9 @@ func (t Trace) Describe(fMHz int) Stats {
 	sort.Float64s(services)
 	s.MeanServiceNs = mean
 	s.CVService = math.Sqrt(variance) / mean
-	s.P50ServiceNs = services[len(services)/2]
-	s.P95ServiceNs = services[int(0.95*float64(len(services)-1))]
-	s.P99ServiceNs = services[int(0.99*float64(len(services)-1))]
+	s.P50ServiceNs = stats.PercentileSorted(services, 0.50)
+	s.P95ServiceNs = stats.PercentileSorted(services, 0.95)
+	s.P99ServiceNs = stats.PercentileSorted(services, 0.99)
 	if len(t.Requests) > 1 {
 		s.MeanInterarrivalNs = float64(t.Duration()) / float64(len(t.Requests)-1)
 	}

@@ -44,12 +44,27 @@ func TestAppsRegistry(t *testing.T) {
 func serviceCV(t *testing.T, app LCApp, n int) float64 {
 	t.Helper()
 	r := rand.New(rand.NewSource(1234))
-	var w stats.Welford
-	for i := 0; i < n; i++ {
+	xs := make([]float64, n)
+	for i := range xs {
 		cc, mt := app.SampleRequest(r)
-		w.Add(cc*1000/float64(cpu.NominalMHz) + float64(mt))
+		xs[i] = cc*1000/float64(cpu.NominalMHz) + float64(mt)
 	}
-	return w.Std() / w.Mean()
+	_, cv := meanCV(xs)
+	return cv
+}
+
+// meanCV returns the mean and coefficient of variation (population
+// standard deviation over mean) of xs.
+func meanCV(xs []float64) (mean, cv float64) {
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	var ss float64
+	for _, x := range xs {
+		ss += (x - mean) * (x - mean)
+	}
+	return mean, math.Sqrt(ss/float64(len(xs))) / mean
 }
 
 func TestAppServiceVariability(t *testing.T) {
@@ -72,15 +87,16 @@ func TestAppServiceVariability(t *testing.T) {
 func TestMeanServiceMatchesSamples(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, app := range Apps() {
-		var w stats.Welford
-		for i := 0; i < 40000; i++ {
+		var sum float64
+		const n = 40000
+		for i := 0; i < n; i++ {
 			cc, mt := app.SampleRequest(r)
-			w.Add(cc*1000/float64(cpu.NominalMHz) + float64(mt))
+			sum += cc*1000/float64(cpu.NominalMHz) + float64(mt)
 		}
 		analytic := app.MeanServiceNsAtNominal()
-		if math.Abs(w.Mean()-analytic) > 0.05*analytic {
+		if mean := sum / n; math.Abs(mean-analytic) > 0.05*analytic {
 			t.Errorf("%s: empirical mean service %.0f ns vs analytic %.0f ns",
-				app.Name, w.Mean(), analytic)
+				app.Name, mean, analytic)
 		}
 	}
 }
@@ -130,15 +146,16 @@ func TestSampleRequestPositive(t *testing.T) {
 func TestPoissonArrivals(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	p := Poisson{RatePerSec: 1000} // mean gap 1 ms
-	var w stats.Welford
-	for i := 0; i < 50000; i++ {
-		w.Add(float64(p.NextGap(r, 0)))
+	gaps := make([]float64, 50000)
+	for i := range gaps {
+		gaps[i] = float64(p.NextGap(r, 0))
 	}
-	if math.Abs(w.Mean()-1e6) > 0.03e6 {
-		t.Fatalf("mean gap %.0f ns, want ~1e6", w.Mean())
+	mean, cv := meanCV(gaps)
+	if math.Abs(mean-1e6) > 0.03e6 {
+		t.Fatalf("mean gap %.0f ns, want ~1e6", mean)
 	}
 	// Exponential: CV ~ 1.
-	if cv := w.Std() / w.Mean(); math.Abs(cv-1) > 0.05 {
+	if math.Abs(cv-1) > 0.05 {
 		t.Fatalf("gap CV %.2f, want ~1", cv)
 	}
 	// Degenerate rate.
@@ -311,6 +328,22 @@ func TestTraceDescribe(t *testing.T) {
 	}
 	if s.CVService < 0.05 || s.CVService > 0.3 {
 		t.Fatalf("cv %.2f implausible for masstree", s.CVService)
+	}
+	// Percentiles follow the repo's one rank rule (stats.NearestRank) on
+	// even- and odd-length traces alike.
+	for _, n := range []int{100, 101} {
+		tr := GenerateAtLoad(app, 0.4, n, 5)
+		s := tr.Describe(cpu.NominalMHz)
+		services := make([]float64, n)
+		for i, r := range tr.Requests {
+			services[i] = r.ServiceNs(cpu.NominalMHz)
+		}
+		got := []float64{s.P50ServiceNs, s.P95ServiceNs, s.P99ServiceNs}
+		for i, q := range []float64{0.50, 0.95, 0.99} {
+			if want := stats.Percentile(services, q); got[i] != want {
+				t.Fatalf("n=%d: p%v = %v, want nearest-rank %v", n, q*100, got[i], want)
+			}
+		}
 	}
 	// Empty trace: all zeros, no panic.
 	var empty Trace

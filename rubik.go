@@ -362,12 +362,6 @@ func WaterfillLevelAllocator() LevelAllocator { return capping.WaterfillLevel{} 
 // waterfill).
 func LevelAllocatorByName(name string) (LevelAllocator, error) { return capping.LevelByName(name) }
 
-// FreqForPower returns the highest grid frequency whose active core power
-// fits budgetW; ok is false when even the minimum step exceeds it.
-func FreqForPower(g Grid, m PowerModel, budgetW float64) (fMHz int, ok bool) {
-	return cpu.FreqForPower(g, m, budgetW)
-}
-
 // RandomDispatcher routes requests uniformly at random, reproducibly for
 // a seed.
 func RandomDispatcher(seed int64) Dispatcher { return cluster.NewRandom(seed) }

@@ -133,6 +133,19 @@ func TestFacadeValidate(t *testing.T) {
 			t.Errorf("%s: Simulate accepted an invalid server config", c.name)
 		}
 	}
+
+	// A nil policy would leave every core at InitialMHz for the whole run.
+	if _, err := rubik.Simulate(rubik.StreamTrace(app, 0.5, 50, 1), nil, rubik.DefaultServerConfig()); err == nil {
+		t.Error("nil policy: Simulate accepted it")
+	}
+	nilPolicy := func(int) (rubik.Policy, error) { return nil, nil }
+	for _, capW := range []float64{0, 7} {
+		cfg := rubik.NewCluster(2, rubik.JSQDispatcher(), nilPolicy)
+		cfg.CapW = capW
+		if _, err := rubik.SimulateCluster(rubik.StreamTrace(app, 1, 50, 1), cfg); err == nil {
+			t.Errorf("nil policy from the factory (cap %v W): SimulateCluster accepted it", capW)
+		}
+	}
 }
 
 // TestFacadeNegativeDeadlineRejected pins the termination guard for
@@ -357,17 +370,9 @@ func TestFacadeScenarioLoads(t *testing.T) {
 }
 
 // TestFacadeCappedCluster exercises the power-capping surface end to end
-// through the facade: allocator constructors and lookup, FreqForPower,
-// a cluster config with CapW and Allocator set, and the accounting field.
+// through the facade: allocator constructors and lookup, a cluster config
+// with CapW and Allocator set, and the accounting field.
 func TestFacadeCappedCluster(t *testing.T) {
-	grid := rubik.DefaultGrid()
-	model := rubik.DefaultServerConfig().Power
-	if f, ok := rubik.FreqForPower(grid, model, 1e9); !ok || f != grid.Max() {
-		t.Fatalf("FreqForPower(huge) = %d, %v", f, ok)
-	}
-	if f, ok := rubik.FreqForPower(grid, model, 0.01); ok || f != grid.Min() {
-		t.Fatalf("FreqForPower(tiny) = %d, %v", f, ok)
-	}
 	for _, a := range []rubik.Allocator{
 		rubik.UniformAllocator(), rubik.GreedySlackAllocator(), rubik.WaterfillAllocator(),
 	} {
