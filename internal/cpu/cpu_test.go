@@ -61,6 +61,10 @@ func TestClampUpDown(t *testing.T) {
 		{2400, 2400},
 		{3400, 3400},
 		{9999, 3400},
+		{-1, 800},
+		{math.Inf(-1), 800},
+		{math.Inf(1), 3400},
+		{math.NaN(), 3400},
 	}
 	for _, c := range cases {
 		if got := g.ClampUp(c.f); got != c.up {
@@ -260,7 +264,8 @@ func TestSystemPower(t *testing.T) {
 func TestEnergyMeter(t *testing.T) {
 	g := DefaultGrid()
 	m := NewEnergyMeter(g, DefaultPowerModel())
-	m.AccrueActive(sim.Second, 2400)
+	m.SetFreq(g.Index(2400), 2400)
+	m.AccrueActive(sim.Second)
 	wantJ := DefaultPowerModel().ActivePower(2400)
 	if math.Abs(m.ActiveEnergyJ()-wantJ) > 1e-9 {
 		t.Fatalf("1s at 2.4GHz = %v J, want %v", m.ActiveEnergyJ(), wantJ)
@@ -274,10 +279,50 @@ func TestEnergyMeter(t *testing.T) {
 		t.Fatal("total != active + idle")
 	}
 	// Negative/zero durations are ignored.
-	m.AccrueActive(-5, 2400)
+	m.AccrueActive(-5)
 	m.AccrueIdle(0)
 	if m.ActiveNs() != sim.Second || m.IdleNs() != 2*sim.Second {
 		t.Fatalf("time accounting wrong: %v active, %v idle", m.ActiveNs(), m.IdleNs())
+	}
+}
+
+// The meter charges the model's ActivePower at the frequency last set,
+// bit for bit, so evaluating it once per frequency change charges what
+// evaluating it on every accrual charged.
+func TestEnergyMeterWattsMatchModel(t *testing.T) {
+	uneven, err := NewGrid([]int{1, MinMHz, 1500, NominalMHz, MaxMHz, 5000, math.MaxInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []PowerModel{DefaultPowerModel(),
+		{DynCoeff: 1e-300, LeakCoeff: 1e300, ActivityFactor: 0.37, SleepW: 0.1},
+		{DynCoeff: math.MaxFloat64, LeakCoeff: 0, ActivityFactor: 1e-3, SleepW: 2}}
+	for _, g := range []Grid{DefaultGrid(), uneven} {
+		for _, model := range models {
+			m := NewEnergyMeter(g, model)
+			if got, want := m.ActiveWatts(), model.ActivePower(g.Min()); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("model %+v: new meter charges %v W, lowest step %v W", model, got, want)
+			}
+			wantJ := 0.0
+			for i := g.Len() - 1; i >= 0; i-- {
+				f := g.Step(i)
+				m.SetFreq(i, f)
+				w := model.ActivePower(f)
+				if got := m.ActiveWatts(); math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("model %+v step %d MHz: meter %v W, model %v W", model, f, got, w)
+				}
+				m.AccrueActive(1234567)
+				wantJ += w * float64(1234567) / 1e9
+				if got := m.ActiveEnergyJ(); math.Float64bits(got) != math.Float64bits(wantJ) {
+					t.Fatalf("model %+v step %d MHz: accrued %v J, want %v J", model, f, got, wantJ)
+				}
+			}
+			for i, r := range m.Residency() {
+				if r != 1/float64(g.Len()) {
+					t.Fatalf("model %+v: residency[%d] = %v, want 1/%d", model, i, r, g.Len())
+				}
+			}
+		}
 	}
 }
 
@@ -287,8 +332,10 @@ func TestEnergyMeterResidency(t *testing.T) {
 	if r := m.Residency(); len(r) != g.Len() {
 		t.Fatalf("residency length %d", len(r))
 	}
-	m.AccrueActive(3*sim.Second, 800)
-	m.AccrueActive(1*sim.Second, 3400)
+	m.SetFreq(g.Index(800), 800)
+	m.AccrueActive(3 * sim.Second)
+	m.SetFreq(g.Index(3400), 3400)
+	m.AccrueActive(1 * sim.Second)
 	r := m.Residency()
 	if math.Abs(r[0]-0.75) > 1e-12 {
 		t.Fatalf("residency[800] = %v, want 0.75", r[0])

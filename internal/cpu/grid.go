@@ -26,14 +26,18 @@ type Grid struct {
 	steps []int
 }
 
-// DefaultGrid returns the paper's 0.8-3.4 GHz grid in 200 MHz steps.
-func DefaultGrid() Grid {
-	var steps []int
-	for f := MinMHz; f <= MaxMHz; f += StepMHz {
-		steps = append(steps, f)
+// defaultGrid is the paper grid. A Grid never writes its steps, so every
+// DefaultGrid call shares this one.
+var defaultGrid = func() Grid {
+	steps := make([]int, (MaxMHz-MinMHz)/StepMHz+1)
+	for i := range steps {
+		steps[i] = MinMHz + i*StepMHz
 	}
 	return Grid{steps: steps}
-}
+}()
+
+// DefaultGrid returns the paper's 0.8-3.4 GHz grid in 200 MHz steps.
+func DefaultGrid() Grid { return defaultGrid }
 
 // NewGrid builds a grid from explicit ascending steps. Steps must be
 // positive: on positive frequencies every valid PowerModel's active power
@@ -88,6 +92,7 @@ func (g Grid) Index(fMHz int) int {
 // ClampUp returns the lowest grid step >= fMHz, or Max if fMHz exceeds the
 // grid. This is how Rubik's analytic frequency constraint (a real number)
 // is mapped onto the hardware's discrete steps without violating the tail.
+// NaN, which no step reaches, yields Max.
 func (g Grid) ClampUp(fMHz float64) int {
 	for _, s := range g.steps {
 		if float64(s) >= fMHz {

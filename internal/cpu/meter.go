@@ -13,8 +13,12 @@ import (
 // a fixed frequency); residency backs the frequency histograms of
 // Figs. 7b/8b.
 type EnergyMeter struct {
-	Model PowerModel
-	grid  Grid
+	model PowerModel
+	// step is the grid index of the frequency AccrueActive charges, and
+	// watts the model's active power there, evaluated once per frequency
+	// change rather than once per accrual.
+	step  int
+	watts float64
 
 	activeJ  float64
 	idleJ    float64
@@ -24,25 +28,36 @@ type EnergyMeter struct {
 	residency []sim.Time
 }
 
-// NewEnergyMeter returns a meter for the given grid and power model.
+// NewEnergyMeter returns a meter for the given grid and power model,
+// charging active time at the grid's lowest step until SetFreq.
 func NewEnergyMeter(grid Grid, model PowerModel) *EnergyMeter {
-	return &EnergyMeter{
-		Model:     model,
-		grid:      grid,
+	m := &EnergyMeter{
+		model:     model,
 		residency: make([]sim.Time, grid.Len()),
 	}
+	m.SetFreq(0, grid.Min())
+	return m
 }
 
-// AccrueActive charges dt nanoseconds of execution at fMHz.
-func (m *EnergyMeter) AccrueActive(dt sim.Time, fMHz int) {
+// SetFreq makes fMHz, the meter grid's step i, the frequency that
+// AccrueActive charges from now on.
+func (m *EnergyMeter) SetFreq(i, fMHz int) {
+	m.step, m.watts = i, m.model.ActivePower(fMHz)
+}
+
+// ActiveWatts returns the active core power at the current frequency,
+// bitwise the model's ActivePower there.
+func (m *EnergyMeter) ActiveWatts() float64 { return m.watts }
+
+// AccrueActive charges dt nanoseconds of execution at the current
+// frequency.
+func (m *EnergyMeter) AccrueActive(dt sim.Time) {
 	if dt <= 0 {
 		return
 	}
-	m.activeJ += m.Model.ActivePower(fMHz) * float64(dt) / 1e9
+	m.activeJ += m.watts * float64(dt) / 1e9
 	m.activeNs += dt
-	if i := m.grid.Index(fMHz); i >= 0 {
-		m.residency[i] += dt
-	}
+	m.residency[m.step] += dt
 }
 
 // AccrueIdle charges dt nanoseconds of sleep.
@@ -50,7 +65,7 @@ func (m *EnergyMeter) AccrueIdle(dt sim.Time) {
 	if dt <= 0 {
 		return
 	}
-	m.idleJ += m.Model.SleepPower() * float64(dt) / 1e9
+	m.idleJ += m.model.SleepPower() * float64(dt) / 1e9
 	m.idleNs += dt
 }
 

@@ -108,7 +108,7 @@ func DynamicOracle(tr workload.Trace, grid cpu.Grid, boundNs, percentile float64
 			wake = 0
 		}
 		service := reqs[i].ServiceNs(f) + wake
-		done := start + sim.Time(math.Ceil(service))
+		done := sim.AddSpan(start, sim.SpanNs(math.Ceil(service)))
 		return done, cfg.Power.ActivePower(f) * service / 1e9
 	}
 

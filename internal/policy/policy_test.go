@@ -79,6 +79,37 @@ func TestReplayMatchesEventSimAtFixedFrequency(t *testing.T) {
 	}
 }
 
+// At a wake penalty reaching past the end of representable time, replay
+// and the event-driven simulator both saturate every completion at
+// math.MaxInt64 instead of wrapping it into the past, where responses
+// went negative.
+func TestReplaySaturatesLikeEventSim(t *testing.T) {
+	tr := workload.GenerateAtLoad(workload.Masstree(), 0.5, 50, 1)
+	cfg := DefaultReplayConfig()
+	cfg.WakeLatency = math.MaxInt64
+	rep, err := Replay(tr, UniformAssignment(len(tr.Requests), 2400), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qcfg := queueing.DefaultConfig()
+	qcfg.InitialMHz = 2400
+	qcfg.TransitionLatency = 0
+	qcfg.WakeLatency = math.MaxInt64
+	res, err := queueing.Run(tr, queueing.FixedPolicy{MHz: 2400}, qcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range res.Completions {
+		if rep.Dones[i] != math.MaxInt64 || c.Done != math.MaxInt64 {
+			t.Fatalf("req %d: replay done at %d, event sim at %d, want both %d",
+				i, rep.Dones[i], c.Done, int64(math.MaxInt64))
+		}
+		if !(rep.ResponsesNs[i] > 0) {
+			t.Fatalf("req %d: replay response %v ns", i, rep.ResponsesNs[i])
+		}
+	}
+}
+
 // fixtures for oracle tests.
 func oracleFixture(t *testing.T, app workload.LCApp, load float64, n int, seed int64) (workload.Trace, float64) {
 	t.Helper()

@@ -82,10 +82,15 @@ func Replay(tr workload.Trace, freqs []int, cfg ReplayConfig) (ReplayResult, err
 		Dones:       make([]sim.Time, len(tr.Requests)),
 	}
 	var donePrev sim.Time
+	var fPrev int
+	var watts float64
 	for i, req := range tr.Requests {
 		f := freqs[i]
 		if f <= 0 {
 			return ReplayResult{}, fmt.Errorf("policy: request %d has frequency %d", i, f)
+		}
+		if f != fPrev { // evaluate the power model once per frequency change
+			fPrev, watts = f, cfg.Power.ActivePower(f)
 		}
 		start := req.Arrival
 		wake := float64(cfg.WakeLatency)
@@ -97,10 +102,10 @@ func Replay(tr workload.Trace, freqs []int, cfg ReplayConfig) (ReplayResult, err
 		}
 		service := req.ServiceNs(f) + wake
 		// Ceil matches the event-driven simulator's completion rounding.
-		done := start + sim.Time(math.Ceil(service))
+		done := sim.AddSpan(start, sim.SpanNs(math.Ceil(service)))
 		res.Dones[i] = done
 		res.ResponsesNs[i] = float64(done - req.Arrival)
-		res.ActiveEnergyJ += cfg.Power.ActivePower(f) * service / 1e9
+		res.ActiveEnergyJ += watts * service / 1e9
 		donePrev = done
 	}
 	return res, nil

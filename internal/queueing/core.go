@@ -109,10 +109,10 @@ type Core struct {
 
 	meter *cpu.EnergyMeter
 
-	cur           int
-	target        int
-	switchPending bool
-	lastAccrual   sim.Time
+	cur         int
+	target      int
+	targetStep  int // target's grid index
+	lastAccrual sim.Time
 
 	completionH sim.Handle
 	switchH     sim.Handle
@@ -140,7 +140,8 @@ func NewCore(eng *sim.Engine, p Policy, cfg Config) (*Core, error) {
 	if cfg.InitialMHz == 0 {
 		cfg.InitialMHz = cpu.NominalMHz
 	}
-	if cfg.Grid.Index(cfg.InitialMHz) < 0 {
+	step := cfg.Grid.Index(cfg.InitialMHz)
+	if step < 0 {
 		return nil, fmt.Errorf("queueing: initial frequency %d not on grid", cfg.InitialMHz)
 	}
 	if cfg.TransitionLatency < 0 || cfg.WakeLatency < 0 {
@@ -156,13 +157,15 @@ func NewCore(eng *sim.Engine, p Policy, cfg Config) (*Core, error) {
 		return nil, err
 	}
 	c := &Core{
-		eng:    eng,
-		cfg:    cfg,
-		policy: p,
-		meter:  cpu.NewEnergyMeter(cfg.Grid, cfg.Power),
-		cur:    cfg.InitialMHz,
-		target: cfg.InitialMHz,
+		eng:        eng,
+		cfg:        cfg,
+		policy:     p,
+		meter:      cpu.NewEnergyMeter(cfg.Grid, cfg.Power),
+		cur:        cfg.InitialMHz,
+		target:     cfg.InitialMHz,
+		targetStep: step,
 	}
+	c.meter.SetFreq(step, cfg.InitialMHz)
 	c.completionH = eng.Register(c.completionEvent)
 	c.switchH = eng.Register(c.switchEvent)
 	if cfg.DropCompletions {
@@ -288,9 +291,9 @@ func (c *Core) Accrue() {
 		}
 		return
 	}
-	c.meter.AccrueActive(dt, c.cur)
+	c.meter.AccrueActive(dt)
 	if c.cfg.RecordTimeline {
-		j := c.meter.Model.ActivePower(c.cur) * float64(dt) / 1e9
+		j := c.meter.ActiveWatts() * float64(dt) / 1e9
 		c.energyTimeline = append(c.energyTimeline, EnergySample{T: now, J: j})
 	}
 	head := &c.ring[c.head]
@@ -367,36 +370,38 @@ func (c *Core) ApplyFreq(fMHz int) {
 	if fMHz <= 0 {
 		return
 	}
-	if c.cfg.Grid.Index(fMHz) < 0 {
+	step := c.cfg.Grid.Index(fMHz)
+	if step < 0 {
 		fMHz = c.cfg.Grid.ClampUp(float64(fMHz))
+		step = c.cfg.Grid.Index(fMHz)
 	}
-	c.target = fMHz
+	c.target, c.targetStep = fMHz, step
 	if fMHz == c.cur {
 		return
 	}
 	if c.cfg.TransitionLatency == 0 {
-		c.cur = fMHz
-		c.recordFreq()
+		c.setCur()
 		c.rescheduleCompletion()
 		return
 	}
-	if !c.switchPending {
-		c.switchPending = true
+	if !c.eng.Scheduled(c.switchH) { // no transition in flight
 		c.eng.RescheduleAfter(c.switchH, c.cfg.TransitionLatency)
 	}
 }
 
 func (c *Core) switchEvent() {
 	c.Accrue()
-	c.switchPending = false
 	if c.cur != c.target {
-		c.cur = c.target
-		c.recordFreq()
+		c.setCur()
 		c.rescheduleCompletion()
 	}
 }
 
-func (c *Core) recordFreq() {
+// setCur switches execution to the target frequency: the meter charges
+// its power from here on, and the timeline records the change.
+func (c *Core) setCur() {
+	c.cur = c.target
+	c.meter.SetFreq(c.targetStep, c.cur)
 	if c.cfg.RecordTimeline {
 		c.freqTimeline = append(c.freqTimeline, FreqSample{T: c.eng.Now(), MHz: c.cur})
 	}
@@ -413,7 +418,7 @@ func (c *Core) rescheduleCompletion() {
 	}
 	head := &c.ring[c.head]
 	total := head.RemainingCC*1000/float64(c.cur) + head.RemainingMem
-	c.eng.RescheduleAfter(c.completionH, sim.Time(math.Ceil(total)))
+	c.eng.RescheduleAfter(c.completionH, sim.SpanNs(math.Ceil(total)))
 }
 
 func (c *Core) completionEvent() {

@@ -30,6 +30,25 @@ const (
 	Second      Time = 1000 * 1000 * 1000
 )
 
+// SpanNs truncates a non-negative span in nanoseconds to a Time,
+// saturating at the largest representable time (NaN too) instead of
+// wrapping into the past.
+func SpanNs(ns float64) Time {
+	if !(ns < math.MaxInt64) {
+		return math.MaxInt64
+	}
+	return Time(ns)
+}
+
+// AddSpan returns t+d for non-negative t, saturating like SpanNs, so a
+// huge delay never wraps into the past.
+func AddSpan(t, d Time) Time {
+	if d > math.MaxInt64-t {
+		return math.MaxInt64
+	}
+	return t + d
+}
+
 // Handle identifies an event pre-registered on an Engine. The callback is
 // fixed at Register time; Reschedule sets (or moves) its firing time and
 // Cancel clears it. A handle holds at most one pending firing, which is
@@ -122,9 +141,10 @@ func (e *Engine) Reschedule(h Handle, t Time) {
 	e.place(entry{at: t, seq: e.seq, h: h})
 }
 
-// RescheduleAfter schedules the handle's event d nanoseconds from now.
+// RescheduleAfter schedules the handle's event d nanoseconds from now,
+// saturating at the largest representable time (AddSpan).
 func (e *Engine) RescheduleAfter(h Handle, d Time) {
-	e.Reschedule(h, e.now+d)
+	e.Reschedule(h, AddSpan(e.now, d))
 }
 
 // Cancel clears the handle's pending firing, if any. The handle remains

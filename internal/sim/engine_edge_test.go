@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // Edge regression tests for the engine. Each case pins a behavior of the
 // event contract: handle reuse across Cancel/Reschedule, scheduling at the
@@ -133,6 +136,54 @@ func TestEngineFarFutureCascade(t *testing.T) {
 		e.RunUntil(d)
 		if at != d {
 			t.Fatalf("delta %d: fired at %d, want %d", d, at, d)
+		}
+	}
+}
+
+// A delay that would carry the clock past the largest representable time
+// saturates there, after every finite deadline, instead of wrapping into
+// the past and firing at once.
+func TestEngineRescheduleAfterSaturates(t *testing.T) {
+	for _, d := range []Time{math.MaxInt64 - 1000, math.MaxInt64 - 1, math.MaxInt64} {
+		e := NewEngine()
+		var log []Time
+		warm := e.Register(func() {})
+		e.Reschedule(warm, 1000)
+		e.Run()
+		far := e.Register(func() { log = append(log, e.Now()) })
+		near := e.Register(func() { log = append(log, -e.Now()) })
+		e.RescheduleAfter(far, d)
+		e.RescheduleAfter(near, 1<<62)
+		e.Run()
+		want := []Time{-(1000 + 1<<62), math.MaxInt64}
+		if len(log) != 2 || log[0] != want[0] || log[1] != want[1] {
+			t.Fatalf("delay %d at t=1000: fired %v, want %v (near event negated)", d, log, want)
+		}
+	}
+}
+
+// SpanNs truncates a span to whole nanoseconds and AddSpan adds one,
+// both saturating at the largest representable time.
+func TestSpanSaturates(t *testing.T) {
+	spans := []struct {
+		ns   float64
+		want Time
+	}{
+		{0, 0}, {1.9, 1}, {1 << 62, 1 << 62}, {0x1p63 - 1024, math.MaxInt64 - 1023},
+		{0x1p63, math.MaxInt64}, {1e300, math.MaxInt64}, {math.Inf(1), math.MaxInt64}, {math.NaN(), math.MaxInt64},
+	}
+	for _, c := range spans {
+		if got := SpanNs(c.ns); got != c.want {
+			t.Errorf("SpanNs(%v) = %d, want %d", c.ns, got, c.want)
+		}
+	}
+	sums := []struct{ t, d, want Time }{
+		{0, 0, 0}, {5, 7, 12}, {1 << 62, 1 << 62, math.MaxInt64}, {1, math.MaxInt64 - 1, math.MaxInt64},
+		{1, math.MaxInt64, math.MaxInt64}, {math.MaxInt64, 0, math.MaxInt64}, {math.MaxInt64, 1, math.MaxInt64},
+	}
+	for _, c := range sums {
+		if got := AddSpan(c.t, c.d); got != c.want {
+			t.Errorf("AddSpan(%d, %d) = %d, want %d", c.t, c.d, got, c.want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+	"sync"
 )
 
 // PackedConvolutionPlan is the packed real-FFT pipeline behind the tail
@@ -62,16 +63,20 @@ import (
 // deterministic — same inputs, same bits, on every run and every shard.
 //
 // A plan owns its scratch buffers and is therefore NOT safe for
-// concurrent use; each table builder holds its own.
+// concurrent use; each table builder holds its own. The constant tables
+// it reads (twiddles and bit-reversal permutations) are shared by every
+// plan in the process; see fftTables.
 type PackedConvolutionPlan struct {
 	n int
 	// Flattened per-stage twiddles (stage with half-size h at
-	// [h-1 : 2h-1]). Twiddles depend only on the stage, not the transform
-	// size, so the same tables drive the full-size forward transform and
-	// every pruned inverse size.
+	// [h-1 : 2h-1]): the first n-1 entries of the process-wide tables.
+	// Twiddles depend only on the stage, not the transform size, so the
+	// same tables drive the full-size forward transform and every pruned
+	// inverse size.
 	fwd, inv []complex128
-	// revs caches one bit-reversal permutation per pruned inverse size,
-	// built on first use so steady-state rebuilds allocate nothing.
+	// revs holds the shared bit-reversal permutation of each pruned
+	// inverse size this plan has run, fetched on first use, so RowInto
+	// takes no lock and steady-state rebuilds allocate nothing.
 	revs map[int][]int
 	// Half-spectra (n/2+1 bins): specC/specM hold the forward spectra of
 	// the two inputs, accC/accM the accumulated per-row spectra. Only the
@@ -82,8 +87,10 @@ type PackedConvolutionPlan struct {
 	z []complex128
 	// in is the packed input c + i*m, zero-padded to a power of two, and
 	// zeros[k] is what the forward's copy-only stages add to a sample at
-	// offset k of its block (see forward). They share pad, n+1 entries:
-	// len(in) * len(zeros) == n, so len(in) + len(zeros) <= n+1.
+	// offset k of its block (see forward). They share pad, which Start
+	// grows to len(in) + len(zeros) on first need. len(in) * len(zeros)
+	// == n, so 128-bucket inputs in a 2,048-point plan need 144 entries;
+	// only inputs that fill the whole transform need n+1.
 	pad, in, zeros []complex128
 
 	// The chain pair begun by Start: both inputs' geometry and bucket
@@ -93,6 +100,74 @@ type PackedConvolutionPlan struct {
 	// forward transform of the pair).
 	cOrigin, cWidth, mOrigin, mWidth float64
 	nc, nm, count, row, stride       int
+}
+
+// fftTables holds the FFT constants every plan in the process shares:
+// one grow-only pair of flattened twiddle tables, covering the largest
+// transform size built so far, and one bit-reversal permutation per
+// transform size. Growing builds new tables and never writes published
+// ones, so a plan reads its prefix without the lock. The cost is
+// retention: the tables of the largest size ever built stay reachable
+// for the process lifetime.
+var fftTables struct {
+	mu       sync.Mutex
+	fwd, inv []complex128
+	revs     map[int][]int
+}
+
+// sharedTwiddles returns the forward and inverse twiddle tables for
+// transforms of size n (a power of two), growing the process-wide tables
+// when n exceeds every size built before.
+func sharedTwiddles(n int) (fwd, inv []complex128) {
+	fftTables.mu.Lock()
+	defer fftTables.mu.Unlock()
+	if have := len(fftTables.fwd); have < n-1 {
+		fwd = make([]complex128, n-1)
+		inv = make([]complex128, n-1)
+		copy(fwd, fftTables.fwd)
+		copy(inv, fftTables.inv)
+		// The old tables cover sizes up to have+1; build the stages above.
+		for size := 2 * (have + 1); size <= n; size <<= 1 {
+			half := size >> 1
+			// Same recurrence as the naive oracle FFT, so shared-stage
+			// transforms start from identical twiddle bits.
+			step := 2 * math.Pi / float64(size)
+			wf := complex(1, 0)
+			wi := complex(1, 0)
+			wfBase := cmplx.Exp(complex(0, -step))
+			wiBase := cmplx.Exp(complex(0, step))
+			for k := 0; k < half; k++ {
+				fwd[half-1+k] = wf
+				inv[half-1+k] = wi
+				wf *= wfBase
+				wi *= wiBase
+			}
+		}
+		fftTables.fwd, fftTables.inv = fwd, inv
+	}
+	return fftTables.fwd[: n-1 : n-1], fftTables.inv[: n-1 : n-1]
+}
+
+// sharedRev returns the process-wide bit-reversal permutation for
+// transform size m, building it on first use.
+func sharedRev(m int) []int {
+	fftTables.mu.Lock()
+	defer fftTables.mu.Unlock()
+	if rev, ok := fftTables.revs[m]; ok {
+		return rev
+	}
+	rev := make([]int, m)
+	if m > 1 {
+		shift := 64 - uint(bits.TrailingZeros(uint(m)))
+		for i := 0; i < m; i++ {
+			rev[i] = int(bits.Reverse64(uint64(i)) >> shift)
+		}
+	}
+	if fftTables.revs == nil {
+		fftTables.revs = map[int][]int{}
+	}
+	fftTables.revs[m] = rev
+	return rev
 }
 
 // NewPackedConvolutionPlan builds a packed plan for transforms of size n
@@ -108,30 +183,10 @@ func NewPackedConvolutionPlan(n int) (*PackedConvolutionPlan, error) {
 		specM: make([]complex128, n/2+1),
 		accC:  make([]complex128, n/2+1),
 		accM:  make([]complex128, n/2+1),
+		z:     make([]complex128, n),
 		row:   -1,
 	}
-	buf := make([]complex128, 2*n+1)
-	p.z, p.pad = buf[:n:n], buf[n:]
-	if n > 1 {
-		p.fwd = make([]complex128, n-1)
-		p.inv = make([]complex128, n-1)
-		for size := 2; size <= n; size <<= 1 {
-			half := size >> 1
-			// Same recurrence as the naive oracle FFT, so shared-stage
-			// transforms start from identical twiddle bits.
-			step := 2 * math.Pi / float64(size)
-			wf := complex(1, 0)
-			wi := complex(1, 0)
-			wfBase := cmplx.Exp(complex(0, -step))
-			wiBase := cmplx.Exp(complex(0, step))
-			for k := 0; k < half; k++ {
-				p.fwd[half-1+k] = wf
-				p.inv[half-1+k] = wi
-				wf *= wfBase
-				wi *= wiBase
-			}
-		}
-	}
+	p.fwd, p.inv = sharedTwiddles(n)
 	return p, nil
 }
 
@@ -139,19 +194,13 @@ func NewPackedConvolutionPlan(n int) (*PackedConvolutionPlan, error) {
 func (p *PackedConvolutionPlan) Size() int { return p.n }
 
 // revFor returns the bit-reversal permutation for transform size m,
-// building and caching it on first use.
+// fetching the shared one on first use.
 func (p *PackedConvolutionPlan) revFor(m int) []int {
-	if rev, ok := p.revs[m]; ok {
-		return rev
+	rev, ok := p.revs[m]
+	if !ok {
+		rev = sharedRev(m)
+		p.revs[m] = rev
 	}
-	rev := make([]int, m)
-	if m > 1 {
-		shift := 64 - uint(bits.TrailingZeros(uint(m)))
-		for i := 0; i < m; i++ {
-			rev[i] = int(bits.Reverse64(uint64(i)) >> shift)
-		}
-	}
-	p.revs[m] = rev
 	return rev
 }
 
@@ -207,6 +256,10 @@ func (p *PackedConvolutionPlan) Start(c, m PMF, count int) error {
 		return fmt.Errorf("stats: packed plan size %d, chain pair needs %d", p.n, want)
 	}
 	size := nextPow2(max(len(c.P), len(m.P)))
+	if need := size + p.n/size; cap(p.pad) < need {
+		p.pad = make([]complex128, need)
+		p.zeros = nil
+	}
 	p.in = p.pad[:size]
 	for i := range p.in {
 		var re, im float64

@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -450,5 +452,124 @@ func TestPackedSelfConvolutionsAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm full packed pass allocates %v/op, want 0", allocs)
+	}
+}
+
+// resetFFTTables empties the process-wide FFT tables, so the next plan
+// builds them from scratch. Plans built before keep the tables they hold.
+func resetFFTTables() {
+	fftTables.mu.Lock()
+	defer fftTables.mu.Unlock()
+	fftTables.fwd, fftTables.inv, fftTables.revs = nil, nil, nil
+}
+
+// sharedTableCase is one chain pair whose plan size is n.
+type sharedTableCase struct {
+	n, count int
+	c, m     PMF
+}
+
+// runSharedTableCase builds a plan for the case and returns every row.
+func runSharedTableCase(tc sharedTableCase) ([]PMF, []PMF, error) {
+	plan, err := NewPackedConvolutionPlan(tc.n)
+	if err != nil {
+		return nil, nil, err
+	}
+	rowsC, rowsM := make([]PMF, tc.count), make([]PMF, tc.count)
+	return rowsC, rowsM, selfConvolutions(plan, rowsC, rowsM, tc.c, tc.m)
+}
+
+// Plans built and run concurrently, while the shared tables grow under
+// them, produce bitwise what each plan produces when it is built alone
+// from empty tables.
+func TestPackedSharedTablesConcurrent(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	var cases []sharedTableCase
+	for n := 2; n <= 4096; n <<= 1 {
+		for rep := 0; rep < 2; rep++ {
+			count := 1 + r.Intn(min(16, n/2))
+			lc := 1 + (n-1)/count
+			c := randomPMF(r, lc, r.Float64()*5, 0.5+r.Float64()*10)
+			m := randomPMF(r, 1+r.Intn(lc), r.Float64()*5, 0.5+r.Float64()*10)
+			if got := PackedPlanSizeFor(len(c.P), len(m.P), count); got != n {
+				t.Fatalf("case for size %d has plan size %d", n, got)
+			}
+			cases = append(cases, sharedTableCase{n: n, count: count, c: c, m: m})
+		}
+	}
+	defer resetFFTTables()
+	wantC := make([][]PMF, len(cases))
+	wantM := make([][]PMF, len(cases))
+	for i, tc := range cases {
+		resetFFTTables()
+		var err error
+		if wantC[i], wantM[i], err = runSharedTableCase(tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	resetFFTTables()
+	r.Shuffle(len(cases), func(i, j int) {
+		cases[i], cases[j] = cases[j], cases[i]
+		wantC[i], wantC[j] = wantC[j], wantC[i]
+		wantM[i], wantM[j] = wantM[j], wantM[i]
+	})
+	errs := make(chan error, len(cases))
+	for i, tc := range cases {
+		go func() {
+			gotC, gotM, err := runSharedTableCase(tc)
+			if err == nil {
+				for row := range gotC {
+					if !samePMF(gotC[row], wantC[i][row]) || !samePMF(gotM[row], wantM[i][row]) {
+						err = fmt.Errorf("size %d count %d: row %d differs from the plan built alone", tc.n, tc.count, row)
+						break
+					}
+				}
+			}
+			errs <- err
+		}()
+	}
+	for range cases {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// A plan shares its twiddles and bit-reversal permutations with every
+// other plan and sizes its input buffer to the inputs, so a second
+// 2,048-point plan allocates only its spectra and scratch: about 100 KB,
+// against about 208 KB when every plan built its own tables and a
+// worst-case input buffer.
+func TestPackedPlanFootprint(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	c, m := randomPMF(r, 128, 0, 1000), randomPMF(r, 128, 0, 50)
+	const count = 16
+	n := PackedPlanSizeFor(len(c.P), len(m.P), count)
+	if n != 2048 {
+		t.Fatalf("paper-shape plan size %d, want 2048", n)
+	}
+	dstC, dstM := make([]PMF, count), make([]PMF, count)
+	first, err := NewPackedConvolutionPlan(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := selfConvolutions(first, dstC, dstM, c, m); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	second, err := NewPackedConvolutionPlan(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := selfConvolutions(second, dstC, dstM, c, m); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 110 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Fatalf("second %d-point plan allocated %d bytes, want < %d", n, got, limit)
 	}
 }

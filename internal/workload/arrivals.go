@@ -28,25 +28,7 @@ func (p Poisson) NextGap(r *rand.Rand, _ sim.Time) sim.Time {
 	if !(p.RatePerSec > 0) { // NaN too
 		return sim.Second // degenerate: 1 req/s
 	}
-	return max(spanNs(r.ExpFloat64()/p.RatePerSec*1e9), 1)
-}
-
-// spanNs truncates a non-negative span in nanoseconds to sim.Time,
-// saturating at the largest representable time instead of overflowing.
-func spanNs(ns float64) sim.Time {
-	if !(ns < math.MaxInt64) {
-		return math.MaxInt64
-	}
-	return sim.Time(ns)
-}
-
-// addSpan returns t+d for non-negative t and d, saturating like spanNs,
-// so a stream at an extreme rate never wraps to negative time.
-func addSpan(t, d sim.Time) sim.Time {
-	if d > math.MaxInt64-t {
-		return math.MaxInt64
-	}
-	return t + d
+	return max(sim.SpanNs(r.ExpFloat64()/p.RatePerSec*1e9), 1)
 }
 
 // Phase is one segment of a piecewise-constant step-load process.
@@ -143,14 +125,14 @@ func (m *MMPP) NextGap(r *rand.Rand, now sim.Time) sim.Time {
 	}
 	for now >= m.stateEnd && m.stateEnd < math.MaxInt64 {
 		m.cur = (m.cur + 1) % len(m.States)
-		m.stateEnd = addSpan(m.stateEnd, m.holdFrom(r, m.cur))
+		m.stateEnd = sim.AddSpan(m.stateEnd, m.holdFrom(r, m.cur))
 	}
 	return Poisson{RatePerSec: m.States[m.cur].RatePerSec}.NextGap(r, now)
 }
 
 // holdFrom samples a sojourn time for state i.
 func (m *MMPP) holdFrom(r *rand.Rand, i int) sim.Time {
-	return max(spanNs(r.ExpFloat64()*float64(m.States[i].MeanHold)), 1)
+	return max(sim.SpanNs(r.ExpFloat64()*float64(m.States[i].MeanHold)), 1)
 }
 
 // ResetProcess rewinds the state machine (GenSource.Reset calls this).

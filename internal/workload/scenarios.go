@@ -74,7 +74,7 @@ func Scenarios() []Scenario {
 				// divide so the scenario's mean load matches the target.
 				base := app.RateForLoad(load) / 1.4
 				gap := float64(meanGap(app, load))
-				return NewGenSource(app, NewBurstyMMPP(base, 3, spanNs(400*gap), spanNs(100*gap)), n, seed)
+				return NewGenSource(app, NewBurstyMMPP(base, 3, sim.SpanNs(400*gap), sim.SpanNs(100*gap)), n, seed)
 			},
 		},
 		{

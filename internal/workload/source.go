@@ -123,7 +123,7 @@ func (s *GenSource) Next() (Request, bool) {
 	if s.n >= 0 && s.issued >= s.n {
 		return Request{}, false
 	}
-	s.now = addSpan(s.now, s.arrivals.NextGap(s.r, s.now))
+	s.now = sim.AddSpan(s.now, s.arrivals.NextGap(s.r, s.now))
 	cc, mt := s.app.SampleRequest(s.r)
 	req := Request{ID: s.issued, Arrival: s.now, ComputeCycles: cc, MemTime: mt}
 	s.issued++
