@@ -62,11 +62,6 @@ func main() {
 			fatal(err)
 		}
 		count := *n
-		if count < 0 {
-			// A negative cap means "unbounded" to the source layer, which
-			// an exporter must not materialize.
-			fatal(fmt.Errorf("-n must be >= 0 (0 = the app's Table 3 count), got %d", count))
-		}
 		if count == 0 {
 			count = app.Requests
 		}

@@ -43,7 +43,6 @@ func TestInfiniteCapByteIdentical(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			mk := func() workload.Source { return sc.New(app, 0.5*4, n, 9) }
 			base := rubikClusterConfig(t, 4, bound)
-			base.Core.Deadline = 30 * 1_000_000_000 // bound unbounded shapes
 			want, err := RunSource(mk(), base)
 			if err != nil {
 				t.Fatal(err)
@@ -54,7 +53,6 @@ func TestInfiniteCapByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := rubikClusterConfig(t, 4, bound)
-				cfg.Core.Deadline = base.Core.Deadline
 				cfg.CapW = math.Inf(1)
 				cfg.Allocator = alloc
 				got, err := RunSource(mk(), cfg)

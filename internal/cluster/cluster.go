@@ -396,6 +396,6 @@ func RunSource(src workload.Source, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	s.eng.RunUntilOrDrain(s.cfg.Core.Deadline)
+	s.eng.Run()
 	return s.result()
 }

@@ -78,47 +78,36 @@ func TestFleetHierShardInvariance(t *testing.T) {
 // kinds of fleet: a one-level static tree whose root holds exactly
 // sockets x flat-cap watts re-derives the flat per-socket cap at every
 // barrier (n·c/n is float-exact), applyCap no-ops, and the whole run —
-// DomainStats and all — is bit-identical to flat per-socket capping. The
-// deadline cell runs unbounded sources that every phase leaves running,
-// so the final phase cuts each socket off at the deadline.
+// DomainStats and all — is bit-identical to flat per-socket capping.
 func TestFleetHierDegenerateMatchesFlat(t *testing.T) {
-	const sockets, coresPer = 3, 2
+	const sockets, coresPer, nPer = 3, 2, 500
 	const flatCapW = 9.0 // binding 2-core budget, float-exact under /3
-	for _, cut := range []bool{false, true} {
-		name, nPer := "drained", 500
-		if cut {
-			name, nPer = "deadline", -1
+	t.Run("drained", func(t *testing.T) {
+		cfg := fleetConfig(t, "bursty", "jsq", sockets, coresPer, nPer, flatCapW, 1)
+		flat, err := RunFleet(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			cfg := fleetConfig(t, "bursty", "jsq", sockets, coresPer, nPer, flatCapW, 1)
-			flat, err := RunFleet(cfg)
-			if err != nil {
-				t.Fatal(err)
+		cfg.Hierarchy = &capping.HierarchySpec{Levels: []capping.LevelSpec{
+			{Name: "rack", Nodes: 1, CapW: sockets * flatCapW, Alloc: capping.StaticLevel{}},
+		}}
+		cfg.Epoch = 2 * sim1ms
+		hier, err := RunFleet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(hier.Sockets, flat.Sockets) {
+			t.Fatal("degenerate one-level static hierarchy diverged from flat per-socket capping")
+		}
+		if hier.Hierarchy == nil || hier.Hierarchy.LeafCapChanges != 0 {
+			t.Fatalf("degenerate hierarchy changed caps: %+v", hier.Hierarchy)
+		}
+		for s, ds := range hier.Capping() {
+			if ds.CapW != flatCapW {
+				t.Fatalf("socket %d ended on cap %v W, want flat %v W", s, ds.CapW, flatCapW)
 			}
-			cfg.Hierarchy = &capping.HierarchySpec{Levels: []capping.LevelSpec{
-				{Name: "rack", Nodes: 1, CapW: sockets * flatCapW, Alloc: capping.StaticLevel{}},
-			}}
-			cfg.Epoch = 2 * sim1ms
-			hier, err := RunFleet(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(hier.Sockets, flat.Sockets) {
-				t.Fatal("degenerate one-level static hierarchy diverged from flat per-socket capping")
-			}
-			if cut {
-				checkCutOff(t, hier)
-			}
-			if hier.Hierarchy == nil || hier.Hierarchy.LeafCapChanges != 0 {
-				t.Fatalf("degenerate hierarchy changed caps: %+v", hier.Hierarchy)
-			}
-			for s, ds := range hier.Capping() {
-				if ds.CapW != flatCapW {
-					t.Fatalf("socket %d ended on cap %v W, want flat %v W", s, ds.CapW, flatCapW)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestFleetHierReallocates exercises the demand-following path: a tight

@@ -249,20 +249,19 @@ func (r FleetResult) Capping() []capping.DomainStats {
 // RunFleet simulates the fleet across cfg.Shards parallel event loops.
 //
 // Flat and hierarchical fleets share one phase loop. A flat fleet runs a
-// single phase, to Core.Deadline or, without one, to drain. A
-// hierarchical fleet's phases end at each multiple of Epoch, with a
-// budget-tree barrier between them (see fleetcap.go).
+// single phase, to drain. A hierarchical fleet's phases end at each
+// multiple of Epoch, with a budget-tree barrier between them (see
+// fleetcap.go).
 //
 // Within a phase, sockets are scheduled by work stealing: shard
 // goroutines claim the next unclaimed socket from a shared atomic
 // counter (forEachSocket). The first claim builds the socket, on its own
 // sim.Engine with its own cores, dispatcher and capping domain; every
 // claim advances it to the phase target. A socket is finalised on the
-// claiming shard as soon as it drains, or when the final phase cuts it
-// off at the deadline, and is then released. Stealing replaced a static
-// round-robin partition because per-socket loads are not uniform: one
-// heavy socket used to stall its whole shard while sibling shards sat
-// idle. Sockets get dedicated engines rather than one engine per shard
+// claiming shard as soon as it drains, and is then released. Stealing
+// replaced a static round-robin partition because per-socket loads are
+// not uniform: one heavy socket used to stall its whole shard while
+// sibling shards sat idle. Sockets get dedicated engines rather than one engine per shard
 // because engine-global quantities (the end-of-run clock that trailing
 // idle-energy accounting accrues to) would otherwise couple co-resident
 // sockets. Sockets therefore stay shared-nothing and the schedule is
@@ -289,11 +288,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		return FleetResult{}, fmt.Errorf("cluster: fleet needs a NewSource factory")
 	}
 	shards := cfg.shardCount()
-	end := sim.Time(math.MaxInt64) // no deadline: the last phase runs to drain
-	if cfg.Core.Deadline > 0 {
-		end = cfg.Core.Deadline
-	}
-	step, nCaches := end, shards
+	step, nCaches := sim.Time(math.MaxInt64), shards // one phase, to drain
 	var tree *budgetTree
 	if cfg.Hierarchy != nil {
 		var err error
@@ -312,7 +307,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	errs := make([]error, cfg.Sockets)
 	// claim is shard k's turn at socket s in the phase ending at target:
 	// build it on the first claim, advance it, and finalise and release it
-	// once it drains or the final phase cuts it off.
+	// once it drains.
 	var target sim.Time
 	claim := func(k, s int) {
 		if done[s] {
@@ -333,17 +328,13 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 				return
 			}
 		}
-		sm := sims[s]
-		if !sm.advanceTo(target) {
-			if target < end {
-				return
-			}
-			sm.eng.RunUntil(end) // cut off: the clock ends on the deadline
+		if !sims[s].advanceTo(target) {
+			return
 		}
-		results[s], errs[s] = sm.result()
+		results[s], errs[s] = sims[s].result()
 		sims[s], done[s] = nil, true
 	}
-	for target = min(step, end); ; target = min(target+step, end) {
+	for target = step; ; target = sim.AddSpan(target, step) {
 		forEachSocket(shards, cfg.Sockets, claim)
 		running := false
 		for s, err := range errs {

@@ -13,8 +13,6 @@ import (
 // fleetConfig builds the test fleet: per-socket scenario sources with
 // ShardSeed-derived seeds, a fresh dispatcher per socket, fixed-frequency
 // cores (the sharding property is about partitioning, not the policy).
-// nPer < 0 makes the sources unbounded and cuts the run off at
-// fleetDeadline instead.
 func fleetConfig(t *testing.T, scenario, dispatcher string, sockets, coresPer, nPer int, capW float64, shards int) FleetConfig {
 	t.Helper()
 	app := workload.Masstree()
@@ -23,9 +21,6 @@ func fleetConfig(t *testing.T, scenario, dispatcher string, sockets, coresPer, n
 		t.Fatal(err)
 	}
 	base := DefaultConfig()
-	if nPer < 0 {
-		base.Core.Deadline = fleetDeadline
-	}
 	return FleetConfig{
 		Sockets:        sockets,
 		CoresPerSocket: coresPer,
@@ -48,25 +43,8 @@ func fleetConfig(t *testing.T, scenario, dispatcher string, sockets, coresPer, n
 	}
 }
 
-// fleetDeadline cuts off the test fleets built with nPer < 0. Their
-// sources never end, so every socket is still running at the deadline; it
-// is not a multiple of the 2 ms test epoch, so a phased run's last phase
-// is a short one.
-const fleetDeadline = 41 * sim1ms
-
-// checkCutOff asserts that every socket of a deadline-bounded fleet ended
-// with its clock on the deadline.
-func checkCutOff(t *testing.T, res FleetResult) {
-	t.Helper()
-	for s, r := range res.Sockets {
-		if r.EndTime != fleetDeadline {
-			t.Fatalf("socket %d ended at %d, want the %d deadline", s, r.EndTime, fleetDeadline)
-		}
-	}
-}
-
 // TestFleetShardInvariance is the tentpole property: for every dispatcher
-// x scenario shape x capped/uncapped x drained/deadline-cut cell, running
+// x scenario shape x capped/uncapped cell, running
 // the fleet on 1 shard, 2 shards and one shard per socket produces deeply
 // equal per-socket results. Shards are shared-nothing, so the partition
 // is pure scheduling — any divergence here means state leaked across
@@ -79,37 +57,28 @@ func TestFleetShardInvariance(t *testing.T) {
 	for _, sc := range scenarios {
 		for _, d := range dispatchers {
 			for _, capW := range caps {
-				for _, cut := range []bool{false, true} {
-					name := sc + "/" + d
-					if capW > 0 {
-						name += "/capped"
-					}
-					nPer := 500
-					if cut {
-						name, nPer = name+"/deadline", -1
-					}
-					run := func(t *testing.T, shards int) FleetResult {
-						res, err := RunFleet(fleetConfig(t, sc, d, sockets, coresPer, nPer, capW, shards))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if res.Shards != shards {
-							t.Fatalf("shard count %d, want %d", res.Shards, shards)
-						}
-						return res
-					}
-					t.Run(name, func(t *testing.T) {
-						want := run(t, 1)
-						if cut {
-							checkCutOff(t, want)
-						}
-						for _, shards := range []int{2, sockets} {
-							if !reflect.DeepEqual(run(t, shards).Sockets, want.Sockets) {
-								t.Fatalf("shard=%d fleet result diverged from shard=1", shards)
-							}
-						}
-					})
+				name := sc + "/" + d
+				if capW > 0 {
+					name += "/capped"
 				}
+				run := func(t *testing.T, shards int) FleetResult {
+					res, err := RunFleet(fleetConfig(t, sc, d, sockets, coresPer, 500, capW, shards))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Shards != shards {
+						t.Fatalf("shard count %d, want %d", res.Shards, shards)
+					}
+					return res
+				}
+				t.Run(name, func(t *testing.T) {
+					want := run(t, 1)
+					for _, shards := range []int{2, sockets} {
+						if !reflect.DeepEqual(run(t, shards).Sockets, want.Sockets) {
+							t.Fatalf("shard=%d fleet result diverged from shard=1", shards)
+						}
+					}
+				})
 			}
 		}
 	}

@@ -142,12 +142,12 @@ func TestLCTickWithheldWhileQueueEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.start()
-	eng.RunUntil(50 * sim.Microsecond)
+	eng.RunEventsUntil(50 * sim.Microsecond)
 	if c.queueLen() != 1 || c.qc.CurrentMHz() != lcMHz {
 		t.Fatalf("serving the first request: queue %d at %d MHz, want 1 at the LC policy's %d",
 			c.queueLen(), c.qc.CurrentMHz(), lcMHz)
 	}
-	eng.RunUntil(3 * sim.Millisecond)
+	eng.RunEventsUntil(3 * sim.Millisecond)
 	if p.ticks < 10 {
 		t.Fatalf("only %d ticks by 3 ms; the idle gap was not exercised", p.ticks)
 	}
@@ -164,14 +164,22 @@ func TestRunCoreValidation(t *testing.T) {
 	valid := func() CoreConfig {
 		return CoreConfig{
 			App: workload.Masstree(), Batch: mustBatch(t, "gcc"),
-			Source: workload.NewLoadSource(workload.Masstree(), 0.3, 20, 1),
-			Grid:   cpu.DefaultGrid(), Power: cpu.DefaultPowerModel(),
+			Source:   workload.NewLoadSource(workload.Masstree(), 0.3, 20, 1),
+			LCPolicy: queueing.FixedPolicy{MHz: cpu.NominalMHz},
+			Grid:     cpu.DefaultGrid(), Power: cpu.DefaultPowerModel(),
 		}
 	}
 	if _, err := RunCore(valid()); err != nil {
 		t.Fatal(err)
 	}
+	// Without an LC policy nothing would ever set the LC app's frequency:
+	// it would run at the batch app's.
 	cfg := valid()
+	cfg.LCPolicy = nil
+	if _, err := RunCore(cfg); err == nil {
+		t.Fatal("nil LC policy must error")
+	}
+	cfg = valid()
 	cfg.Grid = cpu.Grid{}
 	if _, err := RunCore(cfg); err == nil {
 		t.Fatal("empty grid must error")
@@ -181,16 +189,13 @@ func TestRunCoreValidation(t *testing.T) {
 	if _, err := RunCore(cfg); err == nil {
 		t.Fatal("off-grid initial frequency must error")
 	}
-	unbounded := CoreConfig{
-		App: workload.Masstree(), Batch: mustBatch(t, "gcc"),
-		Source: workload.NewLoadSource(workload.Masstree(), 0.3, -1, 1),
-		Grid:   cpu.DefaultGrid(), Power: cpu.DefaultPowerModel(),
+	cfg = valid()
+	cfg.Source = workload.ClosedLoop{App: workload.Masstree(), Clients: 2, MeanThink: sim.Millisecond, N: 20, Seed: 1}.NewSource()
+	if _, err := RunCore(cfg); err == nil {
+		t.Fatal("source of unknown length must error")
 	}
-	if _, err := RunCore(unbounded); err == nil {
-		t.Fatal("unbounded source must error")
-	}
-	unbounded.Source = nil
-	if _, err := RunCore(unbounded); err == nil {
+	cfg.Source = nil
+	if _, err := RunCore(cfg); err == nil {
 		t.Fatal("missing source must error")
 	}
 }
@@ -308,15 +313,14 @@ func TestSchemeValidation(t *testing.T) {
 	if _, err := RunStaticColocServer(cfg2, 0); err == nil {
 		t.Fatal("missing static frequency must error")
 	}
-	// An unbounded LC stream never drains: it must be rejected, not run
-	// forever.
-	unbounded := DefaultServerConfig(app, []workload.BatchApp{mustBatch(t, "gcc")}, 0.3, 1e6, 1)
-	unbounded.RequestsPerCore = -1
-	if _, err := RunStaticColocServer(unbounded, cpu.NominalMHz); err == nil {
-		t.Fatal("StaticColoc accepted an unbounded stream")
+	// A negative LC stream length is a config error.
+	negative := DefaultServerConfig(app, []workload.BatchApp{mustBatch(t, "gcc")}, 0.3, 1e6, 1)
+	negative.RequestsPerCore = -1
+	if _, err := RunStaticColocServer(negative, cpu.NominalMHz); err == nil {
+		t.Fatal("StaticColoc accepted a negative stream length")
 	}
-	if _, err := RunRubikColocServer(unbounded); err == nil {
-		t.Fatal("RubikColoc accepted an unbounded stream")
+	if _, err := RunRubikColocServer(negative); err == nil {
+		t.Fatal("RubikColoc accepted a negative stream length")
 	}
 }
 
@@ -442,14 +446,13 @@ func TestRunHWServerValidation(t *testing.T) {
 	if _, err := RunHWServer(ServerConfig{}); err == nil {
 		t.Fatal("empty mix must error")
 	}
-	// An unbounded LC stream never drains: it must be rejected, not run
-	// forever.
+	// A negative LC stream length is a config error.
 	if _, err := RunHWServer(ServerConfig{
 		App: workload.Masstree(), Mix: []workload.BatchApp{mustBatch(t, "gcc")},
 		Load: 0.3, RequestsPerCore: -1, Seed: 1,
 		Grid: cpu.DefaultGrid(), Power: cpu.DefaultPowerModel(),
 		Interference: DefaultInterference(),
 	}); err == nil {
-		t.Fatal("HW server accepted an unbounded stream")
+		t.Fatal("HW server accepted a negative stream length")
 	}
 }

@@ -17,22 +17,19 @@ import (
 type CoreConfig struct {
 	App   workload.LCApp
 	Batch workload.BatchApp
-	// Source streams the LC requests: any bounded scenario source
-	// (bursty, diurnal, flash-crowd, modulated) without materializing it,
-	// or a materialized trace through workload.NewTraceSource. The run
-	// drains the stream, so a missing source or one of unknown length
-	// (Len() < 0: unbounded generators and closed-loop populations) is an
-	// error.
+	// Source streams the LC requests: any scenario source (bursty,
+	// diurnal, flash-crowd, modulated) without materializing it, or a
+	// materialized trace through workload.NewTraceSource. The run drains
+	// the stream, so a missing source or one of unknown length (Len() < 0:
+	// closed-loop populations) is an error.
 	Source workload.Source
-	// LCPolicy decides LC frequencies (nil when an external allocator —
-	// HW-T / HW-TPW — owns the frequency).
+	// LCPolicy decides LC frequencies. It is nil only on the cores of
+	// RunHWServer, whose server-level allocator (HW-T / HW-TPW) sets every
+	// core's frequency each epoch; RunCore rejects a nil policy.
 	LCPolicy queueing.Policy
 	// BatchMHz is the frequency the core drops to while batch occupies it
-	// (ignored when ExternalFreq).
+	// (ignored when the allocator owns the frequency).
 	BatchMHz int
-	// ExternalFreq marks cores whose frequency is set by a server-level
-	// allocator each epoch.
-	ExternalFreq bool
 
 	Grid              cpu.Grid
 	Power             cpu.PowerModel
@@ -111,7 +108,7 @@ func newCore(eng *sim.Engine, cfg CoreConfig) (*core, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.ExternalFreq && cfg.BatchMHz == 0 {
+	if cfg.LCPolicy != nil && cfg.BatchMHz == 0 {
 		cfg.BatchMHz = cfg.Batch.OptimalTPWFreq(cfg.Grid, cfg.Power)
 	}
 	c := &core{
@@ -135,7 +132,7 @@ func (c *core) start() {
 	c.feed.Start()
 	c.qc.StartTicks(func() bool { return c.feed.Remaining() > 0 })
 	c.occupancyStart = c.eng.Now()
-	if !c.cfg.ExternalFreq {
+	if c.cfg.LCPolicy != nil {
 		c.qc.ApplyFreq(c.cfg.BatchMHz)
 	}
 }
@@ -174,7 +171,7 @@ func (c *core) startService(a *queueing.ActiveRequest, preempting bool) {
 // onIdle hands the core back to batch when the LC queue drains.
 func (c *core) onIdle(now sim.Time) {
 	c.occupancyStart = now
-	if !c.cfg.ExternalFreq {
+	if c.cfg.LCPolicy != nil {
 		c.qc.ApplyFreq(c.cfg.BatchMHz)
 	}
 }
@@ -210,8 +207,12 @@ func (c *core) result() CoreResult {
 }
 
 // RunCore simulates a single colocated core to completion of its LC
-// stream.
+// stream. The LC policy must not be nil: no allocator runs beside a lone
+// core, so nothing else would ever set the LC app's frequency.
 func RunCore(cfg CoreConfig) (CoreResult, error) {
+	if cfg.LCPolicy == nil {
+		return CoreResult{}, fmt.Errorf("coloc: nil LC policy")
+	}
 	eng := sim.NewEngine()
 	c, err := newCore(eng, cfg)
 	if err != nil {

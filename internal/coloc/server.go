@@ -132,9 +132,9 @@ type ServerConfig struct {
 	Mix []workload.BatchApp
 	// Load is the LC load fraction per core.
 	Load float64
-	// RequestsPerCore is the LC stream length per core (negative, i.e.
-	// unbounded, is an error): core i streams Poisson arrivals at Load,
-	// seeded Seed + 101·i.
+	// RequestsPerCore is the LC stream length per core (negative is an
+	// error): core i streams Poisson arrivals at Load, seeded
+	// Seed + 101·i.
 	RequestsPerCore int
 	Seed            int64
 	// BoundNs is the LC tail latency bound (RubikColoc only).
@@ -149,12 +149,15 @@ type ServerConfig struct {
 }
 
 // validate checks what every server runner needs: a batch mix to pair
-// with the LC cores and an LC load that is finite and positive. Any other
-// load would reach NewLoadSource as a rate it replaces with its 1 req/s
-// fallback.
+// with the LC cores, a non-negative stream length and an LC load that is
+// finite and positive. Any other load would reach NewLoadSource as a rate
+// it replaces with its 1 req/s fallback.
 func (cfg ServerConfig) validate() error {
 	if len(cfg.Mix) == 0 {
 		return fmt.Errorf("coloc: empty batch mix")
+	}
+	if cfg.RequestsPerCore < 0 {
+		return fmt.Errorf("coloc: negative LC stream length %d", cfg.RequestsPerCore)
 	}
 	if !(cfg.Load > 0) || math.IsInf(cfg.Load, 1) {
 		return fmt.Errorf("coloc: LC load %v is not finite and positive", cfg.Load)
@@ -165,7 +168,8 @@ func (cfg ServerConfig) validate() error {
 // coreConfig is core i's share of the server: the LC stream seeded
 // Seed + 101·i paired with batch, on the shared grid, power model,
 // transition latency and interference model, starting at nominal. The
-// caller sets who owns the frequency.
+// caller sets the LC policy, or leaves it nil for an allocator to own
+// the frequency.
 func (cfg ServerConfig) coreConfig(i int, batch workload.BatchApp) CoreConfig {
 	return CoreConfig{
 		App:               cfg.App,
@@ -233,9 +237,7 @@ func RunHWServer(cfg ServerConfig) (ServerResult, error) {
 	eng := sim.NewEngine()
 	cores := make([]*core, len(cfg.Mix))
 	for i, b := range cfg.Mix {
-		ccfg := cfg.coreConfig(i, b)
-		ccfg.ExternalFreq = true
-		cc, err := newCore(eng, ccfg)
+		cc, err := newCore(eng, cfg.coreConfig(i, b))
 		if err != nil {
 			return ServerResult{}, err
 		}

@@ -52,6 +52,8 @@ type Config struct {
 	// Buckets is the distribution resolution (paper: 128).
 	Buckets int
 	// OmegaRows is the number of elapsed-work rows (paper: octiles = 8).
+	// One row disables the elapsed-work conditioning: every lookup is
+	// conditioned at zero progress (the ablation's "no omega rows").
 	OmegaRows int
 	// MaxTableQueue is the number of explicit queue positions (paper: 16).
 	MaxTableQueue int
@@ -81,9 +83,6 @@ type Config struct {
 	// ablation experiment flips them one at a time to quantify what each
 	// design choice buys (see experiments.Ablation).
 
-	// SingleRow disables the elapsed-work (omega) conditioning: one table
-	// row, always conditioned at zero progress.
-	SingleRow bool
 	// MergeMemory folds memory-bound time into compute cycles at nominal
 	// frequency — i.e., assumes DVFS scales all work, the mis-modeling the
 	// paper's C/M split exists to avoid (Sec. 4.1, "Core DVFS and memory").
@@ -212,7 +211,7 @@ func (r *Rubik) Name() string {
 		return "rubik-headonly"
 	case r.cfg.MergeMemory:
 		return "rubik-nomemsplit"
-	case r.cfg.SingleRow:
+	case r.cfg.OmegaRows == 1:
 		return "rubik-singlerow"
 	case !r.cfg.Feedback.Enabled:
 		return "rubik-nofb"
@@ -287,11 +286,7 @@ func (r *Rubik) OnTick(v queueing.View) int {
 // steady-state allocations.
 func (r *Rubik) rebuild() error {
 	if r.builder == nil {
-		rows := r.cfg.OmegaRows
-		if r.cfg.SingleRow {
-			rows = 1
-		}
-		b, err := NewTableBuilder(r.cfg.TailPercentile, r.cfg.Buckets, rows, r.cfg.MaxTableQueue)
+		b, err := NewTableBuilder(r.cfg.TailPercentile, r.cfg.Buckets, r.cfg.OmegaRows, r.cfg.MaxTableQueue)
 		if err != nil {
 			return err
 		}

@@ -46,7 +46,7 @@ func Ablation(opts Options) (*AblationResult, error) {
 	}{
 		{"full rubik", func(*rubikcore.Config) {}},
 		{"no feedback", func(c *rubikcore.Config) { c.Feedback.Enabled = false }},
-		{"no omega rows", func(c *rubikcore.Config) { c.SingleRow = true }},
+		{"no omega rows", func(c *rubikcore.Config) { c.OmegaRows = 1 }},
 		{"no C/M split", func(c *rubikcore.Config) { c.MergeMemory = true }},
 		{"queue-blind (PACE-like)", func(c *rubikcore.Config) { c.HeadOnly = true }},
 		{"16-bucket tables", func(c *rubikcore.Config) { c.Buckets = 16 }},

@@ -1,9 +1,6 @@
 package policy
 
 import (
-	"fmt"
-	"math"
-
 	"rubik/internal/cpu"
 	"rubik/internal/sim"
 	"rubik/internal/workload"
@@ -88,10 +85,10 @@ func (h *candHeap) pop() reduceCand {
 // budget. A request keeps collecting further reductions until it hits its
 // per-request energy-optimal frequency or the budget refuses.
 func DynamicOracle(tr workload.Trace, grid cpu.Grid, boundNs, percentile float64, cfg ReplayConfig) (DynamicOracleResult, error) {
-	n := len(tr.Requests)
-	if n == 0 {
-		return DynamicOracleResult{}, fmt.Errorf("policy: empty trace")
+	if err := validateOracle(tr, boundNs, percentile); err != nil {
+		return DynamicOracleResult{}, err
 	}
+	n := len(tr.Requests)
 	reqs := tr.Requests
 	fmax := grid.Max()
 	fmin := grid.Min()
@@ -101,20 +98,13 @@ func DynamicOracle(tr workload.Trace, grid cpu.Grid, boundNs, percentile float64
 	energy := make([]float64, n)
 
 	serve := func(i, f int, donePrev sim.Time) (sim.Time, float64) {
-		start := reqs[i].Arrival
-		wake := float64(cfg.WakeLatency)
-		if donePrev > start {
-			start = donePrev
-			wake = 0
-		}
-		service := reqs[i].ServiceNs(f) + wake
-		done := sim.AddSpan(start, sim.SpanNs(math.Ceil(service)))
+		done, service := fifoStep(reqs[i], f, donePrev, cfg.WakeLatency)
 		return done, cfg.Power.ActivePower(f) * service / 1e9
 	}
 
 	// Initial schedule: everything at max frequency.
 	violations := 0
-	var donePrev sim.Time
+	donePrev := noPrev
 	for i := 0; i < n; i++ {
 		freqs[i] = fmax
 		done, e := serve(i, fmax, donePrev)
@@ -234,7 +224,7 @@ func DynamicOracle(tr workload.Trace, grid cpu.Grid, boundNs, percentile float64
 
 func prevDone(dones []sim.Time, i int) sim.Time {
 	if i == 0 {
-		return 0
+		return noPrev
 	}
 	return dones[i-1]
 }

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"rubik/internal/cpu"
@@ -23,8 +24,8 @@ type StaticOracleResult struct {
 // cannot meet the bound, it returns the maximum with Feasible=false
 // (matching the shaded "unachievable" regions of Fig. 9).
 func StaticOracle(tr workload.Trace, grid cpu.Grid, boundNs, percentile float64, cfg ReplayConfig) (StaticOracleResult, error) {
-	if len(tr.Requests) == 0 {
-		return StaticOracleResult{}, fmt.Errorf("policy: empty trace")
+	if err := validateOracle(tr, boundNs, percentile); err != nil {
+		return StaticOracleResult{}, err
 	}
 	allowed := ViolationBudget(len(tr.Requests), percentile)
 	var last StaticOracleResult
@@ -40,6 +41,23 @@ func StaticOracle(tr workload.Trace, grid cpu.Grid, boundNs, percentile float64,
 		}
 	}
 	return last, nil
+}
+
+// validateOracle checks what every oracle needs: a non-empty trace, a
+// finite positive latency bound and a tail percentile in (0, 1), the
+// target core.New checks for Rubik. A NaN bound would count no response
+// as a violation, and a NaN percentile would let every response violate.
+func validateOracle(tr workload.Trace, boundNs, percentile float64) error {
+	if len(tr.Requests) == 0 {
+		return fmt.Errorf("policy: empty trace")
+	}
+	if !(boundNs > 0) || math.IsInf(boundNs, 0) {
+		return fmt.Errorf("policy: latency bound must be positive and finite, got %v", boundNs)
+	}
+	if !(percentile > 0 && percentile < 1) {
+		return fmt.Errorf("policy: tail percentile %v out of (0,1)", percentile)
+	}
+	return nil
 }
 
 // ViolationBudget returns how many of n responses may exceed the bound
@@ -72,10 +90,10 @@ type AdrenalineOracleResult struct {
 // and picks the feasible setting with the lowest energy. Queuing is not
 // modeled explicitly — exactly the limitation the paper identifies.
 func AdrenalineOracle(tr workload.Trace, grid cpu.Grid, boundNs, percentile float64, cfg ReplayConfig) (AdrenalineOracleResult, error) {
-	n := len(tr.Requests)
-	if n == 0 {
-		return AdrenalineOracleResult{}, fmt.Errorf("policy: empty trace")
+	if err := validateOracle(tr, boundNs, percentile); err != nil {
+		return AdrenalineOracleResult{}, err
 	}
+	n := len(tr.Requests)
 	// Oracular request lengths: true total work at nominal frequency.
 	work := make([]float64, n)
 	for i, r := range tr.Requests {

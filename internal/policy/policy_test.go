@@ -180,6 +180,38 @@ func TestStaticOracleEmptyTrace(t *testing.T) {
 	}
 }
 
+// TestOraclesRejectBadTarget checks the oracles validate their tail
+// target as core.New does: a NaN bound used to count no response as a
+// violation and a NaN percentile let every response violate, so 800 MHz
+// came back feasible.
+func TestOraclesRejectBadTarget(t *testing.T) {
+	tr := workload.GenerateAtLoad(workload.Masstree(), 0.5, 300, 1)
+	grid, rcfg := cpu.DefaultGrid(), DefaultReplayConfig()
+	oracles := []struct {
+		name string
+		run  func(bound, pct float64) error
+	}{
+		{"static", func(b, p float64) error { _, err := StaticOracle(tr, grid, b, p, rcfg); return err }},
+		{"adrenaline", func(b, p float64) error { _, err := AdrenalineOracle(tr, grid, b, p, rcfg); return err }},
+		{"dynamic", func(b, p float64) error { _, err := DynamicOracle(tr, grid, b, p, rcfg); return err }},
+	}
+	for _, c := range []struct{ bound, pct float64 }{
+		{math.NaN(), 0.95}, {0, 0.95}, {-1e6, 0.95}, {math.Inf(1), 0.95}, {math.Inf(-1), 0.95},
+		{1e6, math.NaN()}, {1e6, 0}, {1e6, 1}, {1e6, -0.5}, {1e6, 1.5}, {1e6, math.Inf(1)},
+	} {
+		for _, o := range oracles {
+			if err := o.run(c.bound, c.pct); err == nil {
+				t.Errorf("%s oracle accepted bound %v, percentile %v", o.name, c.bound, c.pct)
+			}
+		}
+	}
+	for _, o := range oracles {
+		if err := o.run(1e6, 0.95); err != nil {
+			t.Errorf("%s oracle rejected a valid target: %v", o.name, err)
+		}
+	}
+}
+
 func TestAdrenalineOracleBeatsOrMatchesStatic(t *testing.T) {
 	grid := cpu.DefaultGrid()
 	// specjbb has the long/short structure Adrenaline exploits.

@@ -81,7 +81,7 @@ func Replay(tr workload.Trace, freqs []int, cfg ReplayConfig) (ReplayResult, err
 		ResponsesNs: make([]float64, len(tr.Requests)),
 		Dones:       make([]sim.Time, len(tr.Requests)),
 	}
-	var donePrev sim.Time
+	donePrev := noPrev
 	var fPrev int
 	var watts float64
 	for i, req := range tr.Requests {
@@ -92,23 +92,34 @@ func Replay(tr workload.Trace, freqs []int, cfg ReplayConfig) (ReplayResult, err
 		if f != fPrev { // evaluate the power model once per frequency change
 			fPrev, watts = f, cfg.Power.ActivePower(f)
 		}
-		start := req.Arrival
-		wake := float64(cfg.WakeLatency)
-		if i > 0 {
-			if donePrev > start {
-				start = donePrev
-				wake = 0 // busy period continues
-			}
-		}
-		service := req.ServiceNs(f) + wake
-		// Ceil matches the event-driven simulator's completion rounding.
-		done := sim.AddSpan(start, sim.SpanNs(math.Ceil(service)))
+		done, service := fifoStep(req, f, donePrev, cfg.WakeLatency)
 		res.Dones[i] = done
 		res.ResponsesNs[i] = float64(done - req.Arrival)
 		res.ActiveEnergyJ += watts * service / 1e9
 		donePrev = done
 	}
 	return res, nil
+}
+
+// noPrev is the previous completion time of a trace's first request: it
+// precedes every arrival, so that request starts a busy period.
+const noPrev sim.Time = math.MinInt64
+
+// fifoStep serves req entirely at f MHz on a FIFO core whose previous
+// request completed at donePrev. The request starts at its arrival and
+// pays the wake latency when the core is idle, or at donePrev when the
+// busy period continues. It returns the completion time and the service
+// time in ns, wake included.
+func fifoStep(req workload.Request, f int, donePrev, wakeLatency sim.Time) (done sim.Time, serviceNs float64) {
+	start := req.Arrival
+	wake := float64(wakeLatency)
+	if donePrev > start {
+		start = donePrev
+		wake = 0 // busy period continues
+	}
+	service := req.ServiceNs(f) + wake
+	// Ceil matches the event-driven simulator's completion rounding.
+	return sim.AddSpan(start, sim.SpanNs(math.Ceil(service))), service
 }
 
 // UniformAssignment returns a frequency assignment serving every request at

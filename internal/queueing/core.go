@@ -127,12 +127,11 @@ type Core struct {
 }
 
 // NewCore validates the config — a non-empty grid, an on-grid initial
-// frequency, non-negative transition and wake latencies, a non-negative
-// deadline and a physical power model — and prepares a core on the
-// engine. Every simulated core is built here, so this is the one
-// server-config validator. policy may be nil when an external allocator
-// owns the frequency (coloc HW-T / HW-TPW); such a core never decides, it
-// only serves.
+// frequency, non-negative transition and wake latencies and a physical
+// power model — and prepares a core on the engine. Every simulated core
+// is built here, so this is the one server-config validator. policy may
+// be nil when an external allocator owns the frequency (coloc HW-T /
+// HW-TPW); such a core never decides, it only serves.
 func NewCore(eng *sim.Engine, p Policy, cfg Config) (*Core, error) {
 	if cfg.Grid.Len() == 0 {
 		return nil, fmt.Errorf("queueing: config has empty grid")
@@ -147,11 +146,6 @@ func NewCore(eng *sim.Engine, p Policy, cfg Config) (*Core, error) {
 	if cfg.TransitionLatency < 0 || cfg.WakeLatency < 0 {
 		return nil, fmt.Errorf("queueing: negative latency (transition %d ns, wake %d ns)",
 			cfg.TransitionLatency, cfg.WakeLatency)
-	}
-	if cfg.Deadline < 0 {
-		// Run loops read a non-positive deadline as "run to drain", which
-		// never ends on an unbounded source.
-		return nil, fmt.Errorf("queueing: negative deadline %d ns", cfg.Deadline)
 	}
 	if err := cfg.Power.Validate(); err != nil {
 		return nil, err
@@ -538,8 +532,8 @@ func (c *Core) Finalize() Result {
 // delivers the lookahead, pulls the next request and moves the same
 // handle to its arrival — so the engine holds at most one pending
 // arrival per feeder and steady-state feeding allocates nothing,
-// regardless of whether the source is a materialized trace or an
-// unbounded generator.
+// regardless of whether the source is a materialized trace or a
+// generator.
 type Feeder struct {
 	eng *sim.Engine
 	src workload.Source

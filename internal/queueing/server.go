@@ -40,20 +40,8 @@ type Config struct {
 	// (Result.ResponseHist) instead of accumulating in
 	// Result.Completions, making memory independent of run length.
 	// Completion hooks and CompletionObserver policies still see every
-	// completion. Use for constant-memory runs of unbounded sources.
+	// completion. Use for constant-memory runs of long sources.
 	DropCompletions bool
-	// Deadline, when > 0, stops the simulation at that time if it has
-	// not drained by then — the termination bound for unbounded sources
-	// (n < 0 generators, uncapped closed-loop populations), which
-	// otherwise reschedule arrivals forever. Requests still in flight at
-	// the deadline are not completed. A run that drains earlier is
-	// completely unaffected (the deadline is a pure safety bound), so it
-	// is safe to set always. 0 (the default) runs to drain; a negative
-	// deadline is a config error (NewCore rejects it). Honored by
-	// the Run/RunSource entry points here and in cluster (coloc runs
-	// reject unbounded sources and drain); assemblies driving a Core
-	// directly bound the run themselves via sim.Engine.RunUntilOrDrain.
-	Deadline sim.Time
 }
 
 // FreqSample marks a frequency change: the core runs at MHz from T onward.
@@ -142,14 +130,14 @@ func Run(trace workload.Trace, p Policy, cfg Config) (Result, error) {
 // RunSource simulates a streaming request source under the policy on a
 // dedicated single-core engine. It is a thin assembly of the shared Core:
 // a Feeder pulls the source through one rescheduled arrival handle, the
-// policy's Ticker (if any) is scheduled, and the engine drains (or stops
-// at Config.Deadline). Nothing on this path materializes the stream, so
-// run length is bounded by time, not memory; pair an unbounded source
-// with Config.DropCompletions for constant memory and Config.Deadline
-// for termination. Completion-aware sources (closed-loop clients) are
-// fed every completion. The policy must not be nil: unlike a coloc core,
-// whose frequency an external allocator owns, nothing else would ever
-// set this core's frequency.
+// policy's Ticker (if any) is scheduled, and the engine runs until the
+// source drains and the queue empties. Nothing on this path materializes
+// the stream, so run length is bounded by time, not memory; pair a long
+// source with Config.DropCompletions for constant memory.
+// Completion-aware sources (closed-loop clients) are fed every
+// completion. The policy must not be nil: unlike a coloc core, whose
+// frequency an external allocator owns, nothing else would ever set this
+// core's frequency.
 func RunSource(src workload.Source, p Policy, cfg Config) (Result, error) {
 	if p == nil {
 		return Result{}, fmt.Errorf("queueing: nil policy")
@@ -170,6 +158,6 @@ func RunSource(src workload.Source, p Policy, cfg Config) (Result, error) {
 	}
 	f.Start()
 	c.StartTicks(func() bool { return f.Remaining() > 0 })
-	eng.RunUntilOrDrain(cfg.Deadline)
+	eng.Run()
 	return c.Finalize(), nil
 }

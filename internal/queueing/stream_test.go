@@ -138,43 +138,6 @@ func TestClosedLoopRun(t *testing.T) {
 	}
 }
 
-// TestDeadlineBoundsUnboundedSource checks the termination story for
-// n<0 streams: RunSource stops at Config.Deadline instead of spinning on
-// an arrival handle that reschedules forever.
-func TestDeadlineBoundsUnboundedSource(t *testing.T) {
-	app := workload.Masstree()
-	cfg := DefaultConfig()
-	cfg.DropCompletions = true
-	cfg.Deadline = 50 * sim.Millisecond
-	res, err := RunSource(workload.NewLoadSource(app, 0.5, -1, 7), FixedPolicy{MHz: 2400}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EndTime != cfg.Deadline {
-		t.Fatalf("end time %v, want the deadline %v", res.EndTime, cfg.Deadline)
-	}
-	// ~50ms at 50% load of a ~0.15ms-service app: hundreds of requests.
-	if res.Served < 50 {
-		t.Fatalf("served only %d before the deadline", res.Served)
-	}
-	// A run that drains before the deadline must be completely
-	// unaffected — the deadline is a pure safety bound, not an extension
-	// of the run's wall clock (which would corrupt utilization/power).
-	plain, err := RunSource(workload.NewLoadSource(app, 0.5, 300, 7), FixedPolicy{MHz: 2400}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounded := DefaultConfig()
-	bounded.Deadline = 3600 * sim.Second
-	got, err := RunSource(workload.NewLoadSource(app, 0.5, 300, 7), FixedPolicy{MHz: 2400}, bounded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, plain) {
-		t.Fatal("an unreached deadline perturbed a draining run")
-	}
-}
-
 // TestStreamingHotPathAllocs is the allocs/op guard for the streaming
 // ingest path: a long run through an unknown-length source must stay
 // amortized allocation-free per request (geometric log growth only).
@@ -186,7 +149,7 @@ func TestStreamingHotPathAllocs(t *testing.T) {
 	const n = 30000
 	cfg := DefaultConfig()
 	cfg.DropCompletions = true
-	// Unbounded-length wrapper: hides Len so no presizing hint exists.
+	// Unknown-length wrapper: hides Len so no presizing hint exists.
 	allocs := testing.AllocsPerRun(1, func() {
 		src := unknownLen{workload.NewLoadSource(app, 0.5, n, 3)}
 		res, err := RunSource(src, FixedPolicy{MHz: 2400}, cfg)
@@ -199,7 +162,7 @@ func TestStreamingHotPathAllocs(t *testing.T) {
 	}
 }
 
-// unknownLen masks a source's length, as an unbounded generator would.
+// unknownLen masks a source's length, as a closed-loop population does.
 type unknownLen struct{ src workload.Source }
 
 func (u unknownLen) Next() (workload.Request, bool) { return u.src.Next() }

@@ -190,38 +190,13 @@ func (e *Engine) Run() {
 	e.drained()
 }
 
-// RunUntil executes events with timestamps <= t, then advances the clock to
-// t if it has not passed it already.
-func (e *Engine) RunUntil(t Time) {
-	e.run(t)
-	if e.now < t {
-		e.now = t
-	}
-}
-
-// RunUntilOrDrain executes events until the queue drains or the clock
-// reaches the deadline t, whichever comes first. A run that drains below
-// the deadline keeps Run's end-of-run clock — the deadline is a pure
-// safety bound that never perturbs a terminating simulation's results —
-// while a run cut off at t matches RunUntil. t <= 0 means no deadline.
-func (e *Engine) RunUntilOrDrain(t Time) {
-	if t <= 0 {
-		e.Run()
-		return
-	}
-	if !e.RunEventsUntil(t) && e.now < t {
-		e.now = t
-	}
-}
-
 // RunEventsUntil executes events with timestamps <= t without advancing
 // the clock past the last fired event, and reports whether the queue
 // drained. A drained engine takes Run's end-of-run clock (the phantom
-// drain semantics). Unlike RunUntil, a barrier time that fires no events
-// leaves no trace on the clock, so segmenting a run at barriers
-// t_1 < t_2 < ... observes exactly the per-event clocks of a single
-// Run() — the epoch-capped fleet depends on that for byte-identity with
-// unsegmented runs.
+// drain semantics). A barrier time that fires no events leaves no trace
+// on the clock, so segmenting a run at barriers t_1 < t_2 < ... observes
+// exactly the per-event clocks of a single Run() — the epoch-capped fleet
+// depends on that for byte-identity with unsegmented runs.
 func (e *Engine) RunEventsUntil(t Time) bool {
 	e.run(t)
 	if e.Pending() > 0 {

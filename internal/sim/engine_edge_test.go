@@ -7,9 +7,8 @@ import (
 
 // Edge regression tests for the engine. Each case pins a behavior of the
 // event contract: handle reuse across Cancel/Reschedule, scheduling at the
-// current instant, events landing exactly on a RunUntilOrDrain boundary,
-// far-future deltas, and queues that grow past the pending array's
-// initial capacity.
+// current instant, far-future deltas, and queues that grow past the
+// pending array's initial capacity.
 
 // Cancel-then-Reschedule on the same handle must behave as if the cancel
 // never left a residue: the handle fires once, at the new deadline.
@@ -51,7 +50,8 @@ func TestEngineCancelThenReschedule(t *testing.T) {
 // advancing the clock.
 func TestEngineScheduleAtNow(t *testing.T) {
 	e := NewEngine()
-	e.RunUntil(1000)
+	oneShot(e, 1000, func() {})
+	e.Run()
 	if e.Now() != 1000 {
 		t.Fatalf("Now = %d, want 1000", e.Now())
 	}
@@ -84,35 +84,6 @@ func TestEngineScheduleAtNow(t *testing.T) {
 	}
 }
 
-// An event scheduled exactly at the RunUntilOrDrain bound must fire
-// during that call, and the clock must rest exactly on the bound.
-func TestEngineRunUntilOrDrainBoundary(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	h := e.Register(func() { fired = append(fired, e.Now()) })
-
-	e.Reschedule(h, 5000)
-	e.RunUntilOrDrain(5000)
-	if len(fired) != 1 || fired[0] != 5000 || e.Now() != 5000 {
-		t.Fatalf("boundary fire: fired=%v clock=%d, want [5000]/5000", fired, e.Now())
-	}
-
-	// An event one tick past the bound must NOT fire, and the clock must
-	// stop at the bound.
-	e.Reschedule(h, 6001)
-	e.RunUntilOrDrain(6000)
-	if len(fired) != 1 || e.Now() != 6000 {
-		t.Fatalf("past-bound: fired=%v clock=%d, want len 1/6000", fired, e.Now())
-	}
-	// Draining with nothing pending advances only to the phantom — the
-	// latest deadline ever scheduled (6001 here) — never to the bound.
-	e.Cancel(h)
-	e.RunUntilOrDrain(9000)
-	if e.Now() != 6001 {
-		t.Fatalf("empty drain: clock=%d, want phantom 6001", e.Now())
-	}
-}
-
 // pin registers n no-op handles scheduled at base+1, base+2, ...: enough
 // of them (n > initCap) grow the pending array past its initial capacity.
 func pin(e *Engine, n int, base Time) []Handle {
@@ -133,7 +104,7 @@ func TestEngineFarFutureCascade(t *testing.T) {
 		h := e.Register(func() { at = e.Now() })
 		e.Reschedule(h, d)
 		pin(e, 2*initCap, 2*d)
-		e.RunUntil(d)
+		e.RunEventsUntil(d)
 		if at != d {
 			t.Fatalf("delta %d: fired at %d, want %d", d, at, d)
 		}
@@ -200,9 +171,9 @@ func TestEngineTieOrderAcrossGrowth(t *testing.T) {
 	const deadline = Time(5_000_000)
 	e.Reschedule(a, deadline)
 	pin(e, 2*initCap, deadline/2)
-	e.RunUntil(deadline - 10) // the pins fire; only A stays pending
+	e.RunEventsUntil(deadline - 10) // the pins fire; only A stays pending
 	e.Reschedule(b, deadline)
-	e.RunUntil(deadline)
+	e.RunEventsUntil(deadline)
 
 	if len(log) != 2 || log[0] != 1 || log[1] != 2 {
 		t.Fatalf("tie order = %v, want [1 2] (seq order)", log)
@@ -218,7 +189,7 @@ func TestEngineRescheduleAcrossGrowth(t *testing.T) {
 	e.Reschedule(h, 1e9)
 	pins := pin(e, 2*initCap, 1e12)
 	e.Reschedule(h, 100) // moved to the front of the grown queue
-	e.RunUntil(200)
+	e.RunEventsUntil(200)
 	if len(fired) != 1 || fired[0] != 100 {
 		t.Fatalf("far-to-near: fired=%v, want [100]", fired)
 	}
@@ -226,7 +197,7 @@ func TestEngineRescheduleAcrossGrowth(t *testing.T) {
 	e.Reschedule(h, e.Now()+50)
 	e.Reschedule(h, e.Now()+1e9)
 	want := e.Now() + 1e9
-	e.RunUntil(want)
+	e.RunEventsUntil(want)
 	if len(fired) != 2 || fired[1] != want {
 		t.Fatalf("near-to-far: fired=%v, want second at %d", fired, want)
 	}
@@ -237,7 +208,7 @@ func TestEngineRescheduleAcrossGrowth(t *testing.T) {
 	for _, p := range pins[:len(pins)-18] {
 		e.Cancel(p)
 	}
-	e.RunUntil(e.Now() + 1e6)
+	e.RunEventsUntil(e.Now() + 1e6)
 	if !e.Scheduled(h) {
 		t.Fatal("h lost its pending firing while the pins were canceled")
 	}
@@ -246,7 +217,7 @@ func TestEngineRescheduleAcrossGrowth(t *testing.T) {
 	e.Reschedule(h, e.Now()+10)
 	pin(e, initCap, e.Now()+1e6)
 	e.Cancel(h)
-	e.RunUntil(e.Now() + 2e9)
+	e.RunEventsUntil(e.Now() + 2e9)
 	if len(fired) != 2 {
 		t.Fatalf("canceled event fired: %v", fired)
 	}

@@ -66,6 +66,10 @@ func TestEngineAfter(t *testing.T) {
 	}
 }
 
+// TestEngineRunUntil, TestEngineRunUntilBoundaryInclusive and
+// TestEngineRunUntilEqualTimestampOrder pin RunEventsUntil, the bounded
+// run fleet phases use: it fires every event due by the bound and leaves
+// the clock on the last event it fired.
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
@@ -73,12 +77,14 @@ func TestEngineRunUntil(t *testing.T) {
 		ts := ts
 		oneShot(e, ts, func() { fired = append(fired, ts) })
 	}
-	e.RunUntil(12)
+	if e.RunEventsUntil(12) {
+		t.Fatal("RunEventsUntil(12) reported a drain with events at 15 and 20 pending")
+	}
 	if len(fired) != 2 {
 		t.Fatalf("fired = %v, want events at 5 and 10", fired)
 	}
-	if e.Now() != 12 {
-		t.Fatalf("now = %d, want 12", e.Now())
+	if e.Now() != 10 {
+		t.Fatalf("now = %d, want the last fired event's 10", e.Now())
 	}
 	if e.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", e.Pending())
@@ -91,7 +97,7 @@ func TestEngineRunUntil(t *testing.T) {
 
 func TestEngineRunUntilBoundaryInclusive(t *testing.T) {
 	// Events at exactly t fire, and an event that an in-window event
-	// schedules AT the boundary also fires within the same RunUntil.
+	// schedules AT the boundary also fires within the same call.
 	e := NewEngine()
 	var fired []string
 	oneShot(e, 10, func() {
@@ -99,7 +105,10 @@ func TestEngineRunUntilBoundaryInclusive(t *testing.T) {
 		oneShot(e, 12, func() { fired = append(fired, "chained@12") })
 	})
 	oneShot(e, 12, func() { fired = append(fired, "b@12") })
-	e.RunUntil(12)
+	oneShot(e, 13, func() { fired = append(fired, "c@13") })
+	if e.RunEventsUntil(12) {
+		t.Fatal("RunEventsUntil(12) reported a drain with an event at 13 pending")
+	}
 	want := []string{"a", "b@12", "chained@12"}
 	if len(fired) != len(want) {
 		t.Fatalf("fired = %v, want %v", fired, want)
@@ -115,38 +124,32 @@ func TestEngineRunUntilBoundaryInclusive(t *testing.T) {
 }
 
 func TestEngineRunUntilEqualTimestampOrder(t *testing.T) {
-	// Equal-timestamp events split across two RunUntil calls keep
-	// scheduling order: none fires early, and the second call fires them
-	// exactly as scheduled.
+	// Equal-timestamp events split across two calls keep scheduling
+	// order: none fires early, the bound that fires nothing leaves the
+	// clock alone, and the second call fires them exactly as scheduled.
 	e := NewEngine()
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
 		oneShot(e, 20, func() { order = append(order, i) })
 	}
-	e.RunUntil(19)
+	e.RunEventsUntil(19)
 	if len(order) != 0 {
-		t.Fatalf("events at 20 fired during RunUntil(19): %v", order)
+		t.Fatalf("events at 20 fired during RunEventsUntil(19): %v", order)
 	}
-	if e.Now() != 19 {
-		t.Fatalf("now = %d, want 19", e.Now())
+	if e.Now() != 0 {
+		t.Fatalf("now = %d, want 0: a bound that fires nothing leaves no trace", e.Now())
 	}
-	e.RunUntil(20)
+	if !e.RunEventsUntil(20) {
+		t.Fatal("RunEventsUntil(20) did not drain")
+	}
+	if len(order) != 5 {
+		t.Fatalf("fired %v, want all five events at 20", order)
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-timestamp events fired out of order: %v", order)
 		}
-	}
-}
-
-func TestEngineRunUntilPast(t *testing.T) {
-	// RunUntil with t already passed runs nothing and never rewinds.
-	e := NewEngine()
-	oneShot(e, 50, func() {})
-	e.Run()
-	e.RunUntil(10)
-	if e.Now() != 50 {
-		t.Fatalf("clock rewound to %d", e.Now())
 	}
 }
 
@@ -300,46 +303,6 @@ func TestEngineMonotonicClockProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunUntilOrDrain(t *testing.T) {
-	// Drains below the deadline: clock must match Run exactly.
-	a, b := NewEngine(), NewEngine()
-	for _, e := range []*Engine{a, b} {
-		e := e
-		h := e.Register(func() {})
-		e.Reschedule(h, 100)
-		oneShotAfter(e, 250, func() { e.Reschedule(h, 400) })
-	}
-	a.Run()
-	b.RunUntilOrDrain(1_000_000)
-	if a.Now() != b.Now() {
-		t.Fatalf("drained clock %d != Run clock %d", b.Now(), a.Now())
-	}
-
-	// Cut off at the deadline: matches RunUntil.
-	d := NewEngine()
-	// Self-rescheduling event: unbounded stream analogue.
-	var dh Handle
-	dfired := 0
-	dh = d.Register(func() { dfired++; d.RescheduleAfter(dh, 10) })
-	d.Reschedule(dh, 10)
-	d.RunUntilOrDrain(105)
-	if dfired != 10 {
-		t.Fatalf("fired %d events before the deadline, want 10", dfired)
-	}
-	if d.Now() != 105 {
-		t.Fatalf("cut-off clock %d, want the deadline 105", d.Now())
-	}
-
-	// t <= 0 means no deadline.
-	e := NewEngine()
-	ran := false
-	oneShotAfter(e, 50, func() { ran = true })
-	e.RunUntilOrDrain(0)
-	if !ran || e.Now() != 50 {
-		t.Fatalf("t=0 must drain: ran=%v now=%d", ran, e.Now())
 	}
 }
 

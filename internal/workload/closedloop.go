@@ -20,7 +20,7 @@ type ClosedLoop struct {
 	// MeanThink is the mean exponential think time between a client's
 	// completion and its next request.
 	MeanThink sim.Time
-	// N caps total requests issued (<0: unbounded).
+	// N caps total requests issued (<= 0: none).
 	N int
 	// Seed makes the stream deterministic.
 	Seed int64
@@ -101,7 +101,7 @@ func (s *ClosedLoopSource) Exhausted() bool {
 	if len(s.heap) > 0 {
 		return false
 	}
-	if s.cfg.N >= 0 && s.spawned >= s.cfg.N {
+	if s.spawned >= s.cfg.N {
 		return true
 	}
 	return s.pulled == 0
@@ -109,7 +109,7 @@ func (s *ClosedLoopSource) Exhausted() bool {
 
 // spawn samples one client request arriving think-time after from.
 func (s *ClosedLoopSource) spawn(from sim.Time) {
-	if s.cfg.N >= 0 && s.spawned >= s.cfg.N {
+	if s.spawned >= s.cfg.N {
 		return
 	}
 	think := sim.Time(s.r.ExpFloat64() * float64(s.cfg.MeanThink))

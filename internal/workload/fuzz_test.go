@@ -91,16 +91,16 @@ func FuzzLoad(f *testing.F) {
 }
 
 // FuzzScenarioSource drives the validated scenario constructor with an
-// arbitrary scenario index, load, request cap n in [0, 512] (or -1,
-// unbounded, when nRaw is math.MaxUint16) and seed. Every input must
-// either be rejected or build a source that yields at most n requests
-// (at most 256 are pulled) with non-negative, non-decreasing arrivals and
-// distinct IDs (below n when bounded), issued in pull order by the
-// open-loop shapes. Completion-aware sources see each request complete at
-// its arrival. The seed corpus holds the loads that used to panic or spin
-// a source, two ordinary runs, accepted extremes that overflow the
-// simulated clock unless time arithmetic saturates, and unbounded closed
-// loops whose load would size a population of 2e6 or 2e301 clients.
+// arbitrary scenario index, load, request cap n in [0, 512] (or 1<<30
+// when nRaw is math.MaxUint16) and seed. Every input must either be
+// rejected or build a source that yields at most n requests (at most 256
+// are pulled) with non-negative, non-decreasing arrivals and distinct IDs
+// below n, issued in pull order by the open-loop shapes.
+// Completion-aware sources see each request complete at its arrival. The
+// seed corpus holds the loads that used to panic or spin a source, two
+// ordinary runs, accepted extremes that overflow the simulated clock
+// unless time arithmetic saturates, and closed loops of 1<<30 requests
+// whose load would size a population of 2e6 or 2e301 clients.
 func FuzzScenarioSource(f *testing.F) {
 	scs := Scenarios()
 	for i := range scs {
@@ -124,17 +124,14 @@ func FuzzScenarioSource(f *testing.F) {
 		sc := scs[int(idx)%len(scs)]
 		n := int(nRaw) % 513
 		if nRaw == math.MaxUint16 {
-			n = -1
+			n = 1 << 30
 		}
 		src, err := NewScenarioSource(sc.Name, Masstree(), load, n, seed)
 		if err != nil {
 			return
 		}
 		ca, closed := src.(CompletionAware)
-		pulls := 256
-		if n >= 0 {
-			pulls = min(n, 256)
-		}
+		pulls := min(n, 256)
 		seen := make(map[int]bool, pulls)
 		var prev int64
 		for k := 0; k < pulls; k++ {
@@ -145,7 +142,7 @@ func FuzzScenarioSource(f *testing.F) {
 			if req.Arrival < prev {
 				t.Fatalf("%s load %v: arrival %d after %d", sc.Name, load, req.Arrival, prev)
 			}
-			if req.ID < 0 || (n >= 0 && req.ID >= n) || seen[req.ID] || (!closed && req.ID != k) {
+			if req.ID < 0 || req.ID >= n || seen[req.ID] || (!closed && req.ID != k) {
 				t.Fatalf("%s load %v: request %d has ID %d", sc.Name, load, k, req.ID)
 			}
 			seen[req.ID] = true
@@ -154,7 +151,7 @@ func FuzzScenarioSource(f *testing.F) {
 				ca.OnCompletion(req.Arrival)
 			}
 		}
-		if n >= 0 && n <= 256 {
+		if n <= 256 {
 			if _, ok := src.Next(); ok {
 				t.Fatalf("%s load %v: more than n = %d requests", sc.Name, load, n)
 			}

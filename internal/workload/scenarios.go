@@ -20,17 +20,15 @@ type Scenario struct {
 	// Description is a one-line summary for listings.
 	Description string
 	// New builds the scenario source. load is the mean fraction of the
-	// app's nominal-frequency capacity; n caps total requests (<0:
-	// unbounded where the shape allows it).
+	// app's nominal-frequency capacity; n caps total requests (n <= 0
+	// streams nothing). NewScenarioSource validates the arguments first.
 	New func(app LCApp, load float64, n int, seed int64) Source
 }
 
-// expectedDur estimates the run length of n requests at a mean load.
+// expectedDur estimates the run length of n requests at a mean load; a
+// negative n, an empty stream, takes no time.
 func expectedDur(app LCApp, load float64, n int) sim.Time {
-	if n < 0 {
-		n = app.Requests
-	}
-	return sim.Time(float64(n) / app.RateForLoad(load) * 1e9)
+	return sim.Time(float64(max(n, 0)) / app.RateForLoad(load) * 1e9)
 }
 
 // meanGap returns the mean interarrival time at the target load.
@@ -110,16 +108,12 @@ func Scenarios() []Scenario {
 				// dominates response time, so Clients = load*think/meanService
 				// offers the target load. think = 20x mean service keeps the
 				// approximation honest at moderate loads. Clients beyond the
-				// request cap n could never issue a request; an unbounded
-				// run is capped at app.Requests, the run length
-				// NewScenarioSource checks it against, so no load sizes an
-				// unbounded population or overflows the conversion.
+				// request cap n could never issue a request, and the
+				// population is also capped at the app's run length
+				// app.Requests, so neither a huge load nor a huge n sizes a
+				// population that is all allocated up front.
 				think := sim.Time(20 * app.MeanServiceNsAtNominal())
-				limit := n
-				if limit < 0 {
-					limit = app.Requests
-				}
-				clients := max(int(min(load*20+0.5, float64(limit))), 1)
+				clients := max(int(min(load*20+0.5, float64(min(n, app.Requests)))), 1)
 				return ClosedLoop{
 					App:       app,
 					Clients:   clients,
@@ -159,16 +153,18 @@ func ScenarioByName(name string) (Scenario, error) {
 }
 
 // NewScenarioSource builds the named scenario's source for app at a mean
-// load fraction, capped at n requests (n < 0: unbounded where the shape
-// allows), deterministically per seed. It rejects a load that is not
-// finite and positive, or whose mean gap or expected run of n requests
-// (app.Requests when n < 0) does not fit in sim.Time: the shapes derive
-// their episode lengths from both, and an overflowed length would panic
-// or spin the arrival process.
+// load fraction, capped at n requests, deterministically per seed. It
+// rejects a negative n, and a load that is not finite and positive or
+// whose mean gap or expected run of n requests does not fit in sim.Time:
+// the shapes derive their episode lengths from both, and an overflowed
+// length would panic or spin the arrival process.
 func NewScenarioSource(name string, app LCApp, load float64, n int, seed int64) (Source, error) {
 	sc, err := ScenarioByName(name)
 	if err != nil {
 		return nil, err
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("workload: scenario %s needs a non-negative request count, got %d", name, n)
 	}
 	if !(load > 0) || math.IsInf(load, 1) {
 		return nil, fmt.Errorf("workload: scenario %s needs a finite positive load, got %v", name, load)
@@ -176,11 +172,7 @@ func NewScenarioSource(name string, app LCApp, load float64, n int, seed int64) 
 	// The float forms of meanGap and expectedDur, checked before they
 	// are converted.
 	rate := app.RateForLoad(load)
-	runN := n
-	if runN < 0 {
-		runN = app.Requests
-	}
-	gap, run := 1e9/rate, float64(runN)/rate*1e9
+	gap, run := 1e9/rate, float64(n)/rate*1e9
 	if !(gap < math.MaxInt64 && run < math.MaxInt64) {
 		return nil, fmt.Errorf("workload: load %v is too low for scenario %s: mean gap %.3g ns, expected run %.3g ns overflow the simulated clock",
 			load, name, gap, run)

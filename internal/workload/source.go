@@ -27,8 +27,8 @@ type Source interface {
 	// Next returns the next request, or ok=false when exhausted.
 	Next() (req Request, ok bool)
 	// Len returns the number of requests remaining, or -1 when unknown
-	// (unbounded or feedback-driven streams). Consumers use it only as a
-	// capacity hint.
+	// (feedback-driven streams). Consumers use it only as a capacity
+	// hint.
 	Len() int
 	// Reset rewinds the source to the start of its sequence.
 	Reset()
@@ -95,7 +95,7 @@ func (s *TraceSource) Reset() { s.next = 0 }
 type GenSource struct {
 	app      LCApp
 	arrivals ArrivalProcess
-	n        int // <0 = unbounded
+	n        int
 	seed     int64
 
 	r      *rand.Rand
@@ -103,11 +103,11 @@ type GenSource struct {
 	now    sim.Time
 }
 
-// NewGenSource streams n requests (n < 0: unbounded) for app under the
-// arrival process, deterministically per seed. Stateful arrival processes
-// (e.g. *MMPP) must not be shared between live sources.
+// NewGenSource streams n requests for app under the arrival process,
+// deterministically per seed; n <= 0 streams nothing. Stateful arrival
+// processes (e.g. *MMPP) must not be shared between live sources.
 func NewGenSource(app LCApp, arrivals ArrivalProcess, n int, seed int64) *GenSource {
-	s := &GenSource{app: app, arrivals: arrivals, n: n, seed: seed}
+	s := &GenSource{app: app, arrivals: arrivals, n: max(n, 0), seed: seed}
 	s.Reset()
 	return s
 }
@@ -120,7 +120,7 @@ func NewLoadSource(app LCApp, load float64, n int, seed int64) *GenSource {
 
 // Next samples the next arrival gap and request work.
 func (s *GenSource) Next() (Request, bool) {
-	if s.n >= 0 && s.issued >= s.n {
+	if s.issued >= s.n {
 		return Request{}, false
 	}
 	s.now = sim.AddSpan(s.now, s.arrivals.NextGap(s.r, s.now))
@@ -130,13 +130,8 @@ func (s *GenSource) Next() (Request, bool) {
 	return req, true
 }
 
-// Len returns the remaining request count, or -1 when unbounded.
-func (s *GenSource) Len() int {
-	if s.n < 0 {
-		return -1
-	}
-	return s.n - s.issued
-}
+// Len returns the remaining request count.
+func (s *GenSource) Len() int { return s.n - s.issued }
 
 // Reset rewinds the generator (and a stateful arrival process) to the
 // start of its deterministic sequence.
@@ -152,8 +147,9 @@ func (s *GenSource) Reset() {
 // Materialize drains up to n requests (n < 0: until exhaustion) from a
 // source into a Trace, for consumers that need random access (oracle
 // replays, JSON export). It is the inverse bridge of NewTraceSource.
-// Draining a source of unknown length (Len() < 0) requires an explicit
-// cap: n < 0 there would materialize forever.
+// Draining a source of unknown length (Len() < 0: a closed-loop
+// population, whose stream depends on completion feedback a drain never
+// gives) requires an explicit cap.
 func Materialize(app string, seed int64, src Source, n int) (Trace, error) {
 	if n < 0 && src.Len() < 0 {
 		return Trace{}, fmt.Errorf("workload: materializing a source of unknown length needs an explicit request cap")

@@ -99,14 +99,14 @@ func TestGenSourceLen(t *testing.T) {
 	if src.Len() != 9 {
 		t.Fatalf("Len after pull %d, want 9", src.Len())
 	}
-	unbounded := NewLoadSource(app, 0.5, -1, 1)
-	if unbounded.Len() != -1 {
-		t.Fatalf("unbounded Len %d, want -1", unbounded.Len())
+	// A negative count streams nothing, as GenerateAtLoad materializes
+	// nothing.
+	empty := NewLoadSource(app, 0.5, -1, 1)
+	if empty.Len() != 0 {
+		t.Fatalf("n=-1 Len %d, want 0", empty.Len())
 	}
-	for i := 0; i < 100; i++ {
-		if _, ok := unbounded.Next(); !ok {
-			t.Fatal("unbounded source ended")
-		}
+	if req, ok := empty.Next(); ok {
+		t.Fatalf("n=-1 source streamed %+v", req)
 	}
 }
 
@@ -453,14 +453,16 @@ func TestMaterialize(t *testing.T) {
 	if !reflect.DeepEqual(capped.Requests, want.Requests[:100]) {
 		t.Fatal("Materialize cap broken")
 	}
-	// Uncapped drain of an unknown-length source must fail fast, not
-	// materialize forever.
-	if _, err := Materialize(app.Name, 1, NewLoadSource(app, 0.5, -1, 1), -1); err == nil {
-		t.Fatal("unbounded Materialize accepted")
+	// An uncapped drain of an unknown-length source must fail fast.
+	closed := func() Source {
+		return ClosedLoop{App: app, Clients: 2, MeanThink: sim.Millisecond, N: 50, Seed: 1}.NewSource()
+	}
+	if _, err := Materialize(app.Name, 1, closed(), -1); err == nil {
+		t.Fatal("uncapped Materialize of an unknown-length source accepted")
 	}
 	var buf bytes.Buffer
-	if _, err := WriteJSONL(&buf, app.Name, 1, NewLoadSource(app, 0.5, -1, 1), -1); err == nil {
-		t.Fatal("unbounded WriteJSONL accepted")
+	if _, err := WriteJSONL(&buf, app.Name, 1, closed(), -1); err == nil {
+		t.Fatal("uncapped WriteJSONL of an unknown-length source accepted")
 	}
 }
 

@@ -39,14 +39,12 @@ type Trace struct {
 
 // Generate builds a trace of n requests for app using the given arrival
 // process and seed: the sequence NewGenSource streams, materialized. It
-// is fully deterministic. A materialized trace cannot be unbounded, so
-// n <= 0 gives an empty trace (stream an unbounded run from a Source
-// instead). Like the source, Generate rewinds a stateful arrival process
-// (an *MMPP) to its start, so one that already drove another run would
-// restart; no caller passes one.
+// is fully deterministic; n <= 0 gives an empty trace. Like the source,
+// Generate rewinds a stateful arrival process (an *MMPP) to its start, so
+// one that already drove another run would restart; no caller passes one.
 func Generate(app LCApp, arrivals ArrivalProcess, n int, seed int64) Trace {
-	// A bounded source has a known length, which Materialize never rejects.
-	tr, _ := Materialize(app.Name, seed, NewGenSource(app, arrivals, max(n, 0), seed), -1)
+	// A generator has a known length, which Materialize never rejects.
+	tr, _ := Materialize(app.Name, seed, NewGenSource(app, arrivals, n, seed), -1)
 	return tr
 }
 

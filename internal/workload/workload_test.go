@@ -223,8 +223,7 @@ func TestGenerateTraceDeterministic(t *testing.T) {
 	if same {
 		t.Fatal("different seeds produced identical traces")
 	}
-	// A materialized trace cannot be unbounded: n <= 0 is empty, where a
-	// Source would stream forever at n < 0.
+	// n <= 0 gives an empty trace.
 	for _, n := range []int{0, -1} {
 		if tr := GenerateAtLoad(app, 0.5, n, 99); len(tr.Requests) != 0 {
 			t.Fatalf("n=%d trace has %d requests, want 0", n, len(tr.Requests))

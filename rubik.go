@@ -26,11 +26,12 @@
 // clients, and because nothing on the streaming path materializes a
 // trace, runs of tens of millions of requests use constant memory
 // (ServerConfig.DropCompletions folds per-request records into a
-// fixed-size latency histogram). A materialized Trace is just one
-// Source: TraceSource(GenerateTrace(...)) replays byte-identically to
-// StreamTrace with the same arguments. Power capping is set through the
-// CapW and Allocator fields of the cluster and fleet configurations, not
-// through a separate entry point.
+// fixed-size latency histogram). Every source is finite: a run ends
+// when its source drains and its queues empty. A materialized Trace is
+// just one Source: TraceSource(GenerateTrace(...)) replays
+// byte-identically to StreamTrace with the same arguments. Power capping
+// is set through the CapW and Allocator fields of the cluster and fleet
+// configurations, not through a separate entry point.
 //
 // # Quick start
 //
@@ -163,7 +164,7 @@ type (
 	// LevelStats is one level's grant statistics within HierarchyStats.
 	LevelStats = capping.LevelStats
 	// Time is a simulated timestamp or duration in nanoseconds
-	// (FleetConfig.Epoch, ServerConfig.Deadline).
+	// (FleetConfig.Epoch, ServerConfig.TransitionLatency).
 	Time = sim.Time
 )
 
@@ -196,16 +197,15 @@ func DefaultServerConfig() ServerConfig { return queueing.DefaultConfig() }
 
 // GenerateTrace builds a Poisson request trace at a fraction of the app's
 // nominal-frequency capacity (1.0 = the maximum rate at 2.4 GHz). n <= 0
-// gives an empty trace: only StreamTrace can be unbounded.
+// gives an empty trace.
 func GenerateTrace(app App, load float64, n int, seed int64) Trace {
 	return workload.GenerateAtLoad(app, load, n, seed)
 }
 
 // StreamTrace returns the streaming equivalent of GenerateTrace: a
 // Poisson source yielding the byte-identical request sequence for the
-// same arguments, one request at a time. n < 0 streams forever — bound
-// such runs with ServerConfig.Deadline (and DropCompletions for
-// constant memory).
+// same arguments, one request at a time. n <= 0 streams nothing; pair a
+// long stream with ServerConfig.DropCompletions for constant memory.
 func StreamTrace(app App, load float64, n int, seed int64) Source {
 	return workload.NewLoadSource(app, load, n, seed)
 }
@@ -221,9 +221,9 @@ func Scenarios() []Scenario { return workload.Scenarios() }
 func ScenarioByName(name string) (Scenario, error) { return workload.ScenarioByName(name) }
 
 // NewScenarioSource builds the named scenario's source for app at a mean
-// load fraction, capped at n requests (n < 0: unbounded where the shape
-// allows), deterministically per seed. A load that is not finite and
-// positive, or too low for the simulated clock, is an error.
+// load fraction, capped at n requests, deterministically per seed. A
+// negative n, or a load that is not finite and positive or too low for
+// the simulated clock, is an error.
 func NewScenarioSource(name string, app App, load float64, n int, seed int64) (Source, error) {
 	return workload.NewScenarioSource(name, app, load, n, seed)
 }
@@ -262,10 +262,10 @@ func Fixed(mhz int) Policy { return queueing.FixedPolicy{MHz: mhz} }
 
 // Simulate streams a source through a policy on one simulated core
 // configured by cfg (DefaultServerConfig is the paper's core). Replay a
-// materialized trace with TraceSource; for constant-memory runs of
-// unbounded streams set cfg.DropCompletions and bound them with
-// cfg.Deadline. cfg is validated first: an empty grid, an off-grid
-// InitialMHz or a non-physical power model is an error.
+// materialized trace with TraceSource; for constant-memory runs of long
+// streams set cfg.DropCompletions. The run ends when the source drains
+// and the core's queue empties. cfg is validated first: an empty grid,
+// an off-grid InitialMHz or a non-physical power model is an error.
 func Simulate(src Source, p Policy, cfg ServerConfig) (Result, error) {
 	return queueing.RunSource(src, p, cfg)
 }
@@ -379,6 +379,8 @@ func LeastWorkDispatcher() Dispatcher { return cluster.NewLeastWork() }
 
 // StaticOracleMHz returns the lowest static frequency whose replay of the
 // trace meets the bound (paper Sec. 5.2), and whether any frequency does.
+// An empty trace, or a bound that is not finite and positive, is an
+// error.
 func StaticOracleMHz(tr Trace, boundNs float64) (mhz int, feasible bool, err error) {
 	res, err := policy.StaticOracle(tr, cpu.DefaultGrid(), boundNs, TailPercentile, policy.DefaultReplayConfig())
 	if err != nil {

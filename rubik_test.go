@@ -148,58 +148,76 @@ func TestFacadeValidate(t *testing.T) {
 	}
 }
 
-// TestFacadeNegativeDeadlineRejected pins the termination guard for
-// unbounded sources: the run loops read a non-positive Deadline as "run
-// to drain", so a negative one used to run an unbounded stream forever.
-// Every Simulate* entry point must reject it up front.
-func TestFacadeNegativeDeadlineRejected(t *testing.T) {
+// TestFacadeRunsReturnOnNegativeN pins that every run ends when its
+// source drains: a negative request count streams nothing (StreamTrace,
+// ClosedLoop) or is rejected (NewScenarioSource), so each Simulate* entry
+// point returns promptly instead of running an endless stream.
+func TestFacadeRunsReturnOnNegativeN(t *testing.T) {
 	app, err := rubik.AppByName("masstree")
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbounded := func() rubik.Source {
-		src, err := rubik.NewScenarioSource("poisson", app, 0.5, -1, 1)
-		if err != nil {
-			t.Error(err)
-		}
-		return src
+	if _, err := rubik.NewScenarioSource("poisson", app, 0.5, -1, 1); err == nil {
+		t.Error("NewScenarioSource accepted n = -1")
+	}
+	sources := []struct {
+		name string
+		new  func() rubik.Source
+	}{
+		{"StreamTrace", func() rubik.Source { return rubik.StreamTrace(app, 0.5, -1, 1) }},
+		{"ClosedLoop", func() rubik.Source {
+			return rubik.ClosedLoop{App: app, Clients: 4, MeanThink: rubik.Time(1e6), N: -1, Seed: 1}.NewSource()
+		}},
 	}
 	cfg := rubik.DefaultServerConfig()
-	cfg.Deadline = -1
 	cfg.DropCompletions = true // constant memory should a run not stop
 	fixed := func(int) (rubik.Policy, error) { return rubik.Fixed(rubik.NominalMHz), nil }
-	runs := []struct {
-		name string
-		run  func() error
-	}{
-		{"Simulate", func() error {
-			_, err := rubik.Simulate(unbounded(), rubik.Fixed(rubik.NominalMHz), cfg)
-			return err
-		}},
-		{"SimulateCluster", func() error {
-			cc := rubik.NewCluster(2, nil, fixed)
-			cc.Core = cfg
-			_, err := rubik.SimulateCluster(unbounded(), cc)
-			return err
-		}},
-		{"SimulateFleet", func() error {
-			fc := rubik.NewFleet(2, 2, func(int) rubik.Source { return unbounded() },
-				func(int, int) (rubik.Policy, error) { return fixed(0) })
-			fc.Core, fc.Shards = cfg, 1
-			_, err := rubik.SimulateFleet(fc)
-			return err
-		}},
-	}
-	for _, r := range runs {
-		done := make(chan error, 1)
-		go func() { done <- r.run() }()
-		select {
-		case err := <-done:
-			if err == nil {
-				t.Errorf("%s accepted a negative Deadline", r.name)
+	for _, src := range sources {
+		runs := []struct {
+			name string
+			run  func() (int, error)
+		}{
+			{"Simulate", func() (int, error) {
+				res, err := rubik.Simulate(src.new(), rubik.Fixed(rubik.NominalMHz), cfg)
+				return res.Served, err
+			}},
+			{"SimulateCluster", func() (int, error) {
+				cc := rubik.NewCluster(2, nil, fixed)
+				cc.Core = cfg
+				res, err := rubik.SimulateCluster(src.new(), cc)
+				return res.Served(), err
+			}},
+			{"SimulateFleet", func() (int, error) {
+				fc := rubik.NewFleet(2, 2, func(int) rubik.Source { return src.new() },
+					func(int, int) (rubik.Policy, error) { return fixed(0) })
+				fc.Core, fc.Shards = cfg, 1
+				res, err := rubik.SimulateFleet(fc)
+				served := 0
+				for _, s := range res.Sockets {
+					served += s.Served()
+				}
+				return served, err
+			}},
+		}
+		for _, r := range runs {
+			type outcome struct {
+				served int
+				err    error
 			}
-		case <-time.After(10 * time.Second):
-			t.Errorf("%s with a negative Deadline still running after 10 s", r.name)
+			done := make(chan outcome, 1)
+			go func() {
+				served, err := r.run()
+				done <- outcome{served, err}
+			}()
+			select {
+			case o := <-done:
+				if o.err != nil || o.served != 0 {
+					t.Errorf("%s of a %s source with n = -1: served %d, err %v; want an empty run",
+						r.name, src.name, o.served, o.err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Errorf("%s of a %s source with n = -1 still running after 10 s", r.name, src.name)
+			}
 		}
 	}
 }
@@ -311,8 +329,8 @@ func TestFacadeStreaming(t *testing.T) {
 // must be rejected, and ordinary and huge loads, whose sources must build
 // and stream. Each case runs under a deadline, so a source that spins
 // fails the test instead of hanging it, and under a memory bound, so a
-// source sized by its load (an unbounded closed loop of load·20 clients)
-// fails it instead of allocating without limit.
+// source sized by its load (a closed loop of load·20 clients, capped by
+// a huge n) fails it instead of allocating without limit.
 func TestFacadeScenarioLoads(t *testing.T) {
 	app, err := rubik.AppByName("masstree")
 	if err != nil {
@@ -326,7 +344,7 @@ func TestFacadeScenarioLoads(t *testing.T) {
 			ok   bool
 		}{
 			{0, 200, false}, {-0.5, 200, false}, {math.NaN(), 200, false}, {math.Inf(1), 200, false}, {1e-300, 200, false},
-			{0.1, 200, true}, {4.2, 200, true}, {1e5, -1, true}, {1e300, -1, true},
+			{0.1, 200, true}, {4.2, 200, true}, {1e5, 1 << 30, true}, {1e300, 1 << 30, true},
 		} {
 			done := make(chan error, 1)
 			go func() {
