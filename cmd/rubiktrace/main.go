@@ -4,18 +4,19 @@
 //
 // Usage:
 //
-//	rubiktrace -gen -app masstree -load 0.4 -n 9000 -seed 7 -out m40.json
-//	rubiktrace -gen -scenario diurnal -app xapian -n 100000 -jsonl -out d.jsonl
-//	rubiktrace -describe m40.json
+//	rubiktrace -gen -app masstree -load 0.4 -n 9000 -seed 7 -out m40.jsonl
+//	rubiktrace -gen -scenario diurnal -app xapian -n 100000 -out d.jsonl
+//	rubiktrace -describe m40.jsonl
 //	rubiktrace -apps
 //	rubiktrace -scenarios
 //
-// With -scenario the requests come from the named entry of the scenario
-// registry (bursty MMPP, diurnal sinusoid, flash crowd, closed-loop
-// clients, heavy-tailed/correlated slowdowns, ...). With -jsonl the
-// output is JSON Lines — a metadata header then one request per line —
-// streamed straight from the scenario source, so arbitrarily long
-// exports run in constant memory. -describe reads both formats.
+// -gen writes JSON Lines — a metadata header then one request per line —
+// streamed straight from the source, so arbitrarily long exports run in
+// constant memory. With -scenario the requests come from the named entry
+// of the scenario registry (bursty MMPP, diurnal sinusoid, flash crowd,
+// closed-loop clients, heavy-tailed/correlated slowdowns, ...); a
+// closed-loop export holds only its open-loop prefix. -describe also
+// reads legacy single-object JSON traces.
 package main
 
 import (
@@ -31,7 +32,7 @@ import (
 func main() {
 	var (
 		gen       = flag.Bool("gen", false, "generate a trace")
-		describe  = flag.String("describe", "", "summarize a saved trace file")
+		describe  = flag.String("describe", "", "summarize a trace file")
 		listApps  = flag.Bool("apps", false, "list available application models")
 		listScens = flag.Bool("scenarios", false, "list available scenario shapes")
 		appName   = flag.String("app", "masstree", "application model")
@@ -39,7 +40,6 @@ func main() {
 		load      = flag.Float64("load", 0.5, "load fraction of nominal capacity")
 		n         = flag.Int("n", 0, "requests (0 = the app's Table 3 count)")
 		seed      = flag.Int64("seed", 1, "random seed")
-		jsonl     = flag.Bool("jsonl", false, "write JSON Lines (header + one request per line, streamed)")
 		out       = flag.String("out", "", "output file (default stdout)")
 	)
 	flag.Parse()
@@ -77,34 +77,23 @@ func main() {
 			fatal(err)
 		}
 		w := io.Writer(os.Stdout)
+		var f *os.File
 		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
+			if f, err = os.Create(*out); err != nil {
 				fatal(err)
 			}
-			defer f.Close()
 			w = f
 		}
-		if *jsonl {
-			// Streamed: one request in memory at a time.
-			written, err := workload.WriteJSONL(w, srcName, *seed, src, count)
-			if err != nil {
-				fatal(err)
-			}
-			warnShort(written, count)
-			return
-		}
-		tr, err := workload.Materialize(srcName, *seed, src, count)
+		written, err := workload.WriteJSONL(w, srcName, *seed, src)
 		if err != nil {
 			fatal(err)
 		}
-		if err := tr.Save(w); err != nil {
-			fatal(err)
+		if f != nil {
+			if err := f.Close(); err != nil {
+				fatal(err)
+			}
 		}
-		warnShort(len(tr.Requests), count)
-		if *out != "" {
-			printStats(tr)
-		}
+		warnShort(written, count)
 	case *describe != "":
 		f, err := os.Open(*describe)
 		if err != nil {

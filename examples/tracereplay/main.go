@@ -1,9 +1,9 @@
 // Tracereplay: the paper's trace-driven methodology (Sec. 5.3) as a
-// library workflow — capture a request trace once, persist it as JSON, and
-// replay the identical trace under every scheme so comparisons are
-// apples-to-apples. Prints the oracle hierarchy: DynamicOracle (per-request
-// frequencies, clairvoyant) <= AdrenalineOracle (two frequencies, oracular
-// request classes) <= StaticOracle (one frequency).
+// library workflow — capture a request trace once, persist it as JSON
+// Lines, and replay the identical trace under every scheme so comparisons
+// are apples-to-apples. Prints the oracle hierarchy: DynamicOracle
+// (per-request frequencies, clairvoyant) <= AdrenalineOracle (two
+// frequencies, oracular request classes) <= StaticOracle (one frequency).
 package main
 
 import (
@@ -29,12 +29,12 @@ func main() {
 	trace := rubik.GenerateTrace(app, 0.4, 8000, 21)
 
 	// Persist and reload the trace (validates on load).
-	path := filepath.Join(os.TempDir(), "specjbb-40.trace.json")
+	path := filepath.Join(os.TempDir(), "specjbb-40.trace.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := trace.Save(f); err != nil {
+	if _, err := workload.WriteJSONL(f, trace.App, trace.Seed, rubik.TraceSource(trace)); err != nil {
 		log.Fatal(err)
 	}
 	f.Close()

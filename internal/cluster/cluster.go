@@ -271,7 +271,6 @@ type socketSim struct {
 	eng     *sim.Engine
 	cfg     Config
 	cores   []*queueing.Core
-	feed    *queueing.Feeder
 	capped  *domainCtl
 	routed  []int
 	pickErr error
@@ -318,7 +317,7 @@ func newSocketSim(src workload.Source, cfg Config) (*socketSim, error) {
 		routed: make([]int, cfg.Cores),
 	}
 	states := make([]CoreState, cfg.Cores)
-	s.feed = queueing.NewSourceFeeder(eng, src, func(req workload.Request) {
+	feed := queueing.NewSourceFeeder(eng, src, func(req workload.Request) {
 		// O(cores) per arrival: Accrue is O(1) (head progress only) and the
 		// queue-length/pending-work counters are maintained incrementally
 		// by each Core, so no core's queue is rescanned here.
@@ -345,21 +344,17 @@ func newSocketSim(src workload.Source, cfg Config) (*socketSim, error) {
 		s.routed[i]++
 		cores[i].Enqueue(req)
 	})
-	_, aware := src.(workload.CompletionAware)
-	for i, c := range cores {
-		var h queueing.Hooks
-		if capped != nil {
+	if capped != nil {
+		for i, c := range cores {
 			slack, _ := policies[i].(queueing.SlackReporter)
-			h.Grant = func(desired int, v queueing.View) int { return capped.decide(i, desired, slack, v) }
+			c.SetHooks(queueing.Hooks{Grant: func(desired int, v queueing.View) int {
+				return capped.decide(i, desired, slack, v)
+			}})
 		}
-		if aware {
-			h.Completion = func(comp queueing.Completion) { s.feed.NotifyCompletion(comp.Done) }
-		}
-		c.SetHooks(h)
 	}
-	s.feed.Start()
+	feed.Start()
 	for _, c := range cores {
-		c.StartTicks(func() bool { return s.feed.Remaining() > 0 })
+		c.Start(feed)
 	}
 	return s, nil
 }
@@ -390,7 +385,7 @@ func (s *socketSim) result() (Result, error) {
 // picks. Nothing materializes the stream, so a 10M-request scenario run
 // needs memory for the queue depths, not the request count (pair with
 // Core.DropCompletions). Completion-aware sources (closed-loop clients)
-// receive every core's completions.
+// receive every core's completions through the feeder.
 func RunSource(src workload.Source, cfg Config) (Result, error) {
 	s, err := newSocketSim(src, cfg)
 	if err != nil {

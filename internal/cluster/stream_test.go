@@ -86,16 +86,16 @@ func (p *tickProbe) TickEvery() sim.Time        { return p.every }
 // TestClosedLoopKeepsTickersAlive regresses the shared-feeder lifecycle
 // bug: with a closed-loop source, the feeder's lookahead is frequently
 // empty while every request is in flight, and an idle core's policy tick
-// firing in that window used to terminate permanently (Remaining()==0).
-// Remaining now keeps reporting more until the source is Exhausted, so
-// every core's ticker must survive to the end of the run.
+// firing in that window used to terminate permanently. Feeder.More
+// keeps reporting more until the source is Exhausted, so every core's
+// ticker must survive to the end of the run.
 func TestClosedLoopKeepsTickersAlive(t *testing.T) {
 	app := workload.Masstree()
 	cl := workload.ClosedLoop{
 		App:     app,
 		Clients: 2, // fewer clients than cores, short think: the spare
 		// core is idle while every client is in flight, exactly the
-		// window where its tick used to see Remaining()==0 and die.
+		// window where its tick used to see no more arrivals and die.
 		MeanThink: sim.Time(0.2 * app.MeanServiceNsAtNominal()),
 		N:         2000,
 		Seed:      6,

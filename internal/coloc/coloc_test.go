@@ -190,13 +190,45 @@ func TestRunCoreValidation(t *testing.T) {
 		t.Fatal("off-grid initial frequency must error")
 	}
 	cfg = valid()
-	cfg.Source = workload.ClosedLoop{App: workload.Masstree(), Clients: 2, MeanThink: sim.Millisecond, N: 20, Seed: 1}.NewSource()
-	if _, err := RunCore(cfg); err == nil {
-		t.Fatal("source of unknown length must error")
-	}
 	cfg.Source = nil
 	if _, err := RunCore(cfg); err == nil {
 		t.Fatal("missing source must error")
+	}
+}
+
+// TestRunCoreClosedLoop serves closed-loop clients on a colocated core
+// under a ticking LC policy: the core feeds every completion back, so
+// the population issues all N requests, never more than Clients at once,
+// and the ticks stop once the source is exhausted.
+func TestRunCoreClosedLoop(t *testing.T) {
+	app := workload.Masstree()
+	cl := workload.ClosedLoop{App: app, Clients: 4, MeanThink: sim.Time(10 * app.MeanServiceNsAtNominal()), N: 300, Seed: 3}
+	res, err := RunCore(CoreConfig{
+		App: app, Batch: mustBatch(t, "gcc"), Source: cl.NewSource(),
+		LCPolicy: &lcTicker{mhz: cpu.NominalMHz},
+		Grid:     cpu.DefaultGrid(), Power: cpu.DefaultPowerModel(),
+		Interference: DefaultInterference(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Completions) != cl.N {
+		t.Fatalf("served %d of %d closed-loop requests", len(res.Completions), cl.N)
+	}
+	seen := make([]bool, cl.N)
+	for _, c := range res.Completions {
+		if c.ID < 0 || c.ID >= cl.N || seen[c.ID] {
+			t.Fatalf("request ID %d repeated or out of range", c.ID)
+		}
+		seen[c.ID] = true
+		if c.QueueLenAtArrival >= cl.Clients {
+			t.Fatalf("request %d found %d in system with %d clients", c.ID, c.QueueLenAtArrival, cl.Clients)
+		}
+	}
+	// One more tick at most sees the exhausted source and stops.
+	last := res.Completions[len(res.Completions)-1].Done
+	if tick := (&lcTicker{}).TickEvery(); res.EndTime > last+tick {
+		t.Fatalf("run ended at %d, over a tick after the last completion at %d", res.EndTime, last)
 	}
 }
 

@@ -18,10 +18,10 @@ type CoreConfig struct {
 	App   workload.LCApp
 	Batch workload.BatchApp
 	// Source streams the LC requests: any scenario source (bursty,
-	// diurnal, flash-crowd, modulated) without materializing it, or a
-	// materialized trace through workload.NewTraceSource. The run drains
-	// the stream, so a missing source or one of unknown length (Len() < 0:
-	// closed-loop populations) is an error.
+	// diurnal, flash-crowd, closed-loop clients fed the core's
+	// completions, modulated) without materializing it, or a materialized
+	// trace through workload.NewTraceSource. The run drains the stream; a
+	// missing source is an error.
 	Source workload.Source
 	// LCPolicy decides LC frequencies. It is nil only on the cores of
 	// RunHWServer, whose server-level allocator (HW-T / HW-TPW) sets every
@@ -91,16 +91,12 @@ func newCore(eng *sim.Engine, cfg CoreConfig) (*core, error) {
 	if src == nil {
 		return nil, fmt.Errorf("coloc: no LC request source")
 	}
-	expected := src.Len()
-	if expected < 0 {
-		return nil, fmt.Errorf("coloc: LC source of unknown length %d: a colocated run drains its stream", expected)
-	}
 	qc, err := queueing.NewCore(eng, cfg.LCPolicy, queueing.Config{
 		Grid:              cfg.Grid,
 		Power:             cfg.Power,
 		TransitionLatency: cfg.TransitionLatency,
 		InitialMHz:        cfg.InitialMHz,
-		ExpectedRequests:  expected,
+		ExpectedRequests:  src.Len(),
 		// No WakeLatency: the core never sleeps — batch work keeps it busy,
 		// and the resume cost is the interference model's preemption
 		// latency instead.
@@ -130,7 +126,7 @@ func newCore(eng *sim.Engine, cfg CoreConfig) (*core, error) {
 // start schedules the first arrival and policy tick.
 func (c *core) start() {
 	c.feed.Start()
-	c.qc.StartTicks(func() bool { return c.feed.Remaining() > 0 })
+	c.qc.Start(c.feed)
 	c.occupancyStart = c.eng.Now()
 	if c.cfg.LCPolicy != nil {
 		c.qc.ApplyFreq(c.cfg.BatchMHz)
@@ -187,7 +183,7 @@ func (c *core) queueLen() int { return c.qc.QueueLen() }
 
 // drained reports whether all LC requests completed.
 func (c *core) drained() bool {
-	return c.feed.Remaining() == 0 && c.qc.QueueLen() == 0
+	return !c.feed.More() && c.qc.QueueLen() == 0
 }
 
 // result finalizes the core's accounting into a CoreResult. The LC side

@@ -62,19 +62,14 @@ type Hooks struct {
 	// cluster reconciles the desire with its power domain; coloc returns
 	// 0 while the LC queue is empty, since batch then owns the frequency.
 	Grant func(desiredMHz int, v View) int
-	// Completion fires after a completion is recorded (and after a
-	// CompletionObserver policy sees it), before the next request starts
-	// service. RunSource uses it to feed completions back to closed-loop
-	// sources.
-	Completion func(c Completion)
 }
 
 // Core is the single-core run loop every simulated server in the repo is
 // built on: a FIFO queue served by a DVFS-capable core on a shared
 // discrete-event engine. The standalone Run, the coloc colocated core and
 // the cluster package all consume it; arrivals are pushed in via Enqueue
-// (by a trace feeder or a cluster dispatcher) at the engine's current
-// time.
+// (by a Feeder or a cluster dispatcher the Feeder drives) at the engine's
+// current time.
 //
 // The event hot path is allocation-free in steady state: requests live by
 // value in a ring buffer (slots recycle as the FIFO wraps), the
@@ -117,6 +112,11 @@ type Core struct {
 	completionH sim.Handle
 	switchH     sim.Handle
 	tickH       sim.Handle
+
+	// feed is the feeder whose arrivals reach this core (set by Start):
+	// ticks run while it has more, and completions go back through it to
+	// a completion-aware source.
+	feed *Feeder
 
 	completions []Completion
 	served      int
@@ -185,16 +185,19 @@ func NewCore(eng *sim.Engine, p Policy, cfg Config) (*Core, error) {
 // SetHooks installs the customization hooks. Call before the first event.
 func (c *Core) SetHooks(h Hooks) { c.hooks = h }
 
-// StartTicks schedules the policy's periodic tick, if it is a Ticker.
-// moreArrivals reports whether the core's feeder still has requests to
-// deliver; ticking stops once it is false and the queue has drained, so
-// the simulation terminates.
-func (c *Core) StartTicks(moreArrivals func() bool) {
+// Start binds the core to f, the feeder whose arrivals reach it (directly
+// or through a dispatcher), and schedules the policy's periodic tick, if
+// it is a Ticker. The core forwards every completion to f, which feeds a
+// completion-aware source; ticking stops once f has no more arrivals and
+// the queue has drained, so the simulation terminates. Call it once,
+// after f.Start.
+func (c *Core) Start(f *Feeder) {
+	c.feed = f
 	t, ok := c.policy.(Ticker)
 	if !ok || t.TickEvery() <= 0 {
 		return
 	}
-	c.tickH = c.eng.Register(func() { c.tickEvent(t, moreArrivals) })
+	c.tickH = c.eng.Register(func() { c.tickEvent(t) })
 	c.eng.RescheduleAfter(c.tickH, t.TickEvery())
 }
 
@@ -454,8 +457,8 @@ func (c *Core) completionEvent() {
 	if obs, ok := c.policy.(CompletionObserver); ok {
 		obs.ObserveCompletion(comp)
 	}
-	if c.hooks.Completion != nil {
-		c.hooks.Completion(comp)
+	if c.feed != nil {
+		c.feed.completed(now)
 	}
 	if c.count > 0 {
 		c.startService(&c.ring[c.head], false)
@@ -471,7 +474,7 @@ func (c *Core) completionEvent() {
 	c.rescheduleCompletion()
 }
 
-func (c *Core) tickEvent(t Ticker, moreArrivals func() bool) {
+func (c *Core) tickEvent(t Ticker) {
 	c.Accrue()
 	v := c.View()
 	f := c.grant(t.OnTick(v), v)
@@ -479,7 +482,7 @@ func (c *Core) tickEvent(t Ticker, moreArrivals func() bool) {
 	c.ApplyFreq(f)
 	// Keep ticking only while there is work left to do; otherwise the
 	// simulation would never drain.
-	if (moreArrivals != nil && moreArrivals()) || c.count > 0 {
+	if c.feed.More() || c.count > 0 {
 		c.eng.RescheduleAfter(c.tickH, t.TickEvery())
 	}
 }
@@ -533,10 +536,14 @@ func (c *Core) Finalize() Result {
 // handle to its arrival — so the engine holds at most one pending
 // arrival per feeder and steady-state feeding allocates nothing,
 // regardless of whether the source is a materialized trace or a
-// generator.
+// generator. It is the cores' one handle on their arrivals: they tick
+// while it has More, and report completions back through it.
 type Feeder struct {
 	eng *sim.Engine
 	src workload.Source
+	// aware is src when it is completion-aware (closed-loop clients),
+	// nil otherwise.
+	aware workload.CompletionAware
 	// deliver routes the arriving request (single core: Enqueue on the one
 	// core; cluster: dispatch).
 	deliver func(req workload.Request)
@@ -551,7 +558,8 @@ type Feeder struct {
 // NewSourceFeeder prepares a feeder pulling from a streaming source;
 // Start schedules the first arrival.
 func NewSourceFeeder(eng *sim.Engine, src workload.Source, deliver func(req workload.Request)) *Feeder {
-	return &Feeder{eng: eng, src: src, deliver: deliver}
+	aware, _ := src.(workload.CompletionAware)
+	return &Feeder{eng: eng, src: src, aware: aware, deliver: deliver}
 }
 
 // Start pulls the first request and schedules its arrival, if any.
@@ -572,24 +580,12 @@ func (f *Feeder) schedule() {
 	f.eng.Reschedule(f.h, f.pending.Arrival)
 }
 
-// Remaining reports how many requests have not yet arrived. For sources
-// of unknown length it reports 1 while the stream has more; consumers
-// use it only as a has-more predicate and a capacity hint. A drained
-// lookahead on a completion-aware source still counts as more until the
-// source is Exhausted: with requests in flight, a completion may spawn
-// new arrivals, and periodic machinery (policy ticks) must stay alive
-// for them.
-func (f *Feeder) Remaining() int {
-	if !f.ok {
-		if ca, aware := f.src.(workload.CompletionAware); aware && !ca.Exhausted() {
-			return 1
-		}
-		return 0
-	}
-	if n := f.src.Len(); n >= 0 {
-		return n + 1
-	}
-	return 1
+// More reports whether an arrival may still come: the lookahead is
+// pending, or a completion-aware source is not yet Exhausted — with
+// requests in flight, a completion may spawn new arrivals, and periodic
+// machinery (policy ticks) must stay alive for them.
+func (f *Feeder) More() bool {
+	return f.ok || (f.aware != nil && !f.aware.Exhausted())
 }
 
 func (f *Feeder) event() {
@@ -601,19 +597,18 @@ func (f *Feeder) event() {
 	f.deliver(req)
 }
 
-// NotifyCompletion forwards a completion to a completion-aware source
-// (closed-loop clients) and re-arms the arrival event, since the
-// completion may have spawned an arrival earlier than the current
-// lookahead — the lookahead is returned to the source and the earliest
-// pending arrival re-pulled. A no-op for ordinary sources.
-func (f *Feeder) NotifyCompletion(done sim.Time) {
-	ca, aware := f.src.(workload.CompletionAware)
-	if !aware {
+// completed forwards a completion at done to a completion-aware source
+// (a no-op for ordinary sources) and re-arms the arrival event, since
+// the completion may have spawned an arrival earlier than the current
+// lookahead: the lookahead is returned to the source and the earliest
+// pending arrival re-pulled.
+func (f *Feeder) completed(done sim.Time) {
+	if f.aware == nil {
 		return
 	}
-	ca.OnCompletion(done)
+	f.aware.OnCompletion(done)
 	if f.ok {
-		ca.Requeue(f.pending)
+		f.aware.Requeue(f.pending)
 	}
 	f.pending, f.ok = f.src.Next()
 	if f.ok {

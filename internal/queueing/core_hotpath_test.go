@@ -1,7 +1,6 @@
 package queueing
 
 import (
-	"math"
 	"os"
 	"os/exec"
 	"strings"
@@ -176,7 +175,7 @@ func TestGrantFiltersEveryPositiveDesire(t *testing.T) {
 	tr := workload.GenerateAtLoad(workload.Masstree(), 0.6, 300, 9)
 	f := NewSourceFeeder(eng, workload.NewTraceSource(tr), c.Enqueue)
 	f.Start()
-	c.StartTicks(func() bool { return f.Remaining() > 0 })
+	c.Start(f)
 	eng.Run()
 	res := c.Finalize()
 	if p.posEvents == 0 || p.posTicks == 0 || p.keeps == 0 {
@@ -435,8 +434,8 @@ func TestFeederSingleArrivalEvent(t *testing.T) {
 	if got := len(c.Completions()); got != len(tr.Requests) {
 		t.Fatalf("served %d of %d", got, len(tr.Requests))
 	}
-	if math.Abs(float64(f.Remaining())) != 0 {
-		t.Fatalf("feeder left %d requests undelivered", f.Remaining())
+	if f.More() {
+		t.Fatal("feeder left requests undelivered")
 	}
 }
 

@@ -31,16 +31,15 @@ type Config struct {
 	// (typically the trace or source length), pre-sizing the completion
 	// log and the optional timelines so steady-state appends never
 	// reallocate. Purely a capacity hint: it never changes simulation
-	// results. When the length is unknown (0 hint, streaming sources) the
-	// logs grow geometrically via append, so cost stays amortized O(1)
-	// per request.
+	// results. Without a hint the logs grow geometrically via append, so
+	// cost stays amortized O(1) per request.
 	ExpectedRequests int
 	// DropCompletions switches the core to streaming metrics: per-request
 	// records fold into a fixed-size response-latency histogram
 	// (Result.ResponseHist) instead of accumulating in
 	// Result.Completions, making memory independent of run length.
-	// Completion hooks and CompletionObserver policies still see every
-	// completion. Use for constant-memory runs of long sources.
+	// CompletionObserver policies and completion-aware sources still see
+	// every completion. Use for constant-memory runs of long sources.
 	DropCompletions bool
 }
 
@@ -133,11 +132,9 @@ func Run(trace workload.Trace, p Policy, cfg Config) (Result, error) {
 // policy's Ticker (if any) is scheduled, and the engine runs until the
 // source drains and the queue empties. Nothing on this path materializes
 // the stream, so run length is bounded by time, not memory; pair a long
-// source with Config.DropCompletions for constant memory.
-// Completion-aware sources (closed-loop clients) are fed every
-// completion. The policy must not be nil: unlike a coloc core, whose
-// frequency an external allocator owns, nothing else would ever set this
-// core's frequency.
+// source with Config.DropCompletions for constant memory. The policy
+// must not be nil: unlike a coloc core, whose frequency an external
+// allocator owns, nothing else would ever set this core's frequency.
 func RunSource(src workload.Source, p Policy, cfg Config) (Result, error) {
 	if p == nil {
 		return Result{}, fmt.Errorf("queueing: nil policy")
@@ -153,11 +150,8 @@ func RunSource(src workload.Source, p Policy, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	f := NewSourceFeeder(eng, src, c.Enqueue)
-	if _, aware := src.(workload.CompletionAware); aware {
-		c.SetHooks(Hooks{Completion: func(comp Completion) { f.NotifyCompletion(comp.Done) }})
-	}
 	f.Start()
-	c.StartTicks(func() bool { return f.Remaining() > 0 })
+	c.Start(f)
 	eng.Run()
 	return c.Finalize(), nil
 }

@@ -118,6 +118,10 @@ func TestClosedLoopRun(t *testing.T) {
 	if a.Served != 2000 {
 		t.Fatalf("closed loop served %d of 2000", a.Served)
 	}
+	// A live run reaches the count the fresh source reports.
+	if n := cl.NewSource().Len(); n != a.Served {
+		t.Fatalf("fresh source Len %d, live run served %d", n, a.Served)
+	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("closed-loop run not deterministic")
 	}
@@ -139,8 +143,8 @@ func TestClosedLoopRun(t *testing.T) {
 }
 
 // TestStreamingHotPathAllocs is the allocs/op guard for the streaming
-// ingest path: a long run through an unknown-length source must stay
-// amortized allocation-free per request (geometric log growth only).
+// ingest path: a long streamed run must stay amortized allocation-free
+// per request.
 func TestStreamingHotPathAllocs(t *testing.T) {
 	if raceTestBuild {
 		t.Skip("race instrumentation allocates; the guard holds uninstrumented")
@@ -149,10 +153,8 @@ func TestStreamingHotPathAllocs(t *testing.T) {
 	const n = 30000
 	cfg := DefaultConfig()
 	cfg.DropCompletions = true
-	// Unknown-length wrapper: hides Len so no presizing hint exists.
 	allocs := testing.AllocsPerRun(1, func() {
-		src := unknownLen{workload.NewLoadSource(app, 0.5, n, 3)}
-		res, err := RunSource(src, FixedPolicy{MHz: 2400}, cfg)
+		res, err := RunSource(workload.NewLoadSource(app, 0.5, n, 3), FixedPolicy{MHz: 2400}, cfg)
 		if err != nil || res.Served != n {
 			t.Fatalf("run failed: %v served=%d", err, res.Served)
 		}
@@ -162,22 +164,15 @@ func TestStreamingHotPathAllocs(t *testing.T) {
 	}
 }
 
-// unknownLen masks a source's length, as a closed-loop population does.
-type unknownLen struct{ src workload.Source }
-
-func (u unknownLen) Next() (workload.Request, bool) { return u.src.Next() }
-func (u unknownLen) Len() int                       { return -1 }
-func (u unknownLen) Reset()                         { u.src.Reset() }
-
-// TestFeederNotifyCompletionInert checks NotifyCompletion is a no-op for
-// ordinary sources (no spurious rescheduling).
+// TestFeederNotifyCompletionInert checks a completion forwarded to the
+// feeder is a no-op for ordinary sources (no spurious rescheduling).
 func TestFeederNotifyCompletionInert(t *testing.T) {
 	eng := sim.NewEngine()
 	tr := workload.GenerateAtLoad(workload.Masstree(), 0.5, 10, 1)
 	var got []workload.Request
 	f := NewSourceFeeder(eng, workload.NewTraceSource(tr), func(r workload.Request) { got = append(got, r) })
 	f.Start()
-	f.NotifyCompletion(12345) // before any arrival: must not disturb the schedule
+	f.completed(12345) // before any arrival: must not disturb the schedule
 	eng.Run()
 	if len(got) != 10 {
 		t.Fatalf("delivered %d of 10", len(got))

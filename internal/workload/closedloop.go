@@ -27,9 +27,9 @@ type ClosedLoop struct {
 }
 
 // NewSource builds the streaming closed-loop source. It implements
-// CompletionAware: the simulation feeder must forward completions (the
-// queueing and cluster RunSource entry points do) — without them each
-// client issues exactly one request.
+// CompletionAware: the simulation feeder must forward completions (every
+// runner's does: single core, cluster and colocated core) — without them
+// each client issues exactly one request.
 func (c ClosedLoop) NewSource() *ClosedLoopSource {
 	s := &ClosedLoopSource{cfg: c}
 	s.Reset()
@@ -63,8 +63,11 @@ func (s *ClosedLoopSource) Next() (Request, bool) {
 	return req, true
 }
 
-// Len is unknown (-1): future arrivals depend on completions.
-func (s *ClosedLoopSource) Len() int { return -1 }
+// Len returns the requests still to come: the pending arrivals plus
+// those the N cap still lets completions spawn. Exact when a live run
+// feeds back every completion; an upper bound otherwise (an export
+// yields only the pending ones).
+func (s *ClosedLoopSource) Len() int { return max(s.cfg.N, 0) - s.spawned + len(s.heap) }
 
 // Reset rewinds to the initial client population: each client's first
 // request arrives after one think time from t=0.

@@ -2,28 +2,29 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
 )
 
-// FuzzLoad fuzzes the trace reader over both on-disk formats — the legacy
-// single-object JSON of Save and the streaming JSONL of WriteJSONL — with
-// the round-trip property: any bytes Load accepts describe a trace that
-// survives re-serialization through *either* writer and reloads deeply
-// identical. The seed corpus covers both writers, hand-built edge shapes,
-// and near-miss invalid inputs so the fuzzer starts at the format
-// boundary.
+// FuzzLoad fuzzes the trace reader over both layouts it reads — the
+// legacy single-object JSON (the Trace struct encoded whole) and the
+// JSONL of WriteJSONL — with the round-trip property: any bytes Load
+// accepts describe a trace that survives re-encoding in *either* layout
+// and reloads deeply identical. The seed corpus covers both layouts,
+// hand-built edge shapes, and near-miss invalid inputs so the fuzzer
+// starts at the format boundary.
 func FuzzLoad(f *testing.F) {
 	app := Masstree()
 	tr := GenerateAtLoad(app, 0.5, 20, 1)
-	var legacy bytes.Buffer
-	if err := tr.Save(&legacy); err != nil {
+	legacy, err := json.Marshal(tr)
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(legacy.Bytes())
+	f.Add(legacy)
 	var jsonl bytes.Buffer
-	if _, err := WriteJSONL(&jsonl, tr.App, tr.Seed, NewTraceSource(tr), -1); err != nil {
+	if _, err := WriteJSONL(&jsonl, tr.App, tr.Seed, NewTraceSource(tr)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(jsonl.Bytes())
@@ -55,11 +56,11 @@ func FuzzLoad(f *testing.F) {
 			prev = r.Arrival
 		}
 
-		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
-			t.Fatalf("re-saving accepted trace (legacy): %v", err)
+		legacy, err := json.Marshal(tr)
+		if err != nil {
+			t.Fatalf("re-encoding accepted trace (legacy): %v", err)
 		}
-		back, err := Load(&buf)
+		back, err := Load(bytes.NewReader(legacy))
 		if err != nil {
 			t.Fatalf("reloading legacy round-trip: %v", err)
 		}
@@ -67,8 +68,8 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("legacy round-trip mutated the trace:\n got %+v\nwant %+v", back, tr)
 		}
 
-		buf.Reset()
-		if _, err := WriteJSONL(&buf, tr.App, tr.Seed, NewTraceSource(tr), -1); err != nil {
+		var buf bytes.Buffer
+		if _, err := WriteJSONL(&buf, tr.App, tr.Seed, NewTraceSource(tr)); err != nil {
 			t.Fatalf("re-saving accepted trace (JSONL): %v", err)
 		}
 		back, err = Load(&buf)
@@ -93,9 +94,10 @@ func FuzzLoad(f *testing.F) {
 // FuzzScenarioSource drives the validated scenario constructor with an
 // arbitrary scenario index, load, request cap n in [0, 512] (or 1<<30
 // when nRaw is math.MaxUint16) and seed. Every input must either be
-// rejected or build a source that yields at most n requests (at most 256
-// are pulled) with non-negative, non-decreasing arrivals and distinct IDs
-// below n, issued in pull order by the open-loop shapes.
+// rejected, and then the scenario's own New must stream nothing, or
+// build a source that yields at most n requests (at most 256 are pulled)
+// with non-negative, non-decreasing arrivals and distinct IDs below n,
+// issued in pull order by the open-loop shapes.
 // Completion-aware sources see each request complete at its arrival. The
 // seed corpus holds the loads that used to panic or spin a source, two
 // ordinary runs, accepted extremes that overflow the simulated clock
@@ -128,6 +130,10 @@ func FuzzScenarioSource(f *testing.F) {
 		}
 		src, err := NewScenarioSource(sc.Name, Masstree(), load, n, seed)
 		if err != nil {
+			bare := sc.New(Masstree(), load, n, seed)
+			if _, ok := bare.Next(); ok || bare.Len() != 0 {
+				t.Fatalf("%s load %v: New streams from a load NewScenarioSource rejects (%v)", sc.Name, load, err)
+			}
 			return
 		}
 		ca, closed := src.(CompletionAware)

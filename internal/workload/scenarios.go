@@ -20,8 +20,9 @@ type Scenario struct {
 	// Description is a one-line summary for listings.
 	Description string
 	// New builds the scenario source. load is the mean fraction of the
-	// app's nominal-frequency capacity; n caps total requests (n <= 0
-	// streams nothing). NewScenarioSource validates the arguments first.
+	// app's nominal-frequency capacity; n caps total requests. It streams
+	// nothing for n <= 0 or a load NewScenarioSource rejects (see
+	// checkLoad); NewScenarioSource reports why instead.
 	New func(app LCApp, load float64, n int, seed int64) Source
 }
 
@@ -36,9 +37,45 @@ func meanGap(app LCApp, load float64) sim.Time {
 	return sim.Time(1e9 / app.RateForLoad(load))
 }
 
+// checkLoad reports why a scenario cannot realize a mean load over n
+// requests of app: the load is not finite and positive, or its mean gap
+// or expected run of n requests does not fit in sim.Time. The shapes
+// derive their episode lengths from both, and an overflowed length would
+// panic or spin the arrival process.
+func checkLoad(app LCApp, load float64, n int) error {
+	if !(load > 0) || math.IsInf(load, 1) {
+		return fmt.Errorf("needs a finite positive load, got %v", load)
+	}
+	// The float forms of meanGap and expectedDur, checked before they
+	// are converted.
+	rate := app.RateForLoad(load)
+	gap, run := 1e9/rate, float64(n)/rate*1e9
+	if !(gap < math.MaxInt64 && run < math.MaxInt64) {
+		return fmt.Errorf("load %v is too low: mean gap %.3g ns, expected run %.3g ns overflow the simulated clock",
+			load, gap, run)
+	}
+	return nil
+}
+
 // Scenarios returns the registry in presentation order. Every scenario is
-// deterministic per (app, load, n, seed).
+// deterministic per (app, load, n, seed), and its New streams nothing on
+// a load checkLoad rejects.
 func Scenarios() []Scenario {
+	scs := scenarioShapes()
+	for i := range scs {
+		build := scs[i].New
+		scs[i].New = func(app LCApp, load float64, n int, seed int64) Source {
+			if checkLoad(app, load, n) != nil {
+				return &TraceSource{}
+			}
+			return build(app, load, n, seed)
+		}
+	}
+	return scs
+}
+
+// scenarioShapes builds the registry's shapes, each trusting its load.
+func scenarioShapes() []Scenario {
 	return []Scenario{
 		{
 			Name:        "poisson",
@@ -154,10 +191,8 @@ func ScenarioByName(name string) (Scenario, error) {
 
 // NewScenarioSource builds the named scenario's source for app at a mean
 // load fraction, capped at n requests, deterministically per seed. It
-// rejects a negative n, and a load that is not finite and positive or
-// whose mean gap or expected run of n requests does not fit in sim.Time:
-// the shapes derive their episode lengths from both, and an overflowed
-// length would panic or spin the arrival process.
+// rejects a negative n and a load checkLoad rejects, on which the
+// scenario's New would stream nothing.
 func NewScenarioSource(name string, app LCApp, load float64, n int, seed int64) (Source, error) {
 	sc, err := ScenarioByName(name)
 	if err != nil {
@@ -166,16 +201,8 @@ func NewScenarioSource(name string, app LCApp, load float64, n int, seed int64) 
 	if n < 0 {
 		return nil, fmt.Errorf("workload: scenario %s needs a non-negative request count, got %d", name, n)
 	}
-	if !(load > 0) || math.IsInf(load, 1) {
-		return nil, fmt.Errorf("workload: scenario %s needs a finite positive load, got %v", name, load)
-	}
-	// The float forms of meanGap and expectedDur, checked before they
-	// are converted.
-	rate := app.RateForLoad(load)
-	gap, run := 1e9/rate, float64(n)/rate*1e9
-	if !(gap < math.MaxInt64 && run < math.MaxInt64) {
-		return nil, fmt.Errorf("workload: load %v is too low for scenario %s: mean gap %.3g ns, expected run %.3g ns overflow the simulated clock",
-			load, name, gap, run)
+	if err := checkLoad(app, load, n); err != nil {
+		return nil, fmt.Errorf("workload: scenario %s: %w", name, err)
 	}
 	return sc.New(app, load, n, seed), nil
 }

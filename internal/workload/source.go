@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -9,10 +8,9 @@ import (
 )
 
 // Source is a pull-based request stream: the streaming counterpart of a
-// materialized Trace. Consumers (queueing.Feeder, the cluster dispatcher
-// loop, coloc cores) pull one request at a time, so simulation length is
-// bounded by time, not by trace allocation — a 10M-request run holds no
-// []Request anywhere.
+// materialized Trace. Consumers (queueing.Feeder, which drives the single
+// core, the cluster dispatcher and coloc cores) pull one request at a
+// time, so a 10M-request run holds no []Request anywhere.
 //
 // Contract:
 //   - Deterministic per construction parameters: two sources built with
@@ -26,9 +24,10 @@ import (
 type Source interface {
 	// Next returns the next request, or ok=false when exhausted.
 	Next() (req Request, ok bool)
-	// Len returns the number of requests remaining, or -1 when unknown
-	// (feedback-driven streams). Consumers use it only as a capacity
-	// hint.
+	// Len returns the number of requests remaining: never negative, and
+	// exact except for a completion-aware source, whose count is an upper
+	// bound that a live run (fed every completion) reaches. Consumers use
+	// it only as a capacity hint.
 	Len() int
 	// Reset rewinds the source to the start of its sequence.
 	Reset()
@@ -142,39 +141,6 @@ func (s *GenSource) Reset() {
 	if ar, ok := s.arrivals.(arrivalsResetter); ok {
 		ar.ResetProcess()
 	}
-}
-
-// Materialize drains up to n requests (n < 0: until exhaustion) from a
-// source into a Trace, for consumers that need random access (oracle
-// replays, JSON export). It is the inverse bridge of NewTraceSource.
-// Draining a source of unknown length (Len() < 0: a closed-loop
-// population, whose stream depends on completion feedback a drain never
-// gives) requires an explicit cap.
-func Materialize(app string, seed int64, src Source, n int) (Trace, error) {
-	if n < 0 && src.Len() < 0 {
-		return Trace{}, fmt.Errorf("workload: materializing a source of unknown length needs an explicit request cap")
-	}
-	hint := 0
-	if k := src.Len(); k >= 0 {
-		hint = k
-		if n >= 0 && n < hint {
-			hint = n
-		}
-	} else if hint = n; hint > 4096 {
-		// Unknown length: n is an upper bound, not an estimate (a
-		// closed-loop source may drain after its open-loop prefix), so
-		// start modest and let append grow geometrically.
-		hint = 4096
-	}
-	tr := Trace{App: app, Seed: seed, Requests: make([]Request, 0, hint)}
-	for n < 0 || len(tr.Requests) < n {
-		req, ok := src.Next()
-		if !ok {
-			break
-		}
-		tr.Requests = append(tr.Requests, req)
-	}
-	return tr, nil
 }
 
 // Modulator scales per-request work multiplicatively, modeling

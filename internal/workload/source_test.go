@@ -3,10 +3,12 @@ package workload
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"rubik/internal/sim"
 )
@@ -285,15 +287,29 @@ func lag1Corr(xs []float64) float64 {
 }
 
 // TestClosedLoopSource drives the source by hand, acting as the server:
-// it checks determinism, the think-time gap, the Requeue contract and the
-// request cap.
+// it checks determinism, the think-time gap, the Requeue contract, the
+// request cap and the Len contract — never negative, never rising, exact
+// when every completion is fed back, and an upper bound on what an export
+// without feedback writes.
 func TestClosedLoopSource(t *testing.T) {
 	cfg := ClosedLoop{App: Masstree(), Clients: 4, MeanThink: 2 * sim.Millisecond, N: 200, Seed: 21}
 	run := func() []Request {
 		src := cfg.NewSource()
 		var served []Request
+		prev := src.Len()
+		if prev != cfg.N {
+			t.Fatalf("fresh source Len %d, want N=%d", prev, cfg.N)
+		}
+		checkLen := func(step string) {
+			n := src.Len()
+			if n < 0 || n > prev {
+				t.Fatalf("Len %d after %s, was %d", n, step, prev)
+			}
+			prev = n
+		}
 		for {
 			req, ok := src.Next()
+			checkLen("Next")
 			if !ok {
 				break
 			}
@@ -301,6 +317,10 @@ func TestClosedLoopSource(t *testing.T) {
 			// Serve instantly 1ms after arrival; completion spawns the
 			// client's next request.
 			src.OnCompletion(req.Arrival + sim.Millisecond)
+			checkLen("OnCompletion")
+		}
+		if prev != 0 {
+			t.Fatalf("drained source reports Len %d", prev)
 		}
 		return served
 	}
@@ -338,6 +358,7 @@ func TestClosedLoopSource(t *testing.T) {
 	src := cfg.NewSource()
 	first, _ := src.Next()
 	look, _ := src.Next()
+	before := src.Len()
 	src.OnCompletion(first.Arrival) // spawns at first.Arrival+think, may precede look
 	src.Requeue(look)
 	next, ok := src.Next()
@@ -346,6 +367,29 @@ func TestClosedLoopSource(t *testing.T) {
 	}
 	if next.Arrival > look.Arrival {
 		t.Fatalf("requeue broke arrival order: got %d after requeueing %d", next.Arrival, look.Arrival)
+	}
+	if src.Len() != before {
+		t.Fatalf("Len %d after the feeder's completion protocol, was %d", src.Len(), before)
+	}
+
+	// Without feedback an export holds only the open-loop prefix, one
+	// request per client, within the count Len promised.
+	exp := cfg.NewSource()
+	promised := exp.Len()
+	var buf bytes.Buffer
+	written, err := WriteJSONL(&buf, "closed", cfg.Seed, exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if written != cfg.Clients || written > promised {
+		t.Fatalf("export wrote %d requests; want the %d-client prefix within Len %d", written, cfg.Clients, promised)
+	}
+	got, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Requests, drain(t, cfg.NewSource(), cfg.N)) {
+		t.Fatal("export differs from the open-loop prefix")
 	}
 }
 
@@ -389,80 +433,24 @@ func TestClosedLoopExhausted(t *testing.T) {
 	}
 }
 
+// TestJSONLRoundTrip checks a JSONL export of a trace reloads deeply
+// identical and reports the count it wrote.
 func TestJSONLRoundTrip(t *testing.T) {
 	tr := GenerateAtLoad(Xapian(), 0.5, 300, 17)
-
-	// Save -> Load (single-object JSON).
 	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
+	written, err := WriteJSONL(&buf, tr.App, tr.Seed, NewTraceSource(tr))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if written != len(tr.Requests) {
+		t.Fatalf("WriteJSONL wrote %d of %d", written, len(tr.Requests))
 	}
 	got, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, tr) {
-		t.Fatal("Save/Load round trip diverged")
-	}
-
-	// WriteJSONL of the whole trace -> Load (header + request lines).
-	buf.Reset()
-	if _, err := WriteJSONL(&buf, tr.App, tr.Seed, NewTraceSource(tr), -1); err != nil {
-		t.Fatal(err)
-	}
-	got, err = Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.App != tr.App || got.Seed != tr.Seed || !reflect.DeepEqual(got.Requests, tr.Requests) {
 		t.Fatal("WriteJSONL/Load round trip diverged")
-	}
-
-	// WriteJSONL straight from a source, capped; it reports the count.
-	buf.Reset()
-	written, err := WriteJSONL(&buf, tr.App, tr.Seed, NewTraceSource(tr), 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if written != 50 {
-		t.Fatalf("WriteJSONL wrote %d, want 50", written)
-	}
-	got, err = Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Requests) != 50 || !reflect.DeepEqual(got.Requests, tr.Requests[:50]) {
-		t.Fatalf("WriteJSONL cap: got %d requests", len(got.Requests))
-	}
-}
-
-func TestMaterialize(t *testing.T) {
-	app := Masstree()
-	want := GenerateAtLoad(app, 0.5, 400, 23)
-	got, err := Materialize(app.Name, 23, NewLoadSource(app, 0.5, 400, 23), -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Materialize(GenSource) != GenerateAtLoad")
-	}
-	capped, err := Materialize(app.Name, 23, NewLoadSource(app, 0.5, 400, 23), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(capped.Requests, want.Requests[:100]) {
-		t.Fatal("Materialize cap broken")
-	}
-	// An uncapped drain of an unknown-length source must fail fast.
-	closed := func() Source {
-		return ClosedLoop{App: app, Clients: 2, MeanThink: sim.Millisecond, N: 50, Seed: 1}.NewSource()
-	}
-	if _, err := Materialize(app.Name, 1, closed(), -1); err == nil {
-		t.Fatal("uncapped Materialize of an unknown-length source accepted")
-	}
-	var buf bytes.Buffer
-	if _, err := WriteJSONL(&buf, app.Name, 1, closed(), -1); err == nil {
-		t.Fatal("uncapped WriteJSONL of an unknown-length source accepted")
 	}
 }
 
@@ -511,5 +499,52 @@ func TestScenarioRegistry(t *testing.T) {
 	}
 	if _, err := ScenarioByName("nope"); err == nil {
 		t.Error("unknown scenario accepted")
+	}
+}
+
+// TestScenarioNewHostileLoads builds every scenario through its own New,
+// the path that skips NewScenarioSource (rubik.Scenarios hands it out),
+// at loads NewScenarioSource rejects: each must stream nothing. An
+// unchecked load can panic a shape's construction or spin its arrival
+// process forever, so each case runs under a recover and a timeout.
+func TestScenarioNewHostileLoads(t *testing.T) {
+	app := Masstree()
+	for _, sc := range Scenarios() {
+		for _, load := range []float64{0, -1, math.NaN(), math.Inf(1), 1e-300} {
+			t.Run(fmt.Sprintf("%s/%v", sc.Name, load), func(t *testing.T) {
+				if _, err := NewScenarioSource(sc.Name, app, load, 3, 1); err == nil {
+					t.Fatal("NewScenarioSource accepted the load")
+				}
+				done := make(chan string, 1)
+				go func() {
+					defer func() {
+						if r := recover(); r != nil {
+							done <- fmt.Sprint("panicked: ", r)
+						}
+					}()
+					src := sc.New(app, load, 3, 1)
+					n := 0
+					for n < 4 {
+						if _, ok := src.Next(); !ok {
+							break
+						}
+						n++
+					}
+					if n > 0 || src.Len() != 0 {
+						done <- fmt.Sprintf("streamed %d requests, Len %d", n, src.Len())
+						return
+					}
+					done <- ""
+				}()
+				select {
+				case msg := <-done:
+					if msg != "" {
+						t.Fatal(msg)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("no answer within 10 s")
+				}
+			})
+		}
 	}
 }

@@ -43,8 +43,11 @@ type Trace struct {
 // Generate rewinds a stateful arrival process (an *MMPP) to its start, so
 // one that already drove another run would restart; no caller passes one.
 func Generate(app LCApp, arrivals ArrivalProcess, n int, seed int64) Trace {
-	// A generator has a known length, which Materialize never rejects.
-	tr, _ := Materialize(app.Name, seed, NewGenSource(app, arrivals, n, seed), -1)
+	src := NewGenSource(app, arrivals, n, seed)
+	tr := Trace{App: app.Name, Seed: seed, Requests: make([]Request, 0, src.Len())}
+	for req, ok := src.Next(); ok; req, ok = src.Next() {
+		tr.Requests = append(tr.Requests, req)
+	}
 	return tr
 }
 
@@ -117,40 +120,27 @@ func (t Trace) Describe(fMHz int) Stats {
 	return s
 }
 
-// Save writes the trace as JSON.
-func (t Trace) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(t)
-}
-
 // jsonlHeader is the first line of a JSONL trace file.
 type jsonlHeader struct {
 	App  string `json:"app"`
 	Seed int64  `json:"seed"`
 }
 
-// WriteJSONL streams up to n requests (n < 0: until exhaustion) from a
-// source to w in the JSONL trace format — a header object carrying the
-// trace metadata, then one request object per line — holding one request
-// at a time: arbitrarily long scenario exports in constant memory, and
-// no materialized trace. Load reads it back. It returns the
-// number of requests written, which can fall short of n when the source
-// drains early (notably closed-loop sources, which yield only their
-// open-loop prefix without completion feedback).
-func WriteJSONL(w io.Writer, app string, seed int64, src Source, n int) (int, error) {
-	if n < 0 && src.Len() < 0 {
-		return 0, fmt.Errorf("workload: exporting a source of unknown length needs an explicit request cap")
-	}
+// WriteJSONL streams a source to w in the JSONL trace format — a header
+// object carrying the trace metadata, then one request object per line —
+// until the source drains, holding one request at a time: arbitrarily
+// long scenario exports in constant memory, and no materialized trace.
+// Load reads it back. It returns the number of requests written, which
+// falls short of src.Len() only for a completion-aware source (closed-loop
+// clients), which yields just its open-loop prefix without the completion
+// feedback an export cannot give.
+func WriteJSONL(w io.Writer, app string, seed int64, src Source) (int, error) {
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(jsonlHeader{App: app, Seed: seed}); err != nil {
 		return 0, fmt.Errorf("workload: encoding JSONL header: %w", err)
 	}
 	written := 0
-	for n < 0 || written < n {
-		req, ok := src.Next()
-		if !ok {
-			break
-		}
+	for req, ok := src.Next(); ok; req, ok = src.Next() {
 		if err := enc.Encode(req); err != nil {
 			return written, fmt.Errorf("workload: encoding request %d: %w", req.ID, err)
 		}
@@ -159,10 +149,12 @@ func WriteJSONL(w io.Writer, app string, seed int64, src Source, n int) (int, er
 	return written, nil
 }
 
-// Load reads a trace written by Save or WriteJSONL and
-// validates its invariants (non-decreasing arrivals, positive work). Both
-// formats start with one JSON object carrying the metadata; the JSONL
-// form then streams one request object per value.
+// Load reads a trace written by WriteJSONL, or a legacy single-object
+// JSON trace (the Trace struct encoded whole, requests inside the
+// metadata object), and validates its invariants (non-decreasing
+// arrivals, positive work). Both layouts start with one JSON object
+// carrying the metadata; the JSONL form then streams one request object
+// per value.
 func Load(rd io.Reader) (Trace, error) {
 	dec := json.NewDecoder(rd)
 	var t Trace

@@ -2,8 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rubik/internal/cpu"
@@ -260,45 +262,48 @@ func TestTraceLoadAccuracy(t *testing.T) {
 	}
 }
 
-func TestTraceSaveLoadRoundtrip(t *testing.T) {
+// TestLegacyTraceLoads checks Load still reads the legacy single-object
+// layout: the whole Trace encoded as one JSON object.
+func TestLegacyTraceLoads(t *testing.T) {
 	tr := GenerateAtLoad(Moses(), 0.3, 50, 2)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	legacy, err := json.Marshal(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.App != tr.App || got.Seed != tr.Seed || len(got.Requests) != len(tr.Requests) {
-		t.Fatalf("roundtrip header mismatch: %+v", got)
+	got, err := Load(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range got.Requests {
-		if got.Requests[i] != tr.Requests[i] {
-			t.Fatalf("roundtrip request %d mismatch", i)
-		}
+	if !reflect.DeepEqual(got, tr) {
+		t.Fatal("legacy trace loaded differently")
 	}
 }
 
 func TestTraceLoadValidation(t *testing.T) {
-	bad := Trace{App: "x", Requests: []Request{
-		{ID: 0, Arrival: 100, ComputeCycles: 10},
-		{ID: 1, Arrival: 50, ComputeCycles: 10},
-	}}
-	var buf bytes.Buffer
-	if err := bad.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf); err == nil {
-		t.Fatal("backwards arrivals must fail validation")
-	}
-	bad2 := Trace{App: "x", Requests: []Request{{ID: 0, Arrival: 1, ComputeCycles: 0}}}
-	buf.Reset()
-	if err := bad2.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf); err == nil {
-		t.Fatal("zero work must fail validation")
+	for _, c := range []struct {
+		why  string
+		reqs []Request
+	}{
+		{"backwards arrivals", []Request{
+			{ID: 0, Arrival: 100, ComputeCycles: 10},
+			{ID: 1, Arrival: 50, ComputeCycles: 10},
+		}},
+		{"zero work", []Request{{ID: 0, Arrival: 1, ComputeCycles: 0}}},
+	} {
+		bad := Trace{App: "x", Requests: c.reqs}
+		legacy, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jsonl bytes.Buffer
+		if _, err := WriteJSONL(&jsonl, bad.App, bad.Seed, NewTraceSource(bad)); err != nil {
+			t.Fatal(err)
+		}
+		for _, data := range [][]byte{legacy, jsonl.Bytes()} {
+			if _, err := Load(bytes.NewReader(data)); err == nil {
+				t.Fatalf("%s must fail validation: %s", c.why, data)
+			}
+		}
 	}
 	if _, err := Load(bytes.NewBufferString("{")); err == nil {
 		t.Fatal("truncated JSON must fail")

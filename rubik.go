@@ -26,8 +26,11 @@
 // clients, and because nothing on the streaming path materializes a
 // trace, runs of tens of millions of requests use constant memory
 // (ServerConfig.DropCompletions folds per-request records into a
-// fixed-size latency histogram). Every source is finite: a run ends
-// when its source drains and its queues empty. A materialized Trace is
+// fixed-size latency histogram). Every source is finite and knows its
+// length (Source.Len; for closed-loop clients an upper bound that a live
+// run reaches): a run ends when its source drains and its queues empty,
+// and every entry point, colocated cores included, feeds closed-loop
+// clients their completions. A materialized Trace is
 // just one Source: TraceSource(GenerateTrace(...)) replays
 // byte-identically to StreamTrace with the same arguments. Power capping
 // is set through the CapW and Allocator fields of the cluster and fleet
@@ -214,7 +217,8 @@ func StreamTrace(app App, load float64, n int, seed int64) Source {
 // replay it.
 func TraceSource(tr Trace) Source { return workload.NewTraceSource(tr) }
 
-// Scenarios lists the registered arrival/service scenario shapes.
+// Scenarios lists the registered arrival/service scenario shapes. A
+// scenario's New streams nothing on a load NewScenarioSource rejects.
 func Scenarios() []Scenario { return workload.Scenarios() }
 
 // ScenarioByName looks a scenario up in the registry.
