@@ -539,8 +539,9 @@ func dispatchJSQ(b *testing.B) {
 
 // pooledTail times the fleet's pooled post-warmup tail
 // (FleetResult.TailNs) on a paper-shaped result: 8 sockets x 6 cores x
-// 4,000 completions, p99 after a 10% warmup trim. One op makes exactly
-// one allocation, the pool.
+// 4,000 completions, p99 after a 10% warmup trim. An op selects straight
+// from the logs: it allocates the radix counters and the rank's bucket,
+// never a pool of every response.
 func pooledTail(b *testing.B) {
 	res := mergeFixture(8, 6, 4000)
 	b.ReportAllocs()
@@ -583,12 +584,11 @@ func hierarchyRound(b *testing.B) {
 // coreEvent times the queueing hot path: one arrival into an idle core,
 // the policy decision, the completion and the trailing idle decision —
 // the full busy-period cycle, with zero steady-state allocations (the
-// pre-sized completion log is charged up front).
+// completion arena, sized for b.N records, is charged up front).
 func coreEvent(b *testing.B) {
 	eng := sim.NewEngine()
-	cfg := queueing.DefaultConfig()
-	cfg.ExpectedRequests = b.N
-	c, err := queueing.NewCore(eng, queueing.FixedPolicy{MHz: 2400}, cfg)
+	log := queueing.NewArena(b.N, 1)
+	c, err := queueing.NewCore(eng, queueing.FixedPolicy{MHz: 2400}, queueing.DefaultConfig(), log)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -601,7 +601,7 @@ func coreEvent(b *testing.B) {
 		c.Enqueue(req)
 		eng.Run()
 	}
-	if got := len(c.Completions()); got != b.N {
+	if got := len(c.Finalize().Completions); got != b.N {
 		b.Fatalf("completed %d of %d", got, b.N)
 	}
 }

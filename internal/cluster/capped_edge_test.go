@@ -46,7 +46,7 @@ func TestAttachOffGridInitialClamps(t *testing.T) {
 	qcfg.InitialMHz = 2000 // on the core grid, absent from the domain grid
 	cores := make([]*queueing.Core, 2)
 	for i := range cores {
-		c, err := queueing.NewCore(eng, queueing.FixedPolicy{MHz: 2000}, qcfg)
+		c, err := queueing.NewCore(eng, queueing.FixedPolicy{MHz: 2000}, qcfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -105,29 +105,21 @@ func (r Result) TailNs(q, warmupFrac float64) float64 {
 }
 
 // pooledTailNs is the pooled tail behind Result.TailNs and
-// FleetResult.TailNs. It counts the post-warmup completions first, fills
-// one exactly sized pool straight from the completion logs and selects
-// the nearest-rank quantile in place (stats.PercentileInPlace, the same
-// element a sort would leave at the rank), so a call makes one
-// allocation however many cores and samples it pools. With no logged
-// completions it merges the streamed per-core response histograms.
+// FleetResult.TailNs: queueing.PooledTailNs over every core's completion
+// log, which selects the nearest-rank quantile straight from the logs
+// without pooling them. With no post-warmup logged completions it merges
+// the streamed per-core response histograms.
 func pooledTailNs(sockets []Result, q, warmupFrac float64) float64 {
-	n := 0
+	var logs [][]queueing.Completion
 	for _, s := range sockets {
 		for _, c := range s.PerCore {
-			n += len(queueing.TrimWarmup(c.Completions, warmupFrac))
-		}
-	}
-	if n > 0 {
-		pool := make([]float64, 0, n)
-		for _, s := range sockets {
-			for _, c := range s.PerCore {
-				for _, comp := range queueing.TrimWarmup(c.Completions, warmupFrac) {
-					pool = append(pool, comp.ResponseNs)
-				}
+			if len(queueing.TrimWarmup(c.Completions, warmupFrac)) > 0 {
+				logs = append(logs, c.Completions)
 			}
 		}
-		return stats.PercentileInPlace(pool, q)
+	}
+	if len(logs) > 0 {
+		return queueing.PooledTailNs(logs, q, warmupFrac)
 	}
 	var merged *stats.LogHistogram
 	for _, s := range sockets {
@@ -207,16 +199,14 @@ func (r Result) MeanBusyCores() float64 {
 }
 
 // Run simulates the trace on a cluster. A materialized trace is just one
-// Source: Run is RunSource over the trace's stream, byte-identical to
-// the pre-streaming replay loop (the stream hints its length, so even
-// the per-core completion-log presizing is identical).
+// Source: Run is RunSource over the trace's stream.
 func Run(tr workload.Trace, cfg Config) (Result, error) {
 	return RunSource(workload.NewTraceSource(tr), cfg)
 }
 
 // buildCores validates the config and assembles the per-core simulators,
-// returning each core's policy alongside it.
-func buildCores(eng *sim.Engine, cfg Config) ([]*queueing.Core, []queueing.Policy, error) {
+// recording into log, returning each core's policy alongside it.
+func buildCores(eng *sim.Engine, cfg Config, log *queueing.Arena) ([]*queueing.Core, []queueing.Policy, error) {
 	if cfg.Cores <= 0 {
 		return nil, nil, fmt.Errorf("cluster: need at least 1 core, got %d", cfg.Cores)
 	}
@@ -238,7 +228,7 @@ func buildCores(eng *sim.Engine, cfg Config) ([]*queueing.Core, []queueing.Polic
 				u.SetTableCache(cfg.TableCache)
 			}
 		}
-		c, err := queueing.NewCore(eng, p, cfg.Core)
+		c, err := queueing.NewCore(eng, p, cfg.Core, log)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -292,18 +282,17 @@ func newSocketSim(src workload.Source, cfg Config) (*socketSim, error) {
 	cfg.Dispatcher.Reset()
 
 	eng := sim.NewEngine()
-	if cfg.Core.ExpectedRequests == 0 && cfg.Cores > 0 {
-		// Per-core share of the stream, as a capacity hint for completion
-		// logs. Dispatch imbalance only costs an amortized regrow.
-		if n := src.Len(); n > 0 {
-			cfg.Core.ExpectedRequests = (n + cfg.Cores - 1) / cfg.Cores
-		}
-	}
 	capped, err := wireCapping(eng, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cores, policies, err := buildCores(eng, cfg)
+	// One completion arena for the socket, sized by the stream: dispatch
+	// may split it however it likes without regrowing any core's log.
+	var log *queueing.Arena
+	if !cfg.Core.DropCompletions {
+		log = queueing.NewArena(src.Len(), cfg.Cores)
+	}
+	cores, policies, err := buildCores(eng, cfg, log)
 	if err != nil {
 		return nil, err
 	}

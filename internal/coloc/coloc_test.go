@@ -2,6 +2,7 @@ package coloc
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"rubik/internal/cpu"
@@ -486,5 +487,56 @@ func TestRunHWServerValidation(t *testing.T) {
 		Interference: DefaultInterference(),
 	}); err == nil {
 		t.Fatal("HW server accepted a negative stream length")
+	}
+}
+
+// TestHWGovernorMemoMatchesAllocate pins the governor's memo to the
+// greedy climb it replaces: for every LC-occupancy mask of every fig15
+// (app, mix) pair at 60% load, under both objectives, the memoized
+// frequencies, on the first call and on a repeat, equal allocate over
+// inputs built per core (the LC curve and floor on occupied cores, the
+// core's batch curve elsewhere).
+func TestHWGovernorMemoMatchesAllocate(t *testing.T) {
+	grid, model := cpu.DefaultGrid(), cpu.DefaultPowerModel()
+	for _, app := range workload.Apps() {
+		for _, mix := range workload.Mixes(20, 6, 42+21) {
+			for _, obj := range []HWObjective{HWThroughput, HWThroughputPerWatt} {
+				cfg := ServerConfig{App: app, Mix: mix, Load: 0.6, Grid: grid, Power: model, Objective: obj}
+				g := newHWGovernor(cfg)
+				busy := make([]bool, len(mix))
+				for rep := 0; rep < 2; rep++ {
+					for mask := 0; mask < 1<<len(mix); mask++ {
+						curves := make([]occupantCurve, len(mix))
+						floors := make([]int, len(mix))
+						for i, b := range mix {
+							busy[i] = mask>>i&1 == 1
+							curves[i] = occupantCurve{b.CyclesPerUnit, b.MemNsPerUnit, b.ActivityFactor}
+							if busy[i] {
+								curves[i], floors[i] = g.lc, g.lcFloor
+							}
+						}
+						want := allocate(curves, floors, grid, model, tdpCoreW, obj)
+						if got := g.freqs(busy); !slices.Equal(got, want) {
+							t.Fatalf("%s %v mask %06b: governor %v, allocate %v", app.Name, obj, mask, got, want)
+						}
+					}
+				}
+				if len(g.memo) != 1<<len(mix) {
+					t.Fatalf("memo holds %d of %d masks", len(g.memo), 1<<len(mix))
+				}
+			}
+		}
+	}
+	// A server wider than a mask climbs every epoch and memoizes nothing.
+	pool := workload.BatchPool()
+	mix := make([]workload.BatchApp, maxMemoCores+1)
+	for i := range mix {
+		mix[i] = pool[i%len(pool)]
+	}
+	g := newHWGovernor(ServerConfig{App: workload.Masstree(), Mix: mix, Load: 0.6, Grid: grid, Power: model})
+	busy := make([]bool, len(mix))
+	busy[maxMemoCores] = true
+	if got, want := g.freqs(busy), g.climb(busy); !slices.Equal(got, want) || len(g.memo) != 0 {
+		t.Fatalf("%d-core server: governor %v, climb %v, %d memo entries", len(mix), got, want, len(g.memo))
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"rubik/internal/cpu"
 	"rubik/internal/queueing"
 	"rubik/internal/sim"
-	"rubik/internal/stats"
 	"rubik/internal/workload"
 )
 
@@ -54,12 +53,7 @@ type CoreResult struct {
 // TailNs returns the q-quantile LC response latency after warmup
 // (queueing.TrimWarmup's rule).
 func (r CoreResult) TailNs(q, warmupFrac float64) float64 {
-	cs := queueing.TrimWarmup(r.Completions, warmupFrac)
-	vals := make([]float64, len(cs))
-	for i, c := range cs {
-		vals[i] = c.ResponseNs
-	}
-	return stats.PercentileInPlace(vals, q)
+	return queueing.PooledTailNs([][]queueing.Completion{r.Completions}, q, warmupFrac)
 }
 
 // core is the colocated-core simulator: the shared queueing.Core serving
@@ -96,11 +90,10 @@ func newCore(eng *sim.Engine, cfg CoreConfig) (*core, error) {
 		Power:             cfg.Power,
 		TransitionLatency: cfg.TransitionLatency,
 		InitialMHz:        cfg.InitialMHz,
-		ExpectedRequests:  src.Len(),
 		// No WakeLatency: the core never sleeps — batch work keeps it busy,
 		// and the resume cost is the interference model's preemption
 		// latency instead.
-	})
+	}, queueing.NewArena(src.Len(), 1))
 	if err != nil {
 		return nil, err
 	}

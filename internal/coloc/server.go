@@ -7,7 +7,6 @@ import (
 	"rubik/internal/cpu"
 	"rubik/internal/queueing"
 	"rubik/internal/sim"
-	"rubik/internal/stats"
 	"rubik/internal/workload"
 )
 
@@ -123,6 +122,104 @@ func stepsOf(grid cpu.Grid, idx []int) []int {
 	return out
 }
 
+// hwGovernor is one server run's HW-T / HW-TPW allocator. Its inputs
+// change with one thing only, which cores hold LC work: such a core
+// presents the LC app's curve and the utilization floor, any other its
+// own batch app's curve and no floor. So allocate is a pure function of
+// that occupancy, and the governor memoizes it per occupancy mask for
+// servers of up to 63 cores; wider ones climb every epoch.
+type hwGovernor struct {
+	lc      occupantCurve
+	lcFloor int
+	batch   []occupantCurve
+	grid    cpu.Grid
+	power   cpu.PowerModel
+	obj     HWObjective
+
+	curves []occupantCurve
+	floors []int
+	memo   map[uint64][]int
+}
+
+// maxMemoCores is the widest server whose occupancy fits a mask.
+const maxMemoCores = 63
+
+// newHWGovernor prepares the allocator for the server cfg, whose core i
+// colocates the LC app with cfg.Mix[i].
+func newHWGovernor(cfg ServerConfig) *hwGovernor {
+	meanCC := cfg.App.Compute.Mean()
+	meanMem := cfg.App.MeanServiceNsAtNominal() - meanCC*1000/float64(cpu.NominalMHz)
+	g := &hwGovernor{
+		lc: occupantCurve{
+			computeCyclesPerUnit: meanCC,
+			memNsPerUnit:         meanMem,
+			activity:             1.0,
+		},
+		batch:  make([]occupantCurve, len(cfg.Mix)),
+		grid:   cfg.Grid,
+		power:  cfg.Power,
+		obj:    cfg.Objective,
+		curves: make([]occupantCurve, len(cfg.Mix)),
+		floors: make([]int, len(cfg.Mix)),
+		memo:   make(map[uint64][]int),
+	}
+	for i, b := range cfg.Mix {
+		g.batch[i] = occupantCurve{
+			computeCyclesPerUnit: b.CyclesPerUnit,
+			memNsPerUnit:         b.MemNsPerUnit,
+			activity:             b.ActivityFactor,
+		}
+	}
+	// Utilization-governor floor for LC-occupied cores: the lowest step at
+	// which the offered LC load stays sustainable (busy fraction <= 0.92).
+	// Without it a low-frequency efficiency objective would let queues grow
+	// without bound, which no real governor allows. A load no step sustains
+	// gets the top step.
+	g.lcFloor = cfg.Grid.Len() - 1
+	for s := 0; s < cfg.Grid.Len(); s++ {
+		f := cfg.Grid.Step(s)
+		svc := meanCC*1000/float64(f) + meanMem
+		if cfg.Load*svc/cfg.App.MeanServiceNsAtNominal() <= 0.92 {
+			g.lcFloor = s
+			break
+		}
+	}
+	return g
+}
+
+// freqs returns one frequency per core for the occupancy busy (busy[i]:
+// core i holds LC work). The result may be shared with later calls;
+// read it, do not keep or modify it.
+func (g *hwGovernor) freqs(busy []bool) []int {
+	if len(busy) > maxMemoCores {
+		return g.climb(busy)
+	}
+	var mask uint64
+	for i, b := range busy {
+		if b {
+			mask |= 1 << i
+		}
+	}
+	f, ok := g.memo[mask]
+	if !ok {
+		f = g.climb(busy)
+		g.memo[mask] = f
+	}
+	return f
+}
+
+// climb runs the allocator on the occupancy busy.
+func (g *hwGovernor) climb(busy []bool) []int {
+	for i, b := range busy {
+		if b {
+			g.curves[i], g.floors[i] = g.lc, g.lcFloor
+		} else {
+			g.curves[i], g.floors[i] = g.batch[i], 0
+		}
+	}
+	return allocate(g.curves, g.floors, g.grid, g.power, tdpCoreW, g.obj)
+}
+
 // ServerConfig describes a 6-core colocated server, each core pairing
 // one LC app instance with one batch app from the mix, for every scheme:
 // the software-managed RubikColoc and StaticColoc, and the hardware
@@ -203,17 +300,11 @@ type ServerResult struct {
 // TailNs pools post-warmup LC completions across cores (warmup trimmed
 // per core) and returns the q-quantile.
 func (r ServerResult) TailNs(q, warmupFrac float64) float64 {
-	n := 0
-	for _, c := range r.Cores {
-		n += len(queueing.TrimWarmup(c.Completions, warmupFrac))
+	logs := make([][]queueing.Completion, len(r.Cores))
+	for i, c := range r.Cores {
+		logs[i] = c.Completions
 	}
-	all := make([]float64, 0, n)
-	for _, c := range r.Cores {
-		for _, comp := range queueing.TrimWarmup(c.Completions, warmupFrac) {
-			all = append(all, comp.ResponseNs)
-		}
-	}
-	return stats.PercentileInPlace(all, q)
+	return queueing.PooledTailNs(logs, q, warmupFrac)
 }
 
 // TotalEnergyJ returns LC+batch core energy across cores.
@@ -247,51 +338,17 @@ func RunHWServer(cfg ServerConfig) (ServerResult, error) {
 		c.start()
 	}
 
-	meanCC := cfg.App.Compute.Mean()
-	meanMem := cfg.App.MeanServiceNsAtNominal() - meanCC*1000/float64(cpu.NominalMHz)
-
-	// Utilization-governor floor for LC-occupied cores: the lowest step at
-	// which the offered LC load stays sustainable (busy fraction <= 0.92).
-	// Without it a low-frequency efficiency objective would let queues grow
-	// without bound, which no real governor allows. A load no step sustains
-	// gets the top step.
-	lcFloor := cfg.Grid.Len() - 1
-	for s := 0; s < cfg.Grid.Len(); s++ {
-		f := cfg.Grid.Step(s)
-		svc := meanCC*1000/float64(f) + meanMem
-		if cfg.Load*svc/cfg.App.MeanServiceNsAtNominal() <= 0.92 {
-			lcFloor = s
-			break
-		}
-	}
+	gov := newHWGovernor(cfg)
 
 	// The epoch tick is one pre-registered event rescheduling itself, and
-	// the allocator inputs are reused across epochs: a steady-state epoch
-	// allocates only inside allocate's greedy climb.
-	curves := make([]occupantCurve, len(cores))
-	floors := make([]int, len(cores))
+	// the occupancy it hands the governor is reused across epochs.
+	busy := make([]bool, len(cores))
 	var epochH sim.Handle
 	epochTick := func() {
-		for i := range floors {
-			floors[i] = 0
-		}
 		for i, c := range cores {
-			if c.queueLen() > 0 {
-				curves[i] = occupantCurve{
-					computeCyclesPerUnit: meanCC,
-					memNsPerUnit:         meanMem,
-					activity:             1.0,
-				}
-				floors[i] = lcFloor
-			} else {
-				curves[i] = occupantCurve{
-					computeCyclesPerUnit: c.cfg.Batch.CyclesPerUnit,
-					memNsPerUnit:         c.cfg.Batch.MemNsPerUnit,
-					activity:             c.cfg.Batch.ActivityFactor,
-				}
-			}
+			busy[i] = c.queueLen() > 0
 		}
-		freqs := allocate(curves, floors, cfg.Grid, cfg.Power, tdpCoreW, cfg.Objective)
+		freqs := gov.freqs(busy)
 		anyWork := false
 		for i, c := range cores {
 			c.accrue()

@@ -81,7 +81,9 @@ type Core struct {
 	eng    *sim.Engine
 	cfg    Config
 	policy Policy
-	hooks  Hooks
+	// obs is policy as a CompletionObserver, nil when it is not one.
+	obs   CompletionObserver
+	hooks Hooks
 
 	// FIFO ring buffer: the request in service is ring[head], arrivals
 	// append at (head+count) & mask. Capacity is a power of two and grows
@@ -97,8 +99,14 @@ type Core struct {
 	pendCC  float64
 	pendMem float64
 
-	// views backs the policy-visible queue snapshots: the buffer reused
-	// across decision points, or under -race the core's poisoner (see
+	// queued mirrors the arrival stamps of the requests in the ring, head
+	// first from queued[qhead], so a View's Queue can alias it instead of
+	// copying the queue at every decision. It is compacted when its head
+	// half is spent, and restarts at 0 whenever the queue drains.
+	queued []QueuedRequest
+	qhead  int
+
+	// views is the race build's poisoner of retired snapshots (see
 	// view_norace.go / view_race.go).
 	views viewState
 
@@ -118,9 +126,11 @@ type Core struct {
 	// a completion-aware source.
 	feed *Feeder
 
-	completions []Completion
-	served      int
-	respHist    *stats.LogHistogram
+	// log records completions into the socket's arena (unused under
+	// DropCompletions, which folds them into respHist instead).
+	log      arenaLog
+	served   int
+	respHist *stats.LogHistogram
 
 	freqTimeline   []FreqSample
 	energyTimeline []EnergySample
@@ -131,8 +141,10 @@ type Core struct {
 // power model — and prepares a core on the engine. Every simulated core
 // is built here, so this is the one server-config validator. policy may
 // be nil when an external allocator owns the frequency (coloc HW-T /
-// HW-TPW); such a core never decides, it only serves.
-func NewCore(eng *sim.Engine, p Policy, cfg Config) (*Core, error) {
+// HW-TPW); such a core never decides, it only serves. The core records
+// its completions into log, the arena it shares with the other cores of
+// its socket; a nil log gives it an arena of its own, grown as it fills.
+func NewCore(eng *sim.Engine, p Policy, cfg Config, log *Arena) (*Core, error) {
 	if cfg.Grid.Len() == 0 {
 		return nil, fmt.Errorf("queueing: config has empty grid")
 	}
@@ -159,6 +171,7 @@ func NewCore(eng *sim.Engine, p Policy, cfg Config) (*Core, error) {
 		target:     cfg.InitialMHz,
 		targetStep: step,
 	}
+	c.obs, _ = p.(CompletionObserver)
 	c.meter.SetFreq(step, cfg.InitialMHz)
 	c.completionH = eng.Register(c.completionEvent)
 	c.switchH = eng.Register(c.switchEvent)
@@ -167,16 +180,13 @@ func NewCore(eng *sim.Engine, p Policy, cfg Config) (*Core, error) {
 		// response histogram instead of an O(requests) log, so memory is
 		// independent of run length.
 		c.respHist = stats.NewResponseHistogram()
-	} else if cfg.ExpectedRequests > 0 {
-		c.completions = make([]Completion, 0, cfg.ExpectedRequests)
+	} else {
+		if log == nil {
+			log = NewArena(0, 1)
+		}
+		c.log = arenaLog{a: log, user: log.join()}
 	}
 	if cfg.RecordTimeline {
-		if cfg.ExpectedRequests > 0 {
-			// Frequency changes track decision points, which track events:
-			// a couple per request is the right order of magnitude.
-			c.freqTimeline = make([]FreqSample, 0, 2*cfg.ExpectedRequests)
-			c.energyTimeline = make([]EnergySample, 0, 2*cfg.ExpectedRequests)
-		}
 		c.freqTimeline = append(c.freqTimeline, FreqSample{T: 0, MHz: c.cur})
 	}
 	return c, nil
@@ -240,6 +250,7 @@ func (c *Core) Enqueue(req workload.Request) {
 	}
 	wasIdle := c.count == 0
 	c.count++
+	c.pushQueued(req.Arrival)
 	c.pendCC += a.RemainingCC
 	c.pendMem += a.RemainingMem
 	if wasIdle {
@@ -312,21 +323,38 @@ func (c *Core) Accrue() {
 	c.pendMem -= dMem
 }
 
-// View assembles the policy-visible snapshot of the core. The snapshot's
-// Queue aliases a core-owned buffer reused across decision points: a
-// policy must read it synchronously inside OnEvent/OnTick and must not
-// retain it past the call (race-instrumented builds poison retained
-// snapshots so `go test -race` catches violations; see view_race.go).
-func (c *Core) View() View {
-	q := c.snapshotBuf(c.count)
-	for i := 0; i < c.count; i++ {
-		q[i] = QueuedRequest{Arrival: c.ring[(c.head+i)&c.mask].Req.Arrival}
+// pushQueued mirrors an arrival into queued. When the mirror is full
+// and its head half spent, the live stamps move to the front instead of
+// growing it, so it stays within twice the peak queue depth.
+func (c *Core) pushQueued(arrival sim.Time) {
+	if len(c.queued) == cap(c.queued) && c.qhead >= len(c.queued)/2 {
+		c.queued = c.queued[:copy(c.queued, c.queued[c.qhead:])]
+		c.qhead = 0
 	}
+	c.queued = append(c.queued, QueuedRequest{Arrival: arrival})
+}
+
+// popQueued drops the head's stamp from the mirror; a drained queue
+// restarts it at the front.
+func (c *Core) popQueued() {
+	c.qhead++
+	if c.qhead == len(c.queued) {
+		c.queued, c.qhead = c.queued[:0], 0
+	}
+}
+
+// View assembles the policy-visible snapshot of the core. The snapshot's
+// Queue aliases the core's mirror of the queued arrival stamps, which
+// later decision points overwrite: a policy must read it synchronously
+// inside OnEvent/OnTick and must not retain it past the call
+// (race-instrumented builds hand out poisoned copies so `go test -race`
+// catches violations; see view_race.go).
+func (c *Core) View() View {
 	v := View{
 		Now:        c.eng.Now(),
 		CurrentMHz: c.cur,
 		TargetMHz:  c.target,
-		Queue:      q,
+		Queue:      c.queueView(),
 	}
 	if c.count > 0 {
 		head := &c.ring[c.head]
@@ -444,18 +472,19 @@ func (c *Core) completionEvent() {
 	if c.cfg.DropCompletions {
 		c.respHist.Observe(comp.ResponseNs)
 	} else {
-		c.completions = append(c.completions, comp)
+		c.log.add(&comp)
 	}
 	c.head = (c.head + 1) & c.mask
 	c.count--
+	c.popQueued()
 	if c.count == 0 {
 		// Re-zero the pending-work counters at every idle point so float
 		// rounding from incremental updates cannot accumulate across busy
 		// periods.
 		c.pendCC, c.pendMem = 0, 0
 	}
-	if obs, ok := c.policy.(CompletionObserver); ok {
-		obs.ObserveCompletion(comp)
+	if c.obs != nil {
+		c.obs.ObserveCompletion(comp)
 	}
 	if c.feed != nil {
 		c.feed.completed(now)
@@ -502,11 +531,11 @@ func (c *Core) PendingWorkNs() sim.Time {
 // CurrentMHz returns the frequency the core is executing at.
 func (c *Core) CurrentMHz() int { return c.cur }
 
-// Completions returns the completions recorded so far.
-func (c *Core) Completions() []Completion { return c.completions }
-
 // Finalize accrues any trailing span, stops the race build's poisoner and
-// assembles the core's Result. EndTime is the engine's current time.
+// assembles the core's Result. EndTime is the engine's current time. The
+// Result's completion log is a view of the core's arena: the first
+// Finalize among the cores sharing an arena seals it, after which none
+// of them may record another completion.
 func (c *Core) Finalize() Result {
 	c.Accrue()
 	c.closeViews()
@@ -516,7 +545,7 @@ func (c *Core) Finalize() Result {
 	}
 	return Result{
 		Policy:         name,
-		Completions:    c.completions,
+		Completions:    c.log.records(c.served),
 		Served:         c.served,
 		ResponseHist:   c.respHist,
 		ActiveEnergyJ:  c.meter.ActiveEnergyJ(),

@@ -49,7 +49,7 @@ func TestPendingWorkCountersMatchScan(t *testing.T) {
 	cfg := DefaultConfig()                            // 4 us transitions, 5 us wake
 	p := &checkingPolicy{t: t, freqs: []int{1200, 3400, 2000, 2700}}
 	eng := sim.NewEngine()
-	c, err := NewCore(eng, p, cfg)
+	c, err := NewCore(eng, p, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestPendingWorkCountersWithHooks(t *testing.T) {
 	cfg := DefaultConfig()
 	p := &checkingPolicy{t: t, freqs: []int{2400, 1600}}
 	eng := sim.NewEngine()
-	c, err := NewCore(eng, p, cfg)
+	c, err := NewCore(eng, p, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestPendingWorkCountersWithHooks(t *testing.T) {
 	f := NewSourceFeeder(eng, workload.NewTraceSource(tr), c.Enqueue)
 	f.Start()
 	eng.Run()
-	if got := len(c.Completions()); got != len(tr.Requests) {
+	if got := len(c.Finalize().Completions); got != len(tr.Requests) {
 		t.Fatalf("served %d of %d requests", got, len(tr.Requests))
 	}
 }
@@ -149,7 +149,7 @@ func TestGrantFiltersEveryPositiveDesire(t *testing.T) {
 	cfg := bareConfig(2400)
 	cfg.RecordTimeline = true
 	eng := sim.NewEngine()
-	c, err := NewCore(eng, p, cfg)
+	c, err := NewCore(eng, p, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestFeederSingleArrivalEvent(t *testing.T) {
 	app := workload.Masstree()
 	tr := workload.GenerateAtLoad(app, 0.5, 200, 3)
 	eng := sim.NewEngine()
-	c, err := NewCore(eng, FixedPolicy{MHz: 2400}, bareConfig(2400))
+	c, err := NewCore(eng, FixedPolicy{MHz: 2400}, bareConfig(2400), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestFeederSingleArrivalEvent(t *testing.T) {
 			t.Fatalf("pending events grew to %d; feeder is not reusing its handle", got)
 		}
 	}
-	if got := len(c.Completions()); got != len(tr.Requests) {
+	if got := len(c.Finalize().Completions); got != len(tr.Requests) {
 		t.Fatalf("served %d of %d", got, len(tr.Requests))
 	}
 	if f.More() {

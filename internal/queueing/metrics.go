@@ -41,8 +41,23 @@ func (r Result) TailNs(q, warmupFrac float64) float64 {
 	if len(r.Completions) == 0 && r.ResponseHist != nil {
 		return r.ResponseHist.Quantile(q)
 	}
-	return stats.PercentileInPlace(r.Responses(warmupFrac), q)
+	return PooledTailNs([][]Completion{r.Completions}, q, warmupFrac)
 }
+
+// PooledTailNs returns the nearest-rank q-quantile response latency pooled
+// over the logs, each trimmed by TrimWarmup first (per core, as in the
+// paper's steady-state methodology): stats.PercentileInPlace over that
+// pool, selected straight from the logs by stats.PooledPercentile, so the
+// pool is never built. It is the one selector behind every logged tail.
+func PooledTailNs(logs [][]Completion, q, warmupFrac float64) float64 {
+	trimmed := make([][]Completion, len(logs))
+	for i, l := range logs {
+		trimmed[i] = TrimWarmup(l, warmupFrac)
+	}
+	return stats.PooledPercentile(trimmed, responseNs, q)
+}
+
+func responseNs(c *Completion) float64 { return c.ResponseNs }
 
 // ViolationFrac returns the fraction of post-warmup responses above
 // boundNs. Like TailNs it falls back to the aggregate histogram when the

@@ -22,9 +22,9 @@ type QueuedRequest struct {
 // View is the system state handed to a Policy at a decision point. Index 0
 // of Queue is the request in service (if any).
 //
-// Queue aliases a buffer the core reuses across decision points: a policy
-// must read it synchronously inside OnEvent/OnTick and must not retain it
-// past the call. Race-instrumented builds (`go test -race`) poison
+// Queue aliases the core's mirror of its queued arrival stamps, which
+// later decision points overwrite: a policy must read it synchronously
+// inside OnEvent/OnTick and must not retain it past the call. Race-instrumented builds (`go test -race`) poison
 // retired snapshots from another goroutine, so a violation surfaces as a
 // data race instead of silent stale data.
 type View struct {

@@ -27,13 +27,6 @@ type Config struct {
 	// RecordTimeline enables frequency and active-energy timelines in the
 	// Result, used by the transient-response figures (1b, 10).
 	RecordTimeline bool
-	// ExpectedRequests hints how many requests the core will serve
-	// (typically the trace or source length), pre-sizing the completion
-	// log and the optional timelines so steady-state appends never
-	// reallocate. Purely a capacity hint: it never changes simulation
-	// results. Without a hint the logs grow geometrically via append, so
-	// cost stays amortized O(1) per request.
-	ExpectedRequests int
 	// DropCompletions switches the core to streaming metrics: per-request
 	// records fold into a fixed-size response-latency histogram
 	// (Result.ResponseHist) instead of accumulating in
@@ -119,9 +112,7 @@ type Result struct {
 
 // Run simulates the trace under the policy on a dedicated single-core
 // engine and returns the result. A materialized trace is just one Source:
-// Run is RunSource over the trace's stream, byte-identical to the
-// pre-streaming replay loop (the stream hints its length, so even the
-// completion-log presizing is identical).
+// Run is RunSource over the trace's stream.
 func Run(trace workload.Trace, p Policy, cfg Config) (Result, error) {
 	return RunSource(workload.NewTraceSource(trace), p, cfg)
 }
@@ -130,22 +121,19 @@ func Run(trace workload.Trace, p Policy, cfg Config) (Result, error) {
 // dedicated single-core engine. It is a thin assembly of the shared Core:
 // a Feeder pulls the source through one rescheduled arrival handle, the
 // policy's Ticker (if any) is scheduled, and the engine runs until the
-// source drains and the queue empties. Nothing on this path materializes
-// the stream, so run length is bounded by time, not memory; pair a long
-// source with Config.DropCompletions for constant memory. The policy
-// must not be nil: unlike a coloc core, whose frequency an external
-// allocator owns, nothing else would ever set this core's frequency.
+// source drains and the queue empties. The completion log is an Arena
+// with one user, sized by the source's Len. Nothing on this path
+// materializes the stream, so run length is bounded by time, not memory;
+// pair a long source with Config.DropCompletions for constant memory.
+// The policy must not be nil: unlike a coloc core, whose frequency an
+// external allocator owns, nothing else would ever set this core's
+// frequency.
 func RunSource(src workload.Source, p Policy, cfg Config) (Result, error) {
 	if p == nil {
 		return Result{}, fmt.Errorf("queueing: nil policy")
 	}
 	eng := sim.NewEngine()
-	if cfg.ExpectedRequests == 0 {
-		if n := src.Len(); n > 0 {
-			cfg.ExpectedRequests = n
-		}
-	}
-	c, err := NewCore(eng, p, cfg)
+	c, err := NewCore(eng, p, cfg, NewArena(src.Len(), 1))
 	if err != nil {
 		return Result{}, err
 	}
