@@ -132,7 +132,7 @@ func mergeFixture(sockets, cores, perCore int) cluster.FleetResult {
 			for k := range log {
 				gap := sim.Time(1 + r.Intn(400_000))
 				done += gap
-				log[k] = queueing.Completion{ID: k, Done: done, ResponseNs: float64(gap)}
+				log[k] = queueing.Completion{ID: k, Arrival: done - gap, Done: done}
 			}
 			sock.PerCore = append(sock.PerCore, queueing.Result{Completions: log})
 		}

@@ -56,7 +56,7 @@ func main() {
 		var lat []float64
 		for _, c := range res.Completions {
 			if c.Done > t-win && c.Done <= t {
-				lat = append(lat, c.ResponseNs)
+				lat = append(lat, c.ResponseNs())
 			}
 		}
 		if len(lat) == 0 {

@@ -10,6 +10,7 @@ import (
 
 	"rubik/internal/coloc"
 	"rubik/internal/queueing"
+	"rubik/internal/sim"
 	"rubik/internal/stats"
 )
 
@@ -83,7 +84,7 @@ func TestTailNsHostileArgs(t *testing.T) {
 		for k := 0; k < perCore+i; k++ {
 			v := 1e3 * float64(1+r.Intn(500))
 			logs[i] = append(logs[i], v)
-			c := queueing.Completion{ID: k, ResponseNs: v}
+			c := queueing.Completion{ID: k, Done: sim.Time(v)}
 			qrs[i].Completions = append(qrs[i].Completions, c)
 			ccs[i].Completions = append(ccs[i].Completions, c)
 			h.Observe(v)

@@ -53,9 +53,9 @@ func TestColocCoreMatchesQueueingWithoutInterference(t *testing.T) {
 			if a.ID != b.ID {
 				t.Fatalf("%s: order differs at %d", appName, i)
 			}
-			if math.Abs(a.ResponseNs-b.ResponseNs) > 4 {
+			if math.Abs(a.ResponseNs()-b.ResponseNs()) > 4 {
 				t.Fatalf("%s: request %d response %v vs %v",
-					appName, i, a.ResponseNs, b.ResponseNs)
+					appName, i, a.ResponseNs(), b.ResponseNs())
 			}
 		}
 		// LC energy matches the standalone server's active energy.

@@ -131,8 +131,6 @@ func NewTableBuilder(percentile float64, nbuckets, rows, maxQueue int) (*TableBu
 		MaxQueue:   maxQueue,
 		rowBoundsC: make([]float64, rows),
 		rowBoundsM: make([]float64, rows),
-		c:          make([][]float64, rows),
-		m:          make([][]float64, rows),
 		discC:      make([]float64, rows),
 		discM:      make([]float64, rows),
 		headC:      make([]float64, rows),
@@ -140,10 +138,6 @@ func NewTableBuilder(percentile float64, nbuckets, rows, maxQueue int) (*TableBu
 		ready:      make([]bool, rows),
 		exactC:     make([]float64, maxQueue),
 		exactM:     make([]float64, maxQueue),
-	}
-	for r := 0; r < rows; r++ {
-		t.c[r] = make([]float64, maxQueue)
-		t.m[r] = make([]float64, maxQueue)
 	}
 	b := &TableBuilder{
 		percentile:  percentile,

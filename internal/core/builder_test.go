@@ -11,11 +11,20 @@ import (
 	"rubik/internal/stats/oracle"
 )
 
+// referenceTable is the oracle build: a table holding the reference's
+// moments, row bounds, discounts, head tails and exact tails, plus every
+// entry (c[r][i], m[r][i]) computed here in test code, so the entries the
+// production table derives are checked against an independent formula.
+type referenceTable struct {
+	*TailTable
+	c, m [][]float64
+}
+
 // referenceTailTable is the pre-builder one-shot table build, kept
 // verbatim (the naive oracle chain, fresh allocations everywhere, every
-// column computed up front) as the oracle the allocation-free, lazily
-// filled pipeline is checked against.
-func referenceTailTable(computeSamples, memSamples []float64, percentile float64, nbuckets, rows, maxQueue int) (*TailTable, error) {
+// column and entry computed up front) as the oracle the allocation-free,
+// lazily filled pipeline is checked against.
+func referenceTailTable(computeSamples, memSamples []float64, percentile float64, nbuckets, rows, maxQueue int) (*referenceTable, error) {
 	naiveC, err := oracle.NewPMFFromSamples(computeSamples, nbuckets)
 	if err != nil {
 		return nil, err
@@ -25,6 +34,7 @@ func referenceTailTable(computeSamples, memSamples []float64, percentile float64
 		return nil, err
 	}
 	distC, distM := stats.PMF(naiveC), stats.PMF(naiveM)
+	ref := &referenceTable{}
 	t := &TailTable{
 		Percentile: percentile,
 		MaxQueue:   maxQueue,
@@ -74,23 +84,25 @@ func referenceTailTable(computeSamples, memSamples []float64, percentile float64
 			cRow[i] = maxf(exactC[i]-discC, headC)
 			mRow[i] = maxf(exactM[i]-discM, headM)
 		}
-		t.c = append(t.c, cRow)
-		t.m = append(t.m, mRow)
+		ref.c = append(ref.c, cRow)
+		ref.m = append(ref.m, mRow)
 		t.discC = append(t.discC, discC)
 		t.discM = append(t.discM, discM)
 		t.headC = append(t.headC, headC)
 		t.headM = append(t.headM, headM)
 	}
+	t.exactC, t.exactM = exactC, exactM
 	t.built = maxQueue
 	t.ready = make([]bool, rows)
 	for r := range t.ready {
 		t.ready[r] = true
 	}
-	return t, nil
+	ref.TailTable = t
+	return ref, nil
 }
 
 // materialize conditions every row and fills every column a lazily built
-// table has not, so tests can read t.c, t.m and the per-row fields
+// table has not, so tests can read the per-row and per-column fields
 // directly.
 func materialize(tb *TailTable) {
 	for r, ready := range tb.ready {
@@ -104,7 +116,7 @@ func materialize(tb *TailTable) {
 }
 
 // tablesBitwiseEqual materializes both tables and compares every field
-// and entry by raw bits.
+// and every in-table Lookup by raw bits.
 func tablesBitwiseEqual(t *testing.T, got, want *TailTable) {
 	t.Helper()
 	materialize(got)
@@ -117,10 +129,16 @@ func tablesBitwiseEqual(t *testing.T, got, want *TailTable) {
 		bits(got.meanM) != bits(want.meanM) || bits(got.varM) != bits(want.varM) {
 		t.Fatal("moment mismatch")
 	}
-	if len(got.c) != len(want.c) {
-		t.Fatalf("rows %d vs %d", len(got.c), len(want.c))
+	if got.Rows() != want.Rows() {
+		t.Fatalf("rows %d vs %d", got.Rows(), want.Rows())
 	}
-	for r := range want.c {
+	for i := 0; i < want.MaxQueue; i++ {
+		if bits(got.exactC[i]) != bits(want.exactC[i]) || bits(got.exactM[i]) != bits(want.exactM[i]) {
+			t.Fatalf("column %d exact tails: got (%v,%v) want (%v,%v)",
+				i, got.exactC[i], got.exactM[i], want.exactC[i], want.exactM[i])
+		}
+	}
+	for r := 0; r < want.Rows(); r++ {
 		if bits(got.rowBoundsC[r]) != bits(want.rowBoundsC[r]) ||
 			bits(got.rowBoundsM[r]) != bits(want.rowBoundsM[r]) ||
 			bits(got.discC[r]) != bits(want.discC[r]) ||
@@ -129,10 +147,29 @@ func tablesBitwiseEqual(t *testing.T, got, want *TailTable) {
 			bits(got.headM[r]) != bits(want.headM[r]) {
 			t.Fatalf("row %d bounds/discounts/heads mismatch", r)
 		}
+		for i := 0; i < want.MaxQueue; i++ {
+			gc, gm := got.Lookup(r, i)
+			wc, wm := want.Lookup(r, i)
+			if bits(gc) != bits(wc) || bits(gm) != bits(wm) {
+				t.Fatalf("entry (%d,%d): got (%v,%v) want (%v,%v)", r, i, gc, gm, wc, wm)
+			}
+		}
+	}
+}
+
+// matchesReference requires got to equal the reference build field for
+// field, and every Lookup(r, i) of got to equal the entry the reference
+// computed in test code, bit for bit.
+func matchesReference(t *testing.T, got *TailTable, want *referenceTable) {
+	t.Helper()
+	tablesBitwiseEqual(t, got, want.TailTable)
+	bits := math.Float64bits
+	for r := range want.c {
 		for i := range want.c[r] {
-			if bits(got.c[r][i]) != bits(want.c[r][i]) || bits(got.m[r][i]) != bits(want.m[r][i]) {
-				t.Fatalf("entry (%d,%d): got (%v,%v) want (%v,%v)",
-					r, i, got.c[r][i], got.m[r][i], want.c[r][i], want.m[r][i])
+			gc, gm := got.Lookup(r, i)
+			if bits(gc) != bits(want.c[r][i]) || bits(gm) != bits(want.m[r][i]) {
+				t.Fatalf("entry (%d,%d): got (%v,%v) reference (%v,%v)",
+					r, i, gc, gm, want.c[r][i], want.m[r][i])
 			}
 		}
 	}
@@ -185,7 +222,7 @@ func checkSlidingRebuilds(t *testing.T, r *rand.Rand, percentile float64, nbucke
 		if err != nil {
 			t.Fatal(err)
 		}
-		tablesBitwiseEqual(t, got, want)
+		matchesReference(t, got, want)
 	}
 }
 
@@ -253,7 +290,7 @@ func TestPackedBuilderMatchesReferenceTables(t *testing.T) {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 			name := fmt.Sprintf("%s-%dx%dx%d", c.name, s.nbuckets, s.rows, s.maxQueue)
-			t.Run(name, func(t *testing.T) { tablesBitwiseEqual(t, got, want) })
+			t.Run(name, func(t *testing.T) { matchesReference(t, got, want) })
 		}
 	}
 }
@@ -340,7 +377,7 @@ func TestBuilderDegenerateProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tablesBitwiseEqual(t, got, want)
+	matchesReference(t, got, want)
 
 	// And a later non-degenerate refresh on the same builder recovers.
 	r := rand.New(rand.NewSource(9))

@@ -256,9 +256,8 @@ func (c *TableCache) moveToFront(e *cacheEntry) {
 
 // copyFrom makes t a deep copy of src's materialized state — the row
 // bounds, which rows are materialized with their discounts and head
-// tails, the exact tails of columns 0..src.built-1 and those columns of
-// every row — reusing t's backing slices
-// when their capacities allow. It leaves t.src alone: a cache entry stays
+// tails, and the exact tails of columns 0..src.built-1, from which every
+// entry derives — reusing t's backing slices when their capacities allow. It leaves t.src alone: a cache entry stays
 // ownerless, and a builder's table keeps deriving its pending columns
 // from its builder. On the hit path the builder's table already has the
 // key's exact dimensions, so the copy allocates nothing; recycled cache
@@ -278,8 +277,6 @@ func (t *TailTable) copyFrom(src *TailTable) {
 	t.exactC = resizeCopy(t.exactC, src.exactC)
 	t.exactM = resizeCopy(t.exactM, src.exactM)
 	t.built = src.built
-	t.c = resizeCopyRows(t.c, src.c, src.built)
-	t.m = resizeCopyRows(t.m, src.m, src.built)
 }
 
 // resizeCopy copies src into dst's backing array, growing only when the
@@ -291,27 +288,5 @@ func resizeCopy(dst, src []float64) []float64 {
 		dst = dst[:len(src)]
 	}
 	copy(dst, src)
-	return dst
-}
-
-// resizeCopyRows shapes dst like the row matrix src, reusing both the row
-// slice and each row's backing array where capacities allow, and copies
-// the first n columns of every row.
-func resizeCopyRows(dst, src [][]float64, n int) [][]float64 {
-	if cap(dst) < len(src) {
-		grown := make([][]float64, len(src))
-		copy(grown, dst[:cap(dst)])
-		dst = grown
-	} else {
-		dst = dst[:len(src)]
-	}
-	for i, row := range src {
-		if cap(dst[i]) < len(row) {
-			dst[i] = make([]float64, len(row))
-		} else {
-			dst[i] = dst[i][:len(row)]
-		}
-		copy(dst[i], row[:n])
-	}
 	return dst
 }

@@ -97,11 +97,11 @@ func TestCacheDegenerateProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tablesBitwiseEqual(t, got, want)
+	matchesReference(t, got, want)
 	if got, _, err = b.Rebuild(histC, histM); err != nil {
 		t.Fatal(err)
 	}
-	tablesBitwiseEqual(t, got, want)
+	matchesReference(t, got, want)
 	if b.CacheHits() != 1 {
 		t.Fatalf("second identical refresh: hits=%d, want 1", b.CacheHits())
 	}
@@ -322,5 +322,45 @@ func TestCacheStatsArithmetic(t *testing.T) {
 	}
 	if s.Evictions != 2 {
 		t.Fatalf("evictions=%d", s.Evictions)
+	}
+}
+
+// TestRubikTableCountersCountCacheHits pins what a controller's table
+// counters mean: TableBuilds counts every refresh that replaced the
+// table, a shared-cache hit included, so TableBuilds − TableCacheHits
+// is the number of full rebuilds; the counters read 0 before the first
+// refresh, and a refresh that fails counts nowhere.
+func TestRubikTableCountersCountCacheHits(t *testing.T) {
+	cache := NewTableCache(4)
+	comp, mem := randomSamples(rand.New(rand.NewSource(17)), 256)
+	counters := func(r *Rubik) [3]int { return [3]int{r.TableBuilds(), r.TableCacheHits(), r.TableSkips()} }
+	var rs [2]*Rubik
+	for i := range rs {
+		r, err := New(DefaultConfig(1e6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetTableCache(cache)
+		if got := counters(r); got != [3]int{} {
+			t.Fatalf("controller %d before its first refresh: builds, hits, skips = %v", i, got)
+		}
+		if err := r.Bootstrap(comp, mem); err != nil {
+			t.Fatal(err)
+		}
+		rs[i] = r
+	}
+	if got := counters(rs[0]); got != [3]int{1, 0, 0} {
+		t.Fatalf("first controller: builds, hits, skips = %v, want [1 0 0]", got)
+	}
+	if got := counters(rs[1]); got != [3]int{1, 1, 0} {
+		t.Fatalf("second controller: builds, hits, skips = %v, want [1 1 0]", got)
+	}
+	// An emptied profile fails the refresh and leaves the counters alone.
+	rs[1].histC, rs[1].histM = stats.NewHistogram(16), stats.NewHistogram(16)
+	if err := rs[1].rebuild(); err == nil {
+		t.Fatal("refresh from empty profiles must fail")
+	}
+	if got := counters(rs[1]); got != [3]int{1, 1, 0} {
+		t.Fatalf("after a failed refresh: builds, hits, skips = %v, want [1 1 0]", got)
 	}
 }

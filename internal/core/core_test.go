@@ -466,7 +466,7 @@ func TestRubikAdaptsToLoadStep(t *testing.T) {
 	var post []float64
 	for _, c := range res.Completions {
 		if c.Done > sim.Second+200*sim.Millisecond {
-			post = append(post, c.ResponseNs)
+			post = append(post, c.ResponseNs())
 		}
 	}
 	if len(post) > 100 {

@@ -456,3 +456,38 @@ func FuzzLazyTableLookupOrder(f *testing.F) {
 		}
 	})
 }
+
+// TestLookupClampsOutOfRange pins Lookup's clamps on a freshly built
+// table, whose rows and deeper columns are still pending: a negative
+// queue position reads position 0, and a row outside the table the
+// nearest row.
+func TestLookupClampsOutOfRange(t *testing.T) {
+	const p, nbuckets, rows, maxQueue = 0.95, 64, 4, 8
+	r := rand.New(rand.NewSource(21))
+	histC, histM := stats.NewHistogram(512), stats.NewHistogram(512)
+	pushSamples(r, histC, histM, 512, 1)
+	want := eagerTable(t, p, nbuckets, rows, maxQueue, histC, histM)
+	for _, c := range []struct{ row, i, wantRow, wantI int }{
+		{0, -1, 0, 0},
+		{2, -7, 2, 0},
+		{-3, -1, 0, 0},
+		{rows + 5, -1, rows - 1, 0},
+		{-1, 5, 0, 5},
+		{rows, maxQueue + 3, rows - 1, maxQueue + 3},
+	} {
+		b, err := NewTableBuilder(p, nbuckets, rows, maxQueue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, _, err := b.Rebuild(histC, histM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc, gm := tbl.Lookup(c.row, c.i)
+		wc, wm := want.Lookup(c.wantRow, c.wantI)
+		if math.Float64bits(gc) != math.Float64bits(wc) || math.Float64bits(gm) != math.Float64bits(wm) {
+			t.Fatalf("Lookup(%d, %d) = (%v, %v), want Lookup(%d, %d) = (%v, %v)",
+				c.row, c.i, gc, gm, c.wantRow, c.wantI, wc, wm)
+		}
+	}
+}

@@ -137,11 +137,6 @@ type Rubik struct {
 	respWindow *stats.RollingWindow
 	integral   float64
 	internalNs float64
-
-	// Stats exposed for diagnostics.
-	tableBuilds int
-	tableSkips  int
-	decisions   int
 }
 
 var (
@@ -260,7 +255,7 @@ func (r *Rubik) ObserveCompletion(c queueing.Completion) {
 	r.histC.Push(cc)
 	r.histM.Push(mt)
 	if r.respWindow != nil {
-		r.respWindow.Add(c.Done, c.ResponseNs)
+		r.respWindow.Add(c.Done, c.ResponseNs())
 	}
 }
 
@@ -294,16 +289,11 @@ func (r *Rubik) rebuild() error {
 		b.Cache = r.cache
 		r.builder = b
 	}
-	t, rebuilt, err := r.builder.Rebuild(r.histC, r.histM)
+	t, _, err := r.builder.Rebuild(r.histC, r.histM)
 	if err != nil {
 		return err
 	}
 	r.table = t
-	if rebuilt {
-		r.tableBuilds++
-	} else {
-		r.tableSkips++
-	}
 	return nil
 }
 
@@ -358,7 +348,6 @@ func maxFloat(a, b float64) float64 {
 // This matters on real hardware, where the paper observed 130 us
 // transitions (Sec. 5.5).
 func (r *Rubik) OnEvent(v queueing.View) int {
-	r.decisions++
 	if len(v.Queue) == 0 {
 		if r.table == nil {
 			return r.cfg.Grid.Min()
@@ -398,12 +387,11 @@ func (r *Rubik) OnEvent(v queueing.View) int {
 	}
 	var need0, needLag float64
 	okLag := true
-	cRow, mRow := t.c[row], t.m[row]
 	for i := 0; i < limit; i++ {
 		ti := float64(v.Now - v.Queue[i].Arrival)
 		var ci, mi float64
-		if i < t.built { // materialized: skip Lookup's call
-			ci, mi = cRow[i], mRow[i]
+		if i < t.built { // materialized: skip Lookup's checks
+			ci, mi = t.entry(row, i)
 		} else {
 			ci, mi = t.Lookup(row, i)
 		}
@@ -479,12 +467,23 @@ func (r *Rubik) PredictedSlackNs(v queueing.View) float64 {
 // not be read from another goroutine while the controller runs.
 func (r *Rubik) Table() *TailTable { return r.table }
 
-// TableBuilds returns how many times the tables were recomputed.
-func (r *Rubik) TableBuilds() int { return r.tableBuilds }
+// TableBuilds returns how many refreshes replaced the tables, by a full
+// rebuild or a copy from the shared rebuild cache.
+func (r *Rubik) TableBuilds() int {
+	if r.builder == nil {
+		return 0
+	}
+	return r.builder.Builds() + r.builder.CacheHits()
+}
 
 // TableSkips returns how many periodic refreshes the drift gate
 // short-circuited (always 0 with Config.DriftThreshold == 0).
-func (r *Rubik) TableSkips() int { return r.tableSkips }
+func (r *Rubik) TableSkips() int {
+	if r.builder == nil {
+		return 0
+	}
+	return r.builder.Skips()
+}
 
 // SetTableCache shares a content-addressed rebuild cache with the
 // controller: periodic refreshes whose profile inputs match a cached

@@ -50,13 +50,15 @@ type TailTable struct {
 	rowBoundsC []float64
 	rowBoundsM []float64
 
-	// c[r][i] is the tail cycles-until-completion of the request at queue
-	// position i when the head's elapsed work falls in row r; m[r][i] is
-	// the tail memory time (ns).
+	// Entry (r, i) is c_i, the tail cycles-until-completion of the
+	// request at queue position i when the head's elapsed work falls in
+	// row r, and m_i, its tail memory time (ns). It is not stored: entry
+	// derives it from column i's exact sum tails and row r's mean discount
+	// and head tail.
 	//
 	// Row 0 (omega = 0) holds the exact convolved tails Q(C^(*(i+1))).
-	// Rows r > 0 discount row 0 by the *mean* work the head has already
-	// completed: c[r][i] = c[0][i] - (E[C] - E[C0|row r]). Under the
+	// Rows r > 0 discount them by the *mean* work the head has already
+	// completed: c_i = Q(C^(*(i+1))) - (E[C] - E[C0|row r]). Under the
 	// Gaussian view of the sum this is conservative — conditioning shrinks
 	// the exact tail by at least the mean shift — while sharing one set of
 	// FFT convolutions across all rows, which is what keeps the periodic
@@ -64,16 +66,14 @@ type TailTable struct {
 	// 0.2 ms per update). Each entry is floored at the row's own
 	// conditioned head tail (headC[r], headM[r]).
 	//
-	// Only columns 0..built-1 of rows with ready[r] set are valid; Lookup
-	// fills the rest from src.
-	c [][]float64
-	m [][]float64
+	// Only entries of columns 0..built-1 in rows with ready[r] set can
+	// be derived; Lookup materializes the rest from src first.
+	//
 	// ready[r] reports whether row r is materialized: its discounts and
-	// head tails computed and its columns 0..built-1 filled.
+	// head tails computed.
 	ready []bool
 	// exactC[j], exactM[j] are column j's exact sum tails for a fresh
-	// head, recorded for j < built so a row materialized after its
-	// columns fills them without recomputing a chain row.
+	// head, valid for j < built.
 	exactC, exactM []float64
 
 	// Base moments for the Gaussian extension of the exact sum tails.
@@ -137,9 +137,8 @@ func (t *TailTable) Rebuild(b *TableBuilder, meanC, varC, meanM, varM float64) e
 }
 
 // materializeRow conditions row r on the committed profiles (the head has
-// completed at least the row's bound), records its mean discounts and
-// head tails, and fills its columns 0..built-1 from the recorded exact
-// tails.
+// completed at least the row's bound) and records its mean discounts and
+// head tails.
 func (t *TailTable) materializeRow(r int) {
 	b := t.src
 	condC := b.distC.ConditionAtLeastInto(b.condC, t.rowBoundsC[r])
@@ -155,25 +154,19 @@ func (t *TailTable) materializeRow(r int) {
 	t.discC[r], t.discM[r] = discC, discM
 	t.headC[r] = condC.Quantile(t.Percentile)
 	t.headM[r] = condM.Quantile(t.Percentile)
-	cRow, mRow := t.c[r], t.m[r]
-	for j := 0; j < t.built; j++ {
-		cRow[j] = maxf(t.exactC[j]-discC, t.headC[r])
-		mRow[j] = maxf(t.exactM[j]-discM, t.headM[r])
-	}
 	t.ready[r] = true
 }
 
 // fill materializes columns built..i (i < MaxQueue) from the builder's
 // committed profiles: each column's exact sum tails for a fresh head are
-// quantiles of one chain row, recorded once, and every materialized row's
-// entry discounts them and floors at the row's head tail. Row 0 of the
-// chain is the profile itself, so column 0 reads its quantiles straight
-// off distC/distM; deeper columns read packed chain rows, and the first
-// of them after a commit runs the forward transform. The packed row 0
-// would be the profile up to ulp noise, which the quantile's bucket-edge
-// slack absorbs, so both routes give the same bits. Start and RowInto
-// fail only on inputs Rebuild rejects or a plan/input mismatch the
-// builder rules out, so an error here is a bug.
+// quantiles of one chain row, recorded once, from which every row's entry
+// is derived. Row 0 of the chain is the profile itself, so column 0 reads
+// its quantiles straight off distC/distM; deeper columns read packed chain
+// rows, and the first of them after a commit runs the forward transform.
+// The packed row 0 would be the profile up to ulp noise, which the
+// quantile's bucket-edge slack absorbs, so both routes give the same
+// bits. Start and RowInto fail only on inputs Rebuild rejects or a
+// plan/input mismatch the builder rules out, so an error here is a bug.
 func (t *TailTable) fill(i int) {
 	b := t.src
 	for j := t.built; j <= i; j++ {
@@ -194,14 +187,15 @@ func (t *TailTable) fill(i int) {
 			exactM = b.rowM.Quantile(t.Percentile)
 		}
 		t.exactC[j], t.exactM[j] = exactC, exactM
-		for r, ready := range t.ready {
-			if ready {
-				t.c[r][j] = maxf(exactC-t.discC[r], t.headC[r])
-				t.m[r][j] = maxf(exactM-t.discM[r], t.headM[r])
-			}
-		}
 	}
 	t.built = i + 1
+}
+
+// entry returns (c_i, m_i) at row r, queue position i of a materialized
+// row and column: the exact sum tails less the row's mean discount,
+// floored at its head tail.
+func (t *TailTable) entry(r, i int) (ci, mi float64) {
+	return maxf(t.exactC[i]-t.discC[r], t.headC[r]), maxf(t.exactM[i]-t.discM[r], t.headM[r])
 }
 
 func maxf(a, b float64) float64 {
@@ -232,16 +226,13 @@ func (t *TailTable) RowFor(elapsedCycles float64) int {
 // Lookup returns the tail cycles c_i and tail memory time m_i (ns) for the
 // request at queue position i given the head's row. Positions at or beyond
 // MaxQueue use the Gaussian extension (paper Sec. 4.2, "Large queues").
-// The first Lookup of a row not yet materialized conditions it, and the
-// first Lookup of a column not yet materialized fills it and every column
-// before it.
+// Out-of-range rows and negative positions clamp to the nearest valid
+// one. The first Lookup of a row not yet materialized conditions it, and
+// the first Lookup of a column not yet materialized fills it and every
+// column before it.
 func (t *TailTable) Lookup(row, i int) (ci, mi float64) {
-	if row < 0 {
-		row = 0
-	}
-	if row >= len(t.c) {
-		row = len(t.c) - 1
-	}
+	row = min(max(row, 0), len(t.ready)-1)
+	i = max(i, 0)
 	if !t.ready[row] {
 		t.materializeRow(row)
 	}
@@ -249,7 +240,7 @@ func (t *TailTable) Lookup(row, i int) (ci, mi float64) {
 		if i >= t.built {
 			t.fill(i)
 		}
-		return t.c[row][i], t.m[row][i]
+		return t.entry(row, i)
 	}
 	// Gaussian (CLT) extension of the exact sum tails, with the same
 	// per-row mean discount as the in-table entries (paper Sec. 4.2,
@@ -257,14 +248,15 @@ func (t *TailTable) Lookup(row, i int) (ci, mi float64) {
 	n := float64(i + 1)
 	ci = stats.GaussianTail(n*t.meanC, n*t.varC, t.Percentile) - t.discC[row]
 	mi = stats.GaussianTail(n*t.meanM, n*t.varM, t.Percentile) - t.discM[row]
-	if ci < t.c[row][0] {
-		ci = t.c[row][0]
+	c0, m0 := t.entry(row, 0)
+	if ci < c0 {
+		ci = c0
 	}
-	if mi < t.m[row][0] {
-		mi = t.m[row][0]
+	if mi < m0 {
+		mi = m0
 	}
 	return ci, mi
 }
 
 // Rows returns the number of omega rows.
-func (t *TailTable) Rows() int { return len(t.c) }
+func (t *TailTable) Rows() int { return len(t.ready) }

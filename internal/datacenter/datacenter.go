@@ -184,7 +184,6 @@ type coreKey struct {
 type coreEval struct {
 	powerW    float64 // average core power (LC + batch occupancy)
 	unitsPerS float64 // batch throughput achieved in the gaps
-	busyFrac  float64 // LC busy fraction (for uncore accounting)
 	tailRel   float64 // LC tail relative to the bound
 }
 
@@ -243,7 +242,6 @@ func (m *Model) Colocated(load float64) (FleetResult, error) {
 		ev := coreEval{
 			powerW:    (cr.LCEnergyJ + cr.BatchEnergyJ) / (dur / 1e9),
 			unitsPerS: cr.BatchUnits / (dur / 1e9),
-			busyFrac:  cr.LCBusyNs / dur,
 			tailRel:   cr.TailNs(0.95, 0.1) / bound,
 		}
 		cache[key] = ev

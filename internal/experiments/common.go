@@ -159,7 +159,7 @@ func rollingTail(completions []queueing.Completion, window, step sim.Time, q flo
 			lo++
 		}
 		for i := lo; i < len(completions) && completions[i].Done <= t; i++ {
-			buf = append(buf, completions[i].ResponseNs)
+			buf = append(buf, completions[i].ResponseNs())
 		}
 		if len(buf) == 0 {
 			continue

@@ -162,13 +162,9 @@ func (r *Fig1bResult) Render(w io.Writer) {
 // replayCompletions adapts a ReplayResult into completion records for the
 // rolling-tail helper.
 func replayCompletions(tr workload.Trace, rep policy.ReplayResult) []queueing.Completion {
-	out := make([]queueing.Completion, len(rep.ResponsesNs))
-	for i := range rep.ResponsesNs {
-		out[i] = queueing.Completion{
-			Arrival:    tr.Requests[i].Arrival,
-			Done:       rep.Dones[i],
-			ResponseNs: rep.ResponsesNs[i],
-		}
+	out := make([]queueing.Completion, len(rep.Dones))
+	for i, done := range rep.Dones {
+		out[i] = queueing.Completion{Arrival: tr.Requests[i].Arrival, Done: done}
 	}
 	return out
 }

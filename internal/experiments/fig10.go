@@ -126,7 +126,7 @@ func Fig10(opts Options) (*Fig10Result, error) {
 			for _, c := range rbRes.Completions {
 				if c.Arrival >= lo && c.Arrival < hi {
 					n++
-					if c.ResponseNs > bound {
+					if c.ResponseNs() > bound {
 						v++
 					}
 				}

@@ -116,10 +116,10 @@ func Fig2b(opts Options) (*Fig2bResult, error) {
 	}
 	var responses []float64
 	for _, c := range res.Completions {
-		out.Service = append(out.Service, TimePoint{T: c.Done, V: ms(c.ServiceNs)})
+		out.Service = append(out.Service, TimePoint{T: c.Done, V: ms(c.ServiceNs())})
 		out.QueueLen = append(out.QueueLen, TimePoint{T: c.Arrival, V: float64(c.QueueLenAtArrival)})
-		out.Response = append(out.Response, TimePoint{T: c.Done, V: ms(c.ResponseNs)})
-		responses = append(responses, c.ResponseNs)
+		out.Response = append(out.Response, TimePoint{T: c.Done, V: ms(c.ResponseNs())})
+		responses = append(responses, c.ResponseNs())
 	}
 	var qpsVals []float64
 	for _, p := range out.QPS {
@@ -186,7 +186,7 @@ func Fig2c(opts Options) (*Fig2cResult, error) {
 			}
 			var svc []float64
 			for _, c := range res.Completions {
-				svc = append(svc, c.ServiceNs)
+				svc = append(svc, c.ServiceNs())
 			}
 			p95Svc := stats.PercentileInPlace(svc, TailPercentile)
 			row = append(row, res.TailNs(TailPercentile, Warmup)/p95Svc)
@@ -247,8 +247,8 @@ func Table1(opts Options) (*Table1Result, error) {
 		}
 		var resp, svc, qps, qlen []float64
 		for _, c := range res.Completions {
-			resp = append(resp, c.ResponseNs)
-			svc = append(svc, c.ServiceNs)
+			resp = append(resp, c.ResponseNs())
+			svc = append(svc, c.ServiceNs())
 			qps = append(qps, instQPS[c.ID])
 			qlen = append(qlen, float64(c.QueueLenAtArrival))
 		}

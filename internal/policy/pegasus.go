@@ -63,7 +63,7 @@ func (p *Pegasus) OnEvent(queueing.View) int { return p.cur }
 
 // ObserveCompletion implements queueing.CompletionObserver.
 func (p *Pegasus) ObserveCompletion(c queueing.Completion) {
-	p.window.Add(c.Done, c.ResponseNs)
+	p.window.Add(c.Done, c.ResponseNs())
 }
 
 // TickEvery implements queueing.Ticker.

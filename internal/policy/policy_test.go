@@ -66,9 +66,9 @@ func TestReplayMatchesEventSimAtFixedFrequency(t *testing.T) {
 				t.Fatalf("%s@%d: request counts differ", app.Name, f)
 			}
 			for i, c := range res.Completions {
-				if math.Abs(c.ResponseNs-rep.ResponsesNs[i]) > 4 {
+				if math.Abs(c.ResponseNs()-rep.ResponsesNs[i]) > 4 {
 					t.Fatalf("%s@%d req %d: sim %v vs replay %v ns",
-						app.Name, f, i, c.ResponseNs, rep.ResponsesNs[i])
+						app.Name, f, i, c.ResponseNs(), rep.ResponsesNs[i])
 				}
 			}
 			if math.Abs(res.ActiveEnergyJ-rep.ActiveEnergyJ) > 1e-4*rep.ActiveEnergyJ {
@@ -331,7 +331,7 @@ func TestPegasusOffGridStart(t *testing.T) {
 		t.Fatalf("initial frequency %d, want 3000 (nominal clamped up)", got)
 	}
 	for i := 0; i < 16; i++ {
-		peg.ObserveCompletion(queueing.Completion{Done: sim.Time(i), ResponseNs: 1.5 * bound})
+		peg.ObserveCompletion(queueing.Completion{Arrival: sim.Time(i) - 1.5*bound, Done: sim.Time(i)})
 	}
 	if got := peg.OnTick(queueing.View{Now: 16}); got != 3000 {
 		t.Fatalf("tail at 1.5x the bound stepped to %d MHz, want 3000", got)
@@ -342,7 +342,7 @@ func TestPegasusOffGridStart(t *testing.T) {
 	peg = NewPegasus(bound, cpu.DefaultGrid())
 	peg.Grid = grid
 	for i := 0; i < 16; i++ {
-		peg.ObserveCompletion(queueing.Completion{Done: sim.Time(i), ResponseNs: 1.5 * bound})
+		peg.ObserveCompletion(queueing.Completion{Arrival: sim.Time(i) - 1.5*bound, Done: sim.Time(i)})
 	}
 	if got := peg.OnTick(queueing.View{Now: 16}); got != 3000 {
 		t.Fatalf("off-grid cur: tail at 1.5x the bound stepped to %d MHz, want 3000", got)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"rubik/internal/sim"
 	"rubik/internal/workload"
@@ -29,7 +30,7 @@ func fillArena(t *testing.T, hint int, counts []int, seed int64) (got, want [][]
 		for len(want[u]) == counts[u] {
 			u = (u + 1) % len(counts)
 		}
-		c := Completion{ID: id, Arrival: sim.Time(id), ResponseNs: float64(u*1_000_000 + id)}
+		c := Completion{ID: id, Arrival: sim.Time(id), Done: sim.Time(u*1_000_000 + id)}
 		id++
 		logs[u].add(&c)
 		want[u] = append(want[u], c)
@@ -154,5 +155,18 @@ func TestRunSourceLogUnderReportedLen(t *testing.T) {
 		if len(res.Completions) != len(tr.Requests) || !reflect.DeepEqual(res.Completions, p.log) {
 			t.Fatalf("Len %d: log of %d records differs from the %d observed", claim, len(res.Completions), len(p.log))
 		}
+	}
+}
+
+// TestCompletionRecordSize pins a completion record at 56 bytes, the
+// space an arena slab reserves per request: its latencies are derived
+// from its timestamps, not stored beside them.
+func TestCompletionRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Completion{}); got != 56 {
+		t.Fatalf("a Completion is %d bytes, want 56", got)
+	}
+	c := Completion{Arrival: 100, Start: 250, Done: 1_000}
+	if c.ResponseNs() != 900 || c.ServiceNs() != 750 {
+		t.Fatalf("latencies (%v, %v), want (900, 750)", c.ResponseNs(), c.ServiceNs())
 	}
 }

@@ -16,9 +16,9 @@ import (
 // elapsed counters then report the inflated work, exactly as CPI-stack
 // performance counters would.
 //
-// ActiveRequests live by value in a core-owned ring buffer; the pointer a
-// hook receives is valid only for the duration of the hook call and must
-// not be retained.
+// ActiveRequests live by value inside the entries of the core's queue; the
+// pointer a hook receives is valid only for the duration of the hook call
+// and must not be retained.
 type ActiveRequest struct {
 	Req workload.Request
 	// RemainingCC / RemainingMem are compute cycles and memory-bound ns
@@ -45,8 +45,8 @@ type Hooks struct {
 	// after Start is stamped. preempting is true when the request begins a
 	// busy period (the core was idle or occupied by other work). When nil,
 	// the default adds Config.WakeLatency to the first request of each
-	// busy period. The *ActiveRequest points into the core's ring buffer:
-	// mutate it synchronously, do not retain it.
+	// busy period. The *ActiveRequest points into the core's queue: mutate
+	// it synchronously, do not retain it.
 	StartService func(a *ActiveRequest, preempting bool)
 	// Idle fires when the queue drains. When set, it replaces the default
 	// empty-queue policy decision after the draining completion.
@@ -72,10 +72,10 @@ type Hooks struct {
 // current time.
 //
 // The event hot path is allocation-free in steady state: requests live by
-// value in a ring buffer (slots recycle as the FIFO wraps), the
-// completion/switch/tick events are pre-registered engine handles moved
-// with Reschedule/Cancel, the policy View reuses a core-owned snapshot
-// buffer, and queue-length/pending-work counters are maintained
+// value in one queue slice whose space is reused once it covers the peak
+// depth, the completion/switch/tick events are pre-registered engine
+// handles moved with Reschedule/Cancel, the policy View aliases the live
+// part of the queue, and the pending-work counters are maintained
 // incrementally so dispatchers never rescan the queue.
 type Core struct {
 	eng    *sim.Engine
@@ -85,26 +85,19 @@ type Core struct {
 	obs   CompletionObserver
 	hooks Hooks
 
-	// FIFO ring buffer: the request in service is ring[head], arrivals
-	// append at (head+count) & mask. Capacity is a power of two and grows
-	// only when the instantaneous queue depth exceeds it.
-	ring  []ActiveRequest
-	head  int
-	count int
-	mask  int
+	// queue holds the requests in the system, the one in service first at
+	// queue[qhead]; arrivals append. When the slice is full and its head
+	// half spent, the live requests move to the front instead of growing
+	// it, so it stays within twice the peak queue depth; a drained queue
+	// restarts at the front. A View's Queue aliases queue[qhead:].
+	queue []QueuedRequest
+	qhead int
 
-	// pendCC/pendMem sum RemainingCC/RemainingMem over the ring: the O(1)
+	// pendCC/pendMem sum RemainingCC/RemainingMem over the queue: the O(1)
 	// pending-work counters behind PendingWorkNs. Updated on enqueue,
 	// accrual, service-begin inflation and completion.
 	pendCC  float64
 	pendMem float64
-
-	// queued mirrors the arrival stamps of the requests in the ring, head
-	// first from queued[qhead], so a View's Queue can alias it instead of
-	// copying the queue at every decision. It is compacted when its head
-	// half is spent, and restarts at 0 whenever the queue drains.
-	queued []QueuedRequest
-	qhead  int
 
 	// views is the race build's poisoner of retired snapshots (see
 	// view_norace.go / view_race.go).
@@ -211,46 +204,25 @@ func (c *Core) Start(f *Feeder) {
 	c.eng.RescheduleAfter(c.tickH, t.TickEvery())
 }
 
-// at returns the i-th request in FIFO order (0 = head, in service).
-func (c *Core) at(i int) *ActiveRequest {
-	return &c.ring[(c.head+i)&c.mask]
-}
-
-// grow doubles the ring, unwrapping the FIFO to the front. Amortized: the
-// ring stops growing once it covers the run's peak queue depth.
-func (c *Core) grow() {
-	n := len(c.ring)
-	if n == 0 {
-		c.ring = make([]ActiveRequest, 16)
-		c.mask = 15
-		return
-	}
-	bigger := make([]ActiveRequest, 2*n)
-	for i := 0; i < c.count; i++ {
-		bigger[i] = c.ring[(c.head+i)&c.mask]
-	}
-	c.ring = bigger
-	c.mask = 2*n - 1
-	c.head = 0
-}
+// head returns the request in service; the queue must not be empty.
+func (c *Core) head() *ActiveRequest { return &c.queue[c.qhead].active }
 
 // Enqueue delivers a request to the core at the engine's current time.
 func (c *Core) Enqueue(req workload.Request) {
 	c.Accrue()
-	if c.count == len(c.ring) {
-		c.grow()
+	n := c.QueueLen()
+	if len(c.queue) == cap(c.queue) && c.qhead >= len(c.queue)/2 {
+		c.queue = c.queue[:copy(c.queue, c.queue[c.qhead:])]
+		c.qhead = 0
 	}
-	i := (c.head + c.count) & c.mask
-	a := &c.ring[i]
-	*a = ActiveRequest{
+	c.queue = append(c.queue, QueuedRequest{Arrival: req.Arrival, active: ActiveRequest{
 		Req:           req,
 		RemainingCC:   req.ComputeCycles,
 		RemainingMem:  float64(req.MemTime),
-		QlenAtArrival: c.count,
-	}
-	wasIdle := c.count == 0
-	c.count++
-	c.pushQueued(req.Arrival)
+		QlenAtArrival: n,
+	}})
+	a := &c.queue[len(c.queue)-1].active
+	wasIdle := n == 0
 	c.pendCC += a.RemainingCC
 	c.pendMem += a.RemainingMem
 	if wasIdle {
@@ -291,7 +263,7 @@ func (c *Core) Accrue() {
 	if dt <= 0 {
 		return
 	}
-	if c.count == 0 {
+	if c.QueueLen() == 0 {
 		if c.hooks.IdleAccrual != nil {
 			c.hooks.IdleAccrual(float64(dt), c.cur)
 		} else {
@@ -304,7 +276,7 @@ func (c *Core) Accrue() {
 		j := c.meter.ActiveWatts() * float64(dt) / 1e9
 		c.energyTimeline = append(c.energyTimeline, EnergySample{T: now, J: j})
 	}
-	head := &c.ring[c.head]
+	head := c.head()
 	total := head.RemainingCC*1000/float64(c.cur) + head.RemainingMem
 	if total <= 0 {
 		return
@@ -323,32 +295,12 @@ func (c *Core) Accrue() {
 	c.pendMem -= dMem
 }
 
-// pushQueued mirrors an arrival into queued. When the mirror is full
-// and its head half spent, the live stamps move to the front instead of
-// growing it, so it stays within twice the peak queue depth.
-func (c *Core) pushQueued(arrival sim.Time) {
-	if len(c.queued) == cap(c.queued) && c.qhead >= len(c.queued)/2 {
-		c.queued = c.queued[:copy(c.queued, c.queued[c.qhead:])]
-		c.qhead = 0
-	}
-	c.queued = append(c.queued, QueuedRequest{Arrival: arrival})
-}
-
-// popQueued drops the head's stamp from the mirror; a drained queue
-// restarts it at the front.
-func (c *Core) popQueued() {
-	c.qhead++
-	if c.qhead == len(c.queued) {
-		c.queued, c.qhead = c.queued[:0], 0
-	}
-}
-
 // View assembles the policy-visible snapshot of the core. The snapshot's
-// Queue aliases the core's mirror of the queued arrival stamps, which
-// later decision points overwrite: a policy must read it synchronously
-// inside OnEvent/OnTick and must not retain it past the call
-// (race-instrumented builds hand out poisoned copies so `go test -race`
-// catches violations; see view_race.go).
+// Queue aliases the live part of the core's queue, which later decision
+// points overwrite: a policy must read it synchronously inside
+// OnEvent/OnTick and must not retain it past the call (race-instrumented
+// builds hand out poisoned copies so `go test -race` catches violations;
+// see view_race.go).
 func (c *Core) View() View {
 	v := View{
 		Now:        c.eng.Now(),
@@ -356,8 +308,8 @@ func (c *Core) View() View {
 		TargetMHz:  c.target,
 		Queue:      c.queueView(),
 	}
-	if c.count > 0 {
-		head := &c.ring[c.head]
+	if c.QueueLen() > 0 {
+		head := c.head()
 		v.HeadElapsedCycles = head.ElapsedCC
 		v.HeadElapsedMemNs = sim.Time(head.ElapsedMem)
 	}
@@ -437,18 +389,18 @@ func (c *Core) setCur() {
 // parking it while the queue is empty). The engine relocates the event
 // under the same handle: no closure, no allocation, no stale tombstone.
 func (c *Core) rescheduleCompletion() {
-	if c.count == 0 {
+	if c.QueueLen() == 0 {
 		c.eng.Cancel(c.completionH)
 		return
 	}
-	head := &c.ring[c.head]
+	head := c.head()
 	total := head.RemainingCC*1000/float64(c.cur) + head.RemainingMem
 	c.eng.RescheduleAfter(c.completionH, sim.SpanNs(math.Ceil(total)))
 }
 
 func (c *Core) completionEvent() {
 	c.Accrue()
-	head := &c.ring[c.head]
+	head := c.head()
 	c.pendCC -= head.RemainingCC
 	c.pendMem -= head.RemainingMem
 	head.RemainingCC = 0
@@ -465,22 +417,19 @@ func (c *Core) completionEvent() {
 		ComputeCycles:     head.ElapsedCC,
 		MemTime:           sim.Time(head.ElapsedMem),
 		QueueLenAtArrival: head.QlenAtArrival,
-		ResponseNs:        float64(now - head.Req.Arrival),
-		ServiceNs:         float64(now - head.Start),
 	}
 	c.served++
 	if c.cfg.DropCompletions {
-		c.respHist.Observe(comp.ResponseNs)
+		c.respHist.Observe(comp.ResponseNs())
 	} else {
 		c.log.add(&comp)
 	}
-	c.head = (c.head + 1) & c.mask
-	c.count--
-	c.popQueued()
-	if c.count == 0 {
-		// Re-zero the pending-work counters at every idle point so float
-		// rounding from incremental updates cannot accumulate across busy
-		// periods.
+	c.qhead++
+	if c.qhead == len(c.queue) {
+		// A drained queue restarts at the front. Re-zero the pending-work
+		// counters at every idle point so float rounding from incremental
+		// updates cannot accumulate across busy periods.
+		c.queue, c.qhead = c.queue[:0], 0
 		c.pendCC, c.pendMem = 0, 0
 	}
 	if c.obs != nil {
@@ -489,8 +438,8 @@ func (c *Core) completionEvent() {
 	if c.feed != nil {
 		c.feed.completed(now)
 	}
-	if c.count > 0 {
-		c.startService(&c.ring[c.head], false)
+	if c.QueueLen() > 0 {
+		c.startService(c.head(), false)
 		c.decide()
 		c.rescheduleCompletion()
 		return
@@ -511,13 +460,13 @@ func (c *Core) tickEvent(t Ticker) {
 	c.ApplyFreq(f)
 	// Keep ticking only while there is work left to do; otherwise the
 	// simulation would never drain.
-	if c.feed.More() || c.count > 0 {
+	if c.feed.More() || c.QueueLen() > 0 {
 		c.eng.RescheduleAfter(c.tickH, t.TickEvery())
 	}
 }
 
 // QueueLen returns the number of requests in the system (head in service).
-func (c *Core) QueueLen() int { return c.count }
+func (c *Core) QueueLen() int { return len(c.queue) - c.qhead }
 
 // PendingWorkNs estimates the time to drain the queue at the current
 // frequency: the remaining work of every queued request, from the

@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"math"
 	"os"
 	"os/exec"
 	"strings"
@@ -195,11 +196,17 @@ func TestGrantFiltersEveryPositiveDesire(t *testing.T) {
 	}
 }
 
-// TestRingBufferWrapFIFO forces the request ring through growth and many
-// wraparounds and checks FIFO order and arrival-population stamps survive.
-func TestRingBufferWrapFIFO(t *testing.T) {
-	// Bursts of 40 (past the initial ring capacity of 16) arriving faster
-	// than they drain, many times over, so head wraps the ring repeatedly.
+// TestQueueFIFO drives the core's queue through both of its reuse paths
+// and checks FIFO order and the per-request bookkeeping survive them.
+func TestQueueFIFO(t *testing.T) {
+	t.Run("bursts that drain", testQueueDrainingBursts)
+	t.Run("never drains", testQueueNeverDrains)
+}
+
+// testQueueDrainingBursts grows the queue through many bursts that each
+// drain, so it restarts at the front every time.
+func testQueueDrainingBursts(t *testing.T) {
+	// Bursts of 40 arriving faster than they drain, many times over.
 	var reqs []workload.Request
 	var at sim.Time
 	id := 0
@@ -232,8 +239,136 @@ func TestRingBufferWrapFIFO(t *testing.T) {
 	}
 	// Spot-check the arrival-population stamp on the second burst: request
 	// 40 arrives into a fresh busy period, request 41 finds one in system.
-	if res.Completions[41].QueueLenAtArrival == 0 {
-		t.Fatal("queue-length stamp lost across ring wrap")
+	if res.Completions[40].QueueLenAtArrival != 0 || res.Completions[41].QueueLenAtArrival == 0 {
+		t.Fatal("queue-length stamp lost across a drained queue")
+	}
+}
+
+// hysteresisPolicy runs slow (the queue grows) until the queue holds
+// more than hi requests and fast (it shrinks) until it holds fewer than
+// lo, and keeps the current frequency in between.
+type hysteresisPolicy struct{ lo, hi int }
+
+func (p hysteresisPolicy) Name() string { return "hysteresis" }
+func (p hysteresisPolicy) OnEvent(v View) int {
+	switch n := len(v.Queue); {
+	case n > p.hi:
+		return 3400
+	case n < p.lo:
+		return 1200
+	}
+	return 0
+}
+
+// testQueueNeverDrains keeps thousands of requests queued without the
+// queue ever draining, so the slice is compacted with a request in
+// service, while DVFS switches land mid-request. After every event it
+// checks the queue against the core's counters; afterwards it checks
+// FIFO order, every arrival-population stamp, the measured work, and
+// every service time against the request's work at the frequencies it
+// ran at.
+func testQueueNeverDrains(t *testing.T) {
+	const n = 4000
+	reqs := make([]workload.Request, n)
+	for i := range reqs {
+		// 10 us apart; a request takes 9.06 us at 3.4 GHz and 22 us at
+		// 1.2 GHz, so the queue swings between the policy's thresholds.
+		reqs[i] = workload.Request{
+			ID: i, Arrival: sim.Time(i)*10_000 + 1, ComputeCycles: 24_000, MemTime: 2_000,
+		}
+	}
+	cfg := bareConfig(2400)
+	cfg.TransitionLatency = 3 * sim.Microsecond
+	cfg.RecordTimeline = true
+	eng := sim.NewEngine()
+	c, err := NewCore(eng, hysteresisPolicy{lo: 8, hi: 24}, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qlen := make([]int, n) // population each request found, seen from outside
+	f := NewSourceFeeder(eng, workload.NewTraceSource(workload.Trace{Requests: reqs}), func(r workload.Request) {
+		qlen[r.ID] = c.QueueLen()
+		c.Enqueue(r)
+	})
+	f.Start()
+	c.Start(f)
+	compactions, prevHead := 0, 0
+	for eng.Step() {
+		if got, want := c.QueueLen(), len(c.queue)-c.qhead; got != want || got < 0 {
+			t.Fatalf("QueueLen %d, queue holds %d", got, want)
+		}
+		if inc, scan := c.PendingWorkNs(), c.pendingWorkScan(); inc-scan < -1 || inc-scan > 1 {
+			t.Fatalf("incremental PendingWorkNs %d diverged from scan %d (queue %d)", inc, scan, c.QueueLen())
+		}
+		for i := c.qhead + 1; i < len(c.queue); i++ {
+			if a, b := &c.queue[i-1], &c.queue[i]; b.active.Req.ID != a.active.Req.ID+1 || b.Arrival != b.active.Req.Arrival {
+				t.Fatalf("queue out of order: request %d after %d", b.active.Req.ID, a.active.Req.ID)
+			}
+		}
+		if c.qhead < prevHead && c.QueueLen() > 0 && c.head().ElapsedCC > 0 {
+			compactions++ // the head, part served, moved to the front
+		}
+		prevHead = c.qhead
+	}
+	res := c.Finalize()
+	if len(res.Completions) != n {
+		t.Fatalf("served %d of %d", len(res.Completions), n)
+	}
+	if compactions == 0 {
+		t.Fatal("the queue was never compacted with a request in service")
+	}
+	timeline := res.FreqTimeline
+	midSwitches := 0
+	for i, comp := range res.Completions {
+		if comp.ID != i {
+			t.Fatalf("completion %d has ID %d: FIFO order broken", i, comp.ID)
+		}
+		if comp.QueueLenAtArrival != qlen[i] {
+			t.Fatalf("request %d: QueueLenAtArrival %d, found %d in the system", i, comp.QueueLenAtArrival, qlen[i])
+		}
+		if i > 0 && (qlen[i] == 0 || comp.Start != res.Completions[i-1].Done) {
+			t.Fatalf("request %d: the queue drained (found %d, started %d after %d)",
+				i, qlen[i], comp.Start, res.Completions[i-1].Done)
+		}
+		// The share of the request served over [a, b) at f MHz is
+		// (b-a)/T(f), T(f) its whole service time at f. It completes when
+		// the shares reach 1.
+		req := reqs[i]
+		share, at, done := 0.0, float64(comp.Start), math.NaN()
+		for k, s := range timeline {
+			end := math.Inf(1)
+			if k+1 < len(timeline) {
+				end = float64(timeline[k+1].T)
+			}
+			if end <= at {
+				continue
+			}
+			if s.T > comp.Start && s.T < comp.Done {
+				midSwitches++
+			}
+			full := req.ServiceNs(s.MHz)
+			if left := (1 - share) * full; at+left <= end {
+				done = at + left
+				break
+			}
+			share += (end - at) / full
+			at = end
+		}
+		if math.Abs(float64(comp.Done)-done) > 1 {
+			t.Fatalf("request %d done at %d, its work at the frequencies it ran at ends at %.1f",
+				i, comp.Done, done)
+		}
+		if math.Abs(comp.ComputeCycles-req.ComputeCycles) > 1e-6*req.ComputeCycles ||
+			comp.MemTime < req.MemTime-1 || comp.MemTime > req.MemTime+1 {
+			t.Fatalf("request %d measured (%v cycles, %d ns), its work is (%v, %d)",
+				i, comp.ComputeCycles, comp.MemTime, req.ComputeCycles, req.MemTime)
+		}
+		if want := float64(comp.Done - comp.Start); comp.ServiceNs() != want {
+			t.Fatalf("request %d: ServiceNs %v, Done-Start %v", i, comp.ServiceNs(), want)
+		}
+	}
+	if midSwitches == 0 {
+		t.Fatal("no frequency switch landed mid-request")
 	}
 }
 
@@ -443,10 +578,9 @@ func TestFeederSingleArrivalEvent(t *testing.T) {
 // equality test pins the incremental counters to it.
 func (c *Core) pendingWorkScan() sim.Time {
 	var cc, mem float64
-	for i := 0; i < c.count; i++ {
-		a := c.at(i)
-		cc += a.RemainingCC
-		mem += a.RemainingMem
+	for _, q := range c.queue[c.qhead:] {
+		cc += q.active.RemainingCC
+		mem += q.active.RemainingMem
 	}
 	return sim.Time(cc*1000/float64(c.cur) + mem)
 }

@@ -13,7 +13,7 @@ func (r Result) Responses(warmupFrac float64) []float64 {
 	cs := TrimWarmup(r.Completions, warmupFrac)
 	out := make([]float64, len(cs))
 	for i, c := range cs {
-		out[i] = c.ResponseNs
+		out[i] = c.ResponseNs()
 	}
 	return out
 }
@@ -54,10 +54,8 @@ func PooledTailNs(logs [][]Completion, q, warmupFrac float64) float64 {
 	for i, l := range logs {
 		trimmed[i] = TrimWarmup(l, warmupFrac)
 	}
-	return stats.PooledPercentile(trimmed, responseNs, q)
+	return stats.PooledPercentile(trimmed, (*Completion).ResponseNs, q)
 }
-
-func responseNs(c *Completion) float64 { return c.ResponseNs }
 
 // ViolationFrac returns the fraction of post-warmup responses above
 // boundNs. Like TailNs it falls back to the aggregate histogram when the
@@ -73,7 +71,7 @@ func (r Result) ViolationFrac(boundNs, warmupFrac float64) float64 {
 	}
 	n := 0
 	for _, c := range cs {
-		if c.ResponseNs > boundNs {
+		if c.ResponseNs() > boundNs {
 			n++
 		}
 	}

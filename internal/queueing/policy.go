@@ -13,20 +13,24 @@ import (
 	"rubik/internal/sim"
 )
 
-// QueuedRequest is a policy-visible snapshot of one request in the system.
+// QueuedRequest is one entry of a core's queue: a request in the system.
+// Policies see only its Arrival; the request itself and, for the head,
+// its progress are the core's own state.
 type QueuedRequest struct {
 	// Arrival is when the request entered the system.
 	Arrival sim.Time
+	active  ActiveRequest
 }
 
 // View is the system state handed to a Policy at a decision point. Index 0
 // of Queue is the request in service (if any).
 //
-// Queue aliases the core's mirror of its queued arrival stamps, which
-// later decision points overwrite: a policy must read it synchronously
-// inside OnEvent/OnTick and must not retain it past the call. Race-instrumented builds (`go test -race`) poison
-// retired snapshots from another goroutine, so a violation surfaces as a
-// data race instead of silent stale data.
+// Queue aliases the live part of the core's queue, which later decision
+// points overwrite: a policy must read it synchronously inside
+// OnEvent/OnTick and must not retain it past the call. Race-instrumented
+// builds (`go test -race`) poison retired snapshots from another
+// goroutine, so a violation surfaces as a data race instead of silent
+// stale data.
 type View struct {
 	// Now is the current simulated time.
 	Now sim.Time

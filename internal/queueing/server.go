@@ -60,7 +60,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Completion records one served request.
+// Completion records one served request. Its latencies are derived from
+// its timestamps (ResponseNs, ServiceNs), so a record is 56 bytes: the
+// size each arena slab reserves per request.
 type Completion struct {
 	// ID is the trace request ID.
 	ID int
@@ -74,12 +76,14 @@ type Completion struct {
 	// QueueLenAtArrival is the number of requests already in the system
 	// when this one arrived (0 = it found the core idle).
 	QueueLenAtArrival int
-	// ResponseNs is the end-to-end latency (Done - Arrival).
-	ResponseNs float64
-	// ServiceNs is the time in service (Done - Start), including DVFS and
-	// wake effects.
-	ServiceNs float64
 }
+
+// ResponseNs returns the end-to-end latency, Done - Arrival.
+func (c Completion) ResponseNs() float64 { return float64(c.Done - c.Arrival) }
+
+// ServiceNs returns the time in service, Done - Start, including DVFS and
+// wake effects.
+func (c Completion) ServiceNs() float64 { return float64(c.Done - c.Start) }
 
 // Result is the outcome of simulating one trace under one policy.
 type Result struct {

@@ -65,8 +65,8 @@ func TestSingleRequestTiming(t *testing.T) {
 	c := res.Completions[0]
 	// 2.4M cycles at 2400 MHz = 1 ms; plus 50 us memory.
 	want := 1_050_000.0
-	if math.Abs(c.ResponseNs-want) > 2 {
-		t.Fatalf("response = %v ns, want %v", c.ResponseNs, want)
+	if math.Abs(c.ResponseNs()-want) > 2 {
+		t.Fatalf("response = %v ns, want %v", c.ResponseNs(), want)
 	}
 	if c.Start != 1000 || c.QueueLenAtArrival != 0 {
 		t.Fatalf("unexpected lifecycle: %+v", c)
@@ -90,12 +90,12 @@ func TestWakeLatencyAppliesToFirstOfBusyPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First request pays wake latency: 110 us.
-	if math.Abs(res.Completions[0].ResponseNs-110_000) > 2 {
-		t.Fatalf("first response = %v", res.Completions[0].ResponseNs)
+	if math.Abs(res.Completions[0].ResponseNs()-110_000) > 2 {
+		t.Fatalf("first response = %v", res.Completions[0].ResponseNs())
 	}
 	// Second starts when first done; no wake penalty: done at 210 us.
-	if math.Abs(res.Completions[1].ResponseNs-(210_000-1)) > 2 {
-		t.Fatalf("second response = %v", res.Completions[1].ResponseNs)
+	if math.Abs(res.Completions[1].ResponseNs()-(210_000-1)) > 2 {
+		t.Fatalf("second response = %v", res.Completions[1].ResponseNs())
 	}
 }
 
@@ -115,7 +115,7 @@ func TestFIFOOrderAndConservation(t *testing.T) {
 		if i > 0 && c.Done < res.Completions[i-1].Done {
 			t.Fatal("completions out of time order")
 		}
-		if c.ResponseNs < c.ServiceNs-1e-9 {
+		if c.ResponseNs() < c.ServiceNs()-1e-9 {
 			t.Fatal("response below service time")
 		}
 	}
@@ -132,7 +132,7 @@ func TestMM1MeanResponse(t *testing.T) {
 	}
 	var sum float64
 	for _, c := range res.Completions {
-		sum += c.ResponseNs
+		sum += c.ResponseNs()
 	}
 	mean := sum / float64(len(res.Completions))
 	want := 100_000.0 / (1 - rho)
@@ -159,7 +159,7 @@ func TestMD1MeanWait(t *testing.T) {
 	}
 	var sum float64
 	for _, c := range res.Completions {
-		sum += c.ResponseNs - c.ServiceNs // waiting time
+		sum += c.ResponseNs() - c.ServiceNs() // waiting time
 	}
 	mean := sum / float64(len(res.Completions))
 	want := rho * 100_000 / (2 * (1 - rho))
@@ -225,12 +225,12 @@ func TestMidRequestFrequencyChange(t *testing.T) {
 	}
 	// Request 0: 500 us at 1200 MHz consumes 600k cycles; remaining 600k
 	// at 2400 MHz takes 250 us. Total 750 us.
-	if got := res.Completions[0].ResponseNs; math.Abs(got-750_000) > 5 {
+	if got := res.Completions[0].ResponseNs(); math.Abs(got-750_000) > 5 {
 		t.Fatalf("first response = %v, want 750000", got)
 	}
 	// Request 1: starts at 750 us, runs at 2400 (queue len 1 keeps freq),
 	// 1.2M cycles at 2400 = 500 us, done at 1250 us; response 750 us.
-	if got := res.Completions[1].ResponseNs; math.Abs(got-750_000) > 5 {
+	if got := res.Completions[1].ResponseNs(); math.Abs(got-750_000) > 5 {
 		t.Fatalf("second response = %v, want 750000", got)
 	}
 }
@@ -251,7 +251,7 @@ func TestTransitionLatencyDelaysSwitch(t *testing.T) {
 	// consumed ~120,120 cycles; the remaining ~1,079,880 cycles run at
 	// 2400 MHz (449,950 ns). Total ≈ 550,150 ns.
 	want := 100.0 + 100_000 + (1_200_000-120_120)/2.4
-	if got := res.Completions[0].ResponseNs; math.Abs(got-want) > 50 {
+	if got := res.Completions[0].ResponseNs(); math.Abs(got-want) > 50 {
 		t.Fatalf("response = %v, want ~%v", got, want)
 	}
 }
@@ -414,7 +414,7 @@ func TestTimelineRecording(t *testing.T) {
 
 func TestMetricsHelpers(t *testing.T) {
 	res := Result{Completions: []Completion{
-		{ResponseNs: 100}, {ResponseNs: 200}, {ResponseNs: 300}, {ResponseNs: 400},
+		{Done: 100}, {Done: 200}, {Done: 300}, {Done: 400},
 	}, ActiveEnergyJ: 4, ActiveNs: sim.Second, IdleNs: sim.Second}
 	if got := res.TailNs(0.5, 0); got != 200 {
 		t.Fatalf("median = %v", got)

@@ -7,13 +7,13 @@ package queueing
 const raceEnabled = true
 
 // Under the race detector every View gets a fresh copy of the queue
-// instead of an alias of the core's arrival mirror, and retireView
+// instead of an alias of the core's queue, and retireView
 // hands it to the core's poisoner goroutine once the policy call returns.
 // A policy that held on to View.Queue and reads it after its
 // OnEvent/OnTick call therefore races with the poisoner and `go test
 // -race` reports it — turning a silent stale-aliasing bug into a build
 // failure. Simulation results are unchanged: the fresh snapshot holds the
-// same values the aliased mirror would.
+// same values the aliased queue would.
 //
 // One long-lived poisoner per core, not a goroutine per decision: a race
 // run retires a snapshot at every decision, and a goroutine apiece held
@@ -37,10 +37,10 @@ type viewState struct {
 	poison chan []QueuedRequest
 }
 
-// queueView returns a fresh copy of the live part of the arrival mirror,
-// for retireView to poison.
+// queueView returns a fresh copy of the live part of the queue, for
+// retireView to poison.
 func (c *Core) queueView() []QueuedRequest {
-	return append(make([]QueuedRequest, 0, len(c.queued)-c.qhead), c.queued[c.qhead:]...)
+	return append(make([]QueuedRequest, 0, c.QueueLen()), c.queue[c.qhead:]...)
 }
 
 func (c *Core) retireView(q []QueuedRequest) {
