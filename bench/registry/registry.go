@@ -53,8 +53,9 @@ func All() []Bench {
 		{"EventSim", eventSim},
 		{"ClusterSimulate", clusterSim(0)},
 		{"CappedCluster", clusterSim(27)},
-		{"TableCacheHit", tableRefresh(true)},
-		{"TableCacheMiss", tableRefresh(false)},
+		{"TableCacheHit", tableRefresh(true, 2)},
+		{"TableCacheMiss", tableRefresh(false, 2)},
+		{"TableRefreshUnchanged", tableRefresh(true, 1)},
 		{"FleetSimulate1", fleet{sockets: 4, nPer: 12000, shards: 1, load: 0.5}.run},
 		{"FleetSimulate2", fleet{sockets: 4, nPer: 12000, shards: 2, load: 0.5}.run},
 		{"FleetSimulate4", fleet{sockets: 4, nPer: 12000, shards: 4, load: 0.5}.run},
@@ -90,14 +91,19 @@ func profiledSamples(n int) ([]float64, []float64) {
 	return comp, mem
 }
 
-// profiledHistograms returns profiledSamples(n) binned into two
-// n-sample profiling histograms.
-func profiledHistograms(n int) (*stats.Histogram, *stats.Histogram) {
+// profiledPairs returns two pairs of n-sample profiling histograms:
+// profiledSamples(n), and the same samples scaled by 1.25, so the pairs
+// bin differently. A builder that refreshes one pair and then the other
+// bins and fingerprints every time; refreshing one unchanged pair would
+// reuse the builder's memo of its last binning instead.
+func profiledPairs(n int) (histC, histM [2]*stats.Histogram) {
 	comp, mem := profiledSamples(n)
-	histC, histM := stats.NewHistogram(n), stats.NewHistogram(n)
-	for i := range comp {
-		histC.Push(comp[i])
-		histM.Push(mem[i])
+	for w, scale := range [2]float64{1, 1.25} {
+		histC[w], histM[w] = stats.NewHistogram(n), stats.NewHistogram(n)
+		for i := range comp {
+			histC[w].Push(scale * comp[i])
+			histM[w].Push(scale * mem[i])
+		}
 	}
 	return histC, histM
 }
@@ -146,46 +152,50 @@ func mergeFixture(sockets, cores, perCore int) cluster.FleetResult {
 // and buffers are warm, so the steady state is allocation-free (the paper
 // reports 0.2 ms per update) — followed by one read of row 0 at queue
 // position col, which conditions row 0 and materializes columns 0..col.
-// A refresh runs no transform and conditions no row: column 0 comes
-// straight from the profiles (TailTableBuild); col 1 adds
-// the forward transform pruned to stride 8 and one pruned inverse
-// (TailTableBuildCol1); col 3, the deepest column the paper operating
-// point reads, refines the forward to stride 4 (TailTableBuildCol3); col
-// 15 fills every column, the deep-queue worst case (TailTableBuildFull).
+// Iterations alternate between two profile pairs (profiledPairs), so
+// every refresh bins its windows. A refresh runs no transform and
+// conditions no row: column 0 comes straight from the profiles
+// (TailTableBuild); col 1 adds the forward transform pruned to stride 8
+// and one pruned inverse (TailTableBuildCol1); col 3, the deepest column
+// the paper operating point reads, refines the forward to stride 4
+// (TailTableBuildCol3); col 15 fills every column, the deep-queue worst
+// case (TailTableBuildFull).
 func tailTableBuild(col int) func(*testing.B) {
 	return func(b *testing.B) {
-		histC, histM := profiledHistograms(4096)
+		histC, histM := profiledPairs(4096)
 		tb, err := rubikcore.NewTableBuilder(0.95, 128, 8, 16)
 		if err != nil {
 			b.Fatal(err)
 		}
-		refresh := func() {
-			tbl, _, err := tb.Rebuild(histC, histM)
+		refresh := func(w int) {
+			tbl, _, err := tb.Rebuild(histC[w], histM[w])
 			if err != nil {
 				b.Fatal(err)
 			}
 			tbl.Lookup(0, col)
 		}
-		refresh() // warm buffers
+		refresh(0) // warm buffers
+		refresh(1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			refresh()
+			refresh(i & 1)
 		}
 	}
 }
 
 // tailTableBuildAllRows times a refresh plus column 0 of every row: the
 // refresh with every row conditioned, the cost an eager refresh paid and
-// a controller whose decisions select every row still pays.
+// a controller whose decisions select every row still pays. Like
+// tailTableBuild it alternates two profile pairs.
 func tailTableBuildAllRows(b *testing.B) {
-	histC, histM := profiledHistograms(4096)
+	histC, histM := profiledPairs(4096)
 	tb, err := rubikcore.NewTableBuilder(0.95, 128, 8, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	refresh := func() {
-		tbl, _, err := tb.Rebuild(histC, histM)
+	refresh := func(w int) {
+		tbl, _, err := tb.Rebuild(histC[w], histM[w])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,11 +203,12 @@ func tailTableBuildAllRows(b *testing.B) {
 			tbl.Lookup(row, 0)
 		}
 	}
-	refresh() // warm buffers
+	refresh(0) // warm buffers
+	refresh(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		refresh()
+		refresh(i & 1)
 	}
 }
 
@@ -237,7 +248,7 @@ func convolutionPacked(b *testing.B) {
 // window: O(1) amortized.
 func histogramPush(b *testing.B) {
 	r := rand.New(rand.NewSource(14))
-	histC, _ := profiledHistograms(8192)
+	histC, _ := profiledPairs(8192)
 	vals := make([]float64, 1024)
 	for i := range vals {
 		vals[i] = 250e3 * (0.5 + r.Float64())
@@ -245,7 +256,7 @@ func histogramPush(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		histC.Push(vals[i&1023])
+		histC[0].Push(vals[i&1023])
 	}
 }
 
@@ -370,13 +381,20 @@ func clusterSim(capW float64) func(*testing.B) {
 	}
 }
 
-// tableRefresh times a warm refresh of unchanged profiles, with the
-// rebuild cache attached (TableCacheHit: fingerprint both PMFs, verify
-// the full key, copy the table in place) or detached (TableCacheMiss: the
-// refresh the hit short-circuits). Both must report 0 allocs/op.
-func tableRefresh(cached bool) func(*testing.B) {
+// tableRefresh times a warm refresh, with the rebuild cache attached or
+// detached, cycling through the first pairs of profiledPairs. Over two
+// pairs every refresh bins its windows, since the builder's memo of an
+// unchanged window never serves it: TableCacheHit fingerprints both
+// PMFs, verifies the full key and copies the table in place (both pairs
+// stay cached), and TableCacheMiss is the uncached refresh the hit
+// short-circuits. Over one pair the windows never change
+// (TableRefreshUnchanged): the builder reuses the binning, its moments
+// and its fingerprint, and the cache answers the probe, which is what a
+// controller pays at every tick of an idle stretch. All must report 0
+// allocs/op, and a cached refresh must hit every time.
+func tableRefresh(cached bool, pairs int) func(*testing.B) {
 	return func(b *testing.B) {
-		histC, histM := profiledHistograms(8192)
+		histC, histM := profiledPairs(8192)
 		tb, err := rubikcore.NewTableBuilder(0.95, 128, 8, 16)
 		if err != nil {
 			b.Fatal(err)
@@ -384,19 +402,24 @@ func tableRefresh(cached bool) func(*testing.B) {
 		if cached {
 			tb.Cache = rubikcore.NewTableCache(4)
 		}
-		if _, _, err := tb.Rebuild(histC, histM); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := tb.Rebuild(histC, histM); err != nil {
+		for w := 0; w < pairs; w++ {
+			if _, _, err := tb.Rebuild(histC[w], histM[w]); err != nil {
 				b.Fatal(err)
 			}
 		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i, w := 0, 0; i < b.N; i++ {
+			if _, _, err := tb.Rebuild(histC[w], histM[w]); err != nil {
+				b.Fatal(err)
+			}
+			if w++; w == pairs {
+				w = 0
+			}
+		}
 		b.StopTimer()
-		if cached && tb.CacheHits() == 0 {
-			b.Fatal("cached refreshes never hit")
+		if cached && tb.CacheHits() < b.N {
+			b.Fatalf("%d of %d cached refreshes hit", tb.CacheHits(), b.N)
 		}
 	}
 }

@@ -67,6 +67,26 @@ func TestFleetTableCacheInvariance(t *testing.T) {
 			return cfg
 		}},
 	)
+	// Each cell's cache outcomes, pinned: a faster fingerprint or a
+	// builder that reuses an unchanged window's binning must leave every
+	// probe where it was. No cell collides. Where work stealing places
+	// the two sockets decides evictions in a flat fleet: evictions[0]
+	// when one shard's cache serves both, evictions[1] when each has
+	// its own. A hierarchical fleet's caches are per socket.
+	type pin struct {
+		hits, misses int64
+		evictions    [2]int64
+	}
+	pins := map[string]pin{
+		"bursty/jsq":            {0, 176, [2]int64{112, 48}},
+		"bursty/roundrobin":     {0, 177, [2]int64{113, 49}},
+		"heavytail/jsq":         {1, 173, [2]int64{109, 45}},
+		"heavytail/roundrobin":  {2, 170, [2]int64{106, 42}},
+		"closedloop/jsq":        {9, 200, [2]int64{136, 72}},
+		"closedloop/roundrobin": {7, 202, [2]int64{138, 74}},
+		"bursty/jsq/capped":     {1, 175, [2]int64{111, 47}},
+		"bursty/jsq/hier":       {1, 175, [2]int64{47, 47}},
+	}
 	var hits int64
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
@@ -92,6 +112,12 @@ func TestFleetTableCacheInvariance(t *testing.T) {
 			}
 			if st := got.TableCache; st.Lookups() == 0 {
 				t.Fatal("default-on cache was never consulted")
+			}
+			st, pinned := got.TableCache, pins[c.name]
+			if st.Hits != pinned.hits || st.Misses != pinned.misses || st.Collisions != 0 ||
+				(st.Evictions != pinned.evictions[0] && st.Evictions != pinned.evictions[1]) {
+				t.Fatalf("cache stats %+v, want %d hits, %d misses, 0 collisions and %d or %d evictions",
+					st, pinned.hits, pinned.misses, pinned.evictions[0], pinned.evictions[1])
 			}
 			hits += got.TableCache.Hits
 		})

@@ -107,11 +107,37 @@ type TableBuilder struct {
 	lastMeanC, lastStdC, lastMeanM, lastStdM float64
 	builds, skips, cacheHits                 int
 
-	// probe/probeFP are the cache key of the refresh in flight, kept on
-	// the builder (rather than finish's stack) so taking their address
-	// for cache calls does not heap-allocate a key per refresh.
-	probe   tableKey
-	probeFP uint64
+	// memo is what the last successful binning derived from its windows,
+	// reused by a refresh of the same unchanged pair.
+	memo binMemo
+
+	// probe is the cache key of the refresh in flight, kept on the
+	// builder (rather than finish's stack) so taking its address for
+	// cache calls does not heap-allocate a key per refresh.
+	probe tableKey
+}
+
+// binMemo records the histogram pair the last successful binning read,
+// by pointer, with both push counts, and what the refresh derived from
+// it: the binned profiles' moments and, once a cache probe needed it,
+// the key fingerprint. A histogram's window changes only when its push
+// count does (stats.Histogram.Pushes), so a refresh of the same pair at
+// the same counts would bin the same bits; it reuses the memo instead.
+// The pointers matter: two histograms can hold equal counts and
+// different windows. Holding them also keeps them alive, so an address
+// is never reused by another histogram while the memo names it.
+type binMemo struct {
+	histC, histM             *stats.Histogram
+	pushesC, pushesM         uint64
+	meanC, varC, meanM, varM float64
+	// committed reports that commitBins has moved this binning into
+	// distC/distM; until then it is still in binC/binM.
+	committed bool
+	// fp is the probe key's fingerprint under fpCache, or unset while
+	// fpCache is nil. A fingerprint belongs to its cache, whose hash
+	// function tests may replace.
+	fpCache *TableCache
+	fp      uint64
 }
 
 // NewTableBuilder validates the table dimensions and returns a builder
@@ -176,25 +202,46 @@ func (b *TableBuilder) CacheHits() int { return b.cacheHits }
 // false means the drift gate found both profiles within DriftThreshold of
 // the last rebuild and kept the existing tables. On error the previous
 // table is left intact.
+//
+// A refresh of the pair the last successful binning read, with neither
+// window pushed since, bins nothing: it copies that binning back into
+// the scratch and reuses its moments and fingerprint (see binMemo). The
+// drift gate, the cache probe and the commit then run as for a fresh
+// binning, on the same bits.
 func (b *TableBuilder) Rebuild(histC, histM *stats.Histogram) (*TailTable, bool, error) {
+	m := &b.memo
+	if m.histC == histC && m.histM == histM &&
+		m.pushesC == histC.Pushes() && m.pushesM == histM.Pushes() {
+		if m.committed {
+			copyPMF(&b.binC, b.distC)
+			copyPMF(&b.binM, b.distM)
+		}
+		return b.finish()
+	}
+	*m = binMemo{}
 	if err := histC.PMFInto(&b.binC, b.nbuckets); err != nil {
 		return nil, false, fmt.Errorf("core: compute distribution: %w", err)
 	}
 	if err := histM.PMFInto(&b.binM, b.nbuckets); err != nil {
 		return nil, false, fmt.Errorf("core: memory distribution: %w", err)
 	}
+	m.histC, m.histM = histC, histM
+	m.pushesC, m.pushesM = histC.Pushes(), histM.Pushes()
+	m.meanC, m.varC = b.binC.MeanVariance()
+	m.meanM, m.varM = b.binM.MeanVariance()
 	return b.finish()
 }
 
-// finish runs the drift gate on the freshly binned b.binC/b.binM and,
-// when it does not fire, refreshes the table from them — through the
-// content-addressed cache when one is attached (a verified hit copies the
-// cached table's row bounds and materialized columns in place,
-// bitwise-identical to rebuilding; rows and deeper columns are derived
-// later like a rebuilt table's), by the in-place rebuild otherwise.
+// finish runs the drift gate on the binned b.binC/b.binM, whose moments
+// and fingerprint the memo holds, and, when it does not fire, refreshes
+// the table from them — through the content-addressed cache when one is
+// attached (a verified hit copies the cached table's row bounds and
+// materialized columns in place, bitwise-identical to rebuilding; rows
+// and deeper columns are derived later like a rebuilt table's), by the
+// in-place rebuild otherwise.
 func (b *TableBuilder) finish() (*TailTable, bool, error) {
-	meanC, varC := b.binC.MeanVariance()
-	meanM, varM := b.binM.MeanVariance()
+	m := &b.memo
+	meanC, varC, meanM, varM := m.meanC, m.varC, m.meanM, m.varM
 	stdC, stdM := math.Sqrt(varC), math.Sqrt(varM)
 	if b.DriftThreshold > 0 && b.haveProfile &&
 		relDrift(meanC, stdC, b.lastMeanC, b.lastStdC) <= b.DriftThreshold &&
@@ -211,8 +258,10 @@ func (b *TableBuilder) finish() (*TailTable, bool, error) {
 			nbuckets:   b.nbuckets, rows: b.rows, maxQueue: b.maxQueue,
 			distC: b.binC, distM: b.binM,
 		}
-		b.probeFP = b.Cache.fingerprint(&b.probe)
-		if cached := b.Cache.lookup(b.probeFP, &b.probe); cached != nil {
+		if m.fpCache != b.Cache {
+			m.fp, m.fpCache = b.Cache.fingerprint(&b.probe), b.Cache
+		}
+		if cached := b.Cache.lookup(m.fp, &b.probe); cached != nil {
 			b.commitBins()
 			b.table.copyFrom(cached)
 			b.noteProfile(meanC, stdC, meanM, stdM)
@@ -224,7 +273,7 @@ func (b *TableBuilder) finish() (*TailTable, bool, error) {
 		return nil, false, err
 	}
 	if b.Cache != nil {
-		b.Cache.insert(b.probeFP, &b.probe, b.table)
+		b.Cache.insert(m.fp, &b.probe, b.table)
 	}
 	b.noteProfile(meanC, stdC, meanM, stdM)
 	b.builds++
@@ -239,6 +288,14 @@ func (b *TableBuilder) commitBins() {
 	b.distC, b.binC = b.binC, b.distC
 	b.distM, b.binM = b.binM, b.distM
 	b.plan = nil
+	b.memo.committed = true
+}
+
+// copyPMF makes dst a copy of src, reusing dst's buckets when their
+// capacity allows.
+func copyPMF(dst *stats.PMF, src stats.PMF) {
+	dst.Origin, dst.Width = src.Origin, src.Width
+	dst.P = resizeCopy(dst.P, src.P)
 }
 
 // noteProfile records the profile moments a refresh acted on, the state

@@ -18,12 +18,13 @@ import (
 // neighboring core's. The cache saves those and nothing else: a hit
 // table's rows are still conditioned on first read, and its deeper
 // columns still run the forward transform, while every lookup pays for
-// the fingerprint. The cache keys each
-// rebuild by an FNV-1a fingerprint over the raw float bits of that exact
-// input tuple; on a fingerprint hit it verifies the full key bit for bit
-// (FNV-1a can collide; a false share would corrupt results, so collisions
-// fall back to a full rebuild), then copies the cached table into the
-// builder's table in place. Because the pipeline is bit-deterministic,
+// the fingerprint (once per binning: a builder re-probing an unchanged
+// window reuses it). The cache keys each rebuild by a stats.Hash64
+// fingerprint over the raw float bits of that exact input tuple; on a
+// fingerprint hit it verifies the full key bit for bit (a 64-bit
+// fingerprint can collide; a false share would corrupt results, so
+// collisions fall back to a full rebuild), then copies the cached table
+// into the builder's table in place. Because the pipeline is bit-deterministic,
 // a verified hit is bitwise-indistinguishable from rebuilding — cached
 // and uncached runs produce DeepEqual results, which the cluster
 // property tests and the pre-cache goldens pin.
@@ -59,8 +60,8 @@ type TableCacheStats struct {
 	// Misses is the number of lookups with no entry at the fingerprint.
 	Misses int64
 	// Collisions is the number of lookups that found an entry at the
-	// fingerprint whose full key mismatched — a genuine FNV-1a collision
-	// (or a replaced slot), handled as a miss.
+	// fingerprint whose full key mismatched — a genuine fingerprint
+	// collision (or a replaced slot), handled as a miss.
 	Collisions int64
 	// Evictions counts entries displaced by the capacity bound.
 	Evictions int64
@@ -97,7 +98,7 @@ type tableKey struct {
 	distC, distM             stats.PMF
 }
 
-// fingerprintKey hashes the key's raw bits with FNV-1a.
+// fingerprintKey hashes the key's raw bits with stats.Hash64.
 func fingerprintKey(k *tableKey) uint64 {
 	return stats.NewHash64().
 		Float64(k.percentile).

@@ -270,9 +270,9 @@ func TestCacheEvictionBoundsMemory(t *testing.T) {
 }
 
 // TestCacheHitAllocationFree pins the hit path's cost: with the window
-// unchanged, a cached refresh (fingerprint + verify + copy) and the lazy
-// fill of every deeper column perform zero steady-state allocations, like
-// the rebuild path they replace.
+// unchanged, a cached refresh (memoized binning and fingerprint, verify,
+// copy) and the lazy fill of every deeper column perform zero
+// steady-state allocations, like the rebuild path they replace.
 func TestCacheHitAllocationFree(t *testing.T) {
 	b, err := NewTableBuilder(0.95, 128, 8, 16)
 	if err != nil {

@@ -65,17 +65,17 @@ func figCDF(opts Options, app workload.LCApp) (*FigCDFResult, error) {
 		GridMHz:     h.grid.Steps(),
 		Residency:   rb.Residency,
 	}
+	// at sorts vals, a fresh latency slice, in place.
 	at := func(vals []float64) []float64 {
-		cp := append([]float64(nil), vals...)
-		sort.Float64s(cp)
+		sort.Float64s(vals)
 		var row []float64
 		for _, p := range out.Percentiles {
-			row = append(row, ms(stats.PercentileSorted(cp, p)))
+			row = append(row, ms(stats.PercentileSorted(vals, p)))
 		}
 		return row
 	}
-	out.StaticMs = at(so.Result.ResponsesNs)
-	out.AdrenalineMs = at(ad.Result.ResponsesNs)
+	out.StaticMs = at(so.Result.ResponsesNs())
+	out.AdrenalineMs = at(ad.Result.ResponsesNs())
 	out.RubikMs = at(rb.Responses(Warmup))
 	return out, nil
 }

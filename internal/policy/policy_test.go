@@ -7,6 +7,7 @@ import (
 	"rubik/internal/cpu"
 	"rubik/internal/queueing"
 	"rubik/internal/sim"
+	"rubik/internal/stats"
 	"rubik/internal/workload"
 )
 
@@ -62,13 +63,13 @@ func TestReplayMatchesEventSimAtFixedFrequency(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Completions) != len(rep.ResponsesNs) {
+			if len(res.Completions) != len(rep.Dones) {
 				t.Fatalf("%s@%d: request counts differ", app.Name, f)
 			}
 			for i, c := range res.Completions {
-				if math.Abs(c.ResponseNs()-rep.ResponsesNs[i]) > 4 {
+				if math.Abs(c.ResponseNs()-rep.ResponseNs(i)) > 4 {
 					t.Fatalf("%s@%d req %d: sim %v vs replay %v ns",
-						app.Name, f, i, c.ResponseNs(), rep.ResponsesNs[i])
+						app.Name, f, i, c.ResponseNs(), rep.ResponseNs(i))
 				}
 			}
 			if math.Abs(res.ActiveEnergyJ-rep.ActiveEnergyJ) > 1e-4*rep.ActiveEnergyJ {
@@ -104,8 +105,63 @@ func TestReplaySaturatesLikeEventSim(t *testing.T) {
 			t.Fatalf("req %d: replay done at %d, event sim at %d, want both %d",
 				i, rep.Dones[i], c.Done, int64(math.MaxInt64))
 		}
-		if !(rep.ResponsesNs[i] > 0) {
-			t.Fatalf("req %d: replay response %v ns", i, rep.ResponsesNs[i])
+		if !(rep.ResponseNs(i) > 0) {
+			t.Fatalf("req %d: replay response %v ns", i, rep.ResponseNs(i))
+		}
+	}
+}
+
+// TestReplayDerivedLatenciesMatchStored pins the latencies a replay
+// derives from its completion times to float64(done - arrival) taken
+// inside the replay loop, where each request's done and arrival are at
+// hand: ResponseNs, ResponsesNs, TailNs and ViolationCount must read the
+// same bits, including latencies at and beyond 2^53 ns (where float64
+// stops representing every integer, so converting done and arrival
+// separately would round differently) and completions saturated at
+// math.MaxInt64.
+func TestReplayDerivedLatenciesMatchStored(t *testing.T) {
+	tr := workload.GenerateAtLoad(workload.Masstree(), 0.6, 400, 3)
+	for _, wake := range []sim.Time{5 * sim.Microsecond, 1<<53 + 1, 3<<60 + 12345, math.MaxInt64} {
+		cfg := DefaultReplayConfig()
+		cfg.WakeLatency = wake
+		freqs := UniformAssignment(len(tr.Requests), 2400)
+		for i := range freqs {
+			freqs[i] = 1200 + 200*(i%8)
+		}
+		rep, err := Replay(tr, freqs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The stored field, recomputed the way the replay loop filled it.
+		stored := make([]float64, len(tr.Requests))
+		donePrev := noPrev
+		for i, req := range tr.Requests {
+			done, _ := fifoStep(req, freqs[i], donePrev, cfg.WakeLatency)
+			stored[i] = float64(done - req.Arrival)
+			donePrev = done
+		}
+		derived := rep.ResponsesNs()
+		for i, want := range stored {
+			if got := rep.ResponseNs(i); math.Float64bits(got) != math.Float64bits(want) ||
+				math.Float64bits(derived[i]) != math.Float64bits(want) {
+				t.Fatalf("wake %d req %d: ResponseNs %v, ResponsesNs %v, stored %v", wake, i, got, derived[i], want)
+			}
+		}
+		for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+			if got, want := rep.TailNs(q), stats.Percentile(stored, q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("wake %d: TailNs(%v) = %v, stored %v", wake, q, got, want)
+			}
+		}
+		for _, bound := range []float64{0, stored[0], stats.Percentile(stored, 0.9), math.Inf(1)} {
+			want := 0
+			for _, v := range stored {
+				if v > bound {
+					want++
+				}
+			}
+			if got := rep.ViolationCount(bound); got != want {
+				t.Fatalf("wake %d: ViolationCount(%v) = %d, stored %d", wake, bound, got, want)
+			}
 		}
 	}
 }
@@ -380,7 +436,8 @@ func TestUniformAssignment(t *testing.T) {
 }
 
 func TestReplayResultHelpers(t *testing.T) {
-	r := ReplayResult{ResponsesNs: []float64{100, 200, 300, 400}, ActiveEnergyJ: 2}
+	reqs := []workload.Request{{Arrival: 0}, {Arrival: 50}, {Arrival: 100}, {Arrival: 1000}}
+	r := ReplayResult{Dones: []sim.Time{100, 250, 400, 1400}, ActiveEnergyJ: 2, requests: reqs}
 	if got := r.TailNs(0.5); got != 200 {
 		t.Fatalf("TailNs = %v", got)
 	}

@@ -35,33 +35,51 @@ func DefaultReplayConfig() ReplayConfig {
 
 // ReplayResult summarizes an analytic replay.
 type ReplayResult struct {
-	// ResponsesNs[i] is request i's end-to-end latency.
-	ResponsesNs []float64
 	// Dones[i] is request i's completion time.
 	Dones []sim.Time
 	// ActiveEnergyJ is the core energy spent serving.
 	ActiveEnergyJ float64
+
+	// requests aliases the replayed trace's requests, whose arrivals
+	// turn completion times into latencies.
+	requests []workload.Request
 }
 
-// TailNs returns the q-quantile response latency (ResponsesNs is left
-// untouched: the selection runs over a copy).
+// ResponseNs returns request i's end-to-end latency, Dones[i] less its
+// arrival: the same int64 difference the event-driven simulator's
+// Completion.ResponseNs converts, so it is exact wherever that is.
+func (r ReplayResult) ResponseNs(i int) float64 {
+	return float64(r.Dones[i] - r.requests[i].Arrival)
+}
+
+// ResponsesNs returns every request's end-to-end latency in a fresh
+// slice, in trace order.
+func (r ReplayResult) ResponsesNs() []float64 {
+	out := make([]float64, len(r.Dones))
+	for i := range out {
+		out[i] = r.ResponseNs(i)
+	}
+	return out
+}
+
+// TailNs returns the q-quantile response latency.
 func (r ReplayResult) TailNs(q float64) float64 {
-	return stats.Percentile(r.ResponsesNs, q)
+	return stats.PercentileInPlace(r.ResponsesNs(), q)
 }
 
 // EnergyPerRequestJ returns active energy per request.
 func (r ReplayResult) EnergyPerRequestJ() float64 {
-	if len(r.ResponsesNs) == 0 {
+	if len(r.Dones) == 0 {
 		return 0
 	}
-	return r.ActiveEnergyJ / float64(len(r.ResponsesNs))
+	return r.ActiveEnergyJ / float64(len(r.Dones))
 }
 
 // ViolationCount returns how many responses exceed boundNs.
 func (r ReplayResult) ViolationCount(boundNs float64) int {
 	n := 0
-	for _, v := range r.ResponsesNs {
-		if v > boundNs {
+	for i := range r.Dones {
+		if r.ResponseNs(i) > boundNs {
 			n++
 		}
 	}
@@ -77,10 +95,7 @@ func Replay(tr workload.Trace, freqs []int, cfg ReplayConfig) (ReplayResult, err
 		return ReplayResult{}, fmt.Errorf("policy: %d frequencies for %d requests",
 			len(freqs), len(tr.Requests))
 	}
-	res := ReplayResult{
-		ResponsesNs: make([]float64, len(tr.Requests)),
-		Dones:       make([]sim.Time, len(tr.Requests)),
-	}
+	res := ReplayResult{Dones: make([]sim.Time, len(tr.Requests)), requests: tr.Requests}
 	donePrev := noPrev
 	var fPrev int
 	var watts float64
@@ -94,7 +109,6 @@ func Replay(tr workload.Trace, freqs []int, cfg ReplayConfig) (ReplayResult, err
 		}
 		done, service := fifoStep(req, f, donePrev, cfg.WakeLatency)
 		res.Dones[i] = done
-		res.ResponsesNs[i] = float64(done - req.Arrival)
 		res.ActiveEnergyJ += watts * service / 1e9
 		donePrev = done
 	}

@@ -1,25 +1,36 @@
 package stats
 
 import (
-	"hash/fnv"
 	"math"
 	"testing"
 )
 
-// TestHash64MatchesStdFNV pins Hash64 to the standard library's FNV-1a:
-// folding a uint64 low byte first must equal hashing those eight bytes
-// through hash/fnv.
-func TestHash64MatchesStdFNV(t *testing.T) {
-	for _, v := range []uint64{0, 1, 0xff, 1 << 63, 0xdeadbeefcafef00d, math.MaxUint64} {
-		var b [8]byte
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
+// TestHash64PinnedVectors pins the word fold and its finalizer to
+// vectors computed independently of this package (state
+// s' = m ^ m>>32 with m = (s ^ word) * 0xbf58476d1ce4e5b9 from seed
+// 0x9e3779b97f4a7c15, then the SplitMix64 finalizer), so a change to
+// the fold, the seed or the finalizer, or a platform that computed them
+// differently, fails here rather than as a shifted cache count.
+func TestHash64PinnedVectors(t *testing.T) {
+	for _, c := range []struct{ v, want uint64 }{
+		{0, 0x12c36dc332d09808},
+		{1, 0xad9d24dfa1c80875},
+		{0xff, 0x9ae6ac3f9de9acf7},
+		{1 << 63, 0x55cf8338f07de630},
+		{0xdeadbeefcafef00d, 0x4c6ce3e000bf6f02},
+		{math.MaxUint64, 0xc6c2b720ac4280f6},
+	} {
+		if got := NewHash64().Uint64(c.v).Sum(); got != c.want {
+			t.Errorf("Uint64(%#x) = %#x, want %#x", c.v, got, c.want)
 		}
-		ref := fnv.New64a()
-		ref.Write(b[:])
-		if got := NewHash64().Uint64(v).Sum(); got != ref.Sum64() {
-			t.Errorf("Uint64(%#x) = %#x, want FNV-1a %#x", v, got, ref.Sum64())
-		}
+	}
+	if got, want := NewHash64().Sum(), uint64(0xe220a8397b1dcdaf); got != want {
+		t.Errorf("empty = %#x, want %#x", got, want)
+	}
+	// A chain: raw float bits, an int, and a length-prefixed slice.
+	got := NewHash64().Float64(0.95).Int(128).Float64s([]float64{0.25, 0.75}).Sum()
+	if want := uint64(0xcaecbb894a142188); got != want {
+		t.Errorf("chain = %#x, want %#x", got, want)
 	}
 }
 

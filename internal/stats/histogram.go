@@ -34,6 +34,9 @@ type Histogram struct {
 	// lo and hi are the window extrema unless stale is set.
 	lo, hi float64
 	stale  bool
+
+	// pushes counts accepted samples; see Pushes.
+	pushes uint64
 }
 
 // NewHistogram returns a histogram over a window of the given capacity.
@@ -61,6 +64,13 @@ func (h *Histogram) grow() {
 // Len returns the number of samples currently in the window.
 func (h *Histogram) Len() int { return h.n }
 
+// Pushes returns how many samples the histogram has accepted over its
+// lifetime. Only an accepted Push raises it and nothing resets it, so an
+// unchanged count means an unchanged window: a consumer that remembers a
+// histogram (by pointer) with its count can reuse whatever it derived
+// from that window instead of binning it again.
+func (h *Histogram) Pushes() uint64 { return h.pushes }
+
 // Push ingests one sample, evicting the oldest when the window is full.
 // Non-finite samples are rejected (reported false) so the window always
 // bins cleanly; batch sample ingestion treats them as input errors
@@ -78,6 +88,7 @@ func (h *Histogram) Push(v float64) bool {
 		h.grow()
 	}
 	h.buf[h.next] = v
+	h.pushes++
 	if h.next++; h.next == h.capacity {
 		h.next = 0
 	}

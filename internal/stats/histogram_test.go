@@ -156,6 +156,52 @@ func TestHistogramRejects(t *testing.T) {
 	}
 }
 
+// TestHistogramPushesCountsAcceptedOnly pins the mutation count a
+// consumer keys reuse on: every accepted Push raises it by one, through
+// the window's growth, its first eviction and the ring's wrap, and
+// neither a rejected sample (NaN, +Inf, -Inf) nor a zero-capacity window
+// ever moves it; binning and reading the window leave it alone too.
+func TestHistogramPushesCountsAcceptedOnly(t *testing.T) {
+	h := NewHistogram(100)
+	if h.Pushes() != 0 {
+		t.Fatalf("new histogram Pushes = %d", h.Pushes())
+	}
+	var dst PMF
+	want := uint64(0)
+	for i := 0; i < 350; i++ {
+		if !h.Push(float64(i % 37)) {
+			t.Fatalf("push %d rejected", i)
+		}
+		want++
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if h.Push(v) {
+				t.Fatalf("non-finite sample %v accepted", v)
+			}
+		}
+		if i%50 == 0 {
+			if err := h.PMFInto(&dst, 16); err != nil {
+				t.Fatal(err)
+			}
+			h.Min()
+			h.Max()
+			h.Snapshot(nil)
+		}
+		if h.Pushes() != want {
+			t.Fatalf("after %d accepted pushes Pushes = %d", want, h.Pushes())
+		}
+	}
+	if h.Len() != 100 {
+		t.Fatalf("window holds %d samples, want 100", h.Len())
+	}
+	zero := NewHistogram(0)
+	for _, v := range []float64{1, 0, math.NaN()} {
+		zero.Push(v)
+	}
+	if zero.Pushes() != 0 {
+		t.Fatalf("zero-capacity histogram Pushes = %d", zero.Pushes())
+	}
+}
+
 func TestHistogramDegenerateWindow(t *testing.T) {
 	h := NewHistogram(16)
 	for i := 0; i < 5; i++ {
